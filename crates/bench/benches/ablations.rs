@@ -120,8 +120,16 @@ fn bench_checkpoint_vs_nesting(c: &mut Criterion) {
             b.iter(|| {
                 let params: Vec<Value> =
                     acn_workloads::tpcc::neworder_params_for_bench(&tpcc, &mut rng);
-                run_checkpointed(&mut client, &dm.program, &params, &seq, &policy, &mut stats)
-                    .unwrap();
+                run_checkpointed(
+                    &mut client,
+                    &dm.program,
+                    &params,
+                    &seq,
+                    &policy,
+                    &mut stats,
+                    None,
+                )
+                .unwrap();
                 black_box(stats.commits)
             })
         });

@@ -22,7 +22,10 @@ use acn_txir::{ObjectId, Program, Value};
 use std::collections::HashMap;
 use std::time::Instant;
 
-fn emit(obs: &mut Option<&mut TxnObserver>, ev: TxnEvent) {
+/// Report one event: the counters are derived from it, and so is the
+/// observer's attribution when one is attached.
+fn emit(stats: &mut CheckpointStats, obs: &mut Option<&mut TxnObserver>, ev: TxnEvent) {
+    stats.on_event(ev);
     if let Some(o) = obs.as_deref_mut() {
         o.on_event(ev);
     }
@@ -42,37 +45,29 @@ pub struct CheckpointStats {
     pub full_restarts: u64,
 }
 
-impl From<CheckpointStats> for acn_obs::CheckpointCounters {
-    fn from(s: CheckpointStats) -> Self {
-        acn_obs::CheckpointCounters {
-            commits: s.commits,
-            rollbacks: s.rollbacks,
-            checkpoints: s.checkpoints,
-            full_restarts: s.full_restarts,
+impl CheckpointStats {
+    /// Count one event of a checkpointed run: every Block start takes a
+    /// checkpoint, a partial abort is a rollback to one, a full abort a
+    /// restart from the top.
+    fn on_event(&mut self, ev: TxnEvent) {
+        match ev {
+            TxnEvent::Commit { .. } => self.commits += 1,
+            TxnEvent::PartialAbort { .. } => self.rollbacks += 1,
+            TxnEvent::BlockStart { .. } => self.checkpoints += 1,
+            TxnEvent::FullAbort { .. } => self.full_restarts += 1,
+            _ => {}
         }
     }
 }
 
 /// Execute one instance with checkpoint-based partial rollback. `seq`
 /// provides the checkpoint boundaries (normally
-/// [`BlockSeq::from_units`]'s one-block-per-UnitBlock schedule).
+/// [`BlockSeq::from_units`]'s one-block-per-UnitBlock schedule). With an
+/// observer attached, rollbacks and restarts are attributed under the
+/// checkpoint-specific abort kinds ([`AbortKind::CkptRollback`] /
+/// [`AbortKind::CkptRestart`]), so a mixed run never conflates the two
+/// partial-rollback designs.
 pub fn run_checkpointed(
-    client: &mut DtmClient,
-    program: &Program,
-    params: &[Value],
-    seq: &BlockSeq,
-    policy: &RetryPolicy,
-    stats: &mut CheckpointStats,
-) -> Result<(), RunError> {
-    run_checkpointed_observed(client, program, params, seq, policy, stats, None)
-}
-
-/// [`run_checkpointed`] with an optional [`TxnObserver`]: rollbacks and
-/// restarts are attributed under the checkpoint-specific abort kinds
-/// ([`AbortKind::CkptRollback`] / [`AbortKind::CkptRestart`]), so a mixed
-/// run never conflates the two partial-rollback designs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed_observed(
     client: &mut DtmClient,
     program: &Program,
     params: &[Value],
@@ -83,7 +78,7 @@ pub fn run_checkpointed_observed(
 ) -> Result<(), RunError> {
     let mut restarts = 0usize;
     'restart: loop {
-        emit(&mut obs, TxnEvent::Begin);
+        emit(stats, &mut obs, TxnEvent::Begin);
         let mut ctx = TxnCtx::begin(client);
         let mut frame = Frame::new(program, params);
         // Saved states: snapshots[k] is the state *before* block k ran.
@@ -94,6 +89,7 @@ pub fn run_checkpointed_observed(
         let mut block_idx = 0usize;
         while block_idx < seq.len() {
             emit(
+                stats,
                 &mut obs,
                 TxnEvent::BlockStart {
                     block: block_idx as u32,
@@ -101,7 +97,6 @@ pub fn run_checkpointed_observed(
             );
             snapshots.truncate(block_idx);
             snapshots.push((ctx.clone(), frame.clone()));
-            stats.checkpoints += 1;
 
             let reads_before = ctx.reads_len();
             let mut lock_holds: u32 = 0;
@@ -126,6 +121,7 @@ pub fn run_checkpointed_observed(
             // holds to the discarded block and a completed run keeps them.
             if lock_holds > 0 {
                 emit(
+                    stats,
                     &mut obs,
                     TxnEvent::LockHolds {
                         block: Some(block_idx as u32),
@@ -151,8 +147,8 @@ pub fn run_checkpointed_observed(
                         .map(|o| first_read_block.get(o).copied().unwrap_or(block_idx))
                         .min()
                         .unwrap_or(block_idx);
-                    stats.rollbacks += 1;
                     emit(
+                        stats,
                         &mut obs,
                         TxnEvent::PartialAbort {
                             block: block_idx as u32,
@@ -175,8 +171,8 @@ pub fn run_checkpointed_observed(
                 }
                 Err(StepError::Dtm(DtmError::Unavailable)) => return Err(RunError::Unavailable),
                 Err(StepError::Dtm(e)) => {
-                    stats.full_restarts += 1;
                     emit(
+                        stats,
                         &mut obs,
                         TxnEvent::FullAbort {
                             block: Some(block_idx as u32),
@@ -200,8 +196,8 @@ pub fn run_checkpointed_observed(
 
         match ctx.commit(client) {
             Ok(()) => {
-                stats.commits += 1;
                 emit(
+                    stats,
                     &mut obs,
                     TxnEvent::Commit {
                         restarts: restarts as u32,
@@ -211,8 +207,8 @@ pub fn run_checkpointed_observed(
             }
             Err(DtmError::Unavailable) => return Err(RunError::Unavailable),
             Err(e) => {
-                stats.full_restarts += 1;
                 emit(
+                    stats,
                     &mut obs,
                     TxnEvent::FullAbort {
                         block: None,
@@ -288,6 +284,7 @@ mod tests {
             &seq,
             &RetryPolicy::default(),
             &mut stats,
+            None,
         )
         .unwrap();
         assert_eq!(stats.commits, 1);
@@ -319,6 +316,7 @@ mod tests {
             &seq,
             &RetryPolicy::default(),
             &mut stats,
+            None,
         )
         .unwrap();
         // Concurrent hammering on the branch to force invalidations.
@@ -334,6 +332,7 @@ mod tests {
                         &seq,
                         &RetryPolicy::default(),
                         &mut st,
+                        None,
                     )
                     .unwrap();
                 }
@@ -347,6 +346,7 @@ mod tests {
                     &seq,
                     &RetryPolicy::default(),
                     &mut stats,
+                    None,
                 )
                 .unwrap();
             }
@@ -366,7 +366,7 @@ mod tests {
         let seq = BlockSeq::from_units(&dm);
         let mut stats = CheckpointStats::default();
         let mut obs = TxnObserver::default();
-        run_checkpointed_observed(
+        run_checkpointed(
             &mut client,
             &dm.program,
             &[Value::Int(1), Value::Int(2), Value::Int(25)],
@@ -406,6 +406,7 @@ mod tests {
             &per_unit,
             &RetryPolicy::default(),
             &mut s1,
+            None,
         )
         .unwrap();
         run_checkpointed(
@@ -415,6 +416,7 @@ mod tests {
             &flat,
             &RetryPolicy::default(),
             &mut s2,
+            None,
         )
         .unwrap();
         assert!(s1.checkpoints > s2.checkpoints);

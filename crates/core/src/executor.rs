@@ -9,7 +9,7 @@
 
 use crate::blocks::BlockSeq;
 use acn_dtm::{AbortScope, ChildCtx, DtmClient, DtmError, SpecCache, TxnCtx};
-use acn_obs::{AbortKind, SpanKind, TxnEvent, TxnObserver};
+use acn_obs::{AbortKind, ExecStats, SpanKind, TxnEvent, TxnObserver};
 use acn_txir::{
     prefetchable_opens, AccessMode, EvalError, ObjectId, Operand, PredictedRead, Program, Stmt,
     StmtIdx, Value,
@@ -17,11 +17,21 @@ use acn_txir::{
 use rand_like::jitter;
 use std::time::{Duration, Instant};
 
-/// Record `ev` when an observer is attached; a no-op (one branch) when not,
-/// so the unobserved hot path stays unchanged.
-fn emit(obs: &mut Option<&mut TxnObserver>, ev: TxnEvent) {
-    if let Some(o) = obs.as_deref_mut() {
-        o.on_event(ev);
+/// Where a run reports what happened: the event is the only thing a site
+/// produces. The counters are derived from it, and so is the observer's
+/// attribution when one is attached, so the two cannot disagree.
+struct Sink<'a> {
+    stats: &'a mut ExecStats,
+    obs: Option<&'a mut TxnObserver>,
+}
+
+impl Sink<'_> {
+    #[inline]
+    fn emit(&mut self, ev: TxnEvent) {
+        self.stats.on_event(ev);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_event(ev);
+        }
     }
 }
 
@@ -83,45 +93,6 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// Execution counters for one client thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Full transaction restarts (parent scope).
-    pub full_aborts: u64,
-    /// Partial rollbacks (child scope only) — the closed-nesting win.
-    pub partial_aborts: u64,
-    /// Restarts caused by persistent `protected` objects.
-    pub locked_aborts: u64,
-    /// Restarts after a quorum-unavailable round (chaos/partition runs
-    /// with [`RetryPolicy::max_unavailable_retries`] > 0).
-    pub unavailable_retries: u64,
-}
-
-impl ExecStats {
-    /// Element-wise accumulate (for merging per-thread stats).
-    pub fn merge(&mut self, other: &ExecStats) {
-        self.commits += other.commits;
-        self.full_aborts += other.full_aborts;
-        self.partial_aborts += other.partial_aborts;
-        self.locked_aborts += other.locked_aborts;
-        self.unavailable_retries += other.unavailable_retries;
-    }
-}
-
-impl From<ExecStats> for acn_obs::ExecCounters {
-    fn from(s: ExecStats) -> Self {
-        acn_obs::ExecCounters {
-            commits: s.commits,
-            full_aborts: s.full_aborts,
-            partial_aborts: s.partial_aborts,
-            locked_aborts: s.locked_aborts,
-            unavailable_retries: s.unavailable_retries,
-        }
-    }
-}
-
 /// Terminal failures of a transaction run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -145,7 +116,7 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Feedback from one predicted run (see [`ExecutorEngine::run_predicted`]):
+/// Feedback from one predicted run (see [`Prediction`]):
 /// what the executor actually observed at counter reads that failed
 /// validation — the coordinator's predictor re-seeds from `observed +
 /// delta` — plus any aliased-open degradations the run absorbed.
@@ -218,7 +189,7 @@ pub(crate) trait Access {
 pub(crate) struct FlatAccess<'a> {
     pub(crate) ctx: &'a mut TxnCtx,
     /// Speculative whole-transaction prefetch cache, when the run carries
-    /// a predicted-exact access set (see [`ExecutorEngine::run_predicted`]).
+    /// a predicted-exact access set (see [`Prediction`]).
     pub(crate) spec: Option<&'a SpecCache>,
     /// Sorted value-blind write set: these opens fetch nothing at all
     /// (see [`SpecSets`]).
@@ -320,8 +291,8 @@ impl<'p> Frame<'p> {
 pub(crate) struct StepGuards<'a> {
     pub(crate) preds: Option<&'a mut Vec<PredictedRead>>,
     pub(crate) alias_check: bool,
-    /// When observing, counts update-mode opens (commit-time lock claims)
-    /// for the wasted-work ledger's `LockHolds` event.
+    /// Counts update-mode opens (commit-time lock claims) for the
+    /// wasted-work ledger's `LockHolds` event.
     pub(crate) lock_holds: Option<&'a mut u32>,
 }
 
@@ -499,42 +470,6 @@ impl ExecutorEngine {
         ExecutorEngine { policy, config }
     }
 
-    /// [`ExecutorEngine::run`] plus end-to-end latency recording: the
-    /// duration from first attempt to successful commit (including all
-    /// retries and backoff) lands in `latency`.
-    pub fn run_timed(
-        &self,
-        client: &mut DtmClient,
-        program: &Program,
-        params: &[Value],
-        seq: &BlockSeq,
-        stats: &mut ExecStats,
-        latency: &mut crate::histogram::LatencyHistogram,
-    ) -> Result<(), RunError> {
-        self.run_timed_observed(client, program, params, seq, stats, latency, None)
-    }
-
-    /// [`ExecutorEngine::run_timed`] with an optional [`TxnObserver`]
-    /// recording structured events and abort attribution.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_timed_observed(
-        &self,
-        client: &mut DtmClient,
-        program: &Program,
-        params: &[Value],
-        seq: &BlockSeq,
-        stats: &mut ExecStats,
-        latency: &mut crate::histogram::LatencyHistogram,
-        obs: Option<&mut TxnObserver>,
-    ) -> Result<(), RunError> {
-        let start = std::time::Instant::now();
-        let out = self.run_observed(client, program, params, seq, stats, obs);
-        if out.is_ok() {
-            latency.record(start.elapsed());
-        }
-        out
-    }
-
     /// Execute one transaction instance (`program` + `params`) over the
     /// Block sequence `seq`, retrying on aborts per the policy. Statistics
     /// are accumulated into `stats`.
@@ -546,118 +481,66 @@ impl ExecutorEngine {
         seq: &BlockSeq,
         stats: &mut ExecStats,
     ) -> Result<(), RunError> {
-        self.run_observed(client, program, params, seq, stats, None)
+        self.run_with(client, program, params, seq, stats, RunOpts::default())
     }
 
-    /// [`ExecutorEngine::run`] with an optional [`TxnObserver`]. Every
-    /// `stats` abort increment emits exactly one matching abort event, so
-    /// the observer's attribution table reconciles against `stats` to the
-    /// unit (`total_of(EXECUTOR_KINDS) == full + partial + locked`).
-    pub fn run_observed(
+    /// [`ExecutorEngine::run`] with options: an observer and/or the batch
+    /// scheduler's predictions (see [`RunOpts`]). Every event of the run
+    /// feeds `stats` and the observer alike, so the observer's attribution
+    /// table reconciles against `stats` to the unit
+    /// (`total_of(EXECUTOR_KINDS) == full + partial + locked`). The run is
+    /// not timed here: a caller that wants the end-to-end latency (retries
+    /// and backoff included) reads the clock around the call.
+    pub fn run_with(
         &self,
         client: &mut DtmClient,
         program: &Program,
         params: &[Value],
         seq: &BlockSeq,
         stats: &mut ExecStats,
-        obs: Option<&mut TxnObserver>,
-    ) -> Result<(), RunError> {
-        self.run_loop(client, program, params, seq, stats, obs, None)
-    }
-
-    /// [`ExecutorEngine::run_timed_observed`] under batch-scheduler counter
-    /// predictions: each [`PredictedRead`] is validated at the instance's
-    /// real read of that counter. On mismatch the attempt is repaired — a
-    /// partial rollback of the offending Block on a nested schedule
-    /// ([`AbortKind::SpecMispredict`]), a full restart on the flat arm —
-    /// with the failed prediction dropped so the re-run reads freely, and
-    /// the observed value reported through `outcome` so the coordinator's
-    /// predictor can resynchronize. Aliased opens degrade the run to flat
-    /// program order ([`AbortKind::AliasedOpen`]) and are counted there too.
-    ///
-    /// `spec_objs` is the instance's resolved access set (empty to opt
-    /// out): every attempt fetches it in **one** quorum round into a side
-    /// cache that `Open` statements install from ([`SpecCache`]), so a
-    /// predicted-exact instance — Var-indexed opens included — pays a
-    /// single read round instead of one per Block plus one per
-    /// data-dependent open. Mispredicted objects are simply never
-    /// installed; the real open misses the cache and reads remotely.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_predicted(
-        &self,
-        client: &mut DtmClient,
-        program: &Program,
-        params: &[Value],
-        seq: &BlockSeq,
-        preds: &[PredictedRead],
-        spec_objs: &[ObjectId],
-        blind: &[ObjectId],
-        respec: Option<RespecFn<'_>>,
-        stats: &mut ExecStats,
-        latency: &mut crate::histogram::LatencyHistogram,
-        obs: Option<&mut TxnObserver>,
-        outcome: &mut PredictionOutcome,
-    ) -> Result<(), RunError> {
-        let start = std::time::Instant::now();
-        let out = self.run_loop(
-            client,
-            program,
-            params,
-            seq,
-            stats,
-            obs,
-            Some((preds, spec_objs, blind, respec, outcome)),
-        );
-        if out.is_ok() {
-            latency.record(start.elapsed());
-        }
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_loop(
-        &self,
-        client: &mut DtmClient,
-        program: &Program,
-        params: &[Value],
-        seq: &BlockSeq,
-        stats: &mut ExecStats,
-        mut obs: Option<&mut TxnObserver>,
-        preds: Option<PredInput<'_>>,
+        opts: RunOpts<'_>,
     ) -> Result<(), RunError> {
         assert_eq!(
             params.len(),
             program.params as usize,
             "instance must bind every parameter"
         );
-        // The plan depends only on the template, the instance parameters
-        // and the schedule — all fixed for the whole retry loop — so it is
-        // computed once per run, not per attempt.
-        let plan = if self.config.batched_reads {
-            Some(prefetch_plan(program, params, seq))
-        } else {
-            None
+        let inst = Instance {
+            program,
+            params,
+            seq,
+            // The plan depends only on the template, the instance
+            // parameters and the schedule — all fixed for the whole retry
+            // loop — so it is computed once per run, not per attempt.
+            plan: self
+                .config
+                .batched_reads
+                .then(|| prefetch_plan(program, params, seq)),
+        };
+        let mut sink = Sink {
+            stats,
+            obs: opts.obs,
         };
         // Predictions persist across attempts: a prediction dropped after a
         // mispredict stays dropped, so a restarted attempt cannot trip over
         // the same wrong value again.
-        let mut pred_state = preds.map(|(p, objs, blind, respec, outcome)| PredState {
-            active: p.to_vec(),
+        let mut pred_state = opts.prediction.map(|p| PredState {
+            active: p.preds.to_vec(),
             spec_objs: if self.config.batched_reads {
-                objs.to_vec()
+                p.spec.fetch.clone()
             } else {
                 Vec::new()
             },
             blind: if self.config.batched_reads {
-                let mut b = blind.to_vec();
+                let mut b = p.spec.blind.clone();
                 b.sort_unstable();
                 b
             } else {
                 Vec::new()
             },
             unblinded: Vec::new(),
-            respec,
-            outcome,
+            respec: p.respec,
+            outcome: p.outcome,
         });
         let mut forced_flat = false;
         let mut restarts = 0usize;
@@ -665,23 +548,15 @@ impl ExecutorEngine {
         loop {
             match self.attempt(
                 client,
-                program,
-                params,
-                seq,
-                plan.as_deref(),
-                stats,
-                obs.as_deref_mut(),
+                &inst,
+                &mut sink,
                 pred_state.as_mut(),
                 &mut forced_flat,
             ) {
                 Ok(()) => {
-                    stats.commits += 1;
-                    emit(
-                        &mut obs,
-                        TxnEvent::Commit {
-                            restarts: restarts as u32,
-                        },
-                    );
+                    sink.emit(TxnEvent::Commit {
+                        restarts: restarts as u32,
+                    });
                     return Ok(());
                 }
                 Err(AttemptError::Restart) => {
@@ -702,8 +577,7 @@ impl ExecutorEngine {
                     // quorum; back off (the window is typically much longer
                     // than a conflict) and restart the attempt from scratch.
                     unavailable += 1;
-                    stats.unavailable_retries += 1;
-                    emit(&mut obs, TxnEvent::UnavailableRetry);
+                    sink.emit(TxnEvent::UnavailableRetry);
                     let bo = Instant::now();
                     jitter(self.policy.backoff_base.saturating_mul(8), unavailable);
                     if let Some(t) = client.tracer_mut() {
@@ -716,21 +590,56 @@ impl ExecutorEngine {
     }
 }
 
+/// Options of one [`ExecutorEngine::run_with`] call. The default — no
+/// observer, no predictions — is a plain [`ExecutorEngine::run`].
+#[derive(Default)]
+pub struct RunOpts<'a> {
+    /// Records the run's structured events and abort attribution.
+    pub obs: Option<&'a mut TxnObserver>,
+    /// Runs the instance under batch-scheduler predictions.
+    pub prediction: Option<Prediction<'a>>,
+}
+
+/// The batch scheduler's predictions for one instance. Each
+/// [`PredictedRead`] is validated at the instance's real read of that
+/// counter. On mismatch the attempt is repaired — a partial rollback of the
+/// offending Block on a nested schedule ([`AbortKind::SpecMispredict`]), a
+/// full restart on the flat arm — with the failed prediction dropped so the
+/// re-run reads freely, and the observed value reported through `outcome`
+/// so the coordinator's predictor can resynchronize. Aliased opens degrade
+/// the run to flat program order ([`AbortKind::AliasedOpen`]) and are
+/// counted there too.
+pub struct Prediction<'a> {
+    /// Counter reads the wave was ordered by.
+    pub preds: &'a [PredictedRead],
+    /// The instance's resolved access plan (empty sets to opt out): every
+    /// attempt fetches `spec.fetch` in **one** quorum round into a side
+    /// cache that `Open` statements install from ([`SpecCache`]), so a
+    /// predicted-exact instance — Var-indexed opens included — pays a
+    /// single read round instead of one per Block plus one per
+    /// data-dependent open. Mispredicted objects are simply never
+    /// installed; the real open misses the cache and reads remotely.
+    pub spec: &'a SpecSets,
+    /// Re-resolves the access plan after a mispredict.
+    pub respec: Option<RespecFn<'a>>,
+    /// Feedback sink for the coordinator's predictor.
+    pub outcome: &'a mut PredictionOutcome,
+}
+
+/// The fixed inputs of one run, shared by every attempt.
+struct Instance<'a> {
+    program: &'a Program,
+    params: &'a [Value],
+    seq: &'a BlockSeq,
+    /// Per-Block statically known opens, when batched reads are on.
+    plan: Option<Vec<Vec<ObjectId>>>,
+}
+
 enum AttemptError {
     /// Full abort — retry from the beginning.
     Restart,
     Fatal(RunError),
 }
-
-/// The prediction inputs a caller hands [`ExecutorEngine::run_predicted`]:
-/// predictions, speculative fetch set, blind set, re-resolver, feedback sink.
-type PredInput<'a> = (
-    &'a [PredictedRead],
-    &'a [ObjectId],
-    &'a [ObjectId],
-    Option<RespecFn<'a>>,
-    &'a mut PredictionOutcome,
-);
 
 /// Per-run prediction state: the still-active predictions (mutated as they
 /// validate or fail), the resolved access set to prefetch speculatively
@@ -793,20 +702,21 @@ impl PredState<'_> {
 }
 
 impl ExecutorEngine {
-    #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
         client: &mut DtmClient,
-        program: &Program,
-        params: &[Value],
-        seq: &BlockSeq,
-        plan: Option<&[Vec<ObjectId>]>,
-        stats: &mut ExecStats,
-        mut obs: Option<&mut TxnObserver>,
+        inst: &Instance<'_>,
+        sink: &mut Sink<'_>,
         mut preds: Option<&mut PredState<'_>>,
         forced_flat: &mut bool,
     ) -> Result<(), AttemptError> {
-        emit(&mut obs, TxnEvent::Begin);
+        let Instance {
+            program,
+            params,
+            seq,
+            ..
+        } = *inst;
+        sink.emit(TxnEvent::Begin);
         let mut ctx = TxnCtx::begin(client);
         let mut frame = Frame::new(program, params);
 
@@ -823,15 +733,12 @@ impl ExecutorEngine {
                 // invalidation, so there is nothing to unblind.
                 let cache = ctx
                     .fetch_spec(client, &p.spec_objs)
-                    .map_err(|e| self.step_error(StepError::Dtm(e), stats, None, None, &mut obs))?;
+                    .map_err(|e| self.step_error(StepError::Dtm(e), None, None, sink))?;
                 if !cache.is_empty() {
-                    emit(
-                        &mut obs,
-                        TxnEvent::BatchedRead {
-                            block: None,
-                            objs: cache.len() as u32,
-                        },
-                    );
+                    sink.emit(TxnEvent::BatchedRead {
+                        block: None,
+                        objs: cache.len() as u32,
+                    });
                 }
                 Some(cache)
             }
@@ -842,7 +749,7 @@ impl ExecutorEngine {
         // opens are pending, or it would fetch the presumed-absent objects
         // before the blind check at `Access::open` ever runs.
         let plan = if spec.is_none() && preds.as_deref().is_none_or(|p| p.blind.is_empty()) {
-            plan
+            inst.plan.as_deref()
         } else {
             None
         };
@@ -858,22 +765,13 @@ impl ExecutorEngine {
                     }
                 }
                 ctx.open_batch(client, &union).map_err(|e| {
-                    self.step_error(
-                        StepError::Dtm(e),
-                        stats,
-                        None,
-                        preds.as_deref_mut(),
-                        &mut obs,
-                    )
+                    self.step_error(StepError::Dtm(e), None, preds.as_deref_mut(), sink)
                 })?;
                 if !union.is_empty() {
-                    emit(
-                        &mut obs,
-                        TxnEvent::BatchedRead {
-                            block: None,
-                            objs: union.len() as u32,
-                        },
-                    );
+                    sink.emit(TxnEvent::BatchedRead {
+                        block: None,
+                        objs: union.len() as u32,
+                    });
                 }
             }
             // Program order, not schedule order: a genuinely flat sequence
@@ -904,13 +802,10 @@ impl ExecutorEngine {
             // attributes these holds to whatever this attempt becomes —
             // a commit or the discarded side of the abort below.
             if lock_holds > 0 {
-                emit(
-                    &mut obs,
-                    TxnEvent::LockHolds {
-                        block: None,
-                        holds: lock_holds,
-                    },
-                );
+                sink.emit(TxnEvent::LockHolds {
+                    block: None,
+                    holds: lock_holds,
+                });
             }
             if let Err(e) = result {
                 if let StepError::Mispredict { pred, observed } = &e {
@@ -925,24 +820,20 @@ impl ExecutorEngine {
                         // open — still one round, no per-open cache misses.
                         p.correct_spec();
                     }
-                    stats.full_aborts += 1;
-                    emit(
-                        &mut obs,
-                        TxnEvent::FullAbort {
-                            block: None,
-                            obj: Some(pred.obj),
-                            kind: AbortKind::SpecMispredict,
-                        },
-                    );
+                    sink.emit(TxnEvent::FullAbort {
+                        block: None,
+                        obj: Some(pred.obj),
+                        kind: AbortKind::SpecMispredict,
+                    });
                     return Err(AttemptError::Restart);
                 }
-                return Err(self.step_error(e, stats, None, preds.as_deref_mut(), &mut obs));
+                return Err(self.step_error(e, None, preds.as_deref_mut(), sink));
             }
         } else {
             for (bi, block) in seq.blocks.iter().enumerate() {
                 let mut partial_tries = 0usize;
                 loop {
-                    emit(&mut obs, TxnEvent::BlockStart { block: bi as u32 });
+                    sink.emit(TxnEvent::BlockStart { block: bi as u32 });
                     if let Some(t) = client.tracer_mut() {
                         t.block_start(bi as u32);
                     }
@@ -960,13 +851,10 @@ impl ExecutorEngine {
                     if prefetched.is_ok() {
                         if let Some(plan) = plan {
                             if !plan[bi].is_empty() {
-                                emit(
-                                    &mut obs,
-                                    TxnEvent::BatchedRead {
-                                        block: Some(bi as u32),
-                                        objs: plan[bi].len() as u32,
-                                    },
-                                );
+                                sink.emit(TxnEvent::BatchedRead {
+                                    block: Some(bi as u32),
+                                    objs: plan[bi].len() as u32,
+                                });
                             }
                         }
                     }
@@ -993,13 +881,10 @@ impl ExecutorEngine {
                     // abort must charge this run's holds to the discarded
                     // Block, a completed run keeps them with the Block.
                     if lock_holds > 0 {
-                        emit(
-                            &mut obs,
-                            TxnEvent::LockHolds {
-                                block: Some(bi as u32),
-                                holds: lock_holds,
-                            },
-                        );
+                        sink.emit(TxnEvent::LockHolds {
+                            block: Some(bi as u32),
+                            holds: lock_holds,
+                        });
                     }
                     match result {
                         Ok(()) => {
@@ -1023,15 +908,11 @@ impl ExecutorEngine {
                                 // instance: full abort, then re-run the
                                 // whole transaction as a flat program-order
                                 // sequence where aliasing is harmless.
-                                stats.full_aborts += 1;
-                                emit(
-                                    &mut obs,
-                                    TxnEvent::FullAbort {
-                                        block: Some(bi as u32),
-                                        obj: Some(obj),
-                                        kind: AbortKind::AliasedOpen,
-                                    },
-                                );
+                                sink.emit(TxnEvent::FullAbort {
+                                    block: Some(bi as u32),
+                                    obj: Some(obj),
+                                    kind: AbortKind::AliasedOpen,
+                                });
                                 *forced_flat = true;
                                 if let Some(p) = preds.as_deref_mut() {
                                     p.outcome.aliased += 1;
@@ -1081,27 +962,19 @@ impl ExecutorEngine {
                                     {
                                         p.unblind(objs);
                                     }
-                                    stats.partial_aborts += 1;
-                                    emit(
-                                        &mut obs,
-                                        TxnEvent::PartialAbort {
-                                            block: bi as u32,
-                                            obj: blamed,
-                                            kind,
-                                        },
-                                    );
+                                    sink.emit(TxnEvent::PartialAbort {
+                                        block: bi as u32,
+                                        obj: blamed,
+                                        kind,
+                                    });
                                     partial_tries += 1;
                                     if partial_tries >= self.policy.max_partial_retries {
                                         // Livelocked child: escalate.
-                                        stats.full_aborts += 1;
-                                        emit(
-                                            &mut obs,
-                                            TxnEvent::FullAbort {
-                                                block: Some(bi as u32),
-                                                obj: blamed,
-                                                kind: AbortKind::Escalated,
-                                            },
-                                        );
+                                        sink.emit(TxnEvent::FullAbort {
+                                            block: Some(bi as u32),
+                                            obj: blamed,
+                                            kind: AbortKind::Escalated,
+                                        });
                                         return Err(AttemptError::Restart);
                                     }
                                     // Mispredict repair refill: re-resolve
@@ -1126,13 +999,10 @@ impl ExecutorEngine {
                                                 match ctx.fetch_spec(client, &missing) {
                                                     Ok(fresh) => {
                                                         if !fresh.is_empty() {
-                                                            emit(
-                                                                &mut obs,
-                                                                TxnEvent::BatchedRead {
-                                                                    block: Some(bi as u32),
-                                                                    objs: fresh.len() as u32,
-                                                                },
-                                                            );
+                                                            sink.emit(TxnEvent::BatchedRead {
+                                                                block: Some(bi as u32),
+                                                                objs: fresh.len() as u32,
+                                                            });
                                                         }
                                                         cache.absorb(fresh);
                                                     }
@@ -1147,10 +1017,9 @@ impl ExecutorEngine {
                                             // at the initial fetch.
                                             return Err(self.step_error(
                                                 StepError::Dtm(e),
-                                                stats,
                                                 None,
                                                 preds.as_deref_mut(),
-                                                &mut obs,
+                                                sink,
                                             ));
                                         }
                                     }
@@ -1159,10 +1028,9 @@ impl ExecutorEngine {
                                 _ => {
                                     return Err(self.step_error(
                                         e,
-                                        stats,
                                         Some(bi as u32),
                                         preds.as_deref_mut(),
-                                        &mut obs,
+                                        sink,
                                     ))
                                 }
                             }
@@ -1174,20 +1042,18 @@ impl ExecutorEngine {
 
         match ctx.commit(client) {
             Ok(()) => Ok(()),
-            Err(e) => Err(self.step_error(StepError::Dtm(e), stats, None, preds, &mut obs)),
+            Err(e) => Err(self.step_error(StepError::Dtm(e), None, preds, sink)),
         }
     }
 
-    /// Map a step (or commit) error to its retry decision, bumping the
-    /// matching `stats` counter and emitting the matching abort event —
-    /// one event per increment, which is what keeps attribution exact.
+    /// Map a step (or commit) error to its retry decision, emitting the
+    /// matching abort event.
     fn step_error(
         &self,
         e: StepError,
-        stats: &mut ExecStats,
         block: Option<u32>,
         preds: Option<&mut PredState<'_>>,
-        obs: &mut Option<&mut TxnObserver>,
+        sink: &mut Sink<'_>,
     ) -> AttemptError {
         match e {
             StepError::Dtm(DtmError::Invalidated { objs }) => {
@@ -1197,31 +1063,23 @@ impl ExecutorEngine {
                 if let Some(p) = preds {
                     p.unblind(&objs);
                 }
-                stats.full_aborts += 1;
-                emit(
-                    obs,
-                    TxnEvent::FullAbort {
-                        block,
-                        obj: objs.first().copied(),
-                        kind: if self.config.speculation {
-                            AbortKind::SpecFull
-                        } else {
-                            AbortKind::ReadInvalid
-                        },
+                sink.emit(TxnEvent::FullAbort {
+                    block,
+                    obj: objs.first().copied(),
+                    kind: if self.config.speculation {
+                        AbortKind::SpecFull
+                    } else {
+                        AbortKind::ReadInvalid
                     },
-                );
+                });
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::LockedOut { obj }) => {
-                stats.locked_aborts += 1;
-                emit(
-                    obs,
-                    TxnEvent::FullAbort {
-                        block,
-                        obj: Some(obj),
-                        kind: AbortKind::LockedOut,
-                    },
-                );
+                sink.emit(TxnEvent::FullAbort {
+                    block,
+                    obj: Some(obj),
+                    kind: AbortKind::LockedOut,
+                });
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::Conflict {
@@ -1235,7 +1093,6 @@ impl ExecutorEngine {
                 if let Some(p) = preds {
                     p.unblind(&invalid);
                 }
-                stats.full_aborts += 1;
                 // A conflict that names no stale and no locked object and
                 // was flagged `syncing` is pure recovery back-pressure — a
                 // replica refused to vote while catching up after a
@@ -1252,16 +1109,13 @@ impl ExecutorEngine {
                 } else {
                     AbortKind::CommitConflict
                 };
-                emit(
-                    obs,
-                    TxnEvent::FullAbort {
-                        block,
-                        // Stale reads outrank lock conflicts for blame; a
-                        // pure lock conflict blames the locked object.
-                        obj: invalid.first().or_else(|| locked.first()).copied(),
-                        kind,
-                    },
-                );
+                sink.emit(TxnEvent::FullAbort {
+                    block,
+                    // Stale reads outrank lock conflicts for blame; a
+                    // pure lock conflict blames the locked object.
+                    obj: invalid.first().or_else(|| locked.first()).copied(),
+                    kind,
+                });
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::Unavailable) => AttemptError::Fatal(RunError::Unavailable),
@@ -1852,13 +1706,16 @@ mod tests {
         let mut obs = TxnObserver::default();
         let seq = BlockSeq::from_units(&dm);
         engine
-            .run_observed(
+            .run_with(
                 &mut client,
                 &dm.program,
                 &[Value::Int(1), Value::Int(2), Value::Int(30)],
                 &seq,
                 &mut stats,
-                Some(&mut obs),
+                RunOpts {
+                    obs: Some(&mut obs),
+                    ..RunOpts::default()
+                },
             )
             .unwrap();
         let events: Vec<&TxnEvent> = obs.trace.iter().collect();
@@ -1899,7 +1756,7 @@ mod tests {
                         for k in 0..25u64 {
                             let from = (t as u64 + k) % 2;
                             engine
-                                .run_observed(
+                                .run_with(
                                     &mut client,
                                     &dm.program,
                                     &[
@@ -1909,7 +1766,10 @@ mod tests {
                                     ],
                                     &seq,
                                     &mut stats,
-                                    Some(&mut obs),
+                                    RunOpts {
+                                        obs: Some(&mut obs),
+                                        ..RunOpts::default()
+                                    },
                                 )
                                 .unwrap();
                         }
@@ -1962,13 +1822,16 @@ mod tests {
         let mut stats = ExecStats::default();
         let mut obs = TxnObserver::default();
         engine
-            .run_observed(
+            .run_with(
                 &mut client,
                 &dm.program,
                 &[Value::Int(1), Value::Int(1), Value::Int(30)],
                 &seq,
                 &mut stats,
-                Some(&mut obs),
+                RunOpts {
+                    obs: Some(&mut obs),
+                    ..RunOpts::default()
+                },
             )
             .unwrap();
         assert_eq!(stats.commits, 1);
@@ -2022,23 +1885,25 @@ mod tests {
             value: 0,
             delta: 10,
         };
-        let mut latency = crate::histogram::LatencyHistogram::default();
         let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
+        let spec = SpecSets::default();
         engine
-            .run_predicted(
+            .run_with(
                 &mut client,
                 &dm.program,
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
-                &[pred],
-                &[],
-                &[],
-                None,
                 &mut stats,
-                &mut latency,
-                Some(&mut obs),
-                &mut outcome,
+                RunOpts {
+                    obs: Some(&mut obs),
+                    prediction: Some(Prediction {
+                        preds: &[pred],
+                        spec: &spec,
+                        respec: None,
+                        outcome: &mut outcome,
+                    }),
+                },
             )
             .unwrap();
         assert_eq!(stats.commits, 1);
@@ -2067,23 +1932,25 @@ mod tests {
             delta: -5,
         };
         let mut stats = ExecStats::default();
-        let mut latency = crate::histogram::LatencyHistogram::default();
         let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
+        let spec = SpecSets::default();
         engine
-            .run_predicted(
+            .run_with(
                 &mut client,
                 &dm.program,
                 &[Value::Int(1), Value::Int(2), Value::Int(5)],
                 &BlockSeq::from_units(&dm),
-                &[pred],
-                &[],
-                &[],
-                None,
                 &mut stats,
-                &mut latency,
-                Some(&mut obs),
-                &mut outcome,
+                RunOpts {
+                    obs: Some(&mut obs),
+                    prediction: Some(Prediction {
+                        preds: &[pred],
+                        spec: &spec,
+                        respec: None,
+                        outcome: &mut outcome,
+                    }),
+                },
             )
             .unwrap();
         assert_eq!(stats.commits, 1);
@@ -2114,23 +1981,25 @@ mod tests {
             delta: 10,
         };
         let mut stats = ExecStats::default();
-        let mut latency = crate::histogram::LatencyHistogram::default();
         let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
+        let spec = SpecSets::default();
         engine
-            .run_predicted(
+            .run_with(
                 &mut client,
                 &dm.program,
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
-                &[pred],
-                &[],
-                &[],
-                None,
                 &mut stats,
-                &mut latency,
-                Some(&mut obs),
-                &mut outcome,
+                RunOpts {
+                    obs: Some(&mut obs),
+                    prediction: Some(Prediction {
+                        preds: &[pred],
+                        spec: &spec,
+                        respec: None,
+                        outcome: &mut outcome,
+                    }),
+                },
             )
             .unwrap();
         assert_eq!(stats.commits, 1);
@@ -2153,22 +2022,27 @@ mod tests {
             s.remote_reads + s.batched_reads
         };
         let mut stats = ExecStats::default();
-        let mut latency = crate::histogram::LatencyHistogram::default();
         let mut outcome = PredictionOutcome::default();
+        let spec = SpecSets {
+            fetch: Vec::new(),
+            blind: vec![obj],
+        };
         engine
-            .run_predicted(
+            .run_with(
                 &mut client,
                 &dm.program,
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
-                &[],
-                &[],
-                &[obj],
-                None,
                 &mut stats,
-                &mut latency,
-                None,
-                &mut outcome,
+                RunOpts {
+                    obs: None,
+                    prediction: Some(Prediction {
+                        preds: &[],
+                        spec: &spec,
+                        respec: None,
+                        outcome: &mut outcome,
+                    }),
+                },
             )
             .unwrap();
         let after = {
@@ -2204,23 +2078,28 @@ mod tests {
             )
             .unwrap();
         let mut stats = ExecStats::default();
-        let mut latency = crate::histogram::LatencyHistogram::default();
         let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
+        let spec = SpecSets {
+            fetch: Vec::new(),
+            blind: vec![obj],
+        };
         engine
-            .run_predicted(
+            .run_with(
                 &mut client,
                 &dm.program,
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
-                &[],
-                &[],
-                &[obj],
-                None,
                 &mut stats,
-                &mut latency,
-                Some(&mut obs),
-                &mut outcome,
+                RunOpts {
+                    obs: Some(&mut obs),
+                    prediction: Some(Prediction {
+                        preds: &[],
+                        spec: &spec,
+                        respec: None,
+                        outcome: &mut outcome,
+                    }),
+                },
             )
             .unwrap();
         assert_eq!(stats.commits, 1);

@@ -40,10 +40,10 @@ mod contention_model;
 mod controller;
 mod dynamic_module;
 mod executor;
-mod histogram;
 mod scheduler;
 mod static_module;
 
+pub use acn_obs::ExecStats;
 pub use algorithm::{AlgorithmConfig, AlgorithmModule};
 pub use blocks::BlockSeq;
 pub use checkpoint::{run_checkpointed, CheckpointStats};
@@ -51,10 +51,9 @@ pub use contention_model::{AbortProbabilityModel, ContentionModel, MaxModel, Sum
 pub use controller::{AcnController, ControllerConfig, SamplingMode};
 pub use dynamic_module::{DynamicModule, LevelMetric};
 pub use executor::{
-    ExecStats, ExecutorConfig, ExecutorEngine, PredictionOutcome, RespecFn, RetryPolicy, RunError,
-    SpecSets,
+    ExecutorConfig, ExecutorEngine, Prediction, PredictionOutcome, RespecFn, RetryPolicy, RunError,
+    RunOpts, SpecSets,
 };
-pub use histogram::LatencyHistogram;
 pub use scheduler::{
     conflicts, conflicts_with, plan_wave, plan_wave_with, InexactPolicy, WavePlan, WaveStats,
 };

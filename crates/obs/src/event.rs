@@ -9,15 +9,14 @@ use acn_txir::ObjectId;
 /// Why an execution attempt (or one Block of it) was thrown away.
 ///
 /// The executor kinds ([`AbortKind::EXECUTOR_KINDS`]) are emitted by the
-/// nesting executor and map one-to-one onto its [`ExecStats`]-incrementing
-/// sites, so `sum(attributed aborts over executor kinds) == full_aborts +
+/// nesting executor, and [`ExecStats`] counts the same events, so
+/// `sum(attributed aborts over executor kinds) == full_aborts +
 /// partial_aborts + locked_aborts`. Under speculative batch execution the
 /// same sites emit the `Spec*` variants instead, so a report separates
 /// scheduler mis-speculation from ordinary contention without disturbing
 /// that invariant. The checkpoint runner uses its own two kinds so a mixed
 /// run never conflates the two partial-rollback designs.
 ///
-/// [`ExecStats`]: crate::ExecCounters
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AbortKind {
     /// Child-scope rollback of one Block (the closed-nesting win).
@@ -189,6 +188,64 @@ pub enum TxnEvent {
         /// Full restarts this run absorbed before committing.
         restarts: u32,
     },
+}
+
+/// Execution counters of the nesting executor — for one transaction, one
+/// client thread, one measurement window or a whole run, depending on
+/// what was merged into it. Derived from the [`TxnEvent`] stream and from
+/// nothing else ([`ExecStats::on_event`]), so `full + partial + locked`
+/// equals the attributed abort total by construction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Transactions committed.
+    pub commits: u64,
+    /// Full transaction restarts (parent scope).
+    pub full_aborts: u64,
+    /// Partial rollbacks (child scope only) — the closed-nesting win.
+    pub partial_aborts: u64,
+    /// Restarts caused by persistent `protected` objects.
+    pub locked_aborts: u64,
+    /// Restarts after a quorum-unavailable round (chaos/partition runs
+    /// with a non-zero unavailable-retry budget).
+    pub unavailable_retries: u64,
+}
+
+impl ExecStats {
+    /// Count one event: terminal and abort events move a counter, every
+    /// other event is ignored. [`AbortKind::LockedOut`] restarts count as
+    /// `locked_aborts`, every other full restart as `full_aborts`.
+    #[inline]
+    pub fn on_event(&mut self, ev: TxnEvent) {
+        match ev {
+            TxnEvent::Commit { .. } => self.commits += 1,
+            TxnEvent::FullAbort {
+                kind: AbortKind::LockedOut,
+                ..
+            } => self.locked_aborts += 1,
+            TxnEvent::FullAbort { .. } => self.full_aborts += 1,
+            TxnEvent::PartialAbort { .. } => self.partial_aborts += 1,
+            TxnEvent::UnavailableRetry => self.unavailable_retries += 1,
+            TxnEvent::Begin
+            | TxnEvent::BlockStart { .. }
+            | TxnEvent::BatchedRead { .. }
+            | TxnEvent::LockHolds { .. } => {}
+        }
+    }
+
+    /// Element-wise accumulate (per-transaction → window → run).
+    pub fn merge(&mut self, other: &ExecStats) {
+        self.commits += other.commits;
+        self.full_aborts += other.full_aborts;
+        self.partial_aborts += other.partial_aborts;
+        self.locked_aborts += other.locked_aborts;
+        self.unavailable_retries += other.unavailable_retries;
+    }
+
+    /// Every abort counted: equals `AbortTable::total_of(EXECUTOR_KINDS)`
+    /// of an observer fed the same events.
+    pub fn total_aborts(&self) -> u64 {
+        self.full_aborts + self.partial_aborts + self.locked_aborts
+    }
 }
 
 #[cfg(test)]

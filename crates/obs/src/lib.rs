@@ -8,13 +8,13 @@
 //!   partial abort / full restart / commit — overwrite-oldest with a drop
 //!   counter, so memory stays fixed while the tail of the story survives.
 //! - **Abort attribution** ([`AbortTable`], fed via [`TxnObserver`]):
-//!   exact counts keyed by `(class, block, kind)`. The executor emits one
-//!   event per stats increment, so attributed totals reconcile against
-//!   `ExecStats` to the unit.
-//! - **Metrics registry** ([`MetricsRegistry`] → [`MetricsReport`]):
-//!   neutral mirrors of executor / checkpoint / network / latency /
-//!   contention counters with a JSON-lines exporter whose output parses
-//!   back to an equal report.
+//!   exact counts keyed by `(class, block, kind)`. [`ExecStats`] is
+//!   counted from the same events, so attributed totals reconcile against
+//!   it to the unit.
+//! - **Metrics report** ([`MetricsReport`]): the executor counters
+//!   ([`ExecStats`], derived from the event stream) next to neutral mirrors
+//!   of network / latency / contention counters, with a JSON-lines
+//!   exporter whose output parses back to an equal report.
 //! - **Span tracer** ([`Tracer`] / [`SpanCollector`] / [`critical_path`]):
 //!   causal spans across client, wire and servers with a per-committed-txn
 //!   critical-path decomposition and a Chrome-trace/Perfetto exporter
@@ -50,12 +50,11 @@ mod wasted;
 
 pub use attribution::{AbortSite, AbortTable, TxnObserver};
 pub use chrome::{parse_chrome_trace, write_chrome_trace};
-pub use event::{AbortKind, TxnEvent};
+pub use event::{AbortKind, ExecStats, TxnEvent};
 pub use prom::{parse_prom, render_prom, report_to_prom, PromMetric, PromSample, PromType};
 pub use registry::{
-    AbortRow, CheckpointCounters, ContentionLevel, CritPathRow, ExecCounters, LatencySummary,
-    MetricsRegistry, MetricsReport, NetCounters, RecoveryCounters, SeriesRow, ThreadTraceRow,
-    SCHEMA_VERSION, SERVER_TRACE_THREAD,
+    AbortRow, ContentionLevel, CritPathRow, LatencySummary, MetricsReport, NetCounters,
+    RecoveryCounters, SeriesRow, ThreadTraceRow, SCHEMA_VERSION, SERVER_TRACE_THREAD,
 };
 pub use slo::{record_flight, FlightRecord, SloInputs, SloPolicy, SloRule, SloTrigger};
 pub use span::{

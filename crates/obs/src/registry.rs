@@ -1,15 +1,16 @@
-//! The unified metrics registry: one place where a run's executor,
-//! checkpoint, network, latency, contention, and attribution numbers meet.
+//! The unified metrics report: one value where a run's executor, network,
+//! latency, contention, and attribution numbers meet.
 //!
 //! `acn-obs` sits below every other crate, so it cannot import their stats
-//! types; instead it defines neutral counter mirrors and the upper layers
-//! convert into them when they publish a snapshot. The payoff is a single
+//! types; the report's rows are neutral mirrors the upper layers fill in
+//! (the executor counters are the exception — [`ExecStats`] is declared
+//! here, next to the events it is derived from). The payoff is a single
 //! [`MetricsReport`] that serialises to JSON-lines and parses back to an
 //! equal value, so exports are verifiable by round-trip rather than by
 //! inspection.
 
 use crate::attribution::{AbortSite, AbortTable};
-use crate::event::AbortKind;
+use crate::event::{AbortKind, ExecStats};
 use crate::json::{parse_line, req_str, req_u64, JsonObj, JsonVal};
 use crate::slo::FlightRecord;
 use crate::timeseries::WindowedSeries;
@@ -21,42 +22,6 @@ use std::collections::BTreeMap;
 /// current version plus version-1 exports (which predate the field); any
 /// other value is rejected loudly rather than misparsed silently.
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// Mirror of the nesting executor's `ExecStats` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecCounters {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Full restarts (whole transaction re-ran).
-    pub full_aborts: u64,
-    /// Child-scope rollbacks (one Block re-ran).
-    pub partial_aborts: u64,
-    /// Retries after reads kept hitting locked objects.
-    pub locked_aborts: u64,
-    /// Quorum-unavailable rounds absorbed by the retry policy.
-    pub unavailable_retries: u64,
-}
-
-impl ExecCounters {
-    /// Every abort the executor attributed: the invariant checked by the
-    /// smoke test is `AbortTable::total_of(EXECUTOR_KINDS) == this`.
-    pub fn total_aborts(&self) -> u64 {
-        self.full_aborts + self.partial_aborts + self.locked_aborts
-    }
-}
-
-/// Mirror of the checkpoint runner's `CheckpointStats` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointCounters {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Rollbacks to an intermediate checkpoint.
-    pub rollbacks: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Restarts from the very beginning.
-    pub full_restarts: u64,
-}
 
 /// Replica-recovery counters, aggregated across servers (the wipe/sync
 /// side) and clients (the repair side) of a run. Present only when the run
@@ -163,6 +128,24 @@ pub struct AbortRow {
     pub count: u64,
 }
 
+impl AbortRow {
+    /// Flatten an [`AbortTable`] into export rows, in key order.
+    pub fn from_table(table: &AbortTable) -> Vec<AbortRow> {
+        table
+            .iter()
+            .map(|(site, &count)| {
+                let AbortSite { class, block, kind } = *site;
+                AbortRow {
+                    class: class.map(|c| c.name.to_owned()),
+                    block,
+                    kind,
+                    count,
+                }
+            })
+            .collect()
+    }
+}
+
 /// One `(class, block)` row of the aggregated commit critical path: where
 /// the end-to-end latency of committed transactions went. Transaction-wide
 /// segments (`redo`, `local`) live on the class's `block = -1` row;
@@ -201,7 +184,7 @@ pub struct SeriesRow {
     pub window_ns: u64,
     /// Commits in the window.
     pub commits: u64,
-    /// Full aborts in the window.
+    /// Full restarts in the window, lock-outs included.
     pub full_aborts: u64,
     /// Partial aborts in the window.
     pub partial_aborts: u64,
@@ -225,9 +208,9 @@ impl SeriesRow {
                 SeriesRow {
                     window,
                     window_ns: s.window_ns(),
-                    commits: cell.commits,
-                    full_aborts: cell.full_aborts,
-                    partial_aborts: cell.partial_aborts,
+                    commits: cell.stats.commits,
+                    full_aborts: cell.stats.full_aborts + cell.stats.locked_aborts,
+                    partial_aborts: cell.stats.partial_aborts,
                     samples: cell.latency.len(),
                     p50_ns,
                     p99_ns,
@@ -275,9 +258,7 @@ pub struct MetricsReport {
     /// insertion order.
     pub meta: Vec<(String, String)>,
     /// Executor counters.
-    pub exec: ExecCounters,
-    /// Checkpoint-runner counters, when that design ran.
-    pub checkpoint: Option<CheckpointCounters>,
+    pub exec: ExecStats,
     /// Replica-recovery counters, when the run exercised amnesia faults or
     /// read repair.
     pub recovery: Option<RecoveryCounters>,
@@ -353,15 +334,6 @@ impl MetricsReport {
                 .u64_field("partial_aborts", self.exec.partial_aborts)
                 .u64_field("locked_aborts", self.exec.locked_aborts)
                 .u64_field("unavailable_retries", self.exec.unavailable_retries);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        if let Some(c) = &self.checkpoint {
-            let mut o = JsonObj::new("checkpoint");
-            o.u64_field("commits", c.commits)
-                .u64_field("rollbacks", c.rollbacks)
-                .u64_field("checkpoints", c.checkpoints)
-                .u64_field("full_restarts", c.full_restarts);
             out.push_str(&o.finish());
             out.push('\n');
         }
@@ -552,21 +524,13 @@ impl MetricsReport {
                     req_str(&map, "value").map_err(ctx)?
                 })),
                 "exec" => {
-                    report.exec = ExecCounters {
+                    report.exec = ExecStats {
                         commits: req_u64(&map, "commits").map_err(ctx)?,
                         full_aborts: req_u64(&map, "full_aborts").map_err(ctx)?,
                         partial_aborts: req_u64(&map, "partial_aborts").map_err(ctx)?,
                         locked_aborts: req_u64(&map, "locked_aborts").map_err(ctx)?,
                         unavailable_retries: req_u64(&map, "unavailable_retries").map_err(ctx)?,
                     }
-                }
-                "checkpoint" => {
-                    report.checkpoint = Some(CheckpointCounters {
-                        commits: req_u64(&map, "commits").map_err(ctx)?,
-                        rollbacks: req_u64(&map, "rollbacks").map_err(ctx)?,
-                        checkpoints: req_u64(&map, "checkpoints").map_err(ctx)?,
-                        full_restarts: req_u64(&map, "full_restarts").map_err(ctx)?,
-                    })
                 }
                 "recovery" => {
                     report.recovery = Some(RecoveryCounters {
@@ -723,121 +687,6 @@ impl MetricsReport {
     }
 }
 
-/// Builder that accumulates a run's metric sources and snapshots them into
-/// a [`MetricsReport`].
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    report: MetricsReport,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a free-form meta key/value (run description).
-    pub fn meta(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
-        self.report.meta.push((key.to_owned(), value.to_string()));
-        self
-    }
-
-    /// Publish the executor counters.
-    pub fn exec(&mut self, exec: ExecCounters) -> &mut Self {
-        self.report.exec = exec;
-        self
-    }
-
-    /// Publish checkpoint-runner counters.
-    pub fn checkpoint(&mut self, c: CheckpointCounters) -> &mut Self {
-        self.report.checkpoint = Some(c);
-        self
-    }
-
-    /// Publish replica-recovery counters.
-    pub fn recovery(&mut self, r: RecoveryCounters) -> &mut Self {
-        self.report.recovery = Some(r);
-        self
-    }
-
-    /// Publish the network counters.
-    pub fn net(&mut self, net: NetCounters) -> &mut Self {
-        self.report.net = net;
-        self
-    }
-
-    /// Publish the latency percentiles.
-    pub fn latency(&mut self, latency: LatencySummary) -> &mut Self {
-        self.report.latency = latency;
-        self
-    }
-
-    /// Append one class's contention-window reading.
-    pub fn contention(&mut self, level: ContentionLevel) -> &mut Self {
-        self.report.contention.push(level);
-        self
-    }
-
-    /// Publish the abort attribution table (flattened to rows in key
-    /// order).
-    pub fn aborts(&mut self, table: &AbortTable) -> &mut Self {
-        self.report.aborts = table
-            .iter()
-            .map(|(site, &count)| {
-                let AbortSite { class, block, kind } = *site;
-                AbortRow {
-                    class: class.map(|c| c.name.to_owned()),
-                    block,
-                    kind,
-                    count,
-                }
-            })
-            .collect();
-        self
-    }
-
-    /// Publish the aggregated critical-path rows.
-    pub fn critpath(&mut self, rows: Vec<CritPathRow>) -> &mut Self {
-        self.report.critpath = rows;
-        self
-    }
-
-    /// Append one thread's (or the server collector's) span completeness.
-    pub fn thread_trace(&mut self, row: ThreadTraceRow) -> &mut Self {
-        self.report.thread_traces.push(row);
-        self
-    }
-
-    /// Publish the merged trace-ring counters.
-    pub fn trace(&mut self, trace: TraceSummary) -> &mut Self {
-        self.report.trace = trace;
-        self
-    }
-
-    /// Publish the merged wasted-work totals.
-    pub fn wasted(&mut self, w: WorkTotals) -> &mut Self {
-        self.report.wasted = Some(w);
-        self
-    }
-
-    /// Publish the live time-series, flattened into window rows.
-    pub fn series(&mut self, s: &WindowedSeries) -> &mut Self {
-        self.report.series = SeriesRow::from_series(s);
-        self
-    }
-
-    /// Append flight-recorder rows from tripped anomaly triggers.
-    pub fn flights(&mut self, flights: Vec<FlightRecord>) -> &mut Self {
-        self.report.flights.extend(flights);
-        self
-    }
-
-    /// The assembled report.
-    pub fn snapshot(&self) -> MetricsReport {
-        self.report.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,98 +710,6 @@ mod tests {
             },
             2,
         );
-        let mut reg = MetricsRegistry::new();
-        reg.meta("system", "QrAcn")
-            .meta("seed", 42u64)
-            .exec(ExecCounters {
-                commits: 100,
-                full_aborts: 2,
-                partial_aborts: 7,
-                locked_aborts: 0,
-                unavailable_retries: 1,
-            })
-            .checkpoint(CheckpointCounters {
-                commits: 10,
-                rollbacks: 3,
-                checkpoints: 20,
-                full_restarts: 1,
-            })
-            .recovery(RecoveryCounters {
-                amnesia_wipes: 1,
-                syncs_completed: 1,
-                sync_objects_received: 250,
-                sync_vote_refusals: 4,
-                sync_read_refusals: 6,
-                repair_writes_sent: 9,
-                repair_writes_applied: 5,
-                restart_replays: 1,
-                wal_records_replayed: 180,
-                torn_tails_truncated: 1,
-                delta_objects_fetched: 12,
-                wal_io_errors: 2,
-                wal_sync_batches: 40,
-                wal_records_synced: 210,
-            })
-            .net(NetCounters {
-                sent: 500,
-                delivered: 498,
-                bytes_sent: 12_345,
-                bytes_delivered: 12_000,
-                ..Default::default()
-            })
-            .latency(LatencySummary {
-                samples: 100,
-                p50_nanos: 1_000_000,
-                p95_nanos: 2_000_000,
-                p99_nanos: 3_000_000,
-            })
-            .contention(ContentionLevel {
-                class: "Branch".into(),
-                writes_milli: 50_000,
-                aborts_milli: 9_000,
-            })
-            .aborts(&table)
-            .critpath(vec![
-                CritPathRow {
-                    class: "transfer".into(),
-                    block: -1,
-                    txns: 100,
-                    local_ns: 5_000,
-                    net_ns: 1_000,
-                    srvq_ns: 200,
-                    lock_ns: 0,
-                    redo_ns: 900,
-                    wal_ns: 150,
-                },
-                CritPathRow {
-                    class: "transfer".into(),
-                    block: 0,
-                    txns: 100,
-                    local_ns: 0,
-                    net_ns: 7_000,
-                    srvq_ns: 800,
-                    lock_ns: 300,
-                    redo_ns: 0,
-                    wal_ns: 0,
-                },
-            ])
-            .thread_trace(ThreadTraceRow {
-                thread: 0,
-                recorded: 600,
-                dropped: 12,
-                capacity: 2048,
-            })
-            .thread_trace(ThreadTraceRow {
-                thread: SERVER_TRACE_THREAD,
-                recorded: 400,
-                dropped: 0,
-                capacity: 2048,
-            })
-            .trace(TraceSummary {
-                recorded: 1_000,
-                dropped: 12,
-                capacity: 4096,
-            });
         let mut wasted = WorkTotals {
             executed: WorkUnits {
                 blocks: 120,
@@ -998,19 +755,118 @@ mod tests {
             },
         );
         wasted.check().expect("sample totals balance");
+        let commit = ExecStats {
+            commits: 1,
+            ..ExecStats::default()
+        };
         let mut series = WindowedSeries::new(100_000_000);
-        series.record_commit(50_000_000, 1_200_000);
-        series.record_commit(150_000_000, 900_000);
-        series.record_aborts(150_000_000, 1, 3);
-        reg.wasted(wasted)
-            .series(&series)
-            .flights(vec![FlightRecord {
+        series.record(50_000_000, &commit, Some(1_200_000));
+        let busy = ExecStats {
+            commits: 1,
+            full_aborts: 1,
+            partial_aborts: 3,
+            ..ExecStats::default()
+        };
+        series.record(150_000_000, &busy, Some(900_000));
+        MetricsReport {
+            meta: vec![
+                ("system".into(), "QrAcn".into()),
+                ("seed".into(), "42".into()),
+            ],
+            exec: ExecStats {
+                commits: 100,
+                full_aborts: 2,
+                partial_aborts: 7,
+                locked_aborts: 0,
+                unavailable_retries: 1,
+            },
+            recovery: Some(RecoveryCounters {
+                amnesia_wipes: 1,
+                syncs_completed: 1,
+                sync_objects_received: 250,
+                sync_vote_refusals: 4,
+                sync_read_refusals: 6,
+                repair_writes_sent: 9,
+                repair_writes_applied: 5,
+                restart_replays: 1,
+                wal_records_replayed: 180,
+                torn_tails_truncated: 1,
+                delta_objects_fetched: 12,
+                wal_io_errors: 2,
+                wal_sync_batches: 40,
+                wal_records_synced: 210,
+            }),
+            net: NetCounters {
+                sent: 500,
+                delivered: 498,
+                bytes_sent: 12_345,
+                bytes_delivered: 12_000,
+                ..Default::default()
+            },
+            latency: LatencySummary {
+                samples: 100,
+                p50_nanos: 1_000_000,
+                p95_nanos: 2_000_000,
+                p99_nanos: 3_000_000,
+            },
+            contention: vec![ContentionLevel {
+                class: "Branch".into(),
+                writes_milli: 50_000,
+                aborts_milli: 9_000,
+            }],
+            aborts: AbortRow::from_table(&table),
+            critpath: vec![
+                CritPathRow {
+                    class: "transfer".into(),
+                    block: -1,
+                    txns: 100,
+                    local_ns: 5_000,
+                    net_ns: 1_000,
+                    srvq_ns: 200,
+                    lock_ns: 0,
+                    redo_ns: 900,
+                    wal_ns: 150,
+                },
+                CritPathRow {
+                    class: "transfer".into(),
+                    block: 0,
+                    txns: 100,
+                    local_ns: 0,
+                    net_ns: 7_000,
+                    srvq_ns: 800,
+                    lock_ns: 300,
+                    redo_ns: 0,
+                    wal_ns: 0,
+                },
+            ],
+            thread_traces: vec![
+                ThreadTraceRow {
+                    thread: 0,
+                    recorded: 600,
+                    dropped: 12,
+                    capacity: 2048,
+                },
+                ThreadTraceRow {
+                    thread: SERVER_TRACE_THREAD,
+                    recorded: 400,
+                    dropped: 0,
+                    capacity: 2048,
+                },
+            ],
+            trace: TraceSummary {
+                recorded: 1_000,
+                dropped: 12,
+                capacity: 4096,
+            },
+            wasted: Some(wasted),
+            series: SeriesRow::from_series(&series),
+            flights: vec![FlightRecord {
                 trigger: "p99_latency".into(),
                 value_milli: 3_000,
                 budget_milli: 2_000,
                 artifact: "flights/flight-fig1-p99_latency.json".into(),
-            }]);
-        reg.snapshot()
+            }],
+        }
     }
 
     #[test]

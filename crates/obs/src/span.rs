@@ -185,7 +185,7 @@ impl std::fmt::Display for SpanKind {
 
 /// One finished span. All timestamps are nanoseconds relative to the run's
 /// shared origin instant — the same clock the driver's interval rows use,
-/// so trace time and `IntervalStats` time line up by construction.
+/// so trace time and [`crate::WindowedSeries`] time line up by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Unique span id (clients: `(thread+1) << 40 | seq`; servers carry

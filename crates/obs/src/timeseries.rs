@@ -11,7 +11,10 @@
 //! information (the system recorded nothing), and zero-filling would make
 //! a stalled run indistinguishable from an idle one.
 
+use crate::event::ExecStats;
+use crate::registry::LatencySummary;
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BITS` linear sub-buckets, bounding the relative quantile error
@@ -111,6 +114,22 @@ impl LogHistogram {
         self.buckets.keys().next_back().map(|&b| bucket_upper(b))
     }
 
+    /// [`LogHistogram::quantile`] of nanosecond samples, as a duration.
+    pub fn percentile(&self, q: f64) -> Option<Duration> {
+        self.quantile(q).map(Duration::from_nanos)
+    }
+
+    /// Integer-nanosecond p50/p95/p99 summary for the metrics export
+    /// (zeros when empty).
+    pub fn summary(&self) -> LatencySummary {
+        LatencySummary {
+            samples: self.total,
+            p50_nanos: self.quantile(0.50).unwrap_or(0),
+            p95_nanos: self.quantile(0.95).unwrap_or(0),
+            p99_nanos: self.quantile(0.99).unwrap_or(0),
+        }
+    }
+
     /// Integer-nanosecond p50/p99/p999 snapshot (zeros when empty).
     pub fn quantile_snapshot(&self) -> (u64, u64, u64) {
         (
@@ -139,33 +158,20 @@ impl LogHistogram {
     }
 }
 
-/// One grid window's counters: outcomes plus the commit-latency histogram
-/// of everything that completed inside the window.
+/// One grid window's counters: the outcomes of every transaction that
+/// completed inside the window plus the latency histogram of its commits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowCell {
-    /// Transactions committed in the window.
-    pub commits: u64,
-    /// Full restarts absorbed in the window.
-    pub full_aborts: u64,
-    /// Partial rollbacks absorbed in the window.
-    pub partial_aborts: u64,
+    /// Commits, aborts and retries absorbed in the window.
+    pub stats: ExecStats,
     /// End-to-end latency of the window's commits, nanoseconds.
     pub latency: LogHistogram,
 }
 
 impl WindowCell {
     fn merge(&mut self, other: &WindowCell) {
-        self.commits += other.commits;
-        self.full_aborts += other.full_aborts;
-        self.partial_aborts += other.partial_aborts;
+        self.stats.merge(&other.stats);
         self.latency.merge(&other.latency);
-    }
-
-    fn is_zero(&self) -> bool {
-        self.commits == 0
-            && self.full_aborts == 0
-            && self.partial_aborts == 0
-            && self.latency.is_empty()
     }
 }
 
@@ -231,23 +237,18 @@ impl WindowedSeries {
         self.windows.entry(idx).or_default()
     }
 
-    /// Record one commit completing at `at_ns` with the given end-to-end
-    /// latency.
-    pub fn record_commit(&mut self, at_ns: u64, latency_ns: u64) {
-        let cell = self.cell(at_ns);
-        cell.commits += 1;
-        cell.latency.record(latency_ns);
-    }
-
-    /// Record `full` full restarts and `partial` partial rollbacks
-    /// absorbed by a transaction that completed at `at_ns`.
-    pub fn record_aborts(&mut self, at_ns: u64, full: u64, partial: u64) {
-        if full == 0 && partial == 0 {
+    /// Record one transaction that finished at `at_ns`: the counters it
+    /// moved and, when it committed, its end-to-end latency.
+    pub fn record(&mut self, at_ns: u64, txn: &ExecStats, latency_ns: Option<u64>) {
+        if *txn == ExecStats::default() && latency_ns.is_none() {
+            // Nothing happened: an idle window stays absent.
             return;
         }
         let cell = self.cell(at_ns);
-        cell.full_aborts += full;
-        cell.partial_aborts += partial;
+        cell.stats.merge(txn);
+        if let Some(ns) = latency_ns {
+            cell.latency.record(ns);
+        }
     }
 
     /// Lossless merge of another series on the same grid (panics on a
@@ -284,23 +285,48 @@ impl WindowedSeries {
         self.windows.is_empty()
     }
 
-    /// Commits summed over every retained window.
-    pub fn total_commits(&self) -> u64 {
-        self.windows.values().map(|c| c.commits).sum()
+    /// The cell of window `idx`, when anything was recorded into it.
+    pub fn get(&self, idx: u64) -> Option<&WindowCell> {
+        self.windows.get(&idx)
     }
 
-    /// Insert a fully-built cell at a grid index (import path). Empty
-    /// cells are skipped — absence is the canonical encoding of idleness.
-    pub fn insert_cell(&mut self, idx: u64, cell: WindowCell) {
-        if !cell.is_zero() {
-            self.windows.entry(idx).or_default().merge(&cell);
+    /// Commits summed over every retained window.
+    pub fn total_commits(&self) -> u64 {
+        self.windows.values().map(|c| c.stats.commits).sum()
+    }
+
+    /// Every retained window's latency histogram merged into one.
+    pub fn total_latency(&self) -> LogHistogram {
+        let mut all = LogHistogram::new();
+        for cell in self.windows.values() {
+            all.merge(&cell.latency);
         }
+        all
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One commit at `at_ns` with the given latency.
+    fn commit(s: &mut WindowedSeries, at_ns: u64, latency_ns: u64) {
+        let txn = ExecStats {
+            commits: 1,
+            ..ExecStats::default()
+        };
+        s.record(at_ns, &txn, Some(latency_ns));
+    }
+
+    /// A failed transaction at `at_ns` that absorbed the given aborts.
+    fn aborts(s: &mut WindowedSeries, at_ns: u64, full: u64, partial: u64) {
+        let txn = ExecStats {
+            full_aborts: full,
+            partial_aborts: partial,
+            ..ExecStats::default()
+        };
+        s.record(at_ns, &txn, None);
+    }
 
     #[test]
     fn small_values_are_exact() {
@@ -381,14 +407,14 @@ mod tests {
     #[test]
     fn series_grid_is_a_pure_function_of_time() {
         let mut s = WindowedSeries::new(100);
-        s.record_commit(10, 5);
-        s.record_commit(99, 5);
-        s.record_commit(100, 5);
+        commit(&mut s, 10, 5);
+        commit(&mut s, 99, 5);
+        commit(&mut s, 100, 5);
         // Idle gap: windows 2..=41 never materialize.
-        s.record_commit(4200, 7);
+        commit(&mut s, 4200, 7);
         let idx: Vec<u64> = s.iter().map(|(i, _)| i).collect();
         assert_eq!(idx, vec![0, 1, 42]);
-        assert_eq!(s.iter().next().unwrap().1.commits, 2);
+        assert_eq!(s.iter().next().unwrap().1.stats.commits, 2);
         assert_eq!(s.total_commits(), 4);
     }
 
@@ -396,15 +422,15 @@ mod tests {
     fn series_merge_is_lossless_and_grid_checked() {
         let mut a = WindowedSeries::new(100);
         let mut b = WindowedSeries::new(100);
-        a.record_commit(50, 10);
-        a.record_aborts(50, 1, 2);
-        b.record_commit(50, 20);
-        b.record_commit(250, 30);
+        commit(&mut a, 50, 10);
+        aborts(&mut a, 50, 1, 2);
+        commit(&mut b, 50, 20);
+        commit(&mut b, 250, 30);
         let mut all = WindowedSeries::new(100);
-        all.record_commit(50, 10);
-        all.record_aborts(50, 1, 2);
-        all.record_commit(50, 20);
-        all.record_commit(250, 30);
+        commit(&mut all, 50, 10);
+        aborts(&mut all, 50, 1, 2);
+        commit(&mut all, 50, 20);
+        commit(&mut all, 250, 30);
         a.merge(&b);
         assert_eq!(a, all);
     }
@@ -420,15 +446,15 @@ mod tests {
     #[test]
     fn retention_evicts_oldest_not_newest() {
         let mut s = WindowedSeries::with_capacity(10, 2);
-        s.record_commit(5, 1); // window 0
-        s.record_commit(15, 1); // window 1
-        s.record_commit(25, 1); // window 2 -> evicts window 0
+        commit(&mut s, 5, 1); // window 0
+        commit(&mut s, 15, 1); // window 1
+        commit(&mut s, 25, 1); // window 2 -> evicts window 0
         let idx: Vec<u64> = s.iter().map(|(i, _)| i).collect();
         assert_eq!(idx, vec![1, 2]);
         assert_eq!(s.evicted(), 1);
         // A straggler older than everything retained folds into the oldest
         // retained cell rather than evicting newer data.
-        s.record_commit(3, 1);
-        assert_eq!(s.iter().next().unwrap().1.commits, 2);
+        commit(&mut s, 3, 1);
+        assert_eq!(s.iter().next().unwrap().1.stats.commits, 2);
     }
 }

@@ -3,8 +3,9 @@
 //! the window grid never drifts under idle gaps — the property-level
 //! extension of the `ContentionWindow` rotation regressions in `acn-dtm`.
 
-use acn_obs::{LogHistogram, WindowedSeries};
+use acn_obs::{ExecStats, LogHistogram, WindowedSeries};
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn histogram(values: &[u64]) -> LogHistogram {
     let mut h = LogHistogram::new();
@@ -12,6 +13,15 @@ fn histogram(values: &[u64]) -> LogHistogram {
         h.record(v);
     }
     h
+}
+
+/// One commit with the given latency, as the drivers record it.
+fn commit(s: &mut WindowedSeries, at_ns: u64, latency_ns: u64) {
+    let txn = ExecStats {
+        commits: 1,
+        ..ExecStats::default()
+    };
+    s.record(at_ns, &txn, Some(latency_ns));
 }
 
 /// Samples spanning every magnitude the histogram will ever see, from
@@ -87,6 +97,22 @@ proptest! {
         );
     }
 
+    /// For any sample set, a higher quantile never reports a lower value,
+    /// and `percentile` is `quantile` read as nanoseconds.
+    #[test]
+    fn quantile_is_monotone_in_q_and_percentile_agrees(
+        values in prop::collection::vec(sample(), 1..200),
+        qa in 0.0f64..=1.0,
+        qb in 0.0f64..=1.0,
+    ) {
+        let h = histogram(&values);
+        let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
+        let (plo, phi) = (h.quantile(lo).unwrap(), h.quantile(hi).unwrap());
+        prop_assert!(plo <= phi, "q({lo}) = {plo} > q({hi}) = {phi}");
+        prop_assert_eq!(h.percentile(lo), Some(Duration::from_nanos(plo)));
+        prop_assert_eq!(LogHistogram::new().percentile(lo), None);
+    }
+
     /// The window grid is a pure function of the timestamp: events land in
     /// window `t / width` no matter the arrival order, and idle gaps leave
     /// their windows absent instead of zero-filled or drifted.
@@ -98,7 +124,7 @@ proptest! {
     ) {
         let mut in_order = WindowedSeries::new(width);
         for &t in &stamps {
-            in_order.record_commit(t, 1);
+            commit(&mut in_order, t, 1);
         }
         // A deterministic shuffle: arrival order must be irrelevant.
         let mut shuffled = stamps.clone();
@@ -109,7 +135,7 @@ proptest! {
         }
         let mut out_of_order = WindowedSeries::new(width);
         for &t in &shuffled {
-            out_of_order.record_commit(t, 1);
+            commit(&mut out_of_order, t, 1);
         }
         prop_assert_eq!(&in_order, &out_of_order);
         // Exactly the windows that saw an event exist — no zero-filling
@@ -132,8 +158,13 @@ proptest! {
     ) {
         let feed = |s: &mut WindowedSeries, evs: &[(u64, u64, u64, u64)]| {
             for &(t, lat, full, partial) in evs {
-                s.record_commit(t, lat);
-                s.record_aborts(t, full, partial);
+                let txn = ExecStats {
+                    commits: 1,
+                    full_aborts: full,
+                    partial_aborts: partial,
+                    ..ExecStats::default()
+                };
+                s.record(t, &txn, Some(lat));
             }
         };
         let mut sa = WindowedSeries::new(width);

@@ -32,22 +32,22 @@
 //! reproducing Block-STM's re-execute-from-scratch recovery: the ablation
 //! the paper never ran.
 
-use crate::driver::{phase_for, Buckets, MergedObs, Plan, ScenarioConfig};
-use crate::workload::{TxnRequest, Workload};
+use crate::driver::{Phase, Tally};
+use crate::workload::TxnRequest;
 use acn_core::{
-    conflicts_with, plan_wave_with, BlockSeq, ExecStats, ExecutorConfig, ExecutorEngine,
-    InexactPolicy, LatencyHistogram, PredictionOutcome, SpecSets, WaveStats,
+    conflicts_with, plan_wave_with, BlockSeq, ExecutorConfig, ExecutorEngine, InexactPolicy,
+    Prediction, PredictionOutcome, RunOpts, SpecSets, WaveStats,
 };
-use acn_dtm::{ClientPool, Cluster};
-use acn_obs::{Span, SpanKind, ThreadTraceRow, Tracer, TxnObserver, WindowedSeries};
-use acn_txir::{CounterOracle, CounterSite, DependencyModel, PredictedRead, ResolvedAccess};
+use acn_dtm::ClientPool;
+use acn_obs::{SpanKind, TxnObserver};
+use acn_txir::{CounterOracle, CounterSite, PredictedRead, ResolvedAccess};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the executor recovers from a dynamic mis-speculation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,121 +154,99 @@ struct Shared {
     drained: Condvar,
 }
 
-/// Everything the wave loop borrows from the scenario runner.
-pub(crate) struct BatchRun<'a> {
-    pub cfg: &'a ScenarioConfig,
-    pub bc: &'a BatchConfig,
-    pub workload: &'a dyn Workload,
-    pub cluster: &'a Cluster,
-    pub dms: &'a [Arc<DependencyModel>],
-    pub plan: &'a Plan,
-    pub buckets: &'a Buckets,
-    pub latency: &'a Mutex<LatencyHistogram>,
-    pub failed: &'a AtomicU64,
-    pub merged_obs: &'a Mutex<MergedObs>,
-    pub merged_spans: &'a Mutex<(Vec<Span>, Vec<ThreadTraceRow>)>,
-    pub merged_client: &'a Mutex<(u64, u64)>,
-    pub piggyback_classes: &'a [u16],
-    pub start: Instant,
-    pub deadline_len: Duration,
+/// What the workers share besides the scenario [`Phase`]: the pooled
+/// client handles, the readiness queue, and the counter predictor.
+struct Wave<'a> {
+    ph: &'a Phase<'a>,
+    bc: &'a BatchConfig,
+    pool: ClientPool,
+    shared: Shared,
+    engine: ExecutorEngine,
+    /// Flat sequences per template ([`SpecMode::FullRestart`] only).
+    flat: Vec<Arc<BlockSeq>>,
+    /// Hot-counter cursors shared between the coordinator (prediction) and
+    /// the workers (mispredict feedback).
+    counters: CounterCursors,
+    /// Failed predictions over the whole run.
+    mispredicted: AtomicU64,
 }
 
 /// Run the batch-scheduled measurement phase: spawn the worker pool, then
 /// coordinate waves from the calling thread until the deadline. Returns
 /// the per-wave aggregate stats.
-pub(crate) fn run_waves(r: &BatchRun<'_>) -> WaveStats {
-    let threads = r.cfg.client_threads;
-    let pool = ClientPool::new(r.cluster, threads);
-    pool.configure(|i, client| {
-        if !r.piggyback_classes.is_empty() {
-            client.set_piggyback_classes(r.piggyback_classes.to_vec());
-        }
-        if let Some(h) = &r.cfg.history {
-            client.set_history(Arc::clone(h));
-        }
-        if let Some(o) = r.cfg.obs.filter(|o| o.trace_spans) {
-            let node = (r.cfg.cluster.servers + i) as u32;
-            client.set_tracer(Tracer::new(r.start, node, i as u64, o.span_capacity));
-        }
-    });
+pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
+    let threads = ph.cfg.client_threads;
+    let pool = ClientPool::new(ph.cluster, threads);
+    pool.configure(|i, client| ph.setup_client(i, client));
 
-    // Mis-speculations get the dedicated Spec* attribution.
-    let exec = ExecutorConfig {
-        speculation: true,
-        ..r.cfg.exec
+    let w = Wave {
+        ph,
+        bc,
+        pool,
+        shared: Shared {
+            q: Mutex::new(QueueState {
+                jobs: Vec::new(),
+                access: Vec::new(),
+                indeg: Vec::new(),
+                started: Vec::new(),
+                ready: VecDeque::new(),
+                live: Vec::new(),
+                remaining: 0,
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+            drained: Condvar::new(),
+        },
+        // Mis-speculations get the dedicated Spec* attribution.
+        engine: ExecutorEngine::with_config(
+            ph.cfg.retry,
+            ExecutorConfig {
+                speculation: true,
+                ..ph.cfg.exec
+            },
+        ),
+        // The ablation arm: flat sequences so every recovery is a full
+        // re-execution, regardless of what the plan would nest.
+        flat: match bc.spec {
+            SpecMode::FullRestart => ph
+                .dms
+                .iter()
+                .map(|dm| Arc::new(BlockSeq::flat(dm)))
+                .collect(),
+            SpecMode::Partial => Vec::new(),
+        },
+        counters: Mutex::new(HashMap::new()),
+        mispredicted: AtomicU64::new(0),
     };
-    // The ablation arm: flat sequences so every recovery is a full
-    // re-execution, regardless of what the plan would nest.
-    let flat: Vec<Arc<BlockSeq>> = match r.bc.spec {
-        SpecMode::FullRestart => r
-            .dms
-            .iter()
-            .map(|dm| Arc::new(BlockSeq::flat(dm)))
-            .collect(),
-        SpecMode::Partial => Vec::new(),
-    };
-
-    let shared = Shared {
-        q: Mutex::new(QueueState {
-            jobs: Vec::new(),
-            access: Vec::new(),
-            indeg: Vec::new(),
-            started: Vec::new(),
-            ready: VecDeque::new(),
-            live: Vec::new(),
-            remaining: 0,
-            shutdown: false,
-        }),
-        work: Condvar::new(),
-        drained: Condvar::new(),
-    };
+    let (shared, counters) = (&w.shared, &w.counters);
     let mut stats = WaveStats::default();
-    // Hot-counter cursors shared between the coordinator (prediction) and
-    // the workers (mispredict feedback), plus the global mispredict tally.
-    let counters: CounterCursors = Mutex::new(HashMap::new());
-    let mispredicted = AtomicU64::new(0);
 
     std::thread::scope(|s| {
-        if let Some(plan) = &r.cfg.chaos {
-            if !plan.events.is_empty() {
-                let net = r.cluster.net().clone();
-                let events = plan.events.clone();
-                let start = r.start;
-                s.spawn(move || net.run_fault_schedule(&events, start));
-            }
-        }
+        ph.spawn_fault_schedule(s);
         for t in 0..threads {
-            let shared = &shared;
-            let pool = &pool;
-            let flat = &flat;
-            let counters = &counters;
-            let mispredicted = &mispredicted;
-            s.spawn(move || worker_loop(r, t, pool, shared, flat, exec, counters, mispredicted));
+            let w = &w;
+            s.spawn(move || worker_loop(w, t));
         }
 
         // Coordinator: generate, schedule and admit waves until the
         // deadline. One RNG stream makes the generated transaction
         // sequence independent of the worker count.
-        let mut rng = StdRng::seed_from_u64(r.cfg.seed);
+        let mut rng = StdRng::seed_from_u64(ph.cfg.seed);
         // The coordinator's own tracer records one root span per wave; its
         // id band (`threads`) is disjoint from every worker's.
-        let mut wave_tracer = r.cfg.obs.filter(|o| o.trace_spans).map(|o| {
-            let node = (r.cfg.cluster.servers + threads) as u32;
-            Tracer::new(r.start, node, threads as u64, o.span_capacity)
-        });
-        let hard_deadline = r.start + r.deadline_len;
+        let mut wave_tracer = ph.tracer(threads);
+        let hard_deadline = ph.start + ph.deadline_len();
         loop {
-            let elapsed = r.start.elapsed();
-            if elapsed >= r.deadline_len {
+            let elapsed = ph.start.elapsed();
+            if elapsed >= ph.deadline_len() {
                 break;
             }
-            let interval_now = (elapsed.as_nanos() / r.cfg.interval.as_nanos()) as usize;
-            let phase = phase_for(r.cfg, interval_now);
+            let phase = ph.phase_at(elapsed);
             let sched_start = Instant::now();
-            let reqs: Vec<TxnRequest> = (0..r.bc.wave)
-                .map(|_| r.workload.next(&mut rng, phase))
+            let reqs: Vec<TxnRequest> = (0..bc.wave)
+                .map(|_| ph.workload.next(&mut rng, phase))
                 .collect();
-            let policy = if r.bc.speculate_inexact {
+            let policy = if bc.speculate_inexact {
                 InexactPolicy::Speculate
             } else {
                 InexactPolicy::Order
@@ -289,7 +267,7 @@ pub(crate) fn run_waves(r: &BatchRun<'_>) -> WaveStats {
             let pass1: Vec<_> = reqs
                 .iter()
                 .map(|req| {
-                    r.dms[req.template]
+                    ph.dms[req.template]
                         .access
                         .resolve_with(&req.params, &mut CursorOracle { map: &mut scratch })
                 })
@@ -302,7 +280,7 @@ pub(crate) fn run_waves(r: &BatchRun<'_>) -> WaveStats {
                 let mut cursors = counters.lock();
                 for &k in &order {
                     accesses[k] = Some(
-                        r.dms[reqs[k].template]
+                        ph.dms[reqs[k].template]
                             .access
                             .resolve_with(&reqs[k].params, &mut CursorOracle { map: &mut cursors }),
                     );
@@ -357,7 +335,7 @@ pub(crate) fn run_waves(r: &BatchRun<'_>) -> WaveStats {
             shared.work.notify_all();
             // Barrier (or half-barrier under overlap): wait until the wave
             // drains far enough to admit the next one.
-            let admit_at = if r.bc.overlap { r.bc.wave / 2 } else { 0 };
+            let admit_at = if bc.overlap { bc.wave / 2 } else { 0 };
             while q.remaining > admit_at {
                 if shared.drained.wait_until(&mut q, hard_deadline).timed_out() {
                     break;
@@ -370,64 +348,26 @@ pub(crate) fn run_waves(r: &BatchRun<'_>) -> WaveStats {
         drop(q);
 
         if let Some(tracer) = wave_tracer {
-            let (spans, summary) = tracer.drain();
-            let mut m = r.merged_spans.lock();
-            m.0.extend(spans);
-            m.1.push(ThreadTraceRow {
-                thread: threads as u64,
-                recorded: summary.recorded,
-                dropped: summary.dropped,
-                capacity: summary.capacity,
-            });
+            ph.merged.lock().spans(threads as u64, tracer.drain());
         }
     });
 
-    stats.mispredicts = mispredicted.load(Ordering::Relaxed);
+    stats.mispredicts = w.mispredicted.load(Ordering::Relaxed);
 
     // Every worker has exited: drain the pooled handles.
-    for (t, mut client) in pool.into_clients().into_iter().enumerate() {
-        if let Some(tracer) = client.take_tracer() {
-            let (spans, summary) = tracer.drain();
-            let mut m = r.merged_spans.lock();
-            m.0.extend(spans);
-            m.1.push(ThreadTraceRow {
-                thread: t as u64,
-                recorded: summary.recorded,
-                dropped: summary.dropped,
-                capacity: summary.capacity,
-            });
-        }
-        let cs = client.stats();
-        let mut m = r.merged_client.lock();
-        m.0 += cs.repair_writes_sent;
-        m.1 += cs.sync_refusals_seen;
+    let mut m = ph.merged.lock();
+    for (t, mut client) in w.pool.into_clients().into_iter().enumerate() {
+        m.client(t, &mut client);
     }
     stats
 }
 
 /// One worker: pull ready jobs, execute them on the leased pool handle,
 /// then drain successors' indegrees.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    r: &BatchRun<'_>,
-    t: usize,
-    pool: &ClientPool,
-    shared: &Shared,
-    flat: &[Arc<BlockSeq>],
-    exec: ExecutorConfig,
-    counters: &CounterCursors,
-    mispredicted: &AtomicU64,
-) {
-    let engine = ExecutorEngine::with_config(r.cfg.retry, exec);
-    let mut stats = ExecStats::default();
-    let mut prev = stats;
-    let mut hist = LatencyHistogram::new();
-    let mut observer = r.cfg.obs.map(TxnObserver::new);
-    // Same interval grid as the closed loop, so the merge is exact.
-    let mut series = r
-        .cfg
-        .obs
-        .map(|_| WindowedSeries::new(r.cfg.interval.as_nanos() as u64));
+fn worker_loop(w: &Wave<'_>, t: usize) {
+    let Wave { ph, shared, .. } = w;
+    let mut tally = Tally::new(ph.cfg);
+    let mut observer = ph.cfg.obs.map(TxnObserver::new);
     loop {
         let req = {
             let mut q = shared.q.lock();
@@ -460,12 +400,7 @@ fn worker_loop(
                 // are carved out of the fetch set entirely: the executor
                 // opens them with no read round at all.
                 let sets = if acc.exact {
-                    let mut fetch = acc.reads.clone();
-                    fetch.retain(|o| acc.blind.binary_search(o).is_err());
-                    SpecSets {
-                        fetch,
-                        blind: acc.blind.clone(),
-                    }
+                    spec_sets(acc)
                 } else {
                     SpecSets::default()
                 };
@@ -475,150 +410,84 @@ fn worker_loop(
         let Some((idx, req, preds, spec)) = req else {
             break;
         };
-        let job_start = r.start.elapsed();
 
-        let dm = &r.dms[req.template];
-        let seq = match r.bc.spec {
-            SpecMode::FullRestart => Arc::clone(&flat[req.template]),
-            SpecMode::Partial => match r.plan {
-                Plan::Fixed(seqs) => Arc::clone(&seqs[req.template]),
-                Plan::Acn(ctrls) => {
-                    let c = &ctrls[req.template];
-                    let mut client = pool.lease(t);
-                    c.maybe_refresh(&mut client);
-                    c.current()
-                }
-            },
+        let dm = &ph.dms[req.template];
+        let mut client = w.pool.lease(t);
+        let seq = match w.bc.spec {
+            SpecMode::FullRestart => Arc::clone(&w.flat[req.template]),
+            SpecMode::Partial => ph.block_seq(req.template, &mut client),
         };
-        {
-            let mut client = pool.lease(t);
-            if let Some(tr) = client.tracer_mut() {
-                tr.start_txn(req.template as u16);
-            }
-            let res = if preds.is_empty() && spec.fetch.is_empty() && spec.blind.is_empty() {
-                engine.run_timed_observed(
-                    &mut client,
-                    &dm.program,
-                    &req.params,
-                    &seq,
-                    &mut stats,
-                    &mut hist,
-                    observer.as_mut(),
-                )
-            } else {
-                let mut outcome = PredictionOutcome::default();
-                // Mispredict re-resolution: re-run the symbolic access
-                // resolution with observed counter values substituted for
-                // the failed predictions (latest observation per site
-                // wins, untouched sites keep their scheduled prediction),
-                // so the executor refetches the *corrected* access set in
-                // one batched round instead of paying one remote read per
-                // derived open that now misses the speculative cache.
-                let respec = |seen: &[(PredictedRead, i64)]| -> Option<SpecSets> {
-                    struct Observed<'a> {
-                        seen: &'a [(PredictedRead, i64)],
-                        preds: &'a [PredictedRead],
-                    }
-                    impl CounterOracle for Observed<'_> {
-                        fn predict(&mut self, site: &CounterSite) -> Option<i64> {
-                            let at =
-                                |p: &&PredictedRead| p.obj == site.obj && p.field == site.field;
-                            Some(
-                                self.seen
-                                    .iter()
-                                    .rev()
-                                    .find(|(p, _)| p.obj == site.obj && p.field == site.field)
-                                    .map(|(_, v)| *v)
-                                    .or_else(|| self.preds.iter().find(at).map(|p| p.value))
-                                    // A site no index depends on: its value
-                                    // cannot change the resolved sets.
-                                    .unwrap_or(0),
-                            )
-                        }
-                    }
-                    let r = dm.access.resolve_with(
-                        &req.params,
-                        &mut Observed {
-                            seen,
-                            preds: &preds,
-                        },
-                    );
-                    if !r.exact {
-                        return None;
-                    }
-                    let mut fetch = r.reads;
-                    fetch.retain(|o| r.blind.binary_search(o).is_err());
-                    Some(SpecSets {
-                        fetch,
-                        blind: r.blind,
-                    })
-                };
-                let res = engine.run_predicted(
-                    &mut client,
-                    &dm.program,
-                    &req.params,
-                    &seq,
-                    &preds,
-                    &spec.fetch,
-                    &spec.blind,
-                    Some(&respec),
-                    &mut stats,
-                    &mut hist,
-                    observer.as_mut(),
-                    &mut outcome,
-                );
-                if !outcome.mispredicts.is_empty() {
-                    mispredicted.fetch_add(outcome.mispredicts.len() as u64, Ordering::Relaxed);
-                    // Re-seed the coordinator's cursor from what the store
-                    // actually held, plus this instance's own advance —
-                    // the next wave predicts correctly again.
-                    let mut map = counters.lock();
-                    for (p, observed) in &outcome.mispredicts {
-                        map.insert((p.obj.class.id, p.obj.index, p.field.0), observed + p.delta);
-                    }
-                }
-                res
+        tally.transact(ph, &mut client, req.template, |client, txn| {
+            let mut opts = RunOpts {
+                obs: observer.as_mut(),
+                ..RunOpts::default()
             };
-            if let Some(tr) = client.tracer_mut() {
-                tr.end_txn(res.is_ok());
+            if preds.is_empty() && spec.fetch.is_empty() && spec.blind.is_empty() {
+                return w
+                    .engine
+                    .run_with(client, &dm.program, &req.params, &seq, txn, opts);
             }
-            if let Err(e) = res {
-                if r.cfg.chaos.is_some() {
-                    r.failed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    panic!("batch transaction failed: {e}");
+            let mut outcome = PredictionOutcome::default();
+            // Mispredict re-resolution: re-run the symbolic access
+            // resolution with observed counter values substituted for
+            // the failed predictions (latest observation per site
+            // wins, untouched sites keep their scheduled prediction),
+            // so the executor refetches the *corrected* access set in
+            // one batched round instead of paying one remote read per
+            // derived open that now misses the speculative cache.
+            let respec = |seen: &[(PredictedRead, i64)]| -> Option<SpecSets> {
+                struct Observed<'a> {
+                    seen: &'a [(PredictedRead, i64)],
+                    preds: &'a [PredictedRead],
+                }
+                impl CounterOracle for Observed<'_> {
+                    fn predict(&mut self, site: &CounterSite) -> Option<i64> {
+                        let at = |p: &&PredictedRead| p.obj == site.obj && p.field == site.field;
+                        Some(
+                            self.seen
+                                .iter()
+                                .rev()
+                                .find(|(p, _)| p.obj == site.obj && p.field == site.field)
+                                .map(|(_, v)| *v)
+                                .or_else(|| self.preds.iter().find(at).map(|p| p.value))
+                                // A site no index depends on: its value
+                                // cannot change the resolved sets.
+                                .unwrap_or(0),
+                        )
+                    }
+                }
+                let r = dm.access.resolve_with(
+                    &req.params,
+                    &mut Observed {
+                        seen,
+                        preds: &preds,
+                    },
+                );
+                r.exact.then(|| spec_sets(&r))
+            };
+            opts.prediction = Some(Prediction {
+                preds: &preds,
+                spec: &spec,
+                respec: Some(&respec),
+                outcome: &mut outcome,
+            });
+            let res = w
+                .engine
+                .run_with(client, &dm.program, &req.params, &seq, txn, opts);
+            if !outcome.mispredicts.is_empty() {
+                w.mispredicted
+                    .fetch_add(outcome.mispredicts.len() as u64, Ordering::Relaxed);
+                // Re-seed the coordinator's cursor from what the store
+                // actually held, plus this instance's own advance —
+                // the next wave predicts correctly again.
+                let mut map = w.counters.lock();
+                for (p, observed) in &outcome.mispredicts {
+                    map.insert((p.obj.class.id, p.obj.index, p.field.0), observed + p.delta);
                 }
             }
-        }
-        // Attribute to the completion window, exactly like the closed loop.
-        let done = r.start.elapsed();
-        let idx_w =
-            ((done.as_nanos() / r.cfg.interval.as_nanos()) as usize).min(r.cfg.intervals - 1);
-        r.buckets.commits[idx_w].fetch_add(stats.commits - prev.commits, Ordering::Relaxed);
-        r.buckets.fulls[idx_w].fetch_add(stats.full_aborts - prev.full_aborts, Ordering::Relaxed);
-        r.buckets.partials[idx_w].fetch_add(
-            stats.partial_aborts - prev.partial_aborts,
-            Ordering::Relaxed,
-        );
-        r.buckets.locked[idx_w]
-            .fetch_add(stats.locked_aborts - prev.locked_aborts, Ordering::Relaxed);
-        r.buckets.unavail[idx_w].fetch_add(
-            stats.unavailable_retries - prev.unavailable_retries,
-            Ordering::Relaxed,
-        );
-        if let Some(series) = series.as_mut() {
-            let at_ns = done.as_nanos() as u64;
-            if stats.commits > prev.commits {
-                series.record_commit(at_ns, (done - job_start).as_nanos() as u64);
-            }
-            let fulls =
-                (stats.full_aborts - prev.full_aborts) + (stats.locked_aborts - prev.locked_aborts);
-            let partials = stats.partial_aborts - prev.partial_aborts;
-            if fulls + partials > 0 {
-                series.record_aborts(at_ns, fulls, partials);
-            }
-        }
-        prev = stats;
+            res
+        });
+        drop(client);
 
         let mut q = shared.q.lock();
         let succs = std::mem::take(&mut q.jobs[idx].succs);
@@ -635,13 +504,16 @@ fn worker_loop(
         q.remaining -= 1;
         shared.drained.notify_one();
     }
-    r.latency.lock().merge(&hist);
-    if let Some(obs) = &observer {
-        let mut m = r.merged_obs.lock();
-        let m = &mut *m;
-        obs.merge_into(&mut m.aborts, &mut m.trace, &mut m.work);
-        if let Some(series) = &series {
-            m.series.merge(series);
-        }
+    ph.merged.lock().worker(&tally, observer.as_ref());
+}
+
+/// The speculative access plan of a resolved-exact instance: fetch every
+/// read except the value-blind writes.
+fn spec_sets(acc: &ResolvedAccess) -> SpecSets {
+    let mut fetch = acc.reads.clone();
+    fetch.retain(|o| acc.blind.binary_search(o).is_err());
+    SpecSets {
+        fetch,
+        blind: acc.blind.clone(),
     }
 }

@@ -8,19 +8,19 @@
 //! the network latency; hot-set shifts are expressed as a phase index per
 //! interval.
 
-use crate::batch::{run_waves, BatchConfig, BatchRun};
+use crate::batch::{run_waves, BatchConfig};
 use crate::workload::Workload;
 use acn_core::{
-    AcnController, AlgorithmModule, BlockSeq, ContentionModel, ControllerConfig, ExecStats,
-    ExecutorConfig, ExecutorEngine, LatencyHistogram, RetryPolicy, StaticModule, SumModel,
-    WaveStats,
+    AcnController, AlgorithmModule, BlockSeq, ControllerConfig, ExecStats, ExecutorConfig,
+    ExecutorEngine, RetryPolicy, RunError, RunOpts, StaticModule, SumModel, WaveStats,
 };
-use acn_dtm::{Cluster, ClusterConfig, HistoryLog, ServerStats};
+use acn_dtm::{Cluster, ClusterConfig, DtmClient, HistoryLog, ServerStats};
 use acn_obs::{
-    aggregate_critpath, critical_path, record_flight, AbortKind, AbortTable, ContentionLevel,
-    CritPathRow, FlightRecord, MetricsRegistry, MetricsReport, NetCounters, ObsConfig,
-    RecoveryCounters, SloInputs, SloPolicy, Span, SpanCollector, ThreadTraceRow, TraceSummary,
-    Tracer, TxnCritPath, TxnObserver, WindowedSeries, WorkTotals, SERVER_TRACE_THREAD,
+    aggregate_critpath, critical_path, record_flight, AbortKind, AbortRow, AbortTable,
+    ContentionLevel, CritPathRow, FlightRecord, LogHistogram, MetricsReport, NetCounters,
+    ObsConfig, RecoveryCounters, SeriesRow, SloInputs, SloPolicy, Span, SpanCollector,
+    ThreadTraceRow, TraceSummary, Tracer, TxnCritPath, TxnObserver, WindowedSeries, WorkTotals,
+    SERVER_TRACE_THREAD,
 };
 use acn_simnet::{FaultPlan, NetStatsSnapshot};
 use acn_txir::{DependencyModel, ObjClass, Stmt};
@@ -28,8 +28,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Which of the three evaluated systems executes the workload.
@@ -145,24 +145,6 @@ impl ScenarioConfig {
     }
 }
 
-/// Commit/abort counts for one measurement window. Carries every
-/// [`ExecStats`] counter — earlier versions dropped `locked_aborts` and
-/// `unavailable_retries` on the floor, which made lock-heavy and chaos
-/// runs look artificially clean.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntervalStats {
-    /// Transactions committed in the window.
-    pub commits: u64,
-    /// Full restarts absorbed in the window.
-    pub full_aborts: u64,
-    /// Partial rollbacks absorbed in the window.
-    pub partial_aborts: u64,
-    /// Restarts caused by persistent `protected` objects.
-    pub locked_aborts: u64,
-    /// Quorum-unavailable rounds absorbed by the retry policy.
-    pub unavailable_retries: u64,
-}
-
 /// The outcome of one scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
@@ -170,12 +152,15 @@ pub struct ScenarioResult {
     pub system: SystemKind,
     /// Window length used.
     pub interval: Duration,
-    /// Per-window counters.
-    pub intervals: Vec<IntervalStats>,
+    /// Per-window counters: window `i` holds every transaction that
+    /// completed in it (one finishing after the deadline counts into the
+    /// last window).
+    pub intervals: Vec<ExecStats>,
     /// Total ACN reconfigurations installed (0 for the baselines).
     pub refreshes: u64,
-    /// End-to-end commit latency (includes retries and backoff).
-    pub latency: LatencyHistogram,
+    /// End-to-end commit latency: the clock read around the executor's
+    /// run of each committed transaction (includes retries and backoff).
+    pub latency: LogHistogram,
     /// Transactions that failed terminally (chaos runs only; always 0 on a
     /// healthy cluster, where a terminal failure panics instead).
     pub failed: u64,
@@ -221,8 +206,10 @@ pub struct ScenarioObs {
     /// `committed + discarded(full) + discarded(partial) == executed`
     /// exactly (see [`WorkTotals::check`]).
     pub wasted: WorkTotals,
-    /// Per-window commit/abort counters and latency histograms on the
-    /// measurement-interval grid, merged over all worker threads.
+    /// Per-window counters and latency histograms on the
+    /// measurement-interval grid, merged over all worker threads: cell `i`
+    /// carries [`ScenarioResult::intervals`]`[i]`, and the cells' histograms
+    /// merge to [`ScenarioResult::latency`].
     pub series: WindowedSeries,
     /// Tripped SLO rules and their flight-recorder artifacts (empty
     /// unless [`ScenarioConfig::slo`] was set and a budget broke).
@@ -275,53 +262,52 @@ impl ScenarioResult {
     /// trace / contention when observability was enabled. `meta` key-values
     /// are prepended to the run's own (`system`, `interval_ms`, `windows`).
     pub fn metrics_report(&self, meta: &[(&str, String)]) -> MetricsReport {
-        let mut reg = MetricsRegistry::new();
-        reg.meta("system", self.system)
-            .meta("interval_ms", self.interval.as_millis())
-            .meta("windows", self.intervals.len());
-        for (k, v) in meta {
-            reg.meta(k, v);
-        }
+        let mut rows: Vec<(String, String)> = vec![
+            ("system".into(), self.system.to_string()),
+            ("interval_ms".into(), self.interval.as_millis().to_string()),
+            ("windows".into(), self.intervals.len().to_string()),
+        ];
+        rows.extend(meta.iter().map(|(k, v)| (k.to_string(), v.clone())));
         if let Some(b) = &self.batch {
-            reg.meta("batch_waves", b.waves)
-                .meta("batch_txns", b.txns)
-                .meta("batch_edges", b.edges)
-                .meta("batch_pessimistic_edges", b.pessimistic_edges)
-                .meta("batch_inexact_txns", b.inexact_txns)
-                .meta("batch_layers", b.layers)
-                .meta("batch_max_width", b.max_width)
-                .meta("batch_cross_edges", b.cross_edges)
-                .meta("batch_predicted_txns", b.predicted_txns)
-                .meta("batch_mispredicts", b.mispredicts);
+            rows.extend(
+                [
+                    ("batch_waves", b.waves),
+                    ("batch_txns", b.txns),
+                    ("batch_edges", b.edges),
+                    ("batch_pessimistic_edges", b.pessimistic_edges),
+                    ("batch_inexact_txns", b.inexact_txns),
+                    ("batch_layers", b.layers),
+                    ("batch_max_width", b.max_width),
+                    ("batch_cross_edges", b.cross_edges),
+                    ("batch_predicted_txns", b.predicted_txns),
+                    ("batch_mispredicts", b.mispredicts),
+                ]
+                .map(|(k, v)| (k.to_string(), v.to_string())),
+            );
         }
-        reg.exec(acn_obs::ExecCounters {
-            commits: self.total_commits(),
-            full_aborts: self.total_full_aborts(),
-            partial_aborts: self.total_partial_aborts(),
-            locked_aborts: self.total_locked_aborts(),
-            unavailable_retries: self.total_unavailable_retries(),
-        })
-        .net(net_counters(&self.net))
-        .latency(self.latency.summary());
-        if self.recovery != RecoveryCounters::default() {
-            reg.recovery(self.recovery);
+        let mut exec = ExecStats::default();
+        for w in &self.intervals {
+            exec.merge(w);
         }
+        let mut report = MetricsReport {
+            meta: rows,
+            exec,
+            recovery: (self.recovery != RecoveryCounters::default()).then_some(self.recovery),
+            net: net_counters(&self.net),
+            latency: self.latency.summary(),
+            ..MetricsReport::default()
+        };
         if let Some(obs) = &self.obs {
-            for level in &obs.contention {
-                reg.contention(level.clone());
-            }
-            reg.aborts(&obs.aborts).trace(obs.trace);
-            reg.critpath(obs.critpath_rows.clone());
-            for row in &obs.thread_traces {
-                reg.thread_trace(*row);
-            }
-            if !obs.wasted.is_empty() {
-                reg.wasted(obs.wasted.clone());
-            }
-            reg.series(&obs.series);
-            reg.flights(obs.flights.clone());
+            report.contention = obs.contention.clone();
+            report.aborts = AbortRow::from_table(&obs.aborts);
+            report.trace = obs.trace;
+            report.critpath = obs.critpath_rows.clone();
+            report.thread_traces = obs.thread_traces.clone();
+            report.wasted = (!obs.wasted.is_empty()).then(|| obs.wasted.clone());
+            report.series = SeriesRow::from_series(&obs.series);
+            report.flights = obs.flights.clone();
         }
-        reg.snapshot()
+        report
     }
 }
 
@@ -371,45 +357,175 @@ pub(crate) enum Plan {
     Acn(Vec<Arc<AcnController>>),
 }
 
-/// Per-thread observer outputs merged under one lock when each worker's
-/// scope ends: attribution, trace-ring counters, the wasted-work ledger
-/// totals and the windowed commit/abort series (all threads share one
-/// grid, so the merge is exact).
-pub(crate) struct MergedObs {
-    pub(crate) aborts: AbortTable,
-    pub(crate) trace: TraceSummary,
-    pub(crate) work: WorkTotals,
-    pub(crate) series: WindowedSeries,
+/// One worker's account of the measurement phase: a windowed series on the
+/// interval grid, recorded into once per transaction and merged once when
+/// the thread exits. The per-interval counters, the run's latency
+/// histogram, the SLO inputs and the exported series rows are all read off
+/// the merged series, so none of them can disagree with another.
+pub(crate) struct Tally {
+    series: WindowedSeries,
+    /// Last nanosecond of the last interval: a transaction that finishes
+    /// after the deadline counts into the last window.
+    horizon_ns: u64,
+    /// Transactions that failed terminally (chaos runs only).
+    failed: u64,
 }
 
-impl MergedObs {
-    pub(crate) fn new(window_ns: u64) -> Self {
-        MergedObs {
-            aborts: AbortTable::default(),
-            trace: TraceSummary::default(),
-            work: WorkTotals::default(),
+impl Tally {
+    pub(crate) fn new(cfg: &ScenarioConfig) -> Self {
+        let window_ns = cfg.interval.as_nanos() as u64;
+        Tally {
             series: WindowedSeries::new(window_ns),
+            horizon_ns: (window_ns * cfg.intervals as u64).saturating_sub(1),
+            failed: 0,
         }
+    }
+
+    /// Execute one transaction of `template` through `run` and record it:
+    /// the counters it moved land in the window in which it completed, and
+    /// a commit adds one latency sample — the clock read around `run`.
+    pub(crate) fn transact(
+        &mut self,
+        ph: &Phase<'_>,
+        client: &mut DtmClient,
+        template: usize,
+        run: impl FnOnce(&mut DtmClient, &mut ExecStats) -> Result<(), RunError>,
+    ) {
+        if let Some(tr) = client.tracer_mut() {
+            tr.start_txn(template as u16);
+        }
+        let mut txn = ExecStats::default();
+        let begin = Instant::now();
+        let res = run(client, &mut txn);
+        let done = Instant::now();
+        if let Some(tr) = client.tracer_mut() {
+            tr.end_txn(res.is_ok());
+        }
+        if let Err(e) = &res {
+            // A fault window can legitimately starve this client; count it
+            // and keep the thread alive so progress resumes once the faults
+            // heal. On a healthy cluster it is a configuration error.
+            assert!(ph.cfg.chaos.is_some(), "scenario transaction failed: {e}");
+            self.failed += 1;
+        }
+        let at_ns = ((done - ph.start).as_nanos() as u64).min(self.horizon_ns);
+        let latency_ns = res.is_ok().then(|| (done - begin).as_nanos() as u64);
+        self.series.record(at_ns, &txn, latency_ns);
     }
 }
 
-pub(crate) struct Buckets {
-    pub(crate) commits: Vec<AtomicU64>,
-    pub(crate) fulls: Vec<AtomicU64>,
-    pub(crate) partials: Vec<AtomicU64>,
-    pub(crate) locked: Vec<AtomicU64>,
-    pub(crate) unavail: Vec<AtomicU64>,
+/// What the workers hand back, merged under one lock as each thread exits.
+/// All threads share one window grid, so the series merge is exact.
+pub(crate) struct Merged {
+    series: WindowedSeries,
+    failed: u64,
+    aborts: AbortTable,
+    trace: TraceSummary,
+    work: WorkTotals,
+    spans: Vec<Span>,
+    thread_traces: Vec<ThreadTraceRow>,
+    /// Read-repair messages the clients sent.
+    repair_writes_sent: u64,
 }
 
-impl Buckets {
-    fn new(n: usize) -> Self {
-        let make = || (0..n).map(|_| AtomicU64::new(0)).collect();
-        Buckets {
-            commits: make(),
-            fulls: make(),
-            partials: make(),
-            locked: make(),
-            unavail: make(),
+impl Merged {
+    /// A worker's tally and, when observing, its observer.
+    pub(crate) fn worker(&mut self, tally: &Tally, observer: Option<&TxnObserver>) {
+        self.series.merge(&tally.series);
+        self.failed += tally.failed;
+        if let Some(obs) = observer {
+            obs.merge_into(&mut self.aborts, &mut self.trace, &mut self.work);
+        }
+    }
+
+    /// A span ring, kept under thread row `thread`.
+    pub(crate) fn spans(&mut self, thread: u64, (spans, summary): (Vec<Span>, TraceSummary)) {
+        self.spans.extend(spans);
+        self.thread_traces.push(ThreadTraceRow {
+            thread,
+            recorded: summary.recorded,
+            dropped: summary.dropped,
+            capacity: summary.capacity,
+        });
+    }
+
+    /// A finished client handle: its span ring and its recovery traffic.
+    pub(crate) fn client(&mut self, t: usize, client: &mut DtmClient) {
+        if let Some(tracer) = client.take_tracer() {
+            self.spans(t as u64, tracer.drain());
+        }
+        self.repair_writes_sent += client.stats().repair_writes_sent;
+    }
+}
+
+/// What the measurement phase of either execution mode works from.
+pub(crate) struct Phase<'a> {
+    pub(crate) cfg: &'a ScenarioConfig,
+    pub(crate) workload: &'a dyn Workload,
+    pub(crate) cluster: &'a Cluster,
+    pub(crate) dms: &'a [Arc<DependencyModel>],
+    pub(crate) plan: &'a Plan,
+    /// With piggybacked sampling, the union of all templates' classes,
+    /// carried by every client on its remote reads.
+    piggyback_classes: Vec<u16>,
+    /// Zero of the interval clock, the span tracers and the fault schedule.
+    pub(crate) start: Instant,
+    pub(crate) merged: Mutex<Merged>,
+}
+
+impl Phase<'_> {
+    pub(crate) fn deadline_len(&self) -> Duration {
+        self.cfg.interval * self.cfg.intervals as u32
+    }
+
+    /// Contention phase of the interval `elapsed` falls in.
+    pub(crate) fn phase_at(&self, elapsed: Duration) -> usize {
+        let interval = (elapsed.as_nanos() / self.cfg.interval.as_nanos()) as usize;
+        phase_for(self.cfg, interval)
+    }
+
+    /// The span tracer of id band `t`, when span tracing is on.
+    pub(crate) fn tracer(&self, t: usize) -> Option<Tracer> {
+        let o = self.cfg.obs.filter(|o| o.trace_spans)?;
+        let node = (self.cfg.cluster.servers + t) as u32;
+        Some(Tracer::new(self.start, node, t as u64, o.span_capacity))
+    }
+
+    /// Prepare worker `t`'s client handle.
+    pub(crate) fn setup_client(&self, t: usize, client: &mut DtmClient) {
+        if !self.piggyback_classes.is_empty() {
+            client.set_piggyback_classes(self.piggyback_classes.clone());
+        }
+        if let Some(h) = &self.cfg.history {
+            client.set_history(Arc::clone(h));
+        }
+        if let Some(tracer) = self.tracer(t) {
+            client.set_tracer(tracer);
+        }
+    }
+
+    /// The Block sequence `template` runs under right now; under ACN the
+    /// controller refreshes it first when its period is up.
+    pub(crate) fn block_seq(&self, template: usize, client: &mut DtmClient) -> Arc<BlockSeq> {
+        match self.plan {
+            Plan::Fixed(seqs) => Arc::clone(&seqs[template]),
+            Plan::Acn(ctrls) => {
+                ctrls[template].maybe_refresh(client);
+                ctrls[template].current()
+            }
+        }
+    }
+
+    /// Timed crash/partition events run on a supervisor thread; the
+    /// schedule ends at its last event, all of which precede the
+    /// measurement deadline in a sane plan, so the scope's implicit join
+    /// does not stall.
+    pub(crate) fn spawn_fault_schedule<'s>(&self, s: &'s Scope<'s, '_>) {
+        if let Some(events) = self.cfg.chaos.as_ref().map(|p| &p.events) {
+            if !events.is_empty() {
+                let (net, events, start) = (self.cluster.net().clone(), events.clone(), self.start);
+                s.spawn(move || net.run_fault_schedule(&events, start));
+            }
         }
     }
 }
@@ -429,15 +545,6 @@ pub(crate) fn phase_for(cfg: &ScenarioConfig, interval: usize) -> usize {
 /// configuration errors. With [`ScenarioConfig::chaos`] set they are
 /// counted into [`ScenarioResult::failed`] instead.
 pub fn run_scenario(workload: &dyn Workload, cfg: &ScenarioConfig) -> ScenarioResult {
-    run_scenario_with_model(workload, cfg, || Box::new(SumModel))
-}
-
-/// [`run_scenario`] with a custom contention model factory (ablations).
-pub fn run_scenario_with_model(
-    workload: &dyn Workload,
-    cfg: &ScenarioConfig,
-    model: impl Fn() -> Box<dyn ContentionModel>,
-) -> ScenarioResult {
     assert!(cfg.client_threads >= 1);
     assert!(
         cfg.client_threads <= cfg.cluster.clients,
@@ -495,7 +602,7 @@ pub fn run_scenario_with_model(
                 .map(|dm| {
                     Arc::new(AcnController::new(
                         Arc::clone(dm),
-                        AlgorithmModule::with_model(model()),
+                        AlgorithmModule::with_model(Box::new(SumModel)),
                         cfg.controller,
                     ))
                 })
@@ -503,288 +610,117 @@ pub fn run_scenario_with_model(
         ),
     };
 
-    let buckets = Buckets::new(cfg.intervals);
-    let latency = Mutex::new(LatencyHistogram::new());
-    let failed = AtomicU64::new(0);
-    // Per-thread observers merge here when the scope ends. The series
-    // grid equals the measurement interval, so window rows line up with
-    // the `IntervalStats` buckets.
-    let merged_obs: Mutex<MergedObs> = Mutex::new(MergedObs::new(cfg.interval.as_nanos() as u64));
-    // Per-thread span rings drain here; the server collector's spans join
-    // after shutdown (when every server thread has flushed).
-    let merged_spans: Mutex<(Vec<Span>, Vec<ThreadTraceRow>)> = Mutex::new(Default::default());
-    // Client-side recovery traffic (read repairs sent, sync refusals seen),
-    // summed over worker threads.
-    let merged_client: Mutex<(u64, u64)> = Mutex::new((0, 0));
-    let deadline_len = cfg.interval * cfg.intervals as u32;
-    let start = Instant::now();
-
-    // With piggybacked sampling, every client carries the union of all
-    // templates' classes on its remote reads.
-    let piggyback_classes: Vec<u16> = match (&plan, cfg.controller.sampling) {
-        (Plan::Acn(ctrls), acn_core::SamplingMode::Piggyback) => {
-            let mut all: Vec<u16> = ctrls.iter().flat_map(|c| c.classes()).collect();
-            all.sort_unstable();
-            all.dedup();
-            all
-        }
-        _ => Vec::new(),
-    };
-
-    let wave_stats = if let Some(bc) = &cfg.batch {
-        Some(run_waves(&BatchRun {
-            cfg,
-            bc,
-            workload,
-            cluster: &cluster,
-            dms: &dms,
-            plan: &plan,
-            buckets: &buckets,
-            latency: &latency,
-            failed: &failed,
-            merged_obs: &merged_obs,
-            merged_spans: &merged_spans,
-            merged_client: &merged_client,
-            piggyback_classes: &piggyback_classes,
-            start,
-            deadline_len,
-        }))
-    } else {
-        run_closed_loop(
-            workload,
-            cfg,
-            &cluster,
-            &dms,
-            &plan,
-            &buckets,
-            &latency,
-            &failed,
-            &merged_obs,
-            &merged_spans,
-            &merged_client,
-            &piggyback_classes,
-            start,
-            deadline_len,
-        );
-        None
-    };
-    drive_to_result(
+    let phase = Phase {
         cfg,
-        cluster,
-        &dms,
-        plan,
-        buckets,
-        latency,
-        failed,
-        merged_obs,
-        merged_spans,
-        merged_client,
-        span_collector,
-        start,
-        wave_stats,
-    )
+        workload,
+        cluster: &cluster,
+        dms: &dms,
+        plan: &plan,
+        piggyback_classes: match (&plan, cfg.controller.sampling) {
+            (Plan::Acn(ctrls), acn_core::SamplingMode::Piggyback) => {
+                let mut all: Vec<u16> = ctrls.iter().flat_map(|c| c.classes()).collect();
+                all.sort_unstable();
+                all.dedup();
+                all
+            }
+            _ => Vec::new(),
+        },
+        start: Instant::now(),
+        merged: Mutex::new(Merged {
+            series: WindowedSeries::new(cfg.interval.as_nanos() as u64),
+            failed: 0,
+            aborts: AbortTable::default(),
+            trace: TraceSummary::default(),
+            work: WorkTotals::default(),
+            spans: Vec::new(),
+            thread_traces: Vec::new(),
+            repair_writes_sent: 0,
+        }),
+    };
+    let wave_stats = match &cfg.batch {
+        Some(bc) => Some(run_waves(&phase, bc)),
+        None => {
+            run_closed_loop(&phase);
+            None
+        }
+    };
+    let Phase { start, merged, .. } = phase;
+    let refreshes = match &plan {
+        Plan::Fixed(_) => 0,
+        Plan::Acn(ctrls) => ctrls.iter().map(|c| c.refresh_count()).sum(),
+    };
+    ScenarioResult {
+        refreshes,
+        batch: wave_stats,
+        ..assemble(
+            cfg,
+            cluster,
+            &dms,
+            merged.into_inner(),
+            span_collector,
+            start,
+        )
+    }
 }
 
 /// The closed-loop measurement phase: each worker thread owns its client
 /// handle and generates, decomposes and executes transactions back to back
 /// until the deadline.
-#[allow(clippy::too_many_arguments)]
-fn run_closed_loop(
-    workload: &dyn Workload,
-    cfg: &ScenarioConfig,
-    cluster: &Cluster,
-    dms: &[Arc<DependencyModel>],
-    plan: &Plan,
-    buckets: &Buckets,
-    latency: &Mutex<LatencyHistogram>,
-    failed: &AtomicU64,
-    merged_obs: &Mutex<MergedObs>,
-    merged_spans: &Mutex<(Vec<Span>, Vec<ThreadTraceRow>)>,
-    merged_client: &Mutex<(u64, u64)>,
-    piggyback_classes: &[u16],
-    start: Instant,
-    deadline_len: Duration,
-) {
+fn run_closed_loop(ph: &Phase<'_>) {
+    let cfg = ph.cfg;
     std::thread::scope(|s| {
-        // Timed crash/partition events run on a supervisor thread; the
-        // schedule ends at its last event, all of which precede the
-        // measurement deadline in a sane plan, so the scope's implicit
-        // join does not stall.
-        if let Some(fault_plan) = &cfg.chaos {
-            if !fault_plan.events.is_empty() {
-                let net = cluster.net().clone();
-                let events = fault_plan.events.clone();
-                s.spawn(move || net.run_fault_schedule(&events, start));
-            }
-        }
+        ph.spawn_fault_schedule(s);
         for t in 0..cfg.client_threads {
-            let mut client = cluster.client(t);
-            if !piggyback_classes.is_empty() {
-                client.set_piggyback_classes(piggyback_classes.to_vec());
-            }
-            if let Some(h) = &cfg.history {
-                client.set_history(Arc::clone(h));
-            }
-            if let Some(o) = cfg.obs.filter(|o| o.trace_spans) {
-                // Origin = the measurement start, the same zero the
-                // interval clock and the server collector drain use.
-                let node = (cfg.cluster.servers + t) as u32;
-                client.set_tracer(Tracer::new(start, node, t as u64, o.span_capacity));
-            }
-            let engine = ExecutorEngine::with_config(cfg.retry, cfg.exec);
-            let mut rng = StdRng::seed_from_u64(cfg.seed + t as u64);
+            let mut client = ph.cluster.client(t);
+            ph.setup_client(t, &mut client);
             s.spawn(move || {
-                let mut stats = ExecStats::default();
-                let mut hist = LatencyHistogram::new();
+                let engine = ExecutorEngine::with_config(cfg.retry, cfg.exec);
+                let mut rng = StdRng::seed_from_u64(cfg.seed + t as u64);
+                let mut tally = Tally::new(cfg);
                 let mut observer = cfg.obs.map(TxnObserver::new);
-                // Per-thread windowed series on the run-origin grid; the
-                // merge at scope end is exact because every thread shares
-                // the same window width and zero.
-                let mut series = cfg
-                    .obs
-                    .map(|_| WindowedSeries::new(cfg.interval.as_nanos() as u64));
-                let mut prev = stats;
                 loop {
-                    let elapsed = start.elapsed();
-                    if elapsed >= deadline_len {
+                    let elapsed = ph.start.elapsed();
+                    if elapsed >= ph.deadline_len() {
                         break;
                     }
-                    let interval_now = (elapsed.as_nanos() / cfg.interval.as_nanos()) as usize;
-                    let phase = phase_for(cfg, interval_now);
-                    let req = workload.next(&mut rng, phase);
-                    let dm = &dms[req.template];
-                    let seq = match plan {
-                        Plan::Fixed(seqs) => Arc::clone(&seqs[req.template]),
-                        Plan::Acn(ctrls) => {
-                            let c = &ctrls[req.template];
-                            c.maybe_refresh(&mut client);
-                            c.current()
-                        }
-                    };
-                    if let Some(tr) = client.tracer_mut() {
-                        tr.start_txn(req.template as u16);
-                    }
-                    let res = engine.run_timed_observed(
-                        &mut client,
-                        &dm.program,
-                        &req.params,
-                        &seq,
-                        &mut stats,
-                        &mut hist,
-                        observer.as_mut(),
-                    );
-                    if let Some(tr) = client.tracer_mut() {
-                        tr.end_txn(res.is_ok());
-                    }
-                    if let Err(e) = res {
-                        if cfg.chaos.is_some() {
-                            // A fault window can legitimately starve this
-                            // client; count it and keep the thread alive so
-                            // progress resumes once the faults heal.
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            panic!("scenario transaction failed: {e}");
-                        }
-                    }
-                    // Attribute the commit (and the aborts it absorbed) to
-                    // the window in which it completed.
-                    let done = start.elapsed();
-                    let idx = ((done.as_nanos() / cfg.interval.as_nanos()) as usize)
-                        .min(cfg.intervals - 1);
-                    buckets.commits[idx].fetch_add(stats.commits - prev.commits, Ordering::Relaxed);
-                    buckets.fulls[idx]
-                        .fetch_add(stats.full_aborts - prev.full_aborts, Ordering::Relaxed);
-                    buckets.partials[idx].fetch_add(
-                        stats.partial_aborts - prev.partial_aborts,
-                        Ordering::Relaxed,
-                    );
-                    buckets.locked[idx]
-                        .fetch_add(stats.locked_aborts - prev.locked_aborts, Ordering::Relaxed);
-                    buckets.unavail[idx].fetch_add(
-                        stats.unavailable_retries - prev.unavailable_retries,
-                        Ordering::Relaxed,
-                    );
-                    if let Some(series) = series.as_mut() {
-                        let at_ns = done.as_nanos() as u64;
-                        if stats.commits > prev.commits {
-                            // End-to-end iteration latency (retries and
-                            // backoff included), like `hist`.
-                            let lat = (done - elapsed).as_nanos() as u64;
-                            series.record_commit(at_ns, lat);
-                        }
-                        let fulls = (stats.full_aborts - prev.full_aborts)
-                            + (stats.locked_aborts - prev.locked_aborts);
-                        let partials = stats.partial_aborts - prev.partial_aborts;
-                        if fulls + partials > 0 {
-                            series.record_aborts(at_ns, fulls, partials);
-                        }
-                    }
-                    prev = stats;
-                }
-                if let Some(tracer) = client.take_tracer() {
-                    let (spans, summary) = tracer.drain();
-                    let mut m = merged_spans.lock();
-                    m.0.extend(spans);
-                    m.1.push(ThreadTraceRow {
-                        thread: t as u64,
-                        recorded: summary.recorded,
-                        dropped: summary.dropped,
-                        capacity: summary.capacity,
+                    let req = ph.workload.next(&mut rng, ph.phase_at(elapsed));
+                    let seq = ph.block_seq(req.template, &mut client);
+                    tally.transact(ph, &mut client, req.template, |client, txn| {
+                        let opts = RunOpts {
+                            obs: observer.as_mut(),
+                            ..RunOpts::default()
+                        };
+                        let program = &ph.dms[req.template].program;
+                        engine.run_with(client, program, &req.params, &seq, txn, opts)
                     });
                 }
-                latency.lock().merge(&hist);
-                {
-                    let cs = client.stats();
-                    let mut m = merged_client.lock();
-                    m.0 += cs.repair_writes_sent;
-                    m.1 += cs.sync_refusals_seen;
-                }
-                if let Some(obs) = &observer {
-                    let mut m = merged_obs.lock();
-                    let m = &mut *m;
-                    obs.merge_into(&mut m.aborts, &mut m.trace, &mut m.work);
-                    if let Some(series) = &series {
-                        m.series.merge(series);
-                    }
-                }
+                let mut m = ph.merged.lock();
+                m.worker(&tally, observer.as_ref());
+                m.client(t, &mut client);
             });
         }
     });
 }
 
-/// Post-measurement assembly shared by both execution modes: controller
-/// refresh totals, contention sampling, cluster shutdown, span merging and
-/// the final [`ScenarioResult`].
-#[allow(clippy::too_many_arguments)]
-fn drive_to_result(
+/// Post-measurement assembly shared by both execution modes: contention
+/// sampling, cluster shutdown, span merging, SLO evaluation and the
+/// [`ScenarioResult`] (its `refreshes` and `batch` are the caller's).
+fn assemble(
     cfg: &ScenarioConfig,
     cluster: Cluster,
     dms: &[Arc<DependencyModel>],
-    plan: Plan,
-    buckets: Buckets,
-    latency: Mutex<LatencyHistogram>,
-    failed: AtomicU64,
-    merged_obs: Mutex<MergedObs>,
-    merged_spans: Mutex<(Vec<Span>, Vec<ThreadTraceRow>)>,
-    merged_client: Mutex<(u64, u64)>,
+    mut merged: Merged,
     span_collector: Option<Arc<SpanCollector>>,
     start: Instant,
-    wave_stats: Option<WaveStats>,
 ) -> ScenarioResult {
-    let refreshes = match &plan {
-        Plan::Fixed(_) => 0,
-        Plan::Acn(ctrls) => ctrls.iter().map(|c| c.refresh_count()).sum(),
-    };
-
     // While the cluster is still up: one contention sample over every class
     // the workload touches (best-effort — a chaos plan may have taken the
     // quorum down, in which case the report just omits contention rows).
-    let mut obs = cfg.obs.map(|_| {
-        let merged = merged_obs.into_inner();
+    let contention = cfg.obs.map(|_| {
         let classes = collect_classes(dms);
         let ids: Vec<u16> = classes.iter().map(|c| c.id).collect();
         let mut sampler = cluster.client(0);
-        let contention = match sampler.query_contention_full(&ids) {
+        match sampler.query_contention_full(&ids) {
             Ok(sample) => classes
                 .iter()
                 .map(|c| {
@@ -799,135 +735,127 @@ fn drive_to_result(
                 })
                 .collect(),
             Err(_) => Vec::new(),
-        };
-        ScenarioObs {
-            aborts: merged.aborts,
-            trace: merged.trace,
-            contention,
-            spans: Vec::new(),
-            critpath: Vec::new(),
-            critpath_rows: Vec::new(),
-            thread_traces: Vec::new(),
-            wasted: merged.work,
-            series: merged.series,
-            flights: Vec::new(),
         }
     });
 
     let net = cluster.net().stats();
     let server_stats = cluster.shutdown();
+    // Every server thread has joined: the shared span sink joins the
+    // client rings.
+    if let Some(collector) = &span_collector {
+        merged.spans(SERVER_TRACE_THREAD, collector.drain(start));
+    }
+    let Merged {
+        series,
+        failed,
+        aborts,
+        trace,
+        work,
+        mut spans,
+        mut thread_traces,
+        repair_writes_sent,
+    } = merged;
+    let intervals: Vec<ExecStats> = (0..cfg.intervals as u64)
+        .map(|i| series.get(i).map(|cell| cell.stats).unwrap_or_default())
+        .collect();
+    let latency = series.total_latency();
 
-    // Every server thread has joined: drain the shared span sink, merge it
-    // with the client rings, and decompose the committed transactions'
-    // critical paths.
-    if let Some(obs) = obs.as_mut() {
-        let (mut spans, mut thread_rows) = merged_spans.into_inner();
-        if let Some(collector) = &span_collector {
-            let (srv, summary) = collector.drain(start);
-            spans.extend(srv);
-            thread_rows.push(ThreadTraceRow {
-                thread: SERVER_TRACE_THREAD,
-                recorded: summary.recorded,
-                dropped: summary.dropped,
-                capacity: summary.capacity,
-            });
-        }
+    let sum = |f: fn(&ServerStats) -> u64| -> u64 { server_stats.iter().map(f).sum() };
+    let recovery = RecoveryCounters {
+        amnesia_wipes: sum(|s| s.amnesia_wipes),
+        syncs_completed: sum(|s| s.syncs_completed),
+        sync_objects_received: sum(|s| s.sync_objects_received),
+        sync_vote_refusals: sum(|s| s.sync_vote_refusals),
+        sync_read_refusals: sum(|s| s.sync_read_refusals),
+        repair_writes_sent,
+        repair_writes_applied: sum(|s| s.repair_writes_applied),
+        restart_replays: sum(|s| s.restart_replays),
+        wal_records_replayed: sum(|s| s.wal_records_replayed),
+        torn_tails_truncated: sum(|s| s.torn_tails_truncated),
+        delta_objects_fetched: sum(|s| s.delta_objects_fetched),
+        wal_io_errors: sum(|s| s.wal_io_errors),
+        wal_sync_batches: sum(|s| s.wal_sync_batches),
+        wal_records_synced: sum(|s| s.wal_records_synced),
+    };
+
+    let obs = contention.map(|contention| {
+        // Decompose the committed transactions' critical paths.
         spans.sort_by_key(|s| (s.trace, s.start_ns, s.id));
-        thread_rows.sort_by_key(|r| r.thread);
+        thread_traces.sort_by_key(|r| r.thread);
         let critpath = critical_path(&spans);
         let critpath_rows = aggregate_critpath(&critpath, |c| {
             dms.get(c as usize)
                 .map(|dm| dm.program.name.to_string())
                 .unwrap_or_else(|| format!("class{c}"))
         });
-        obs.spans = spans;
-        obs.critpath = critpath;
-        obs.critpath_rows = critpath_rows;
-        obs.thread_traces = thread_rows;
-    }
-    let (repair_writes_sent, _sync_refusals_seen) = merged_client.into_inner();
-    let recovery = RecoveryCounters {
-        amnesia_wipes: server_stats.iter().map(|s| s.amnesia_wipes).sum(),
-        syncs_completed: server_stats.iter().map(|s| s.syncs_completed).sum(),
-        sync_objects_received: server_stats.iter().map(|s| s.sync_objects_received).sum(),
-        sync_vote_refusals: server_stats.iter().map(|s| s.sync_vote_refusals).sum(),
-        sync_read_refusals: server_stats.iter().map(|s| s.sync_read_refusals).sum(),
-        repair_writes_sent,
-        repair_writes_applied: server_stats.iter().map(|s| s.repair_writes_applied).sum(),
-        restart_replays: server_stats.iter().map(|s| s.restart_replays).sum(),
-        wal_records_replayed: server_stats.iter().map(|s| s.wal_records_replayed).sum(),
-        torn_tails_truncated: server_stats.iter().map(|s| s.torn_tails_truncated).sum(),
-        delta_objects_fetched: server_stats.iter().map(|s| s.delta_objects_fetched).sum(),
-        wal_io_errors: server_stats.iter().map(|s| s.wal_io_errors).sum(),
-        wal_sync_batches: server_stats.iter().map(|s| s.wal_sync_batches).sum(),
-        wal_records_synced: server_stats.iter().map(|s| s.wal_records_synced).sum(),
-    };
-    let latency = latency.into_inner();
-
-    // SLO evaluation over the finished run's merged telemetry; tripped
-    // rules dump the retained spans as a flight-recorder artifact. Needs
-    // the observer outputs, so `slo` without `obs` evaluates nothing.
-    if let (Some(obs), Some(slo)) = (obs.as_mut(), cfg.slo.as_ref()) {
-        if !slo.policy.is_disabled() {
-            let sum =
-                |b: &[AtomicU64]| -> u64 { b.iter().map(|a| a.load(Ordering::Relaxed)).sum() };
-            let inputs = SloInputs {
-                p99_ns: latency
-                    .percentile(0.99)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(0),
-                commits: sum(&buckets.commits),
-                aborts: sum(&buckets.fulls) + sum(&buckets.partials) + sum(&buckets.locked),
-                wal_refusals: obs.aborts.total_of(&[AbortKind::WalRefused]),
-                sync_refusals: recovery.sync_vote_refusals + recovery.sync_read_refusals,
-            };
-            let triggers = slo.policy.evaluate(&inputs);
-            if !triggers.is_empty() {
-                // Best-effort artifact: an unwritable flight dir must not
-                // fail the run, but the tripped rules still surface as
-                // rows (with an empty artifact path).
-                obs.flights = record_flight(
-                    &slo.flight_dir,
-                    &slo.label,
-                    &triggers,
-                    &obs.spans,
-                    &obs.thread_traces,
-                )
-                .unwrap_or_else(|_| {
-                    triggers
-                        .iter()
-                        .map(|t| FlightRecord {
-                            trigger: t.rule.label().to_owned(),
-                            value_milli: t.value_milli,
-                            budget_milli: t.budget_milli,
-                            artifact: String::new(),
-                        })
-                        .collect()
-                });
+        // SLO evaluation over the finished run's merged telemetry; tripped
+        // rules dump the retained spans as a flight-recorder artifact.
+        // Needs the observer outputs, so `slo` without `obs` evaluates
+        // nothing.
+        let flights = match cfg.slo.as_ref().filter(|slo| !slo.policy.is_disabled()) {
+            Some(slo) => {
+                let inputs = SloInputs {
+                    p99_ns: latency.quantile(0.99).unwrap_or(0),
+                    commits: intervals.iter().map(|w| w.commits).sum(),
+                    aborts: intervals.iter().map(|w| w.total_aborts()).sum(),
+                    wal_refusals: aborts.total_of(&[AbortKind::WalRefused]),
+                    sync_refusals: recovery.sync_vote_refusals + recovery.sync_read_refusals,
+                };
+                let triggers = slo.policy.evaluate(&inputs);
+                if triggers.is_empty() {
+                    Vec::new()
+                } else {
+                    // Best-effort artifact: an unwritable flight dir must
+                    // not fail the run, but the tripped rules still surface
+                    // as rows (with an empty artifact path).
+                    record_flight(
+                        &slo.flight_dir,
+                        &slo.label,
+                        &triggers,
+                        &spans,
+                        &thread_traces,
+                    )
+                    .unwrap_or_else(|_| {
+                        triggers
+                            .iter()
+                            .map(|t| FlightRecord {
+                                trigger: t.rule.label().to_owned(),
+                                value_milli: t.value_milli,
+                                budget_milli: t.budget_milli,
+                                artifact: String::new(),
+                            })
+                            .collect()
+                    })
+                }
             }
+            None => Vec::new(),
+        };
+        ScenarioObs {
+            aborts,
+            trace,
+            contention,
+            spans,
+            critpath,
+            critpath_rows,
+            thread_traces,
+            wasted: work,
+            series,
+            flights,
         }
-    }
+    });
 
     ScenarioResult {
-        server_stats,
-        recovery,
-        latency,
         system: cfg.system,
         interval: cfg.interval,
-        intervals: (0..cfg.intervals)
-            .map(|i| IntervalStats {
-                commits: buckets.commits[i].load(Ordering::Relaxed),
-                full_aborts: buckets.fulls[i].load(Ordering::Relaxed),
-                partial_aborts: buckets.partials[i].load(Ordering::Relaxed),
-                locked_aborts: buckets.locked[i].load(Ordering::Relaxed),
-                unavailable_retries: buckets.unavail[i].load(Ordering::Relaxed),
-            })
-            .collect(),
-        refreshes,
-        failed: failed.into_inner(),
+        intervals,
+        refreshes: 0,
+        latency,
+        failed,
         net,
         obs,
-        batch: wave_stats,
+        server_stats,
+        recovery,
+        batch: None,
     }
 }
 
@@ -1004,6 +932,32 @@ mod tests {
         assert!(p99 < Duration::from_secs(5), "sane upper bound: {p99:?}");
     }
 
+    /// One tally per worker: the series cells *are* the interval counters
+    /// and their histograms merge to the run's latency histogram, bucket
+    /// for bucket, in both execution modes. Each worker's last transaction
+    /// finishes after the deadline, so this also pins the late-completion
+    /// clamp: the series never grows a window past the last interval.
+    #[test]
+    fn series_cells_are_the_interval_counters() {
+        for batch in [None, Some(BatchConfig::default())] {
+            let mut cfg = tiny(SystemKind::QrCn);
+            cfg.obs = Some(ObsConfig::default());
+            cfg.batch = batch;
+            let r = run_scenario(&Bank::default(), &cfg);
+            assert!(r.total_commits() > 0);
+            let series = &r.obs.as_ref().expect("obs enabled").series;
+            for (i, _) in series.iter() {
+                assert!(i < cfg.intervals as u64, "window {i} is past the run");
+            }
+            for (i, w) in r.intervals.iter().enumerate() {
+                let cell = series.get(i as u64).map(|c| c.stats).unwrap_or_default();
+                assert_eq!(*w, cell, "interval {i} (batch: {})", batch.is_some());
+            }
+            assert_eq!(series.total_latency(), r.latency);
+            assert_eq!(r.latency.len(), r.total_commits());
+        }
+    }
+
     #[test]
     fn phase_schedule_clamps() {
         let cfg = tiny(SystemKind::QrDtm);
@@ -1018,18 +972,18 @@ mod tests {
     #[test]
     fn throughput_math() {
         let r = ScenarioResult {
-            latency: LatencyHistogram::new(),
+            latency: LogHistogram::new(),
             system: SystemKind::QrDtm,
             interval: Duration::from_millis(500),
             intervals: vec![
-                IntervalStats {
+                ExecStats {
                     commits: 50,
                     full_aborts: 1,
                     partial_aborts: 0,
                     locked_aborts: 4,
                     unavailable_retries: 0,
                 },
-                IntervalStats {
+                ExecStats {
                     commits: 100,
                     full_aborts: 2,
                     partial_aborts: 3,

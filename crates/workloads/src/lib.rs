@@ -32,6 +32,6 @@ mod workload;
 
 pub use batch::{BatchConfig, SpecMode};
 pub use driver::{
-    run_scenario, IntervalStats, ScenarioConfig, ScenarioObs, ScenarioResult, SloConfig, SystemKind,
+    run_scenario, ScenarioConfig, ScenarioObs, ScenarioResult, SloConfig, SystemKind,
 };
 pub use workload::{seed_txn, TxnRequest, Workload};

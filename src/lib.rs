@@ -100,10 +100,10 @@ pub mod prelude {
     pub use acn_obs::{
         aggregate_critpath, critical_path, parse_chrome_trace, parse_prom, record_flight,
         render_prom, report_to_prom, write_chrome_trace, AbortKind, AbortSite, AbortTable,
-        CritPathRow, FlightRecord, LogHistogram, MetricsRegistry, MetricsReport, ObsConfig,
-        PromMetric, SloInputs, SloPolicy, SloRule, SloTrigger, Span, SpanCollector, SpanKind,
-        ThreadTraceRow, TraceCtx, TraceRing, TraceSummary, Tracer, TxnCritPath, TxnEvent,
-        TxnObserver, WindowedSeries, WorkLedger, WorkTotals, WorkUnits, SERVER_TRACE_THREAD,
+        CritPathRow, FlightRecord, LogHistogram, MetricsReport, ObsConfig, PromMetric, SloInputs,
+        SloPolicy, SloRule, SloTrigger, Span, SpanCollector, SpanKind, ThreadTraceRow, TraceCtx,
+        TraceRing, TraceSummary, Tracer, TxnCritPath, TxnEvent, TxnObserver, WindowedSeries,
+        WorkLedger, WorkTotals, WorkUnits, SERVER_TRACE_THREAD,
     };
     pub use acn_quorum::{DaryTree, LevelQuorums, ReadLevelPolicy};
     pub use acn_simnet::{

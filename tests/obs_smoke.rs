@@ -312,8 +312,8 @@ fn windowed_series_counts_every_outcome() {
     );
     let (mut fulls, mut partials, mut lat_samples) = (0u64, 0u64, 0u64);
     for (_, cell) in obs.series.iter() {
-        fulls += cell.full_aborts;
-        partials += cell.partial_aborts;
+        fulls += cell.stats.full_aborts + cell.stats.locked_aborts;
+        partials += cell.stats.partial_aborts;
         lat_samples += cell.latency.len();
     }
     assert_eq!(
