@@ -4,8 +4,9 @@
 //! enclosing multiple UnitBlocks represents a piece of code to be
 //! executed. […] Each Block represents a closed-nested transaction."
 
-use acn_txir::{lift_edges, DependencyModel, StmtIdx, UnitBlockId};
+use acn_txir::{lift_edges, DependencyModel, OpenPlan, StmtIdx, UnitBlockId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// An executable decomposition of one transaction template: Blocks in
 /// execution order, each carrying the statements it runs (in program
@@ -17,6 +18,10 @@ pub struct BlockSeq {
     pub blocks: Vec<Vec<StmtIdx>>,
     /// UnitBlock composition of each block (diagnostics / tests).
     pub block_units: Vec<Vec<UnitBlockId>>,
+    /// The template's open plan — which opens are fetched ahead, which are
+    /// value-blind — riding along from the [`DependencyModel`] so the
+    /// executor never re-derives it per run.
+    pub opens: Arc<OpenPlan>,
 }
 
 impl BlockSeq {
@@ -28,6 +33,7 @@ impl BlockSeq {
         BlockSeq {
             blocks: vec![(0..n).collect()],
             block_units: vec![(0..dm.unit_count()).collect()],
+            opens: Arc::clone(&dm.opens),
         }
     }
 
@@ -90,6 +96,7 @@ impl BlockSeq {
         BlockSeq {
             blocks,
             block_units: groups.to_vec(),
+            opens: Arc::clone(&dm.opens),
         }
     }
 

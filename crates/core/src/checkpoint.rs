@@ -15,7 +15,7 @@
 
 use crate::blocks::BlockSeq;
 use crate::executor::rand_like::jitter;
-use crate::executor::{run_block, FlatAccess, Frame, RetryPolicy, RunError, StepError, StepGuards};
+use crate::executor::{run_block, Access, Frame, RetryPolicy, RunError, StepError, StepGuards};
 use acn_dtm::{DtmClient, DtmError, TxnCtx};
 use acn_obs::{AbortKind, SpanKind, TxnEvent, TxnObserver};
 use acn_txir::{ObjectId, Program, Value};
@@ -101,10 +101,10 @@ pub fn run_checkpointed(
             let reads_before = ctx.reads_len();
             let mut lock_holds: u32 = 0;
             let result = {
-                let mut acc = FlatAccess {
+                let mut acc = Access {
                     ctx: &mut ctx,
-                    spec: None,
-                    blind: &[],
+                    child: None,
+                    reads: None,
                 };
                 let mut guards = StepGuards::none();
                 guards.lock_holds = Some(&mut lock_holds);

@@ -11,8 +11,8 @@ use crate::blocks::BlockSeq;
 use acn_dtm::{AbortScope, ChildCtx, DtmClient, DtmError, SpecCache, TxnCtx};
 use acn_obs::{AbortKind, ExecStats, SpanKind, TxnEvent, TxnObserver};
 use acn_txir::{
-    prefetchable_opens, AccessMode, EvalError, ObjectId, Operand, PredictedRead, Program, Stmt,
-    StmtIdx, Value,
+    AccessMode, EvalError, FieldId, ObjectId, OpenPlan, Operand, PredictedRead, Program, Stmt,
+    StmtIdx, Value, VarId,
 };
 use rand_like::jitter;
 use std::time::{Duration, Instant};
@@ -68,11 +68,12 @@ impl Default for RetryPolicy {
 /// Execution-path toggles, independent of the retry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Fetch the statically known remote opens of each Block
-    /// ([`prefetchable_opens`]) in one batched quorum round at Block start
-    /// instead of one round trip per open. Data-dependent opens always fall
-    /// back to single reads. On by default; turn off for the unbatched
-    /// baseline in ablations.
+    /// Run every open through the speculative read path ([`OpenPlan`]):
+    /// one batched quorum round at attempt start for every open the
+    /// parameters resolve, one more per data-dependency level, and none at
+    /// all for inserts presumed absent. On by default; off is the paper-literal
+    /// arm the ablations compare against — one remote read per open, no
+    /// cache, no blind opens.
     pub batched_reads: bool,
     /// The transaction runs under the batch scheduler's conflict-graph
     /// speculation: dynamic conflicts are mis-speculations (the static
@@ -128,26 +129,6 @@ pub struct PredictionOutcome {
     pub aliased: u64,
 }
 
-/// A speculative access plan for one predicted instance: the objects to
-/// fetch ahead in one quorum round, and the value-blind writes to open
-/// with **no** fetch at all — insert-only objects whose template never
-/// reads a field of the handle, presumed absent (version 0, default
-/// value) and validated like any other read-set entry at commit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpecSets {
-    /// Objects to prefetch into the [`SpecCache`].
-    pub fetch: Vec<ObjectId>,
-    /// Value-blind writes, opened without fetching (disjoint from `fetch`).
-    pub blind: Vec<ObjectId>,
-}
-
-/// Re-resolves a predicted instance's access plan mid-run. Called after a
-/// mispredict with every `(prediction, observed value)` pair recorded so
-/// far (latest observation per site wins); returns the corrected exact
-/// plan, or `None` when correction is unavailable — the run then falls
-/// back to one remote read per cache-missing open.
-pub type RespecFn<'a> = &'a dyn Fn(&[(PredictedRead, i64)]) -> Option<SpecSets>;
-
 pub(crate) enum StepError {
     Dtm(DtmError),
     Eval(EvalError),
@@ -177,80 +158,176 @@ impl From<EvalError> for StepError {
     }
 }
 
-/// Uniform access to a flat context or a child-over-parent pair, so one
-/// interpreter serves both execution modes.
-pub(crate) trait Access {
-    fn open(&mut self, client: &mut DtmClient, obj: ObjectId, update: bool)
-        -> Result<(), DtmError>;
-    fn get(&self, obj: ObjectId, field: acn_txir::FieldId) -> Value;
-    fn set(&mut self, obj: ObjectId, field: acn_txir::FieldId, value: Value);
+/// The speculative read state of one run: the one path by which an object
+/// is fetched ahead of its `Open`. Absent when batched reads are off.
+pub(crate) struct SpecReads<'a> {
+    plan: &'a OpenPlan,
+    params: &'a [Value],
+    /// Objects whose blind presumption failed earlier in this run: they
+    /// exist, so every later attempt fetches them instead of presuming.
+    demoted: Vec<ObjectId>,
+    /// This attempt's fetched copies (see [`SpecCache`] for the rule).
+    cache: SpecCache,
+    /// Counter values known to this attempt, by [`OpenPlan::counters`]
+    /// site: a still-active prediction at attempt start, the observed
+    /// value once the real read ran.
+    counters: Vec<Option<i64>>,
+    /// Objects this attempt opened blind.
+    presumed: Vec<ObjectId>,
+    /// Objects fetched per read round issued from inside a statement
+    /// since the Block body started, for its `BatchedRead` events.
+    late_rounds: Vec<u32>,
 }
 
-pub(crate) struct FlatAccess<'a> {
+impl<'a> SpecReads<'a> {
+    fn new(plan: &'a OpenPlan, params: &'a [Value]) -> Self {
+        SpecReads {
+            plan,
+            params,
+            demoted: Vec::new(),
+            cache: SpecCache::default(),
+            counters: Vec::new(),
+            presumed: Vec::new(),
+            late_rounds: Vec::new(),
+        }
+    }
+
+    /// Start an attempt: drop the previous attempt's state and return what
+    /// the one initial round fetches — every fetched open resolvable from
+    /// the parameters and the still-active predictions, plus the demoted
+    /// objects.
+    fn begin(&mut self, preds: &[PredictedRead]) -> Vec<ObjectId> {
+        self.cache = SpecCache::default();
+        self.presumed.clear();
+        let (plan, params) = (self.plan, self.params);
+        self.counters = (0..plan.counters.len())
+            .map(|c| {
+                let host = plan.counter_host(c, params)?;
+                let field = plan.counters[c].field;
+                let pred = preds.iter().find(|p| p.obj == host && p.field == field)?;
+                Some(pred.value)
+            })
+            .collect();
+        let mut objs = plan.resolve(params, &self.counters);
+        for o in &self.demoted {
+            if !objs.contains(o) {
+                objs.push(*o);
+            }
+        }
+        objs
+    }
+
+    /// A remote round reported `objs` stale. The ones this attempt presumed
+    /// absent are demoted for the rest of the run, and the cached copies
+    /// are evicted — a Block re-run must not replay the copy that
+    /// invalidated it. Returns what to refetch before such a re-run.
+    fn invalidated(&mut self, objs: &[ObjectId]) -> Vec<ObjectId> {
+        let mut refetch = Vec::new();
+        for o in objs {
+            let presumed = self.presumed.contains(o);
+            if presumed && !self.demoted.contains(o) {
+                self.demoted.push(*o);
+            }
+            if self.cache.evict(o) || presumed {
+                refetch.push(*o);
+            }
+        }
+        refetch
+    }
+}
+
+/// Statement-level access to the running transaction: the root context on
+/// a flat schedule, the running Block's child over it on a nested one, so
+/// one interpreter serves both execution modes.
+pub(crate) struct Access<'a, 'r> {
     pub(crate) ctx: &'a mut TxnCtx,
-    /// Speculative whole-transaction prefetch cache, when the run carries
-    /// a predicted-exact access set (see [`Prediction`]).
-    pub(crate) spec: Option<&'a SpecCache>,
-    /// Sorted value-blind write set: these opens fetch nothing at all
-    /// (see [`SpecSets`]).
-    pub(crate) blind: &'a [ObjectId],
+    /// The running Block's sub-transaction (nested schedules only).
+    pub(crate) child: Option<&'a mut ChildCtx>,
+    pub(crate) reads: Option<&'a mut SpecReads<'r>>,
 }
 
-impl Access for FlatAccess<'_> {
+impl Access<'_, '_> {
+    /// Execute an `Open`. With the speculative read path on, an insert
+    /// ([`OpenPlan::blind`]) of an object this run has no reason to believe
+    /// exists installs the presumed-absent copy with no round; everything
+    /// else installs from the cache, and only a miss reads remotely.
     fn open(
         &mut self,
         client: &mut DtmClient,
         obj: ObjectId,
         update: bool,
+        blind: bool,
     ) -> Result<(), DtmError> {
-        if self.blind.binary_search(&obj).is_ok() {
-            self.ctx.open_blind(obj, update);
+        let Some(r) = self.reads.as_deref_mut() else {
+            return match self.child.as_deref_mut() {
+                Some(c) => c.open(client, self.ctx, obj, update),
+                None => self.ctx.open(client, obj, update),
+            };
+        };
+        if blind && !r.cache.contains(&obj) && !r.demoted.contains(&obj) {
+            r.presumed.push(obj);
+            match self.child.as_deref_mut() {
+                Some(c) => c.open_blind(self.ctx, obj, update),
+                None => self.ctx.open_blind(obj, update),
+            }
             return Ok(());
         }
-        match self.spec {
-            Some(cache) => self.ctx.open_spec(client, obj, update, cache),
-            None => self.ctx.open(client, obj, update),
+        match self.child.as_deref_mut() {
+            Some(c) => c.open_spec(client, self.ctx, obj, update, &r.cache),
+            None => self.ctx.open_spec(client, obj, update, &r.cache),
         }
     }
-    fn get(&self, obj: ObjectId, field: acn_txir::FieldId) -> Value {
-        self.ctx.get_field(obj, field)
-    }
-    fn set(&mut self, obj: ObjectId, field: acn_txir::FieldId, value: Value) {
-        self.ctx.set_field(obj, field, value)
-    }
-}
 
-struct ChildAccess<'a> {
-    child: &'a mut ChildCtx,
-    parent: &'a TxnCtx,
-    spec: Option<&'a SpecCache>,
-    /// Sorted value-blind write set (see [`SpecSets`]).
-    blind: &'a [ObjectId],
-}
+    /// Does some fetched open's index derive from a counter read?
+    #[inline]
+    fn derives(&self) -> bool {
+        self.reads
+            .as_deref()
+            .is_some_and(|r| !r.plan.counters.is_empty())
+    }
 
-impl Access for ChildAccess<'_> {
-    fn open(
+    fn get(&self, obj: ObjectId, field: FieldId) -> Value {
+        match self.child.as_deref() {
+            Some(c) => c.get_field(self.ctx, obj, field),
+            None => self.ctx.get_field(obj, field),
+        }
+    }
+
+    fn set(&mut self, obj: ObjectId, field: FieldId, value: Value) {
+        match self.child.as_deref_mut() {
+            Some(c) => c.set_field(self.ctx, obj, field, value),
+            None => self.ctx.set_field(obj, field, value),
+        }
+    }
+
+    /// A `GetField` just produced `value` in register `reg`. If that was a
+    /// counter some fetched open's index derives from, the opens it
+    /// unlocks are resolved now and fetched in one round — a data-dependency
+    /// level costs one round, not one per open. Only called for templates
+    /// that have such an open ([`OpenPlan::counters`] non-empty); none of
+    /// the in-tree workloads does.
+    fn observe(
         &mut self,
         client: &mut DtmClient,
-        obj: ObjectId,
-        update: bool,
+        reg: VarId,
+        value: &Value,
     ) -> Result<(), DtmError> {
-        if self.blind.binary_search(&obj).is_ok() {
-            self.child.open_blind(self.parent, obj, update);
+        let r = self.reads.as_deref_mut().expect("derives() checked");
+        let Some(site) = r.plan.counters.iter().position(|c| c.reg == reg) else {
             return Ok(());
+        };
+        r.counters[site] = value.as_int().ok();
+        let mut want = r.plan.resolve(r.params, &r.counters);
+        want.retain(|o| !r.cache.contains(o));
+        let fresh = match self.child.as_deref() {
+            Some(c) => c.fetch_spec(client, self.ctx, &want)?,
+            None => self.ctx.fetch_spec(client, &want)?,
+        };
+        if !fresh.is_empty() {
+            r.late_rounds.push(fresh.len() as u32);
         }
-        match self.spec {
-            Some(cache) => self
-                .child
-                .open_spec(client, self.parent, obj, update, cache),
-            None => self.child.open(client, self.parent, obj, update),
-        }
-    }
-    fn get(&self, obj: ObjectId, field: acn_txir::FieldId) -> Value {
-        self.child.get_field(self.parent, obj, field)
-    }
-    fn set(&mut self, obj: ObjectId, field: acn_txir::FieldId, value: Value) {
-        self.child.set_field(self.parent, obj, field, value)
+        r.cache.absorb(fresh);
+        Ok(())
     }
 }
 
@@ -279,7 +356,7 @@ impl<'p> Frame<'p> {
         }
     }
 
-    fn handle(&self, var: acn_txir::VarId) -> ObjectId {
+    fn handle(&self, var: VarId) -> ObjectId {
         self.handles[var.0 as usize].expect("handle used before open")
     }
 }
@@ -306,8 +383,8 @@ impl StepGuards<'_> {
     }
 }
 
-fn run_stmt<A: Access>(
-    acc: &mut A,
+fn run_stmt(
+    acc: &mut Access<'_, '_>,
     client: &mut DtmClient,
     frame: &mut Frame<'_>,
     stmt: &Stmt,
@@ -338,7 +415,11 @@ fn run_stmt<A: Access>(
                 }
             }
             let update = matches!(mode, AccessMode::Update);
-            acc.open(client, obj, update)?;
+            let blind = acc
+                .reads
+                .as_deref()
+                .is_some_and(|r| r.plan.blind[var.0 as usize]);
+            acc.open(client, obj, update, blind)?;
             if update {
                 if let Some(holds) = guards.lock_holds.as_deref_mut() {
                     *holds += 1;
@@ -377,6 +458,9 @@ fn run_stmt<A: Access>(
                     }
                 }
             }
+            if acc.derives() {
+                acc.observe(client, *var, &value)?;
+            }
             frame.env[var.0 as usize] = value;
         }
         Stmt::SetField { obj, field, value } => {
@@ -405,41 +489,8 @@ fn run_stmt<A: Access>(
     Ok(())
 }
 
-/// Resolve each Block's statically known remote opens to concrete
-/// `ObjectId`s for one instance: per Block (in schedule order), the deduped
-/// targets of its prefetchable opens under `params`. An operand that fails
-/// to evaluate (e.g. a mistyped parameter) is silently skipped here — the
-/// `Open` statement itself will surface the error when it executes, keeping
-/// eval-error semantics identical with and without batching.
-fn prefetch_plan(program: &Program, params: &[Value], seq: &BlockSeq) -> Vec<Vec<ObjectId>> {
-    let candidates = prefetchable_opens(program);
-    seq.blocks
-        .iter()
-        .map(|block| {
-            let mut objs: Vec<ObjectId> = Vec::new();
-            for c in &candidates {
-                if block.binary_search(&c.stmt).is_err() {
-                    continue;
-                }
-                let idx = match &c.index {
-                    Operand::Const(v) => v.as_int(),
-                    Operand::Param(p) => params[p.0 as usize].as_int(),
-                    Operand::Var(_) => unreachable!("prefetchable opens never use registers"),
-                };
-                if let Ok(i) = idx {
-                    let obj = ObjectId::new(c.class, i as u64);
-                    if !objs.contains(&obj) {
-                        objs.push(obj);
-                    }
-                }
-            }
-            objs
-        })
-        .collect()
-}
-
-pub(crate) fn run_block<A: Access>(
-    acc: &mut A,
+pub(crate) fn run_block(
+    acc: &mut Access<'_, '_>,
     client: &mut DtmClient,
     frame: &mut Frame<'_>,
     program: &Program,
@@ -505,56 +556,40 @@ impl ExecutorEngine {
             program.params as usize,
             "instance must bind every parameter"
         );
+        debug_assert_eq!(
+            seq.opens.blind.len(),
+            program.vars as usize,
+            "the Block sequence was built from another template's model"
+        );
         let inst = Instance {
             program,
             params,
             seq,
-            // The plan depends only on the template, the instance
-            // parameters and the schedule — all fixed for the whole retry
-            // loop — so it is computed once per run, not per attempt.
-            plan: self
+        };
+        let mut run = RunState {
+            sink: Sink {
+                stats,
+                obs: opts.obs,
+            },
+            reads: self
                 .config
                 .batched_reads
-                .then(|| prefetch_plan(program, params, seq)),
+                .then(|| SpecReads::new(&seq.opens, params)),
+            // Predictions persist across attempts: a prediction dropped
+            // after a mispredict stays dropped, so a restarted attempt
+            // cannot trip over the same wrong value again.
+            preds: opts.prediction.map(|p| PredState {
+                active: p.preds.to_vec(),
+                outcome: p.outcome,
+            }),
+            forced_flat: false,
         };
-        let mut sink = Sink {
-            stats,
-            obs: opts.obs,
-        };
-        // Predictions persist across attempts: a prediction dropped after a
-        // mispredict stays dropped, so a restarted attempt cannot trip over
-        // the same wrong value again.
-        let mut pred_state = opts.prediction.map(|p| PredState {
-            active: p.preds.to_vec(),
-            spec_objs: if self.config.batched_reads {
-                p.spec.fetch.clone()
-            } else {
-                Vec::new()
-            },
-            blind: if self.config.batched_reads {
-                let mut b = p.spec.blind.clone();
-                b.sort_unstable();
-                b
-            } else {
-                Vec::new()
-            },
-            unblinded: Vec::new(),
-            respec: p.respec,
-            outcome: p.outcome,
-        });
-        let mut forced_flat = false;
         let mut restarts = 0usize;
         let mut unavailable = 0usize;
         loop {
-            match self.attempt(
-                client,
-                &inst,
-                &mut sink,
-                pred_state.as_mut(),
-                &mut forced_flat,
-            ) {
+            match self.attempt(client, &inst, &mut run) {
                 Ok(()) => {
-                    sink.emit(TxnEvent::Commit {
+                    run.sink.emit(TxnEvent::Commit {
                         restarts: restarts as u32,
                     });
                     return Ok(());
@@ -577,7 +612,7 @@ impl ExecutorEngine {
                     // quorum; back off (the window is typically much longer
                     // than a conflict) and restart the attempt from scratch.
                     unavailable += 1;
-                    sink.emit(TxnEvent::UnavailableRetry);
+                    run.sink.emit(TxnEvent::UnavailableRetry);
                     let bo = Instant::now();
                     jitter(self.policy.backoff_base.saturating_mul(8), unavailable);
                     if let Some(t) = client.tracer_mut() {
@@ -601,27 +636,19 @@ pub struct RunOpts<'a> {
 }
 
 /// The batch scheduler's predictions for one instance. Each
-/// [`PredictedRead`] is validated at the instance's real read of that
-/// counter. On mismatch the attempt is repaired — a partial rollback of the
-/// offending Block on a nested schedule ([`AbortKind::SpecMispredict`]), a
-/// full restart on the flat arm — with the failed prediction dropped so the
-/// re-run reads freely, and the observed value reported through `outcome`
-/// so the coordinator's predictor can resynchronize. Aliased opens degrade
-/// the run to flat program order ([`AbortKind::AliasedOpen`]) and are
-/// counted there too.
+/// [`PredictedRead`] stands in for its counter's value when the attempt's
+/// initial round resolves what to fetch, and is validated at the instance's
+/// real read of that counter. On mismatch the attempt is repaired — a
+/// partial rollback of the offending Block on a nested schedule
+/// ([`AbortKind::SpecMispredict`]), a full restart on the flat arm — with
+/// the failed prediction dropped so the re-run reads freely (and re-resolves
+/// from the observed value like any unpredicted run), and the observed
+/// value reported through `outcome` so the coordinator's predictor can
+/// resynchronize. Aliased opens degrade the run to flat program order
+/// ([`AbortKind::AliasedOpen`]) and are counted there too.
 pub struct Prediction<'a> {
     /// Counter reads the wave was ordered by.
     pub preds: &'a [PredictedRead],
-    /// The instance's resolved access plan (empty sets to opt out): every
-    /// attempt fetches `spec.fetch` in **one** quorum round into a side
-    /// cache that `Open` statements install from ([`SpecCache`]), so a
-    /// predicted-exact instance — Var-indexed opens included — pays a
-    /// single read round instead of one per Block plus one per
-    /// data-dependent open. Mispredicted objects are simply never
-    /// installed; the real open misses the cache and reads remotely.
-    pub spec: &'a SpecSets,
-    /// Re-resolves the access plan after a mispredict.
-    pub respec: Option<RespecFn<'a>>,
     /// Feedback sink for the coordinator's predictor.
     pub outcome: &'a mut PredictionOutcome,
 }
@@ -631,8 +658,6 @@ struct Instance<'a> {
     program: &'a Program,
     params: &'a [Value],
     seq: &'a BlockSeq,
-    /// Per-Block statically known opens, when batched reads are on.
-    plan: Option<Vec<Vec<ObjectId>>>,
 }
 
 enum AttemptError {
@@ -642,61 +667,29 @@ enum AttemptError {
 }
 
 /// Per-run prediction state: the still-active predictions (mutated as they
-/// validate or fail), the resolved access set to prefetch speculatively
-/// (empty when batched reads are off), and the caller's feedback sink.
+/// validate or fail) and the caller's feedback sink.
 struct PredState<'a> {
     active: Vec<PredictedRead>,
-    spec_objs: Vec<ObjectId>,
-    /// Sorted value-blind write set ([`SpecSets::blind`]).
-    blind: Vec<ObjectId>,
-    /// Blind objects that turned out to exist (their presumed version-0
-    /// read failed validation): demoted to fetched opens, and never
-    /// re-blinded by a later correction.
-    unblinded: Vec<ObjectId>,
-    respec: Option<RespecFn<'a>>,
     outcome: &'a mut PredictionOutcome,
 }
 
-impl PredState<'_> {
-    /// After a mispredict: re-resolve the access plan under the observed
-    /// counter values so the next speculative fetch targets the objects
-    /// the re-run will actually open. Returns the corrected fetch set
-    /// when the run speculates and the caller's re-resolution succeeds.
-    fn correct_spec(&mut self) -> Option<Vec<ObjectId>> {
-        if self.spec_objs.is_empty() && self.blind.is_empty() {
-            return None;
-        }
-        let mut sets = (self.respec?)(&self.outcome.mispredicts)?;
-        sets.blind.sort_unstable();
-        // An object demoted by `unblind` stays demoted: re-blinding a
-        // known-existing object would just invalidate again.
-        for o in &self.unblinded {
-            if let Ok(i) = sets.blind.binary_search(o) {
-                sets.blind.remove(i);
-                if !sets.fetch.contains(o) {
-                    sets.fetch.push(*o);
-                }
-            }
-        }
-        self.spec_objs.clone_from(&sets.fetch);
-        self.blind = sets.blind;
-        Some(sets.fetch)
-    }
+/// What one run carries from attempt to attempt.
+struct RunState<'a> {
+    sink: Sink<'a>,
+    reads: Option<SpecReads<'a>>,
+    preds: Option<PredState<'a>>,
+    /// An aliased open voided the schedule: every later attempt runs the
+    /// instance as one flat program-order Block.
+    forced_flat: bool,
+}
 
-    /// Demote invalidated blind opens to ordinary fetched opens: the
-    /// presumed-absent object exists, so the retry must read its real
-    /// version and value.
-    fn unblind(&mut self, objs: &[ObjectId]) {
-        for o in objs {
-            if let Ok(i) = self.blind.binary_search(o) {
-                self.blind.remove(i);
-                if let Err(j) = self.unblinded.binary_search(o) {
-                    self.unblinded.insert(j, *o);
-                }
-                if !self.spec_objs.contains(o) {
-                    self.spec_objs.push(*o);
-                }
-            }
+impl RunState<'_> {
+    /// Drop a failed prediction and feed the observed value back.
+    fn mispredicted(&mut self, pred: PredictedRead, observed: i64) {
+        if let Some(p) = self.preds.as_mut() {
+            p.active
+                .retain(|q| !(q.obj == pred.obj && q.field == pred.field));
+            p.outcome.mispredicts.push((pred, observed));
         }
     }
 }
@@ -706,187 +699,62 @@ impl ExecutorEngine {
         &self,
         client: &mut DtmClient,
         inst: &Instance<'_>,
-        sink: &mut Sink<'_>,
-        mut preds: Option<&mut PredState<'_>>,
-        forced_flat: &mut bool,
+        run: &mut RunState<'_>,
     ) -> Result<(), AttemptError> {
         let Instance {
             program,
             params,
             seq,
-            ..
         } = *inst;
-        sink.emit(TxnEvent::Begin);
+        run.sink.emit(TxnEvent::Begin);
         let mut ctx = TxnCtx::begin(client);
         let mut frame = Frame::new(program, params);
 
-        // Speculative whole-transaction prefetch: one quorum round fetches
-        // the instance's resolved access set into a side cache that the
-        // `Open` statements below install from. It supersedes the static
-        // per-Block plan — a resolved-exact set covers the statically known
-        // opens too — so with it active no other read round is issued
-        // unless a prediction was wrong (cache miss at the real open).
-        let mut spec = match preds.as_deref_mut() {
-            Some(p) if !p.spec_objs.is_empty() => {
-                // `preds` is mutably borrowed here, but a fresh context has
-                // an empty read-set — this fetch cannot surface a blind
-                // invalidation, so there is nothing to unblind.
-                let cache = ctx
-                    .fetch_spec(client, &p.spec_objs)
-                    .map_err(|e| self.step_error(StepError::Dtm(e), None, None, sink))?;
-                if !cache.is_empty() {
-                    sink.emit(TxnEvent::BatchedRead {
-                        block: None,
-                        objs: cache.len() as u32,
-                    });
-                }
-                Some(cache)
-            }
-            _ => None,
-        };
-        // The static plan only drives prefetch rounds when the speculative
-        // cache is absent — and it must also stand down while any blind
-        // opens are pending, or it would fetch the presumed-absent objects
-        // before the blind check at `Access::open` ever runs.
-        let plan = if spec.is_none() && preds.as_deref().is_none_or(|p| p.blind.is_empty()) {
-            inst.plan.as_deref()
-        } else {
-            None
-        };
+        // The attempt's one initial read round. Every later round is paid
+        // for a reason: a data-dependency level, a miss, or a stale copy.
+        if let Some(r) = run.reads.as_mut() {
+            let active = run.preds.as_ref().map_or(&[][..], |p| &p.active);
+            let objs = r.begin(active);
+            self.fetch(client, &mut ctx, run, &objs, None)?;
+        }
 
-        if seq.is_flat() || *forced_flat {
-            if let Some(plan) = plan {
-                // Flat execution has a single Block: prefetch the union of
-                // every statically known open in one quorum round.
-                let mut union: Vec<ObjectId> = Vec::new();
-                for obj in plan.iter().flatten() {
-                    if !union.contains(obj) {
-                        union.push(*obj);
-                    }
-                }
-                ctx.open_batch(client, &union).map_err(|e| {
-                    self.step_error(StepError::Dtm(e), None, preds.as_deref_mut(), sink)
-                })?;
-                if !union.is_empty() {
-                    sink.emit(TxnEvent::BatchedRead {
-                        block: None,
-                        objs: union.len() as u32,
-                    });
-                }
-            }
+        if seq.is_flat() || run.forced_flat {
             // Program order, not schedule order: a genuinely flat sequence
             // is already sorted, and the aliased-open degrade path relies
             // on re-running a reordered nested schedule in program order,
             // where aliasing is harmless.
             let mut all: Vec<StmtIdx> = seq.blocks.iter().flatten().copied().collect();
             all.sort_unstable();
-            let mut lock_holds: u32 = 0;
-            let result = {
-                let (active, blind) = match preds.as_deref_mut() {
-                    Some(p) => (Some(&mut p.active), p.blind.as_slice()),
-                    None => (None, &[][..]),
-                };
-                let mut guards = StepGuards {
-                    preds: active,
-                    alias_check: false,
-                    lock_holds: Some(&mut lock_holds),
-                };
-                let mut acc = FlatAccess {
-                    ctx: &mut ctx,
-                    spec: spec.as_ref(),
-                    blind,
-                };
-                run_block(&mut acc, client, &mut frame, program, &all, &mut guards)
-            };
-            // Charged before any terminal event so the wasted-work ledger
-            // attributes these holds to whatever this attempt becomes —
-            // a commit or the discarded side of the abort below.
-            if lock_holds > 0 {
-                sink.emit(TxnEvent::LockHolds {
-                    block: None,
-                    holds: lock_holds,
-                });
-            }
-            if let Err(e) = result {
-                if let StepError::Mispredict { pred, observed } = &e {
+            if let Err(e) = run_body(client, &mut frame, program, &all, &mut ctx, None, run) {
+                if let StepError::Mispredict { pred, observed } = e {
                     // Flat arm: no child scope to repair — full restart,
                     // with the prediction dropped and fed back.
-                    if let Some(p) = preds.as_deref_mut() {
-                        p.active
-                            .retain(|q| !(q.obj == pred.obj && q.field == pred.field));
-                        p.outcome.mispredicts.push((*pred, *observed));
-                        // Correct the speculative fetch set so the restart
-                        // refetches the objects the re-run will actually
-                        // open — still one round, no per-open cache misses.
-                        p.correct_spec();
-                    }
-                    sink.emit(TxnEvent::FullAbort {
+                    run.mispredicted(pred, observed);
+                    run.sink.emit(TxnEvent::FullAbort {
                         block: None,
                         obj: Some(pred.obj),
                         kind: AbortKind::SpecMispredict,
                     });
                     return Err(AttemptError::Restart);
                 }
-                return Err(self.step_error(e, None, preds.as_deref_mut(), sink));
+                return Err(self.step_error(e, None, run));
             }
         } else {
             for (bi, block) in seq.blocks.iter().enumerate() {
+                let bi = bi as u32;
                 let mut partial_tries = 0usize;
                 loop {
-                    sink.emit(TxnEvent::BlockStart { block: bi as u32 });
+                    run.sink.emit(TxnEvent::BlockStart { block: bi });
                     if let Some(t) = client.tracer_mut() {
-                        t.block_start(bi as u32);
+                        t.block_start(bi);
                     }
+                    // Everything the Block opens — from the cache, blind or
+                    // remotely — becomes a child-first read, so a later
+                    // invalidation of it rolls back only this Block.
                     let mut child = ctx.child();
-                    // Prefetch this Block's known opens through the child:
-                    // the fetches become child-first reads, so a later
-                    // invalidation of a prefetched object still rolls back
-                    // only this Block.
-                    let prefetched = match plan {
-                        Some(plan) => child
-                            .open_batch(client, &mut ctx, &plan[bi])
-                            .map_err(StepError::Dtm),
-                        None => Ok(()),
-                    };
-                    if prefetched.is_ok() {
-                        if let Some(plan) = plan {
-                            if !plan[bi].is_empty() {
-                                sink.emit(TxnEvent::BatchedRead {
-                                    block: Some(bi as u32),
-                                    objs: plan[bi].len() as u32,
-                                });
-                            }
-                        }
-                    }
-                    let mut lock_holds: u32 = 0;
-                    let result = prefetched.and_then(|()| {
-                        let (active, blind) = match preds.as_deref_mut() {
-                            Some(p) => (Some(&mut p.active), p.blind.as_slice()),
-                            None => (None, &[][..]),
-                        };
-                        let mut guards = StepGuards {
-                            preds: active,
-                            alias_check: true,
-                            lock_holds: Some(&mut lock_holds),
-                        };
-                        let mut acc = ChildAccess {
-                            child: &mut child,
-                            parent: &ctx,
-                            spec: spec.as_ref(),
-                            blind,
-                        };
-                        run_block(&mut acc, client, &mut frame, program, block, &mut guards)
-                    });
-                    // Emitted before the Block's terminal event: a partial
-                    // abort must charge this run's holds to the discarded
-                    // Block, a completed run keeps them with the Block.
-                    if lock_holds > 0 {
-                        sink.emit(TxnEvent::LockHolds {
-                            block: Some(bi as u32),
-                            holds: lock_holds,
-                        });
-                    }
-                    match result {
+                    let scope = Some((&mut child, bi));
+                    let e = match run_body(client, &mut frame, program, block, &mut ctx, scope, run)
+                    {
                         Ok(()) => {
                             child.commit_into(&mut ctx);
                             if let Some(t) = client.tracer_mut() {
@@ -894,176 +762,131 @@ impl ExecutorEngine {
                             }
                             break;
                         }
-                        Err(e) => {
-                            // Every error path abandons this Block run —
-                            // whether it retries the Block, escalates, or
-                            // surfaces a fatal error — so the open Block
-                            // span always closes as rolled back.
-                            if let Some(t) = client.tracer_mut() {
-                                t.block_end(true);
-                            }
-                            if let StepError::Aliased { obj } = e {
-                                // The distinct-objects assumption behind
-                                // Block reordering is void for this
-                                // instance: full abort, then re-run the
-                                // whole transaction as a flat program-order
-                                // sequence where aliasing is harmless.
-                                sink.emit(TxnEvent::FullAbort {
-                                    block: Some(bi as u32),
-                                    obj: Some(obj),
-                                    kind: AbortKind::AliasedOpen,
-                                });
-                                *forced_flat = true;
-                                if let Some(p) = preds.as_deref_mut() {
-                                    p.outcome.aliased += 1;
-                                }
-                                return Err(AttemptError::Restart);
-                            }
-                            let (scope, blamed, kind) = match &e {
-                                StepError::Dtm(DtmError::Invalidated { objs }) => (
-                                    Some(child.classify(&ctx, objs)),
-                                    objs.first().copied(),
-                                    if self.config.speculation {
-                                        AbortKind::SpecPartial
-                                    } else {
-                                        AbortKind::Partial
-                                    },
-                                ),
-                                // A mispredict is always repairable from
-                                // this Block: dropping the child discards
-                                // nothing the parent needs, and dropping
-                                // the prediction guarantees the re-run
-                                // cannot trip over the same value again.
-                                StepError::Mispredict { pred, observed } => {
-                                    if let Some(p) = preds.as_deref_mut() {
-                                        p.active.retain(|q| {
-                                            !(q.obj == pred.obj && q.field == pred.field)
-                                        });
-                                        p.outcome.mispredicts.push((*pred, *observed));
-                                    }
-                                    (
-                                        Some(AbortScope::Child),
-                                        Some(pred.obj),
-                                        AbortKind::SpecMispredict,
-                                    )
-                                }
-                                _ => (None, None, AbortKind::Partial),
-                            };
-                            match scope {
-                                Some(AbortScope::Child) => {
-                                    // A blind open whose presumed-absent
-                                    // object exists fails validation as a
-                                    // child-first read: demote it so the
-                                    // Block retry fetches the real value.
-                                    if let (
-                                        StepError::Dtm(DtmError::Invalidated { objs }),
-                                        Some(p),
-                                    ) = (&e, preds.as_deref_mut())
-                                    {
-                                        p.unblind(objs);
-                                    }
-                                    sink.emit(TxnEvent::PartialAbort {
-                                        block: bi as u32,
-                                        obj: blamed,
-                                        kind,
-                                    });
-                                    partial_tries += 1;
-                                    if partial_tries >= self.policy.max_partial_retries {
-                                        // Livelocked child: escalate.
-                                        sink.emit(TxnEvent::FullAbort {
-                                            block: Some(bi as u32),
-                                            obj: blamed,
-                                            kind: AbortKind::Escalated,
-                                        });
-                                        return Err(AttemptError::Restart);
-                                    }
-                                    // Mispredict repair refill: re-resolve
-                                    // the access set under the observed
-                                    // counter value and refetch, in one
-                                    // batched round, whatever the cache no
-                                    // longer holds — the aborted child
-                                    // consumed its own installs (counter
-                                    // included, which thus comes back
-                                    // fresh), and the corrected derived
-                                    // objects were never fetched at all.
-                                    if matches!(kind, AbortKind::SpecMispredict) {
-                                        let mut fetch_err = None;
-                                        if let (Some(p), Some(cache)) =
-                                            (preds.as_deref_mut(), spec.as_mut())
-                                        {
-                                            if let Some(objs) = p.correct_spec() {
-                                                let missing: Vec<ObjectId> = objs
-                                                    .into_iter()
-                                                    .filter(|o| !cache.contains(o))
-                                                    .collect();
-                                                match ctx.fetch_spec(client, &missing) {
-                                                    Ok(fresh) => {
-                                                        if !fresh.is_empty() {
-                                                            sink.emit(TxnEvent::BatchedRead {
-                                                                block: Some(bi as u32),
-                                                                objs: fresh.len() as u32,
-                                                            });
-                                                        }
-                                                        cache.absorb(fresh);
-                                                    }
-                                                    Err(e) => fetch_err = Some(e),
-                                                }
-                                            }
-                                        }
-                                        if let Some(e) = fetch_err {
-                                            // A parent-level read that
-                                            // invalidates the parent's
-                                            // history is a full abort, as
-                                            // at the initial fetch.
-                                            return Err(self.step_error(
-                                                StepError::Dtm(e),
-                                                None,
-                                                preds.as_deref_mut(),
-                                                sink,
-                                            ));
-                                        }
-                                    }
-                                    continue; // re-run just this Block
-                                }
-                                _ => {
-                                    return Err(self.step_error(
-                                        e,
-                                        Some(bi as u32),
-                                        preds.as_deref_mut(),
-                                        sink,
-                                    ))
-                                }
-                            }
-                        }
+                        Err(e) => e,
+                    };
+                    // Every error path abandons this Block run — whether it
+                    // retries the Block, escalates, or surfaces a fatal
+                    // error — so the open Block span always closes as
+                    // rolled back.
+                    if let Some(t) = client.tracer_mut() {
+                        t.block_end(true);
                     }
+                    let (blamed, kind, refetch) = match e {
+                        StepError::Aliased { obj } => {
+                            // The distinct-objects assumption behind Block
+                            // reordering is void for this instance: full
+                            // abort, then re-run the whole transaction as a
+                            // flat program-order sequence where aliasing is
+                            // harmless.
+                            run.sink.emit(TxnEvent::FullAbort {
+                                block: Some(bi),
+                                obj: Some(obj),
+                                kind: AbortKind::AliasedOpen,
+                            });
+                            run.forced_flat = true;
+                            if let Some(p) = run.preds.as_mut() {
+                                p.outcome.aliased += 1;
+                            }
+                            return Err(AttemptError::Restart);
+                        }
+                        StepError::Dtm(DtmError::Invalidated { ref objs })
+                            if child.classify(&ctx, objs) == AbortScope::Child =>
+                        {
+                            // Stale child-first reads only. Evict the stale
+                            // cached copies and demote a blind open whose
+                            // presumed-absent object exists, so the re-run
+                            // sees fresh state.
+                            let refetch = run
+                                .reads
+                                .as_mut()
+                                .map_or_else(Vec::new, |r| r.invalidated(objs));
+                            let kind = if self.config.speculation {
+                                AbortKind::SpecPartial
+                            } else {
+                                AbortKind::Partial
+                            };
+                            (objs.first().copied(), kind, refetch)
+                        }
+                        // A mispredict is always repairable from this Block:
+                        // dropping the child discards nothing the parent
+                        // needs, and dropping the prediction guarantees the
+                        // re-run cannot trip over the same value again —
+                        // it re-resolves from the value it observes.
+                        StepError::Mispredict { pred, observed } => {
+                            run.mispredicted(pred, observed);
+                            (Some(pred.obj), AbortKind::SpecMispredict, Vec::new())
+                        }
+                        e => return Err(self.step_error(e, Some(bi), run)),
+                    };
+                    run.sink.emit(TxnEvent::PartialAbort {
+                        block: bi,
+                        obj: blamed,
+                        kind,
+                    });
+                    partial_tries += 1;
+                    if partial_tries >= self.policy.max_partial_retries {
+                        // Livelocked child: escalate.
+                        run.sink.emit(TxnEvent::FullAbort {
+                            block: Some(bi),
+                            obj: blamed,
+                            kind: AbortKind::Escalated,
+                        });
+                        return Err(AttemptError::Restart);
+                    }
+                    // One round brings back what was evicted; a parent-level
+                    // read that invalidates the parent's history is a full
+                    // abort, as at the initial fetch.
+                    self.fetch(client, &mut ctx, run, &refetch, Some(bi))?;
+                    // re-run just this Block
                 }
             }
         }
 
         match ctx.commit(client) {
             Ok(()) => Ok(()),
-            Err(e) => Err(self.step_error(StepError::Dtm(e), None, preds, sink)),
+            Err(e) => Err(self.step_error(StepError::Dtm(e), None, run)),
+        }
+    }
+
+    /// One parent-level speculative read round into the attempt's cache.
+    fn fetch(
+        &self,
+        client: &mut DtmClient,
+        ctx: &mut TxnCtx,
+        run: &mut RunState<'_>,
+        objs: &[ObjectId],
+        block: Option<u32>,
+    ) -> Result<(), AttemptError> {
+        let Some(r) = run.reads.as_mut() else {
+            return Ok(());
+        };
+        match ctx.fetch_spec(client, objs) {
+            Ok(fresh) => {
+                if !fresh.is_empty() {
+                    run.sink.emit(TxnEvent::BatchedRead {
+                        block,
+                        objs: fresh.len() as u32,
+                    });
+                }
+                r.cache.absorb(fresh);
+                Ok(())
+            }
+            Err(e) => Err(self.step_error(StepError::Dtm(e), None, run)),
         }
     }
 
     /// Map a step (or commit) error to its retry decision, emitting the
     /// matching abort event.
-    fn step_error(
-        &self,
-        e: StepError,
-        block: Option<u32>,
-        preds: Option<&mut PredState<'_>>,
-        sink: &mut Sink<'_>,
-    ) -> AttemptError {
+    fn step_error(&self, e: StepError, block: Option<u32>, run: &mut RunState<'_>) -> AttemptError {
         match e {
             StepError::Dtm(DtmError::Invalidated { objs }) => {
                 // Invalidated blind opens (the presumed-absent object
                 // exists) are demoted before the restart so the next
                 // attempt fetches their real versions.
-                if let Some(p) = preds {
-                    p.unblind(&objs);
+                if let Some(r) = run.reads.as_mut() {
+                    r.invalidated(&objs);
                 }
-                sink.emit(TxnEvent::FullAbort {
+                run.sink.emit(TxnEvent::FullAbort {
                     block,
                     obj: objs.first().copied(),
                     kind: if self.config.speculation {
@@ -1075,7 +898,7 @@ impl ExecutorEngine {
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::LockedOut { obj }) => {
-                sink.emit(TxnEvent::FullAbort {
+                run.sink.emit(TxnEvent::FullAbort {
                     block,
                     obj: Some(obj),
                     kind: AbortKind::LockedOut,
@@ -1090,8 +913,8 @@ impl ExecutorEngine {
             }) => {
                 // A blind open can surface here too: prepare found the
                 // presumed-absent object already written.
-                if let Some(p) = preds {
-                    p.unblind(&invalid);
+                if let Some(r) = run.reads.as_mut() {
+                    r.invalidated(&invalid);
                 }
                 // A conflict that names no stale and no locked object and
                 // was flagged `syncing` is pure recovery back-pressure — a
@@ -1109,7 +932,7 @@ impl ExecutorEngine {
                 } else {
                     AbortKind::CommitConflict
                 };
-                sink.emit(TxnEvent::FullAbort {
+                run.sink.emit(TxnEvent::FullAbort {
                     block,
                     // Stale reads outrank lock conflicts for blame; a
                     // pure lock conflict blames the locked object.
@@ -1125,6 +948,52 @@ impl ExecutorEngine {
             }
         }
     }
+}
+
+/// Run one Block body on `ctx`, or on the child of a nested schedule's
+/// Block `scope`, and report what it did before its
+/// terminal event: the read rounds statements issued, and the lock holds,
+/// which the wasted-work ledger must charge to whatever this run becomes —
+/// a completed Block, a commit, or the discarded side of an abort.
+fn run_body(
+    client: &mut DtmClient,
+    frame: &mut Frame<'_>,
+    program: &Program,
+    stmts: &[StmtIdx],
+    ctx: &mut TxnCtx,
+    scope: Option<(&mut ChildCtx, u32)>,
+    run: &mut RunState<'_>,
+) -> Result<(), StepError> {
+    let (child, block) = match scope {
+        Some((c, bi)) => (Some(c), Some(bi)),
+        None => (None, None),
+    };
+    let mut lock_holds: u32 = 0;
+    let result = {
+        let mut guards = StepGuards {
+            preds: run.preds.as_mut().map(|p| &mut p.active),
+            alias_check: child.is_some(),
+            lock_holds: Some(&mut lock_holds),
+        };
+        let mut acc = Access {
+            ctx,
+            child,
+            reads: run.reads.as_mut(),
+        };
+        run_block(&mut acc, client, frame, program, stmts, &mut guards)
+    };
+    if let Some(r) = run.reads.as_mut() {
+        for objs in r.late_rounds.drain(..) {
+            run.sink.emit(TxnEvent::BatchedRead { block, objs });
+        }
+    }
+    if lock_holds > 0 {
+        run.sink.emit(TxnEvent::LockHolds {
+            block,
+            holds: lock_holds,
+        });
+    }
+    result
 }
 
 /// Tiny local randomized backoff, avoiding a hard dependency on `rand`'s
@@ -1186,6 +1055,7 @@ mod tests {
 
     const ACCOUNT: ObjClass = ObjClass::new(1, "Account");
     const BAL: FieldId = FieldId(0);
+    const F1: FieldId = FieldId(1);
 
     /// deposit(account_id, amount): bal += amount.
     fn deposit_model() -> DependencyModel {
@@ -1449,11 +1319,11 @@ mod tests {
     }
 
     #[test]
-    fn nested_blocks_prefetch_through_the_child() {
+    fn nested_blocks_share_the_attempts_one_read_round() {
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
-        // Three deposits; group the first two units into one Block so that
-        // Block prefetches two objects as child-first reads.
+        // Three deposits in two Blocks: one round fetches all three
+        // objects, and each Block installs its own as child-first reads.
         let mut b = ProgramBuilder::new("triple", 3);
         for i in 0..3u16 {
             let acc = b.open_update(ACCOUNT, b.param(i));
@@ -1474,7 +1344,12 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
-        assert!(client.stats().batched_reads > 0, "block 0 batches 2 opens");
+        assert_eq!(client.stats().batched_reads, 1);
+        assert_eq!(
+            client.stats().remote_reads,
+            1,
+            "a Block boundary costs no read round"
+        );
         for i in 4..7 {
             assert_eq!(read_bal(&mut client, i), 10);
         }
@@ -1495,7 +1370,11 @@ mod tests {
         let nv = b.add(tv, 1i64);
         b.set(tail, BAL, nv);
         let dm = DependencyModel::analyze(b.finish()).unwrap();
-        assert_eq!(dm.prefetch.len(), 1, "only the head open is static");
+        assert_eq!(
+            dm.opens.resolve(&[Value::Int(8)], &[None]),
+            vec![ObjectId::new(ACCOUNT, 8)],
+            "only the head open resolves at entry"
+        );
         // Seed: account 8's balance names account 9.
         let dep = deposit_model();
         let mut stats = ExecStats::default();
@@ -1887,7 +1766,6 @@ mod tests {
         };
         let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
-        let spec = SpecSets::default();
         engine
             .run_with(
                 &mut client,
@@ -1899,8 +1777,6 @@ mod tests {
                     obs: Some(&mut obs),
                     prediction: Some(Prediction {
                         preds: &[pred],
-                        spec: &spec,
-                        respec: None,
                         outcome: &mut outcome,
                     }),
                 },
@@ -1934,7 +1810,6 @@ mod tests {
         let mut stats = ExecStats::default();
         let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
-        let spec = SpecSets::default();
         engine
             .run_with(
                 &mut client,
@@ -1946,8 +1821,6 @@ mod tests {
                     obs: Some(&mut obs),
                     prediction: Some(Prediction {
                         preds: &[pred],
-                        spec: &spec,
-                        respec: None,
                         outcome: &mut outcome,
                     }),
                 },
@@ -1983,7 +1856,6 @@ mod tests {
         let mut stats = ExecStats::default();
         let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
-        let spec = SpecSets::default();
         engine
             .run_with(
                 &mut client,
@@ -1995,8 +1867,6 @@ mod tests {
                     obs: Some(&mut obs),
                     prediction: Some(Prediction {
                         preds: &[pred],
-                        spec: &spec,
-                        respec: None,
                         outcome: &mut outcome,
                     }),
                 },
@@ -2010,80 +1880,117 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// append(counter_id, v): draw `n` from the counter account's balance
+    /// (advancing it) and write F1 := v on account `1000 + n` — an `Update`
+    /// open of a freshly drawn key whose handle is never read: an insert.
+    fn append_program(b: &mut ProgramBuilder) {
+        let ctr = b.open_update(ACCOUNT, b.param(0));
+        let n = b.get(ctr, BAL);
+        let next = b.add(n, 1i64);
+        b.set(ctr, BAL, next);
+        let key = b.add(n, 1000i64);
+        let row = b.open_update(ACCOUNT, key);
+        b.set(row, F1, b.param(1));
+    }
+
+    fn append_model() -> DependencyModel {
+        let mut b = ProgramBuilder::new("append", 2);
+        append_program(&mut b);
+        DependencyModel::analyze(b.finish()).unwrap()
+    }
+
     #[test]
-    fn blind_open_commits_with_zero_read_rounds() {
+    fn insert_commits_with_no_read_round_of_its_own() {
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
-        let dm = deposit_model();
-        let engine = ExecutorEngine::default();
-        let obj = ObjectId::new(ACCOUNT, 7);
-        let before = {
-            let s = client.stats();
-            s.remote_reads + s.batched_reads
-        };
+        let dm = append_model();
         let mut stats = ExecStats::default();
-        let mut outcome = PredictionOutcome::default();
-        let spec = SpecSets {
-            fetch: Vec::new(),
-            blind: vec![obj],
-        };
-        engine
-            .run_with(
+        ExecutorEngine::default()
+            .run(
                 &mut client,
                 &dm.program,
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
                 &mut stats,
-                RunOpts {
-                    obs: None,
-                    prediction: Some(Prediction {
-                        preds: &[],
-                        spec: &spec,
-                        respec: None,
-                        outcome: &mut outcome,
-                    }),
-                },
             )
             .unwrap();
-        let after = {
-            let s = client.stats();
-            s.remote_reads + s.batched_reads
-        };
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.full_aborts + stats.partial_aborts, 0);
-        assert_eq!(after, before, "a correct blind presumption reads nothing");
-        assert_eq!(read_bal(&mut client, 7), 10, "deposit onto the default 0");
+        assert_eq!(
+            client.stats().remote_reads,
+            1,
+            "the counter is fetched; a correct absent presumption reads nothing"
+        );
+        let mut ctx = TxnCtx::begin(&mut client);
+        let obj = ObjectId::new(ACCOUNT, 1000);
+        ctx.open(&mut client, obj, false).unwrap();
+        assert_eq!(ctx.get_field(obj, F1), Value::Int(10));
         cluster.shutdown();
     }
 
     #[test]
-    fn wrong_blind_presumption_demotes_and_retries() {
+    fn set_only_update_of_a_named_row_is_fetched_not_presumed() {
+        // stamp(account_id, v): F1 := v. Value-blind, but the key is a
+        // parameter — the row usually exists (Delivery's ORDER rows), so it
+        // rides the initial round instead of costing an abort when it does.
+        let mut b = ProgramBuilder::new("stamp", 2);
+        let acc = b.open_update(ACCOUNT, b.param(0));
+        b.set(acc, F1, b.param(1));
+        let dm = DependencyModel::analyze(b.finish()).unwrap();
+        let cluster = Cluster::start(ClusterConfig::test(4, 1));
+        let mut client = cluster.client(0);
+        let dep = deposit_model();
+        let engine = ExecutorEngine::default();
+        let mut stats = ExecStats::default();
+        for (dm, params) in [
+            (&dep, [Value::Int(7), Value::Int(100)]),
+            (&dm, [Value::Int(7), Value::Int(10)]),
+            (&dm, [Value::Int(8), Value::Int(10)]),
+        ] {
+            let before = client.stats();
+            engine
+                .run(
+                    &mut client,
+                    &dm.program,
+                    &params,
+                    &BlockSeq::flat(dm),
+                    &mut stats,
+                )
+                .unwrap();
+            let after = client.stats();
+            assert_eq!(after.remote_reads - before.remote_reads, 1);
+            assert_eq!(after.prepares - before.prepares, 1);
+        }
+        assert_eq!(stats.commits, 3);
+        assert_eq!(stats.full_aborts, 0, "existing or absent, nothing aborts");
+        assert_eq!(read_bal(&mut client, 7), 100);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn wrong_absent_presumption_demotes_and_retries() {
         use acn_obs::TxnObserver;
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
-        let dm = deposit_model();
+        let dep = deposit_model();
+        let dm = append_model();
         let engine = ExecutorEngine::default();
-        let obj = ObjectId::new(ACCOUNT, 7);
-        // The object exists — the blind presumption (version 0, value 0)
-        // is wrong and must be caught at prepare, not silently clobber
-        // the stored balance.
+        // The row the counter will name exists — the presumption (version
+        // 0, default value) is wrong and must be caught at prepare, not
+        // silently clobber the stored balance.
         let mut seed_stats = ExecStats::default();
         engine
             .run(
                 &mut client,
-                &dm.program,
-                &[Value::Int(7), Value::Int(100)],
-                &BlockSeq::flat(&dm),
+                &dep.program,
+                &[Value::Int(1000), Value::Int(100)],
+                &BlockSeq::flat(&dep),
                 &mut seed_stats,
             )
             .unwrap();
         let mut stats = ExecStats::default();
         let mut obs = TxnObserver::default();
-        let mut outcome = PredictionOutcome::default();
-        let spec = SpecSets {
-            fetch: Vec::new(),
-            blind: vec![obj],
-        };
+        let reads_before = client.stats().remote_reads;
         engine
             .run_with(
                 &mut client,
@@ -2093,12 +2000,7 @@ mod tests {
                 &mut stats,
                 RunOpts {
                     obs: Some(&mut obs),
-                    prediction: Some(Prediction {
-                        preds: &[],
-                        spec: &spec,
-                        respec: None,
-                        outcome: &mut outcome,
-                    }),
+                    ..RunOpts::default()
                 },
             )
             .unwrap();
@@ -2109,10 +2011,156 @@ mod tests {
             stats.full_aborts + stats.partial_aborts + stats.locked_aborts,
         );
         assert_eq!(
-            read_bal(&mut client, 7),
-            110,
-            "the retry reads the real balance (unblinded) and adds to it"
+            client.stats().remote_reads - reads_before,
+            2,
+            "the retry fetches the demoted row in its one initial round"
         );
+        assert_eq!(
+            read_bal(&mut client, 1000),
+            100,
+            "the retry wrote onto the real copy (demoted), keeping the balance"
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn insert_of_an_object_also_opened_by_name_uses_the_fetched_copy() {
+        // The insert's drawn key names a row another handle opens by
+        // parameter (fetched at attempt start): the insert statement must
+        // install the fetched copy, not presume an existing row absent.
+        let mut b = ProgramBuilder::new("aliased-append", 3);
+        append_program(&mut b);
+        let r = b.open_read(ACCOUNT, b.param(2));
+        let _v = b.get(r, BAL);
+        let dm = DependencyModel::analyze(b.finish()).unwrap();
+        let cluster = Cluster::start(ClusterConfig::test(4, 1));
+        let mut client = cluster.client(0);
+        let dep = deposit_model();
+        let engine = ExecutorEngine::default();
+        let mut stats = ExecStats::default();
+        for (dm, params) in [
+            (&dep, vec![Value::Int(1000), Value::Int(100)]),
+            (&dm, vec![Value::Int(7), Value::Int(1), Value::Int(1000)]),
+        ] {
+            engine
+                .run(
+                    &mut client,
+                    &dm.program,
+                    &params,
+                    &BlockSeq::flat(dm),
+                    &mut stats,
+                )
+                .unwrap();
+        }
+        assert_eq!(stats.commits, 2);
+        assert_eq!(stats.full_aborts, 0, "no wrong presumption to reject");
+        assert_eq!(read_bal(&mut client, 1000), 100);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn rolled_back_block_refetches_the_copy_that_invalidated_it() {
+        use acn_dtm::{ClientConfig, Msg, TxnId};
+        use acn_obs::TxnObserver;
+        use acn_simnet::NodeId;
+        // Block 0 opens the head (fetched at attempt start, so cached) and
+        // chases its balance to a tail object the plan cannot resolve — a
+        // remote read at the statement, which presents the head's cached
+        // version for validation. The head is overwritten between the two
+        // rounds: the Block must roll back once, refetch the head, and
+        // commit — not replay the stale copy until the retry budget
+        // escalates.
+        let mut b = ProgramBuilder::new("chase", 2);
+        let head = b.open_read(ACCOUNT, b.param(0));
+        let next = b.get(head, BAL);
+        let _again = b.get(head, BAL); // two reads: not a counter
+        let tail = b.open_update(ACCOUNT, next);
+        let tv = b.get(tail, BAL);
+        let nv = b.add(tv, 1i64);
+        b.set(tail, BAL, nv);
+        let other = b.open_update(ACCOUNT, b.param(1));
+        let ov = b.get(other, BAL);
+        let on = b.add(ov, 1i64);
+        b.set(other, BAL, on);
+        let dm = DependencyModel::analyze(b.finish()).unwrap();
+        let seq = BlockSeq::group_units(&dm, &[vec![0, 1], vec![2]]);
+
+        let mut cfg = ClusterConfig::test(4, 2);
+        cfg.client_cfg = ClientConfig {
+            locked_retries: usize::MAX,
+            locked_backoff: Duration::from_micros(200),
+            ..ClientConfig::default()
+        };
+        let cluster = Cluster::start(cfg);
+        let mut writer = cluster.client(1);
+        let (head_obj, tail_obj) = (ObjectId::new(ACCOUNT, 8), ObjectId::new(ACCOUNT, 9));
+        let point_head_at_tail = |writer: &mut DtmClient| {
+            let mut ctx = TxnCtx::begin(writer);
+            ctx.open(writer, head_obj, true).unwrap();
+            ctx.set_field(head_obj, BAL, Value::Int(9));
+            ctx.commit(writer).unwrap();
+        };
+        point_head_at_tail(&mut writer);
+
+        // A stalled committer holds the tail locked on every replica, so
+        // the runner parks in its second round until released.
+        let zombie = cluster.net().endpoint(NodeId(4 + 1));
+        let ztxn = TxnId {
+            client: NodeId(4 + 1),
+            seq: u64::MAX,
+        };
+        let to_all = |msg: &dyn Fn() -> Msg| {
+            for rank in 0..4u32 {
+                zombie.send(NodeId(rank), msg());
+            }
+            for _ in 0..4 {
+                let _ = zombie.recv_timeout(Duration::from_millis(500));
+            }
+        };
+        to_all(&|| Msg::PrepareReq {
+            txn: ztxn,
+            req: 1,
+            validate: vec![],
+            writes: vec![(tail_obj, 0)],
+        });
+
+        let sent_before = cluster.net().stats().sent;
+        let (stats, obs) = std::thread::scope(|s| {
+            let runner = s.spawn(|| {
+                let mut client = cluster.client(0);
+                let mut stats = ExecStats::default();
+                let mut obs = TxnObserver::default();
+                ExecutorEngine::default()
+                    .run_with(
+                        &mut client,
+                        &dm.program,
+                        &[Value::Int(8), Value::Int(3)],
+                        &seq,
+                        &mut stats,
+                        RunOpts {
+                            obs: Some(&mut obs),
+                            ..RunOpts::default()
+                        },
+                    )
+                    .unwrap();
+                (stats, obs)
+            });
+            // The runner cannot get past the locked tail, so once it has
+            // sent far more than its initial round it is retrying there.
+            while cluster.net().stats().sent < sent_before + 64 {
+                std::thread::yield_now();
+            }
+            point_head_at_tail(&mut writer); // same value, newer version
+            to_all(&|| Msg::AbortReq { txn: ztxn, req: 2 });
+            runner.join().unwrap()
+        });
+        assert_eq!(stats.commits, 1);
+        assert_eq!(stats.partial_aborts, 1, "one rollback of the Block");
+        assert_eq!(stats.full_aborts, 0, "no escalation");
+        assert_eq!(obs.aborts.total_of(&[AbortKind::Escalated]), 0);
+        let mut client = cluster.client(0);
+        assert_eq!(read_bal(&mut client, 9), 1, "chased object updated once");
+        assert_eq!(read_bal(&mut client, 3), 1);
         cluster.shutdown();
     }
 

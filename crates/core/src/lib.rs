@@ -51,8 +51,7 @@ pub use contention_model::{AbortProbabilityModel, ContentionModel, MaxModel, Sum
 pub use controller::{AcnController, ControllerConfig, SamplingMode};
 pub use dynamic_module::{DynamicModule, LevelMetric};
 pub use executor::{
-    ExecutorConfig, ExecutorEngine, Prediction, PredictionOutcome, RespecFn, RetryPolicy, RunError,
-    RunOpts, SpecSets,
+    ExecutorConfig, ExecutorEngine, Prediction, PredictionOutcome, RetryPolicy, RunError, RunOpts,
 };
 pub use scheduler::{
     conflicts, conflicts_with, plan_wave, plan_wave_with, InexactPolicy, WavePlan, WaveStats,

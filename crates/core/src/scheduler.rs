@@ -306,7 +306,6 @@ mod tests {
             write_classes: if writes.is_empty() { vec![] } else { vec![0] },
             exact: true,
             predicted: Vec::new(),
-            blind: Vec::new(),
         }
     }
 
@@ -318,7 +317,6 @@ mod tests {
             write_classes: write_classes.to_vec(),
             exact: false,
             predicted: Vec::new(),
-            blind: Vec::new(),
         }
     }
 

@@ -45,7 +45,6 @@ fn access(reads: Vec<(u8, u8)>, writes: Vec<(u8, u8)>, exact: bool) -> ResolvedA
         write_classes: wc,
         exact,
         predicted: Vec::new(),
-        blind: Vec::new(),
     }
 }
 

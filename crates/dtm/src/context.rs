@@ -20,44 +20,79 @@ use acn_simnet::NodeId;
 use acn_txir::{FieldId, ObjectId, ObjectVal, Value};
 use std::collections::{HashMap, HashSet};
 
-/// A speculative whole-transaction prefetch: versioned object copies
-/// fetched in **one** quorum round at attempt start from the batch
-/// scheduler's resolved (predicted-exact) access set.
+/// The speculative read cache of one transaction attempt: versioned object
+/// copies fetched ahead of their `Open` in batched quorum rounds
+/// ([`TxnCtx::fetch_spec`] / [`ChildCtx::fetch_spec`]).
 ///
 /// Entries are *not* part of any read-set until an `Open` installs them
-/// via [`TxnCtx::open_spec`] / [`ChildCtx::open_spec`] — a mispredicted
-/// object that the instance never actually opens therefore never enters
-/// validation and cannot cause a spurious abort. Installing removes the
-/// entry, so a rolled-back Block's re-run misses the cache and refetches
-/// a fresh copy instead of replaying a stale one. A stale copy that *is*
-/// installed is caught exactly like any stale read: by incremental
-/// validation on later remote rounds or by commit-time validation.
+/// via [`TxnCtx::open_spec`] / [`ChildCtx::open_spec`] — an object that
+/// was fetched but is never opened therefore never enters validation and
+/// cannot cause a spurious abort. Installing **peeks**: the entry stays
+/// cached, so a Block rolled back for any reason other than the entry's
+/// own staleness re-installs it for free. A stale copy that is installed
+/// is caught like any stale read — by incremental validation on a later
+/// remote round or by commit-time validation — and must then be
+/// [`SpecCache::evict`]ed before the Block re-runs, or the re-run would
+/// replay the very copy that invalidated it. A full restart drops the
+/// whole cache with the attempt.
 #[derive(Debug, Default)]
 pub struct SpecCache {
     map: HashMap<ObjectId, (Version, ObjectVal)>,
 }
 
 impl SpecCache {
-    /// Number of cached (not yet installed) copies.
+    /// Number of cached copies.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// No cached copies left (or none fetched).
+    /// Nothing cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
-    /// Whether a copy of `obj` is still cached (not yet installed).
+    /// Whether a copy of `obj` is cached.
     pub fn contains(&self, obj: &ObjectId) -> bool {
         self.map.contains_key(obj)
     }
 
-    /// Merge a corrective fetch into this cache; `other` wins on overlap
-    /// (it was fetched later, so its copies are at least as fresh).
+    /// Merge a later fetch into this cache; `other` wins on overlap (it
+    /// was fetched later, so its copies are at least as fresh).
     pub fn absorb(&mut self, other: SpecCache) {
         self.map.extend(other.map);
     }
+
+    /// Drop the copy of `obj` (it was reported stale); `true` if one was
+    /// cached — the caller refetches those before re-running the Block.
+    pub fn evict(&mut self, obj: &ObjectId) -> bool {
+        self.map.remove(obj).is_some()
+    }
+}
+
+/// One speculative read round: a single object is a plain remote read, more
+/// go through the batched round; nothing missing costs nothing.
+fn fetch_round(
+    client: &mut DtmClient,
+    txn: TxnId,
+    missing: &[ObjectId],
+    validate: &[ValidateEntry],
+    watermarks: &mut HashMap<NodeId, usize>,
+) -> Result<SpecCache, DtmError> {
+    let mut map = HashMap::with_capacity(missing.len());
+    match missing {
+        [] => {}
+        [obj] => {
+            map.insert(*obj, client.remote_read(txn, *obj, validate)?);
+        }
+        _ => {
+            for (obj, version, value) in
+                client.remote_read_batch(txn, missing, validate, watermarks)?
+            {
+                map.insert(obj, (version, value));
+            }
+        }
+    }
+    Ok(SpecCache { map })
 }
 
 /// The root (parent) transaction context.
@@ -142,7 +177,7 @@ impl TxnCtx {
     }
 
     /// Open every not-yet-read object of `objs` in **one** quorum round
-    /// trip (the executor's prefetch path). A single missing object falls
+    /// trip, straight into the read-set. A single missing object falls
     /// back to [`TxnCtx::open`]; none missing is free. Objects are fetched
     /// read-only — the `Open` statement itself still records update intent
     /// when it executes.
@@ -192,34 +227,19 @@ impl TxnCtx {
                 missing.push(obj);
             }
         }
-        let mut map = HashMap::with_capacity(missing.len());
-        match missing.len() {
-            0 => {}
-            1 => {
-                let (version, value) = client.remote_read(self.txn, missing[0], &self.read_set)?;
-                map.insert(missing[0], (version, value));
-            }
-            _ => {
-                let fetched = client.remote_read_batch(
-                    self.txn,
-                    &missing,
-                    &self.read_set,
-                    &mut self.watermarks,
-                )?;
-                for (obj, version, value) in fetched {
-                    map.insert(obj, (version, value));
-                }
-            }
-        }
-        Ok(SpecCache { map })
+        fetch_round(
+            client,
+            self.txn,
+            &missing,
+            &self.read_set,
+            &mut self.watermarks,
+        )
     }
 
     /// [`TxnCtx::open`] through the speculative cache: a hit installs a
     /// copy of the prefetched entry as a first read with no remote round;
     /// a miss — a mispredicted object — is a normal remote open. The entry
-    /// stays cached (peek, not take): it belongs to this transaction's
-    /// attempt, so a rolled-back sub-transaction can re-install the same
-    /// copy for free, and commit validation still rejects it if stale.
+    /// stays cached (peek, not take — see [`SpecCache`]).
     pub fn open_spec(
         &mut self,
         client: &mut DtmClient,
@@ -363,17 +383,17 @@ impl ChildCtx {
         Ok(())
     }
 
-    /// Batch-open inside the sub-transaction (see [`TxnCtx::open_batch`]).
-    /// Fetched objects become **child-first** reads, so a later
-    /// invalidation of a prefetched object still classifies as a partial
-    /// (child-scope) rollback. Takes the parent mutably for its validated
-    /// watermarks; the parent's read-set is untouched.
-    pub fn open_batch(
-        &mut self,
+    /// [`TxnCtx::fetch_spec`] from inside the sub-transaction: the round
+    /// presents the *combined* read-set, so staleness among this child's
+    /// own reads surfaces here and still classifies as a partial rollback.
+    /// Takes the parent mutably for its validated watermarks; neither
+    /// read-set is touched.
+    pub fn fetch_spec(
+        &self,
         client: &mut DtmClient,
         parent: &mut TxnCtx,
         objs: &[ObjectId],
-    ) -> Result<(), DtmError> {
+    ) -> Result<SpecCache, DtmError> {
         let mut missing: Vec<ObjectId> = Vec::new();
         for &obj in objs {
             if !self.read_index.contains_key(&obj)
@@ -383,34 +403,21 @@ impl ChildCtx {
                 missing.push(obj);
             }
         }
-        match missing.len() {
-            0 => Ok(()),
-            1 => self.open(client, parent, missing[0], false),
-            _ => {
-                let validate = self.combined_validate(parent);
-                let fetched = client.remote_read_batch(
-                    parent.txn,
-                    &missing,
-                    &validate,
-                    &mut parent.watermarks,
-                )?;
-                for (obj, version, value) in fetched {
-                    self.read_index.insert(obj, self.reads.len());
-                    self.reads.push((obj, version));
-                    self.overlay.insert(obj, value);
-                }
-                Ok(())
-            }
-        }
+        let validate = self.combined_validate(parent);
+        fetch_round(
+            client,
+            parent.txn,
+            &missing,
+            &validate,
+            &mut parent.watermarks,
+        )
     }
 
     /// [`ChildCtx::open`] through the speculative cache: a hit installs a
     /// copy of the prefetched entry as a **child-first** read with no
     /// remote round, so a later invalidation of it still classifies as a
     /// partial rollback; a miss is a normal remote open. The entry stays
-    /// cached (peek, not take): when this child rolls back, its re-run —
-    /// and every later Block — re-installs from the cache for free instead
-    /// of refetching state the transaction already holds.
+    /// cached (peek, not take — see [`SpecCache`]).
     pub fn open_spec(
         &mut self,
         client: &mut DtmClient,

@@ -85,8 +85,8 @@ pub enum Msg {
         levels: Vec<(u16, f64)>,
     },
     /// Client → read quorum member: fetch the latest copies of several
-    /// objects in one round trip (the executor's static prefetch pass
-    /// batches every open whose object id is known at block entry).
+    /// objects in one round trip (the executor's speculative read path
+    /// batches every open whose object id is known when the round is sent).
     ///
     /// `validate` carries only the *delta* of the read-set — entries not
     /// yet validated against the slowest member of this quorum, per the

@@ -2,9 +2,9 @@
 //!
 //! The conflict-graph scheduler needs, per transaction template, the set of
 //! objects an instance will read and write — *before* the instance runs.
-//! Top-level opens whose index operand is a `Const` or `Param` are exactly
-//! the [`crate::analysis::prefetchable_opens`] population: their concrete
-//! [`ObjectId`] is computable from the parameter vector alone. Register
+//! Top-level opens whose index operand is a `Const` or `Param` resolve
+//! statically: their concrete [`ObjectId`] is computable from the parameter
+//! vector alone. Register
 //! -indexed opens (pointer chases) and `Cond`-nested opens are not — for
 //! those the summary only records the *classes* that may be touched and
 //! clears the [`AccessSummary::exact`] flag, telling the scheduler to fall
@@ -24,9 +24,6 @@ pub struct StaticAccess {
     pub index: Operand,
     /// `true` for `Update` opens (write intent), `false` for reads.
     pub write: bool,
-    /// `true` for value-blind `Update` opens (no field of the handle is
-    /// ever read) — see [`ResolvedAccess::blind`].
-    pub blind: bool,
 }
 
 /// Per-template access summary: the statically resolvable opens plus a
@@ -111,19 +108,11 @@ pub struct ResolvedAccess {
     /// static instances; non-empty means the sets are exact *iff* every
     /// prediction validates at execution time.
     pub predicted: Vec<PredictedRead>,
-    /// The *value-blind* subset of `writes` (sorted, deduped): objects the
-    /// instance updates without ever reading a field — insert-only rows.
-    /// Execution may open them without a remote fetch by presuming a fresh
-    /// `(version 0, default)` copy; commit validation rejects the
-    /// presumption if the object in fact exists, so the shortcut is sound.
-    /// An object is only listed when *every* open of it is blind.
-    pub blind: Vec<ObjectId>,
 }
 
 impl AccessSummary {
-    /// Summarize a template. Mirrors the executor's prefetch rule: only
-    /// top-level non-`Var`-indexed opens resolve statically; everything
-    /// else degrades the summary to class level.
+    /// Summarize a template: only top-level non-`Var`-indexed opens resolve
+    /// statically; everything else degrades the summary to class level.
     pub fn of(program: &Program) -> Self {
         let mut accesses = Vec::new();
         let mut read_classes: Vec<ObjClass> = Vec::new();
@@ -134,12 +123,9 @@ impl AccessSummary {
                 set.push(class);
             }
         }
-        let read_handles = crate::symbolic::handles_read(&program.stmts);
-        #[allow(clippy::too_many_arguments)]
         fn walk(
             stmts: &[Stmt],
             nested: bool,
-            read_handles: &std::collections::HashSet<crate::ir::VarId>,
             accesses: &mut Vec<StaticAccess>,
             read_classes: &mut Vec<ObjClass>,
             write_classes: &mut Vec<ObjClass>,
@@ -148,10 +134,7 @@ impl AccessSummary {
             for s in stmts {
                 match s {
                     Stmt::Open {
-                        var,
-                        class,
-                        index,
-                        mode,
+                        class, index, mode, ..
                     } => {
                         let write = *mode == AccessMode::Update;
                         touch(read_classes, *class);
@@ -167,31 +150,14 @@ impl AccessSummary {
                                 class: *class,
                                 index: index.clone(),
                                 write,
-                                blind: write && !read_handles.contains(var),
                             });
                         }
                     }
                     Stmt::Cond {
                         then_br, else_br, ..
                     } => {
-                        walk(
-                            then_br,
-                            true,
-                            read_handles,
-                            accesses,
-                            read_classes,
-                            write_classes,
-                            exact,
-                        );
-                        walk(
-                            else_br,
-                            true,
-                            read_handles,
-                            accesses,
-                            read_classes,
-                            write_classes,
-                            exact,
-                        );
+                        walk(then_br, true, accesses, read_classes, write_classes, exact);
+                        walk(else_br, true, accesses, read_classes, write_classes, exact);
                     }
                     _ => {}
                 }
@@ -200,7 +166,6 @@ impl AccessSummary {
         walk(
             &program.stmts,
             false,
-            &read_handles,
             &mut accesses,
             &mut read_classes,
             &mut write_classes,
@@ -224,8 +189,6 @@ impl AccessSummary {
     pub fn resolve(&self, params: &[Value]) -> ResolvedAccess {
         let mut reads = Vec::with_capacity(self.accesses.len());
         let mut writes = Vec::new();
-        let mut blind = Vec::new();
-        let mut valued = Vec::new();
         let mut exact = self.exact;
         for a in &self.accesses {
             let idx = match &a.index {
@@ -246,11 +209,6 @@ impl AccessSummary {
                     if a.write {
                         writes.push(obj);
                     }
-                    if a.blind {
-                        blind.push(obj);
-                    } else {
-                        valued.push(obj);
-                    }
                 }
                 Err(_) => exact = false,
             }
@@ -266,7 +224,6 @@ impl AccessSummary {
             write_classes: self.write_classes.iter().map(|c| c.id).collect(),
             exact,
             predicted: Vec::new(),
-            blind: blind_only(blind, valued),
         }
     }
 
@@ -317,8 +274,6 @@ impl AccessSummary {
         }
         let mut reads = Vec::with_capacity(self.symbolic.accesses.len());
         let mut writes = Vec::new();
-        let mut blind = Vec::new();
-        let mut valued = Vec::new();
         for a in &self.symbolic.accesses {
             let idx = match a.index.eval(params, &counter_vals).map(|v| v.as_int()) {
                 Some(Ok(i)) => i,
@@ -328,11 +283,6 @@ impl AccessSummary {
             reads.push(obj);
             if a.write {
                 writes.push(obj);
-            }
-            if a.blind {
-                blind.push(obj);
-            } else {
-                valued.push(obj);
             }
         }
         reads.sort_unstable();
@@ -346,19 +296,8 @@ impl AccessSummary {
             write_classes: self.write_classes.iter().map(|c| c.id).collect(),
             exact: true,
             predicted,
-            blind: blind_only(blind, valued),
         }
     }
-}
-
-/// Keep only the objects *every* open of which was blind: an object also
-/// opened with a value-reading handle needs its real copy regardless.
-fn blind_only(mut blind: Vec<ObjectId>, mut valued: Vec<ObjectId>) -> Vec<ObjectId> {
-    blind.sort_unstable();
-    blind.dedup();
-    valued.sort_unstable();
-    blind.retain(|o| valued.binary_search(o).is_err());
-    blind
 }
 
 #[cfg(test)]
@@ -549,45 +488,6 @@ mod tests {
         let sum = AccessSummary::of(&b.finish());
         let r = sum.resolve_with(&[Value::Int(1)], &mut MapOracle::default());
         assert!(!r.exact);
-    }
-
-    #[test]
-    fn insert_only_opens_are_value_blind() {
-        // Static path: a set-only Update open is blind; a get+set one is
-        // not.
-        let mut b = ProgramBuilder::new("t", 2);
-        let oa = b.open_update(A, b.param(0));
-        let v = b.get(oa, F);
-        b.set(oa, F, v);
-        let ob = b.open_update(B, b.param(1));
-        b.set(ob, F, 1i64);
-        let sum = AccessSummary::of(&b.finish());
-        let r = sum.resolve(&[Value::Int(1), Value::Int(2)]);
-        assert!(r.exact);
-        assert_eq!(r.blind, vec![ObjectId::new(B, 2)]);
-
-        // Predicted path: the counter-derived insert is blind, the
-        // counter itself (read before written) is not.
-        let sum = counter_template();
-        let r = sum.resolve_with(&[Value::Int(3)], &mut MapOracle::default());
-        assert!(r.exact);
-        assert_eq!(r.blind, vec![ObjectId::new(B, 3000)]);
-        assert!(r.reads.contains(&ObjectId::new(B, 3000)), "blind ⊆ reads");
-    }
-
-    #[test]
-    fn aliased_valued_open_suppresses_blind() {
-        // The same object opened set-only by one handle but read through
-        // another must not be treated as blind.
-        let mut b = ProgramBuilder::new("t", 1);
-        let ow = b.open_update(A, b.param(0));
-        b.set(ow, F, 1i64);
-        let or = b.open_read(A, b.param(0));
-        let _v = b.get(or, F);
-        let sum = AccessSummary::of(&b.finish());
-        let r = sum.resolve(&[Value::Int(5)]);
-        assert!(r.exact);
-        assert!(r.blind.is_empty());
     }
 
     #[test]

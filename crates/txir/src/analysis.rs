@@ -7,7 +7,7 @@
 //! follows its dependency chain to the UnitBlock of the operation it
 //! depends on.
 
-use crate::ir::{Operand, Program, Stmt, StmtIdx};
+use crate::ir::{Program, StmtIdx};
 use crate::object::ObjClass;
 use crate::unitgraph::UnitGraph;
 use std::collections::{BTreeSet, HashMap};
@@ -29,46 +29,6 @@ pub struct UnitBlock {
     /// Classes opened by the anchor — the objects whose contention level is
     /// the block's contention level.
     pub classes: Vec<ObjClass>,
-}
-
-/// A remote open whose target object is computable at transaction entry:
-/// the `index` operand is a `Const` or `Param`, never a register, so the
-/// concrete `ObjectId` is known before any statement runs. The Executor
-/// Engine fetches such opens in one batched quorum round at the start of
-/// their hosting Block instead of paying a dedicated round trip each.
-///
-/// Opens nested inside a [`Stmt::Cond`] never qualify: whether they execute
-/// at all is a run-time fact, and prefetching a skipped branch's open would
-/// inflate the read-set (and with it the validation and abort surface).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefetchOpen {
-    /// The top-level `Stmt::Open` this prefetch serves.
-    pub stmt: StmtIdx,
-    /// Class of the object the statement opens.
-    pub class: ObjClass,
-    /// The statically known index operand (`Const` or `Param`).
-    pub index: Operand,
-}
-
-/// The statically prefetchable opens of a program, in statement order:
-/// every **top-level** `Open` whose index operand does not read a register.
-/// Register-indexed opens (the index flows out of an earlier read — e.g. a
-/// pointer chase) and `Cond`-nested opens are excluded; the executor falls
-/// back to a single remote read at the statement itself for those.
-pub fn prefetchable_opens(program: &Program) -> Vec<PrefetchOpen> {
-    program
-        .iter()
-        .filter_map(|(i, s)| match s {
-            Stmt::Open { class, index, .. } if !matches!(index, Operand::Var(_)) => {
-                Some(PrefetchOpen {
-                    stmt: i,
-                    class: *class,
-                    index: index.clone(),
-                })
-            }
-            _ => None,
-        })
-        .collect()
 }
 
 /// Extract UnitBlocks and the default statement→block assignment.
@@ -387,51 +347,6 @@ mod tests {
         // The lifted default graph is acyclic (only 0→1 edges remain).
         let edges = crate::depmodel::lift_edges(&g, &asg);
         assert!(crate::depmodel::is_acyclic(2, &edges), "edges: {edges:?}");
-    }
-
-    #[test]
-    fn prefetchable_opens_finds_const_and_param_indices() {
-        let mut b = ProgramBuilder::new("t", 2);
-        let oa = b.open_read(A, 7i64); // 0 — Const index: prefetchable
-        let _ob = b.open_update(B, b.param(0)); // 1 — Param index: prefetchable
-        let va = b.get(oa, F); // 2
-        let _oc = b.open_read(C, va); // 3 — Var index: data-dependent
-        let p = b.finish();
-        let pf = prefetchable_opens(&p);
-        assert_eq!(pf.len(), 2);
-        assert_eq!(pf[0].stmt, 0);
-        assert_eq!(pf[0].class, A);
-        assert!(matches!(pf[0].index, Operand::Const(_)));
-        assert_eq!(pf[1].stmt, 1);
-        assert_eq!(pf[1].class, B);
-        assert!(matches!(pf[1].index, Operand::Param(_)));
-    }
-
-    #[test]
-    fn cond_nested_opens_are_not_prefetchable() {
-        let mut b = ProgramBuilder::new("t", 0);
-        let flag = b.constant(true);
-        b.cond(
-            flag,
-            |b| {
-                let o = b.open_update(A, 1i64);
-                b.set(o, F, 5i64);
-            },
-            |_| {},
-        );
-        let _ob = b.open_read(B, 2i64);
-        let p = b.finish();
-        let pf = prefetchable_opens(&p);
-        assert_eq!(pf.len(), 1, "only the unconditional open qualifies");
-        assert_eq!(pf[0].class, B);
-    }
-
-    #[test]
-    fn openless_program_has_no_prefetch() {
-        let mut b = ProgramBuilder::new("t", 1);
-        let x = b.constant(1i64);
-        let _y = b.add(x, 2i64);
-        assert!(prefetchable_opens(&b.finish()).is_empty());
     }
 
     #[test]

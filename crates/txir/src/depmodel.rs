@@ -8,13 +8,13 @@
 //! to block edges and for dependency-preserving sorts live here too.
 
 use crate::access::AccessSummary;
-use crate::analysis::{
-    extract_unit_blocks, prefetchable_opens, PrefetchOpen, UnitBlock, UnitBlockId,
-};
+use crate::analysis::{extract_unit_blocks, UnitBlock, UnitBlockId};
 use crate::ir::{Program, StmtIdx};
+use crate::symbolic::OpenPlan;
 use crate::unitgraph::UnitGraph;
 use crate::validate::{validate, ValidateError};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A statement→UnitBlock assignment (one entry per top-level statement).
 pub type StmtAssignment = Vec<UnitBlockId>;
@@ -34,12 +34,12 @@ pub struct DependencyModel {
     /// floaters are pinned to their default block; a local operation is
     /// eligible for any block whose open feeds it.
     pub eligible_hosts: Vec<Vec<UnitBlockId>>,
-    /// Opens whose target `ObjectId` is known at transaction entry
-    /// ([`prefetchable_opens`]) — the executor's batched-read candidates.
-    pub prefetch: Vec<PrefetchOpen>,
     /// Static access summary for the batch scheduler, computed once here so
     /// the driver never re-derives it from the template per submission.
     pub access: AccessSummary,
+    /// How each open gets its copy at run time ([`OpenPlan`]). Shared: every
+    /// Block sequence built from this model carries it to the executor.
+    pub opens: Arc<OpenPlan>,
 }
 
 impl DependencyModel {
@@ -84,16 +84,16 @@ impl DependencyModel {
             })
             .collect();
 
-        let prefetch = prefetchable_opens(&program);
         let access = AccessSummary::of(&program);
+        let opens = Arc::new(OpenPlan::of(&program, &access.symbolic));
         Ok(DependencyModel {
             program,
             graph,
             units,
             default_assignment,
             eligible_hosts,
-            prefetch,
             access,
+            opens,
         })
     }
 
@@ -219,7 +219,7 @@ pub fn topo_order_preserving(
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::object::{FieldId, ObjClass};
+    use crate::object::{FieldId, ObjClass, ObjectId};
 
     const A: ObjClass = ObjClass::new(0, "A");
     const B: ObjClass = ObjClass::new(1, "B");
@@ -300,12 +300,15 @@ mod tests {
     }
 
     #[test]
-    fn analyze_records_prefetchable_opens() {
+    fn analyze_records_the_open_plan() {
         let m = two_block_model();
-        // Both opens use Const indices → both are batched-read candidates.
-        assert_eq!(m.prefetch.len(), 2);
-        assert_eq!(m.prefetch[0].stmt, 0);
-        assert_eq!(m.prefetch[1].stmt, 1);
+        // Both opens use Const indices and read their handle → both are
+        // fetched at transaction entry.
+        assert_eq!(
+            m.opens.resolve(&[], &[]),
+            vec![ObjectId::new(A, 0), ObjectId::new(B, 0)]
+        );
+        assert!(m.opens.blind.iter().all(|b| !b));
     }
 
     #[test]

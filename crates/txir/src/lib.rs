@@ -71,14 +71,14 @@ mod value;
 pub use access::{
     AccessSummary, CounterOracle, CounterSite, PredictedRead, ResolvedAccess, StaticAccess,
 };
-pub use analysis::{extract_unit_blocks, prefetchable_opens, PrefetchOpen, UnitBlock, UnitBlockId};
+pub use analysis::{extract_unit_blocks, UnitBlock, UnitBlockId};
 pub use builder::ProgramBuilder;
 pub use depmodel::{
     is_acyclic, lift_edges, topo_order_preserving, DependencyModel, StmtAssignment,
 };
 pub use ir::{AccessMode, ComputeOp, Operand, ParamId, Program, Stmt, StmtIdx, VarId};
 pub use object::{FieldId, ObjClass, ObjectId, ObjectVal};
-pub use symbolic::{CounterRef, SymExpr, SymbolicAccess, SymbolicSummary};
+pub use symbolic::{CounterRef, OpenPlan, SymExpr, SymbolicAccess, SymbolicSummary};
 pub use unitgraph::{StmtInfo, UnitGraph};
 pub use validate::{validate, ValidateError};
 pub use value::{EvalError, Value};

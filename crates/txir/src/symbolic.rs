@@ -19,12 +19,12 @@
 //! the summary soundly remains inexact.
 
 use crate::ir::{AccessMode, ComputeOp, Operand, ParamId, Program, Stmt, StmtIdx, VarId};
-use crate::object::{FieldId, ObjClass};
+use crate::object::{FieldId, ObjClass, ObjectId};
 use crate::value::Value;
 use std::collections::HashMap;
 
 /// A symbolic expression over template parameters and hot-counter reads.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SymExpr {
     /// An immediate baked into the template.
     Const(Value),
@@ -68,7 +68,7 @@ impl SymExpr {
 /// `class[index(params)]` top-level with a static index, reads `field`
 /// exactly once before any write to it, and advances it by `delta`
 /// (0 = read-only) — TPC-C's `D_NEXT_OID` pattern.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterRef {
     /// Class of the counter's host object.
     pub class: ObjClass,
@@ -79,11 +79,16 @@ pub struct CounterRef {
     /// How much one instance advances the counter (`value + delta` is
     /// written back; 0 when the template never writes the field).
     pub delta: i64,
+    /// The register the counter's one `GetField` lands in: executing that
+    /// statement is the moment the counter's real value is known.
+    pub reg: VarId,
 }
 
 /// One top-level open whose index resolved symbolically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicAccess {
+    /// The handle register the open defines.
+    pub handle: VarId,
     /// Class of the object the open targets.
     pub class: ObjClass,
     /// Resolved index expression (may contain counter leaves).
@@ -93,7 +98,7 @@ pub struct SymbolicAccess {
     /// `true` for *value-blind* `Update` opens: the template never reads a
     /// field of this handle, so execution needs neither the object's
     /// current value nor (speculatively) its version — the paper's
-    /// insert-only rows. See [`crate::access::ResolvedAccess::blind`].
+    /// insert-only rows when the index is a fresh key. See [`OpenPlan::blind`].
     pub blind: bool,
 }
 
@@ -111,6 +116,92 @@ pub struct SymbolicSummary {
     /// index resolved — i.e. evaluating `accesses` (with counter
     /// predictions) yields the complete read/write sets of an instance.
     pub complete: bool,
+}
+
+/// How each top-level open of a template gets its copy at run time — the
+/// statement-level facts the executor's one speculative read path runs on,
+/// derived once per template from the [`SymbolicSummary`].
+///
+/// Every symbolically resolved open is either *fetched* (its copy is read
+/// ahead of the `Open`, as early as its index is known) or *presumed
+/// absent* (opened with no fetch at all). Only an insert is presumed: a
+/// value-blind `Update` — no field of the handle is ever read — whose
+/// index derives from a counter site, i.e. a key this instance has just
+/// drawn. A set-only update of a row named by a parameter or a constant
+/// (Delivery's ORDER / NEW_ORDER rows) usually exists, so it is fetched
+/// with the rest of the initial round, which costs no extra round.
+/// `Cond`-nested opens and pointer chases are in neither set and keep
+/// their single remote read at the statement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpenPlan {
+    /// `(class, index)` of every fetched open, in statement order. Indices
+    /// without counter leaves resolve at transaction entry; the rest once
+    /// the counters they read are known.
+    pub fetched: Vec<(ObjClass, SymExpr)>,
+    /// Per handle register: is its open presumed absent?
+    pub blind: Vec<bool>,
+    /// The counter sites a fetched index reads through (the
+    /// [`SymExpr::Counter`] numbering); empty when none does, so a
+    /// template whose derived opens are all inserts never re-resolves.
+    pub counters: Vec<CounterRef>,
+}
+
+impl OpenPlan {
+    /// Split a template's resolved opens into fetched and presumed absent.
+    pub fn of(program: &Program, sym: &SymbolicSummary) -> Self {
+        let derived = |e: &SymExpr| (0..sym.counters.len()).any(|c| e.uses_counter(c));
+        let mut blind = vec![false; program.vars as usize];
+        let mut fetched = Vec::new();
+        for a in &sym.accesses {
+            if a.blind && derived(&a.index) {
+                blind[a.handle.0 as usize] = true;
+            } else {
+                fetched.push((a.class, a.index.clone()));
+            }
+        }
+        let derives = fetched.iter().any(|(_, e)| derived(e));
+        OpenPlan {
+            fetched,
+            blind,
+            counters: if derives {
+                sym.counters.clone()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// The host object of counter site `c` under `params`.
+    pub fn counter_host(&self, c: usize, params: &[Value]) -> Option<ObjectId> {
+        let site = &self.counters[c];
+        let idx = site.index.eval(params, &[])?.as_int().ok()?;
+        Some(ObjectId::new(site.class, idx as u64))
+    }
+
+    /// The fetched opens resolvable now: every index whose counter leaves
+    /// all have a known value in `counters` (`None` = not read yet),
+    /// evaluated under `params`. An index that fails to evaluate is
+    /// skipped — the `Open` itself surfaces the error when it executes.
+    pub fn resolve(&self, params: &[Value], counters: &[Option<i64>]) -> Vec<ObjectId> {
+        let vals: Vec<i64> = counters.iter().map(|c| c.unwrap_or(0)).collect();
+        let mut out: Vec<ObjectId> = Vec::with_capacity(self.fetched.len());
+        for (class, index) in &self.fetched {
+            let known = counters
+                .iter()
+                .enumerate()
+                .all(|(c, v)| v.is_some() || !index.uses_counter(c));
+            if !known {
+                continue;
+            }
+            if let Some(Ok(i)) = index.eval(params, &vals).map(|v| v.as_int()) {
+                let obj = ObjectId::new(*class, i as u64);
+                if !out.contains(&obj) {
+                    out.push(obj);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Per-(handle, field) usage sites, used for counter detection.
@@ -218,6 +309,7 @@ impl SymbolicSummary {
                 index,
                 field,
                 delta,
+                reg: get_var,
             });
         }
 
@@ -236,6 +328,7 @@ impl SymbolicSummary {
             {
                 match resolve_operand(index, &defs, &counter_of, &mut memo) {
                     Some(expr) => accesses.push(SymbolicAccess {
+                        handle: *var,
                         class: *class,
                         index: expr,
                         write: *mode == AccessMode::Update,
@@ -256,7 +349,7 @@ impl SymbolicSummary {
 /// Every handle register some `GetField` reads through, `Cond` branches
 /// included — the complement (update handles never read) is the
 /// *value-blind* open population.
-pub(crate) fn handles_read(stmts: &[Stmt]) -> std::collections::HashSet<VarId> {
+fn handles_read(stmts: &[Stmt]) -> std::collections::HashSet<VarId> {
     fn walk(stmts: &[Stmt], out: &mut std::collections::HashSet<VarId>) {
         for s in stmts {
             match s {
@@ -404,7 +497,6 @@ fn resolve_var(
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::object::ObjectId;
 
     const D: ObjClass = ObjClass::new(0, "District");
     const O: ObjClass = ObjClass::new(1, "Order");
@@ -562,6 +654,84 @@ mod tests {
         let sym = SymbolicSummary::of(&b.finish());
         assert_eq!(sym.counters.len(), 1);
         assert_eq!(sym.counters[0].delta, -3);
+    }
+
+    #[test]
+    fn open_plan_presumes_only_counter_derived_inserts_absent() {
+        // NewOrder's shape: the counter host is read and resolvable at
+        // entry, the counter-derived insert is presumed absent — so no
+        // fetched index is derived and the plan carries no counter sites.
+        let p = neworder_like();
+        let plan = OpenPlan::of(&p, &SymbolicSummary::of(&p));
+        assert_eq!(plan.fetched.len(), 1);
+        assert_eq!(plan.blind.iter().filter(|b| **b).count(), 1);
+        assert!(plan.counters.is_empty(), "no fetched index reads a counter");
+        assert_eq!(
+            plan.resolve(&[Value::Int(3), Value::Int(2)], &[]),
+            vec![ObjectId::new(D, 3)]
+        );
+        // A mistyped parameter is skipped, not a panic.
+        assert!(plan
+            .resolve(&[Value::str("x"), Value::Int(2)], &[])
+            .is_empty());
+    }
+
+    #[test]
+    fn open_plan_fetches_set_only_updates_of_named_rows() {
+        // Delivery's shape: a set-only update of a row a parameter (or a
+        // constant) names is value-blind, but the row usually exists, so it
+        // joins the initial fetch instead of being presumed absent.
+        let mut b = ProgramBuilder::new("t", 1);
+        let o = b.open_update(O, b.param(0));
+        b.set(o, F, 1i64);
+        let a = b.open_update(A, 4i64);
+        b.set(a, F, 2i64);
+        let p = b.finish();
+        let sym = SymbolicSummary::of(&p);
+        assert!(sym.accesses.iter().all(|a| a.blind), "both are value-blind");
+        let plan = OpenPlan::of(&p, &sym);
+        assert!(plan.blind.iter().all(|b| !b));
+        assert_eq!(
+            plan.resolve(&[Value::Int(9)], &[]),
+            vec![ObjectId::new(O, 9), ObjectId::new(A, 4)]
+        );
+    }
+
+    #[test]
+    fn open_plan_resolves_derived_valued_opens_once_the_counter_is_known() {
+        let mut b = ProgramBuilder::new("t", 1);
+        let d = b.open_update(D, b.param(0));
+        let oid = b.get(d, NEXT);
+        let next = b.add(oid, 1i64);
+        b.set(d, NEXT, next);
+        let o = b.open_read(O, oid);
+        let _v = b.get(o, F);
+        let flag = b.constant(true);
+        b.cond(
+            flag,
+            |b| {
+                let _ = b.open_read(A, 1i64);
+            },
+            |_| {},
+        );
+        let p = b.finish();
+        let plan = OpenPlan::of(&p, &SymbolicSummary::of(&p));
+        assert_eq!(plan.counters.len(), 1);
+        assert_eq!(plan.counters[0].reg, oid);
+        assert_eq!(
+            plan.counter_host(0, &[Value::Int(3)]),
+            Some(ObjectId::new(D, 3))
+        );
+        let params = [Value::Int(3)];
+        assert_eq!(
+            plan.resolve(&params, &[None]),
+            vec![ObjectId::new(D, 3)],
+            "the derived open waits for its counter; the Cond-nested one never resolves"
+        );
+        assert_eq!(
+            plan.resolve(&params, &[Some(41)]),
+            vec![ObjectId::new(D, 3), ObjectId::new(O, 41)]
+        );
     }
 
     #[test]

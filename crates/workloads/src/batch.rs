@@ -36,11 +36,11 @@ use crate::driver::{Phase, Tally};
 use crate::workload::TxnRequest;
 use acn_core::{
     conflicts_with, plan_wave_with, BlockSeq, ExecutorConfig, ExecutorEngine, InexactPolicy,
-    Prediction, PredictionOutcome, RunOpts, SpecSets, WaveStats,
+    Prediction, PredictionOutcome, RunOpts, WaveStats,
 };
 use acn_dtm::ClientPool;
 use acn_obs::{SpanKind, TxnObserver};
-use acn_txir::{CounterOracle, CounterSite, PredictedRead, ResolvedAccess};
+use acn_txir::{CounterOracle, CounterSite, ResolvedAccess};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -392,22 +392,13 @@ fn worker_loop(w: &Wave<'_>, t: usize) {
             };
             idx.map(|i| {
                 q.started[i] = true;
-                let acc = &q.access[i];
-                // Exact instances carry their full resolved access plan
-                // (`reads` includes updates) so the executor can fetch it
-                // in one speculative round instead of per-Block prefetch
-                // plus one round per Var-indexed open. Value-blind writes
-                // are carved out of the fetch set entirely: the executor
-                // opens them with no read round at all.
-                let sets = if acc.exact {
-                    spec_sets(acc)
-                } else {
-                    SpecSets::default()
-                };
-                (i, q.jobs[i].req.clone(), acc.predicted.clone(), sets)
+                // The predictions are all the executor needs from the
+                // schedule: it resolves what to fetch (and what to open
+                // blind) from the template's own open plan.
+                (i, q.jobs[i].req.clone(), q.access[i].predicted.clone())
             })
         };
-        let Some((idx, req, preds, spec)) = req else {
+        let Some((idx, req, preds)) = req else {
             break;
         };
 
@@ -418,59 +409,14 @@ fn worker_loop(w: &Wave<'_>, t: usize) {
             SpecMode::Partial => ph.block_seq(req.template, &mut client),
         };
         tally.transact(ph, &mut client, req.template, |client, txn| {
-            let mut opts = RunOpts {
-                obs: observer.as_mut(),
-                ..RunOpts::default()
-            };
-            if preds.is_empty() && spec.fetch.is_empty() && spec.blind.is_empty() {
-                return w
-                    .engine
-                    .run_with(client, &dm.program, &req.params, &seq, txn, opts);
-            }
             let mut outcome = PredictionOutcome::default();
-            // Mispredict re-resolution: re-run the symbolic access
-            // resolution with observed counter values substituted for
-            // the failed predictions (latest observation per site
-            // wins, untouched sites keep their scheduled prediction),
-            // so the executor refetches the *corrected* access set in
-            // one batched round instead of paying one remote read per
-            // derived open that now misses the speculative cache.
-            let respec = |seen: &[(PredictedRead, i64)]| -> Option<SpecSets> {
-                struct Observed<'a> {
-                    seen: &'a [(PredictedRead, i64)],
-                    preds: &'a [PredictedRead],
-                }
-                impl CounterOracle for Observed<'_> {
-                    fn predict(&mut self, site: &CounterSite) -> Option<i64> {
-                        let at = |p: &&PredictedRead| p.obj == site.obj && p.field == site.field;
-                        Some(
-                            self.seen
-                                .iter()
-                                .rev()
-                                .find(|(p, _)| p.obj == site.obj && p.field == site.field)
-                                .map(|(_, v)| *v)
-                                .or_else(|| self.preds.iter().find(at).map(|p| p.value))
-                                // A site no index depends on: its value
-                                // cannot change the resolved sets.
-                                .unwrap_or(0),
-                        )
-                    }
-                }
-                let r = dm.access.resolve_with(
-                    &req.params,
-                    &mut Observed {
-                        seen,
-                        preds: &preds,
-                    },
-                );
-                r.exact.then(|| spec_sets(&r))
+            let opts = RunOpts {
+                obs: observer.as_mut(),
+                prediction: Some(Prediction {
+                    preds: &preds,
+                    outcome: &mut outcome,
+                }),
             };
-            opts.prediction = Some(Prediction {
-                preds: &preds,
-                spec: &spec,
-                respec: Some(&respec),
-                outcome: &mut outcome,
-            });
             let res = w
                 .engine
                 .run_with(client, &dm.program, &req.params, &seq, txn, opts);
@@ -505,15 +451,4 @@ fn worker_loop(w: &Wave<'_>, t: usize) {
         shared.drained.notify_one();
     }
     ph.merged.lock().worker(&tally, observer.as_ref());
-}
-
-/// The speculative access plan of a resolved-exact instance: fetch every
-/// read except the value-blind writes.
-fn spec_sets(acc: &ResolvedAccess) -> SpecSets {
-    let mut fetch = acc.reads.clone();
-    fetch.retain(|o| acc.blind.binary_search(o).is_err());
-    SpecSets {
-        fetch,
-        blind: acc.blind.clone(),
-    }
 }

@@ -416,6 +416,155 @@ fn tpcc_history_is_serializable_under_every_seed() {
     }
 }
 
+/// NewOrder-only TPC-C whose seeding also plants an ORDER row at every
+/// district's first order id — the row the district's first NewOrder will
+/// derive and presume absent.
+struct CollidingOrders(Tpcc);
+
+impl CollidingOrders {
+    fn planted(&self) -> Vec<ObjectId> {
+        let cfg = self.0.config();
+        (0..cfg.warehouses)
+            .flat_map(|w| (0..cfg.districts_per_warehouse).map(move |d| (w, d)))
+            .map(|(w, d)| {
+                ObjectId::new(
+                    qr_acn::workloads::schema::ORDER,
+                    self.0.district_index(w, d) * 1_000_000,
+                )
+            })
+            .collect()
+    }
+}
+
+impl Workload for CollidingOrders {
+    fn name(&self) -> &str {
+        "tpcc/colliding-orders"
+    }
+    fn templates(&self) -> &[Program] {
+        self.0.templates()
+    }
+    fn manual_groups(&self, t: usize, dm: &DependencyModel) -> Vec<Vec<usize>> {
+        self.0.manual_groups(t, dm)
+    }
+    fn next(&self, rng: &mut rand::rngs::StdRng, phase: usize) -> TxnRequest {
+        self.0.next(rng, phase)
+    }
+    fn seed(&self, client: &mut DtmClient) {
+        self.0.seed(client);
+        qr_acn::workloads::seed_txn(client, |client, ctx| {
+            for row in self.planted() {
+                ctx.open(client, row, true)?;
+                ctx.set_field(row, qr_acn::workloads::schema::O_CARRIER, Value::Int(7));
+            }
+            Ok(())
+        });
+    }
+}
+
+/// Negative control for value-blind opens in the closed loop: the inserts
+/// of a NewOrder are opened with no read round, presuming the rows absent.
+/// Here the presumption is wrong for every district's first order, while
+/// messages drop, duplicate and arrive late. Prepare must reject the
+/// version-0 presumption, the executor must demote the row and retry on its
+/// real copy — so the collision costs an abort, never an insert.
+#[test]
+fn colliding_insert_under_drop_dup_is_demoted_not_lost() {
+    let tpcc = CollidingOrders(Tpcc::new(
+        qr_acn::workloads::tpcc::TpccConfig {
+            warehouses: 2,
+            districts_per_warehouse: 4,
+            customers_per_district: 20,
+            items: 40,
+            ol_min: 3,
+            ol_max: 6,
+        },
+        qr_acn::workloads::tpcc::TpccMix::NEW_ORDER,
+    ));
+    let planted = tpcc.planted();
+    for fault_seed in seeds() {
+        eprintln!("colliding-insert chaos seed {fault_seed}");
+        let (mut cfg, history) = suite_config(SystemKind::QrAcn, fault_seed);
+        cfg.chaos = Some(FaultPlan::generate(
+            fault_seed,
+            7,
+            3,
+            &ChaosProfile {
+                partitions: 0,
+                crashes: 0,
+                ..ChaosProfile::default()
+            },
+        ));
+        cfg.obs = Some(ObsConfig::default());
+        let result = qr_acn::workloads::run_scenario(&tpcc, &cfg);
+
+        let records = history.snapshot();
+        if let Err(violations) = check_history(&records) {
+            panic!(
+                "seed {fault_seed}: history checker failed with {} violation(s): {:#?}",
+                violations.len(),
+                &violations[..violations.len().min(5)]
+            );
+        }
+        let inventories: Vec<_> = result
+            .server_stats
+            .iter()
+            .map(|s| s.inventory.clone())
+            .collect();
+        if let Err(violations) = check_durability(&records, &history.acked_snapshot(), &inventories)
+        {
+            panic!(
+                "seed {fault_seed}: lost-ack checker failed with {} violation(s): {:#?}",
+                violations.len(),
+                &violations[..violations.len().min(5)]
+            );
+        }
+        let obs = result.obs.as_ref().expect("observability was enabled");
+        assert_eq!(
+            obs.aborts.total_of(&AbortKind::EXECUTOR_KINDS),
+            result.total_full_aborts()
+                + result.total_partial_aborts()
+                + result.total_locked_aborts(),
+            "seed {fault_seed}: attributed aborts must equal executor counters"
+        );
+        // The seeder's record installs each planted row; the one NewOrder
+        // that later writes it must have read that very version — the
+        // demoted open's real read, not the version-0 presumption.
+        let mut installed = std::collections::HashMap::new();
+        let mut collisions = 0u64;
+        for r in &records {
+            for (row, version) in &r.writes {
+                if !planted.contains(row) {
+                    continue;
+                }
+                match installed.get(row) {
+                    None => {
+                        installed.insert(*row, *version);
+                    }
+                    Some(planted_at) => {
+                        let read = r.reads.iter().find(|(o, _)| o == row);
+                        assert_eq!(
+                            read.map(|(_, v)| v),
+                            Some(planted_at),
+                            "seed {fault_seed}: {row} was overwritten without being read"
+                        );
+                        collisions += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            collisions >= 1,
+            "seed {fault_seed}: some district placed its first order"
+        );
+        assert!(
+            result.total_full_aborts() >= collisions,
+            "seed {fault_seed}: every collision costs the rejected prepare \
+             ({collisions} collisions, {} full aborts)",
+            result.total_full_aborts()
+        );
+    }
+}
+
 #[test]
 fn vacation_history_is_serializable_under_every_seed() {
     let vacation = Vacation::default();
