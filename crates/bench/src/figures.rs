@@ -430,8 +430,6 @@ pub struct ReadPathSample {
     pub bytes_sent: u64,
     /// Quorum read rounds the client completed.
     pub read_rounds: u64,
-    /// Of those, batched rounds (multi-object).
-    pub batched_rounds: u64,
     /// Validation entries shipped, counted per receiving member.
     pub validate_entries_sent: u64,
     /// Transactions committed.
@@ -499,7 +497,6 @@ pub fn read_path_sample(objects: usize, txns: usize, batched: bool) -> ReadPathS
         messages_sent: net.sent,
         bytes_sent: net.bytes_sent,
         read_rounds: cli.remote_reads - cli_before.remote_reads,
-        batched_rounds: cli.batched_reads - cli_before.batched_reads,
         validate_entries_sent: cli.validate_entries_sent - cli_before.validate_entries_sent,
         commits: stats.commits,
     }
@@ -512,8 +509,8 @@ pub fn print_read_path_ablation(objects: usize, txns: usize) {
     let batched = read_path_sample(objects, txns, true);
     let row = |label: &str, s: &ReadPathSample| {
         println!(
-            "{label:>10}: {:>6} msgs  {:>8} bytes  {:>5} read rounds ({} batched)  {:>6} validate entries",
-            s.messages_sent, s.bytes_sent, s.read_rounds, s.batched_rounds, s.validate_entries_sent
+            "{label:>10}: {:>6} msgs  {:>8} bytes  {:>5} read rounds  {:>6} validate entries",
+            s.messages_sent, s.bytes_sent, s.read_rounds, s.validate_entries_sent
         );
     };
     row("unbatched", &unbatched);

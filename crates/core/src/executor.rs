@@ -72,8 +72,8 @@ pub struct ExecutorConfig {
     /// one batched quorum round at attempt start for every open the
     /// parameters resolve, one more per data-dependency level, and none at
     /// all for inserts presumed absent. On by default; off is the paper-literal
-    /// arm the ablations compare against — one remote read per open, no
-    /// cache, no blind opens.
+    /// arm the ablations compare against — one read round per open, each
+    /// re-validating the full read-set; no cache, no blind opens.
     pub batched_reads: bool,
     /// The transaction runs under the batch scheduler's conflict-graph
     /// speculation: dynamic conflicts are mis-speculations (the static
@@ -1269,8 +1269,8 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
-        let before = client.stats().batched_reads;
-        // Both transfer opens are Param-indexed → one batched round for two
+        let before = client.stats().remote_reads;
+        // Both transfer opens are Param-indexed → one read round for two
         // objects on the flat schedule.
         ExecutorEngine::default()
             .run(
@@ -1281,9 +1281,10 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
-        assert!(
-            client.stats().batched_reads > before,
-            "two prefetchable opens must go through the batch path"
+        assert_eq!(
+            client.stats().remote_reads - before,
+            1,
+            "two prefetchable opens must share one read round"
         );
         assert_eq!(read_bal(&mut client, 1), 70);
         assert_eq!(read_bal(&mut client, 2), 30);
@@ -1312,7 +1313,7 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
-        assert_eq!(client.stats().batched_reads, 0);
+        assert_eq!(client.stats().remote_reads, 2, "one read round per open");
         assert_eq!(read_bal(&mut client, 1), -5);
         assert_eq!(read_bal(&mut client, 2), 5);
         cluster.shutdown();
@@ -1344,7 +1345,6 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
-        assert_eq!(client.stats().batched_reads, 1);
         assert_eq!(
             client.stats().remote_reads,
             1,
@@ -1387,6 +1387,7 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
+        let before = client.stats().remote_reads;
         ExecutorEngine::default()
             .run(
                 &mut client,
@@ -1396,6 +1397,11 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
+        assert_eq!(
+            client.stats().remote_reads - before,
+            2,
+            "the head's fetch round, then one round for the chased open"
+        );
         assert_eq!(read_bal(&mut client, 9), 1, "chased object updated");
         cluster.shutdown();
     }
@@ -1419,7 +1425,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, RunError::Eval(_)));
-        assert_eq!(client.stats().batched_reads, 0, "nothing was prefetched");
+        assert_eq!(client.stats().remote_reads, 0, "nothing was prefetched");
         cluster.shutdown();
     }
 

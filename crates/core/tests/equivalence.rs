@@ -7,9 +7,14 @@
 //! merging and Step-3 reordering are never allowed to change what a
 //! transaction *does*. Nor what it costs: the speculative read path pays
 //! one round per data-dependency level whatever the schedule, so flat and
-//! recomposed execution issue the same number of read rounds.
+//! recomposed execution issue the same number of read rounds. Every case
+//! also runs with `batched_reads` off — one read round per open, through
+//! parent and child contexts alike — and must commit the same state.
 
-use acn_core::{AlgorithmConfig, AlgorithmModule, BlockSeq, ExecStats, ExecutorEngine, SumModel};
+use acn_core::{
+    AlgorithmConfig, AlgorithmModule, BlockSeq, ExecStats, ExecutorConfig, ExecutorEngine,
+    RetryPolicy, SumModel,
+};
 use acn_dtm::{Cluster, ClusterConfig, TxnCtx};
 use acn_txir::{ComputeOp, DependencyModel, FieldId, ObjClass, ObjectId, ProgramBuilder, Value};
 use proptest::prelude::*;
@@ -180,13 +185,14 @@ fn build(spec: &Spec) -> (DependencyModel, Vec<ObjectId>, Vec<ObjectId>) {
 }
 
 /// Execute `seq` on a fresh single-client cluster over the pre-existing
-/// `objects`; return the final state of every touched object and the read
-/// rounds the run issued.
+/// `objects`, on the `batched_reads` arm given; return the final state of
+/// every touched object and the read rounds the run issued.
 fn final_state(
     dm: &DependencyModel,
     seq: &BlockSeq,
     objects: &[ObjectId],
     created: &[ObjectId],
+    batched_reads: bool,
 ) -> (Vec<(i64, i64)>, u64) {
     let cluster = Cluster::start(ClusterConfig::test(4, 1));
     let mut client = cluster.client(0);
@@ -200,12 +206,19 @@ fn final_state(
         }
         ctx.commit(&mut client).unwrap();
     }
-    let engine = ExecutorEngine::default();
+    let engine = ExecutorEngine::with_config(
+        RetryPolicy::default(),
+        ExecutorConfig {
+            batched_reads,
+            ..ExecutorConfig::default()
+        },
+    );
     let mut stats = ExecStats::default();
     let reads_before = client.stats().remote_reads;
     engine
         .run(&mut client, &dm.program, &[], seq, &mut stats)
         .expect("uncontended run commits");
+    assert_eq!(stats.commits, 1);
     let read_rounds = client.stats().remote_reads - reads_before;
     let mut out = Vec::new();
     let mut ctx = TxnCtx::begin(&mut client);
@@ -223,13 +236,14 @@ fn final_state(
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 24, // each case boots three clusters
+        cases: 24, // each case boots six clusters
         .. ProptestConfig::default()
     })]
 
     /// Flat, per-unit-nested and ACN-recomposed execution agree on the
-    /// final shared state — and, when the insert's absent presumption holds
-    /// so that nothing retries, on the number of read rounds.
+    /// final shared state on both `batched_reads` arms — and, when the
+    /// insert's absent presumption holds so that nothing retries, on the
+    /// number of read rounds.
     #[test]
     fn decompositions_agree_on_final_state(
         spec in spec_strategy(),
@@ -242,9 +256,11 @@ proptest! {
         let adapted = module.recompute(&dm, &class_levels);
         adapted.assert_respects_dependencies(&dm);
 
-        let (flat, flat_rounds) = final_state(&dm, &BlockSeq::flat(&dm), &objects, &created);
-        let (per_unit, _) = final_state(&dm, &BlockSeq::from_units(&dm), &objects, &created);
-        let (acn, acn_rounds) = final_state(&dm, &adapted, &objects, &created);
+        let (flat_seq, unit_seq) = (BlockSeq::flat(&dm), BlockSeq::from_units(&dm));
+        let run = |seq: &BlockSeq, batched| final_state(&dm, seq, &objects, &created, batched);
+        let (flat, flat_rounds) = run(&flat_seq, true);
+        let (per_unit, _) = run(&unit_seq, true);
+        let (acn, acn_rounds) = run(&adapted, true);
         prop_assert_eq!(&flat, &per_unit, "per-unit nesting diverged");
         prop_assert_eq!(&flat, &acn, "ACN recomposition diverged");
         // An insert that draws a seeded row is a wrong presumption (one
@@ -255,6 +271,15 @@ proptest! {
         if spec.derived != Some(true) {
             prop_assert_eq!(flat_rounds, 1 + u64::from(spec.derived.is_some()));
             prop_assert_eq!(flat_rounds, acn_rounds, "the schedule changed the round count");
+        }
+        // The paper-literal arm presumes nothing and caches nothing: each
+        // open of a not-yet-read object — all of this program's are
+        // distinct — is one read round of its own, in a parent context
+        // (flat) or a child's (nested), and nothing retries.
+        for seq in [&flat_seq, &unit_seq, &adapted] {
+            let (state, rounds) = run(seq, false);
+            prop_assert_eq!(&flat, &state, "the unbatched arm diverged on {} Blocks", seq.len());
+            prop_assert_eq!(rounds, (objects.len() + created.len()) as u64);
         }
     }
 }

@@ -69,15 +69,11 @@ pub struct ClientStats {
     pub conflict_aborts: u64,
     /// Operations abandoned for lack of a quorum.
     pub quorum_unavailable: u64,
-    /// Batched read rounds completed (also counted in `remote_reads`).
-    pub batched_reads: u64,
     /// Read-set validation entries shipped on read rounds, counted once
     /// per receiving quorum member. Delta validation keeps this linear in
-    /// the read-set size; the unbatched path grows quadratically.
+    /// the read-set size for fetch rounds; statement-level opens present
+    /// the full read-set every round and grow quadratically.
     pub validate_entries_sent: u64,
-    /// Responses *not* waited for because a read round returned at its
-    /// quorum size instead of draining the whole contact group.
-    pub quorum_waits_saved: u64,
     /// Quorum RPC rounds re-broadcast after a timeout (same request id,
     /// after backoff).
     pub rpc_retries: u64,
@@ -232,7 +228,7 @@ impl DtmClient {
     /// The round-span kind a request message opens.
     fn round_kind(msg: &Msg) -> SpanKind {
         match msg {
-            Msg::ReadReq { .. } | Msg::ReadBatchReq { .. } => SpanKind::ReadRound,
+            Msg::ReadBatchReq { .. } => SpanKind::ReadRound,
             Msg::PrepareReq { .. } => SpanKind::PrepareRound,
             Msg::CommitReq { .. } => SpanKind::CommitRound,
             Msg::AbortReq { .. } => SpanKind::AbortRound,
@@ -277,36 +273,28 @@ impl DtmClient {
         move |rank: usize| !failed.contains(&Self::server_node(rank))
     }
 
-    /// Collect responses for `req` into `got` until it holds `need` of
-    /// them, keeping at most one response **per source node**: the chaos
-    /// layer can duplicate a reply in flight, and counting one server twice
-    /// toward a quorum would void quorum intersection. Other strays are
-    /// discarded by request id.
+    /// Collect responses for `req` into `got` until every one of the
+    /// `total` contacted members has answered, keeping at most one response
+    /// **per source node**: the chaos layer can duplicate a reply in flight,
+    /// and counting one server twice toward a quorum would void quorum
+    /// intersection. Other strays are discarded by request id.
     ///
     /// A [`Msg::Syncing`] refusal (the replica is catching up after a
-    /// crash-with-amnesia) never counts toward the quorum; once refusals
-    /// leave fewer than `need` of the `total` contacted members able to
-    /// answer, the round fails fast as `Unavailable` instead of burning the
-    /// full deadline on replies that cannot arrive.
+    /// crash-with-amnesia) never counts toward the quorum, so the round
+    /// fails fast as `Unavailable` instead of burning the full deadline on
+    /// a reply that cannot arrive.
     fn gather(
         &mut self,
         req: ReqId,
-        need: usize,
         total: usize,
         deadline: Instant,
         got: &mut Vec<(NodeId, Msg)>,
     ) -> Result<(), DtmError> {
-        let mut refused: Vec<NodeId> = Vec::new();
-        while got.len() < need {
+        while got.len() < total {
             match self.endpoint.recv_deadline(deadline) {
-                Ok((src, Msg::Syncing { req: r })) if r == req => {
-                    if !refused.contains(&src) {
-                        refused.push(src);
-                        self.stats.sync_refusals_seen += 1;
-                        if total - refused.len() < need {
-                            return Err(DtmError::Unavailable);
-                        }
-                    }
+                Ok((_, Msg::Syncing { req: r })) if r == req => {
+                    self.stats.sync_refusals_seen += 1;
+                    return Err(DtmError::Unavailable);
                 }
                 Ok((src, m))
                     if m.response_req() == Some(req) && !got.iter().any(|&(s, _)| s == src) =>
@@ -343,33 +331,29 @@ impl DtmClient {
     }
 
     /// Scatter one request to `members` (a single shared-payload broadcast,
-    /// not a clone per member) and gather responses until `need` have
-    /// arrived. Responses past `need` are left unread — strays are
-    /// discarded by request id on later rounds — and counted as saved
-    /// waits.
+    /// not a clone per member) and gather every member's response, each
+    /// tagged with its source. No retry: the read round re-picks a quorum
+    /// itself.
     fn rpc_round(
         &mut self,
         members: &[usize],
-        need: usize,
         build: impl Fn(ReqId) -> Msg,
     ) -> Result<Vec<(NodeId, Msg)>, DtmError> {
-        debug_assert!((1..=members.len()).contains(&need));
         let req = self.next_req;
         self.next_req += 1;
         let (msg, bytes, pending) = self.trace_round(build(req));
         let nodes: Vec<NodeId> = members.iter().map(|&m| Self::server_node(m)).collect();
         self.endpoint.broadcast(&nodes, msg, bytes);
         let deadline = Instant::now() + self.cfg.rpc_timeout;
-        let mut got = Vec::with_capacity(need);
-        let res = self.gather(req, need, members.len(), deadline, &mut got);
+        let mut got = Vec::with_capacity(members.len());
+        let res = self.gather(req, members.len(), deadline, &mut got);
         self.end_round(pending, res.is_err());
         res?;
-        self.stats.quorum_waits_saved += (members.len() - got.len()) as u64;
         Ok(got)
     }
 
-    /// [`Self::rpc_round`] waiting for *all* members, with timeout retries
-    /// (writes and explicit queries need every contacted member's answer).
+    /// [`Self::rpc_round`] with timeout retries against the *same* members
+    /// (2PC phases and explicit queries).
     ///
     /// One logical request keeps **one** request id across every attempt: a
     /// timeout re-broadcasts the same correlation id after a jittered,
@@ -401,9 +385,7 @@ impl DtmClient {
             let (wire, bytes, pending) = self.trace_round(msg.clone());
             self.endpoint.broadcast(&nodes, wire, bytes);
             let deadline = Instant::now() + self.cfg.rpc_timeout;
-            let ok = self
-                .gather(req, members.len(), members.len(), deadline, &mut got)
-                .is_ok();
+            let ok = self.gather(req, members.len(), deadline, &mut got).is_ok();
             self.end_round(pending, !ok);
             if ok {
                 return Ok(got.into_iter().map(|(_, m)| m).collect());
@@ -428,143 +410,8 @@ impl DtmClient {
         self.stats.best_effort_aborts += 1;
     }
 
-    /// Remote read of `obj`, presenting `validate` (the transaction's read
-    /// set) for incremental validation. Returns the freshest
-    /// `(version, value)` among the quorum's replies.
-    ///
-    /// The request fans out to *every* live member of the designated level
-    /// and returns at the first quorum-sized set of replies: any majority
-    /// of one level is a valid read quorum (see
-    /// [`LevelQuorums::read_group`]), so the round never waits for a
-    /// straggler once a majority has answered.
-    pub fn remote_read(
-        &mut self,
-        txn: TxnId,
-        obj: ObjectId,
-        validate: &[ValidateEntry],
-    ) -> Result<(Version, ObjectVal), DtmError> {
-        let mut locked_attempts = 0usize;
-        let mut quorum_attempts = 0usize;
-        loop {
-            let alive = self.alive_fn();
-            let Some((group, need)) = self
-                .quorums
-                .read_group(self.seed.wrapping_add(quorum_attempts as u64), &alive)
-            else {
-                self.stats.quorum_unavailable += 1;
-                return Err(DtmError::Unavailable);
-            };
-            let validate_owned = validate.to_vec();
-            self.stats.validate_entries_sent += (validate.len() * group.len()) as u64;
-            let sample = self.piggyback_classes.clone();
-            let resps = match self.rpc_round(&group, need, |req| Msg::ReadReq {
-                txn,
-                req,
-                obj,
-                validate: validate_owned.clone(),
-                sample: sample.clone(),
-            }) {
-                Ok(r) => r,
-                Err(DtmError::Unavailable) => {
-                    quorum_attempts += 1;
-                    if quorum_attempts > self.cfg.quorum_retries {
-                        self.stats.quorum_unavailable += 1;
-                        return Err(DtmError::Unavailable);
-                    }
-                    continue;
-                }
-                Err(other) => return Err(other),
-            };
-            self.stats.remote_reads += 1;
-
-            let mut invalid: Vec<ObjectId> = Vec::new();
-            let mut any_locked = false;
-            let mut best: Option<(Version, ObjectVal)> = None;
-            let mut sampled: HashMap<u16, f64> = HashMap::new();
-            // (responder, version it served, was it locked there) — feeds
-            // read repair once the freshest version is known.
-            let mut served: Vec<(NodeId, Version, bool)> = Vec::with_capacity(resps.len());
-            for (src, r) in resps {
-                if let Msg::ReadResp {
-                    version,
-                    value,
-                    invalid: inv,
-                    locked,
-                    levels,
-                    ..
-                } = r
-                {
-                    served.push((src, version, locked));
-                    invalid.extend(inv);
-                    for (c, l) in levels {
-                        let e = sampled.entry(c).or_insert(0.0);
-                        if l > *e {
-                            *e = l;
-                        }
-                    }
-                    if locked {
-                        any_locked = true;
-                    } else if best.as_ref().is_none_or(|(v, _)| version > *v) {
-                        best = Some((version, value));
-                    }
-                }
-            }
-            if !sampled.is_empty() {
-                self.piggybacked = sampled;
-            }
-            if !invalid.is_empty() {
-                invalid.sort_unstable();
-                invalid.dedup();
-                self.stats.read_invalidations += 1;
-                return Err(DtmError::Invalidated { objs: invalid });
-            }
-            if any_locked {
-                // The object (or a replica of it) is protected by an
-                // in-flight commit: back off briefly and re-read. Reading
-                // around the lock would be unsafe only for the value — the
-                // freshest unlocked replica may be pre-commit — so we must
-                // retry rather than mix.
-                locked_attempts += 1;
-                self.stats.locked_read_retries += 1;
-                if locked_attempts > self.cfg.locked_retries {
-                    return Err(DtmError::LockedOut { obj });
-                }
-                let lw = Instant::now();
-                std::thread::sleep(self.cfg.locked_backoff);
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record_plain(SpanKind::LockWait, lw);
-                }
-                continue;
-            }
-            let (best_version, best_value) = best.expect("quorum is non-empty");
-            // Read repair: push the freshest committed copy back to lagging
-            // responders (bounded, fire-and-forget). Locked responders are
-            // skipped — the in-flight commit holding the lock will install
-            // a version ≥ ours anyway.
-            if self.cfg.read_repair_max > 0 && best_version > 0 {
-                let lagging: Vec<NodeId> = served
-                    .iter()
-                    .filter(|&&(_, v, locked)| !locked && v < best_version)
-                    .map(|&(src, _, _)| src)
-                    .take(self.cfg.read_repair_max)
-                    .collect();
-                if !lagging.is_empty() {
-                    let req = self.next_req;
-                    self.next_req += 1;
-                    let msg = Msg::RepairWrite {
-                        req,
-                        writes: vec![(obj, best_version, best_value.clone())],
-                    };
-                    let bytes = msg.wire_bytes();
-                    self.endpoint.broadcast(&lagging, msg, bytes);
-                    self.stats.repair_writes_sent += lagging.len() as u64;
-                }
-            }
-            return Ok((best_version, best_value));
-        }
-    }
-
-    /// Remote read of several objects in **one** quorum round trip.
+    /// The read round — every remote read of the DTM, of one object or of
+    /// many, is this one quorum round trip.
     ///
     /// `validate` is the transaction's full read-set; `watermarks` maps
     /// each server to the length of the read-set prefix it has already
@@ -574,12 +421,14 @@ impl DtmClient {
     /// so total shipped validation payload stays linear in the read-set
     /// size. Skipped entries are still validated at prepare time; the
     /// delta only affects how early staleness is detected, never safety.
+    /// A caller that wants the whole read-set re-validated (a
+    /// statement-level open) passes empty watermarks.
     ///
-    /// Unlike [`DtmClient::remote_read`], the batch round contacts exactly
-    /// one minimal quorum and waits for every member: advancing watermarks
-    /// for a member that never replied would skip validation it has not
-    /// done, and *not* advancing stragglers would pin the delta at the full
-    /// read-set, defeating the point.
+    /// The round contacts exactly one minimal read quorum and waits for
+    /// every member: advancing watermarks for a member that never replied
+    /// would skip validation it has not done, and *not* advancing
+    /// stragglers would pin the delta at the full read-set, defeating the
+    /// point.
     ///
     /// Returns `(object, version, value)` in request order.
     pub fn remote_read_batch(
@@ -589,7 +438,7 @@ impl DtmClient {
         validate: &[ValidateEntry],
         watermarks: &mut HashMap<NodeId, usize>,
     ) -> Result<Vec<(ObjectId, Version, ObjectVal)>, DtmError> {
-        assert!(!objs.is_empty(), "batch read of zero objects");
+        assert!(!objs.is_empty(), "read round for zero objects");
         let mut locked_attempts = 0usize;
         let mut quorum_attempts = 0usize;
         loop {
@@ -611,7 +460,7 @@ impl DtmClient {
             self.stats.validate_entries_sent += (delta.len() * quorum.len()) as u64;
             let objs_owned = objs.to_vec();
             let sample = self.piggyback_classes.clone();
-            let resps = match self.rpc_round(&quorum, quorum.len(), |req| Msg::ReadBatchReq {
+            let resps = match self.rpc_round(&quorum, |req| Msg::ReadBatchReq {
                 txn,
                 req,
                 objs: objs_owned.clone(),
@@ -630,7 +479,6 @@ impl DtmClient {
                 Err(other) => return Err(other),
             };
             self.stats.remote_reads += 1;
-            self.stats.batched_reads += 1;
 
             let mut invalid: Vec<ObjectId> = Vec::new();
             let mut locked_obj: Option<ObjectId> = None;
@@ -678,6 +526,11 @@ impl DtmClient {
                 return Err(DtmError::Invalidated { objs: invalid });
             }
             if let Some(obj) = locked_obj {
+                // An object (or a replica of it) is protected by an
+                // in-flight commit: back off briefly and re-read. Reading
+                // around the lock would be unsafe only for the value — the
+                // freshest unlocked replica may be pre-commit — so we must
+                // retry rather than mix.
                 locked_attempts += 1;
                 self.stats.locked_read_retries += 1;
                 if locked_attempts > self.cfg.locked_retries {
@@ -699,8 +552,8 @@ impl DtmClient {
             }
             // Read repair, batched per lagging responder: each repaired
             // node gets one RepairWrite carrying exactly the objects it
-            // served stale (and unlocked). Bounded and fire-and-forget,
-            // like the single-object path.
+            // served stale (and unlocked) — pushing the freshest committed
+            // copy back. Bounded and fire-and-forget.
             if self.cfg.read_repair_max > 0 {
                 let mut repaired = 0usize;
                 for (node, versions) in &served {

@@ -41,6 +41,15 @@ pub struct SpecCache {
 }
 
 impl SpecCache {
+    fn from_round(fetched: Vec<(ObjectId, Version, ObjectVal)>) -> SpecCache {
+        SpecCache {
+            map: fetched
+                .into_iter()
+                .map(|(o, v, val)| (o, (v, val)))
+                .collect(),
+        }
+    }
+
     /// Number of cached copies.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -69,30 +78,47 @@ impl SpecCache {
     }
 }
 
-/// One speculative read round: a single object is a plain remote read, more
-/// go through the batched round; nothing missing costs nothing.
+/// The objects of `objs` a round must still fetch: those the transaction
+/// has not `read`, each once.
+fn unread(objs: &[ObjectId], read: impl Fn(ObjectId) -> bool) -> Vec<ObjectId> {
+    let mut out: Vec<ObjectId> = Vec::new();
+    for &obj in objs {
+        if !read(obj) && !out.contains(&obj) {
+            out.push(obj);
+        }
+    }
+    out
+}
+
+/// One fetch round for `missing`, presenting the *delta* of `validate`
+/// past the contacted quorum's `watermarks`; nothing missing costs nothing.
 fn fetch_round(
     client: &mut DtmClient,
     txn: TxnId,
     missing: &[ObjectId],
     validate: &[ValidateEntry],
     watermarks: &mut HashMap<NodeId, usize>,
-) -> Result<SpecCache, DtmError> {
-    let mut map = HashMap::with_capacity(missing.len());
-    match missing {
-        [] => {}
-        [obj] => {
-            map.insert(*obj, client.remote_read(txn, *obj, validate)?);
-        }
-        _ => {
-            for (obj, version, value) in
-                client.remote_read_batch(txn, missing, validate, watermarks)?
-            {
-                map.insert(obj, (version, value));
-            }
-        }
+) -> Result<Vec<(ObjectId, Version, ObjectVal)>, DtmError> {
+    if missing.is_empty() {
+        return Ok(Vec::new());
     }
-    Ok(SpecCache { map })
+    client.remote_read_batch(txn, missing, validate, watermarks)
+}
+
+/// The round behind a statement-level `Open` of `obj`: the same read round
+/// as a fetch, but with no watermarks, so the *whole* of `validate` is
+/// re-validated — the paper's incremental validation on every open.
+fn open_round(
+    client: &mut DtmClient,
+    txn: TxnId,
+    obj: ObjectId,
+    validate: &[ValidateEntry],
+) -> Result<(Version, ObjectVal), DtmError> {
+    let (_, version, value) = client
+        .remote_read_batch(txn, &[obj], validate, &mut HashMap::new())?
+        .pop()
+        .expect("one reply per requested object");
+    Ok((version, value))
 }
 
 /// The root (parent) transaction context.
@@ -112,7 +138,7 @@ pub struct TxnCtx {
     writes: HashSet<ObjectId>,
     /// Per-server validated watermark: how many leading entries of the
     /// current validation vector (this read-set, extended by a running
-    /// child's reads) each server has already validated. Batched reads
+    /// child's reads) each server has already validated. Fetch rounds
     /// ship only the suffix past the contacted quorum's minimum watermark
     /// (see [`DtmClient::remote_read_batch`]).
     watermarks: HashMap<NodeId, usize>,
@@ -165,7 +191,7 @@ impl TxnCtx {
         update: bool,
     ) -> Result<(), DtmError> {
         if !self.has_read(obj) {
-            let (version, value) = client.remote_read(self.txn, obj, &self.read_set)?;
+            let (version, value) = open_round(client, self.txn, obj, &self.read_set)?;
             self.read_index.insert(obj, self.read_set.len());
             self.read_set.push((obj, version));
             self.buffers.insert(obj, value);
@@ -177,39 +203,28 @@ impl TxnCtx {
     }
 
     /// Open every not-yet-read object of `objs` in **one** quorum round
-    /// trip, straight into the read-set. A single missing object falls
-    /// back to [`TxnCtx::open`]; none missing is free. Objects are fetched
-    /// read-only — the `Open` statement itself still records update intent
-    /// when it executes.
+    /// trip (a fetch round), straight into the read-set; none missing is
+    /// free. Objects are fetched read-only — the `Open` statement itself
+    /// still records update intent when it executes.
     pub fn open_batch(
         &mut self,
         client: &mut DtmClient,
         objs: &[ObjectId],
     ) -> Result<(), DtmError> {
-        let mut missing: Vec<ObjectId> = Vec::new();
-        for &obj in objs {
-            if !self.has_read(obj) && !missing.contains(&obj) {
-                missing.push(obj);
-            }
+        let missing = unread(objs, |obj| self.has_read(obj));
+        let fetched = fetch_round(
+            client,
+            self.txn,
+            &missing,
+            &self.read_set,
+            &mut self.watermarks,
+        )?;
+        for (obj, version, value) in fetched {
+            self.read_index.insert(obj, self.read_set.len());
+            self.read_set.push((obj, version));
+            self.buffers.insert(obj, value);
         }
-        match missing.len() {
-            0 => Ok(()),
-            1 => self.open(client, missing[0], false),
-            _ => {
-                let fetched = client.remote_read_batch(
-                    self.txn,
-                    &missing,
-                    &self.read_set,
-                    &mut self.watermarks,
-                )?;
-                for (obj, version, value) in fetched {
-                    self.read_index.insert(obj, self.read_set.len());
-                    self.read_set.push((obj, version));
-                    self.buffers.insert(obj, value);
-                }
-                Ok(())
-            }
-        }
+        Ok(())
     }
 
     /// Fetch speculative copies of every not-yet-read object of `objs` in
@@ -221,12 +236,7 @@ impl TxnCtx {
         client: &mut DtmClient,
         objs: &[ObjectId],
     ) -> Result<SpecCache, DtmError> {
-        let mut missing: Vec<ObjectId> = Vec::new();
-        for &obj in objs {
-            if !self.has_read(obj) && !missing.contains(&obj) {
-                missing.push(obj);
-            }
-        }
+        let missing = unread(objs, |obj| self.has_read(obj));
         fetch_round(
             client,
             self.txn,
@@ -234,6 +244,7 @@ impl TxnCtx {
             &self.read_set,
             &mut self.watermarks,
         )
+        .map(SpecCache::from_round)
     }
 
     /// [`TxnCtx::open`] through the speculative cache: a hit installs a
@@ -372,7 +383,7 @@ impl ChildCtx {
     ) -> Result<(), DtmError> {
         if !self.read_index.contains_key(&obj) && !parent.has_read(obj) {
             let validate = self.combined_validate(parent);
-            let (version, value) = client.remote_read(parent.txn, obj, &validate)?;
+            let (version, value) = open_round(client, parent.txn, obj, &validate)?;
             self.read_index.insert(obj, self.reads.len());
             self.reads.push((obj, version));
             self.overlay.insert(obj, value);
@@ -394,15 +405,9 @@ impl ChildCtx {
         parent: &mut TxnCtx,
         objs: &[ObjectId],
     ) -> Result<SpecCache, DtmError> {
-        let mut missing: Vec<ObjectId> = Vec::new();
-        for &obj in objs {
-            if !self.read_index.contains_key(&obj)
-                && !parent.has_read(obj)
-                && !missing.contains(&obj)
-            {
-                missing.push(obj);
-            }
-        }
+        let missing = unread(objs, |obj| {
+            self.read_index.contains_key(&obj) || parent.has_read(obj)
+        });
         let validate = self.combined_validate(parent);
         fetch_round(
             client,
@@ -411,6 +416,7 @@ impl ChildCtx {
             &validate,
             &mut parent.watermarks,
         )
+        .map(SpecCache::from_round)
     }
 
     /// [`ChildCtx::open`] through the speculative cache: a hit installs a

@@ -47,53 +47,24 @@ pub struct BatchRead {
 /// Messages exchanged between clients and quorum servers.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// Client → read quorum member: fetch the latest copy of `obj` and
-    /// re-validate the presented read-set (incremental validation).
+    /// Client → read quorum member: the one read request. Fetch the latest
+    /// copies of `objs` in one round trip and re-validate the presented
+    /// read-set entries (incremental validation); a single-object read is
+    /// a batch of one.
+    ///
+    /// `validate` is the whole read-set on a round issued by a
+    /// statement-level open, and only its *delta* on a fetch round —
+    /// entries not yet validated against the slowest member of this quorum,
+    /// per the client's per-server watermarks — so a fetching transaction's
+    /// shipped validation payload grows linearly with the read-set instead
+    /// of quadratically. The full read-set is still validated at prepare
+    /// time, so the delta only affects how early a stale read is detected,
+    /// never safety.
+    ///
     /// `sample` piggybacks a contention query on the existing message —
     /// "meta-data are coupled with existing network messages, which
     /// slightly increases the network transmission delay" (paper §V-C2) —
     /// listing the object classes whose levels the Dynamic Module wants.
-    ReadReq {
-        /// The requesting transaction.
-        txn: TxnId,
-        /// Correlation id.
-        req: ReqId,
-        /// The object to fetch.
-        obj: ObjectId,
-        /// Read-set presented for incremental validation.
-        validate: Vec<ValidateEntry>,
-        /// Classes whose contention level should ride along on the reply.
-        sample: Vec<u16>,
-    },
-    /// Server → client: the replica's copy, plus any read-set entries this
-    /// replica knows to be stale (its version is newer than presented).
-    /// `locked` is set when the object is `protected` by an in-flight
-    /// commit, in which case `version`/`value` must be ignored. `levels`
-    /// answers the request's piggybacked contention sample.
-    ReadResp {
-        /// Correlation id.
-        req: ReqId,
-        /// This replica's version of the object.
-        version: Version,
-        /// This replica's copy of the object.
-        value: ObjectVal,
-        /// Presented read-set entries this replica knows to be stale.
-        invalid: Vec<ObjectId>,
-        /// The object is `protected` by an in-flight commit.
-        locked: bool,
-        /// Piggybacked per-class contention levels (see `ReadReq::sample`).
-        levels: Vec<(u16, f64)>,
-    },
-    /// Client → read quorum member: fetch the latest copies of several
-    /// objects in one round trip (the executor's speculative read path
-    /// batches every open whose object id is known when the round is sent).
-    ///
-    /// `validate` carries only the *delta* of the read-set — entries not
-    /// yet validated against the slowest member of this quorum, per the
-    /// client's per-server watermarks — so the shipped validation payload
-    /// grows linearly with the read-set instead of quadratically. The full
-    /// read-set is still validated at prepare time, so delta validation
-    /// only affects how early a stale read is detected, never safety.
     ReadBatchReq {
         /// The requesting transaction.
         txn: TxnId,
@@ -101,13 +72,16 @@ pub enum Msg {
         req: ReqId,
         /// The objects to fetch.
         objs: Vec<ObjectId>,
-        /// Read-set delta presented for incremental validation.
+        /// Read-set entries presented for incremental validation.
         validate: Vec<ValidateEntry>,
         /// Classes whose contention level should ride along on the reply.
         sample: Vec<u16>,
     },
     /// Server → client: one [`BatchRead`] per requested object (same
-    /// order), served atomically against the replica's store.
+    /// order), served atomically against the replica's store, plus any
+    /// presented read-set entries this replica knows to be stale (its
+    /// version is newer than presented). `levels` answers the request's
+    /// piggybacked contention sample.
     ReadBatchResp {
         /// Correlation id.
         req: ReqId,
@@ -115,7 +89,8 @@ pub enum Msg {
         reads: Vec<BatchRead>,
         /// Presented read-set entries this replica knows to be stale.
         invalid: Vec<ObjectId>,
-        /// Piggybacked per-class contention levels.
+        /// Piggybacked per-class contention levels (see
+        /// `ReadBatchReq::sample`).
         levels: Vec<(u16, f64)>,
     },
     /// Phase 1 of 2PC: lock the write-set and validate the read-set.
@@ -279,10 +254,9 @@ pub enum Msg {
 pub mod kind {
     use acn_simnet::MsgKind;
 
-    /// [`super::Msg::ReadReq`]
-    pub const READ_REQ: MsgKind = 0;
-    /// [`super::Msg::ReadResp`]
-    pub const READ_RESP: MsgKind = 1;
+    // 0 and 1 belonged to the retired single-object read pair. They are
+    // not reused: chaos fates hash the kind, so renumbering would reshuffle
+    // every seeded fault schedule.
     /// [`super::Msg::ReadBatchReq`]
     pub const READ_BATCH_REQ: MsgKind = 2;
     /// [`super::Msg::ReadBatchResp`]
@@ -321,8 +295,6 @@ impl Msg {
     /// This message's [`acn_simnet::MsgKind`] for chaos-rule filtering.
     pub fn kind(&self) -> acn_simnet::MsgKind {
         match self {
-            Msg::ReadReq { .. } => kind::READ_REQ,
-            Msg::ReadResp { .. } => kind::READ_RESP,
             Msg::ReadBatchReq { .. } => kind::READ_BATCH_REQ,
             Msg::ReadBatchResp { .. } => kind::READ_BATCH_RESP,
             Msg::PrepareReq { .. } => kind::PREPARE_REQ,
@@ -346,8 +318,7 @@ impl Msg {
     /// The correlation id of a *response* message, if it is one.
     pub fn response_req(&self) -> Option<ReqId> {
         match self {
-            Msg::ReadResp { req, .. }
-            | Msg::ReadBatchResp { req, .. }
+            Msg::ReadBatchResp { req, .. }
             | Msg::PrepareResp { req, .. }
             | Msg::CommitAck { req }
             | Msg::AbortAck { req }
@@ -373,17 +344,6 @@ impl Msg {
             8 + 16 * v.len() as u64
         }
         match self {
-            Msg::ReadReq {
-                validate, sample, ..
-            } => HDR + OID + VE * validate.len() as u64 + 2 * sample.len() as u64,
-            Msg::ReadResp {
-                value,
-                invalid,
-                levels,
-                ..
-            } => {
-                HDR + 9 + val_bytes(value) + OID * invalid.len() as u64 + LVL * levels.len() as u64
-            }
             Msg::ReadBatchReq {
                 objs,
                 validate,
@@ -454,18 +414,6 @@ mod tests {
 
     #[test]
     fn response_req_extracts_correlation_ids() {
-        assert_eq!(
-            Msg::ReadResp {
-                req: 5,
-                version: 0,
-                value: ObjectVal::new(),
-                invalid: vec![],
-                locked: false,
-                levels: vec![]
-            }
-            .response_req(),
-            Some(5)
-        );
         assert_eq!(
             Msg::ReadBatchResp {
                 req: 6,
@@ -618,16 +566,8 @@ mod tests {
         let base = batch(4, 0).wire_bytes();
         assert_eq!(batch(8, 0).wire_bytes() - base, 4 * 12);
         assert_eq!(batch(4, 3).wire_bytes() - base, 3 * 20);
-        // A batch of n objects costs less than n single-object requests.
-        let single = Msg::ReadReq {
-            txn: t,
-            req: 1,
-            obj: obj(0),
-            validate: vec![],
-            sample: vec![],
-        }
-        .wire_bytes();
-        assert!(batch(8, 0).wire_bytes() < 8 * single);
+        // A batch of n objects costs less than n batches of one.
+        assert!(batch(8, 0).wire_bytes() < 8 * batch(1, 0).wire_bytes());
     }
 
     #[test]

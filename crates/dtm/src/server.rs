@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 /// Counters a server reports on shutdown.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Read requests served.
+    /// Objects served on read rounds.
     pub reads: u64,
     /// Prepare requests processed.
     pub prepares: u64,
@@ -27,8 +27,6 @@ pub struct ServerStats {
     pub aborts: u64,
     /// Explicit contention queries answered.
     pub contention_queries: u64,
-    /// Batched read rounds served (objects are also counted in `reads`).
-    pub batched_reads: u64,
     /// Prepared transactions whose locks were reclaimed because the client
     /// never finished phase 2 within the prepare TTL.
     pub expired_prepares: u64,
@@ -723,7 +721,7 @@ impl Server {
         // versions forward.
         if self.syncing {
             match &msg {
-                Msg::ReadReq { req, .. } | Msg::ReadBatchReq { req, .. } => {
+                Msg::ReadBatchReq { req, .. } => {
                     self.stats.sync_read_refusals += 1;
                     return Some(Msg::Syncing { req: *req });
                 }
@@ -760,37 +758,6 @@ impl Server {
             }
         }
         match msg {
-            Msg::ReadReq {
-                txn,
-                req,
-                obj,
-                validate,
-                sample,
-            } => {
-                self.stats.reads += 1;
-                let (version, value, lock) = self.store.read(obj);
-                // Incremental validation runs regardless of lock state: a
-                // stale read-set is worth reporting even when the requested
-                // object is protected.
-                let invalid: Vec<ObjectId> = validate
-                    .iter()
-                    .filter(|&&(o, v)| self.store.version(o) > v)
-                    .map(|&(o, _)| o)
-                    .collect();
-                let locked = matches!(lock, Some(holder) if holder != txn);
-                let levels = sample
-                    .iter()
-                    .map(|&c| (c, self.contention.class_level(c, now)))
-                    .collect();
-                Some(Msg::ReadResp {
-                    req,
-                    version,
-                    value,
-                    invalid,
-                    locked,
-                    levels,
-                })
-            }
             Msg::ReadBatchReq {
                 txn,
                 req,
@@ -799,11 +766,11 @@ impl Server {
                 sample,
             } => {
                 // The server is single-threaded, so the whole batch is
-                // served against one atomic snapshot of the store. Each
-                // object bumps the read counter once, exactly as its own
-                // ReadReq would have.
+                // served against one atomic snapshot of the store.
+                // Incremental validation runs regardless of lock state: a
+                // stale read-set is worth reporting even when a requested
+                // object is protected.
                 self.stats.reads += objs.len() as u64;
-                self.stats.batched_reads += 1;
                 let invalid: Vec<ObjectId> = validate
                     .iter()
                     .filter(|&&(o, v)| self.store.version(o) > v)
@@ -1321,12 +1288,13 @@ mod tests {
         Server::new(WindowConfig::default())
     }
 
+    /// A single-object read: a batch of one.
     fn read(s: &mut Server, t: TxnId, obj: ObjectId, validate: Vec<(ObjectId, u64)>) -> Msg {
         s.handle(
-            Msg::ReadReq {
+            Msg::ReadBatchReq {
                 txn: t,
                 req: 1,
-                obj,
+                objs: vec![obj],
                 validate,
                 sample: vec![],
             },
@@ -1339,15 +1307,12 @@ mod tests {
     fn fresh_read_returns_version_zero() {
         let mut s = server();
         match read(&mut s, txn(1), OBJ, vec![]) {
-            Msg::ReadResp {
-                version,
-                invalid,
-                locked,
-                ..
-            } => {
-                assert_eq!(version, 0);
+            Msg::ReadBatchResp { reads, invalid, .. } => {
+                assert_eq!(reads.len(), 1);
+                assert_eq!(reads[0].obj, OBJ);
+                assert_eq!(reads[0].version, 0);
                 assert!(invalid.is_empty());
-                assert!(!locked);
+                assert!(!reads[0].locked);
             }
             other => panic!("{other:?}"),
         }
@@ -1384,9 +1349,9 @@ mod tests {
         assert!(matches!(ack, Msg::CommitAck { req: 3 }));
         // A later read sees it.
         match read(&mut s, txn(2), OBJ, vec![]) {
-            Msg::ReadResp { version, value, .. } => {
-                assert_eq!(version, 1);
-                assert_eq!(value, val(42));
+            Msg::ReadBatchResp { reads, .. } => {
+                assert_eq!(reads[0].version, 1);
+                assert_eq!(reads[0].value, val(42));
             }
             other => panic!("{other:?}"),
         }
@@ -1415,7 +1380,7 @@ mod tests {
         );
         // Reader presents version 0 for OBJ while reading OBJ2.
         match read(&mut s, txn(2), OBJ2, vec![(OBJ, 0)]) {
-            Msg::ReadResp { invalid, .. } => assert_eq!(invalid, vec![OBJ]),
+            Msg::ReadBatchResp { invalid, .. } => assert_eq!(invalid, vec![OBJ]),
             other => panic!("{other:?}"),
         }
     }
@@ -1433,12 +1398,12 @@ mod tests {
             Instant::now(),
         );
         match read(&mut s, txn(2), OBJ, vec![]) {
-            Msg::ReadResp { locked, .. } => assert!(locked),
+            Msg::ReadBatchResp { reads, .. } => assert!(reads[0].locked),
             other => panic!("{other:?}"),
         }
         // The lock holder itself is not "locked out".
         match read(&mut s, txn(1), OBJ, vec![]) {
-            Msg::ReadResp { locked, .. } => assert!(!locked),
+            Msg::ReadBatchResp { reads, .. } => assert!(!reads[0].locked),
             other => panic!("{other:?}"),
         }
     }
@@ -1652,10 +1617,10 @@ mod tests {
         // one (a multi-window gap would — correctly — read as cold).
         let resp = s
             .handle(
-                Msg::ReadReq {
+                Msg::ReadBatchReq {
                     txn: txn(2),
                     req: 3,
-                    obj: OBJ2,
+                    objs: vec![OBJ2],
                     validate: vec![],
                     sample: vec![C.id, 77],
                 },
@@ -1663,7 +1628,7 @@ mod tests {
             )
             .unwrap();
         match resp {
-            Msg::ReadResp { levels, .. } => {
+            Msg::ReadBatchResp { levels, .. } => {
                 assert_eq!(levels.len(), 2);
                 assert!(levels[0].1 > 0.0, "class C saw a committed write");
                 assert_eq!(levels[1].1, 0.0);
@@ -1672,7 +1637,7 @@ mod tests {
         }
         // An empty sample costs nothing on the wire.
         match read(&mut s, txn(3), OBJ2, vec![]) {
-            Msg::ReadResp { levels, .. } => assert!(levels.is_empty()),
+            Msg::ReadBatchResp { levels, .. } => assert!(levels.is_empty()),
             other => panic!("{other:?}"),
         }
     }
@@ -1722,9 +1687,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // Each object counts as a read; the round counts once.
+        // Each object counts as a read.
         assert_eq!(s.stats().reads, 2);
-        assert_eq!(s.stats().batched_reads, 1);
     }
 
     #[test]
@@ -2005,10 +1969,10 @@ mod tests {
         // Reads: refused with a Syncing response, not served as v0.
         match s
             .handle(
-                Msg::ReadReq {
+                Msg::ReadBatchReq {
                     txn: txn(2),
                     req: 7,
-                    obj: OBJ,
+                    objs: vec![OBJ],
                     validate: vec![],
                     sample: vec![],
                 },
@@ -2112,9 +2076,9 @@ mod tests {
 
         // Reads serve the synced copy; the mid-sync commit survived.
         match read(&mut s, txn(5), OBJ, vec![]) {
-            Msg::ReadResp { version, value, .. } => {
-                assert_eq!(version, 4);
-                assert_eq!(value, val(40));
+            Msg::ReadBatchResp { reads, .. } => {
+                assert_eq!(reads[0].version, 4);
+                assert_eq!(reads[0].value, val(40));
             }
             other => panic!("{other:?}"),
         }

@@ -232,13 +232,13 @@ fn amnesia_recovery_refuses_votes_then_converges() {
     let probe = ObjectId::new(BRANCH, 20);
     zombie.send(
         node3,
-        Msg::ReadReq {
+        Msg::ReadBatchReq {
             txn: TxnId {
                 client: NodeId(4 + 1),
                 seq: 0,
             },
             req: 1,
-            obj: probe,
+            objs: vec![probe],
             validate: vec![],
             sample: vec![],
         },
@@ -295,27 +295,30 @@ fn amnesia_recovery_refuses_votes_then_converges() {
         );
         zombie.send(
             node3,
-            Msg::ReadReq {
+            Msg::ReadBatchReq {
                 txn: TxnId {
                     client: NodeId(4 + 1),
                     seq: 2,
                 },
                 req: 3,
-                obj: probe,
+                objs: vec![probe],
                 validate: vec![],
                 sample: vec![],
             },
         );
         match zombie.recv_timeout(Duration::from_millis(500)) {
             Ok((_, Msg::Syncing { .. })) => std::thread::sleep(Duration::from_millis(20)),
-            Ok((_, Msg::ReadResp { version, value, .. })) => {
+            Ok((_, Msg::ReadBatchResp { reads, .. })) => {
                 // The wiped replica must have recovered the down-time
                 // write, not resurrected the pre-crash value.
-                assert!(version >= 2, "synced version must be post-downtime");
-                assert_eq!(value.get(BAL), Some(&Value::Int(120)));
+                assert!(
+                    reads[0].version >= 2,
+                    "synced version must be post-downtime"
+                );
+                assert_eq!(reads[0].value.get(BAL), Some(&Value::Int(120)));
                 break;
             }
-            other => panic!("expected Syncing or ReadResp, got {other:?}"),
+            other => panic!("expected Syncing or ReadBatchResp, got {other:?}"),
         }
     }
 
@@ -395,13 +398,13 @@ fn crash_restart_replays_log_then_fetches_only_the_delta() {
     let probe = ObjectId::new(BRANCH, 40);
     zombie.send(
         node3,
-        Msg::ReadReq {
+        Msg::ReadBatchReq {
             txn: TxnId {
                 client: NodeId(4 + 1),
                 seq: 0,
             },
             req: 1,
-            obj: probe,
+            objs: vec![probe],
             validate: vec![],
             sample: vec![],
         },
@@ -424,27 +427,30 @@ fn crash_restart_replays_log_then_fetches_only_the_delta() {
         );
         zombie.send(
             node3,
-            Msg::ReadReq {
+            Msg::ReadBatchReq {
                 txn: TxnId {
                     client: NodeId(4 + 1),
                     seq: 1,
                 },
                 req: 2,
-                obj: probe,
+                objs: vec![probe],
                 validate: vec![],
                 sample: vec![],
             },
         );
         match zombie.recv_timeout(Duration::from_millis(500)) {
             Ok((_, Msg::Syncing { .. })) => std::thread::sleep(Duration::from_millis(20)),
-            Ok((_, Msg::ReadResp { version, value, .. })) => {
+            Ok((_, Msg::ReadBatchResp { reads, .. })) => {
                 // The down-time write arrived via the delta, not a stale
                 // replayed copy.
-                assert!(version >= 2, "synced version must be post-downtime");
-                assert_eq!(value.get(BAL), Some(&Value::Int(140)));
+                assert!(
+                    reads[0].version >= 2,
+                    "synced version must be post-downtime"
+                );
+                assert_eq!(reads[0].value.get(BAL), Some(&Value::Int(140)));
                 break;
             }
-            other => panic!("expected Syncing or ReadResp, got {other:?}"),
+            other => panic!("expected Syncing or ReadBatchResp, got {other:?}"),
         }
     }
 
@@ -514,24 +520,24 @@ fn restart_recovery_work_scales_with_the_delta_not_the_store() {
         req += 1;
         zombie.send(
             node3,
-            Msg::ReadReq {
+            Msg::ReadBatchReq {
                 txn: TxnId {
                     client: NodeId(4 + 1),
                     seq: req,
                 },
                 req,
-                obj: ObjectId::new(BRANCH, 0),
+                objs: vec![ObjectId::new(BRANCH, 0)],
                 validate: vec![],
                 sample: vec![],
             },
         );
         match zombie.recv_timeout(Duration::from_millis(500)) {
             Ok((_, Msg::Syncing { .. })) => std::thread::sleep(Duration::from_millis(20)),
-            Ok((_, Msg::ReadResp { version, .. })) => {
-                assert!(version >= 2);
+            Ok((_, Msg::ReadBatchResp { reads, .. })) => {
+                assert!(reads[0].version >= 2);
                 break;
             }
-            other => panic!("expected Syncing or ReadResp, got {other:?}"),
+            other => panic!("expected Syncing or ReadBatchResp, got {other:?}"),
         }
     }
 

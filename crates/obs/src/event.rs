@@ -146,9 +146,13 @@ pub enum TxnEvent {
         /// Index into the Block sequence.
         block: u32,
     },
-    /// A batched quorum read round fetched this Block's prefetchable opens.
+    /// A speculative fetch round filled the attempt's read cache: the
+    /// attempt's initial fetch (every open the parameters resolve, all
+    /// Blocks' at once), a dependency level unlocked by a counter read, or
+    /// a refetch of evicted entries before a Block re-runs.
     BatchedRead {
-        /// Block the round belongs to (`None` = flat body).
+        /// Block the round was issued from (`None` = flat body, or the
+        /// attempt's initial fetch).
         block: Option<u32>,
         /// Number of objects fetched in the round.
         objs: u32,

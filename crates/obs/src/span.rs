@@ -56,7 +56,7 @@ pub enum SpanKind {
     Attempt,
     /// One closed-nested Block execution.
     Block,
-    /// A quorum read round (single or batched).
+    /// A quorum read round, of one object or of many.
     ReadRound,
     /// The 2PC prepare round.
     PrepareRound,

@@ -120,43 +120,6 @@ impl LevelQuorums {
         Some(out)
     }
 
-    /// The full *contact group* for an early-returning read: every live
-    /// member of the designated level, plus the number of matching replies
-    /// that constitute a read quorum (`need` = a majority of the level's
-    /// full membership).
-    ///
-    /// Soundness: any `need`-sized subset of one level is a valid read
-    /// quorum — majorities are computed over the level's total size, and a
-    /// write quorum holds a majority at every level — so a client may fan a
-    /// request out to the whole group and stop waiting at the first `need`
-    /// replies, whichever members they come from. Level selection and
-    /// fallback mirror [`LevelQuorums::read_quorum`].
-    ///
-    /// Returns `None` when no level has a live majority.
-    pub fn read_group(
-        &self,
-        seed: u64,
-        alive: &dyn Fn(usize) -> bool,
-    ) -> Option<(Vec<usize>, usize)> {
-        let depth = self.levels.len();
-        let preferred = match self.policy {
-            ReadLevelPolicy::Deepest => depth - 1,
-            ReadLevelPolicy::Fixed(l) => l.min(depth - 1),
-            ReadLevelPolicy::Rotate => (seed as usize) % depth,
-        };
-        let mut order = vec![preferred];
-        order.extend((0..depth).rev().filter(|&l| l != preferred));
-        for lvl in order {
-            let group = &self.levels[lvl];
-            let need = majority(group.len());
-            let live: Vec<usize> = group.iter().copied().filter(|&r| alive(r)).collect();
-            if live.len() >= need {
-                return Some((live, need));
-            }
-        }
-        None
-    }
-
     /// Size of the write quorum when all nodes are alive.
     pub fn write_quorum_size(&self) -> usize {
         self.levels.iter().map(|g| majority(g.len())).sum()
@@ -250,6 +213,10 @@ mod tests {
         // committed *before* the failures.
         let w = q.write_quorum(0, &all_alive).unwrap();
         assert!(intersects(&rq, &w));
+        // No level with a live majority ⇒ no read quorum. Live set {1,4,5}
+        // leaves every level (sizes 1/3/6) short of its full majority.
+        let sparse = |r: usize| matches!(r, 1 | 4 | 5);
+        assert!(q.read_quorum(0, &sparse).is_none());
     }
 
     #[test]
@@ -290,51 +257,6 @@ mod tests {
             .map(|s| q.read_quorum(s, &all_alive).unwrap().len())
             .collect();
         assert!(sizes.len() > 1, "rotation should visit different levels");
-    }
-
-    #[test]
-    fn read_group_is_live_level_with_full_membership_majority() {
-        let q = LevelQuorums::new(DaryTree::ternary(10));
-        let (group, need) = q.read_group(0, &all_alive).unwrap();
-        assert_eq!(group, (4..10).collect::<Vec<_>>());
-        assert_eq!(need, 4);
-        // With 2 of 6 leaves down the group shrinks but `need` must stay a
-        // majority of the FULL level, or quorum intersection would break.
-        let alive = |r: usize| r != 4 && r != 9;
-        let (group, need) = q.read_group(0, &alive).unwrap();
-        assert_eq!(group, vec![5, 6, 7, 8]);
-        assert_eq!(need, 4);
-    }
-
-    #[test]
-    fn read_group_falls_back_levels_and_any_majority_intersects_writes() {
-        let q = LevelQuorums::new(DaryTree::ternary(10));
-        // 3 of 6 leaves down: the leaf level cannot reach `need`, so the
-        // group must come from another level.
-        let alive = |r: usize| !(4..7).contains(&r);
-        let (group, need) = q.read_group(0, &alive).unwrap();
-        assert!(group.iter().all(|&r| alive(r)));
-        assert!(group.len() >= need);
-        // Every need-sized subset of the group must intersect every write
-        // quorum — this is what makes early return at `need` replies sound.
-        let w = q.write_quorum(3, &all_alive).unwrap();
-        for skip in 0..group.len() {
-            let subset: Vec<usize> = group
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(i, _)| i != skip)
-                .map(|(_, r)| r)
-                .take(need)
-                .collect();
-            if subset.len() == need {
-                assert!(intersects(&subset, &w), "subset {subset:?} missed {w:?}");
-            }
-        }
-        // No level with a live majority ⇒ no read group. Live set {1,4,5}
-        // leaves every level (sizes 1/3/6) short of its full majority.
-        let sparse = |r: usize| matches!(r, 1 | 4 | 5);
-        assert!(q.read_group(0, &sparse).is_none());
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub enum SpecMode {
     FullRestart,
 }
 
-/// Batch-mode knobs on [`ScenarioConfig`].
+/// Batch-mode knobs on [`crate::driver::ScenarioConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Transactions collected per wave.

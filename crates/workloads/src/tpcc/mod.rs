@@ -26,7 +26,7 @@ mod payment;
 use crate::schema::{D_TAX, ITEM, I_PRICE, STOCK, S_QTY, WAREHOUSE, W_TAX};
 use crate::workload::{TxnRequest, Workload};
 use acn_dtm::DtmClient;
-use acn_txir::{DependencyModel, ObjectId, Program, UnitBlockId, Value};
+use acn_txir::{DependencyModel, FieldId, ObjectId, Program, UnitBlockId, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -201,36 +201,43 @@ impl Workload for Tpcc {
     /// Seed item prices, warehouse/district taxes and initial stock so the
     /// monetary arithmetic produces non-trivial values.
     fn seed(&self, client: &mut DtmClient) {
-        // Items + stock, batched to bound read-set sizes.
+        // Items + stock, chunked to bound read-set sizes.
         for chunk in (0..self.cfg.items).collect::<Vec<_>>().chunks(25) {
-            crate::seed_txn(client, |client, ctx| {
-                for &i in chunk {
-                    let item = ObjectId::new(ITEM, i);
-                    ctx.open(client, item, true)?;
-                    ctx.set_field(item, I_PRICE, Value::Int(100 + (i as i64 % 900)));
-                    for w in 0..self.cfg.warehouses {
-                        let stock = ObjectId::new(STOCK, self.stock_index(w, i));
-                        ctx.open(client, stock, true)?;
-                        ctx.set_field(stock, S_QTY, Value::Int(1_000));
-                    }
-                }
-                Ok(())
-            });
-        }
-        crate::seed_txn(client, |client, ctx| {
-            for w in 0..self.cfg.warehouses {
-                let wh = ObjectId::new(WAREHOUSE, w);
-                ctx.open(client, wh, true)?;
-                ctx.set_field(wh, W_TAX, Value::Int(8));
-                for d in 0..self.cfg.districts_per_warehouse {
-                    let dist = ObjectId::new(DISTRICT, self.district_index(w, d));
-                    ctx.open(client, dist, true)?;
-                    ctx.set_field(dist, D_TAX, Value::Int(2));
+            let mut rows = Vec::new();
+            for &i in chunk {
+                let price = Value::Int(100 + (i as i64 % 900));
+                rows.push((ObjectId::new(ITEM, i), I_PRICE, price));
+                for w in 0..self.cfg.warehouses {
+                    let stock = ObjectId::new(STOCK, self.stock_index(w, i));
+                    rows.push((stock, S_QTY, Value::Int(1_000)));
                 }
             }
-            Ok(())
-        });
+            seed_rows(client, &rows);
+        }
+        let mut rows = Vec::new();
+        for w in 0..self.cfg.warehouses {
+            rows.push((ObjectId::new(WAREHOUSE, w), W_TAX, Value::Int(8)));
+            for d in 0..self.cfg.districts_per_warehouse {
+                let dist = ObjectId::new(DISTRICT, self.district_index(w, d));
+                rows.push((dist, D_TAX, Value::Int(2)));
+            }
+        }
+        seed_rows(client, &rows);
     }
+}
+
+/// One seeding transaction: a single read round opens every row, then each
+/// (now local) open records update intent and one field is set.
+fn seed_rows(client: &mut DtmClient, rows: &[(ObjectId, FieldId, Value)]) {
+    let objs: Vec<ObjectId> = rows.iter().map(|&(obj, _, _)| obj).collect();
+    crate::seed_txn(client, |client, ctx| {
+        ctx.open_batch(client, &objs)?;
+        for (obj, field, value) in rows {
+            ctx.open(client, *obj, true)?;
+            ctx.set_field(*obj, *field, value.clone());
+        }
+        Ok(())
+    });
 }
 
 /// Parameters for the minimum-line-count NewOrder template — a stable

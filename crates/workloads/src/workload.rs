@@ -15,7 +15,7 @@ const SEED_RETRIES: usize = 50;
 /// sync, which can transiently abort a seed commit. Retrying with a
 /// fresh context is what a loader does; reads hold no locks and an
 /// aborted 2PC round releases its own, so dropping the failed context
-/// is enough. Panics after [`SEED_RETRIES`] consecutive failures — a
+/// is enough. Panics after `SEED_RETRIES` consecutive failures — a
 /// seeder that cannot commit at all means the cluster is genuinely down.
 pub fn seed_txn(
     client: &mut DtmClient,

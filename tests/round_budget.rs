@@ -6,8 +6,11 @@
 //! The executor pays one read round per data-dependency level — never one
 //! per Block, never one per insert — so the schedule chosen for a
 //! transaction changes where it can roll back to, not what it costs.
+//! And a read round is one thing on the wire: a request to, and a reply
+//! from, each member of one minimal read quorum, whichever door issued it.
 
 use qr_acn::core::{ExecutorConfig, ExecutorEngine};
+use qr_acn::dtm::SpecCache;
 use qr_acn::prelude::*;
 use qr_acn::workloads::bank::Bank;
 use qr_acn::workloads::schema::{DISTRICT, ORDER, O_CARRIER, O_OL_CNT};
@@ -248,4 +251,84 @@ fn colliding_insert_is_caught_demoted_and_retried() {
     assert_eq!(ctx.get_field(order, O_CARRIER), Value::Int(7));
     assert_eq!(ctx.get_field(order, O_OL_CNT), Value::Int(5));
     cluster.shutdown();
+}
+
+#[test]
+fn every_read_round_costs_one_minimal_quorum_whichever_door_issued_it() {
+    const ROW: ObjClass = ObjClass::new(7, "Row");
+    for servers in [4usize, 10] {
+        let cluster = Cluster::start(ClusterConfig::test(servers, 1));
+        let mut client = cluster.client(0);
+        let quorums = LevelQuorums::new(DaryTree::ternary(servers));
+        let round = 2 * quorums.read_quorum_size() as u64;
+        // Never-written objects, each named once: every replica serves
+        // version 0, so no read repair rides behind a round.
+        let mut ids = 0..;
+        let mut fresh = |n: usize| -> Vec<ObjectId> {
+            ids.by_ref()
+                .take(n)
+                .map(|i| ObjectId::new(ROW, i))
+                .collect()
+        };
+        let sent = || cluster.net().stats().sent;
+
+        let mut ctx = TxnCtx::begin(&mut client);
+        let mut at = sent();
+        let mut paid = |door: &str| {
+            let now = sent();
+            assert_eq!(now - at, round, "{door} on {servers} servers");
+            at = now;
+        };
+        ctx.open(&mut client, fresh(1)[0], false).unwrap();
+        paid("TxnCtx::open");
+        ctx.open_batch(&mut client, &fresh(1)).unwrap();
+        paid("open_batch of 1");
+        ctx.open_batch(&mut client, &fresh(4)).unwrap();
+        paid("open_batch of 4");
+        ctx.fetch_spec(&mut client, &fresh(1)).unwrap();
+        paid("TxnCtx::fetch_spec of 1");
+        ctx.fetch_spec(&mut client, &fresh(4)).unwrap();
+        paid("TxnCtx::fetch_spec of 4");
+        ctx.open_spec(&mut client, fresh(1)[0], true, &SpecCache::default())
+            .unwrap();
+        paid("TxnCtx::open_spec miss");
+        let mut child = ctx.child();
+        child.open(&mut client, &ctx, fresh(1)[0], false).unwrap();
+        paid("ChildCtx::open");
+        child.fetch_spec(&mut client, &mut ctx, &fresh(1)).unwrap();
+        paid("ChildCtx::fetch_spec of 1");
+        child.fetch_spec(&mut client, &mut ctx, &fresh(4)).unwrap();
+        paid("ChildCtx::fetch_spec of 4");
+        child
+            .open_spec(&mut client, &ctx, fresh(1)[0], false, &SpecCache::default())
+            .unwrap();
+        paid("ChildCtx::open_spec miss");
+
+        // One unseeded NewOrder on the paper-literal arm: a round per open,
+        // then prepare and commit to one write quorum.
+        let k = 5;
+        let cfg = TpccConfig {
+            ol_min: k,
+            ol_max: k,
+            ..TpccConfig::default()
+        };
+        let tpcc = Tpcc::new(cfg, TpccMix::NEW_ORDER);
+        let dm = DependencyModel::analyze(tpcc.templates()[2].clone()).unwrap();
+        let params = tpcc.next(&mut StdRng::seed_from_u64(3), 0).params;
+        let before = sent();
+        let (reads, prepares) = rounds(
+            &unbatched(),
+            &mut client,
+            &dm,
+            &params,
+            &BlockSeq::flat(&dm),
+        );
+        assert_eq!((reads, prepares), (3 + 2 * k as u64 + 2 + k as u64, 1));
+        assert_eq!(
+            sent() - before,
+            reads * round + 4 * quorums.write_quorum_size() as u64,
+            "unbatched NewOrder on {servers} servers"
+        );
+        cluster.shutdown();
+    }
 }
