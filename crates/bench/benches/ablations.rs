@@ -4,18 +4,10 @@
 //!   Blocks survive; this measures recompute cost and records the
 //!   resulting block counts across thresholds;
 //! * **contention model** — the default write-count/Sum model vs the
-//!   di-Sanzo-style analytic abort-probability model;
-//! * **checkpointing vs closed nesting** — per-transaction latency of the
-//!   checkpointing executor (state clone per UnitBlock) against the
-//!   closed-nesting executor on an uncontended zero-latency cluster: the
-//!   pure overhead comparison behind the paper's design choice.
+//!   di-Sanzo-style analytic abort-probability model.
 
-use acn_core::{
-    run_checkpointed, AbortProbabilityModel, AlgorithmModule, BlockSeq, CheckpointStats, ExecStats,
-    ExecutorEngine, RetryPolicy, SumModel,
-};
-use acn_dtm::{Cluster, ClusterConfig};
-use acn_txir::{DependencyModel, Value};
+use acn_core::{AbortProbabilityModel, AlgorithmModule, SumModel};
+use acn_txir::DependencyModel;
 use acn_workloads::schema;
 use acn_workloads::tpcc::{Tpcc, TpccConfig, TpccMix};
 use acn_workloads::Workload;
@@ -79,69 +71,5 @@ fn bench_contention_model(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_checkpoint_vs_nesting(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_checkpoint_vs_nesting");
-    g.sample_size(30);
-    let tpcc = Tpcc::new(TpccConfig::default(), TpccMix::NEW_ORDER);
-    let dm = DependencyModel::analyze(tpcc.templates()[2].clone()).unwrap();
-    let seq = BlockSeq::from_units(&dm);
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-
-    // Closed nesting (QR-CN style per-unit children).
-    {
-        let cluster = Cluster::start(ClusterConfig::test(10, 1));
-        let mut client = cluster.client(0);
-        tpcc.seed(&mut client);
-        let engine = ExecutorEngine::default();
-        let mut stats = ExecStats::default();
-        g.bench_function("closed_nesting", |b| {
-            b.iter(|| {
-                // Pin the 5-line template so both executors run identical
-                // instance shapes.
-                let params: Vec<Value> =
-                    acn_workloads::tpcc::neworder_params_for_bench(&tpcc, &mut rng);
-                engine
-                    .run(&mut client, &dm.program, &params, &seq, &mut stats)
-                    .unwrap();
-                black_box(stats.commits)
-            })
-        });
-        cluster.shutdown();
-    }
-
-    // Checkpointing: identical schedule, state snapshot per block.
-    {
-        let cluster = Cluster::start(ClusterConfig::test(10, 1));
-        let mut client = cluster.client(0);
-        tpcc.seed(&mut client);
-        let mut stats = CheckpointStats::default();
-        let policy = RetryPolicy::default();
-        g.bench_function("checkpointing", |b| {
-            b.iter(|| {
-                let params: Vec<Value> =
-                    acn_workloads::tpcc::neworder_params_for_bench(&tpcc, &mut rng);
-                run_checkpointed(
-                    &mut client,
-                    &dm.program,
-                    &params,
-                    &seq,
-                    &policy,
-                    &mut stats,
-                    None,
-                )
-                .unwrap();
-                black_box(stats.commits)
-            })
-        });
-        cluster.shutdown();
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_merge_threshold,
-    bench_contention_model,
-    bench_checkpoint_vs_nesting
-);
+criterion_group!(benches, bench_merge_threshold, bench_contention_model);
 criterion_main!(benches);

@@ -8,11 +8,11 @@
 //! with a bounded randomized backoff between restarts.
 
 use crate::blocks::BlockSeq;
-use acn_dtm::{AbortScope, ChildCtx, DtmClient, DtmError, SpecCache, TxnCtx};
+use acn_dtm::{AbortScope, DtmClient, DtmError, SpecCache, TxnCtx};
 use acn_obs::{AbortKind, ExecStats, SpanKind, TxnEvent, TxnObserver};
 use acn_txir::{
-    AccessMode, EvalError, FieldId, ObjectId, OpenPlan, Operand, PredictedRead, Program, Stmt,
-    StmtIdx, Value, VarId,
+    AccessMode, EvalError, ObjectId, OpenPlan, Operand, PredictedRead, Program, Stmt, StmtIdx,
+    Value, VarId,
 };
 use rand_like::jitter;
 use std::time::{Duration, Instant};
@@ -129,7 +129,7 @@ pub struct PredictionOutcome {
     pub aliased: u64,
 }
 
-pub(crate) enum StepError {
+enum StepError {
     Dtm(DtmError),
     Eval(EvalError),
     /// A predicted counter read observed a different value than the batch
@@ -160,7 +160,7 @@ impl From<EvalError> for StepError {
 
 /// The speculative read state of one run: the one path by which an object
 /// is fetched ahead of its `Open`. Absent when batched reads are off.
-pub(crate) struct SpecReads<'a> {
+struct SpecReads<'a> {
     plan: &'a OpenPlan,
     params: &'a [Value],
     /// Objects whose blind presumption failed earlier in this run: they
@@ -236,14 +236,12 @@ impl<'a> SpecReads<'a> {
     }
 }
 
-/// Statement-level access to the running transaction: the root context on
-/// a flat schedule, the running Block's child over it on a nested one, so
-/// one interpreter serves both execution modes.
-pub(crate) struct Access<'a, 'r> {
-    pub(crate) ctx: &'a mut TxnCtx,
-    /// The running Block's sub-transaction (nested schedules only).
-    pub(crate) child: Option<&'a mut ChildCtx>,
-    pub(crate) reads: Option<&'a mut SpecReads<'r>>,
+/// Statement-level access to the running transaction: its context — with
+/// the running Block's scope open on it on a nested schedule — and the
+/// run's speculative reads.
+struct Access<'a, 'r> {
+    ctx: &'a mut TxnCtx,
+    reads: Option<&'a mut SpecReads<'r>>,
 }
 
 impl Access<'_, '_> {
@@ -259,23 +257,18 @@ impl Access<'_, '_> {
         blind: bool,
     ) -> Result<(), DtmError> {
         let Some(r) = self.reads.as_deref_mut() else {
-            return match self.child.as_deref_mut() {
-                Some(c) => c.open(client, self.ctx, obj, update),
-                None => self.ctx.open(client, obj, update),
-            };
+            return self.ctx.open(client, obj, update);
         };
         if blind && !r.cache.contains(&obj) && !r.demoted.contains(&obj) {
-            r.presumed.push(obj);
-            match self.child.as_deref_mut() {
-                Some(c) => c.open_blind(self.ctx, obj, update),
-                None => self.ctx.open_blind(obj, update),
+            // Presumed only if the copy went in: an object the transaction
+            // has really read keeps its real copy, and a Block re-run
+            // presumes the same object again.
+            if self.ctx.open_blind(obj, update) && !r.presumed.contains(&obj) {
+                r.presumed.push(obj);
             }
             return Ok(());
         }
-        match self.child.as_deref_mut() {
-            Some(c) => c.open_spec(client, self.ctx, obj, update, &r.cache),
-            None => self.ctx.open_spec(client, obj, update, &r.cache),
-        }
+        self.ctx.open_spec(client, obj, update, &r.cache)
     }
 
     /// Does some fetched open's index derive from a counter read?
@@ -284,20 +277,6 @@ impl Access<'_, '_> {
         self.reads
             .as_deref()
             .is_some_and(|r| !r.plan.counters.is_empty())
-    }
-
-    fn get(&self, obj: ObjectId, field: FieldId) -> Value {
-        match self.child.as_deref() {
-            Some(c) => c.get_field(self.ctx, obj, field),
-            None => self.ctx.get_field(obj, field),
-        }
-    }
-
-    fn set(&mut self, obj: ObjectId, field: FieldId, value: Value) {
-        match self.child.as_deref_mut() {
-            Some(c) => c.set_field(self.ctx, obj, field, value),
-            None => self.ctx.set_field(obj, field, value),
-        }
     }
 
     /// A `GetField` just produced `value` in register `reg`. If that was a
@@ -319,10 +298,7 @@ impl Access<'_, '_> {
         r.counters[site] = value.as_int().ok();
         let mut want = r.plan.resolve(r.params, &r.counters);
         want.retain(|o| !r.cache.contains(o));
-        let fresh = match self.child.as_deref() {
-            Some(c) => c.fetch_spec(client, self.ctx, &want)?,
-            None => self.ctx.fetch_spec(client, &want)?,
-        };
+        let fresh = self.ctx.fetch_spec(client, &want)?;
         if !fresh.is_empty() {
             r.late_rounds.push(fresh.len() as u32);
         }
@@ -332,15 +308,14 @@ impl Access<'_, '_> {
 }
 
 /// Register file plus object-handle table for one transaction attempt.
-#[derive(Clone)]
-pub(crate) struct Frame<'p> {
+struct Frame<'p> {
     params: &'p [Value],
     env: Vec<Value>,
     handles: Vec<Option<ObjectId>>,
 }
 
 impl<'p> Frame<'p> {
-    pub(crate) fn new(program: &Program, params: &'p [Value]) -> Self {
+    fn new(program: &Program, params: &'p [Value]) -> Self {
         Frame {
             params,
             env: vec![Value::Unit; program.vars as usize],
@@ -364,23 +339,13 @@ impl<'p> Frame<'p> {
 /// Run-time guards threaded through statement execution: the attempt's
 /// still-active counter predictions (validated at the real read) and the
 /// aliased-open check (nested mode only — flat program order is
-/// alias-safe, and so is the checkpoint runner's snapshot replay).
-pub(crate) struct StepGuards<'a> {
-    pub(crate) preds: Option<&'a mut Vec<PredictedRead>>,
-    pub(crate) alias_check: bool,
+/// alias-safe).
+struct StepGuards<'a> {
+    preds: Option<&'a mut Vec<PredictedRead>>,
+    alias_check: bool,
     /// Counts update-mode opens (commit-time lock claims) for the
     /// wasted-work ledger's `LockHolds` event.
-    pub(crate) lock_holds: Option<&'a mut u32>,
-}
-
-impl StepGuards<'_> {
-    pub(crate) fn none() -> StepGuards<'static> {
-        StepGuards {
-            preds: None,
-            alias_check: false,
-            lock_holds: None,
-        }
-    }
+    lock_holds: &'a mut u32,
 }
 
 fn run_stmt(
@@ -421,15 +386,13 @@ fn run_stmt(
                 .is_some_and(|r| r.plan.blind[var.0 as usize]);
             acc.open(client, obj, update, blind)?;
             if update {
-                if let Some(holds) = guards.lock_holds.as_deref_mut() {
-                    *holds += 1;
-                }
+                *guards.lock_holds += 1;
             }
             frame.handles[var.0 as usize] = Some(obj);
         }
         Stmt::GetField { var, obj, field } => {
             let handle = frame.handle(*obj);
-            let value = acc.get(handle, *field);
+            let value = acc.ctx.get_field(handle, *field);
             if let Some(preds) = guards.preds.as_deref_mut() {
                 if let Some(pos) = preds
                     .iter()
@@ -465,7 +428,7 @@ fn run_stmt(
         }
         Stmt::SetField { obj, field, value } => {
             let v = frame.eval(value);
-            acc.set(frame.handle(*obj), *field, v);
+            acc.ctx.set_field(frame.handle(*obj), *field, v);
         }
         Stmt::Compute { out, op, ins } => {
             let args: Vec<Value> = ins.iter().map(|o| frame.eval(o)).collect();
@@ -485,20 +448,6 @@ fn run_stmt(
                 run_stmt(acc, client, frame, s, guards)?;
             }
         }
-    }
-    Ok(())
-}
-
-pub(crate) fn run_block(
-    acc: &mut Access<'_, '_>,
-    client: &mut DtmClient,
-    frame: &mut Frame<'_>,
-    program: &Program,
-    stmts: &[StmtIdx],
-    guards: &mut StepGuards<'_>,
-) -> Result<(), StepError> {
-    for &i in stmts {
-        run_stmt(acc, client, frame, &program.stmts[i], guards)?;
     }
     Ok(())
 }
@@ -719,127 +668,9 @@ impl ExecutorEngine {
         }
 
         if seq.is_flat() || run.forced_flat {
-            // Program order, not schedule order: a genuinely flat sequence
-            // is already sorted, and the aliased-open degrade path relies
-            // on re-running a reordered nested schedule in program order,
-            // where aliasing is harmless.
-            let mut all: Vec<StmtIdx> = seq.blocks.iter().flatten().copied().collect();
-            all.sort_unstable();
-            if let Err(e) = run_body(client, &mut frame, program, &all, &mut ctx, None, run) {
-                if let StepError::Mispredict { pred, observed } = e {
-                    // Flat arm: no child scope to repair — full restart,
-                    // with the prediction dropped and fed back.
-                    run.mispredicted(pred, observed);
-                    run.sink.emit(TxnEvent::FullAbort {
-                        block: None,
-                        obj: Some(pred.obj),
-                        kind: AbortKind::SpecMispredict,
-                    });
-                    return Err(AttemptError::Restart);
-                }
-                return Err(self.step_error(e, None, run));
-            }
+            self.run_flat(client, inst, &mut frame, &mut ctx, run)?;
         } else {
-            for (bi, block) in seq.blocks.iter().enumerate() {
-                let bi = bi as u32;
-                let mut partial_tries = 0usize;
-                loop {
-                    run.sink.emit(TxnEvent::BlockStart { block: bi });
-                    if let Some(t) = client.tracer_mut() {
-                        t.block_start(bi);
-                    }
-                    // Everything the Block opens — from the cache, blind or
-                    // remotely — becomes a child-first read, so a later
-                    // invalidation of it rolls back only this Block.
-                    let mut child = ctx.child();
-                    let scope = Some((&mut child, bi));
-                    let e = match run_body(client, &mut frame, program, block, &mut ctx, scope, run)
-                    {
-                        Ok(()) => {
-                            child.commit_into(&mut ctx);
-                            if let Some(t) = client.tracer_mut() {
-                                t.block_end(false);
-                            }
-                            break;
-                        }
-                        Err(e) => e,
-                    };
-                    // Every error path abandons this Block run — whether it
-                    // retries the Block, escalates, or surfaces a fatal
-                    // error — so the open Block span always closes as
-                    // rolled back.
-                    if let Some(t) = client.tracer_mut() {
-                        t.block_end(true);
-                    }
-                    let (blamed, kind, refetch) = match e {
-                        StepError::Aliased { obj } => {
-                            // The distinct-objects assumption behind Block
-                            // reordering is void for this instance: full
-                            // abort, then re-run the whole transaction as a
-                            // flat program-order sequence where aliasing is
-                            // harmless.
-                            run.sink.emit(TxnEvent::FullAbort {
-                                block: Some(bi),
-                                obj: Some(obj),
-                                kind: AbortKind::AliasedOpen,
-                            });
-                            run.forced_flat = true;
-                            if let Some(p) = run.preds.as_mut() {
-                                p.outcome.aliased += 1;
-                            }
-                            return Err(AttemptError::Restart);
-                        }
-                        StepError::Dtm(DtmError::Invalidated { ref objs })
-                            if child.classify(&ctx, objs) == AbortScope::Child =>
-                        {
-                            // Stale child-first reads only. Evict the stale
-                            // cached copies and demote a blind open whose
-                            // presumed-absent object exists, so the re-run
-                            // sees fresh state.
-                            let refetch = run
-                                .reads
-                                .as_mut()
-                                .map_or_else(Vec::new, |r| r.invalidated(objs));
-                            let kind = if self.config.speculation {
-                                AbortKind::SpecPartial
-                            } else {
-                                AbortKind::Partial
-                            };
-                            (objs.first().copied(), kind, refetch)
-                        }
-                        // A mispredict is always repairable from this Block:
-                        // dropping the child discards nothing the parent
-                        // needs, and dropping the prediction guarantees the
-                        // re-run cannot trip over the same value again —
-                        // it re-resolves from the value it observes.
-                        StepError::Mispredict { pred, observed } => {
-                            run.mispredicted(pred, observed);
-                            (Some(pred.obj), AbortKind::SpecMispredict, Vec::new())
-                        }
-                        e => return Err(self.step_error(e, Some(bi), run)),
-                    };
-                    run.sink.emit(TxnEvent::PartialAbort {
-                        block: bi,
-                        obj: blamed,
-                        kind,
-                    });
-                    partial_tries += 1;
-                    if partial_tries >= self.policy.max_partial_retries {
-                        // Livelocked child: escalate.
-                        run.sink.emit(TxnEvent::FullAbort {
-                            block: Some(bi),
-                            obj: blamed,
-                            kind: AbortKind::Escalated,
-                        });
-                        return Err(AttemptError::Restart);
-                    }
-                    // One round brings back what was evicted; a parent-level
-                    // read that invalidates the parent's history is a full
-                    // abort, as at the initial fetch.
-                    self.fetch(client, &mut ctx, run, &refetch, Some(bi))?;
-                    // re-run just this Block
-                }
-            }
+            self.run_nested(client, inst, &mut frame, &mut ctx, run)?;
         }
 
         match ctx.commit(client) {
@@ -848,7 +679,149 @@ impl ExecutorEngine {
         }
     }
 
-    /// One parent-level speculative read round into the attempt's cache.
+    /// The flat arm: every statement in program order, no Block scope.
+    /// Program order, not schedule order: a genuinely flat sequence is
+    /// already sorted, and the aliased-open degrade path relies on
+    /// re-running a reordered nested schedule in program order, where
+    /// aliasing is harmless.
+    fn run_flat(
+        &self,
+        client: &mut DtmClient,
+        inst: &Instance<'_>,
+        frame: &mut Frame<'_>,
+        ctx: &mut TxnCtx,
+        run: &mut RunState<'_>,
+    ) -> Result<(), AttemptError> {
+        let mut all: Vec<StmtIdx> = inst.seq.blocks.iter().flatten().copied().collect();
+        all.sort_unstable();
+        match run_body(client, frame, inst.program, &all, ctx, None, run) {
+            Ok(()) => Ok(()),
+            Err(StepError::Mispredict { pred, observed }) => {
+                // No Block scope to repair from — full restart, with the
+                // prediction dropped and fed back.
+                run.mispredicted(pred, observed);
+                run.sink.emit(TxnEvent::FullAbort {
+                    block: None,
+                    obj: Some(pred.obj),
+                    kind: AbortKind::SpecMispredict,
+                });
+                Err(AttemptError::Restart)
+            }
+            Err(e) => Err(self.step_error(e, None, run)),
+        }
+    }
+
+    /// The nested arm: each Block runs as a closed-nested scope on `ctx`
+    /// until it commits into the transaction, re-running just that Block
+    /// for as long as whatever failed it was the Block's own.
+    fn run_nested(
+        &self,
+        client: &mut DtmClient,
+        inst: &Instance<'_>,
+        frame: &mut Frame<'_>,
+        ctx: &mut TxnCtx,
+        run: &mut RunState<'_>,
+    ) -> Result<(), AttemptError> {
+        for (bi, block) in inst.seq.blocks.iter().enumerate() {
+            let bi = bi as u32;
+            let mut partial_tries = 0usize;
+            loop {
+                run.sink.emit(TxnEvent::BlockStart { block: bi });
+                if let Some(t) = client.tracer_mut() {
+                    t.block_start(bi);
+                }
+                // Everything the Block opens — from the cache, blind or
+                // remotely — is read inside the scope, so a later invalidation
+                // of it rolls back only this Block.
+                ctx.begin_block();
+                let e = match run_body(client, frame, inst.program, block, ctx, Some(bi), run) {
+                    Ok(()) => {
+                        ctx.commit_block();
+                        if let Some(t) = client.tracer_mut() {
+                            t.block_end(false);
+                        }
+                        break;
+                    }
+                    Err(e) => e,
+                };
+                // Every error path abandons this Block run — whether it retries
+                // the Block, escalates, or surfaces a fatal error — so the open
+                // Block span always closes as rolled back.
+                if let Some(t) = client.tracer_mut() {
+                    t.block_end(true);
+                }
+                let (blamed, kind, refetch) = match e {
+                    StepError::Aliased { obj } => {
+                        // The distinct-objects assumption behind Block
+                        // reordering is void for this instance: full abort,
+                        // then re-run the whole transaction as a flat
+                        // program-order sequence where aliasing is harmless.
+                        run.sink.emit(TxnEvent::FullAbort {
+                            block: Some(bi),
+                            obj: Some(obj),
+                            kind: AbortKind::AliasedOpen,
+                        });
+                        run.forced_flat = true;
+                        if let Some(p) = run.preds.as_mut() {
+                            p.outcome.aliased += 1;
+                        }
+                        return Err(AttemptError::Restart);
+                    }
+                    StepError::Dtm(DtmError::Invalidated { ref objs })
+                        if ctx.classify(objs) == AbortScope::Child =>
+                    {
+                        // Only reads of this Block went stale. Evict the stale
+                        // cached copies and demote a blind open whose
+                        // presumed-absent object exists, so the re-run sees
+                        // fresh state.
+                        let refetch = run
+                            .reads
+                            .as_mut()
+                            .map_or_else(Vec::new, |r| r.invalidated(objs));
+                        let kind = if self.config.speculation {
+                            AbortKind::SpecPartial
+                        } else {
+                            AbortKind::Partial
+                        };
+                        (objs.first().copied(), kind, refetch)
+                    }
+                    // A mispredict is always repairable from this Block:
+                    // aborting it discards nothing the transaction needs, and
+                    // dropping the prediction guarantees the re-run cannot trip
+                    // over the same value again — it re-resolves from the value
+                    // it observes.
+                    StepError::Mispredict { pred, observed } => {
+                        run.mispredicted(pred, observed);
+                        (Some(pred.obj), AbortKind::SpecMispredict, Vec::new())
+                    }
+                    e => return Err(self.step_error(e, Some(bi), run)),
+                };
+                ctx.abort_block();
+                run.sink.emit(TxnEvent::PartialAbort {
+                    block: bi,
+                    obj: blamed,
+                    kind,
+                });
+                partial_tries += 1;
+                if partial_tries >= self.policy.max_partial_retries {
+                    // Livelocked Block: escalate.
+                    run.sink.emit(TxnEvent::FullAbort {
+                        block: Some(bi),
+                        obj: blamed,
+                        kind: AbortKind::Escalated,
+                    });
+                    return Err(AttemptError::Restart);
+                }
+                // One round brings back what was evicted; if it finds the
+                // transaction's earlier reads stale, that is a full abort, as
+                // at the initial fetch.
+                self.fetch(client, ctx, run, &refetch, Some(bi))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One speculative read round, outside any Block, into the attempt's cache.
     fn fetch(
         &self,
         client: &mut DtmClient,
@@ -950,37 +923,35 @@ impl ExecutorEngine {
     }
 }
 
-/// Run one Block body on `ctx`, or on the child of a nested schedule's
-/// Block `scope`, and report what it did before its
-/// terminal event: the read rounds statements issued, and the lock holds,
-/// which the wasted-work ledger must charge to whatever this run becomes —
-/// a completed Block, a commit, or the discarded side of an abort.
+/// Run one Block body on `ctx` — all statements (`block` = `None`) or the
+/// nested schedule's Block `block`, whose scope the caller has opened — and
+/// report what it did before its terminal event: the read rounds statements
+/// issued, and the lock holds, which the wasted-work ledger must charge to
+/// whatever this run becomes — a completed Block, a commit, or the
+/// discarded side of an abort.
 fn run_body(
     client: &mut DtmClient,
     frame: &mut Frame<'_>,
     program: &Program,
     stmts: &[StmtIdx],
     ctx: &mut TxnCtx,
-    scope: Option<(&mut ChildCtx, u32)>,
+    block: Option<u32>,
     run: &mut RunState<'_>,
 ) -> Result<(), StepError> {
-    let (child, block) = match scope {
-        Some((c, bi)) => (Some(c), Some(bi)),
-        None => (None, None),
-    };
     let mut lock_holds: u32 = 0;
     let result = {
         let mut guards = StepGuards {
             preds: run.preds.as_mut().map(|p| &mut p.active),
-            alias_check: child.is_some(),
-            lock_holds: Some(&mut lock_holds),
+            alias_check: block.is_some(),
+            lock_holds: &mut lock_holds,
         };
         let mut acc = Access {
             ctx,
-            child,
             reads: run.reads.as_mut(),
         };
-        run_block(&mut acc, client, frame, program, stmts, &mut guards)
+        stmts
+            .iter()
+            .try_for_each(|&i| run_stmt(&mut acc, client, frame, &program.stmts[i], &mut guards))
     };
     if let Some(r) = run.reads.as_mut() {
         for objs in r.late_rounds.drain(..) {
@@ -998,7 +969,7 @@ fn run_body(
 
 /// Tiny local randomized backoff, avoiding a hard dependency on `rand`'s
 /// thread-local generator in the hot retry path.
-pub(crate) mod rand_like {
+mod rand_like {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
@@ -1025,7 +996,7 @@ pub(crate) mod rand_like {
     }
 
     /// Advance this thread's xorshift64* state and return the next draw.
-    pub(crate) fn next_u64() -> u64 {
+    pub(super) fn next_u64() -> u64 {
         STATE.with(|s| {
             let mut x = s.get();
             x ^= x >> 12;
@@ -2061,6 +2032,39 @@ mod tests {
         assert_eq!(stats.commits, 2);
         assert_eq!(stats.full_aborts, 0, "no wrong presumption to reject");
         assert_eq!(read_bal(&mut client, 1000), 100);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn presumed_records_an_object_once_and_only_if_the_copy_was_installed() {
+        let cluster = Cluster::start(ClusterConfig::test(4, 1));
+        let mut client = cluster.client(0);
+        let dm = append_model();
+        let params = [Value::Int(7), Value::Int(10)];
+        let mut reads = SpecReads::new(&dm.opens, &params);
+        let mut ctx = TxnCtx::begin(&mut client);
+        let (real, absent) = (ObjectId::new(ACCOUNT, 1), ObjectId::new(ACCOUNT, 2));
+
+        // Really read, then named by a blind-eligible Open: the real copy
+        // stays, so a later invalidation of it is a genuine stale read —
+        // not a failed absent-presumption to demote and refetch.
+        ctx.open(&mut client, real, true).unwrap();
+        let mut acc = Access {
+            ctx: &mut ctx,
+            reads: Some(&mut reads),
+        };
+        acc.open(&mut client, real, true, true).unwrap();
+        // A Block that presumes `absent`, rolls back, and re-runs.
+        for _ in 0..3 {
+            acc.ctx.begin_block();
+            acc.open(&mut client, absent, true, true).unwrap();
+            acc.ctx.abort_block();
+        }
+        assert_eq!(reads.presumed, vec![absent]);
+        assert!(reads.invalidated(&[real]).is_empty(), "nothing to refetch");
+        assert!(reads.demoted.is_empty());
+        assert_eq!(reads.invalidated(&[absent]), vec![absent]);
+        assert_eq!(reads.demoted, vec![absent]);
         cluster.shutdown();
     }
 

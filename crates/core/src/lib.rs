@@ -29,13 +29,10 @@
 //!
 //! Baselines for the evaluation ship here too: flat execution (QR-DTM) and
 //! manual closed nesting (QR-CN) via [`BlockSeq::flat`] /
-//! [`BlockSeq::group_units`], plus a checkpointing executor
-//! (`checkpoint`) reproducing the alternative partial-abort design the
-//! paper contrasts against (§VII, Koskinen & Herlihy).
+//! [`BlockSeq::group_units`].
 
 mod algorithm;
 mod blocks;
-mod checkpoint;
 mod contention_model;
 mod controller;
 mod dynamic_module;
@@ -46,7 +43,6 @@ mod static_module;
 pub use acn_obs::ExecStats;
 pub use algorithm::{AlgorithmConfig, AlgorithmModule};
 pub use blocks::BlockSeq;
-pub use checkpoint::{run_checkpointed, CheckpointStats};
 pub use contention_model::{AbortProbabilityModel, ContentionModel, MaxModel, SumModel};
 pub use controller::{AcnController, ControllerConfig, SamplingMode};
 pub use dynamic_module::{DynamicModule, LevelMetric};

@@ -1,17 +1,29 @@
-//! Transaction contexts: flat (QR-DTM) and closed-nested (QR-CN).
+//! The transaction context, shared by flat (QR-DTM) and closed-nested
+//! (QR-CN) execution.
 //!
 //! A [`TxnCtx`] holds the paper's private read-set and write-set: reads log
 //! `(object, version)`, fetched copies are buffered, `SetField`s mutate the
 //! buffer, and everything is applied to the shared state only at commit.
 //!
-//! A [`ChildCtx`] is a closed-nested sub-transaction: it layers its own
-//! read-set and buffer *overlay* on top of the parent. Committing a child
-//! merges into the parent (nothing becomes globally visible); aborting a
-//! child discards only the overlay. When incremental validation reports
-//! stale objects, [`ChildCtx::classify`] decides the rollback scope: if
-//! every invalidated object was first read by the running child, only the
-//! child re-executes (**partial rollback**); any invalidated object in the
-//! parent's history forces a full restart.
+//! A closed-nested sub-transaction — one Block of a nested schedule — is a
+//! **scope** on that context. [`TxnCtx::begin_block`] records a *mark*, the
+//! read-set length, and starts an empty undo log. Inside the scope every
+//! operation is the one that runs outside it; the only extra work is that
+//! the first write to a copy read before the mark saves that copy to the
+//! log, and an object joining the write-set is noted there.
+//! [`TxnCtx::commit_block`] forgets the mark: the Block's reads and writes
+//! simply stay, and nothing becomes globally visible.
+//! [`TxnCtx::abort_block`] truncates the read-set to the mark, drops the
+//! copies read past it, replays the undo log and clamps the validated
+//! watermarks to the mark, leaving the context as `begin_block` found it.
+//! The validation vector a remote round presents is the read-set itself:
+//! the reads before the mark followed by the Block's own.
+//!
+//! When incremental validation reports stale objects,
+//! [`TxnCtx::classify`] decides the rollback scope: if every stale object
+//! was first read past the mark, only the Block re-executes (**partial
+//! rollback**); a stale object before the mark forces a full restart. One
+//! scope may be open at a time — the paper's single nesting level.
 
 use crate::client::DtmClient;
 use crate::error::{AbortScope, DtmError};
@@ -22,26 +34,26 @@ use std::collections::{HashMap, HashSet};
 
 /// The speculative read cache of one transaction attempt: versioned object
 /// copies fetched ahead of their `Open` in batched quorum rounds
-/// ([`TxnCtx::fetch_spec`] / [`ChildCtx::fetch_spec`]).
+/// ([`TxnCtx::fetch_spec`]).
 ///
-/// Entries are *not* part of any read-set until an `Open` installs them
-/// via [`TxnCtx::open_spec`] / [`ChildCtx::open_spec`] — an object that
-/// was fetched but is never opened therefore never enters validation and
-/// cannot cause a spurious abort. Installing **peeks**: the entry stays
-/// cached, so a Block rolled back for any reason other than the entry's
-/// own staleness re-installs it for free. A stale copy that is installed
-/// is caught like any stale read — by incremental validation on a later
-/// remote round or by commit-time validation — and must then be
-/// [`SpecCache::evict`]ed before the Block re-runs, or the re-run would
-/// replay the very copy that invalidated it. A full restart drops the
-/// whole cache with the attempt.
+/// Entries are *not* part of the read-set until an `Open` installs them
+/// via [`TxnCtx::open_spec`] — an object that was fetched but is never
+/// opened therefore never enters validation and cannot cause a spurious
+/// abort. Installing **peeks**: the entry stays cached, so a Block rolled
+/// back for any reason other than the entry's own staleness re-installs it
+/// for free. A stale copy that is installed is caught like any stale read
+/// — by incremental validation on a later remote round or by commit-time
+/// validation — and must then be [`SpecCache::evict`]ed before the Block
+/// re-runs, or the re-run would replay the very copy that invalidated it.
+/// A full restart drops the whole cache with the attempt.
 #[derive(Debug, Default)]
 pub struct SpecCache {
     map: HashMap<ObjectId, (Version, ObjectVal)>,
 }
 
-impl SpecCache {
-    fn from_round(fetched: Vec<(ObjectId, Version, ObjectVal)>) -> SpecCache {
+/// A cache of the `(object, version, value)` copies one round returned.
+impl FromIterator<(ObjectId, Version, ObjectVal)> for SpecCache {
+    fn from_iter<I: IntoIterator<Item = (ObjectId, Version, ObjectVal)>>(fetched: I) -> Self {
         SpecCache {
             map: fetched
                 .into_iter()
@@ -49,7 +61,9 @@ impl SpecCache {
                 .collect(),
         }
     }
+}
 
+impl SpecCache {
     /// Number of cached copies.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -78,58 +92,34 @@ impl SpecCache {
     }
 }
 
-/// The objects of `objs` a round must still fetch: those the transaction
-/// has not `read`, each once.
-fn unread(objs: &[ObjectId], read: impl Fn(ObjectId) -> bool) -> Vec<ObjectId> {
-    let mut out: Vec<ObjectId> = Vec::new();
-    for &obj in objs {
-        if !read(obj) && !out.contains(&obj) {
-            out.push(obj);
-        }
-    }
-    out
+/// The open Block scope of a [`TxnCtx`]: what [`TxnCtx::abort_block`] needs
+/// to put the context back as [`TxnCtx::begin_block`] found it.
+#[derive(Debug)]
+struct Scope {
+    /// Read-set length at `begin_block`: entries at or past it are the
+    /// Block's own first reads.
+    mark: usize,
+    undo: Vec<Undo>,
 }
 
-/// One fetch round for `missing`, presenting the *delta* of `validate`
-/// past the contacted quorum's `watermarks`; nothing missing costs nothing.
-fn fetch_round(
-    client: &mut DtmClient,
-    txn: TxnId,
-    missing: &[ObjectId],
-    validate: &[ValidateEntry],
-    watermarks: &mut HashMap<NodeId, usize>,
-) -> Result<Vec<(ObjectId, Version, ObjectVal)>, DtmError> {
-    if missing.is_empty() {
-        return Ok(Vec::new());
-    }
-    client.remote_read_batch(txn, missing, validate, watermarks)
+/// One entry of a [`Scope`]'s undo log — logged the first time the Block
+/// touches state that predates it.
+#[derive(Debug)]
+enum Undo {
+    /// The buffered copy of an object read before the mark, as it was
+    /// before the Block first wrote it.
+    Buffer(ObjectId, ObjectVal),
+    /// An object the Block added to the write-set.
+    Write(ObjectId),
 }
 
-/// The round behind a statement-level `Open` of `obj`: the same read round
-/// as a fetch, but with no watermarks, so the *whole* of `validate` is
-/// re-validated — the paper's incremental validation on every open.
-fn open_round(
-    client: &mut DtmClient,
-    txn: TxnId,
-    obj: ObjectId,
-    validate: &[ValidateEntry],
-) -> Result<(Version, ObjectVal), DtmError> {
-    let (_, version, value) = client
-        .remote_read_batch(txn, &[obj], validate, &mut HashMap::new())?
-        .pop()
-        .expect("one reply per requested object");
-    Ok((version, value))
-}
-
-/// The root (parent) transaction context.
-///
-/// `Clone` exists for the checkpointing executor in `acn-core`, which
-/// snapshots the whole context at sub-transaction boundaries — the very
-/// overhead closed nesting avoids.
-#[derive(Debug, Clone)]
+/// The transaction context: read-set, buffered copies and write-set of one
+/// attempt, with at most one closed-nested Block scope open on it.
+#[derive(Debug)]
 pub struct TxnCtx {
     txn: TxnId,
-    /// `(object, version)` in first-read order — the read-set.
+    /// `(object, version)` in first-read order — the read-set, and the
+    /// validation vector every remote round presents.
     read_set: Vec<ValidateEntry>,
     read_index: HashMap<ObjectId, usize>,
     /// Buffered object copies (current values including local writes).
@@ -137,11 +127,11 @@ pub struct TxnCtx {
     /// Objects with buffered writes — the write-set.
     writes: HashSet<ObjectId>,
     /// Per-server validated watermark: how many leading entries of the
-    /// current validation vector (this read-set, extended by a running
-    /// child's reads) each server has already validated. Fetch rounds
-    /// ship only the suffix past the contacted quorum's minimum watermark
-    /// (see [`DtmClient::remote_read_batch`]).
+    /// read-set each server has already validated. Fetch rounds ship only
+    /// the suffix past the contacted quorum's minimum watermark (see
+    /// [`DtmClient::remote_read_batch`]).
     watermarks: HashMap<NodeId, usize>,
+    scope: Option<Scope>,
 }
 
 impl TxnCtx {
@@ -154,6 +144,7 @@ impl TxnCtx {
             buffers: HashMap::new(),
             writes: HashSet::new(),
             watermarks: HashMap::new(),
+            scope: None,
         }
     }
 
@@ -162,9 +153,14 @@ impl TxnCtx {
         self.txn
     }
 
-    /// Is `obj` in this context's read-set?
+    /// Is `obj` in the read-set?
     pub fn has_read(&self, obj: ObjectId) -> bool {
         self.read_index.contains_key(&obj)
+    }
+
+    /// Is `obj` in the write-set?
+    pub fn has_write(&self, obj: ObjectId) -> bool {
+        self.writes.contains(&obj)
     }
 
     /// The version this transaction read for `obj`.
@@ -177,9 +173,40 @@ impl TxnCtx {
         &self.read_set
     }
 
-    /// Number of objects opened so far.
-    pub fn reads_len(&self) -> usize {
-        self.read_set.len()
+    /// Log `obj` as a first read with its buffered copy.
+    fn install(&mut self, obj: ObjectId, version: Version, value: ObjectVal) {
+        self.read_index.insert(obj, self.read_set.len());
+        self.read_set.push((obj, version));
+        self.buffers.insert(obj, value);
+    }
+
+    /// Put `obj` in the write-set.
+    fn add_write(&mut self, obj: ObjectId) {
+        if self.writes.insert(obj) {
+            if let Some(scope) = self.scope.as_mut() {
+                scope.undo.push(Undo::Write(obj));
+            }
+        }
+    }
+
+    /// One fetch round for the not-yet-read objects of `objs`, each once,
+    /// presenting the *delta* of the read-set past the contacted quorum's
+    /// watermarks; nothing missing costs nothing.
+    fn fetch(
+        &mut self,
+        client: &mut DtmClient,
+        objs: &[ObjectId],
+    ) -> Result<Vec<(ObjectId, Version, ObjectVal)>, DtmError> {
+        let mut missing: Vec<ObjectId> = Vec::new();
+        for &obj in objs {
+            if !self.has_read(obj) && !missing.contains(&obj) {
+                missing.push(obj);
+            }
+        }
+        if missing.is_empty() {
+            return Ok(Vec::new());
+        }
+        client.remote_read_batch(self.txn, &missing, &self.read_set, &mut self.watermarks)
     }
 
     /// Open `obj`; the first open of an object is a remote quorum read, a
@@ -191,13 +218,17 @@ impl TxnCtx {
         update: bool,
     ) -> Result<(), DtmError> {
         if !self.has_read(obj) {
-            let (version, value) = open_round(client, self.txn, obj, &self.read_set)?;
-            self.read_index.insert(obj, self.read_set.len());
-            self.read_set.push((obj, version));
-            self.buffers.insert(obj, value);
+            // The same read round as a fetch, but with no watermarks, so
+            // the *whole* read-set is re-validated — the paper's
+            // incremental validation on every open.
+            let (_, version, value) = client
+                .remote_read_batch(self.txn, &[obj], &self.read_set, &mut HashMap::new())?
+                .pop()
+                .expect("one reply per requested object");
+            self.install(obj, version, value);
         }
         if update {
-            self.writes.insert(obj);
+            self.add_write(obj);
         }
         Ok(())
     }
@@ -211,18 +242,8 @@ impl TxnCtx {
         client: &mut DtmClient,
         objs: &[ObjectId],
     ) -> Result<(), DtmError> {
-        let missing = unread(objs, |obj| self.has_read(obj));
-        let fetched = fetch_round(
-            client,
-            self.txn,
-            &missing,
-            &self.read_set,
-            &mut self.watermarks,
-        )?;
-        for (obj, version, value) in fetched {
-            self.read_index.insert(obj, self.read_set.len());
-            self.read_set.push((obj, version));
-            self.buffers.insert(obj, value);
+        for (obj, version, value) in self.fetch(client, objs)? {
+            self.install(obj, version, value);
         }
         Ok(())
     }
@@ -230,21 +251,15 @@ impl TxnCtx {
     /// Fetch speculative copies of every not-yet-read object of `objs` in
     /// one quorum round, into a side cache that leaves the read-set
     /// untouched (see [`SpecCache`]). Reads are validated incrementally
-    /// against the current read-set like any other remote round.
+    /// against the current read-set like any other remote round, so
+    /// staleness among an open Block's own reads surfaces here and still
+    /// classifies as a partial rollback.
     pub fn fetch_spec(
         &mut self,
         client: &mut DtmClient,
         objs: &[ObjectId],
     ) -> Result<SpecCache, DtmError> {
-        let missing = unread(objs, |obj| self.has_read(obj));
-        fetch_round(
-            client,
-            self.txn,
-            &missing,
-            &self.read_set,
-            &mut self.watermarks,
-        )
-        .map(SpecCache::from_round)
+        Ok(self.fetch(client, objs)?.into_iter().collect())
     }
 
     /// [`TxnCtx::open`] through the speculative cache: a hit installs a
@@ -260,34 +275,30 @@ impl TxnCtx {
     ) -> Result<(), DtmError> {
         if !self.has_read(obj) {
             if let Some((version, value)) = cache.map.get(&obj) {
-                self.read_index.insert(obj, self.read_set.len());
-                self.read_set.push((obj, *version));
-                self.buffers.insert(obj, value.clone());
-                if update {
-                    self.writes.insert(obj);
-                }
-                return Ok(());
+                self.install(obj, *version, value.clone());
             }
         }
         self.open(client, obj, update)
     }
 
     /// Open `obj` presuming it *fresh*: install a synthesized
-    /// `(version 0, default value)` copy with no remote round at all.
-    /// Used for value-blind updates (insert-only rows): the template never
-    /// reads a field, so only the version assumption matters — and commit
-    /// validation checks it like any read, failing the transaction if the
-    /// object in fact exists. The executor then demotes the object to a
-    /// real read on the retry.
-    pub fn open_blind(&mut self, obj: ObjectId, update: bool) {
-        if !self.has_read(obj) {
-            self.read_index.insert(obj, self.read_set.len());
-            self.read_set.push((obj, 0));
-            self.buffers.insert(obj, ObjectVal::new());
+    /// `(version 0, default value)` copy with no remote round at all, and
+    /// say whether it was installed — `false` when the transaction had
+    /// already read `obj`, whose real copy stays. Used for value-blind
+    /// updates (insert-only rows): the template never reads a field, so
+    /// only the version assumption matters — and validation checks it like
+    /// any read, failing the transaction (or, inside a Block, only the
+    /// Block) if the object in fact exists. The executor then demotes the
+    /// object to a real read on the retry.
+    pub fn open_blind(&mut self, obj: ObjectId, update: bool) -> bool {
+        let installed = !self.has_read(obj);
+        if installed {
+            self.install(obj, 0, ObjectVal::new());
         }
         if update {
-            self.writes.insert(obj);
+            self.add_write(obj);
         }
+        installed
     }
 
     /// Read a field of an opened object's buffered copy.
@@ -302,18 +313,28 @@ impl TxnCtx {
             .get_or_zero(field)
     }
 
-    /// Buffered write to an opened object.
+    /// Buffered write to an opened object. Inside a Block, the first write
+    /// to a copy read before the Block saves that copy to the undo log, so
+    /// aborting the Block never disturbs what preceded it.
     pub fn set_field(&mut self, obj: ObjectId, field: FieldId, value: Value) {
         debug_assert!(self.writes.contains(&obj), "set_field outside write-set");
-        self.buffers
+        let buffer = self
+            .buffers
             .get_mut(&obj)
-            .unwrap_or_else(|| panic!("set_field on unopened {obj}"))
-            .set(field, value);
+            .unwrap_or_else(|| panic!("set_field on unopened {obj}"));
+        if let Some(scope) = self.scope.as_mut() {
+            let logged = |u: &Undo| matches!(u, Undo::Buffer(o, _) if *o == obj);
+            if self.read_index[&obj] < scope.mark && !scope.undo.iter().any(logged) {
+                scope.undo.push(Undo::Buffer(obj, buffer.clone()));
+            }
+        }
+        buffer.set(field, value);
     }
 
     /// Commit via two-phase commit. On success the context is consumed;
     /// on failure the caller restarts with a fresh context.
     pub fn commit(self, client: &mut DtmClient) -> Result<(), DtmError> {
+        debug_assert!(self.scope.is_none(), "commit inside an open Block");
         let mut writes: Vec<(ObjectId, Version, ObjectVal)> = Vec::with_capacity(self.writes.len());
         for &obj in &self.writes {
             let version = self.read_version(obj).expect("write implies read");
@@ -325,203 +346,63 @@ impl TxnCtx {
         client.commit(self.txn, &self.read_set, &writes)
     }
 
-    /// Start a closed-nested sub-transaction.
+    /// Start a closed-nested sub-transaction: every object first read from
+    /// here on is the Block's own, and every write is undoable, until
+    /// [`TxnCtx::commit_block`] or [`TxnCtx::abort_block`].
     ///
-    /// Also re-clamps the validated watermarks to this context's own
-    /// read-set length: a previously aborted child may have advanced them
-    /// over its (now discarded) reads, and those positions are about to be
-    /// reused by the new child's validation vector.
-    pub fn child(&mut self) -> ChildCtx {
-        let len = self.read_set.len();
-        for w in self.watermarks.values_mut() {
-            *w = (*w).min(len);
-        }
-        ChildCtx {
-            reads: Vec::new(),
-            read_index: HashMap::new(),
-            overlay: HashMap::new(),
-            writes: HashSet::new(),
-        }
-    }
-}
-
-/// A closed-nested sub-transaction: private overlay over a parent
-/// [`TxnCtx`]. ACN uses exactly one nesting level, matching the paper's
-/// system model, so children cannot spawn grandchildren.
-#[derive(Debug)]
-pub struct ChildCtx {
-    /// Objects first read by this child.
-    reads: Vec<ValidateEntry>,
-    read_index: HashMap<ObjectId, usize>,
-    /// Copy-on-write buffers shadowing the parent's.
-    overlay: HashMap<ObjectId, ObjectVal>,
-    writes: HashSet<ObjectId>,
-}
-
-impl ChildCtx {
-    /// Objects this child read first (not via the parent).
-    pub fn reads_len(&self) -> usize {
-        self.reads.len()
-    }
-
-    fn combined_validate(&self, parent: &TxnCtx) -> Vec<ValidateEntry> {
-        let mut v = Vec::with_capacity(parent.read_set.len() + self.reads.len());
-        v.extend_from_slice(&parent.read_set);
-        v.extend_from_slice(&self.reads);
-        v
-    }
-
-    /// Open `obj` inside the sub-transaction. Objects already read by the
-    /// parent (or this child) are local; fresh objects are fetched remotely
-    /// with the *combined* read-set presented for incremental validation.
-    pub fn open(
-        &mut self,
-        client: &mut DtmClient,
-        parent: &TxnCtx,
-        obj: ObjectId,
-        update: bool,
-    ) -> Result<(), DtmError> {
-        if !self.read_index.contains_key(&obj) && !parent.has_read(obj) {
-            let validate = self.combined_validate(parent);
-            let (version, value) = open_round(client, parent.txn, obj, &validate)?;
-            self.read_index.insert(obj, self.reads.len());
-            self.reads.push((obj, version));
-            self.overlay.insert(obj, value);
-        }
-        if update {
-            self.writes.insert(obj);
-        }
-        Ok(())
-    }
-
-    /// [`TxnCtx::fetch_spec`] from inside the sub-transaction: the round
-    /// presents the *combined* read-set, so staleness among this child's
-    /// own reads surfaces here and still classifies as a partial rollback.
-    /// Takes the parent mutably for its validated watermarks; neither
-    /// read-set is touched.
-    pub fn fetch_spec(
-        &self,
-        client: &mut DtmClient,
-        parent: &mut TxnCtx,
-        objs: &[ObjectId],
-    ) -> Result<SpecCache, DtmError> {
-        let missing = unread(objs, |obj| {
-            self.read_index.contains_key(&obj) || parent.has_read(obj)
+    /// # Panics
+    /// Panics if a Block is already open: ACN uses exactly one nesting
+    /// level, matching the paper's system model.
+    pub fn begin_block(&mut self) {
+        assert!(self.scope.is_none(), "a Block is already open");
+        self.scope = Some(Scope {
+            mark: self.read_set.len(),
+            undo: Vec::new(),
         });
-        let validate = self.combined_validate(parent);
-        fetch_round(
-            client,
-            parent.txn,
-            &missing,
-            &validate,
-            &mut parent.watermarks,
-        )
-        .map(SpecCache::from_round)
     }
 
-    /// [`ChildCtx::open`] through the speculative cache: a hit installs a
-    /// copy of the prefetched entry as a **child-first** read with no
-    /// remote round, so a later invalidation of it still classifies as a
-    /// partial rollback; a miss is a normal remote open. The entry stays
-    /// cached (peek, not take — see [`SpecCache`]).
-    pub fn open_spec(
-        &mut self,
-        client: &mut DtmClient,
-        parent: &TxnCtx,
-        obj: ObjectId,
-        update: bool,
-        cache: &SpecCache,
-    ) -> Result<(), DtmError> {
-        if !self.read_index.contains_key(&obj) && !parent.has_read(obj) {
-            if let Some((version, value)) = cache.map.get(&obj) {
-                self.read_index.insert(obj, self.reads.len());
-                self.reads.push((obj, *version));
-                self.overlay.insert(obj, value.clone());
-                if update {
-                    self.writes.insert(obj);
+    /// Closed-nested commit: the Block's reads and writes become the
+    /// transaction's. No remote interaction — results stay invisible until
+    /// the transaction commits.
+    pub fn commit_block(&mut self) {
+        self.scope.take().expect("no open Block");
+    }
+
+    /// Closed-nested abort: discard everything the Block read and wrote.
+    /// The validated watermarks are clamped to the mark, because a round
+    /// issued inside the Block may have advanced them over reads that are
+    /// now gone, and those positions are about to be reused.
+    pub fn abort_block(&mut self) {
+        let Scope { mark, undo } = self.scope.take().expect("no open Block");
+        for (obj, _) in self.read_set.drain(mark..) {
+            self.read_index.remove(&obj);
+            self.buffers.remove(&obj);
+        }
+        for entry in undo {
+            match entry {
+                Undo::Buffer(obj, value) => {
+                    self.buffers.insert(obj, value);
                 }
-                return Ok(());
+                Undo::Write(obj) => {
+                    self.writes.remove(&obj);
+                }
             }
         }
-        self.open(client, parent, obj, update)
-    }
-
-    /// [`TxnCtx::open_blind`] inside the sub-transaction: the presumed
-    /// `(version 0, default)` copy installs as a **child-first** read, so
-    /// a failed presumption surfacing mid-run rolls back only this Block.
-    pub fn open_blind(&mut self, parent: &TxnCtx, obj: ObjectId, update: bool) {
-        if !self.read_index.contains_key(&obj) && !parent.has_read(obj) {
-            self.read_index.insert(obj, self.reads.len());
-            self.reads.push((obj, 0));
-            self.overlay.insert(obj, ObjectVal::new());
-        }
-        if update {
-            self.writes.insert(obj);
+        for w in self.watermarks.values_mut() {
+            *w = (*w).min(mark);
         }
     }
 
-    /// Field read through the overlay chain: child overlay, else parent.
-    pub fn get_field(&self, parent: &TxnCtx, obj: ObjectId, field: FieldId) -> Value {
-        if let Some(val) = self.overlay.get(&obj) {
-            return val.get_or_zero(field);
-        }
-        parent.get_field(obj, field)
-    }
-
-    /// Buffered write: copy-on-write from the parent's buffer into the
-    /// overlay, so an abort of this child never disturbs the parent.
-    pub fn set_field(&mut self, parent: &TxnCtx, obj: ObjectId, field: FieldId, value: Value) {
-        debug_assert!(
-            self.writes.contains(&obj) || parent.writes.contains(&obj),
-            "set_field outside write-set"
-        );
-        let entry = self.overlay.entry(obj).or_insert_with(|| {
-            parent
-                .buffers
-                .get(&obj)
-                .cloned()
-                .unwrap_or_else(|| panic!("set_field on unopened {obj}"))
-        });
-        entry.set(field, value);
-        self.writes.insert(obj);
-    }
-
-    /// Closed-nested commit: merge into the parent's private context. No
-    /// remote interaction — results stay invisible until the parent
-    /// commits.
-    pub fn commit_into(self, parent: &mut TxnCtx) {
-        let base = parent.read_set.len();
-        let expect = base + self.reads.len();
-        for (obj, version) in self.reads {
-            if !parent.has_read(obj) {
-                parent.read_index.insert(obj, parent.read_set.len());
-                parent.read_set.push((obj, version));
-            }
-        }
-        if parent.read_set.len() != expect {
-            // A duplicate child read was skipped, shifting the positions the
-            // watermarks were advanced against — fall back to the stable
-            // parent prefix. (Cannot happen via `open`, which short-circuits
-            // parent reads; this guards hand-built children.)
-            for w in parent.watermarks.values_mut() {
-                *w = (*w).min(base);
-            }
-        }
-        for (obj, value) in self.overlay {
-            parent.buffers.insert(obj, value);
-        }
-        parent.writes.extend(self.writes);
-    }
-
-    /// Decide the rollback scope for an invalidation report: child-only iff
-    /// *every* stale object was first read by this child. Anything touching
-    /// the parent's history means the parent's merged state is stale and
-    /// the whole transaction must re-execute.
-    pub fn classify(&self, parent: &TxnCtx, invalid: &[ObjectId]) -> AbortScope {
-        let all_child_local = invalid
-            .iter()
-            .all(|o| self.read_index.contains_key(o) && !parent.has_read(*o));
-        if all_child_local && !invalid.is_empty() {
+    /// Decide the rollback scope for an invalidation report: Block-only iff
+    /// a Block is open and *every* stale object was first read inside it.
+    /// Anything read before the mark means state the Block built on is
+    /// stale and the whole transaction must re-execute.
+    pub fn classify(&self, invalid: &[ObjectId]) -> AbortScope {
+        let in_block = |o: &ObjectId| match (&self.scope, self.read_index.get(o)) {
+            (Some(scope), Some(&i)) => i >= scope.mark,
+            _ => false,
+        };
+        if !invalid.is_empty() && invalid.iter().all(in_block) {
             AbortScope::Child
         } else {
             AbortScope::Parent
@@ -531,7 +412,7 @@ impl ChildCtx {
 
 #[cfg(test)]
 mod tests {
-    //! Context-local logic (merge, overlay, classification). End-to-end
+    //! Context-local logic (Block scope, undo, classification). End-to-end
     //! behaviour against live servers is covered in the crate's
     //! integration tests.
     use super::*;
@@ -590,43 +471,41 @@ mod tests {
     }
 
     #[test]
-    fn child_overlay_shadows_parent() {
+    fn block_write_shadows_the_earlier_value_until_abort() {
         let mut p = parent_with(&[(A1, 10)]);
-        let mut c = p.child();
-        assert_eq!(c.get_field(&p, A1, F), Value::Int(10), "falls through");
-        c.set_field(&p, A1, F, Value::Int(99));
-        assert_eq!(c.get_field(&p, A1, F), Value::Int(99), "overlay wins");
+        p.begin_block();
+        assert_eq!(p.get_field(A1, F), Value::Int(10), "falls through");
+        p.set_field(A1, F, Value::Int(99));
+        assert_eq!(p.get_field(A1, F), Value::Int(99), "Block write wins");
+        p.abort_block();
         assert_eq!(p.get_field(A1, F), Value::Int(10), "parent untouched");
     }
 
     #[test]
-    fn child_abort_discards_overlay() {
+    fn block_abort_discards_its_writes() {
         let mut p = parent_with(&[(A1, 10)]);
-        {
-            let mut c = p.child();
-            c.set_field(&p, A1, F, Value::Int(99));
-            // dropped without commit_into = aborted
-        }
+        p.begin_block();
+        p.set_field(A1, F, Value::Int(99));
+        p.set_field(A1, F, Value::Int(98));
+        p.abort_block();
         assert_eq!(p.get_field(A1, F), Value::Int(10));
-        // A fresh child sees the parent value again.
-        let c2 = p.child();
-        assert_eq!(c2.get_field(&p, A1, F), Value::Int(10));
+        // A fresh Block sees the parent value again.
+        p.begin_block();
+        assert_eq!(p.get_field(A1, F), Value::Int(10));
+        p.commit_block();
         p.set_field(A1, F, Value::Int(11));
         assert_eq!(p.get_field(A1, F), Value::Int(11));
     }
 
     #[test]
-    fn child_commit_merges_state() {
+    fn block_commit_keeps_state() {
         let mut p = parent_with(&[(A1, 10)]);
-        let mut c = p.child();
-        // Simulate the child having read B1 remotely.
-        c.read_index.insert(B1, 0);
-        c.reads.push((B1, 7));
-        c.overlay
-            .insert(B1, ObjectVal::from_fields([(F, Value::Int(100))]));
-        c.writes.insert(B1);
-        c.set_field(&p, A1, F, Value::Int(42));
-        c.commit_into(&mut p);
+        p.begin_block();
+        // Simulate the Block having read B1 remotely.
+        p.install(B1, 7, ObjectVal::from_fields([(F, Value::Int(100))]));
+        p.add_write(B1);
+        p.set_field(A1, F, Value::Int(42));
+        p.commit_block();
         assert!(p.has_read(B1));
         assert_eq!(p.read_version(B1), Some(7));
         assert_eq!(p.get_field(B1, F), Value::Int(100));
@@ -635,41 +514,40 @@ mod tests {
     }
 
     #[test]
-    fn merge_does_not_duplicate_parent_reads() {
+    fn block_does_not_duplicate_parent_reads() {
         let mut p = parent_with(&[(A1, 10)]);
-        let c = p.child();
-        // Child "re-reads" A1 — open() would short-circuit, but even a
-        // manual duplicate entry must not double up the parent read-set.
-        c.commit_into(&mut p);
-        assert_eq!(p.reads_len(), 1);
+        p.begin_block();
+        // The Block "re-reads" A1 — every open short-circuits on it, so
+        // the read-set must not double up.
+        assert!(!p.open_blind(A1, false));
+        p.commit_block();
+        assert_eq!(p.read_set().len(), 1);
     }
 
     #[test]
     fn classify_child_scope() {
         let mut p = parent_with(&[(A1, 10)]);
-        let mut c = p.child();
-        c.read_index.insert(B1, 0);
-        c.reads.push((B1, 3));
-        // B1 is child-first ⇒ child scope.
-        assert_eq!(c.classify(&p, &[B1]), AbortScope::Child);
+        p.begin_block();
+        p.install(B1, 3, ObjectVal::new());
+        // B1 was first read inside the Block ⇒ child scope.
+        assert_eq!(p.classify(&[B1]), AbortScope::Child);
     }
 
     #[test]
     fn classify_parent_scope_when_history_invalid() {
         let mut p = parent_with(&[(A1, 10)]);
-        let mut c = p.child();
-        c.read_index.insert(B1, 0);
-        c.reads.push((B1, 3));
+        p.begin_block();
+        p.install(B1, 3, ObjectVal::new());
         // A1 belongs to the parent's history ⇒ parent scope, even though
-        // B1 is child-local.
-        assert_eq!(c.classify(&p, &[B1, A1]), AbortScope::Parent);
-        assert_eq!(c.classify(&p, &[A1]), AbortScope::Parent);
+        // B1 is Block-local.
+        assert_eq!(p.classify(&[B1, A1]), AbortScope::Parent);
+        assert_eq!(p.classify(&[A1]), AbortScope::Parent);
     }
 
     #[test]
     fn open_blind_installs_presumed_absent_entry() {
         let mut p = parent_with(&[]);
-        p.open_blind(A1, true);
+        assert!(p.open_blind(A1, true));
         assert!(p.has_read(A1));
         assert_eq!(p.read_version(A1), Some(0), "presumed never written");
         assert_eq!(p.get_field(A1, F), Value::Int(0), "default value");
@@ -679,15 +557,15 @@ mod tests {
     }
 
     #[test]
-    fn child_open_blind_is_child_scoped() {
+    fn block_open_blind_is_child_scoped() {
         let mut p = parent_with(&[]);
-        let mut c = p.child();
-        c.open_blind(&p, A1, true);
-        assert_eq!(c.get_field(&p, A1, F), Value::Int(0));
-        // The presumption is a child-first read: if it is wrong, only
+        p.begin_block();
+        p.open_blind(A1, true);
+        assert_eq!(p.get_field(A1, F), Value::Int(0));
+        // The presumption is a Block-first read: if it is wrong, only
         // this Block rolls back.
-        assert_eq!(c.classify(&p, &[A1]), AbortScope::Child);
-        c.commit_into(&mut p);
+        assert_eq!(p.classify(&[A1]), AbortScope::Child);
+        p.commit_block();
         assert!(p.has_read(A1));
         assert_eq!(p.read_version(A1), Some(0));
         assert!(p.writes.contains(&A1));
@@ -696,27 +574,44 @@ mod tests {
     #[test]
     fn classify_empty_or_unknown_is_parent() {
         let mut p = parent_with(&[(A1, 10)]);
-        let c = p.child();
-        assert_eq!(c.classify(&p, &[]), AbortScope::Parent);
-        assert_eq!(c.classify(&p, &[A2]), AbortScope::Parent);
+        assert_eq!(p.classify(&[A1]), AbortScope::Parent, "no Block open");
+        p.begin_block();
+        assert_eq!(p.classify(&[]), AbortScope::Parent);
+        assert_eq!(p.classify(&[A2]), AbortScope::Parent);
     }
 
     #[test]
-    fn combined_validate_covers_both_histories() {
+    fn validation_vector_is_parent_reads_then_block_reads() {
         let mut p = parent_with(&[(A1, 10)]);
-        let mut c = p.child();
-        c.read_index.insert(B1, 0);
-        c.reads.push((B1, 3));
-        let v = c.combined_validate(&p);
-        assert_eq!(v, vec![(A1, 1), (B1, 3)]);
+        p.begin_block();
+        p.install(B1, 3, ObjectVal::new());
+        assert_eq!(p.read_set(), [(A1, 1), (B1, 3)]);
+        p.abort_block();
+        assert_eq!(p.read_set(), [(A1, 1)]);
+        assert!(!p.has_read(B1));
     }
 
     #[test]
-    fn child_copy_on_write_from_parent_buffer() {
+    fn abort_undoes_write_set_entries_and_clamps_watermarks() {
         let mut p = parent_with(&[(A1, 10)]);
-        let mut c = p.child();
-        c.set_field(&p, A1, F, Value::Int(11));
-        // Write marked in the child's write-set so the merge propagates it.
-        assert!(c.writes.contains(&A1));
+        p.writes.clear();
+        p.watermarks.insert(NodeId(0), 1);
+        p.begin_block();
+        p.add_write(A1);
+        p.open_blind(A2, true);
+        // Rounds inside the Block validated its reads too.
+        p.watermarks.insert(NodeId(0), 2);
+        p.watermarks.insert(NodeId(2), 2);
+        p.abort_block();
+        assert!(p.writes.is_empty());
+        assert!(p.watermarks.values().all(|&w| w == 1), "clamped to mark");
+    }
+
+    #[test]
+    #[should_panic(expected = "already open")]
+    fn blocks_do_not_nest() {
+        let mut p = parent_with(&[]);
+        p.begin_block();
+        p.begin_block();
     }
 }

@@ -15,9 +15,9 @@
 //!   1-copy serializable because any read quorum intersects any write
 //!   quorum and any two write quorums intersect.
 //! * **QR-CN** (Dhoke et al., IPDPS '13): closed nesting on top. A
-//!   sub-transaction keeps private read/write sets layered over its
-//!   parent's; committing merges into the parent (never into the shared
-//!   state); an invalidation of an object *first read by the running
+//!   sub-transaction is a scope on its parent's context; committing it
+//!   keeps its reads and writes in the parent (never in the shared state);
+//!   an invalidation of an object *first read by the running
 //!   sub-transaction* aborts only that sub-transaction (**partial
 //!   rollback**), while an invalidation of anything in the parent's history
 //!   aborts the whole transaction.
@@ -45,7 +45,7 @@ mod wal;
 pub use client::{ClientConfig, ClientStats, ContentionSample, DtmClient};
 pub use cluster::{Cluster, ClusterConfig, PersistenceMode};
 pub use contention::{ContentionWindow, WindowConfig};
-pub use context::{ChildCtx, SpecCache, TxnCtx};
+pub use context::{SpecCache, TxnCtx};
 pub use error::{AbortScope, DtmError};
 pub use history::{
     check_durability, check_history, CommitRecord, DurabilitySummary, HistoryLog, HistorySummary,

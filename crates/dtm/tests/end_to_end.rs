@@ -183,34 +183,35 @@ fn closed_nesting_partial_abort_scope() {
     seed(&mut c0, acct(1), 10);
     seed(&mut c0, branch(1), 1000);
 
-    // Parent reads the account; child reads the branch.
-    let mut parent = TxnCtx::begin(&mut c1);
-    parent.open(&mut c1, acct(1), true).unwrap();
-    let mut child = parent.child();
-    child.open(&mut c1, &parent, branch(1), true).unwrap();
+    // The transaction reads the account; its Block reads the branch.
+    let mut txn = TxnCtx::begin(&mut c1);
+    txn.open(&mut c1, acct(1), true).unwrap();
+    txn.begin_block();
+    txn.open(&mut c1, branch(1), true).unwrap();
 
-    // Another client invalidates the BRANCH (child-first object).
+    // Another client invalidates the BRANCH (Block-first object).
     seed(&mut c0, branch(1), 2000);
 
-    // The child's next remote open reports branch(1) stale → child scope.
-    let err = child.open(&mut c1, &parent, branch(2), false).unwrap_err();
+    // The Block's next remote open reports branch(1) stale → child scope.
+    let err = txn.open(&mut c1, branch(2), false).unwrap_err();
     match &err {
         DtmError::Invalidated { objs } => {
             assert_eq!(objs, &vec![branch(1)]);
-            assert_eq!(child.classify(&parent, objs), AbortScope::Child);
+            assert_eq!(txn.classify(objs), AbortScope::Child);
         }
         other => panic!("expected invalidation, got {other}"),
     }
 
-    // Partial rollback: discard the child, re-run it, parent survives.
-    let mut retry = parent.child();
-    retry.open(&mut c1, &parent, branch(1), true).unwrap();
-    let bal = retry.get_field(&parent, branch(1), BAL).as_int().unwrap();
+    // Partial rollback: abort the Block, re-run it, the parent survives.
+    txn.abort_block();
+    txn.begin_block();
+    txn.open(&mut c1, branch(1), true).unwrap();
+    let bal = txn.get_field(branch(1), BAL).as_int().unwrap();
     assert_eq!(bal, 2000, "re-read sees the fresh branch");
-    retry.set_field(&parent, branch(1), BAL, Value::Int(bal - 50));
-    retry.commit_into(&mut parent);
-    parent.set_field(acct(1), BAL, Value::Int(60));
-    parent.commit(&mut c1).unwrap();
+    txn.set_field(branch(1), BAL, Value::Int(bal - 50));
+    txn.commit_block();
+    txn.set_field(acct(1), BAL, Value::Int(60));
+    txn.commit(&mut c1).unwrap();
 
     assert_eq!(read_bal(&mut c0, branch(1)), 1950);
     assert_eq!(read_bal(&mut c0, acct(1)), 60);
@@ -224,18 +225,18 @@ fn closed_nesting_parent_scope_when_history_invalidated() {
     let mut c1 = cluster.client(1);
     seed(&mut c0, acct(1), 10);
 
-    let mut parent = TxnCtx::begin(&mut c1);
-    parent.open(&mut c1, acct(1), false).unwrap();
-    let mut child = parent.child();
+    let mut txn = TxnCtx::begin(&mut c1);
+    txn.open(&mut c1, acct(1), false).unwrap();
+    txn.begin_block();
 
     // Invalidate the PARENT's object.
     seed(&mut c0, acct(1), 20);
 
-    let err = child.open(&mut c1, &parent, branch(1), false).unwrap_err();
+    let err = txn.open(&mut c1, branch(1), false).unwrap_err();
     match &err {
         DtmError::Invalidated { objs } => {
             assert_eq!(objs, &vec![acct(1)]);
-            assert_eq!(child.classify(&parent, objs), AbortScope::Parent);
+            assert_eq!(txn.classify(objs), AbortScope::Parent);
         }
         other => panic!("expected invalidation, got {other}"),
     }
@@ -243,44 +244,42 @@ fn closed_nesting_parent_scope_when_history_invalidated() {
 }
 
 #[test]
-fn child_merge_commits_through_parent() {
+fn block_commit_commits_through_parent() {
     let cluster = Cluster::start(ClusterConfig::test(4, 1));
     let mut c = cluster.client(0);
     seed(&mut c, acct(1), 100);
     seed(&mut c, acct(2), 0);
 
-    let mut parent = TxnCtx::begin(&mut c);
-    parent.open(&mut c, acct(1), true).unwrap();
-    let b1 = parent.get_field(acct(1), BAL).as_int().unwrap();
-    parent.set_field(acct(1), BAL, Value::Int(b1 - 30));
+    let mut txn = TxnCtx::begin(&mut c);
+    txn.open(&mut c, acct(1), true).unwrap();
+    let b1 = txn.get_field(acct(1), BAL).as_int().unwrap();
+    txn.set_field(acct(1), BAL, Value::Int(b1 - 30));
 
-    let mut child = parent.child();
-    child.open(&mut c, &parent, acct(2), true).unwrap();
-    let b2 = child.get_field(&parent, acct(2), BAL).as_int().unwrap();
-    child.set_field(&parent, acct(2), BAL, Value::Int(b2 + 30));
-    child.commit_into(&mut parent);
+    txn.begin_block();
+    txn.open(&mut c, acct(2), true).unwrap();
+    let b2 = txn.get_field(acct(2), BAL).as_int().unwrap();
+    txn.set_field(acct(2), BAL, Value::Int(b2 + 30));
+    txn.commit_block();
 
-    parent.commit(&mut c).unwrap();
+    txn.commit(&mut c).unwrap();
     assert_eq!(read_bal(&mut c, acct(1)), 70);
     assert_eq!(read_bal(&mut c, acct(2)), 30);
     cluster.shutdown();
 }
 
 #[test]
-fn uncommitted_child_state_is_invisible_to_commit() {
+fn aborted_block_state_is_invisible_to_commit() {
     let cluster = Cluster::start(ClusterConfig::test(4, 1));
     let mut c = cluster.client(0);
     seed(&mut c, acct(1), 100);
 
-    let mut parent = TxnCtx::begin(&mut c);
-    parent.open(&mut c, acct(1), true).unwrap();
-    {
-        let mut child = parent.child();
-        child.set_field(&parent, acct(1), BAL, Value::Int(0));
-        // child dropped = aborted
-    }
-    parent.commit(&mut c).unwrap();
-    assert_eq!(read_bal(&mut c, acct(1)), 100, "aborted child write leaked");
+    let mut txn = TxnCtx::begin(&mut c);
+    txn.open(&mut c, acct(1), true).unwrap();
+    txn.begin_block();
+    txn.set_field(acct(1), BAL, Value::Int(0));
+    txn.abort_block();
+    txn.commit(&mut c).unwrap();
+    assert_eq!(read_bal(&mut c, acct(1)), 100, "aborted Block write leaked");
     cluster.shutdown();
 }
 

@@ -2,11 +2,11 @@
 //!
 //! The paper's Dynamic Module collects "run-time parameters such as
 //! objects' write and abort ratios"; this table is the client-side half of
-//! that visibility. Every abort the executor (or checkpoint runner)
-//! absorbs lands here exactly once, keyed by `(class, block index, abort
-//! kind)`, so a bench can print "top-K hottest classes by induced aborts"
-//! next to throughput and the totals reconcile against the executor's
-//! counters with no lost or double-counted events.
+//! that visibility. Every abort the executor absorbs lands here exactly
+//! once, keyed by `(class, block index, abort kind)`, so a bench can print
+//! "top-K hottest classes by induced aborts" next to throughput and the
+//! totals reconcile against the executor's counters with no lost or
+//! double-counted events.
 
 use crate::event::{AbortKind, TxnEvent};
 use crate::trace::{ObsConfig, TraceRing};

@@ -14,9 +14,7 @@ use acn_txir::ObjectId;
 /// partial_aborts + locked_aborts`. Under speculative batch execution the
 /// same sites emit the `Spec*` variants instead, so a report separates
 /// scheduler mis-speculation from ordinary contention without disturbing
-/// that invariant. The checkpoint runner uses its own two kinds so a mixed
-/// run never conflates the two partial-rollback designs.
-///
+/// that invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AbortKind {
     /// Child-scope rollback of one Block (the closed-nesting win).
@@ -60,16 +58,12 @@ pub enum AbortKind {
     /// assumption; the attempt restarted as a flat (program-order)
     /// sequence, where aliasing is harmless.
     AliasedOpen,
-    /// Checkpoint runner: rollback to an intermediate checkpoint.
-    CkptRollback,
-    /// Checkpoint runner: restart from the very beginning.
-    CkptRestart,
 }
 
 impl AbortKind {
-    /// The executor kinds whose attributed counts sum to
-    /// `full_aborts + partial_aborts + locked_aborts` of the nesting
-    /// executor's stats (everything except the checkpoint-runner kinds).
+    /// The executor kinds — every kind — whose attributed counts sum to
+    /// `full_aborts + partial_aborts + locked_aborts` of the executor's
+    /// stats.
     pub const EXECUTOR_KINDS: [AbortKind; 11] = [
         AbortKind::Partial,
         AbortKind::ReadInvalid,
@@ -98,8 +92,6 @@ impl AbortKind {
             AbortKind::SpecFull => "spec_full",
             AbortKind::SpecMispredict => "spec_mispredict",
             AbortKind::AliasedOpen => "aliased_open",
-            AbortKind::CkptRollback => "ckpt_rollback",
-            AbortKind::CkptRestart => "ckpt_restart",
         }
     }
 
@@ -117,8 +109,6 @@ impl AbortKind {
             "spec_full" => AbortKind::SpecFull,
             "spec_mispredict" => AbortKind::SpecMispredict,
             "aliased_open" => AbortKind::AliasedOpen,
-            "ckpt_rollback" => AbortKind::CkptRollback,
-            "ckpt_restart" => AbortKind::CkptRestart,
             _ => return None,
         })
     }
@@ -270,8 +260,6 @@ mod tests {
             AbortKind::SpecFull,
             AbortKind::SpecMispredict,
             AbortKind::AliasedOpen,
-            AbortKind::CkptRollback,
-            AbortKind::CkptRestart,
         ] {
             assert_eq!(AbortKind::from_label(k.label()), Some(k));
         }

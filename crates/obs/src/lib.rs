@@ -42,6 +42,7 @@ mod event;
 pub mod json;
 mod prom;
 mod registry;
+mod ring;
 mod slo;
 mod span;
 mod timeseries;

@@ -2,7 +2,7 @@
 //!
 //! Each top-level transaction owns a **trace**; within it, every execution
 //! attempt, closed-nested Block, 2PC round (read / prepare / commit /
-//! abort), lock-wait sleep, restart backoff and checkpoint rollback is a
+//! abort), lock-wait sleep and restart backoff is a
 //! **span**, and the trace context travels on the wire (as a
 //! `Msg::Traced` wrapper in `acn-dtm`) so server-side handling — inbox
 //! dwell, request execution, sync refusal — appears as child spans of the
@@ -17,6 +17,7 @@
 //! segments sum *exactly* to the end-to-end duration in integer
 //! nanoseconds.
 
+use crate::ring::Ring;
 use crate::trace::TraceSummary;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -70,8 +71,6 @@ pub enum SpanKind {
     LockWait,
     /// Randomized backoff between full restarts.
     Backoff,
-    /// Checkpoint-runner rollback to an intermediate checkpoint.
-    CkptRollback,
     /// Server: inbox dwell between delivery and being picked up.
     ServerQueue,
     /// Server: executing the request (store reads, lock work, apply).
@@ -91,7 +90,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for round-trip tests.
-    pub const ALL: [SpanKind; 17] = [
+    pub const ALL: [SpanKind; 16] = [
         SpanKind::Txn,
         SpanKind::Attempt,
         SpanKind::Block,
@@ -102,7 +101,6 @@ impl SpanKind {
         SpanKind::QueryRound,
         SpanKind::LockWait,
         SpanKind::Backoff,
-        SpanKind::CkptRollback,
         SpanKind::ServerQueue,
         SpanKind::ServerHandle,
         SpanKind::SyncRefusal,
@@ -142,7 +140,6 @@ impl SpanKind {
             SpanKind::QueryRound => "query_round",
             SpanKind::LockWait => "lock_wait",
             SpanKind::Backoff => "backoff",
-            SpanKind::CkptRollback => "ckpt_rollback",
             SpanKind::ServerQueue => "server_queue",
             SpanKind::ServerHandle => "server_handle",
             SpanKind::SyncRefusal => "sync_refusal",
@@ -165,7 +162,6 @@ impl SpanKind {
             "query_round" => SpanKind::QueryRound,
             "lock_wait" => SpanKind::LockWait,
             "backoff" => SpanKind::Backoff,
-            "ckpt_rollback" => SpanKind::CkptRollback,
             "server_queue" => SpanKind::ServerQueue,
             "server_handle" => SpanKind::ServerHandle,
             "sync_refusal" => SpanKind::SyncRefusal,
@@ -215,67 +211,34 @@ pub struct Span {
 /// A fixed-capacity overwrite-oldest ring of [`Span`]s — the span-side
 /// sibling of [`crate::TraceRing`], single writer by construction.
 #[derive(Debug, Clone)]
-pub struct SpanRing {
-    buf: Vec<Span>,
-    cap: usize,
-    head: usize,
-    recorded: u64,
-    dropped: u64,
-}
+pub struct SpanRing(Ring<Span>);
 
 impl SpanRing {
     /// An empty ring holding at most `capacity` spans (min 1).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        SpanRing {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            recorded: 0,
-            dropped: 0,
-        }
+        SpanRing(Ring::new(capacity))
     }
 
     /// Record one span: O(1), no allocation after the ring first fills.
     pub fn push(&mut self, s: Span) {
-        self.recorded += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(s);
-            self.head = self.buf.len() % self.cap;
-        } else {
-            self.buf[self.head] = s;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
+        self.0.push(s);
     }
 
     /// Retained spans, oldest first, plus the ring's counter summary —
     /// `capacity` rides along so the exporter can report completeness
     /// (% of recorded spans kept) per thread.
-    pub fn drain(self) -> (Vec<Span>, TraceSummary) {
-        let summary = TraceSummary {
-            recorded: self.recorded,
-            dropped: self.dropped,
-            capacity: self.cap as u64,
-        };
-        let mut out = Vec::with_capacity(self.buf.len());
-        if self.buf.len() < self.cap {
-            out.extend(self.buf);
-        } else {
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-        }
-        (out, summary)
+    pub fn drain(mut self) -> (Vec<Span>, TraceSummary) {
+        (self.0.take(), self.0.summary())
     }
 
     /// Spans recorded so far (dropped ones included).
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.0.summary().recorded
     }
 
     /// Spans overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.0.summary().dropped
     }
 }
 
@@ -604,25 +567,17 @@ pub struct SpanCollector {
 
 #[derive(Debug)]
 struct CollectorInner {
-    buf: Vec<RawSpan>,
-    cap: usize,
-    head: usize,
-    recorded: u64,
-    dropped: u64,
+    ring: Ring<RawSpan>,
+    /// Span ids handed out so far.
     next: u64,
 }
 
 impl SpanCollector {
     /// A collector retaining at most `capacity` spans (min 1).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
         SpanCollector {
             inner: Mutex::new(CollectorInner {
-                buf: Vec::with_capacity(cap),
-                cap,
-                head: 0,
-                recorded: 0,
-                dropped: 0,
+                ring: Ring::new(capacity),
                 next: 0,
             }),
         }
@@ -631,16 +586,7 @@ impl SpanCollector {
     /// Record one raw server span (overwrite-oldest when full).
     pub fn record(&self, s: RawSpan) {
         let mut inner = self.inner.lock().expect("span collector poisoned");
-        inner.recorded += 1;
-        if inner.buf.len() < inner.cap {
-            inner.buf.push(s);
-            inner.head = inner.buf.len() % inner.cap;
-        } else {
-            let head = inner.head;
-            inner.buf[head] = s;
-            inner.head = (head + 1) % inner.cap;
-            inner.dropped += 1;
-        }
+        inner.ring.push(s);
     }
 
     /// Convert the retained raw spans to origin-relative [`Span`]s
@@ -649,21 +595,8 @@ impl SpanCollector {
     /// client ids.
     pub fn drain(&self, origin: Instant) -> (Vec<Span>, TraceSummary) {
         let mut inner = self.inner.lock().expect("span collector poisoned");
-        let summary = TraceSummary {
-            recorded: inner.recorded,
-            dropped: inner.dropped,
-            capacity: inner.cap as u64,
-        };
-        let mut raw: Vec<RawSpan> = Vec::with_capacity(inner.buf.len());
-        if inner.buf.len() < inner.cap {
-            raw.extend_from_slice(&inner.buf);
-        } else {
-            let head = inner.head;
-            raw.extend_from_slice(&inner.buf[head..]);
-            raw.extend_from_slice(&inner.buf[..head]);
-        }
-        inner.buf.clear();
-        inner.head = 0;
+        let summary = inner.ring.summary();
+        let raw = inner.ring.take();
         let mut out = Vec::with_capacity(raw.len());
         for r in raw {
             inner.next += 1;

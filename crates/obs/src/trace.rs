@@ -8,6 +8,7 @@
 //! — the part that explains the state the run ended in.
 
 use crate::event::TxnEvent;
+use crate::ring::Ring;
 
 /// Default per-thread ring capacity (events, not bytes).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -36,80 +37,47 @@ impl Default for ObsConfig {
 
 /// A fixed-capacity overwrite-oldest ring of [`TxnEvent`]s.
 #[derive(Debug, Clone)]
-pub struct TraceRing {
-    buf: Vec<TxnEvent>,
-    /// Ring size in events (`Vec::capacity` may over-allocate, so the
-    /// logical bound is tracked separately).
-    cap: usize,
-    /// Next write position (wraps at `cap`).
-    head: usize,
-    recorded: u64,
-    dropped: u64,
-}
+pub struct TraceRing(Ring<TxnEvent>);
 
 impl TraceRing {
     /// An empty ring holding at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        TraceRing {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            recorded: 0,
-            dropped: 0,
-        }
+        TraceRing(Ring::new(capacity))
     }
 
     /// Record one event: O(1), no allocation after the ring first fills.
     pub fn push(&mut self, ev: TxnEvent) {
-        self.recorded += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-            self.head = self.buf.len() % self.cap;
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
+        self.0.push(ev);
     }
 
     /// Events ever recorded (dropped ones included).
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.summary().recorded
     }
 
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.summary().dropped
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.0.len()
     }
 
     /// True when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// The retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TxnEvent> {
-        let (newer, older) = if self.buf.len() < self.cap {
-            (&self.buf[..], &[][..])
-        } else {
-            self.buf.split_at(self.head)
-        };
-        older.iter().chain(newer.iter())
+        self.0.iter()
     }
 
     /// Counter summary for merging across threads.
     pub fn summary(&self) -> TraceSummary {
-        TraceSummary {
-            recorded: self.recorded,
-            dropped: self.dropped,
-            capacity: self.cap as u64,
-        }
+        self.0.summary()
     }
 }
 

@@ -5,8 +5,8 @@
 //! metric instead of an end-of-run inference. Work is measured in three
 //! units — Block executions, batched read rounds, and lock holds
 //! (update-mode opens) — accumulated from the same [`TxnEvent`] stream
-//! that feeds abort attribution, so the nesting executor, the checkpoint
-//! runner and the batch path are all covered by one accounting.
+//! that feeds abort attribution, so the closed loop and the batch path are
+//! covered by one accounting.
 //!
 //! The ledger follows the attribution-sum discipline of PR 3: every unit
 //! of work counted as executed is charged to exactly one outcome, and
@@ -32,10 +32,7 @@
 //!   exhaustion, fatal errors) are charged to `discarded(full)` and
 //!   additionally reported under [`WorkTotals::abandoned`], so storm
 //!   analysis can separate contention loss from availability loss.
-//! - The checkpoint runner's multi-Block rollbacks charge only the Block
-//!   the abort surfaced in; Blocks restored from an earlier checkpoint
-//!   re-run (and re-count) as fresh executions. The nesting executor —
-//!   the paper's design — re-runs exactly the aborted Block, so its
+//! - A partial rollback re-runs exactly the aborted Block, so its
 //!   attribution is exact.
 
 use crate::event::{AbortKind, TxnEvent};
@@ -92,7 +89,7 @@ pub struct WorkTotals {
     pub committed: WorkUnits,
     /// Work discarded by full restarts (abandoned attempts included).
     pub discarded_full: WorkUnits,
-    /// Work discarded by partial (child-scope / checkpoint) rollbacks —
+    /// Work discarded by partial (child-scope) rollbacks —
     /// the paper's headline: this is what stays *small* under ACN.
     pub discarded_partial: WorkUnits,
     /// Sub-bucket of [`WorkTotals::discarded_full`]: attempts abandoned

@@ -6,7 +6,7 @@ use acn_obs::{AbortKind, ExecStats, TxnEvent, TxnObserver};
 use acn_txir::{ObjClass, ObjectId};
 use proptest::prelude::*;
 
-const KINDS: [AbortKind; 13] = [
+const KINDS: [AbortKind; 11] = [
     AbortKind::Partial,
     AbortKind::ReadInvalid,
     AbortKind::CommitConflict,
@@ -18,8 +18,6 @@ const KINDS: [AbortKind; 13] = [
     AbortKind::SpecFull,
     AbortKind::SpecMispredict,
     AbortKind::AliasedOpen,
-    AbortKind::CkptRollback,
-    AbortKind::CkptRestart,
 ];
 
 /// Any event an executor can emit. Lock-outs are full restarts only, as in

@@ -240,12 +240,6 @@ fn seed_rows(client: &mut DtmClient, rows: &[(ObjectId, FieldId, Value)]) {
     });
 }
 
-/// Parameters for the minimum-line-count NewOrder template — a stable
-/// instance shape for micro-benchmarks that pin one template.
-pub fn neworder_params_for_bench(tpcc: &Tpcc, rng: &mut StdRng) -> Vec<Value> {
-    neworder::params(tpcc, rng, tpcc.cfg.ol_min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

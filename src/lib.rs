@@ -93,9 +93,9 @@ pub mod prelude {
         SumModel,
     };
     pub use acn_dtm::{
-        check_durability, check_history, ChildCtx, ClientConfig, Cluster, ClusterConfig,
-        CommitRecord, DtmClient, DtmError, DurabilityMode, DurabilitySummary, FaultLogConfig,
-        HistoryLog, HistorySummary, StoreDigest, SyncConfig, TxnCtx, TxnId, Violation,
+        check_durability, check_history, ClientConfig, Cluster, ClusterConfig, CommitRecord,
+        DtmClient, DtmError, DurabilityMode, DurabilitySummary, FaultLogConfig, HistoryLog,
+        HistorySummary, StoreDigest, SyncConfig, TxnCtx, TxnId, Violation,
     };
     pub use acn_obs::{
         aggregate_critpath, critical_path, parse_chrome_trace, parse_prom, record_flight,

@@ -292,17 +292,16 @@ fn every_read_round_costs_one_minimal_quorum_whichever_door_issued_it() {
         ctx.open_spec(&mut client, fresh(1)[0], true, &SpecCache::default())
             .unwrap();
         paid("TxnCtx::open_spec miss");
-        let mut child = ctx.child();
-        child.open(&mut client, &ctx, fresh(1)[0], false).unwrap();
-        paid("ChildCtx::open");
-        child.fetch_spec(&mut client, &mut ctx, &fresh(1)).unwrap();
-        paid("ChildCtx::fetch_spec of 1");
-        child.fetch_spec(&mut client, &mut ctx, &fresh(4)).unwrap();
-        paid("ChildCtx::fetch_spec of 4");
-        child
-            .open_spec(&mut client, &ctx, fresh(1)[0], false, &SpecCache::default())
+        ctx.begin_block();
+        ctx.open(&mut client, fresh(1)[0], false).unwrap();
+        paid("open inside an open block");
+        ctx.fetch_spec(&mut client, &fresh(1)).unwrap();
+        paid("fetch_spec of 1 inside an open block");
+        ctx.fetch_spec(&mut client, &fresh(4)).unwrap();
+        paid("fetch_spec of 4 inside an open block");
+        ctx.open_spec(&mut client, fresh(1)[0], false, &SpecCache::default())
             .unwrap();
-        paid("ChildCtx::open_spec miss");
+        paid("open_spec miss inside an open block");
 
         // One unseeded NewOrder on the paper-literal arm: a round per open,
         // then prepare and commit to one write quorum.
