@@ -6,26 +6,8 @@
 //! queries a read quorum and smooths the samples so a single noisy window
 //! does not thrash the Block sequence.
 
-use acn_dtm::{ContentionSample, DtmClient, DtmError};
+use acn_dtm::{DtmClient, DtmError};
 use std::collections::HashMap;
-
-/// Which of the collected run-time parameters drives the contention level
-/// fed to the Algorithm Module.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum LevelMetric {
-    /// Write counts in the last window — the paper's default
-    /// approximation.
-    #[default]
-    Writes,
-    /// Prepare-rejection (abort) ratios only.
-    Aborts,
-    /// `writes + abort_weight · aborts` — hot spots that cause aborts
-    /// weigh extra.
-    Combined {
-        /// Weight applied to the abort ratio.
-        abort_weight: f64,
-    },
-}
 
 /// Per-class contention sampler with exponential smoothing.
 #[derive(Debug, Clone)]
@@ -34,23 +16,16 @@ pub struct DynamicModule {
     classes: Vec<u16>,
     /// EWMA coefficient for new samples; `1.0` disables smoothing.
     alpha: f64,
-    metric: LevelMetric,
     levels: HashMap<u16, f64>,
 }
 
 impl DynamicModule {
     /// Track `classes` with smoothing factor `alpha` (clamped to (0, 1]).
     pub fn new(classes: Vec<u16>, alpha: f64) -> Self {
-        Self::with_metric(classes, alpha, LevelMetric::Writes)
-    }
-
-    /// Track `classes`, deriving levels per `metric`.
-    pub fn with_metric(classes: Vec<u16>, alpha: f64, metric: LevelMetric) -> Self {
         let alpha = alpha.clamp(f64::MIN_POSITIVE, 1.0);
         DynamicModule {
             classes,
             alpha,
-            metric,
             levels: HashMap::new(),
         }
     }
@@ -70,29 +45,12 @@ impl DynamicModule {
         &self.levels
     }
 
-    /// Query the quorum and fold the sample into the smoothed levels.
+    /// Query the quorum and fold the sampled write levels — the paper's
+    /// approximation of contention — into the smoothed levels.
     pub fn refresh(&mut self, client: &mut DtmClient) -> Result<&HashMap<u16, f64>, DtmError> {
         let sample = client.query_contention_full(&self.classes)?;
-        let combined = self.combine(&sample);
-        self.ingest(&combined);
+        self.ingest(&sample.writes);
         Ok(&self.levels)
-    }
-
-    /// Derive the tracked level from a full sample per the metric.
-    fn combine(&self, sample: &ContentionSample) -> HashMap<u16, f64> {
-        self.classes
-            .iter()
-            .map(|&c| {
-                let w = sample.writes.get(&c).copied().unwrap_or(0.0);
-                let a = sample.aborts.get(&c).copied().unwrap_or(0.0);
-                let level = match self.metric {
-                    LevelMetric::Writes => w,
-                    LevelMetric::Aborts => a,
-                    LevelMetric::Combined { abort_weight } => w + abort_weight * a,
-                };
-                (c, level)
-            })
-            .collect()
     }
 
     /// Fold in the levels that piggybacked on the client's recent remote
@@ -160,29 +118,6 @@ mod tests {
         let mut m = DynamicModule::raw(vec![0]);
         m.ingest(&sample(&[(0, 1.0), (9, 100.0)]));
         assert!(!m.levels().contains_key(&9));
-    }
-
-    #[test]
-    fn metric_selects_the_level_definition() {
-        let sample = ContentionSample {
-            writes: [(0u16, 4.0)].into(),
-            aborts: [(0u16, 2.0)].into(),
-        };
-        let m = DynamicModule::with_metric(vec![0], 1.0, LevelMetric::Writes);
-        assert_eq!(m.combine(&sample)[&0], 4.0);
-        let m = DynamicModule::with_metric(vec![0], 1.0, LevelMetric::Aborts);
-        assert_eq!(m.combine(&sample)[&0], 2.0);
-        let m =
-            DynamicModule::with_metric(vec![0], 1.0, LevelMetric::Combined { abort_weight: 3.0 });
-        assert_eq!(m.combine(&sample)[&0], 10.0);
-    }
-
-    #[test]
-    fn combine_defaults_missing_classes_to_zero() {
-        let sample = ContentionSample::default();
-        let m =
-            DynamicModule::with_metric(vec![5], 1.0, LevelMetric::Combined { abort_weight: 2.0 });
-        assert_eq!(m.combine(&sample)[&5], 0.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use algorithm::{AlgorithmConfig, AlgorithmModule};
 pub use blocks::BlockSeq;
 pub use contention_model::{AbortProbabilityModel, ContentionModel, MaxModel, SumModel};
 pub use controller::{AcnController, ControllerConfig, SamplingMode};
-pub use dynamic_module::{DynamicModule, LevelMetric};
+pub use dynamic_module::DynamicModule;
 pub use executor::{
     ExecutorConfig, ExecutorEngine, Prediction, PredictionOutcome, RetryPolicy, RunError, RunOpts,
 };

@@ -330,30 +330,13 @@ impl DtmClient {
         std::thread::sleep(Duration::from_nanos(jittered));
     }
 
-    /// Scatter one request to `members` (a single shared-payload broadcast,
-    /// not a clone per member) and gather every member's response, each
-    /// tagged with its source. No retry: the read round re-picks a quorum
-    /// itself.
-    fn rpc_round(
-        &mut self,
-        members: &[usize],
-        build: impl Fn(ReqId) -> Msg,
-    ) -> Result<Vec<(NodeId, Msg)>, DtmError> {
-        let req = self.next_req;
-        self.next_req += 1;
-        let (msg, bytes, pending) = self.trace_round(build(req));
-        let nodes: Vec<NodeId> = members.iter().map(|&m| Self::server_node(m)).collect();
-        self.endpoint.broadcast(&nodes, msg, bytes);
-        let deadline = Instant::now() + self.cfg.rpc_timeout;
-        let mut got = Vec::with_capacity(members.len());
-        let res = self.gather(req, members.len(), deadline, &mut got);
-        self.end_round(pending, res.is_err());
-        res?;
-        Ok(got)
-    }
-
-    /// [`Self::rpc_round`] with timeout retries against the *same* members
-    /// (2PC phases and explicit queries).
+    /// One quorum round: scatter one request to `members` (a single
+    /// shared-payload broadcast, not a clone per member) and gather every
+    /// member's response, each tagged with its source. A timeout re-tries
+    /// against the *same* members up to `retries` times (2PC phases and
+    /// explicit queries pass `quorum_retries`; the read round passes 0 and
+    /// re-picks its quorum itself). Whether a failed round abandons the
+    /// operation — `quorum_unavailable` — is the caller's to count.
     ///
     /// One logical request keeps **one** request id across every attempt: a
     /// timeout re-broadcasts the same correlation id after a jittered,
@@ -362,17 +345,18 @@ impl DtmClient {
     /// servers dedup retried Prepare/Commit/Abort by `(txn, req)` so a
     /// request whose *response* was lost is answered from the dedup cache
     /// instead of being re-executed.
-    fn rpc_quorum_retry(
+    fn round(
         &mut self,
         members: &[usize],
-        build: impl Fn(ReqId) -> Msg,
-    ) -> Result<Vec<Msg>, DtmError> {
+        retries: usize,
+        build: impl FnOnce(ReqId) -> Msg,
+    ) -> Result<Vec<(NodeId, Msg)>, DtmError> {
         let req = self.next_req;
         self.next_req += 1;
-        let msg = build(req);
+        let mut msg = Some(build(req));
         let nodes: Vec<NodeId> = members.iter().map(|&m| Self::server_node(m)).collect();
         let mut got: Vec<(NodeId, Msg)> = Vec::with_capacity(members.len());
-        for attempt in 0..=self.cfg.quorum_retries {
+        for attempt in 0..=retries {
             if attempt > 0 {
                 self.stats.rpc_retries += 1;
                 self.backoff(attempt);
@@ -381,17 +365,22 @@ impl DtmClient {
             // their dedup cache (or redo an idempotent read), the rest get
             // another chance to respond. Each broadcast is its own round
             // span (a fresh wire context), so a retry's server spans are
-            // children of the attempt that actually carried them.
-            let (wire, bytes, pending) = self.trace_round(msg.clone());
+            // children of the attempt that actually carried them. The last
+            // attempt gives the message away instead of copying it.
+            let copy = if attempt == retries {
+                msg.take()
+            } else {
+                msg.clone()
+            };
+            let (wire, bytes, pending) = self.trace_round(copy.expect("taken on the last attempt"));
             self.endpoint.broadcast(&nodes, wire, bytes);
             let deadline = Instant::now() + self.cfg.rpc_timeout;
             let ok = self.gather(req, members.len(), deadline, &mut got).is_ok();
             self.end_round(pending, !ok);
             if ok {
-                return Ok(got.into_iter().map(|(_, m)| m).collect());
+                return Ok(got);
             }
         }
-        self.stats.quorum_unavailable += 1;
         Err(DtmError::Unavailable)
     }
 
@@ -458,25 +447,20 @@ impl DtmClient {
                 .min(validate.len());
             let delta = validate[start..].to_vec();
             self.stats.validate_entries_sent += (delta.len() * quorum.len()) as u64;
-            let objs_owned = objs.to_vec();
             let sample = self.piggyback_classes.clone();
-            let resps = match self.rpc_round(&quorum, |req| Msg::ReadBatchReq {
+            let Ok(resps) = self.round(&quorum, 0, |req| Msg::ReadBatchReq {
                 txn,
                 req,
-                objs: objs_owned.clone(),
-                validate: delta.clone(),
-                sample: sample.clone(),
-            }) {
-                Ok(r) => r,
-                Err(DtmError::Unavailable) => {
-                    quorum_attempts += 1;
-                    if quorum_attempts > self.cfg.quorum_retries {
-                        self.stats.quorum_unavailable += 1;
-                        return Err(DtmError::Unavailable);
-                    }
-                    continue;
+                objs: objs.to_vec(),
+                validate: delta,
+                sample,
+            }) else {
+                quorum_attempts += 1;
+                if quorum_attempts > self.cfg.quorum_retries {
+                    self.stats.quorum_unavailable += 1;
+                    return Err(DtmError::Unavailable);
                 }
-                Err(other) => return Err(other),
+                continue;
             };
             self.stats.remote_reads += 1;
 
@@ -620,17 +604,16 @@ impl DtmClient {
 
         // Phase 1: prepare.
         self.stats.prepares += 1;
-        let validate_owned = validate.to_vec();
-        let write_versions: Vec<(ObjectId, Version)> =
-            writes.iter().map(|&(o, v, _)| (o, v)).collect();
-        let resps = match self.rpc_quorum_retry(&quorum, |req| Msg::PrepareReq {
+        let retries = self.cfg.quorum_retries;
+        let resps = match self.round(&quorum, retries, |req| Msg::PrepareReq {
             txn,
             req,
-            validate: validate_owned.clone(),
-            writes: write_versions.clone(),
+            validate: validate.to_vec(),
+            writes: writes.iter().map(|&(o, v, _)| (o, v)).collect(),
         }) {
             Ok(r) => r,
             Err(e) => {
+                self.stats.quorum_unavailable += 1;
                 // No quorum for prepare (this client may be stuck on a
                 // partition's minority side). Members that *did* receive
                 // the prepare are holding locks: tell every reachable one
@@ -646,7 +629,7 @@ impl DtmClient {
         let mut locked: Vec<ObjectId> = Vec::new();
         let mut sync_refused = false;
         let mut wal_refused = false;
-        for r in &resps {
+        for (_, r) in resps {
             if let Msg::PrepareResp {
                 vote,
                 invalid: inv,
@@ -659,15 +642,15 @@ impl DtmClient {
                 if !vote {
                     all_yes = false;
                 }
-                if *syncing {
+                if syncing {
                     sync_refused = true;
                     self.stats.sync_refusals_seen += 1;
                 }
-                if *walr {
+                if walr {
                     wal_refused = true;
                 }
-                invalid.extend(inv.iter().copied());
-                locked.extend(lock.iter().copied());
+                invalid.extend(inv);
+                locked.extend(lock);
             }
         }
         let conflict = |mut invalid: Vec<ObjectId>, mut locked: Vec<ObjectId>| {
@@ -703,7 +686,9 @@ impl DtmClient {
 
         if !all_yes {
             // Phase 2: abort everywhere (also the replicas that voted yes).
-            let _ = self.rpc_quorum_retry(&quorum, |req| Msg::AbortReq { txn, req });
+            let _ = self
+                .round(&quorum, retries, |req| Msg::AbortReq { txn, req })
+                .inspect_err(|_| self.stats.quorum_unavailable += 1);
             self.stats.conflict_aborts += 1;
             return Err(conflict(invalid, locked));
         }
@@ -724,11 +709,13 @@ impl DtmClient {
                 writes: commit_writes.iter().map(|&(o, v, _)| (o, v)).collect(),
             });
         }
-        self.rpc_quorum_retry(&quorum, |req| Msg::CommitReq {
+        let commit = |req| Msg::CommitReq {
             txn,
             req,
-            writes: commit_writes.clone(),
-        })?;
+            writes: commit_writes,
+        };
+        self.round(&quorum, retries, commit)
+            .inspect_err(|_| self.stats.quorum_unavailable += 1)?;
         // Only now — with a CommitAck from the full write quorum in hand —
         // is the commit *acknowledged*: under ack-after-durable servers
         // held those acks until the covering WAL records were synced, so
@@ -758,11 +745,13 @@ impl DtmClient {
             self.stats.quorum_unavailable += 1;
             return Err(DtmError::Unavailable);
         };
-        let classes_owned = classes.to_vec();
-        let resps = self.rpc_quorum_retry(&quorum, |req| Msg::ContentionReq {
+        let query = |req| Msg::ContentionReq {
             req,
-            classes: classes_owned.clone(),
-        })?;
+            classes: classes.to_vec(),
+        };
+        let resps = self
+            .round(&quorum, self.cfg.quorum_retries, query)
+            .inspect_err(|_| self.stats.quorum_unavailable += 1)?;
         let mut out = ContentionSample {
             writes: classes.iter().map(|&c| (c, 0.0)).collect(),
             aborts: classes.iter().map(|&c| (c, 0.0)).collect(),
@@ -775,7 +764,7 @@ impl DtmClient {
                 }
             }
         };
-        for r in resps {
+        for (_, r) in resps {
             if let Msg::ContentionResp {
                 levels,
                 abort_levels,

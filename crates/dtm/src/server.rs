@@ -1,13 +1,25 @@
-//! The quorum server: request handling and the service loop.
+//! The quorum server: a state machine and the loop that pumps it.
+//!
+//! [`Server`] is the whole protocol state machine — store, locks, dedup,
+//! the durable log with its ack-after-durable gate, the TTL sweep, crash
+//! handling and catch-up. It is driven through three entry points that
+//! take the time as a parameter and touch no network:
+//! [`Server::step`] (one message in, at most one reply out),
+//! [`Server::tick`] (everything that happens because time passed) and
+//! [`Server::observe_faults`] (what the fault table says about this host).
+//!
+//! [`Server::run`] is the only function here that owns an
+//! [`Endpoint`] or reads the clock (`Instant::now()`): it receives,
+//! steps, ticks and sends, and decides nothing.
 
 use crate::contention::{ContentionWindow, WindowConfig};
-use crate::messages::{Msg, ReqId, TxnId, Version};
+use crate::messages::{BatchRead, Msg, ReqId, TxnId, ValidateEntry, Version};
 use crate::store::{Store, StoreDigest};
-use crate::wal::{replay, DurabilityMode, Persistence, WalRecord};
+use crate::wal::{replay, DurabilityMode, DurableLog, MemLog, Persistence, WalRecord};
 use acn_obs::{RawSpan, SpanCollector, SpanKind, TraceCtx, FLAG_ROLLED_BACK};
 use acn_quorum::LevelQuorums;
 use acn_simnet::{Endpoint, NodeId, RecvError};
-use acn_txir::ObjectId;
+use acn_txir::{ObjectId, ObjectVal};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,11 +113,12 @@ struct PreparedTxn {
     at: Instant,
 }
 
-/// One quorum node: a full replica of every object plus commit-lock and
-/// contention bookkeeping. The server is single-threaded — it owns its
-/// state and processes messages in arrival order, so each request is
-/// handled atomically with respect to the others (the concurrency in the
-/// system is *between* nodes, as in the paper's deployment).
+/// One quorum node: a full replica of every object plus commit-lock,
+/// durability and contention bookkeeping. The server is single-threaded —
+/// it owns its state and processes messages in arrival order, so each
+/// request is handled atomically with respect to the others (the
+/// concurrency in the system is *between* nodes, as in the paper's
+/// deployment).
 pub struct Server {
     store: Store,
     contention: ContentionWindow,
@@ -147,50 +160,33 @@ pub struct Server {
     /// table). A restart keeps the WAL: the replica replays it instead
     /// of wiping.
     restart_seen: u64,
-    /// Durable decision log (`None` = no persistence: a restart degrades
-    /// to amnesia-style full catch-up).
-    wal: Option<Box<dyn Persistence>>,
-    /// When 2PC acks may be released relative to the log — see
-    /// [`DurabilityMode`]. Ignored without a WAL.
-    durability: DurabilityMode,
-    /// Records appended to the WAL since startup (monotonic watermark).
-    wal_appended: u64,
-    /// High-water mark of `wal_appended` covered by a successful sync.
-    wal_durable: u64,
-    /// True from an append/sync error until a sync succeeds. While set,
-    /// new prepares are refused with `wal_refused` — the server degrades
-    /// to back-pressure instead of handing out grants the log cannot
-    /// make durable (or panicking).
-    wal_failed: bool,
-    /// When the oldest not-yet-durable record was appended — drives the
-    /// group-commit `max_delay` deadline.
-    wal_first_dirty_at: Option<Instant>,
-    /// Decision records (commit apply / abort) whose original append
-    /// failed. The quorum's decision is applied to the store regardless
-    /// (refusing it would strand the locks), but its ack is parked past
-    /// these: every sync attempt first re-appends the queue in order, so
-    /// the ack releases only once a re-append plus a covering sync made
-    /// the record durable — ack-after-durable holds across append faults.
-    wal_retry: VecDeque<WalRecord>,
-    /// Earliest time the next sync attempt may run while the backend is
-    /// unhealthy; `None` = no backoff pending (healthy, or first failure
-    /// not yet retried).
-    wal_retry_after: Option<Instant>,
-    /// Current degraded-mode backoff step (doubles per failed attempt,
-    /// bounded by [`WAL_RETRY_BACKOFF_MAX`]).
-    wal_backoff: Duration,
+    /// True while the fault table says this host is down. A crashed host
+    /// emits nothing, so the catch-up probe waits until it is reachable.
+    down: bool,
+    /// Durable decision log and the ack-after-durable gate in front of it
+    /// (a [`MemLog`] until [`Server::set_persistence`] installs another).
+    log: DurableLog,
     /// True while the current catch-up round should fetch only the delta
     /// (set by a restart replay, cleared by amnesia and by completion):
     /// probes carry the replica's known versions so peers answer with
     /// just the newer/missing objects.
     delta_sync: bool,
-    /// When the message-path lazy sweep last ran (see [`Server::handle`]).
-    last_sweep: Instant,
-    /// Sink for server-side spans (inbox dwell, handling, sync refusals),
-    /// parented by the trace context a [`Msg::Traced`] request carries.
-    /// `None` (the default) disables span recording entirely; spans never
-    /// touch [`ServerStats`].
+    /// Earliest time of the next TTL sweep, run by whichever of a message
+    /// ([`Server::handle`]) and a tick gets there first. `None` = due at
+    /// once.
+    next_sweep: Option<Instant>,
+    /// Earliest time of the next catch-up probe. `None` = due at once.
+    next_probe: Option<Instant>,
+    /// Sink for server-side spans (inbox dwell, handling, sync refusals,
+    /// WAL syncs and parks), parented by the trace context a
+    /// [`Msg::Traced`] request carries. `None` (the default) disables span
+    /// recording entirely; spans never touch [`ServerStats`].
     spans: Option<Arc<SpanCollector>>,
+    /// Spans a tick opened — a WAL sync and the acks it released — as
+    /// `(parent, kind, start)`. They end when the blocking sync returned,
+    /// which only the driver's clock can say: [`Server::run`] stamps and
+    /// records them right after the tick. Empty unless `spans` is set.
+    open_spans: Vec<(Option<TraceCtx>, SpanKind, Instant)>,
 }
 
 /// Lock-release sentinel for writes installed outside 2PC (sync catch-up
@@ -215,16 +211,15 @@ const DEDUP_CAPACITY: usize = 8192;
 /// Shared with [`crate::ClusterConfig`] so the two defaults cannot drift.
 pub const DEFAULT_PREPARED_TTL: Duration = Duration::from_secs(30);
 
-/// Backoff bounds for retrying WAL syncs (and failed-append re-stages)
-/// while the backend keeps erroring. Without a backoff the service loop's
-/// "degraded mode is due now" rule turns a persistently failing device
-/// into a 100% CPU spin; the cap matches the loop's idle receive timeout,
-/// so a healed backend is still noticed within one idle period.
-const WAL_RETRY_BACKOFF_MIN: Duration = Duration::from_millis(1);
-const WAL_RETRY_BACKOFF_MAX: Duration = Duration::from_millis(20);
+/// How often a syncing replica re-broadcasts its catch-up probe.
+const PROBE_EVERY: Duration = Duration::from_millis(40);
+
+/// The service loop's receive timeout when no deadline is nearer: the
+/// cadence at which an idle or failed node polls its fault table.
+const IDLE_POLL: Duration = Duration::from_millis(20);
 
 impl Server {
-    /// A fresh replica with an empty store.
+    /// A fresh replica with an empty store and an in-memory log.
     pub fn new(window: WindowConfig) -> Self {
         Server {
             store: Store::new(),
@@ -242,159 +237,31 @@ impl Server {
             server_req: 0,
             amnesia_seen: 0,
             restart_seen: 0,
-            wal: None,
-            durability: DurabilityMode::default(),
-            wal_appended: 0,
-            wal_durable: 0,
-            wal_failed: false,
-            wal_first_dirty_at: None,
-            wal_retry: VecDeque::new(),
-            wal_retry_after: None,
-            wal_backoff: Duration::ZERO,
+            down: false,
+            log: DurableLog::new(Box::new(MemLog::new())),
             delta_sync: false,
-            last_sweep: Instant::now(),
+            next_sweep: None,
+            next_probe: None,
             spans: None,
+            open_spans: Vec::new(),
         }
     }
 
-    /// Install the durable decision log. Appends happen at the 2PC
-    /// decision points (prepare grant, commit apply, abort, incarnation
-    /// bump); [`Server::recover_from_restart`] replays it.
+    /// Install the durable decision log's backend. Appends happen at the
+    /// 2PC decision points (prepare grant, commit apply, abort, incarnation
+    /// bump); a crash-restart replays it.
     pub fn set_persistence(&mut self, wal: Box<dyn Persistence>) {
-        self.wal = Some(wal);
+        self.log.backend = wal;
     }
 
     /// Choose when 2PC acks are released relative to the log. With
-    /// `EveryRecord` (the default) and `GroupCommit`, the service loop
-    /// holds `PrepareResp`/`CommitAck`/`AbortAck` replies until a sync
-    /// covers the records they depend on; `Buffered` acks immediately
-    /// and never syncs (the pre-durability behaviour, kept for ablation).
+    /// `EveryRecord` (the default) and `GroupCommit`, [`Server::step`]
+    /// withholds `PrepareResp`/`CommitAck`/`AbortAck` replies until a sync
+    /// in [`Server::tick`] covers the records they depend on; `Buffered`
+    /// acks immediately and never syncs (the pre-durability behaviour,
+    /// kept for ablation).
     pub fn set_durability(&mut self, mode: DurabilityMode) {
-        self.durability = mode;
-    }
-
-    /// Append one record, tracking the dirty window. Returns `false` on
-    /// backend error, in which case the record was *not* staged and the
-    /// server enters degraded mode (`wal_failed`) until a sync succeeds.
-    /// `true` when there is no WAL at all: callers treat "no log" as
-    /// "nothing to make durable".
-    fn append_wal(&mut self, rec: &WalRecord) -> bool {
-        let Some(wal) = self.wal.as_mut() else {
-            return true;
-        };
-        match wal.append(rec) {
-            Ok(()) => {
-                self.wal_appended += 1;
-                if self.wal_first_dirty_at.is_none() {
-                    self.wal_first_dirty_at = Some(Instant::now());
-                }
-                true
-            }
-            Err(_) => {
-                self.stats.wal_io_errors += 1;
-                self.wal_failed = true;
-                false
-            }
-        }
-    }
-
-    /// Try to make every appended record durable. Returns `true` when the
-    /// log is fully durable afterwards (trivially so without a WAL) —
-    /// which also clears degraded mode: the backend is healthy again and
-    /// new prepares may be granted. Anything less (sync error, or a
-    /// failed-append retry still pending) keeps degraded mode and backs
-    /// off the next attempt so a dead backend is not hammered in a spin.
-    fn sync_wal(&mut self) -> bool {
-        // Re-stage decision records whose original append failed, in
-        // order, ahead of the sync: the acks parked on them release only
-        // once these reach the log under a covering sync.
-        while let Some(rec) = self.wal_retry.front().cloned() {
-            if self.append_wal(&rec) {
-                self.wal_retry.pop_front();
-            } else {
-                break;
-            }
-        }
-        let dirty = self.wal_appended - self.wal_durable;
-        if dirty == 0 && !self.wal_failed && self.wal_retry.is_empty() {
-            return true;
-        }
-        let Some(wal) = self.wal.as_mut() else {
-            return true;
-        };
-        let synced = match wal.sync() {
-            Ok(()) => {
-                if dirty > 0 {
-                    self.stats.wal_sync_batches += 1;
-                    self.stats.wal_records_synced += dirty;
-                }
-                self.wal_durable = self.wal_appended;
-                self.wal_first_dirty_at = None;
-                true
-            }
-            Err(_) => {
-                self.stats.wal_io_errors += 1;
-                false
-            }
-        };
-        let healthy = synced && self.wal_retry.is_empty();
-        self.wal_failed = !healthy;
-        if healthy {
-            self.wal_retry_after = None;
-            self.wal_backoff = Duration::ZERO;
-        } else {
-            self.wal_backoff =
-                (self.wal_backoff * 2).clamp(WAL_RETRY_BACKOFF_MIN, WAL_RETRY_BACKOFF_MAX);
-            self.wal_retry_after = Some(Instant::now() + self.wal_backoff);
-        }
-        healthy
-    }
-
-    /// When must the next sync happen? `None` means no sync is scheduled
-    /// (clean log, no WAL, or Buffered mode — which only syncs at
-    /// shutdown). Degraded mode (sync failure or a pending failed-append
-    /// retry) is due after its backoff — immediate enough to exit
-    /// back-pressure as the backend heals, without busy-spinning on one
-    /// that stays broken. Under GroupCommit, `waiting` says
-    /// acks are parked on the durable watermark: that makes a sync due at
-    /// once — the loop drained the inbox first, so the batch is whatever
-    /// accumulated while the previous fsync ran, and ack latency stays
-    /// one fsync rather than one aging period. (Holding waiters for a
-    /// sub-millisecond accumulation window was tried and measured worse:
-    /// the extra prepare-ack delay stretches lock hold time, and on a
-    /// contended workload the conflict aborts that causes cost more than
-    /// the larger batches save.) The record/age caps bound the dirty
-    /// window when *no* ack is waiting (refused votes, best-effort
-    /// decision appends). The service loop shortens its receive timeout
-    /// to this deadline so aging fires on time.
-    fn wal_sync_deadline(&self, now: Instant, waiting: bool) -> Option<Instant> {
-        self.wal.as_ref()?;
-        if self.wal_failed || !self.wal_retry.is_empty() {
-            return Some(self.wal_retry_after.unwrap_or(now));
-        }
-        let dirty = self.wal_appended - self.wal_durable;
-        if dirty == 0 {
-            return None;
-        }
-        match self.durability {
-            DurabilityMode::EveryRecord => Some(now),
-            DurabilityMode::GroupCommit {
-                max_records,
-                max_delay,
-            } => {
-                if waiting || dirty as usize >= max_records {
-                    return Some(now);
-                }
-                Some(self.wal_first_dirty_at.unwrap_or(now) + max_delay)
-            }
-            DurabilityMode::Buffered => None,
-        }
-    }
-
-    /// Has [`Self::wal_sync_deadline`] passed?
-    fn wal_sync_due(&self, now: Instant, waiting: bool) -> bool {
-        self.wal_sync_deadline(now, waiting)
-            .is_some_and(|due| due <= now)
+        self.log.mode = mode;
     }
 
     /// Install the span sink the service loop records server-side spans
@@ -422,11 +289,11 @@ impl Server {
         self.syncing
     }
 
-    /// Reclaim prepared entries older than the TTL, releasing their locks.
-    /// Returns how many transactions were expired. Invoked periodically by
-    /// [`Server::run`]; public so tests (and embedders with their own
-    /// service loops) can drive it directly.
-    pub fn sweep_expired(&mut self, now: Instant) -> usize {
+    /// Reclaim prepared entries older than the TTL, releasing their locks —
+    /// so a client that crashed (or timed out) between prepare and phase 2
+    /// cannot leave its write-set locked, and the `prepared` map growing,
+    /// forever. Returns how many transactions were expired.
+    fn sweep_expired(&mut self, now: Instant) -> usize {
         let ttl = self.prepared_ttl;
         let expired: Vec<TxnId> = self
             .prepared
@@ -445,10 +312,35 @@ impl Server {
         expired.len()
     }
 
-    /// Counters so far, with the store digest and the object-version
-    /// inventory computed at call time.
+    /// Run the TTL sweep on its cadence: a quarter TTL, at least 100 ms.
+    fn sweep_if_due(&mut self, now: Instant) {
+        if self.next_sweep.is_none_or(|at| now >= at) {
+            self.sweep_expired(now);
+            let every = (self.prepared_ttl / 4).max(Duration::from_millis(100));
+            self.next_sweep = Some(now + every);
+        }
+    }
+
+    /// Remember the reply sent for a 2PC request, evicting the oldest
+    /// entry once the cache is full.
+    fn remember_reply(&mut self, key: (TxnId, ReqId), reply: Msg) {
+        if self.completed.len() >= DEDUP_CAPACITY {
+            if let Some(old) = self.completed_order.pop_front() {
+                self.completed.remove(&old);
+            }
+        }
+        if self.completed.insert(key, reply).is_none() {
+            self.completed_order.push_back(key);
+        }
+    }
+
+    /// Counters so far, with the log's counters, the store digest and the
+    /// object-version inventory filled in at call time.
     pub fn stats(&self) -> ServerStats {
         let mut s = self.stats.clone();
+        s.wal_io_errors = self.log.io_errors;
+        s.wal_sync_batches = self.log.sync_batches;
+        s.wal_records_synced = self.log.records_synced;
         s.digest = self.store.digest();
         s.inventory = self.store.known_versions();
         s.inventory.sort_unstable();
@@ -460,127 +352,119 @@ impl Server {
         &mut self.store
     }
 
-    /// Crash-with-amnesia landed: lose the store, the prepared table, the
-    /// dedup cache and the contention window, then (when peers are known)
-    /// enter catch-up mode — reads and prepare votes are refused until
-    /// peer inventories covering a read quorum have been absorbed.
-    pub fn wipe_for_amnesia(&mut self) {
-        self.store.wipe();
-        self.prepared.clear();
-        self.completed.clear();
-        self.completed_order.clear();
-        self.contention = ContentionWindow::new(self.window);
-        self.incarnation += 1;
-        self.sync_responders.clear();
-        self.stats.amnesia_wipes += 1;
-        // Amnesia loses the disk too: the log restarts empty, seeded
-        // with the new incarnation, and catch-up is a full sync.
-        if let Some(wal) = self.wal.as_mut() {
-            wal.reset();
+    /// Fold in what the fault table says about this host: crash epochs not
+    /// yet acted on, and whether the host is currently down. Amnesia goes
+    /// first — if both crashes landed since the last call the disk is gone
+    /// too, and the replay then finds the wiped log, which is exactly what
+    /// the combined fault means. The wipe happens at once, also while down,
+    /// so no pre-crash state survives into recovery.
+    pub fn observe_faults(
+        &mut self,
+        amnesia_epoch: u64,
+        restart_epoch: u64,
+        down: bool,
+        now: Instant,
+    ) {
+        if amnesia_epoch > self.amnesia_seen {
+            self.amnesia_seen = amnesia_epoch;
+            self.wipe_for_amnesia(now);
         }
-        // The reset emptied whatever was dirty; start a fresh window.
-        // Failed-append retries lived only in this process's memory and
-        // reference the wiped log — they die with it, exactly like the
-        // acks the service loop had parked on them.
-        self.wal_durable = self.wal_appended;
-        self.wal_first_dirty_at = None;
-        self.wal_failed = false;
-        self.wal_retry.clear();
-        self.wal_retry_after = None;
-        self.wal_backoff = Duration::ZERO;
-        let incarnation = self.incarnation;
-        self.append_wal(&WalRecord::IncarnationBump { incarnation });
-        self.delta_sync = false;
-        // Without peers there is nobody to catch up from; restarting
-        // empty is all a standalone server can do.
-        self.syncing = self.sync.is_some();
+        if restart_epoch > self.restart_seen {
+            self.restart_seen = restart_epoch;
+            self.recover_from_restart(now);
+        }
+        self.down = down;
+    }
+
+    /// Crash-with-amnesia landed: lose the store, the prepared table, the
+    /// dedup cache, the contention window and the disk, then (when peers
+    /// are known) enter catch-up mode — reads and prepare votes are refused
+    /// until peer inventories covering a read quorum have been absorbed.
+    fn wipe_for_amnesia(&mut self, now: Instant) {
+        self.forget();
+        self.store.wipe();
+        self.stats.amnesia_wipes += 1;
+        // The log restarts empty, seeded with the new incarnation, and
+        // catch-up is a full sync.
+        self.log.wipe();
+        self.rejoin(false, now);
     }
 
     /// Crash-restart landed: the process died but the log survived.
     /// Volatile state (store, prepared table, dedup cache, contention
-    /// window) is dropped and rebuilt by deterministically replaying the
-    /// WAL — torn tail truncated, `(txn, req)`-idempotent apply, replies
-    /// reconstructed so post-restart client retries hit the dedup cache.
-    /// Catch-up then runs in *delta* mode: only writes committed while
-    /// this replica was down need fetching from peers.
-    pub fn recover_from_restart(&mut self) {
+    /// window, parked acks) is dropped and rebuilt by deterministically
+    /// replaying the WAL — torn tail truncated, `(txn, req)`-idempotent
+    /// apply, replies reconstructed so post-restart client retries hit the
+    /// dedup cache. Catch-up then runs in *delta* mode: only writes
+    /// committed while this replica was down need fetching from peers.
+    fn recover_from_restart(&mut self, now: Instant) {
+        self.forget();
         self.stats.restart_replays += 1;
-        self.store = Store::new();
+        // The load drops whatever the backend lost (e.g. a fault-injected
+        // unsynced suffix); the surviving prefix is durable by definition.
+        let loaded = self.log.restart();
+        self.stats.torn_tails_truncated += loaded.torn_tails_truncated;
+        let st = replay(loaded.records);
+        self.stats.wal_records_replayed += st.records;
+        self.store = st.store;
+        for (txn, objs) in st.prepared {
+            // The prepare's age did not survive the crash; re-arming
+            // the TTL from now is the conservative choice (locks are
+            // held at most one extra TTL, never released early).
+            self.prepared.insert(txn, PreparedTxn { objs, at: now });
+        }
+        for (key, reply) in st.replies {
+            self.remember_reply(key, reply);
+        }
+        self.incarnation = self.incarnation.max(st.incarnation);
+        self.rejoin(true, now);
+    }
+
+    /// The head of both recoveries: what any crash takes with it besides
+    /// the store — the prepared table, the dedup cache, the contention
+    /// window and the catch-up round in progress.
+    fn forget(&mut self) {
         self.prepared.clear();
         self.completed.clear();
         self.completed_order.clear();
         self.contention = ContentionWindow::new(self.window);
         self.sync_responders.clear();
-        let now = Instant::now();
-        let mut replayed_incarnation = 0;
-        if let Some(wal) = self.wal.as_mut() {
-            let loaded = wal.load();
-            self.stats.torn_tails_truncated += loaded.torn_tails_truncated;
-            let st = replay(loaded.records);
-            self.stats.wal_records_replayed += st.records;
-            replayed_incarnation = st.incarnation;
-            self.store = st.store;
-            for (txn, objs) in st.prepared {
-                // The prepare's age did not survive the crash; re-arming
-                // the TTL from now is the conservative choice (locks are
-                // held at most one extra TTL, never released early).
-                self.prepared.insert(txn, PreparedTxn { objs, at: now });
-            }
-            for (key, reply) in st.replies {
-                if self.completed.len() >= DEDUP_CAPACITY {
-                    if let Some(old) = self.completed_order.pop_front() {
-                        self.completed.remove(&old);
-                    }
-                }
-                if self.completed.insert(key, reply).is_none() {
-                    self.completed_order.push_back(key);
-                }
-            }
-        }
-        self.incarnation = self.incarnation.max(replayed_incarnation) + 1;
-        // The load dropped whatever the backend lost (e.g. a fault-injected
-        // unsynced suffix); the surviving prefix is durable by definition.
-        // Failed-append retries were in-memory only — the crash loses
-        // them, exactly like the acks the service loop had parked on them.
-        self.wal_durable = self.wal_appended;
-        self.wal_first_dirty_at = None;
-        self.wal_failed = false;
-        self.wal_retry.clear();
-        self.wal_retry_after = None;
-        self.wal_backoff = Duration::ZERO;
+    }
+
+    /// The tail of both recoveries: adopt and log the next incarnation,
+    /// then catch up from peers — the whole inventory after amnesia, only
+    /// the `delta` after a replay. Without peers there is nobody to catch
+    /// up from; serving what it has is all a standalone server can do.
+    fn rejoin(&mut self, delta: bool, now: Instant) {
+        self.incarnation += 1;
         let incarnation = self.incarnation;
-        self.append_wal(&WalRecord::IncarnationBump { incarnation });
-        self.delta_sync = true;
+        self.log
+            .append(&WalRecord::IncarnationBump { incarnation }, now);
+        self.delta_sync = delta;
         self.syncing = self.sync.is_some();
     }
 
-    /// The [`Msg::SyncReq`] to (re)broadcast to every peer while catching
-    /// up, with the peer list. `None` when not syncing or peerless.
-    /// Re-broadcasting with a fresh correlation id is harmless: responses
-    /// are matched by incarnation, not request id.
-    pub fn sync_probe(&mut self) -> Option<(Vec<NodeId>, Msg)> {
-        if !self.syncing {
-            return None;
-        }
-        let sync = self.sync.as_ref()?;
+    /// (Re)broadcast the catch-up probe onto `out`, one copy per peer: a
+    /// [`Msg::SyncReq`], or after a restart replay a [`Msg::SyncDeltaReq`]
+    /// carrying what the replica already has. A fresh correlation id per
+    /// round is harmless: responses are matched by incarnation, not
+    /// request id.
+    fn probe(&mut self, out: &mut Vec<(NodeId, Msg)>) {
+        let Some(sync) = &self.sync else { return };
         self.server_req += 1;
-        let peers = (0..sync.servers)
-            .filter(|&r| r != sync.rank)
-            .map(|r| NodeId(r as u32))
-            .collect();
+        let (req, incarnation) = (self.server_req, self.incarnation);
         let probe = if self.delta_sync {
+            let known = self.store.known_versions();
             Msg::SyncDeltaReq {
-                req: self.server_req,
-                incarnation: self.incarnation,
-                known: self.store.known_versions(),
+                req,
+                incarnation,
+                known,
             }
         } else {
-            Msg::SyncReq {
-                req: self.server_req,
-                incarnation: self.incarnation,
-            }
+            Msg::SyncReq { req, incarnation }
         };
-        Some((peers, probe))
+        let peers = (0..sync.servers).filter(|&r| r != sync.rank);
+        out.extend(peers.map(|r| (NodeId(r as u32), probe.clone())));
     }
 
     /// Absorb one peer's [`Msg::SyncResp`] inventory. Catch-up completes —
@@ -597,7 +481,7 @@ impl Server {
         &mut self,
         src: NodeId,
         incarnation: u64,
-        entries: Vec<(ObjectId, crate::messages::Version, acn_txir::ObjectVal)>,
+        entries: Vec<(ObjectId, Version, ObjectVal)>,
     ) {
         if !self.syncing || incarnation != self.incarnation {
             return; // stale response to an earlier recovery attempt
@@ -627,11 +511,19 @@ impl Server {
         }
     }
 
-    /// [`Server::handle`] with the sender known: intercepts peer-to-peer
-    /// sync responses (which update recovery state instead of producing a
-    /// reply) and delegates everything else. The service loop always goes
-    /// through here.
-    pub fn handle_from(&mut self, src: NodeId, msg: Msg, now: Instant) -> Option<Msg> {
+    /// One message in, at most one reply out — what the service loop does
+    /// with everything it receives. Strips the trace envelope, absorbs
+    /// peer-to-peer sync responses (which update recovery state instead of
+    /// producing a reply), [`Server::handle`]s the rest and passes the
+    /// reply through the ack-after-durable gate. `Some` = send it to `src`
+    /// now; `None` = there is no reply, or it certifies a decision the log
+    /// has not made durable yet and is parked until the [`Server::tick`]
+    /// whose sync covers it.
+    pub fn step(&mut self, src: NodeId, msg: Msg, now: Instant) -> Option<Msg> {
+        let (ctx, msg) = match msg {
+            Msg::Traced { ctx, inner } => (Some(ctx), *inner),
+            other => (None, other),
+        };
         if let Msg::SyncResp {
             incarnation,
             entries,
@@ -641,7 +533,52 @@ impl Server {
             self.absorb_sync_resp(src, incarnation, entries);
             return None;
         }
-        self.handle(msg, now)
+        let reply = self.handle(msg, now)?;
+        self.log.gate(src, reply, ctx, now)
+    }
+
+    /// Everything that happens because time passed, in the order the
+    /// service loop needs it: sync the log if its mode says one is due and
+    /// release — oldest first — the parked acks the sync covered; run the
+    /// TTL sweep on its cadence; re-broadcast the catch-up probe on its
+    /// cadence while syncing and reachable. Messages to send are pushed
+    /// onto `out` as `(destination, message)`. Returns when to tick next
+    /// at the latest (earlier is always fine).
+    pub fn tick(&mut self, now: Instant, out: &mut Vec<(NodeId, Msg)>) -> Option<Instant> {
+        if self.log.deadline(now).is_some_and(|due| due <= now) {
+            // The fsync itself is server-local work with no client parent
+            // — a root-level span so flight-recorder dumps show when the
+            // disk was busy.
+            if self.spans.is_some() {
+                self.open_spans.push((None, SpanKind::WalSync, now));
+            }
+            self.log.sync(now);
+        }
+        self.release(out);
+        self.sweep_if_due(now);
+        let probing = self.syncing && !self.down;
+        if probing && self.next_probe.is_none_or(|at| now >= at) {
+            self.probe(out);
+            self.next_probe = Some(now + PROBE_EVERY);
+        }
+        let probe_at = self.next_probe.filter(|_| probing);
+        let log_at = self.log.deadline(now);
+        log_at
+            .into_iter()
+            .chain(self.next_sweep)
+            .chain(probe_at)
+            .min()
+    }
+
+    /// Move every parked ack the durable watermark covers onto `out`, in
+    /// park order.
+    fn release(&mut self, out: &mut Vec<(NodeId, Msg)>) {
+        while let Some(ack) = self.log.pop_covered() {
+            if let (Some(_), Some((ctx, at))) = (&self.spans, ack.traced) {
+                self.open_spans.push((Some(ctx), SpanKind::WalPark, at));
+            }
+            out.push((ack.dst, ack.reply));
+        }
     }
 
     /// Handle one request, producing the reply to send back (if any).
@@ -655,24 +592,23 @@ impl Server {
     /// legitimately be retried after catch-up completes and must then get
     /// a real vote.
     ///
-    /// Message arrival also drives a lazy TTL sweep: a server whose
-    /// service loop sat blocked in a long receive would otherwise only
-    /// reclaim expired prepares on the loop's timeout cadence, so an
-    /// expired lock could outlive its TTL by a full idle gap and reject
-    /// the very prepare that just arrived.
+    /// Message arrival also drives the TTL sweep, lazily: a server whose
+    /// driver sat blocked in a long receive would otherwise only reclaim
+    /// expired prepares on the tick cadence, so an expired lock could
+    /// outlive its TTL by a full idle gap and reject the very prepare that
+    /// just arrived.
+    ///
+    /// This is what the reply *is*. Whether it may leave yet is the
+    /// ack-after-durable gate's call, which [`Server::step`] adds.
     pub fn handle(&mut self, msg: Msg, now: Instant) -> Option<Msg> {
         // Unwrap a trace envelope defensively so direct calls (tests,
-        // embedders) behave exactly like the service loop, which strips
-        // the envelope itself to time the handling.
+        // embedders) behave exactly like `step`, which strips the
+        // envelope itself to keep the context.
         let msg = match msg {
             Msg::Traced { inner, .. } => *inner,
             other => other,
         };
-        let sweep_every = (self.prepared_ttl / 4).max(Duration::from_millis(100));
-        if now.saturating_duration_since(self.last_sweep) >= sweep_every {
-            self.sweep_expired(now);
-            self.last_sweep = now;
-        }
+        self.sweep_if_due(now);
         let dedup_key = match &msg {
             Msg::PrepareReq { txn, req, .. }
             | Msg::CommitReq { txn, req, .. }
@@ -689,75 +625,51 @@ impl Server {
         // Refusals are not cached: the same request id may legitimately
         // be retried after catch-up completes (syncing) or the storage
         // backend heals (wal_refused) and must then get a real vote.
-        let cacheable = !matches!(
+        let refused = matches!(
             &reply,
-            Some(Msg::PrepareResp { syncing: true, .. })
-                | Some(Msg::PrepareResp {
-                    wal_refused: true,
-                    ..
-                })
+            Some(Msg::PrepareResp { syncing, wal_refused, .. }) if *syncing || *wal_refused
         );
-        if let (Some(key), Some(r), true) = (dedup_key, &reply, cacheable) {
-            if self.completed.len() >= DEDUP_CAPACITY {
-                if let Some(old) = self.completed_order.pop_front() {
-                    self.completed.remove(&old);
-                }
-            }
-            if self.completed.insert(key, r.clone()).is_none() {
-                self.completed_order.push_back(key);
-            }
+        if let (Some(key), Some(r), false) = (dedup_key, &reply, refused) {
+            self.remember_reply(key, r.clone());
         }
         reply
     }
 
     /// [`Server::handle`] past the dedup cache: executes the request.
+    ///
+    /// Two states refuse work up front. *Catching up*: an amnesiac store
+    /// reads every object as version 0, so serving reads would hand out
+    /// phantom-fresh copies and voting yes would silently pass validation
+    /// against wiped state — reads and prepares are refused. *Degraded*:
+    /// the log cannot currently make anything durable, so a grant would
+    /// hand out a lock whose record is unloggable — prepares are refused,
+    /// with back-pressure the client attributes separately. Phase-2
+    /// messages are processed in both: the commit/abort decision was
+    /// already made by a quorum, and `Store::apply` only moves versions
+    /// forward.
     fn handle_fresh(&mut self, msg: Msg, now: Instant) -> Option<Msg> {
-        // Catch-up mode: an amnesiac store reads every object as version 0,
-        // so serving reads would hand out phantom-fresh copies and voting
-        // yes in prepares would silently pass validation against wiped
-        // state. Refuse both. Phase-2 messages are still processed below —
-        // the commit/abort decision was already made from quorum votes that
-        // did not include this replica's, and `Store::apply` only moves
-        // versions forward.
-        if self.syncing {
-            match &msg {
-                Msg::ReadBatchReq { req, .. } => {
-                    self.stats.sync_read_refusals += 1;
-                    return Some(Msg::Syncing { req: *req });
-                }
-                Msg::PrepareReq { req, .. } => {
-                    self.stats.sync_vote_refusals += 1;
-                    return Some(Msg::PrepareResp {
-                        req: *req,
-                        vote: false,
-                        invalid: vec![],
-                        locked: None,
-                        syncing: true,
-                        wal_refused: false,
-                    });
-                }
-                _ => {}
-            }
-        }
-        // Degraded mode: the WAL cannot currently make anything durable,
-        // so granting a prepare would hand out a lock whose grant record
-        // is unloggable. Refuse new prepares with back-pressure the
-        // client attributes separately; phase-2 commits/aborts (decisions
-        // already made by the quorum) are still applied below.
-        if self.wal_failed {
-            if let Msg::PrepareReq { req, .. } = &msg {
-                self.stats.wal_vote_refusals += 1;
-                return Some(Msg::PrepareResp {
-                    req: *req,
-                    vote: false,
-                    invalid: vec![],
-                    locked: None,
-                    syncing: false,
-                    wal_refused: true,
-                });
-            }
-        }
+        // A no-vote that blames no object: the client retries elsewhere.
+        let refusal = |req, syncing| Msg::PrepareResp {
+            req,
+            vote: false,
+            invalid: vec![],
+            locked: None,
+            syncing,
+            wal_refused: !syncing,
+        };
         match msg {
+            Msg::ReadBatchReq { req, .. } if self.syncing => {
+                self.stats.sync_read_refusals += 1;
+                Some(Msg::Syncing { req })
+            }
+            Msg::PrepareReq { req, .. } if self.syncing => {
+                self.stats.sync_vote_refusals += 1;
+                Some(refusal(req, true))
+            }
+            Msg::PrepareReq { req, .. } if self.log.degraded() => {
+                self.stats.wal_vote_refusals += 1;
+                Some(refusal(req, false))
+            }
             Msg::ReadBatchReq {
                 txn,
                 req,
@@ -771,16 +683,12 @@ impl Server {
                 // stale read-set is worth reporting even when a requested
                 // object is protected.
                 self.stats.reads += objs.len() as u64;
-                let invalid: Vec<ObjectId> = validate
-                    .iter()
-                    .filter(|&&(o, v)| self.store.version(o) > v)
-                    .map(|&(o, _)| o)
-                    .collect();
+                let invalid = self.stale(&validate);
                 let reads = objs
                     .iter()
                     .map(|&obj| {
                         let (version, value, lock) = self.store.read(obj);
-                        crate::messages::BatchRead {
+                        BatchRead {
                             obj,
                             version,
                             value,
@@ -824,11 +732,7 @@ impl Server {
                 }
                 let mut invalid = Vec::new();
                 if vote {
-                    invalid = validate
-                        .iter()
-                        .filter(|&&(o, v)| self.store.version(o) > v)
-                        .map(|&(o, _)| o)
-                        .collect();
+                    invalid = self.stale(&validate);
                     vote = invalid.is_empty();
                     for &o in &invalid {
                         self.contention.record_abort(o, now);
@@ -838,25 +742,19 @@ impl Server {
                     // Read-only prepares (no writes) hold no locks and need
                     // no phase 2, so nothing is recorded for them.
                     if !locked.is_empty() {
-                        if !self.append_wal(&WalRecord::PrepareGrant {
+                        let grant = WalRecord::PrepareGrant {
                             txn,
                             req,
                             objs: locked.clone(),
-                        }) {
+                        };
+                        if !self.log.append(&grant, now) {
                             // The grant could not even be staged: undo the
                             // locks and refuse with storage back-pressure.
                             for obj in locked {
                                 self.store.unlock(obj, txn);
                             }
                             self.stats.wal_vote_refusals += 1;
-                            return Some(Msg::PrepareResp {
-                                req,
-                                vote: false,
-                                invalid: vec![],
-                                locked: None,
-                                syncing: false,
-                                wal_refused: true,
-                            });
+                            return Some(refusal(req, false));
                         }
                         self.prepared.insert(
                             txn,
@@ -897,9 +795,7 @@ impl Server {
                     req,
                     writes: writes.clone(),
                 };
-                if !self.append_wal(&rec) {
-                    self.wal_retry.push_back(rec);
-                }
+                self.log.append_decision(rec, now);
                 for (obj, version, value) in writes {
                     self.store.apply(obj, version, value, txn);
                     self.contention.record_write(obj, now);
@@ -916,9 +812,7 @@ impl Server {
                 // the post-restart TTL sweep reclaims — and the parked
                 // ack dies with the crash, never sent.
                 let rec = WalRecord::Abort { txn, req };
-                if !self.append_wal(&rec) {
-                    self.wal_retry.push_back(rec);
-                }
+                self.log.append_decision(rec, now);
                 if let Some(p) = self.prepared.remove(&txn) {
                     for obj in p.objs {
                         self.store.unlock(obj, txn);
@@ -942,48 +836,12 @@ impl Server {
                     abort_levels,
                 })
             }
-            Msg::SyncReq { req, incarnation } => {
-                // A replica that is itself catching up must not seed
-                // another: its amnesiac inventory would launder version-0
-                // state into the requester's "covered" quorum. Stay silent
-                // and let the requester's re-broadcast find healthy peers.
-                if self.syncing {
-                    return None;
-                }
-                self.stats.syncs_served += 1;
-                Some(Msg::SyncResp {
-                    req,
-                    incarnation,
-                    entries: self.store.inventory(),
-                })
-            }
+            Msg::SyncReq { req, incarnation } => self.serve_sync(req, incarnation, None),
             Msg::SyncDeltaReq {
                 req,
                 incarnation,
                 known,
-            } => {
-                // Same no-amnesiac-seeding rule as a full SyncReq.
-                if self.syncing {
-                    return None;
-                }
-                self.stats.syncs_served += 1;
-                // Ship only what the requester is missing: objects it has
-                // never seen, or holds at an older version. A never-written
-                // object reads as version 0 everywhere, so absent == 0.
-                let known: HashMap<ObjectId, crate::messages::Version> =
-                    known.into_iter().collect();
-                let entries = self
-                    .store
-                    .inventory()
-                    .into_iter()
-                    .filter(|(obj, version, _)| known.get(obj).copied().unwrap_or(0) < *version)
-                    .collect();
-                Some(Msg::SyncResp {
-                    req,
-                    incarnation,
-                    entries,
-                })
-            }
+            } => self.serve_sync(req, incarnation, Some(known)),
             Msg::RepairWrite { writes, .. } => {
                 self.stats.repair_writes_received += 1;
                 for (obj, version, value) in writes {
@@ -1008,257 +866,162 @@ impl Server {
         }
     }
 
-    /// Service loop: receive, handle, reply, until `Msg::Shutdown` arrives
-    /// or the network closes. Returns the final stats.
-    ///
-    /// Periodically sweeps expired prepared transactions, so a client that
-    /// crashed (or timed out) between prepare and phase 2 cannot leave its
-    /// write-set locked — and the `prepared` map growing — forever.
-    ///
-    /// Each iteration also polls the fault table's amnesia epoch: when a
-    /// crash-with-amnesia lands, the replica wipes itself immediately (so
-    /// no pre-wipe state survives into recovery) and, once reachable
-    /// again, re-broadcasts [`Msg::SyncReq`] to its peers every probe
-    /// interval until their inventories cover a read quorum.
-    pub fn run(mut self, endpoint: Endpoint<Msg>) -> ServerStats {
-        let sweep_every = (self.prepared_ttl / 4).max(Duration::from_millis(100));
-        let probe_every = Duration::from_millis(40);
-        let mut next_sweep = Instant::now() + sweep_every;
-        let mut next_probe = Instant::now();
-        // Acks held back until the WAL records they depend on are durable:
-        // (covering append watermark, destination, reply, and — when the
-        // request carried a trace — its context plus park time, so the
-        // release records a `WalPark` span covering the held interval).
-        // Watermarks are appended in increasing order, so the front is
-        // always the next releasable entry.
-        type Parked = (u64, NodeId, Msg, Option<(TraceCtx, Instant)>);
-        let mut wal_waiters: VecDeque<Parked> = VecDeque::new();
-        // Group commit batches by *arrival concurrency*: the loop drains
-        // every message already queued in the inbox before syncing, so one
-        // fsync covers everything that accumulated while the previous one
-        // ran. EveryRecord keeps a drain of 1 — its contract is one sync
-        // per record, and the ablation measures exactly that.
-        let drain: usize = match self.durability {
-            DurabilityMode::GroupCommit { .. } => 64,
-            _ => 1,
-        };
-        'serve: loop {
-            // Amnesia first: if both faults landed in one poll gap, the
-            // disk is gone too — the replay then finds the wiped log,
-            // which is exactly what the combined fault means.
-            let epoch = endpoint.amnesia_epoch();
-            if epoch > self.amnesia_seen {
-                self.amnesia_seen = epoch;
-                self.wipe_for_amnesia();
-                // A crashed process loses its in-memory parked acks: they
-                // were never sent, and the records covering them may have
-                // died with the wiped log or the unsynced suffix —
-                // releasing them post-recovery would ack decisions the
-                // log no longer holds, the exact early ack the
-                // ack-after-durable contract forbids.
-                wal_waiters.clear();
-            }
-            let repoch = endpoint.restart_epoch();
-            if repoch > self.restart_seen {
-                self.restart_seen = repoch;
-                self.recover_from_restart();
-                // Same as amnesia: pre-crash parked acks die unsent.
-                wal_waiters.clear();
-            }
-            if self.syncing && !endpoint.is_failed() {
-                let now = Instant::now();
-                if now >= next_probe {
-                    if let Some((peers, probe)) = self.sync_probe() {
-                        let bytes = probe.wire_bytes();
-                        endpoint.broadcast(&peers, probe, bytes);
-                    }
-                    next_probe = now + probe_every;
-                }
-            }
-            // A short receive keeps the amnesia poll and probe cadence
-            // responsive while the node is failed or idle, shortened to
-            // the sync deadline when records are dirty so aging (and the
-            // waiter accumulation window) fires on time; after the first
-            // message, zero-timeout receives drain what is already queued.
-            'drain: for received in 0..drain {
-                let timeout = if received == 0 {
-                    let idle = Duration::from_millis(20);
-                    match self.wal_sync_deadline(Instant::now(), !wal_waiters.is_empty()) {
-                        Some(due) => idle.min(due.saturating_duration_since(Instant::now())),
-                        None => idle,
-                    }
+    /// The presented read-set entries this replica holds a newer version of.
+    fn stale(&self, validate: &[ValidateEntry]) -> Vec<ObjectId> {
+        let newer = validate.iter().filter(|&&(o, v)| self.store.version(o) > v);
+        newer.map(|&(o, _)| o).collect()
+    }
+
+    /// Answer a recovering peer's probe with this replica's inventory —
+    /// all of it, or with `known` only what the requester is missing:
+    /// objects it has never seen, or holds at an older version (a
+    /// never-written object reads as version 0 everywhere, so absent == 0).
+    /// A replica that is itself catching up must not seed another: its
+    /// amnesiac inventory would launder version-0 state into the
+    /// requester's "covered" quorum. It stays silent and lets the
+    /// requester's re-broadcast find healthy peers.
+    fn serve_sync(
+        &mut self,
+        req: ReqId,
+        incarnation: u64,
+        known: Option<Vec<(ObjectId, Version)>>,
+    ) -> Option<Msg> {
+        if self.syncing {
+            return None;
+        }
+        self.stats.syncs_served += 1;
+        let mut entries = self.store.inventory();
+        if let Some(known) = known {
+            let known: HashMap<ObjectId, Version> = known.into_iter().collect();
+            entries.retain(|(obj, version, _)| known.get(obj).copied().unwrap_or(0) < *version);
+        }
+        Some(Msg::SyncResp {
+            req,
+            incarnation,
+            entries,
+        })
+    }
+
+    /// Record one server-side span. `ctx: None` makes it a server-local
+    /// root; a refusal reads as rolled back — the client retries elsewhere.
+    fn span(&self, node: u32, ctx: Option<TraceCtx>, kind: SpanKind, start: Instant, end: Instant) {
+        if let Some(spans) = &self.spans {
+            spans.record(RawSpan {
+                parent: ctx.map_or(0, |c| c.span),
+                trace: ctx.map_or(0, |c| c.trace),
+                kind,
+                node,
+                start,
+                end,
+                flags: if kind == SpanKind::SyncRefusal {
+                    FLAG_ROLLED_BACK
                 } else {
-                    Duration::ZERO
-                };
-                match endpoint.recv_timeout_meta(timeout) {
-                    Ok((src, msg, meta)) => {
-                        // Strip the trace envelope before dispatch so
-                        // handling (and the Shutdown check) sees the bare
-                        // request; the carried context parents the
-                        // server-side spans below.
-                        let (ctx, msg) = match msg {
-                            Msg::Traced { ctx, inner } => (Some(ctx), *inner),
-                            other => (None, other),
-                        };
-                        if matches!(msg, Msg::Shutdown) {
-                            break 'serve;
-                        }
-                        let reply = self.handle_from(src, msg, Instant::now());
-                        if let (Some(spans), Some(ctx)) = (self.spans.as_ref(), ctx) {
-                            let node = endpoint.id().0;
-                            let done = Instant::now();
-                            // Inbox dwell: matured on the wire at
-                            // `deliver_at`, picked up by this
-                            // single-threaded loop at `received_at` — the
-                            // server-queue segment.
-                            spans.record(RawSpan {
-                                parent: ctx.span,
-                                trace: ctx.trace,
-                                kind: SpanKind::ServerQueue,
-                                node,
-                                start: meta.deliver_at,
-                                end: meta.received_at,
-                                flags: 0,
-                            });
-                            spans.record(RawSpan {
-                                parent: ctx.span,
-                                trace: ctx.trace,
-                                kind: SpanKind::ServerHandle,
-                                node,
-                                start: meta.received_at,
-                                end: done,
-                                flags: 0,
-                            });
-                            // A refusal while catching up reads as a
-                            // rolled-back server span: the client will
-                            // retry elsewhere.
-                            let refused = matches!(
-                                &reply,
-                                Some(Msg::Syncing { .. })
-                                    | Some(Msg::PrepareResp { syncing: true, .. })
-                            );
-                            if refused {
-                                spans.record(RawSpan {
-                                    parent: ctx.span,
-                                    trace: ctx.trace,
-                                    kind: SpanKind::SyncRefusal,
-                                    node,
-                                    start: meta.received_at,
-                                    end: done,
-                                    flags: FLAG_ROLLED_BACK,
-                                });
-                            }
-                        }
-                        if let Some(reply) = reply {
-                            // Ack-after-durable: a 2PC reply that depends
-                            // on log records still in the dirty window is
-                            // parked until a sync covers the current
-                            // watermark. Reads and refusals (no vote ⇒ no
-                            // grant record) go out immediately; Buffered
-                            // mode never defers — that is exactly the
-                            // honesty gap the ablation measures.
-                            let needs_durability = matches!(
-                                &reply,
-                                Msg::PrepareResp { vote: true, .. }
-                                    | Msg::CommitAck { .. }
-                                    | Msg::AbortAck { .. }
-                            );
-                            // A pending failed-append retry counts into
-                            // the covering watermark: its record is not
-                            // even staged yet, and will occupy the slots
-                            // past everything queued before it once the
-                            // sync path re-appends the queue in order.
-                            let mark = self.wal_appended + self.wal_retry.len() as u64;
-                            let defer = needs_durability
-                                && self.wal.is_some()
-                                && self.durability != DurabilityMode::Buffered
-                                && self.wal_durable < mark;
-                            if defer {
-                                let parked = ctx.map(|c| (c, Instant::now()));
-                                wal_waiters.push_back((mark, src, reply, parked));
-                            } else {
-                                let bytes = reply.wire_bytes();
-                                endpoint.send_sized(src, reply, bytes);
-                            }
-                        }
-                    }
-                    Err(RecvError::Timeout) => break 'drain,
-                    Err(RecvError::Closed) => break 'serve,
-                }
+                    0
+                },
+            });
+        }
+    }
+
+    /// End the spans a tick opened: `end` is when the driver saw the sync
+    /// they waited on return.
+    fn close_spans(&mut self, node: u32, end: Instant) {
+        for (ctx, kind, start) in std::mem::take(&mut self.open_spans) {
+            self.span(node, ctx, kind, start, end);
+        }
+    }
+
+    /// Last call before the server stops: one more sync, so a cleanly
+    /// shut-down log is durable even under `GroupCommit`/`Buffered`, and
+    /// the release of every parked ack it covered. Acks whose records the
+    /// backend persistently refuses to sync are dropped with the server —
+    /// exactly a never-sent ack.
+    fn shutdown(&mut self, now: Instant, out: &mut Vec<(NodeId, Msg)>) {
+        self.log.sync(now);
+        self.release(out);
+    }
+
+    /// Service loop: pump messages and time through the state machine
+    /// until `Msg::Shutdown` arrives or the network closes. Returns the
+    /// final stats.
+    ///
+    /// Each iteration reports the fault table ([`Server::observe_faults`]),
+    /// ticks and sends what the tick released, then receives — for at most
+    /// the tick's deadline, and never longer than the idle poll, which
+    /// keeps crash detection and the probe cadence responsive while the
+    /// node is failed or idle — and steps up to a batch of messages
+    /// already queued, sending each ungated reply before the next message
+    /// is received.
+    pub fn run(mut self, endpoint: Endpoint<Msg>) -> ServerStats {
+        let node = endpoint.id().0;
+        let send = |dst: NodeId, msg: Msg| {
+            let bytes = msg.wire_bytes();
+            endpoint.send_sized(dst, msg, bytes);
+        };
+        // Send what a tick produced. The spans it opened end here, now
+        // that the sync they waited on has returned.
+        let flush = |server: &mut Server, out: &mut Vec<(NodeId, Msg)>| {
+            if !server.open_spans.is_empty() {
+                server.close_spans(node, Instant::now());
             }
-            // Sync on the durability mode's cadence (EveryRecord: right
-            // here, before the ack leaves; GroupCommit: once the oldest
-            // parked ack has aged past the accumulation window — the
-            // drain above already emptied the inbox, so the batch is
-            // everything that arrived during the window plus the previous
-            // fsync — or when the dirty window fills or ages out with no
-            // waiter), then release every waiter the new durable watermark
-            // covers.
+            out.drain(..).for_each(|(dst, msg)| send(dst, msg));
+        };
+        let mut out = Vec::new();
+        'serve: loop {
             let now = Instant::now();
-            if self.wal_sync_due(now, !wal_waiters.is_empty()) {
-                let sync_start = Instant::now();
-                self.sync_wal();
-                // The fsync itself is server-local work with no client
-                // parent — a root-level span so flight-recorder dumps show
-                // when the disk was busy.
-                if let Some(spans) = self.spans.as_ref() {
-                    spans.record(RawSpan {
-                        parent: 0,
-                        trace: 0,
-                        kind: SpanKind::WalSync,
-                        node: endpoint.id().0,
-                        start: sync_start,
-                        end: Instant::now(),
-                        flags: 0,
-                    });
+            self.observe_faults(
+                endpoint.amnesia_epoch(),
+                endpoint.restart_epoch(),
+                endpoint.is_failed(),
+                now,
+            );
+            let deadline = self.tick(now, &mut out);
+            flush(&mut self, &mut out);
+            let mut timeout = match deadline {
+                Some(due) => IDLE_POLL.min(due.saturating_duration_since(Instant::now())),
+                None => IDLE_POLL,
+            };
+            for _ in 0..self.log.batch() {
+                let (src, msg, meta) = match endpoint.recv_timeout_meta(timeout) {
+                    Ok(received) => received,
+                    Err(RecvError::Timeout) => break,
+                    Err(RecvError::Closed) => break 'serve,
+                };
+                // After the first message, drain only what is queued.
+                timeout = Duration::ZERO;
+                // Look through the trace envelope: `step` strips it, but
+                // its context parents the spans below.
+                let (ctx, bare) = match &msg {
+                    Msg::Traced { ctx, inner } => (Some(*ctx), &**inner),
+                    other => (None, other),
+                };
+                if matches!(bare, Msg::Shutdown) {
+                    break 'serve;
                 }
-            }
-            while let Some(&(mark, _, _, _)) = wal_waiters.front() {
-                if mark > self.wal_durable {
-                    break;
+                let reply = self.step(src, msg, Instant::now());
+                if let (Some(ctx), true) = (ctx, self.spans.is_some()) {
+                    let done = Instant::now();
+                    // Inbox dwell: matured on the wire at `deliver_at`,
+                    // picked up by this single-threaded loop at
+                    // `received_at` — the server-queue segment.
+                    let queue = SpanKind::ServerQueue;
+                    self.span(node, Some(ctx), queue, meta.deliver_at, meta.received_at);
+                    let handle = SpanKind::ServerHandle;
+                    self.span(node, Some(ctx), handle, meta.received_at, done);
+                    if matches!(
+                        &reply,
+                        Some(Msg::Syncing { .. }) | Some(Msg::PrepareResp { syncing: true, .. })
+                    ) {
+                        let refusal = SpanKind::SyncRefusal;
+                        self.span(node, Some(ctx), refusal, meta.received_at, done);
+                    }
                 }
-                let (_, dst, msg, parked) = wal_waiters.pop_front().expect("front checked");
-                if let (Some(spans), Some((c, at))) = (self.spans.as_ref(), parked) {
-                    spans.record(RawSpan {
-                        parent: c.span,
-                        trace: c.trace,
-                        kind: SpanKind::WalPark,
-                        node: endpoint.id().0,
-                        start: at,
-                        end: Instant::now(),
-                        flags: 0,
-                    });
+                if let Some(reply) = reply {
+                    send(src, reply);
                 }
-                let bytes = msg.wire_bytes();
-                endpoint.send_sized(dst, msg, bytes);
-            }
-            if now >= next_sweep {
-                self.sweep_expired(now);
-                next_sweep = now + sweep_every;
             }
         }
-        // Final sync so a cleanly shut-down log is durable even under
-        // GroupCommit/Buffered, and any still-parked acks are released
-        // (waiters whose records the backend persistently refuses to
-        // sync are dropped — exactly a never-sent ack).
-        self.sync_wal();
-        while let Some((mark, dst, msg, parked)) = wal_waiters.pop_front() {
-            if mark <= self.wal_durable {
-                if let (Some(spans), Some((c, at))) = (self.spans.as_ref(), parked) {
-                    spans.record(RawSpan {
-                        parent: c.span,
-                        trace: c.trace,
-                        kind: SpanKind::WalPark,
-                        node: endpoint.id().0,
-                        start: at,
-                        end: Instant::now(),
-                        flags: 0,
-                    });
-                }
-                let bytes = msg.wire_bytes();
-                endpoint.send_sized(dst, msg, bytes);
-            }
-        }
+        self.shutdown(Instant::now(), &mut out);
+        flush(&mut self, &mut out);
         self.stats()
     }
 }
@@ -1936,6 +1699,14 @@ mod tests {
         }
     }
 
+    /// The catch-up probe a syncing server broadcasts, and to whom.
+    fn probe(s: &mut Server) -> (Vec<NodeId>, Msg) {
+        let mut out = Vec::new();
+        s.probe(&mut out);
+        let probe = out[0].1.clone();
+        (out.into_iter().map(|(peer, _)| peer).collect(), probe)
+    }
+
     fn commit_obj(s: &mut Server, t: TxnId, req_base: u64, obj: ObjectId, ver: u64, v: i64) {
         s.handle(
             Msg::PrepareReq {
@@ -1961,7 +1732,7 @@ mod tests {
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
         commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
-        s.wipe_for_amnesia();
+        s.wipe_for_amnesia(Instant::now());
         assert!(s.is_syncing());
         assert_eq!(s.stats().amnesia_wipes, 1);
         assert_eq!(s.stats().digest.total_objects(), 0, "store is gone");
@@ -2040,7 +1811,7 @@ mod tests {
         );
 
         // Probe names every peer and carries the current incarnation.
-        let (peers, probe) = s.sync_probe().expect("syncing server probes");
+        let (peers, probe) = probe(&mut s);
         assert_eq!(peers, vec![NodeId(1), NodeId(2), NodeId(3)]);
         let inc = match probe {
             Msg::SyncReq { incarnation, .. } => incarnation,
@@ -2051,7 +1822,7 @@ mod tests {
         // (tree levels {0} and {1,2,3}) the recovering rank 0 needs a
         // majority of the deepest level — two peers — to finish.
         let entries = vec![(OBJ, 4u64, val(40))];
-        s.handle_from(
+        s.step(
             NodeId(1),
             Msg::SyncResp {
                 req: 1,
@@ -2061,7 +1832,7 @@ mod tests {
             Instant::now(),
         );
         assert!(s.is_syncing(), "one responder is below a read quorum");
-        s.handle_from(
+        s.step(
             NodeId(2),
             Msg::SyncResp {
                 req: 1,
@@ -2102,7 +1873,7 @@ mod tests {
     fn sync_refusal_is_not_cached_for_dedup() {
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
-        s.wipe_for_amnesia();
+        s.wipe_for_amnesia(Instant::now());
         let prepare = Msg::PrepareReq {
             txn: txn(1),
             req: 1,
@@ -2114,13 +1885,13 @@ mod tests {
             Some(Msg::PrepareResp { syncing: true, .. })
         ));
         // Catch-up completes…
-        let (_, probe) = s.sync_probe().unwrap();
+        let (_, probe) = probe(&mut s);
         let inc = match probe {
             Msg::SyncReq { incarnation, .. } => incarnation,
             other => panic!("{other:?}"),
         };
         for rank in 1..=3u32 {
-            s.handle_from(
+            s.step(
                 NodeId(rank),
                 Msg::SyncResp {
                     req: 1,
@@ -2144,14 +1915,12 @@ mod tests {
 
     #[test]
     fn restart_replays_wal_then_delta_syncs_only_missing_writes() {
-        use crate::wal::MemLog;
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
-        s.set_persistence(Box::new(MemLog::new()));
         commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
         commit_obj(&mut s, txn(2), 3, OBJ2, 1, 7);
 
-        s.recover_from_restart();
+        s.recover_from_restart(Instant::now());
         assert!(s.is_syncing(), "still needs the delta from peers");
         assert_eq!(s.stats().restart_replays, 1);
         assert_eq!(s.stats().amnesia_wipes, 0);
@@ -2180,7 +1949,7 @@ mod tests {
         assert_eq!(s.stats().dedup_hits, 1);
 
         // The probe advertises what the replica already has…
-        let (peers, probe) = s.sync_probe().expect("restarting server probes");
+        let (peers, probe) = probe(&mut s);
         assert_eq!(peers, vec![NodeId(1), NodeId(2), NodeId(3)]);
         let (inc, mut known) = match probe {
             Msg::SyncDeltaReq {
@@ -2194,7 +1963,7 @@ mod tests {
         // …so peers ship only the missed write; its cost is counted.
         let delta = vec![(OBJ2, 3u64, val(9))];
         for rank in [1u32, 2] {
-            s.handle_from(
+            s.step(
                 NodeId(rank),
                 Msg::SyncResp {
                     req: 1,
@@ -2240,7 +2009,7 @@ mod tests {
         }
         assert_eq!(s.stats().syncs_served, 1);
         // A syncing peer must not seed anyone, delta or not.
-        s.wipe_for_amnesia();
+        s.wipe_for_amnesia(Instant::now());
         assert!(s
             .handle(
                 Msg::SyncDeltaReq {
@@ -2256,20 +2025,18 @@ mod tests {
 
     #[test]
     fn amnesia_resets_the_wal_so_restart_replays_nothing() {
-        use crate::wal::MemLog;
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
-        s.set_persistence(Box::new(MemLog::new()));
         commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
-        s.wipe_for_amnesia();
+        s.wipe_for_amnesia(Instant::now());
         // If a restart lands after the disk was wiped, the replay must
         // find only the amnesia incarnation bump — no resurrected state.
-        s.recover_from_restart();
+        s.recover_from_restart(Instant::now());
         assert_eq!(s.stats().wal_records_replayed, 1, "just the bump");
         assert_eq!(s.store_mut().version(OBJ), 0);
         // And the incarnation keeps moving strictly forward through both
         // faults, so pre-amnesia sync responses stay refusable.
-        let (_, probe) = s.sync_probe().unwrap();
+        let (_, probe) = probe(&mut s);
         match probe {
             Msg::SyncDeltaReq { incarnation, .. } => assert_eq!(incarnation, 2),
             other => panic!("{other:?}"),
@@ -2280,15 +2047,15 @@ mod tests {
     fn stale_sync_resp_from_earlier_incarnation_is_ignored() {
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
-        s.wipe_for_amnesia(); // incarnation 1
-        s.wipe_for_amnesia(); // incarnation 2: the one that counts
-        let (_, probe) = s.sync_probe().unwrap();
+        s.wipe_for_amnesia(Instant::now()); // incarnation 1
+        s.wipe_for_amnesia(Instant::now()); // incarnation 2: the one that counts
+        let (_, probe) = probe(&mut s);
         let inc = match probe {
             Msg::SyncReq { incarnation, .. } => incarnation,
             other => panic!("{other:?}"),
         };
         for rank in 1..=3u32 {
-            s.handle_from(
+            s.step(
                 NodeId(rank),
                 Msg::SyncResp {
                     req: 1,
@@ -2301,7 +2068,7 @@ mod tests {
         assert!(s.is_syncing(), "stale responses must not complete sync");
         assert_eq!(s.store_mut().version(OBJ), 0, "stale entries not applied");
         for rank in 1..=3u32 {
-            s.handle_from(
+            s.step(
                 NodeId(rank),
                 Msg::SyncResp {
                     req: 2,
@@ -2343,7 +2110,7 @@ mod tests {
         }
         assert_eq!(s.stats().syncs_served, 1);
         // Amnesiac: must not seed another replica with wiped state.
-        s.wipe_for_amnesia();
+        s.wipe_for_amnesia(Instant::now());
         assert!(s
             .handle(
                 Msg::SyncReq {
@@ -2446,7 +2213,7 @@ mod tests {
         commit_obj(&mut s, txn(2), 5, OBJ2, 1, 1);
         assert!(!s.prepared.is_empty());
         assert!(!s.completed.is_empty());
-        s.wipe_for_amnesia();
+        s.wipe_for_amnesia(Instant::now());
         assert!(s.prepared.is_empty(), "prepared table wiped");
         assert!(s.completed.is_empty(), "dedup cache wiped");
         assert!(s.completed_order.is_empty());
@@ -2455,9 +2222,9 @@ mod tests {
 
     /// Test backend: fails chosen 1-based append calls and the first
     /// `failing_syncs` sync calls, delegating everything else (including
-    /// load/replay) to a [`crate::wal::MemLog`].
+    /// load/replay) to a [`MemLog`].
     struct FlakyLog {
-        inner: crate::wal::MemLog,
+        inner: MemLog,
         appends_seen: u64,
         fail_appends: Vec<u64>,
         failing_syncs: u32,
@@ -2466,7 +2233,7 @@ mod tests {
     impl FlakyLog {
         fn failing_appends(fail_appends: Vec<u64>) -> Self {
             FlakyLog {
-                inner: crate::wal::MemLog::new(),
+                inner: MemLog::new(),
                 appends_seen: 0,
                 fail_appends,
                 failing_syncs: 0,
@@ -2475,10 +2242,8 @@ mod tests {
 
         fn failing_syncs(failing_syncs: u32) -> Self {
             FlakyLog {
-                inner: crate::wal::MemLog::new(),
-                appends_seen: 0,
-                fail_appends: vec![],
                 failing_syncs,
+                ..FlakyLog::failing_appends(vec![])
             }
         }
     }
@@ -2509,50 +2274,90 @@ mod tests {
         }
     }
 
+    /// The client every gated request below comes from.
+    const CLIENT: NodeId = NodeId(10);
+
+    /// A synthetic clock origin an hour ahead of the wall clock: a state
+    /// method that still read `Instant::now()` would stamp its deadlines an
+    /// hour early and every cadence below would fire at once.
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(3600)
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn prepare(seq: u64, req: ReqId, obj: ObjectId) -> Msg {
+        Msg::PrepareReq {
+            txn: txn(seq),
+            req,
+            validate: vec![],
+            writes: vec![(obj, 0)],
+        }
+    }
+
+    fn commit(seq: u64, req: ReqId, obj: ObjectId) -> Msg {
+        Msg::CommitReq {
+            txn: txn(seq),
+            req,
+            writes: vec![(obj, 1, val(42))],
+        }
+    }
+
+    /// Tick at `now` and return what left the server.
+    fn tick(s: &mut Server, now: Instant) -> Vec<(NodeId, Msg)> {
+        let mut out = Vec::new();
+        s.tick(now, &mut out);
+        out
+    }
+
+    /// Prepare `obj` for `txn(seq)` through the gate: the grant is withheld
+    /// by `step` and released by the tick that syncs it.
+    fn granted_prepare(s: &mut Server, seq: u64, req: ReqId, obj: ObjectId, now: Instant) {
+        assert!(s.step(CLIENT, prepare(seq, req, obj), now).is_none());
+        let out = tick(s, now);
+        assert!(
+            matches!(&out[..], [(CLIENT, Msg::PrepareResp { vote: true, .. })]),
+            "{out:?}"
+        );
+    }
+
     #[test]
     fn failed_commit_append_is_retried_so_the_ack_waits_for_durability() {
         let mut s = server();
         // Append 1 is the prepare grant; append 2 — the commit decision —
         // fails once.
         s.set_persistence(Box::new(FlakyLog::failing_appends(vec![2])));
-        s.handle(
-            Msg::PrepareReq {
-                txn: txn(1),
-                req: 1,
-                validate: vec![],
-                writes: vec![(OBJ, 0)],
-            },
-            Instant::now(),
-        );
-        let ack = s
-            .handle(
-                Msg::CommitReq {
-                    txn: txn(1),
-                    req: 2,
-                    writes: vec![(OBJ, 1, val(42))],
-                },
-                Instant::now(),
-            )
-            .unwrap();
+        let t0 = far();
+        granted_prepare(&mut s, 1, 1, OBJ, t0);
         // The quorum's decision still applies locally…
-        assert!(matches!(ack, Msg::CommitAck { req: 2 }));
+        let ack = s.step(CLIENT, commit(1, 2, OBJ), t0);
         assert_eq!(s.store_mut().version(OBJ), 1);
-        // …but the record is queued for retry and the server is degraded:
-        // the covering watermark sits past the queued record, so the
-        // service loop would park the ack, not release it.
         assert_eq!(s.stats().wal_io_errors, 1);
-        assert!(s.wal_failed);
-        assert_eq!(s.wal_retry.len(), 1);
-        assert_eq!(s.wal_appended + s.wal_retry.len() as u64, 2);
-        assert!(s.wal_durable < 2, "commit record must not count durable");
-        // The sync path re-appends the queue ahead of the sync: fully
-        // durable, degraded mode over, nothing left queued.
-        assert!(s.sync_wal());
-        assert!(s.wal_retry.is_empty());
-        assert_eq!((s.wal_appended, s.wal_durable), (2, 2));
-        assert!(!s.wal_failed);
+        // …but its record is queued, not staged, so the ack is withheld.
+        assert!(ack.is_none(), "commit record must not count durable");
+        // Degraded: new prepares are refused — and a refusal certifies
+        // nothing, so it leaves at once.
+        assert!(matches!(
+            s.step(CLIENT, prepare(2, 3, OBJ2), t0),
+            Some(Msg::PrepareResp {
+                vote: false,
+                wal_refused: true,
+                ..
+            })
+        ));
+        // The tick's sync re-appends the queue ahead of the sync: the ack
+        // is released, nothing is left parked, degraded mode is over.
+        let out = tick(&mut s, t0);
+        assert!(
+            matches!(&out[..], [(CLIENT, Msg::CommitAck { req: 2 })]),
+            "{out:?}"
+        );
+        assert!(tick(&mut s, t0 + ms(50)).is_empty());
+        granted_prepare(&mut s, 2, 3, OBJ2, t0 + ms(50));
         // Proof the record physically landed: a restart replays it.
-        s.recover_from_restart();
+        s.recover_from_restart(t0 + ms(60));
         assert_eq!(s.store_mut().version(OBJ), 1);
     }
 
@@ -2560,30 +2365,21 @@ mod tests {
     fn crash_before_append_retry_loses_record_and_queue_together() {
         let mut s = server();
         s.set_persistence(Box::new(FlakyLog::failing_appends(vec![2])));
-        s.handle(
-            Msg::PrepareReq {
-                txn: txn(1),
-                req: 1,
-                validate: vec![],
-                writes: vec![(OBJ, 0)],
-            },
-            Instant::now(),
-        );
-        s.handle(
-            Msg::CommitReq {
-                txn: txn(1),
-                req: 2,
-                writes: vec![(OBJ, 1, val(42))],
-            },
-            Instant::now(),
+        let t0 = far();
+        granted_prepare(&mut s, 1, 1, OBJ, t0);
+        assert!(
+            s.step(CLIENT, commit(1, 2, OBJ), t0).is_none(),
+            "ack parked"
         );
         assert_eq!(s.store_mut().version(OBJ), 1, "decision applied pre-crash");
         // Crash before the retry lands: the record never reached the log
-        // and the retry queue was memory-only — both are gone, exactly
-        // like the ack the service loop had parked (and drops on the
-        // crash epoch). Losing an *unacked* commit is the contract.
-        s.recover_from_restart();
-        assert!(s.wal_retry.is_empty(), "retry queue dies with the process");
+        // and the retry queue was memory-only — both are gone, and so is
+        // the parked ack. Losing an *unacked* commit is the contract.
+        s.recover_from_restart(t0 + ms(1));
+        assert!(
+            tick(&mut s, t0 + ms(1)).is_empty(),
+            "the parked ack and the retry queue die with the process"
+        );
         assert_eq!(s.store_mut().version(OBJ), 0, "unacked commit lost");
         assert!(
             s.prepared.contains_key(&txn(1)),
@@ -2595,25 +2391,260 @@ mod tests {
     fn degraded_mode_backs_off_instead_of_hot_spinning() {
         let mut s = server();
         s.set_persistence(Box::new(FlakyLog::failing_syncs(2)));
-        commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
-        assert!(!s.sync_wal());
-        assert_eq!(s.wal_backoff, WAL_RETRY_BACKOFF_MIN);
-        // The deadline honours the backoff instead of reading "due now":
-        // that gap is what keeps the service loop off a 100% CPU spin
-        // while the backend stays broken.
-        let now = Instant::now();
-        assert_eq!(s.wal_sync_deadline(now, true), s.wal_retry_after);
-        assert!(s.wal_retry_after.is_some());
-        assert!(!s.sync_wal());
-        assert_eq!(s.wal_backoff, WAL_RETRY_BACKOFF_MIN * 2, "doubles");
-        assert!(s.sync_wal(), "third attempt heals");
-        assert!(!s.wal_failed);
-        assert_eq!(s.wal_backoff, Duration::ZERO, "healthy resets backoff");
+        let t0 = far();
+        let mut out = Vec::new();
+        assert!(s.step(CLIENT, prepare(1, 1, OBJ), t0).is_none());
+        // First attempt fails: the deadline honours the 1 ms backoff
+        // instead of reading "due now" — that gap is what keeps the pump
+        // off a 100% CPU spin while the backend stays broken.
+        assert_eq!(s.tick(t0, &mut out), Some(t0 + ms(1)));
+        assert_eq!(s.stats().wal_io_errors, 1);
         assert_eq!(
-            s.wal_sync_deadline(Instant::now(), false),
-            None,
-            "clean log schedules nothing"
+            s.tick(t0, &mut out),
+            Some(t0 + ms(1)),
+            "not due: no attempt"
         );
+        assert_eq!(s.stats().wal_io_errors, 1);
+        // Second failure doubles the step.
+        assert_eq!(s.tick(t0 + ms(1), &mut out), Some(t0 + ms(3)), "doubles");
+        assert_eq!(s.stats().wal_io_errors, 2);
+        s.tick(t0 + ms(2), &mut out);
+        assert_eq!(s.stats().wal_io_errors, 2, "still backing off");
+        assert!(
+            out.is_empty(),
+            "the grant stays parked while the log is sick"
+        );
+        // Third attempt heals: the ack leaves, the backoff resets and a
+        // clean log schedules nothing (what remains is the TTL sweep).
+        let next = s.tick(t0 + ms(3), &mut out).expect("the sweep cadence");
+        assert!(matches!(
+            &out[..],
+            [(CLIENT, Msg::PrepareResp { vote: true, .. })]
+        ));
+        assert!(next >= t0 + ms(100), "no log deadline left");
+        s.set_persistence(Box::new(FlakyLog::failing_syncs(1)));
+        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(4)).is_none());
+        let next = s.tick(t0 + ms(4), &mut out);
+        assert_eq!(next, Some(t0 + ms(5)), "healthy reset the backoff to 1 ms");
+    }
+
+    fn group_commit(max_records: usize, max_delay: Duration) -> Server {
+        let mut s = server();
+        s.set_durability(DurabilityMode::GroupCommit {
+            max_records,
+            max_delay,
+        });
+        s
+    }
+
+    #[test]
+    fn group_commit_syncs_at_once_when_an_ack_is_parked() {
+        let mut s = group_commit(64, ms(5));
+        let t0 = far();
+        // A waiter makes the sync due now, not one aging period later.
+        granted_prepare(&mut s, 1, 1, OBJ, t0);
+        assert_eq!(s.stats().wal_sync_batches, 1);
+        // Two decisions parked between ticks share one sync and leave in
+        // park order.
+        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(1)).is_none());
+        assert!(s
+            .step(NodeId(11), prepare(2, 3, OBJ2), t0 + ms(1))
+            .is_none());
+        let out = tick(&mut s, t0 + ms(1));
+        assert!(
+            matches!(
+                &out[..],
+                [
+                    (CLIENT, Msg::CommitAck { req: 2 }),
+                    (NodeId(11), Msg::PrepareResp { vote: true, .. })
+                ]
+            ),
+            "{out:?}"
+        );
+        assert_eq!(s.stats().wal_sync_batches, 2);
+        assert_eq!(s.stats().wal_records_synced, 3);
+    }
+
+    #[test]
+    fn group_commit_ages_out_a_dirty_window_nobody_waits_on() {
+        let mut s = group_commit(64, ms(5));
+        let t0 = far();
+        let mut out = Vec::new();
+        // `handle` is the ungated path: the grant is staged at t0 + 1 ms
+        // and nothing is parked on it.
+        s.tick(t0, &mut out);
+        assert!(s.handle(prepare(1, 1, OBJ), t0 + ms(1)).is_some());
+        // A later record does not restart the window.
+        assert!(s.handle(prepare(2, 2, OBJ2), t0 + ms(3)).is_some());
+        assert_eq!(s.tick(t0 + ms(3), &mut out), Some(t0 + ms(6)));
+        s.tick(t0 + ms(6) - Duration::from_nanos(1), &mut out);
+        assert_eq!(s.stats().wal_sync_batches, 0, "max_delay has not passed");
+        s.tick(t0 + ms(6), &mut out);
+        assert_eq!(s.stats().wal_sync_batches, 1, "the oldest record aged out");
+        assert_eq!(s.stats().wal_records_synced, 2);
+        assert!(out.is_empty(), "nobody was waiting");
+    }
+
+    #[test]
+    fn group_commit_record_cap_bounds_the_dirty_window() {
+        let mut s = group_commit(3, Duration::from_secs(3600));
+        let t0 = far();
+        assert!(s.handle(prepare(1, 1, OBJ), t0).is_some());
+        assert!(s.handle(commit(1, 2, OBJ), t0).is_some());
+        tick(&mut s, t0 + ms(1));
+        assert_eq!(
+            s.stats().wal_sync_batches,
+            0,
+            "two dirty records: below the cap"
+        );
+        assert!(s.handle(prepare(2, 3, OBJ2), t0 + ms(1)).is_some());
+        tick(&mut s, t0 + ms(1));
+        assert_eq!(s.stats().wal_sync_batches, 1, "the third record trips it");
+        assert_eq!(s.stats().wal_records_synced, 3);
+    }
+
+    #[test]
+    fn buffered_never_parks_and_never_syncs_from_a_tick() {
+        let mut s = server();
+        s.set_durability(DurabilityMode::Buffered);
+        let t0 = far();
+        assert!(matches!(
+            s.step(CLIENT, prepare(1, 1, OBJ), t0),
+            Some(Msg::PrepareResp { vote: true, .. })
+        ));
+        assert!(matches!(
+            s.step(CLIENT, commit(1, 2, OBJ), t0),
+            Some(Msg::CommitAck { req: 2 })
+        ));
+        assert!(tick(&mut s, t0 + Duration::from_secs(60)).is_empty());
+        assert_eq!(s.stats().wal_sync_batches, 0);
+    }
+
+    #[test]
+    fn reads_and_refusals_pass_the_gate_while_acks_are_parked() {
+        let mut s = server();
+        let t0 = far();
+        assert!(
+            s.step(CLIENT, prepare(1, 1, OBJ), t0).is_none(),
+            "grant parked"
+        );
+        // A read, a lock-conflict refusal and a traced read all leave at
+        // once, overtaking the parked grant.
+        let read = Msg::ReadBatchReq {
+            txn: txn(2),
+            req: 2,
+            objs: vec![OBJ],
+            validate: vec![],
+            sample: vec![],
+        };
+        assert!(matches!(
+            s.step(NodeId(11), read.clone(), t0),
+            Some(Msg::ReadBatchResp { .. })
+        ));
+        assert!(matches!(
+            s.step(NodeId(11), prepare(2, 3, OBJ), t0),
+            Some(Msg::PrepareResp { vote: false, .. })
+        ));
+        let traced = Msg::Traced {
+            ctx: TraceCtx { trace: 7, span: 9 },
+            inner: Box::new(read),
+        };
+        assert!(matches!(
+            s.step(NodeId(11), traced, t0),
+            Some(Msg::ReadBatchResp { .. })
+        ));
+        // A duplicate of the parked prepare is answered from the dedup
+        // cache — and parks behind the original: same record, same rule.
+        assert!(s.step(CLIENT, prepare(1, 1, OBJ), t0).is_none());
+        assert_eq!(tick(&mut s, t0).len(), 2);
+    }
+
+    #[test]
+    fn catch_up_probe_goes_out_every_40_ms_while_reachable() {
+        let mut s = server();
+        s.set_sync_config(sync_cfg(0, 4));
+        let t0 = far();
+        // Crash with amnesia, host still down: a crashed host emits nothing.
+        s.observe_faults(1, 0, true, t0);
+        assert!(s.is_syncing());
+        assert!(tick(&mut s, t0).is_empty());
+        // Reachable again: the probe leaves at once, to every peer…
+        s.observe_faults(1, 0, false, t0 + ms(5));
+        let out = tick(&mut s, t0 + ms(5));
+        let peers: Vec<NodeId> = out.iter().map(|(dst, _)| *dst).collect();
+        assert_eq!(peers, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert!(out
+            .iter()
+            .all(|(_, m)| matches!(m, Msg::SyncReq { incarnation: 1, .. })));
+        // …then again every 40 ms, and the tick says so.
+        let mut out = Vec::new();
+        assert_eq!(s.tick(t0 + ms(44), &mut out), Some(t0 + ms(45)));
+        assert!(out.is_empty(), "39 ms: not yet");
+        s.tick(t0 + ms(45), &mut out);
+        assert_eq!(out.len(), 3, "40 ms: the next round");
+        // Seeing the same epochs again is not a new crash.
+        assert_eq!(s.stats().amnesia_wipes, 1);
+        // Catch-up done: the probe stops.
+        for rank in [1u32, 2] {
+            let resp = Msg::SyncResp {
+                req: 1,
+                incarnation: 1,
+                entries: vec![],
+            };
+            assert!(s.step(NodeId(rank), resp, t0 + ms(50)).is_none());
+        }
+        assert!(!s.is_syncing());
+        assert!(tick(&mut s, t0 + ms(500)).is_empty());
+    }
+
+    #[test]
+    fn tick_sweeps_expired_prepares_on_the_sweep_cadence() {
+        let mut s = server();
+        s.set_prepared_ttl(ms(10)); // cadence: max(ttl / 4, 100 ms)
+        let t0 = far();
+        granted_prepare(&mut s, 1, 1, OBJ, t0);
+        let mut out = Vec::new();
+        // Past the TTL but inside the cadence: the lock is still held.
+        assert_eq!(s.tick(t0 + ms(99), &mut out), Some(t0 + ms(100)));
+        assert_eq!(s.store_mut().lock_holder(OBJ), Some(txn(1)));
+        s.tick(t0 + ms(100), &mut out);
+        assert!(s.store_mut().lock_holder(OBJ).is_none());
+        assert_eq!(s.stats().expired_prepares, 1);
+        // One timer: the tick's sweep also resets the message path's.
+        granted_prepare(&mut s, 2, 2, OBJ, t0 + ms(101));
+        assert!(matches!(
+            s.step(CLIENT, prepare(3, 3, OBJ), t0 + ms(199)),
+            Some(Msg::PrepareResp { vote: false, .. })
+        ));
+        granted_prepare(&mut s, 3, 4, OBJ, t0 + ms(200));
+        assert_eq!(s.stats().expired_prepares, 2);
+    }
+
+    #[test]
+    fn a_crash_drops_parked_acks_and_restarts_the_dirty_window() {
+        let mut s = group_commit(64, ms(5));
+        let t0 = far();
+        granted_prepare(&mut s, 1, 1, OBJ, t0);
+        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(1)).is_none());
+        s.observe_faults(0, 1, false, t0 + ms(2));
+        // The commit record survived in the (memory) log and replays; its
+        // ack was never sent and never will be — the client retries and
+        // hits the rebuilt dedup cache.
+        let mut out = Vec::new();
+        assert_eq!(
+            s.tick(t0 + ms(2), &mut out),
+            Some(t0 + ms(7)),
+            "only the incarnation bump is dirty, stamped at the restart"
+        );
+        assert!(out.is_empty());
+        assert_eq!(s.store_mut().version(OBJ), 1);
+        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(3)).is_none());
+        let out = tick(&mut s, t0 + ms(3));
+        assert!(
+            matches!(&out[..], [(CLIENT, Msg::CommitAck { req: 2 })]),
+            "{out:?}"
+        );
+        assert_eq!(s.stats().dedup_hits, 1);
     }
 
     #[test]
@@ -2634,6 +2665,6 @@ mod tests {
             Msg::PrepareResp { vote, .. } => assert!(vote),
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.store_mut().lock_holder(OBJ), None);
+        assert!(s.store_mut().lock_holder(OBJ).is_none());
     }
 }

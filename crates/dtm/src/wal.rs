@@ -26,15 +26,26 @@
 //! Object classes are encoded by id only: [`ObjClass`] equality and
 //! hashing are by id (the name is diagnostics), so decode materialises a
 //! `"wal"` placeholder name and round-trip *equality* still holds.
+//!
+//! ## Who decides when an ack may leave
+//!
+//! `DurableLog` (private to the crate) is the one place that implements
+//! the [`DurabilityMode`] contract: it owns the backend, the appended and
+//! durable watermarks, degraded mode with its retry queue and backoff, and
+//! the acks parked on all of that. It touches no network and reads no
+//! clock — every method that stamps or compares a time takes `now` from
+//! its caller ([`crate::Server`], and ultimately `Server::run`), so
+//! `max_delay` aging and backoff run on whatever clock drives the server.
 
 use crate::messages::{Msg, ReqId, TxnId, Version};
 use crate::store::Store;
+use acn_obs::TraceCtx;
 use acn_simnet::NodeId;
 use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One durable decision. The three 2PC records carry the `(txn, req)`
 /// dedup key; replay uses it to apply each decision at most once and to
@@ -420,6 +431,273 @@ pub trait Persistence: Send {
     fn load(&mut self) -> LoadedLog;
     /// Destroy the log (crash-with-amnesia loses the disk too).
     fn reset(&mut self);
+}
+
+/// Backoff bounds for retrying syncs (and failed-append re-stages) while
+/// the backend keeps erroring. Without a backoff "degraded mode is due now"
+/// turns a persistently failing device into a 100% CPU spin; the cap
+/// matches the service loop's idle receive timeout, so a healed backend is
+/// still noticed within one idle period.
+const RETRY_BACKOFF_MIN: Duration = Duration::from_millis(1);
+const RETRY_BACKOFF_MAX: Duration = Duration::from_millis(20);
+
+/// A reply held back until the log records it certifies are durable.
+pub(crate) struct Parked {
+    /// The append watermark the reply depends on.
+    mark: u64,
+    /// Who asked.
+    pub(crate) dst: NodeId,
+    /// The withheld reply.
+    pub(crate) reply: Msg,
+    /// The request's trace context and when the reply was parked, for the
+    /// `WalPark` span its release records.
+    pub(crate) traced: Option<(TraceCtx, Instant)>,
+}
+
+/// The half of a [`DurableLog`] that lives in process memory and dies with
+/// the process: a crash replaces it with `Volatile::default()`.
+#[derive(Default)]
+struct Volatile {
+    /// Records appended since the process started (monotonic watermark).
+    appended: u64,
+    /// High-water mark of `appended` covered by a successful sync.
+    durable: u64,
+    /// When the oldest not-yet-durable record was appended — drives the
+    /// group-commit `max_delay` deadline.
+    first_dirty_at: Option<Instant>,
+    /// True from an append/sync error until a sync succeeds with nothing
+    /// left queued. While set the server refuses new prepares — it
+    /// degrades to back-pressure instead of handing out grants the log
+    /// cannot make durable (or panicking).
+    failed: bool,
+    /// Decision records (commit apply / abort) not yet staged because an
+    /// append failed. The quorum's decision is applied to the store
+    /// regardless (refusing it would strand the locks), but its ack is
+    /// parked past these: every sync attempt first re-appends the queue in
+    /// order, so the ack releases only once a re-append plus a covering
+    /// sync made the record durable.
+    retry: VecDeque<WalRecord>,
+    /// Earliest time the next sync attempt may run while the backend is
+    /// unhealthy; `None` = no backoff pending.
+    retry_after: Option<Instant>,
+    /// Current degraded-mode backoff step (doubles per failed attempt).
+    backoff: Duration,
+    /// Withheld replies, oldest first. Marks are taken in increasing
+    /// order, so the front is always the next releasable entry.
+    parked: VecDeque<Parked>,
+}
+
+/// The ack-after-durable gate: a [`Persistence`] backend plus everything
+/// that decides *when a logged decision may be acknowledged* under a
+/// [`DurabilityMode`] — the watermarks, degraded mode, the failed-append
+/// retry queue and the parked acks. Only the backend (and the counters,
+/// which describe the device rather than the process) survive a crash.
+pub(crate) struct DurableLog {
+    pub(crate) backend: Box<dyn Persistence>,
+    pub(crate) mode: DurabilityMode,
+    /// Append/sync failures the backend surfaced (`ServerStats::wal_io_errors`).
+    pub(crate) io_errors: u64,
+    /// Successful syncs that made at least one new record durable.
+    pub(crate) sync_batches: u64,
+    /// Records made durable across those syncs.
+    pub(crate) records_synced: u64,
+    mem: Volatile,
+}
+
+impl DurableLog {
+    /// A clean log over `backend` under the default mode.
+    pub(crate) fn new(backend: Box<dyn Persistence>) -> Self {
+        DurableLog {
+            backend,
+            mode: DurabilityMode::default(),
+            io_errors: 0,
+            sync_batches: 0,
+            records_synced: 0,
+            mem: Volatile::default(),
+        }
+    }
+
+    /// Is the backend currently refusing to make records durable?
+    pub(crate) fn degraded(&self) -> bool {
+        self.mem.failed
+    }
+
+    /// How many queued messages the driver may handle between syncs. Group
+    /// commit batches by *arrival concurrency*: everything already queued
+    /// is handled before the sync, so one fsync covers what accumulated
+    /// while the previous one ran. `EveryRecord`'s contract is one sync per
+    /// record, and the ablation measures exactly that.
+    pub(crate) fn batch(&self) -> usize {
+        match self.mode {
+            DurabilityMode::GroupCommit { .. } => 64,
+            DurabilityMode::EveryRecord | DurabilityMode::Buffered => 1,
+        }
+    }
+
+    /// Stage one record, opening the dirty window. Returns `false` on
+    /// backend error, in which case the record was *not* staged and the
+    /// log is degraded until a sync succeeds.
+    pub(crate) fn append(&mut self, rec: &WalRecord, now: Instant) -> bool {
+        let staged = self.backend.append(rec).is_ok();
+        if staged {
+            self.mem.appended += 1;
+            self.mem.first_dirty_at.get_or_insert(now);
+        } else {
+            self.io_errors += 1;
+            self.mem.failed = true;
+        }
+        staged
+    }
+
+    /// Stage a decision the quorum already took (commit apply / abort).
+    /// If the append fails the record is queued for re-staging — and once
+    /// anything is queued every later decision queues behind it, so the
+    /// log keeps decision order and a mark taken in [`DurableLog::gate`]
+    /// names exactly the slot its record will occupy.
+    pub(crate) fn append_decision(&mut self, rec: WalRecord, now: Instant) {
+        if !self.mem.retry.is_empty() || !self.append(&rec, now) {
+            self.mem.retry.push_back(rec);
+        }
+    }
+
+    /// Ack-after-durable: pass a reply through the gate. `Some` = it may
+    /// leave now. `None` = it certifies a logged decision
+    /// (`PrepareResp { vote: true }`, `CommitAck`, `AbortAck`) while
+    /// records are still dirty or queued, and is parked until a sync
+    /// covers them. Reads and refusals (no vote ⇒ no grant record) always
+    /// pass; `Buffered` never parks — that is exactly the honesty gap the
+    /// ablation measures.
+    pub(crate) fn gate(
+        &mut self,
+        dst: NodeId,
+        reply: Msg,
+        trace: Option<TraceCtx>,
+        now: Instant,
+    ) -> Option<Msg> {
+        let certifies = matches!(
+            &reply,
+            Msg::PrepareResp { vote: true, .. } | Msg::CommitAck { .. } | Msg::AbortAck { .. }
+        );
+        // A queued retry counts into the covering watermark: its record is
+        // not even staged yet, and will occupy the slots past everything
+        // appended before it once the sync path re-stages the queue.
+        let mark = self.mem.appended + self.mem.retry.len() as u64;
+        if !certifies || self.mode == DurabilityMode::Buffered || self.mem.durable >= mark {
+            return Some(reply);
+        }
+        let traced = trace.map(|ctx| (ctx, now));
+        self.mem.parked.push_back(Parked {
+            mark,
+            dst,
+            reply,
+            traced,
+        });
+        None
+    }
+
+    /// When must the next sync happen? `None` = nothing scheduled (clean
+    /// log, or `Buffered`, which only syncs at shutdown). Degraded mode is
+    /// due after its backoff — immediate enough to exit back-pressure as
+    /// the backend heals, without busy-spinning on one that stays broken.
+    /// Under `GroupCommit` a parked ack makes a sync due at once: the
+    /// driver handled its batch first, so the batch is whatever
+    /// accumulated while the previous fsync ran, and ack latency stays one
+    /// fsync rather than one aging period. (Holding waiters for a
+    /// sub-millisecond accumulation window was tried and measured worse:
+    /// the extra prepare-ack delay stretches lock hold time, and on a
+    /// contended workload the conflict aborts that causes cost more than
+    /// the larger batches save.) The record/age caps bound the dirty
+    /// window when *no* ack is waiting (refused votes, best-effort
+    /// decision appends).
+    pub(crate) fn deadline(&self, now: Instant) -> Option<Instant> {
+        let mem = &self.mem;
+        if mem.failed || !mem.retry.is_empty() {
+            return Some(mem.retry_after.unwrap_or(now));
+        }
+        let dirty = (mem.appended - mem.durable) as usize;
+        if dirty == 0 {
+            return None;
+        }
+        match self.mode {
+            DurabilityMode::EveryRecord => Some(now),
+            DurabilityMode::GroupCommit {
+                max_records,
+                max_delay,
+            } => {
+                let at_once = !mem.parked.is_empty() || dirty >= max_records;
+                let aged = mem.first_dirty_at.unwrap_or(now) + max_delay;
+                Some(if at_once { now } else { aged })
+            }
+            DurabilityMode::Buffered => None,
+        }
+    }
+
+    /// Re-stage the retry queue, in order, then try to make every staged
+    /// record durable. Returns `true` when the log is fully durable
+    /// afterwards — which also clears degraded mode: the backend is
+    /// healthy again and new prepares may be granted. Anything less (sync
+    /// error, or a retry still queued) keeps degraded mode and backs off
+    /// the next attempt so a dead backend is not hammered in a spin.
+    pub(crate) fn sync(&mut self, now: Instant) -> bool {
+        while let Some(rec) = self.mem.retry.pop_front() {
+            if !self.append(&rec, now) {
+                self.mem.retry.push_front(rec);
+                break;
+            }
+        }
+        let dirty = self.mem.appended - self.mem.durable;
+        if dirty == 0 && !self.mem.failed && self.mem.retry.is_empty() {
+            return true;
+        }
+        let synced = self.backend.sync().is_ok();
+        if synced {
+            self.sync_batches += (dirty > 0) as u64;
+            self.records_synced += dirty;
+            self.mem.durable = self.mem.appended;
+            self.mem.first_dirty_at = None;
+        } else {
+            self.io_errors += 1;
+        }
+        let healthy = synced && self.mem.retry.is_empty();
+        self.mem.failed = !healthy;
+        self.mem.backoff = if healthy {
+            Duration::ZERO
+        } else {
+            (self.mem.backoff * 2).clamp(RETRY_BACKOFF_MIN, RETRY_BACKOFF_MAX)
+        };
+        self.mem.retry_after = (!healthy).then(|| now + self.mem.backoff);
+        healthy
+    }
+
+    /// The oldest parked ack, if the durable watermark now covers it.
+    pub(crate) fn pop_covered(&mut self) -> Option<Parked> {
+        if self.mem.parked.front()?.mark > self.mem.durable {
+            return None;
+        }
+        self.mem.parked.pop_front()
+    }
+
+    /// The process died and took its memory with it. What the backend
+    /// still holds is durable by definition, so the window restarts clean;
+    /// queued retries never reached the log and die unstaged; parked acks
+    /// die unsent — the records covering them may have gone with the
+    /// unsynced suffix, and releasing them after recovery would be exactly
+    /// the early ack the contract forbids.
+    fn crash(&mut self) {
+        self.mem = Volatile::default();
+    }
+
+    /// Crash-restart: read back what survived on the backend.
+    pub(crate) fn restart(&mut self) -> LoadedLog {
+        self.crash();
+        self.backend.load()
+    }
+
+    /// Crash-with-amnesia: the disk is lost too.
+    pub(crate) fn wipe(&mut self) {
+        self.crash();
+        self.backend.reset();
+    }
 }
 
 /// Default [`MemLog`] frame capacity. Old frames are dropped FIFO past

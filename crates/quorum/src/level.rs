@@ -15,13 +15,9 @@ use crate::tree::{majority, DaryTree};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadLevelPolicy {
     /// Always quorum over the deepest level (most members ⇒ most load
-    /// spreading; this is the default and matches a leaf-majority read).
+    /// spreading; matches a leaf-majority read).
     #[default]
     Deepest,
-    /// Always quorum over a fixed level (clamped to the tree depth).
-    Fixed(usize),
-    /// Rotate the level per client seed.
-    Rotate,
 }
 
 /// Quorum construction over a [`DaryTree`] using level majorities.
@@ -29,7 +25,6 @@ pub enum ReadLevelPolicy {
 pub struct LevelQuorums {
     tree: DaryTree,
     levels: Vec<Vec<usize>>,
-    policy: ReadLevelPolicy,
 }
 
 impl LevelQuorums {
@@ -38,14 +33,11 @@ impl LevelQuorums {
         Self::with_policy(tree, ReadLevelPolicy::default())
     }
 
-    /// Build with an explicit read-level policy.
-    pub fn with_policy(tree: DaryTree, policy: ReadLevelPolicy) -> Self {
+    /// Build with an explicit read-level policy. The parameter pattern is
+    /// the whole dispatch: a second policy stops compiling here.
+    pub fn with_policy(tree: DaryTree, ReadLevelPolicy::Deepest: ReadLevelPolicy) -> Self {
         let levels = tree.levels();
-        LevelQuorums {
-            tree,
-            levels,
-            policy,
-        }
+        LevelQuorums { tree, levels }
     }
 
     /// The underlying logical tree.
@@ -78,31 +70,18 @@ impl LevelQuorums {
     }
 
     /// The read quorum designated for a client with `seed`: a majority of
-    /// one level's members, skipping failed nodes. Falls back to other
-    /// levels (deepest first) if the designated level cannot muster a
+    /// the deepest level's members, skipping failed nodes. Falls back to
+    /// shallower levels (deepest first) if that level cannot muster a
     /// majority of *its total* size — majorities are always computed over
     /// the level's full membership, never the live subset, or intersection
     /// with concurrent writers that still see those nodes would break.
     ///
     /// Returns `None` when no level has a live majority.
     pub fn read_quorum(&self, seed: u64, alive: &dyn Fn(usize) -> bool) -> Option<Vec<usize>> {
-        let depth = self.levels.len();
-        let preferred = match self.policy {
-            ReadLevelPolicy::Deepest => depth - 1,
-            ReadLevelPolicy::Fixed(l) => l.min(depth - 1),
-            ReadLevelPolicy::Rotate => (seed as usize) % depth,
-        };
-        // Try the preferred level first, then the rest deepest-first.
-        let mut order = vec![preferred];
-        order.extend((0..depth).rev().filter(|&l| l != preferred));
-        for lvl in order {
-            let group = &self.levels[lvl];
-            let need = majority(group.len());
-            if let Some(q) = Self::pick_rotated(group, need, seed, alive) {
-                return Some(q);
-            }
-        }
-        None
+        self.levels
+            .iter()
+            .rev()
+            .find_map(|group| Self::pick_rotated(group, majority(group.len()), seed, alive))
     }
 
     /// The write quorum for a client with `seed`: a majority of every
@@ -125,13 +104,10 @@ impl LevelQuorums {
         self.levels.iter().map(|g| majority(g.len())).sum()
     }
 
-    /// Size of the default read quorum when all nodes are alive.
+    /// Size of the read quorum when all nodes are alive.
     pub fn read_quorum_size(&self) -> usize {
-        let lvl = match self.policy {
-            ReadLevelPolicy::Deepest | ReadLevelPolicy::Rotate => self.levels.len() - 1,
-            ReadLevelPolicy::Fixed(l) => l.min(self.levels.len() - 1),
-        };
-        majority(self.levels[lvl].len())
+        let deepest = self.levels.last().expect("a tree has at least one level");
+        majority(deepest.len())
     }
 }
 
@@ -240,23 +216,6 @@ mod tests {
         let q = LevelQuorums::new(DaryTree::ternary(1));
         assert_eq!(q.read_quorum(7, &all_alive).unwrap(), vec![0]);
         assert_eq!(q.write_quorum(7, &all_alive).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn fixed_policy_reads_from_requested_level() {
-        let q = LevelQuorums::with_policy(DaryTree::ternary(10), ReadLevelPolicy::Fixed(1));
-        let rq = q.read_quorum(0, &all_alive).unwrap();
-        assert_eq!(rq.len(), 2); // majority of {1,2,3}
-        assert!(rq.iter().all(|&r| (1..4).contains(&r)));
-    }
-
-    #[test]
-    fn rotate_policy_changes_level_with_seed() {
-        let q = LevelQuorums::with_policy(DaryTree::ternary(13), ReadLevelPolicy::Rotate);
-        let sizes: std::collections::HashSet<usize> = (0..3u64)
-            .map(|s| q.read_quorum(s, &all_alive).unwrap().len())
-            .collect();
-        assert!(sizes.len() > 1, "rotation should visit different levels");
     }
 
     #[test]

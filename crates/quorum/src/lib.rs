@@ -10,11 +10,10 @@
 //! > "A read quorum is the majority of children at a level of the tree,
 //! >  while a write quorum is the majority of children at every level."
 //!
-//! This crate implements both that **level-majority** variant (the one the
-//! DTM uses, [`LevelQuorums`]) and the **classic recursive** tree protocol
-//! ([`classic`]) for comparison and testing. The crucial safety property —
-//! every read quorum intersects every write quorum, and any two write
-//! quorums intersect — is unit- and property-tested for both.
+//! This crate implements that **level-majority** variant
+//! ([`LevelQuorums`]). The crucial safety property — every read quorum
+//! intersects every write quorum, and any two write quorums intersect — is
+//! unit- and property-tested.
 //!
 //! Quorum members are plain `usize` server ranks `0..n`; the DTM layer maps
 //! ranks to network node ids.
@@ -30,17 +29,11 @@
 //! assert!(read.iter().any(|r| write.contains(r)), "quorums intersect");
 //! ```
 
-mod classic_impl;
 mod level;
 mod tree;
 
 pub use level::{LevelQuorums, ReadLevelPolicy};
 pub use tree::DaryTree;
-
-/// Classic recursive Agrawal–El Abbadi tree quorums.
-pub mod classic {
-    pub use crate::classic_impl::{read_quorum, write_quorum};
-}
 
 /// Verify that two quorums intersect (share at least one member).
 pub fn intersects(a: &[usize], b: &[usize]) -> bool {

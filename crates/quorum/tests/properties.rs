@@ -6,7 +6,7 @@
 //!
 //! over arbitrary tree sizes, arities, seeds and failure sets.
 
-use acn_quorum::{classic, intersects, DaryTree, LevelQuorums, ReadLevelPolicy};
+use acn_quorum::{intersects, DaryTree, LevelQuorums};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -25,14 +25,9 @@ proptest! {
         arity in 2usize..5,
         rseed in any::<u64>(),
         wseed in any::<u64>(),
-        policy in prop_oneof![
-            Just(ReadLevelPolicy::Deepest),
-            Just(ReadLevelPolicy::Rotate),
-            (0usize..6).prop_map(ReadLevelPolicy::Fixed),
-        ],
         failed in failure_set(60),
     ) {
-        let q = LevelQuorums::with_policy(DaryTree::new(n, arity), policy);
+        let q = LevelQuorums::new(DaryTree::new(n, arity));
         let alive = |r: usize| !failed.contains(&r);
         if let (Some(r), Some(w)) = (q.read_quorum(rseed, &alive), q.write_quorum(wseed, &alive)) {
             prop_assert!(intersects(&r, &w), "r={r:?} w={w:?}");
@@ -94,59 +89,6 @@ proptest! {
         if let Some(w) = q.write_quorum(seed, &alive) {
             prop_assert!(w.iter().all(|&x| x < n && alive(x)));
         }
-    }
-
-    /// Classic protocol: R ∩ W ≠ ∅ under a shared failure view.
-    #[test]
-    fn classic_read_write_intersect(
-        n in 1usize..60,
-        arity in 2usize..5,
-        failed in failure_set(60),
-    ) {
-        let t = DaryTree::new(n, arity);
-        let alive = |r: usize| !failed.contains(&r);
-        if let (Some(r), Some(w)) = (classic::read_quorum(&t, &alive), classic::write_quorum(&t, &alive)) {
-            prop_assert!(intersects(&r, &w), "r={r:?} w={w:?}");
-        }
-    }
-
-    /// Classic protocol: two write quorums under different views intersect.
-    #[test]
-    fn classic_two_writes_intersect(
-        n in 1usize..60,
-        arity in 2usize..5,
-        f1 in failure_set(60),
-        f2 in failure_set(60),
-    ) {
-        let t = DaryTree::new(n, arity);
-        let a1 = |r: usize| !f1.contains(&r);
-        let a2 = |r: usize| !f2.contains(&r);
-        if let (Some(w1), Some(w2)) = (classic::write_quorum(&t, &a1), classic::write_quorum(&t, &a2)) {
-            prop_assert!(intersects(&w1, &w2), "w1={w1:?} w2={w2:?}");
-        }
-    }
-
-    /// Classic read quorum grows but stays available as long as some
-    /// root-to-majority structure survives; all members alive.
-    #[test]
-    fn classic_members_valid(
-        n in 1usize..60,
-        arity in 2usize..5,
-        failed in failure_set(60),
-    ) {
-        let t = DaryTree::new(n, arity);
-        let alive = |r: usize| !failed.contains(&r);
-        if let Some(r) = classic::read_quorum(&t, &alive) {
-            prop_assert!(r.iter().all(|&x| x < n && alive(x)));
-        }
-    }
-
-    /// Healthy-tree classic read quorum is exactly the root — the protocol's
-    /// headline read-cost property.
-    #[test]
-    fn classic_healthy_read_is_root(n in 1usize..60, arity in 2usize..5) {
-        let t = DaryTree::new(n, arity);
-        prop_assert_eq!(classic::read_quorum(&t, &|_| true).unwrap(), vec![0]);
     }
 }
 

@@ -17,7 +17,7 @@
 //! | module | re-exports | role |
 //! |---|---|---|
 //! | [`simnet`] | `acn-simnet` | message-passing network with latency models and fault injection |
-//! | [`quorum`] | `acn-quorum` | Agrawal–El Abbadi tree quorums (level-majority + classic) |
+//! | [`quorum`] | `acn-quorum` | Agrawal–El Abbadi tree quorums (level-majority) |
 //! | [`txir`] | `acn-txir` | transaction IR, UnitGraph, data-flow, UnitBlock extraction |
 //! | [`dtm`] | `acn-dtm` | QR-DTM replication protocol + QR-CN closed nesting + contention windows |
 //! | [`obs`] | `acn-obs` | observability: span tracer + critical paths, abort attribution, metrics export |
