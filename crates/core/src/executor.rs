@@ -14,8 +14,7 @@ use acn_txir::{
     AccessMode, EvalError, ObjectId, OpenPlan, Operand, PredictedRead, Program, Stmt, StmtIdx,
     Value, VarId,
 };
-use rand_like::jitter;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Where a run reports what happened: the event is the only thing a site
 /// produces. The counters are derived from it, and so is the observer's
@@ -548,11 +547,8 @@ impl ExecutorEngine {
                     if restarts >= self.policy.max_restarts {
                         return Err(RunError::RetriesExhausted);
                     }
-                    let bo = Instant::now();
-                    jitter(self.policy.backoff_base, restarts);
-                    if let Some(t) = client.tracer_mut() {
-                        t.record_plain(SpanKind::Backoff, bo);
-                    }
+                    let cap = jitter_cap(self.policy.backoff_base, restarts);
+                    client.pause(SpanKind::Backoff, Duration::ZERO, cap);
                 }
                 Err(AttemptError::Fatal(RunError::Unavailable))
                     if unavailable < self.policy.max_unavailable_retries =>
@@ -562,11 +558,8 @@ impl ExecutorEngine {
                     // than a conflict) and restart the attempt from scratch.
                     unavailable += 1;
                     run.sink.emit(TxnEvent::UnavailableRetry);
-                    let bo = Instant::now();
-                    jitter(self.policy.backoff_base.saturating_mul(8), unavailable);
-                    if let Some(t) = client.tracer_mut() {
-                        t.record_plain(SpanKind::Backoff, bo);
-                    }
+                    let cap = jitter_cap(self.policy.backoff_base.saturating_mul(8), unavailable);
+                    client.pause(SpanKind::Backoff, Duration::ZERO, cap);
                 }
                 Err(AttemptError::Fatal(e)) => return Err(e),
             }
@@ -967,54 +960,10 @@ fn run_body(
     result
 }
 
-/// Tiny local randomized backoff, avoiding a hard dependency on `rand`'s
-/// thread-local generator in the hot retry path.
-mod rand_like {
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
-
-    /// Global thread counter: each thread that touches the generator draws
-    /// a distinct sequence number to seed from. Seeding every thread with
-    /// the same constant (the old behavior) made contending workers back
-    /// off in lockstep — the jitter existed but did not decorrelate them.
-    static THREAD_SEQ: AtomicU64 = AtomicU64::new(0);
-
-    /// splitmix64 finalizer: spreads consecutive integers into
-    /// well-separated 64-bit states.
-    fn splitmix64(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    thread_local! {
-        // `| 1` keeps the state nonzero — zero is xorshift's fixed point.
-        static STATE: Cell<u64> =
-            Cell::new(splitmix64(THREAD_SEQ.fetch_add(1, Ordering::Relaxed)) | 1);
-    }
-
-    /// Advance this thread's xorshift64* state and return the next draw.
-    pub(super) fn next_u64() -> u64 {
-        STATE.with(|s| {
-            let mut x = s.get();
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            s.set(x);
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        })
-    }
-
-    /// Sleep a uniformly random duration in `[0, base · min(attempt, 16))`.
-    pub fn jitter(base: Duration, attempt: usize) {
-        if base.is_zero() {
-            return;
-        }
-        let cap = base.as_nanos() as u64 * attempt.min(16) as u64;
-        std::thread::sleep(Duration::from_nanos(next_u64() % cap.max(1)));
-    }
+/// The restart backoff before retry `attempt` is uniform in
+/// `[0, base · min(attempt, 16))`: this is the exclusive upper bound.
+fn jitter_cap(base: Duration, attempt: usize) -> Duration {
+    base.saturating_mul(attempt.min(16) as u32)
 }
 
 #[cfg(test)]
@@ -1443,25 +1392,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_sequences_differ_across_threads() {
-        // Regression: every thread used to seed its xorshift state with the
-        // same constant, so contending workers drew identical backoff
-        // sequences and kept colliding in lockstep.
-        let draws: Vec<Vec<u64>> = (0..2)
-            .map(|_| {
-                std::thread::spawn(|| (0..8).map(|_| rand_like::next_u64()).collect::<Vec<u64>>())
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect();
-        assert_ne!(
-            draws[0], draws[1],
-            "two fresh threads must draw distinct jitter sequences"
-        );
-    }
-
-    #[test]
     fn unavailable_retries_are_bounded_by_policy() {
         // Fully partition the client from every server: each attempt must
         // fail a quorum round, burn one unavailable retry, and the run must
@@ -1535,20 +1465,15 @@ mod tests {
 
     #[test]
     fn jitter_caps_the_exponent_at_large_attempt_counts() {
-        // jitter sleeps uniformly in [0, base · min(attempt, 16)): a huge
-        // attempt count must neither overflow the nanosecond product nor
+        // The restart backoff is uniform in [0, base · min(attempt, 16)):
+        // a huge attempt count must neither overflow the product nor
         // stretch the backoff past the 16× ceiling.
         let base = Duration::from_nanos(100);
-        let start = std::time::Instant::now();
-        for _ in 0..32 {
-            rand_like::jitter(base, usize::MAX);
-        }
-        // 32 sleeps of < 1.6µs each: generous margin for scheduler slop,
-        // but orders of magnitude below an uncapped base·attempt product.
-        assert!(
-            start.elapsed() < Duration::from_millis(500),
-            "jitter at attempt=usize::MAX must stay capped at 16x base"
-        );
+        assert_eq!(jitter_cap(base, 1), base);
+        assert_eq!(jitter_cap(base, 16), base * 16);
+        assert_eq!(jitter_cap(base, usize::MAX), base * 16);
+        assert_eq!(jitter_cap(Duration::MAX, usize::MAX), Duration::MAX);
+        assert_eq!(jitter_cap(Duration::ZERO, 7), Duration::ZERO);
     }
 
     #[test]

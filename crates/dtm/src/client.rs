@@ -1,12 +1,22 @@
-//! The transaction client: quorum RPC, remote reads with incremental
-//! validation, two-phase commit, and contention queries.
+//! The transaction client: remote reads with incremental validation,
+//! two-phase commit, and contention queries.
+//!
+//! The protocol itself lives in [`crate::coordinator`] as state machines
+//! that touch neither the network nor the clock. [`DtmClient`] is their
+//! pump: `drive` is the only function here that calls an [`Endpoint`]
+//! method, and — with [`DtmClient::pause`], the one place a client thread
+//! sleeps outside a round — the only one that reads `Instant::now()` or
+//! sleeps.
 
+use crate::coordinator::{
+    Alive, Commit, CommitOutcome, Coordinator, Effect, Machine, Phase, Read, ReadResult, Round,
+};
 use crate::error::DtmError;
-use crate::history::{CommitRecord, HistoryLog};
-use crate::messages::{Msg, ReqId, TxnId, ValidateEntry, Version};
+use crate::history::HistoryLog;
+use crate::messages::{Msg, TxnId, ValidateEntry, Version};
 use acn_obs::{PendingSpan, SpanKind, Tracer};
 use acn_quorum::LevelQuorums;
-use acn_simnet::{Endpoint, Network, NodeId, RecvError};
+use acn_simnet::{Endpoint, Network, NodeId};
 use acn_txir::{ObjectId, ObjectVal};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -98,37 +108,13 @@ pub struct ClientStats {
 pub struct DtmClient {
     endpoint: Endpoint<Msg>,
     net: Network<Msg>,
-    quorums: LevelQuorums,
-    /// Rank→node mapping: server rank `r` lives at `NodeId(r)` (servers
-    /// occupy the first node ids).
-    seed: u64,
-    next_req: ReqId,
-    next_txn: u64,
-    cfg: ClientConfig,
-    stats: ClientStats,
-    /// Classes whose contention levels should be piggybacked on every
-    /// remote read (empty = piggybacking off).
-    piggyback_classes: Vec<u16>,
-    /// Latest piggybacked per-class levels (max across quorum replies).
-    piggybacked: HashMap<u16, f64>,
-    /// xorshift state for retry-backoff jitter.
-    backoff_state: u64,
-    /// Cluster-wide committed-history log; every successful commit
-    /// (read-only validations included) appends a [`CommitRecord`].
-    history: Option<Arc<HistoryLog>>,
+    /// The protocol state the operations run on.
+    co: Coordinator,
     /// Span tracer: when installed *and* a transaction trace is open,
     /// quorum rounds become spans and requests ship wrapped in
     /// [`Msg::Traced`] so servers can parent their own spans to the round.
     tracer: Option<Box<Tracer>>,
 }
-
-/// Process-wide client incarnation counter. Two `DtmClient` instances bound
-/// to the *same* node id (a slot reused sequentially, or rebuilt after a
-/// crash) must not reuse txn/req ids: servers dedup Prepare/Commit/Abort by
-/// `(txn, req)`, and a reused id would replay the previous incarnation's
-/// cached response instead of executing. Each incarnation gets a disjoint
-/// `2^40`-wide id band.
-static INCARNATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl DtmClient {
     /// Wire a client endpoint to the cluster's quorum system.
@@ -138,35 +124,24 @@ impl DtmClient {
         quorums: LevelQuorums,
         cfg: ClientConfig,
     ) -> Self {
-        let seed = u64::from(endpoint.id().0);
-        let id_base = INCARNATION.fetch_add(1, std::sync::atomic::Ordering::Relaxed) << 40;
         DtmClient {
+            co: Coordinator::new(endpoint.id(), quorums, cfg),
             endpoint,
             net,
-            quorums,
-            seed,
-            next_req: id_base,
-            next_txn: id_base,
-            cfg,
-            stats: ClientStats::default(),
-            piggyback_classes: Vec::new(),
-            piggybacked: HashMap::new(),
-            backoff_state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-            history: None,
             tracer: None,
         }
     }
 
     /// Message/outcome counters so far.
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        self.co.stats
     }
 
     /// Attach a cluster-wide committed-history log. Every subsequent
     /// successful commit appends its read/write versions for the
     /// serializability checker.
     pub fn set_history(&mut self, history: Arc<HistoryLog>) {
-        self.history = Some(history);
+        self.co.set_history(history);
     }
 
     /// Install a span tracer. The client records one round span per quorum
@@ -191,13 +166,13 @@ impl DtmClient {
     /// remote read, instead of (or in addition to) explicit
     /// [`DtmClient::query_contention`] rounds.
     pub fn set_piggyback_classes(&mut self, classes: Vec<u16>) {
-        self.piggyback_classes = classes;
+        self.co.piggyback_classes = classes;
     }
 
     /// The most recent piggybacked per-class contention levels (empty
     /// until a remote read has carried a sample).
     pub fn piggybacked_levels(&self) -> &HashMap<u16, f64> {
-        &self.piggybacked
+        &self.co.piggybacked
     }
 
     /// The client's network node id.
@@ -213,16 +188,7 @@ impl DtmClient {
         if let Some(t) = self.tracer.as_mut() {
             t.begin_attempt();
         }
-        let txn = TxnId {
-            client: self.endpoint.id(),
-            seq: self.next_txn,
-        };
-        self.next_txn += 1;
-        txn
-    }
-
-    fn server_node(rank: usize) -> NodeId {
-        NodeId(rank as u32)
+        self.co.begin()
     }
 
     /// The round-span kind a request message opens.
@@ -236,188 +202,97 @@ impl DtmClient {
         }
     }
 
-    /// Open a round span for `msg` (only while tracing an open transaction)
-    /// and wrap the request with the span's wire context so servers can
-    /// parent their queue/handling spans to it. Returns the message to
-    /// send, its wire size, and the pending span to close at round end.
-    fn trace_round(&mut self, msg: Msg) -> (Msg, u64, Option<PendingSpan>) {
-        let bytes = msg.wire_bytes();
-        match self
-            .tracer
-            .as_mut()
-            .and_then(|t| t.start_round(Self::round_kind(&msg)))
-        {
-            Some(p) => (
-                Msg::Traced {
-                    ctx: p.ctx(),
-                    inner: Box::new(msg),
-                },
-                bytes + 16,
-                Some(p),
-            ),
-            None => (msg, bytes, None),
-        }
-    }
-
-    /// Close a round span opened by [`DtmClient::trace_round`]. Called on
-    /// every exit path — timeouts included — so a server span's parent
-    /// always exists client-side.
-    fn end_round(&mut self, pending: Option<PendingSpan>, failed: bool) {
-        if let (Some(t), Some(p)) = (self.tracer.as_mut(), pending) {
-            t.end_round(p, failed);
-        }
-    }
-
     fn alive_fn(&self) -> impl Fn(usize) -> bool {
         let failed = self.net.failed_set();
-        move |rank: usize| !failed.contains(&Self::server_node(rank))
+        move |rank: usize| !failed.contains(&NodeId(rank as u32))
     }
 
-    /// Collect responses for `req` into `got` until every one of the
-    /// `total` contacted members has answered, keeping at most one response
-    /// **per source node**: the chaos layer can duplicate a reply in flight,
-    /// and counting one server twice toward a quorum would void quorum
-    /// intersection. Other strays are discarded by request id.
+    /// The pump: run one protocol operation to completion over the
+    /// endpoint and the wall clock. `start` builds the machine; from then
+    /// on every reply and every passed deadline is handed to it with the
+    /// instant it was seen at, and every [`Effect`] it queues is carried
+    /// out in order.
     ///
-    /// A [`Msg::Syncing`] refusal (the replica is catching up after a
-    /// crash-with-amnesia) never counts toward the quorum, so the round
-    /// fails fast as `Unavailable` instead of burning the full deadline on
-    /// a reply that cannot arrive.
-    fn gather(
+    /// Round spans are the pump's too, because the tracer reads the wall
+    /// clock and the machines must not: a scatter opens one (only while
+    /// tracing an open transaction) and ships the request wrapped with the
+    /// span's wire context, so servers can parent their queue/handling
+    /// spans to it; `Gathered` closes it — on every exit path, timeouts
+    /// included, so a server span's parent always exists client-side.
+    fn drive<M: Machine>(
         &mut self,
-        req: ReqId,
-        total: usize,
-        deadline: Instant,
-        got: &mut Vec<(NodeId, Msg)>,
-    ) -> Result<(), DtmError> {
-        while got.len() < total {
-            match self.endpoint.recv_deadline(deadline) {
-                Ok((_, Msg::Syncing { req: r })) if r == req => {
-                    self.stats.sync_refusals_seen += 1;
-                    return Err(DtmError::Unavailable);
-                }
-                Ok((src, m))
-                    if m.response_req() == Some(req) && !got.iter().any(|&(s, _)| s == src) =>
-                {
-                    got.push((src, m))
-                }
-                Ok(_) => continue, // stray or duplicate response
-                Err(RecvError::Timeout) | Err(RecvError::Closed) => {
-                    return Err(DtmError::Unavailable)
+        start: impl FnOnce(&mut Coordinator, Alive, Instant) -> M,
+    ) -> M::Output {
+        let mut span: Option<PendingSpan> = None;
+        let alive = self.alive_fn();
+        let mut m = start(&mut self.co, &alive, Instant::now());
+        loop {
+            for effect in self.co.effects() {
+                match effect {
+                    Effect::Scatter(msg) => {
+                        let mut bytes = msg.wire_bytes();
+                        let kind = Self::round_kind(&msg);
+                        span = self.tracer.as_mut().and_then(|t| t.start_round(kind));
+                        let wire = match &span {
+                            Some(p) => {
+                                bytes += 16;
+                                Msg::Traced {
+                                    ctx: p.ctx(),
+                                    inner: Box::new(msg),
+                                }
+                            }
+                            None => msg,
+                        };
+                        self.endpoint.broadcast(m.members(), wire, bytes);
+                    }
+                    Effect::Gathered { failed } => {
+                        if let (Some(t), Some(p)) = (self.tracer.as_mut(), span.take()) {
+                            t.end_round(p, failed);
+                        }
+                    }
+                    Effect::Send(to, msg) => {
+                        let bytes = msg.wire_bytes();
+                        self.endpoint.send_sized(to, msg, bytes);
+                    }
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Sleep a jittered, bounded-exponential backoff before retry `attempt`
-    /// (1-based): uniform in `[base·2^(a-1)/2, base·2^(a-1)]`, with the
-    /// exponent capped at 16×.
-    fn backoff(&mut self, attempt: usize) {
-        let factor = 1u32 << (attempt.saturating_sub(1)).min(4);
-        let ceil = self.cfg.retry_backoff.saturating_mul(factor);
-        // xorshift64* jitter, seeded per client.
-        let mut x = self.backoff_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.backoff_state = x;
-        let nanos = ceil.as_nanos() as u64;
-        if nanos == 0 {
-            return;
-        }
-        let jittered = nanos / 2 + x % (nanos / 2 + 1);
-        std::thread::sleep(Duration::from_nanos(jittered));
-    }
-
-    /// One quorum round: scatter one request to `members` (a single
-    /// shared-payload broadcast, not a clone per member) and gather every
-    /// member's response, each tagged with its source. A timeout re-tries
-    /// against the *same* members up to `retries` times (2PC phases and
-    /// explicit queries pass `quorum_retries`; the read round passes 0 and
-    /// re-picks its quorum itself). Whether a failed round abandons the
-    /// operation — `quorum_unavailable` — is the caller's to count.
-    ///
-    /// One logical request keeps **one** request id across every attempt: a
-    /// timeout re-broadcasts the same correlation id after a jittered,
-    /// bounded-exponential backoff, responses already gathered are kept
-    /// (a retry only needs the members that have not answered yet), and
-    /// servers dedup retried Prepare/Commit/Abort by `(txn, req)` so a
-    /// request whose *response* was lost is answered from the dedup cache
-    /// instead of being re-executed.
-    fn round(
-        &mut self,
-        members: &[usize],
-        retries: usize,
-        build: impl FnOnce(ReqId) -> Msg,
-    ) -> Result<Vec<(NodeId, Msg)>, DtmError> {
-        let req = self.next_req;
-        self.next_req += 1;
-        let mut msg = Some(build(req));
-        let nodes: Vec<NodeId> = members.iter().map(|&m| Self::server_node(m)).collect();
-        let mut got: Vec<(NodeId, Msg)> = Vec::with_capacity(members.len());
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                self.stats.rpc_retries += 1;
-                self.backoff(attempt);
+            match m.phase() {
+                Phase::Done => break,
+                Phase::Awaiting(deadline) => {
+                    if let Ok((src, msg)) = self.endpoint.recv_deadline(deadline) {
+                        m.on_reply(&mut self.co, src, msg, Instant::now());
+                        continue;
+                    }
+                    // Timed out, or the network closed under us.
+                }
+                Phase::BackingOff(until, kind) => {
+                    let from = Instant::now();
+                    std::thread::sleep(until.saturating_duration_since(from));
+                    if let (Some(kind), Some(t)) = (kind, self.tracer.as_mut()) {
+                        t.record_plain(kind, from);
+                    }
+                }
             }
-            // Re-broadcast to everyone: servers that already answered hit
-            // their dedup cache (or redo an idempotent read), the rest get
-            // another chance to respond. Each broadcast is its own round
-            // span (a fresh wire context), so a retry's server spans are
-            // children of the attempt that actually carried them. The last
-            // attempt gives the message away instead of copying it.
-            let copy = if attempt == retries {
-                msg.take()
-            } else {
-                msg.clone()
-            };
-            let (wire, bytes, pending) = self.trace_round(copy.expect("taken on the last attempt"));
-            self.endpoint.broadcast(&nodes, wire, bytes);
-            let deadline = Instant::now() + self.cfg.rpc_timeout;
-            let ok = self.gather(req, members.len(), deadline, &mut got).is_ok();
-            self.end_round(pending, !ok);
-            if ok {
-                return Ok(got);
-            }
+            let alive = self.alive_fn();
+            m.on_deadline(&mut self.co, &alive, Instant::now());
         }
-        Err(DtmError::Unavailable)
+        m.finish()
     }
 
-    /// Fire-and-forget abort to `members`: used when a 2PC round could not
-    /// assemble a quorum (this client may be on a partition's minority
-    /// side). Reachable servers release their locks now; unreachable ones
-    /// fall back to the prepared-entry TTL sweep.
-    fn abort_best_effort(&mut self, txn: TxnId, members: &[usize]) {
-        let req = self.next_req;
-        self.next_req += 1;
-        let (msg, bytes, pending) = self.trace_round(Msg::AbortReq { txn, req });
-        let nodes: Vec<NodeId> = members.iter().map(|&m| Self::server_node(m)).collect();
-        self.endpoint.broadcast(&nodes, msg, bytes);
-        // No replies are awaited; close the round span at the broadcast.
-        self.end_round(pending, false);
-        self.stats.best_effort_aborts += 1;
+    /// Sleep for a uniformly random duration in `[lo, hi)`, drawn from this
+    /// node's jitter generator, and record the wait as a `kind` span if a
+    /// transaction trace is open. The one place a client thread sleeps
+    /// outside a round — the executor's restart backoff goes through here.
+    pub fn pause(&mut self, kind: SpanKind, lo: Duration, hi: Duration) {
+        let from = Instant::now();
+        std::thread::sleep(self.co.draw(lo, hi));
+        if let Some(t) = self.tracer.as_mut() {
+            t.record_plain(kind, from);
+        }
     }
 
-    /// The read round — every remote read of the DTM, of one object or of
-    /// many, is this one quorum round trip.
-    ///
-    /// `validate` is the transaction's full read-set; `watermarks` maps
-    /// each server to the length of the read-set prefix it has already
-    /// validated for this transaction. Only the suffix past the slowest
-    /// contacted member's watermark is shipped (the *delta*), and the
-    /// watermarks of the members that replied are advanced on success —
-    /// so total shipped validation payload stays linear in the read-set
-    /// size. Skipped entries are still validated at prepare time; the
-    /// delta only affects how early staleness is detected, never safety.
-    /// A caller that wants the whole read-set re-validated (a
-    /// statement-level open) passes empty watermarks.
-    ///
-    /// The round contacts exactly one minimal read quorum and waits for
-    /// every member: advancing watermarks for a member that never replied
-    /// would skip validation it has not done, and *not* advancing
-    /// stragglers would pin the delta at the full read-set, defeating the
-    /// point.
+    /// The read round (see [`Read`]): fetch `objs` from one minimal read
+    /// quorum, validating the read-set suffix past `watermarks` on the way.
     ///
     /// Returns `(object, version, value)` in request order.
     pub fn remote_read_batch(
@@ -426,158 +301,12 @@ impl DtmClient {
         objs: &[ObjectId],
         validate: &[ValidateEntry],
         watermarks: &mut HashMap<NodeId, usize>,
-    ) -> Result<Vec<(ObjectId, Version, ObjectVal)>, DtmError> {
-        assert!(!objs.is_empty(), "read round for zero objects");
-        let mut locked_attempts = 0usize;
-        let mut quorum_attempts = 0usize;
-        loop {
-            let alive = self.alive_fn();
-            let Some(quorum) = self
-                .quorums
-                .read_quorum(self.seed.wrapping_add(quorum_attempts as u64), &alive)
-            else {
-                self.stats.quorum_unavailable += 1;
-                return Err(DtmError::Unavailable);
-            };
-            let start = quorum
-                .iter()
-                .map(|&m| watermarks.get(&Self::server_node(m)).copied().unwrap_or(0))
-                .min()
-                .unwrap_or(0)
-                .min(validate.len());
-            let delta = validate[start..].to_vec();
-            self.stats.validate_entries_sent += (delta.len() * quorum.len()) as u64;
-            let sample = self.piggyback_classes.clone();
-            let Ok(resps) = self.round(&quorum, 0, |req| Msg::ReadBatchReq {
-                txn,
-                req,
-                objs: objs.to_vec(),
-                validate: delta,
-                sample,
-            }) else {
-                quorum_attempts += 1;
-                if quorum_attempts > self.cfg.quorum_retries {
-                    self.stats.quorum_unavailable += 1;
-                    return Err(DtmError::Unavailable);
-                }
-                continue;
-            };
-            self.stats.remote_reads += 1;
-
-            let mut invalid: Vec<ObjectId> = Vec::new();
-            let mut locked_obj: Option<ObjectId> = None;
-            let mut best: Vec<Option<(Version, ObjectVal)>> = vec![None; objs.len()];
-            let mut sampled: HashMap<u16, f64> = HashMap::new();
-            let mut repliers: Vec<NodeId> = Vec::with_capacity(resps.len());
-            // Per responder: (version, locked) in request order, for repair.
-            let mut served: Vec<(NodeId, Vec<(Version, bool)>)> = Vec::with_capacity(resps.len());
-            for (src, r) in resps {
-                if let Msg::ReadBatchResp {
-                    reads,
-                    invalid: inv,
-                    levels,
-                    ..
-                } = r
-                {
-                    debug_assert_eq!(reads.len(), objs.len(), "reply not in request shape");
-                    repliers.push(src);
-                    invalid.extend(inv);
-                    for (c, l) in levels {
-                        let e = sampled.entry(c).or_insert(0.0);
-                        if l > *e {
-                            *e = l;
-                        }
-                    }
-                    let mut versions = Vec::with_capacity(objs.len());
-                    for (i, read) in reads.into_iter().enumerate().take(objs.len()) {
-                        versions.push((read.version, read.locked));
-                        if read.locked {
-                            locked_obj.get_or_insert(read.obj);
-                        } else if best[i].as_ref().is_none_or(|(v, _)| read.version > *v) {
-                            best[i] = Some((read.version, read.value));
-                        }
-                    }
-                    served.push((src, versions));
-                }
-            }
-            if !sampled.is_empty() {
-                self.piggybacked = sampled;
-            }
-            if !invalid.is_empty() {
-                invalid.sort_unstable();
-                invalid.dedup();
-                self.stats.read_invalidations += 1;
-                return Err(DtmError::Invalidated { objs: invalid });
-            }
-            if let Some(obj) = locked_obj {
-                // An object (or a replica of it) is protected by an
-                // in-flight commit: back off briefly and re-read. Reading
-                // around the lock would be unsafe only for the value — the
-                // freshest unlocked replica may be pre-commit — so we must
-                // retry rather than mix.
-                locked_attempts += 1;
-                self.stats.locked_read_retries += 1;
-                if locked_attempts > self.cfg.locked_retries {
-                    return Err(DtmError::LockedOut { obj });
-                }
-                let lw = Instant::now();
-                std::thread::sleep(self.cfg.locked_backoff);
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record_plain(SpanKind::LockWait, lw);
-                }
-                continue;
-            }
-            // The round validated `validate[start..]` at every replier, and
-            // entries before `start` were covered by each replier's own
-            // (>= start) watermark: the full prefix is now validated there.
-            for node in repliers {
-                let w = watermarks.entry(node).or_insert(0);
-                *w = (*w).max(validate.len());
-            }
-            // Read repair, batched per lagging responder: each repaired
-            // node gets one RepairWrite carrying exactly the objects it
-            // served stale (and unlocked) — pushing the freshest committed
-            // copy back. Bounded and fire-and-forget.
-            if self.cfg.read_repair_max > 0 {
-                let mut repaired = 0usize;
-                for (node, versions) in &served {
-                    if repaired >= self.cfg.read_repair_max {
-                        break;
-                    }
-                    let writes: Vec<(ObjectId, Version, ObjectVal)> = versions
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, &(v, locked))| match &best[i] {
-                            Some((bv, bval)) if !locked && v < *bv => {
-                                Some((objs[i], *bv, bval.clone()))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if writes.is_empty() {
-                        continue;
-                    }
-                    let req = self.next_req;
-                    self.next_req += 1;
-                    let msg = Msg::RepairWrite { req, writes };
-                    let bytes = msg.wire_bytes();
-                    self.endpoint.send_sized(*node, msg, bytes);
-                    self.stats.repair_writes_sent += 1;
-                    repaired += 1;
-                }
-            }
-            return Ok(objs
-                .iter()
-                .zip(best)
-                .map(|(&o, b)| {
-                    let (v, val) = b.expect("quorum is non-empty");
-                    (o, v, val)
-                })
-                .collect());
-        }
+    ) -> ReadResult {
+        self.drive(|co, alive, now| Read::start(co, alive, txn, objs, validate, watermarks, now))
     }
 
-    /// Commit a transaction with two-phase commit against a write quorum.
+    /// Commit a transaction with two-phase commit against a write quorum
+    /// (see [`Commit`]).
     ///
     /// * `validate` — the full read-set (write-set read versions included);
     /// * `writes` — `(object, version-read, new value)`; the committed
@@ -591,142 +320,11 @@ impl DtmClient {
         validate: &[ValidateEntry],
         writes: &[(ObjectId, Version, ObjectVal)],
     ) -> Result<(), DtmError> {
-        let alive = self.alive_fn();
-        let quorum = if writes.is_empty() {
-            self.quorums.read_quorum(self.seed, &alive)
-        } else {
-            self.quorums.write_quorum(self.seed, &alive)
-        };
-        let Some(quorum) = quorum else {
-            self.stats.quorum_unavailable += 1;
-            return Err(DtmError::Unavailable);
-        };
-
-        // Phase 1: prepare.
-        self.stats.prepares += 1;
-        let retries = self.cfg.quorum_retries;
-        let resps = match self.round(&quorum, retries, |req| Msg::PrepareReq {
-            txn,
-            req,
-            validate: validate.to_vec(),
-            writes: writes.iter().map(|&(o, v, _)| (o, v)).collect(),
-        }) {
-            Ok(r) => r,
-            Err(e) => {
-                self.stats.quorum_unavailable += 1;
-                // No quorum for prepare (this client may be stuck on a
-                // partition's minority side). Members that *did* receive
-                // the prepare are holding locks: tell every reachable one
-                // to release now instead of waiting out the TTL sweep.
-                if !writes.is_empty() {
-                    self.abort_best_effort(txn, &quorum);
-                }
-                return Err(e);
-            }
-        };
-        let mut all_yes = true;
-        let mut invalid: Vec<ObjectId> = Vec::new();
-        let mut locked: Vec<ObjectId> = Vec::new();
-        let mut sync_refused = false;
-        let mut wal_refused = false;
-        for (_, r) in resps {
-            if let Msg::PrepareResp {
-                vote,
-                invalid: inv,
-                locked: lock,
-                syncing,
-                wal_refused: walr,
-                ..
-            } = r
-            {
-                if !vote {
-                    all_yes = false;
-                }
-                if syncing {
-                    sync_refused = true;
-                    self.stats.sync_refusals_seen += 1;
-                }
-                if walr {
-                    wal_refused = true;
-                }
-                invalid.extend(inv);
-                locked.extend(lock);
-            }
+        match self.drive(|co, alive, now| Commit::start(co, alive, txn, validate, writes, now)) {
+            CommitOutcome::Committed => Ok(()),
+            CommitOutcome::Aborted(conflict) => Err(conflict),
+            CommitOutcome::Decided | CommitOutcome::Unavailable => Err(DtmError::Unavailable),
         }
-        let conflict = |mut invalid: Vec<ObjectId>, mut locked: Vec<ObjectId>| {
-            invalid.sort_unstable();
-            invalid.dedup();
-            locked.sort_unstable();
-            locked.dedup();
-            DtmError::Conflict {
-                invalid,
-                locked,
-                syncing: sync_refused,
-                wal_refused,
-            }
-        };
-        if writes.is_empty() {
-            // Read-only: validation outcome is the commit outcome.
-            return if all_yes {
-                self.stats.commits += 1;
-                if let Some(h) = &self.history {
-                    h.record(CommitRecord {
-                        txn,
-                        reads: validate.to_vec(),
-                        writes: Vec::new(),
-                    });
-                    h.record_ack(txn);
-                }
-                Ok(())
-            } else {
-                self.stats.conflict_aborts += 1;
-                Err(conflict(invalid, locked))
-            };
-        }
-
-        if !all_yes {
-            // Phase 2: abort everywhere (also the replicas that voted yes).
-            let _ = self
-                .round(&quorum, retries, |req| Msg::AbortReq { txn, req })
-                .inspect_err(|_| self.stats.quorum_unavailable += 1);
-            self.stats.conflict_aborts += 1;
-            return Err(conflict(invalid, locked));
-        }
-
-        // Phase 2: commit. The decision is reached *here* — a yes-vote from
-        // the full write quorum — so the history record is appended now:
-        // even if every CommitAck is lost, servers that receive the
-        // CommitReq will apply it, and the checker must account those
-        // writes to a committed transaction.
-        let commit_writes: Vec<(ObjectId, Version, ObjectVal)> = writes
-            .iter()
-            .map(|(o, v, val)| (*o, v + 1, val.clone()))
-            .collect();
-        if let Some(h) = &self.history {
-            h.record(CommitRecord {
-                txn,
-                reads: validate.to_vec(),
-                writes: commit_writes.iter().map(|&(o, v, _)| (o, v)).collect(),
-            });
-        }
-        let commit = |req| Msg::CommitReq {
-            txn,
-            req,
-            writes: commit_writes,
-        };
-        self.round(&quorum, retries, commit)
-            .inspect_err(|_| self.stats.quorum_unavailable += 1)?;
-        // Only now — with a CommitAck from the full write quorum in hand —
-        // is the commit *acknowledged*: under ack-after-durable servers
-        // held those acks until the covering WAL records were synced, so
-        // everything recorded here must survive any later crash-restart.
-        // (The history record above is different: it marks the decision,
-        // which servers may apply even when every ack is lost.)
-        if let Some(h) = &self.history {
-            h.record_ack(txn);
-        }
-        self.stats.commits += 1;
-        Ok(())
     }
 
     /// Dynamic Module: fetch per-class write contention levels from a read
@@ -741,17 +339,18 @@ impl DtmClient {
     /// levels and per-class abort ratios.
     pub fn query_contention_full(&mut self, classes: &[u16]) -> Result<ContentionSample, DtmError> {
         let alive = self.alive_fn();
-        let Some(quorum) = self.quorums.read_quorum(self.seed, &alive) else {
-            self.stats.quorum_unavailable += 1;
+        let Some(quorum) = self.co.quorums.read_quorum(self.co.seed, &alive) else {
+            self.co.stats.quorum_unavailable += 1;
             return Err(DtmError::Unavailable);
         };
+        let retries = self.co.cfg.quorum_retries;
         let query = |req| Msg::ContentionReq {
             req,
             classes: classes.to_vec(),
         };
         let resps = self
-            .round(&quorum, self.cfg.quorum_retries, query)
-            .inspect_err(|_| self.stats.quorum_unavailable += 1)?;
+            .drive(|co, _, now| Round::begin(co, &quorum, retries, query, now))
+            .inspect_err(|_| self.co.stats.quorum_unavailable += 1)?;
         let mut out = ContentionSample {
             writes: classes.iter().map(|&c| (c, 0.0)).collect(),
             aborts: classes.iter().map(|&c| (c, 0.0)).collect(),

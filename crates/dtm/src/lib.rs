@@ -34,6 +34,7 @@ mod client;
 mod cluster;
 mod contention;
 mod context;
+pub mod coordinator;
 mod error;
 mod history;
 mod messages;

@@ -862,9 +862,6 @@ pub struct FaultLogConfig {
     /// Probability a sync fails with [`WalError::Io`] (staged records
     /// stay staged and the next sync retries them).
     pub sync_error_p: f64,
-    /// Stall injected into every successful sync (fsync latency / a
-    /// device hiccup). Zero disables.
-    pub sync_stall: Duration,
     /// Total bytes the device accepts before appends fail with
     /// [`WalError::NoSpace`]. `None` = unbounded.
     pub byte_budget: Option<u64>,
@@ -880,7 +877,6 @@ impl Default for FaultLogConfig {
             seed: 0,
             append_error_p: 0.0,
             sync_error_p: 0.0,
-            sync_stall: Duration::ZERO,
             byte_budget: None,
             lose_unsynced_on_restart: false,
         }
@@ -980,9 +976,6 @@ impl Persistence for FaultLog {
     }
 
     fn sync(&mut self) -> Result<(), WalError> {
-        if !self.cfg.sync_stall.is_zero() {
-            std::thread::sleep(self.cfg.sync_stall);
-        }
         if self.cfg.sync_error_p > 0.0 && self.draw(FAULT_SALT_SYNC) < self.cfg.sync_error_p {
             return Err(WalError::Io);
         }
