@@ -273,6 +273,21 @@ pub struct WaveStats {
 }
 
 impl WaveStats {
+    /// Every aggregate under the key of its row in a run's exported
+    /// description (the report's `meta` rows), in declaration order.
+    pub const META: &'static [acn_obs::Getter<WaveStats>] = &[
+        ("batch_waves", |b| b.waves),
+        ("batch_txns", |b| b.txns),
+        ("batch_edges", |b| b.edges),
+        ("batch_pessimistic_edges", |b| b.pessimistic_edges),
+        ("batch_inexact_txns", |b| b.inexact_txns),
+        ("batch_layers", |b| b.layers),
+        ("batch_max_width", |b| b.max_width),
+        ("batch_cross_edges", |b| b.cross_edges),
+        ("batch_predicted_txns", |b| b.predicted_txns),
+        ("batch_mispredicts", |b| b.mispredicts),
+    ];
+
     /// Fold one wave's plan into the running totals.
     pub fn absorb(&mut self, plan: &WavePlan) {
         self.waves += 1;

@@ -91,6 +91,42 @@ pub struct ServerStats {
     pub digest: StoreDigest,
 }
 
+impl ServerStats {
+    /// Every counter by field name, in declaration order: what an exporter
+    /// walks (and sums over replicas) instead of naming the fields again.
+    pub const COUNTERS: &'static [acn_obs::Getter<ServerStats>] = {
+        macro_rules! by_name {
+            ($($f:ident),*) => { &[$((stringify!($f), |s| s.$f)),*] };
+        }
+        by_name![
+            reads,
+            prepares,
+            prepare_rejects,
+            commits,
+            aborts,
+            contention_queries,
+            expired_prepares,
+            dedup_hits,
+            amnesia_wipes,
+            sync_vote_refusals,
+            sync_read_refusals,
+            sync_objects_received,
+            syncs_served,
+            syncs_completed,
+            repair_writes_received,
+            repair_writes_applied,
+            restart_replays,
+            wal_records_replayed,
+            torn_tails_truncated,
+            delta_objects_fetched,
+            wal_io_errors,
+            wal_vote_refusals,
+            wal_sync_batches,
+            wal_records_synced
+        ]
+    };
+}
+
 /// Cluster-awareness a server needs to run the catch-up protocol after a
 /// crash-with-amnesia: which peers exist and what counts as a read quorum
 /// among those that answered. Servers without one (standalone unit-test

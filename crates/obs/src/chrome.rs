@@ -14,6 +14,7 @@
 
 use crate::json::{parse_line, req_str, req_u64, JsonObj, JsonVal};
 use crate::registry::ThreadTraceRow;
+use crate::section::Row;
 use crate::span::{Span, SpanKind};
 use std::fmt::Write as _;
 
@@ -36,12 +37,10 @@ pub fn write_chrome_trace(spans: &[Span], threads: &[ThreadTraceRow]) -> String 
         events.push(line);
     }
     for t in threads {
+        // The row's own cells, plus the share derived from them.
         let mut o = JsonObj::new("completeness");
-        o.u64_field("thread", t.thread)
-            .u64_field("recorded", t.recorded)
-            .u64_field("dropped", t.dropped)
-            .u64_field("capacity", t.capacity)
-            .u64_field("kept_pct", t.kept_pct());
+        t.write_fields(&mut o);
+        o.u64_field("kept_pct", t.kept_pct());
         events.push(o.finish());
     }
     for s in spans {
@@ -89,15 +88,10 @@ pub fn parse_chrome_trace(input: &str) -> Result<(Vec<Span>, Vec<ThreadTraceRow>
         if !is_span && !is_completeness {
             continue; // metadata or viewer-added content
         }
-        let map = parse_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let mut map = parse_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         let ctx = |e: String| format!("line {}: {e}", lineno + 1);
         if is_completeness {
-            threads.push(ThreadTraceRow {
-                thread: req_u64(&map, "thread").map_err(ctx)?,
-                recorded: req_u64(&map, "recorded").map_err(ctx)?,
-                dropped: req_u64(&map, "dropped").map_err(ctx)?,
-                capacity: req_u64(&map, "capacity").map_err(ctx)?,
-            });
+            threads.push(ThreadTraceRow::default().read_from(&mut map).map_err(ctx)?);
             continue;
         }
         let kind_label = req_str(&map, "name").map_err(ctx)?;

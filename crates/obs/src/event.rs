@@ -4,6 +4,8 @@
 //! [`crate::TraceRing`] is a couple of integer stores — cheap enough to
 //! leave enabled on every abort/commit/retry site of a saturation run.
 
+use crate::prom::{PromFamily, PromType};
+use crate::section::section;
 use acn_txir::ObjectId;
 
 /// Why an execution attempt (or one Block of it) was thrown away.
@@ -184,25 +186,34 @@ pub enum TxnEvent {
     },
 }
 
-/// Execution counters of the nesting executor — for one transaction, one
-/// client thread, one measurement window or a whole run, depending on
-/// what was merged into it. Derived from the [`TxnEvent`] stream and from
-/// nothing else ([`ExecStats::on_event`]), so `full + partial + locked`
-/// equals the attributed abort total by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Full transaction restarts (parent scope).
-    pub full_aborts: u64,
-    /// Partial rollbacks (child scope only) — the closed-nesting win.
-    pub partial_aborts: u64,
-    /// Restarts caused by persistent `protected` objects.
-    pub locked_aborts: u64,
-    /// Restarts after a quorum-unavailable round (chaos/partition runs
-    /// with a non-zero unavailable-retry budget).
-    pub unavailable_retries: u64,
+section! {
+    /// Execution counters of the nesting executor — for one transaction, one
+    /// client thread, one measurement window or a whole run, depending on
+    /// what was merged into it. Derived from the [`TxnEvent`] stream and from
+    /// nothing else ([`ExecStats::on_event`]), so `full + partial + locked`
+    /// equals the attributed abort total by construction.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ExecStats: "exec" => TXNS {
+        /// Transactions committed.
+        pub commits: u64 = "commits" as "commit",
+        /// Full transaction restarts (parent scope).
+        pub full_aborts: u64 = "full_aborts" as "full_abort",
+        /// Partial rollbacks (child scope only) — the closed-nesting win.
+        pub partial_aborts: u64 = "partial_aborts" as "partial_abort",
+        /// Restarts caused by persistent `protected` objects.
+        pub locked_aborts: u64 = "locked_aborts" as "locked_abort",
+        /// Restarts after a quorum-unavailable round (chaos/partition runs
+        /// with a non-zero unavailable-retry budget).
+        pub unavailable_retries: u64 = "unavailable_retries" as "unavailable_retry",
+    }
 }
+
+const TXNS: PromFamily = PromFamily {
+    name: "acn_txns_total",
+    help: "Transaction outcomes by the executor",
+    ty: PromType::Counter,
+    label: Some("outcome"),
+};
 
 impl ExecStats {
     /// Count one event: terminal and abort events move a counter, every

@@ -45,6 +45,9 @@ impl JsonVal {
     }
 }
 
+/// One parsed line: key → value.
+pub type JsonMap = BTreeMap<String, JsonVal>;
+
 /// Incremental writer for one flat JSON object (one export line).
 #[derive(Debug, Default)]
 pub struct JsonObj {
@@ -96,6 +99,11 @@ impl JsonObj {
         self.buf.push('}');
         self.buf
     }
+
+    /// Close the object as one line of a JSON-lines file, newline included.
+    pub fn finish_line(self) -> String {
+        self.finish() + "\n"
+    }
 }
 
 fn push_json_string(buf: &mut String, s: &str) {
@@ -122,7 +130,7 @@ fn push_json_string(buf: &mut String, s: &str) {
 /// one level of nesting, string and integer values only. Returns an error
 /// string naming the first offence — good enough for test assertions and
 /// load-time validation.
-pub fn parse_line(line: &str) -> Result<BTreeMap<String, JsonVal>, String> {
+pub fn parse_line(line: &str) -> Result<JsonMap, String> {
     let mut chars = line.char_indices().peekable();
     let mut out = BTreeMap::new();
 
@@ -218,7 +226,7 @@ pub fn parse_line(line: &str) -> Result<BTreeMap<String, JsonVal>, String> {
 }
 
 /// Fetch a required string field from a parsed line.
-pub fn req_str(map: &BTreeMap<String, JsonVal>, key: &str) -> Result<String, String> {
+pub fn req_str(map: &JsonMap, key: &str) -> Result<String, String> {
     map.get(key)
         .and_then(|v| v.as_str())
         .map(str::to_owned)
@@ -226,7 +234,7 @@ pub fn req_str(map: &BTreeMap<String, JsonVal>, key: &str) -> Result<String, Str
 }
 
 /// Fetch a required unsigned-integer field from a parsed line.
-pub fn req_u64(map: &BTreeMap<String, JsonVal>, key: &str) -> Result<u64, String> {
+pub fn req_u64(map: &JsonMap, key: &str) -> Result<u64, String> {
     map.get(key)
         .and_then(|v| v.as_u64())
         .ok_or_else(|| format!("missing u64 field {key:?}"))

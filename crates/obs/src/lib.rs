@@ -12,9 +12,11 @@
 //!   counted from the same events, so attributed totals reconcile against
 //!   it to the unit.
 //! - **Metrics report** ([`MetricsReport`]): the executor counters
-//!   ([`ExecStats`], derived from the event stream) next to neutral mirrors
-//!   of network / latency / contention counters, with a JSON-lines
-//!   exporter whose output parses back to an equal report.
+//!   ([`ExecStats`], derived from the event stream) next to the network,
+//!   recovery, latency and contention sections the driver fills by name.
+//!   Each section's exported fields are one table ([`Row::FIELDS`]); the
+//!   JSON-lines exporter, its strict parser and the Prometheus mapping
+//!   walk it, and the output parses back to an equal report.
 //! - **Span tracer** ([`Tracer`] / [`SpanCollector`] / [`critical_path`]):
 //!   causal spans across client, wire and servers with a per-committed-txn
 //!   critical-path decomposition and a Chrome-trace/Perfetto exporter
@@ -43,6 +45,7 @@ pub mod json;
 mod prom;
 mod registry;
 mod ring;
+mod section;
 mod slo;
 mod span;
 mod timeseries;
@@ -52,11 +55,14 @@ mod wasted;
 pub use attribution::{AbortSite, AbortTable, TxnObserver};
 pub use chrome::{parse_chrome_trace, write_chrome_trace};
 pub use event::{AbortKind, ExecStats, TxnEvent};
-pub use prom::{parse_prom, render_prom, report_to_prom, PromMetric, PromSample, PromType};
+pub use prom::{
+    parse_prom, render_prom, report_to_prom, PromFamily, PromMetric, PromSample, PromType,
+};
 pub use registry::{
     AbortRow, ContentionLevel, CritPathRow, LatencySummary, MetricsReport, NetCounters,
     RecoveryCounters, SeriesRow, ThreadTraceRow, SCHEMA_VERSION, SERVER_TRACE_THREAD,
 };
+pub use section::{Cell, Field, Getter, Row, Section};
 pub use slo::{record_flight, FlightRecord, SloInputs, SloPolicy, SloRule, SloTrigger};
 pub use span::{
     aggregate_critpath, critical_path, BlockCost, PendingSpan, RawSpan, Span, SpanCollector,
@@ -65,4 +71,4 @@ pub use span::{
 };
 pub use timeseries::{LogHistogram, WindowCell, WindowedSeries};
 pub use trace::{ObsConfig, TraceRing, TraceSummary, DEFAULT_TRACE_CAPACITY};
-pub use wasted::{WorkLedger, WorkTotals, WorkUnits};
+pub use wasted::{WorkLedger, WorkScope, WorkTotals, WorkUnits};

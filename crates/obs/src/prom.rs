@@ -12,6 +12,8 @@
 //! is what makes the exact round trip possible at all.
 
 use crate::registry::MetricsReport;
+use crate::section::{Cell, Row, Section};
+use crate::wasted::{WorkTotals, WorkUnits};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -39,6 +41,21 @@ impl PromType {
             _ => None,
         }
     }
+}
+
+/// The fixed part of a family whose samples are a section's counters:
+/// declared beside that section's table, which names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PromFamily {
+    /// Metric family name.
+    pub name: &'static str,
+    /// Help line.
+    pub help: &'static str,
+    /// Family type.
+    pub ty: PromType,
+    /// Name of the one label the samples differ by; `None` for a family
+    /// of a single unlabelled sample.
+    pub label: Option<&'static str>,
 }
 
 /// One sample of a metric family: a label set and an integer value.
@@ -240,6 +257,36 @@ pub fn parse_prom(input: &str) -> Result<Vec<PromMetric>, String> {
     Ok(out)
 }
 
+/// Every counter of a single-row section as one sample of its family:
+/// the walk that makes a table row a Prometheus sample with no line here.
+fn section_samples<S: Section>(row: &S, out: &mut Vec<PromMetric>) {
+    for f in S::FIELDS {
+        let (Cell::U64(get, _), Some(family)) = (&f.cell, f.family.or(S::FAMILY)) else {
+            continue;
+        };
+        let at = out
+            .iter()
+            .position(|m| m.name == family.name)
+            .unwrap_or_else(|| {
+                out.push(PromMetric::new(family.name, family.help, family.ty));
+                out.len() - 1
+            });
+        match family.label {
+            Some(label) => out[at].sample(&[(label, f.label)], get(row)),
+            None => out[at].sample(&[], get(row)),
+        };
+    }
+}
+
+/// One sample per work unit, labelled `by` and `unit`.
+fn unit_samples(metric: &mut PromMetric, by: (&str, &str), units: &WorkUnits) {
+    for f in WorkUnits::FIELDS {
+        if let Cell::U64(get, _) = &f.cell {
+            metric.sample(&[by, ("unit", f.label)], get(units));
+        }
+    }
+}
+
 /// Map a [`MetricsReport`] onto Prometheus metric families. Every value is
 /// an integer counter/gauge; classes, kinds and scopes become labels.
 pub fn report_to_prom(report: &MetricsReport) -> Vec<PromMetric> {
@@ -260,32 +307,11 @@ pub fn report_to_prom(report: &MetricsReport) -> Vec<PromMetric> {
     }
     out.push(info);
 
-    let mut txns = PromMetric::new(
-        "acn_txns_total",
-        "Transaction outcomes by the executor",
-        PromType::Counter,
-    );
-    txns.sample(&[("outcome", "commit")], report.exec.commits)
-        .sample(&[("outcome", "full_abort")], report.exec.full_aborts)
-        .sample(&[("outcome", "partial_abort")], report.exec.partial_aborts)
-        .sample(&[("outcome", "locked_abort")], report.exec.locked_aborts)
-        .sample(
-            &[("outcome", "unavailable_retry")],
-            report.exec.unavailable_retries,
-        );
-    out.push(txns);
-
-    let mut lat = PromMetric::new(
-        "acn_commit_latency_ns",
-        "Commit-latency percentiles, nanoseconds",
-        PromType::Gauge,
-    );
+    section_samples(&report.exec, &mut out);
+    // An empty histogram has no percentiles to report.
     if report.latency.samples > 0 {
-        lat.sample(&[("quantile", "0.5")], report.latency.p50_nanos)
-            .sample(&[("quantile", "0.95")], report.latency.p95_nanos)
-            .sample(&[("quantile", "0.99")], report.latency.p99_nanos);
+        section_samples(&report.latency, &mut out);
     }
-    out.push(lat);
 
     let mut aborts = PromMetric::new(
         "acn_aborts_total",
@@ -305,73 +331,33 @@ pub fn report_to_prom(report: &MetricsReport) -> Vec<PromMetric> {
     }
     out.push(aborts);
 
-    let mut net = PromMetric::new(
-        "acn_net_messages_total",
-        "Simulated-network message counters",
-        PromType::Counter,
-    );
-    net.sample(&[("event", "sent")], report.net.sent)
-        .sample(&[("event", "delivered")], report.net.delivered)
-        .sample(&[("event", "dropped_chaos")], report.net.dropped_chaos)
-        .sample(&[("event", "dropped_failed")], report.net.dropped_failed);
-    out.push(net);
+    section_samples(&report.net, &mut out);
 
     let mut wasted = PromMetric::new(
         "acn_work_units_total",
         "Wasted-work ledger: work units by outcome scope and unit",
         PromType::Counter,
     );
-    if let Some(w) = &report.wasted {
-        for (scope, u) in [
-            ("executed", w.executed),
-            ("committed", w.committed),
-            ("discarded_full", w.discarded_full),
-            ("discarded_partial", w.discarded_partial),
-            ("abandoned", w.abandoned),
-        ] {
-            wasted
-                .sample(&[("scope", scope), ("unit", "blocks")], u.blocks)
-                .sample(&[("scope", scope), ("unit", "read_rounds")], u.read_rounds)
-                .sample(&[("scope", scope), ("unit", "lock_holds")], u.lock_holds);
-        }
-    }
-    out.push(wasted);
-
     let mut wasted_kind = PromMetric::new(
         "acn_work_discarded_total",
         "Discarded work units by abort kind and unit",
         PromType::Counter,
     );
     if let Some(w) = &report.wasted {
+        for (scope, get, _) in &WorkTotals::SCOPES {
+            unit_samples(&mut wasted, ("scope", scope), get(w));
+        }
         for (k, u) in &w.by_kind {
-            wasted_kind
-                .sample(&[("kind", k.label()), ("unit", "blocks")], u.blocks)
-                .sample(
-                    &[("kind", k.label()), ("unit", "read_rounds")],
-                    u.read_rounds,
-                )
-                .sample(&[("kind", k.label()), ("unit", "lock_holds")], u.lock_holds);
+            unit_samples(&mut wasted_kind, ("kind", k.label()), u);
         }
     }
+    out.push(wasted);
     out.push(wasted_kind);
 
-    let mut recov = PromMetric::new(
-        "acn_recovery_events_total",
-        "Replica recovery and durability counters",
-        PromType::Counter,
-    );
     if let Some(r) = &report.recovery {
-        recov
-            .sample(&[("event", "amnesia_wipes")], r.amnesia_wipes)
-            .sample(&[("event", "syncs_completed")], r.syncs_completed)
-            .sample(&[("event", "sync_vote_refusals")], r.sync_vote_refusals)
-            .sample(&[("event", "sync_read_refusals")], r.sync_read_refusals)
-            .sample(&[("event", "restart_replays")], r.restart_replays)
-            .sample(&[("event", "wal_io_errors")], r.wal_io_errors)
-            .sample(&[("event", "wal_sync_batches")], r.wal_sync_batches)
-            .sample(&[("event", "wal_records_synced")], r.wal_records_synced);
+        section_samples(r, &mut out);
     }
-    out.push(recov);
+    section_samples(&report.trace, &mut out);
 
     let mut series = PromMetric::new(
         "acn_window_commits",
@@ -475,5 +461,144 @@ mod tests {
         for (b, m) in back.iter().zip(rendered) {
             assert_eq!(b, m);
         }
+    }
+
+    /// The exposition of `registry::tests::sample_report()` as the
+    /// hand-written mapping rendered it (captured at PR 21).
+    const BEFORE_TABLES: &str = r#"# HELP acn_run_info Run description; value is always 1, the description rides the labels
+# TYPE acn_run_info gauge
+acn_run_info{seed="42",system="QrAcn"} 1
+# HELP acn_txns_total Transaction outcomes by the executor
+# TYPE acn_txns_total counter
+acn_txns_total{outcome="commit"} 100
+acn_txns_total{outcome="full_abort"} 2
+acn_txns_total{outcome="partial_abort"} 7
+acn_txns_total{outcome="locked_abort"} 0
+acn_txns_total{outcome="unavailable_retry"} 1
+# HELP acn_commit_latency_ns Commit-latency percentiles, nanoseconds
+# TYPE acn_commit_latency_ns gauge
+acn_commit_latency_ns{quantile="0.5"} 1000000
+acn_commit_latency_ns{quantile="0.95"} 2000000
+acn_commit_latency_ns{quantile="0.99"} 3000000
+# HELP acn_aborts_total Abort attribution by kind, blamed class and block
+# TYPE acn_aborts_total counter
+acn_aborts_total{block="-1",class="",kind="commit_conflict"} 2
+acn_aborts_total{block="0",class="Branch",kind="partial"} 7
+# HELP acn_net_messages_total Simulated-network message counters
+# TYPE acn_net_messages_total counter
+acn_net_messages_total{event="sent"} 500
+acn_net_messages_total{event="delivered"} 498
+acn_net_messages_total{event="dropped_chaos"} 0
+acn_net_messages_total{event="dropped_failed"} 0
+# HELP acn_work_units_total Wasted-work ledger: work units by outcome scope and unit
+# TYPE acn_work_units_total counter
+acn_work_units_total{scope="executed",unit="blocks"} 120
+acn_work_units_total{scope="executed",unit="read_rounds"} 60
+acn_work_units_total{scope="executed",unit="lock_holds"} 40
+acn_work_units_total{scope="committed",unit="blocks"} 100
+acn_work_units_total{scope="committed",unit="read_rounds"} 50
+acn_work_units_total{scope="committed",unit="lock_holds"} 35
+acn_work_units_total{scope="discarded_full",unit="blocks"} 13
+acn_work_units_total{scope="discarded_full",unit="read_rounds"} 6
+acn_work_units_total{scope="discarded_full",unit="lock_holds"} 3
+acn_work_units_total{scope="discarded_partial",unit="blocks"} 7
+acn_work_units_total{scope="discarded_partial",unit="read_rounds"} 4
+acn_work_units_total{scope="discarded_partial",unit="lock_holds"} 2
+acn_work_units_total{scope="abandoned",unit="blocks"} 2
+acn_work_units_total{scope="abandoned",unit="read_rounds"} 1
+acn_work_units_total{scope="abandoned",unit="lock_holds"} 0
+# HELP acn_work_discarded_total Discarded work units by abort kind and unit
+# TYPE acn_work_discarded_total counter
+acn_work_discarded_total{kind="partial",unit="blocks"} 7
+acn_work_discarded_total{kind="partial",unit="read_rounds"} 4
+acn_work_discarded_total{kind="partial",unit="lock_holds"} 2
+acn_work_discarded_total{kind="commit_conflict",unit="blocks"} 11
+acn_work_discarded_total{kind="commit_conflict",unit="read_rounds"} 5
+acn_work_discarded_total{kind="commit_conflict",unit="lock_holds"} 3
+# HELP acn_recovery_events_total Replica recovery and durability counters
+# TYPE acn_recovery_events_total counter
+acn_recovery_events_total{event="amnesia_wipes"} 1
+acn_recovery_events_total{event="syncs_completed"} 1
+acn_recovery_events_total{event="sync_vote_refusals"} 4
+acn_recovery_events_total{event="sync_read_refusals"} 6
+acn_recovery_events_total{event="restart_replays"} 1
+acn_recovery_events_total{event="wal_io_errors"} 2
+acn_recovery_events_total{event="wal_sync_batches"} 40
+acn_recovery_events_total{event="wal_records_synced"} 210
+# HELP acn_window_commits Per-window commit counts of the live time-series
+# TYPE acn_window_commits gauge
+acn_window_commits{window="0"} 1
+acn_window_commits{window="1"} 1
+# HELP acn_window_p99_ns Per-window p99 commit latency, nanoseconds
+# TYPE acn_window_p99_ns gauge
+acn_window_p99_ns{window="0"} 1212415
+acn_window_p99_ns{window="1"} 901119
+# HELP acn_slo_trips_total Anomaly triggers tripped, by rule
+# TYPE acn_slo_trips_total counter
+acn_slo_trips_total{rule="p99_latency"} 1
+"#;
+
+    #[test]
+    fn every_sample_the_hand_written_mapping_exported_is_still_exported() {
+        let report = crate::registry::tests::sample_report();
+        let text = render_prom(&report_to_prom(&report));
+        for line in BEFORE_TABLES.lines() {
+            assert!(text.lines().any(|l| l == line), "lost {line:?}");
+        }
+    }
+
+    /// Give every counter of `S` its own value, export the report `install`
+    /// puts it in, and find each one — by walking the table, so a counter
+    /// that reaches one export reaches both.
+    fn assert_parity<S: Section + Default>(install: impl Fn(&mut MetricsReport, S)) {
+        let mut section = S::default();
+        for (i, f) in S::FIELDS.iter().enumerate() {
+            let Cell::U64(_, set) = &f.cell else {
+                panic!(
+                    "{}.{}: a single-row section holds only counters",
+                    S::TYPE,
+                    f.key
+                );
+            };
+            set(&mut section, 1000 + i as u64);
+        }
+        let json = section.json_line();
+        let mut report = MetricsReport::default();
+        install(&mut report, section);
+        let families = report_to_prom(&report);
+        for (i, f) in S::FIELDS.iter().enumerate() {
+            let value = 1000 + i as u64;
+            assert!(json.contains(&format!("\"{}\":{value}", f.key)), "{json}");
+            let family = f
+                .family
+                .or(S::FAMILY)
+                .unwrap_or_else(|| panic!("{}.{} has no Prometheus family", S::TYPE, f.key));
+            let labels: Vec<(String, String)> = family
+                .label
+                .map(|name| (name.to_owned(), f.label.to_owned()))
+                .into_iter()
+                .collect();
+            let metric = families.iter().find(|m| m.name == family.name).unwrap();
+            assert_eq!((metric.help.as_str(), metric.ty), (family.help, family.ty));
+            assert!(
+                metric.samples.contains(&PromSample { labels, value }),
+                "{}.{} is missing from {}",
+                S::TYPE,
+                f.key,
+                family.name
+            );
+        }
+    }
+
+    #[test]
+    fn every_counter_of_a_single_row_section_reaches_both_exports() {
+        use crate::event::ExecStats;
+        use crate::registry::{LatencySummary, NetCounters, RecoveryCounters};
+        use crate::trace::TraceSummary;
+        assert_parity::<ExecStats>(|r, s| r.exec = s);
+        assert_parity::<RecoveryCounters>(|r, s| r.recovery = Some(s));
+        assert_parity::<NetCounters>(|r, s| r.net = s);
+        assert_parity::<LatencySummary>(|r, s| r.latency = s);
+        assert_parity::<TraceSummary>(|r, s| r.trace = s);
     }
 }

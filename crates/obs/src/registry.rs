@@ -2,116 +2,163 @@
 //! latency, contention, and attribution numbers meet.
 //!
 //! `acn-obs` sits below every other crate, so it cannot import their stats
-//! types; the report's rows are neutral mirrors the upper layers fill in
-//! (the executor counters are the exception — [`ExecStats`] is declared
-//! here, next to the events it is derived from). The payoff is a single
-//! [`MetricsReport`] that serialises to JSON-lines and parses back to an
-//! equal value, so exports are verifiable by round-trip rather than by
-//! inspection.
+//! types: [`NetCounters`] and [`RecoveryCounters`] are declared here and
+//! filled by name from the tables the network and the servers keep beside
+//! their own counters ([`Section::collect_from`]); the executor counters
+//! ([`ExecStats`]) are declared in this crate, next to the events they are
+//! derived from. Every section names its exported fields once, in the
+//! table beside its struct ([`crate::section`]); the JSON-lines writer and
+//! parser below walk those tables, so a [`MetricsReport`] serialises and
+//! parses back to an equal value by construction, and exports are
+//! verifiable by round-trip rather than by inspection.
 
 use crate::attribution::{AbortSite, AbortTable};
 use crate::event::{AbortKind, ExecStats};
-use crate::json::{parse_line, req_str, req_u64, JsonObj, JsonVal};
+use crate::json::{parse_line, JsonMap, JsonObj, JsonVal};
+use crate::prom::{PromFamily, PromType};
+use crate::section::{section, Cell, Field, Row, Section};
 use crate::slo::FlightRecord;
 use crate::timeseries::WindowedSeries;
 use crate::trace::TraceSummary;
 use crate::wasted::{WorkTotals, WorkUnits};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Version of the JSON-lines schema this build writes. Parsers accept the
 /// current version plus version-1 exports (which predate the field); any
 /// other value is rejected loudly rather than misparsed silently.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Replica-recovery counters, aggregated across servers (the wipe/sync
-/// side) and clients (the repair side) of a run. Present only when the run
-/// exercised crash-with-amnesia faults or read repair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryCounters {
-    /// Crash-with-amnesia wipes performed by servers.
-    pub amnesia_wipes: u64,
-    /// Catch-up rounds that completed (responders covered a read quorum).
-    pub syncs_completed: u64,
-    /// Objects whose copy moved forward while absorbing peer inventories.
-    pub sync_objects_received: u64,
-    /// Prepare votes refused by replicas still catching up.
-    pub sync_vote_refusals: u64,
-    /// Read rounds refused by replicas still catching up.
-    pub sync_read_refusals: u64,
-    /// Read-repair messages clients sent to lagging replicas.
-    pub repair_writes_sent: u64,
-    /// Repaired objects that actually advanced a replica's copy.
-    pub repair_writes_applied: u64,
-    /// Crash-restart recoveries performed (WAL replayed, delta fetched).
-    pub restart_replays: u64,
-    /// WAL records servers applied across restart replays.
-    pub wal_records_replayed: u64,
-    /// Torn/corrupt WAL tails detected by checksum and truncated.
-    pub torn_tails_truncated: u64,
-    /// Objects shipped in delta-sync responses after restart replays —
-    /// the recovery work that must scale with the outage, not the store.
-    pub delta_objects_fetched: u64,
-    /// WAL append/sync failures surfaced by the storage backend.
-    pub wal_io_errors: u64,
-    /// Successful WAL syncs that made at least one new record durable.
-    pub wal_sync_batches: u64,
-    /// Records made durable across those batches; divided by
-    /// `wal_sync_batches` this is the group-commit records-per-sync
-    /// batching factor.
-    pub wal_records_synced: u64,
+section! {
+    /// Replica-recovery counters, aggregated across servers (the wipe/sync
+    /// side) and clients (the repair side) of a run. Present only when the run
+    /// exercised crash-with-amnesia faults or read repair.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RecoveryCounters: "recovery" => RECOVERY_EVENTS {
+        /// Crash-with-amnesia wipes performed by servers.
+        pub amnesia_wipes: u64 = "amnesia_wipes",
+        /// Catch-up rounds that completed (responders covered a read quorum).
+        pub syncs_completed: u64 = "syncs_completed",
+        /// Objects whose copy moved forward while absorbing peer inventories.
+        pub sync_objects_received: u64 = "sync_objects_received",
+        /// Prepare votes refused by replicas still catching up.
+        pub sync_vote_refusals: u64 = "sync_vote_refusals",
+        /// Read rounds refused by replicas still catching up.
+        pub sync_read_refusals: u64 = "sync_read_refusals",
+        /// Read-repair messages clients sent to lagging replicas.
+        pub repair_writes_sent: u64 = "repair_writes_sent",
+        /// Repaired objects that actually advanced a replica's copy.
+        pub repair_writes_applied: u64 = "repair_writes_applied",
+        /// Crash-restart recoveries performed (WAL replayed, delta fetched).
+        pub restart_replays: u64 = "restart_replays",
+        /// WAL records servers applied across restart replays.
+        pub wal_records_replayed: u64 = "wal_records_replayed",
+        /// Torn/corrupt WAL tails detected by checksum and truncated.
+        pub torn_tails_truncated: u64 = "torn_tails_truncated",
+        /// Objects shipped in delta-sync responses after restart replays —
+        /// the recovery work that must scale with the outage, not the store.
+        pub delta_objects_fetched: u64 = "delta_objects_fetched",
+        /// WAL append/sync failures surfaced by the storage backend.
+        pub wal_io_errors: u64 = "wal_io_errors",
+        /// Successful WAL syncs that made at least one new record durable.
+        pub wal_sync_batches: u64 = "wal_sync_batches",
+        /// Records made durable across those batches; divided by
+        /// `wal_sync_batches` this is the group-commit records-per-sync
+        /// batching factor.
+        pub wal_records_synced: u64 = "wal_records_synced",
+    }
 }
 
-/// Mirror of the simulated network's `NetStatsSnapshot`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Messages handed to the network.
-    pub sent: u64,
-    /// Messages enqueued on live inboxes.
-    pub delivered: u64,
-    /// Drops: destination failed.
-    pub dropped_failed: u64,
-    /// Drops: destination inbox closed.
-    pub dropped_closed: u64,
-    /// Drops: directed link failed (partitions).
-    pub dropped_link: u64,
-    /// Drops: chaos rule drop draw.
-    pub dropped_chaos: u64,
-    /// Extra copies from chaos duplication.
-    pub chaos_duplicated: u64,
-    /// Messages delay-reordered by chaos.
-    pub chaos_delayed: u64,
-    /// Payload bytes handed to the network.
-    pub bytes_sent: u64,
-    /// Payload bytes enqueued on live inboxes.
-    pub bytes_delivered: u64,
+const RECOVERY_EVENTS: PromFamily = PromFamily {
+    name: "acn_recovery_events_total",
+    help: "Replica recovery and durability counters",
+    ty: PromType::Counter,
+    label: Some("event"),
+};
+
+section! {
+    /// The simulated network's counters, filled by name from its
+    /// `NetStatsSnapshot`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NetCounters: "net" => NET_MESSAGES {
+        /// Messages handed to the network.
+        pub sent: u64 = "sent",
+        /// Messages enqueued on live inboxes.
+        pub delivered: u64 = "delivered",
+        /// Drops: destination failed.
+        pub dropped_failed: u64 = "dropped_failed",
+        /// Drops: destination inbox closed.
+        pub dropped_closed: u64 = "dropped_closed",
+        /// Drops: directed link failed (partitions).
+        pub dropped_link: u64 = "dropped_link",
+        /// Drops: chaos rule drop draw.
+        pub dropped_chaos: u64 = "dropped_chaos",
+        /// Extra copies from chaos duplication.
+        pub chaos_duplicated: u64 = "chaos_duplicated",
+        /// Messages delay-reordered by chaos.
+        pub chaos_delayed: u64 = "chaos_delayed",
+        /// Payload bytes handed to the network.
+        pub bytes_sent: u64 = "bytes_sent" in NET_BYTES as "sent",
+        /// Payload bytes enqueued on live inboxes.
+        pub bytes_delivered: u64 = "bytes_delivered" in NET_BYTES as "delivered",
+    }
 }
 
-/// Commit-latency percentiles in nanoseconds (integer, so the JSON
-/// round-trip is exact).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Samples recorded.
-    pub samples: u64,
-    /// Median, as the containing bucket's upper bound.
-    pub p50_nanos: u64,
-    /// 95th percentile.
-    pub p95_nanos: u64,
-    /// 99th percentile.
-    pub p99_nanos: u64,
+const NET_MESSAGES: PromFamily = PromFamily {
+    name: "acn_net_messages_total",
+    help: "Simulated-network message counters",
+    ty: PromType::Counter,
+    label: Some("event"),
+};
+const NET_BYTES: PromFamily = PromFamily {
+    name: "acn_net_bytes_total",
+    help: "Simulated-network payload bytes, as declared by senders",
+    ty: PromType::Counter,
+    label: Some("event"),
+};
+
+section! {
+    /// Commit-latency percentiles in nanoseconds (integer, so the JSON
+    /// round-trip is exact).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LatencySummary: "latency" => LATENCY {
+        /// Samples recorded.
+        pub samples: u64 = "samples" in LATENCY_SAMPLES,
+        /// Median, as the containing bucket's upper bound.
+        pub p50_nanos: u64 = "p50_nanos" as "0.5",
+        /// 95th percentile.
+        pub p95_nanos: u64 = "p95_nanos" as "0.95",
+        /// 99th percentile.
+        pub p99_nanos: u64 = "p99_nanos" as "0.99",
+    }
 }
 
-/// One class's contention-window reading from the DTM's Dynamic Module:
-/// mean writes / aborts per touched object in the last complete window.
-/// Levels are stored in integer milli-units (level × 1000, rounded) so the
-/// JSON round-trip is exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContentionLevel {
-    /// Class name.
-    pub class: String,
-    /// Write level × 1000.
-    pub writes_milli: u64,
-    /// Abort level × 1000.
-    pub aborts_milli: u64,
+const LATENCY: PromFamily = PromFamily {
+    name: "acn_commit_latency_ns",
+    help: "Commit-latency percentiles, nanoseconds",
+    ty: PromType::Gauge,
+    label: Some("quantile"),
+};
+const LATENCY_SAMPLES: PromFamily = PromFamily {
+    name: "acn_commit_latency_samples_total",
+    help: "Commit-latency samples behind the percentiles",
+    ty: PromType::Counter,
+    label: None,
+};
+
+section! {
+    /// One class's contention-window reading from the DTM's Dynamic Module:
+    /// mean writes / aborts per touched object in the last complete window.
+    /// Levels are stored in integer milli-units (level × 1000, rounded) so the
+    /// JSON round-trip is exact.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ContentionLevel: "contention" {
+        /// Class name.
+        pub class: String = "class",
+        /// Write level × 1000.
+        pub writes_milli: u64 = "writes_milli",
+        /// Abort level × 1000.
+        pub aborts_milli: u64 = "aborts_milli",
+    }
 }
 
 /// One attribution row, flattened for export ([`AbortTable`] carries
@@ -146,56 +193,106 @@ impl AbortRow {
     }
 }
 
-/// One `(class, block)` row of the aggregated commit critical path: where
-/// the end-to-end latency of committed transactions went. Transaction-wide
-/// segments (`redo`, `local`) live on the class's `block = -1` row;
-/// per-Block rows carry only the `{net, srvq, lock}` split of their rounds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CritPathRow {
-    /// Workload class (transaction template) name.
-    pub class: String,
-    /// Block index (`-1` = outside any Block / whole transaction).
-    pub block: i64,
-    /// Committed transactions contributing to this row.
-    pub txns: u64,
-    /// Local compute + bookkeeping nanoseconds.
-    pub local_ns: u64,
-    /// Network + server-handle nanoseconds.
-    pub net_ns: u64,
-    /// Server inbox dwell nanoseconds (slowest responder per round).
-    pub srvq_ns: u64,
-    /// Client lock-wait sleep nanoseconds.
-    pub lock_ns: u64,
-    /// Rollback-redo nanoseconds (discarded attempts + restart backoff).
-    pub redo_ns: u64,
-    /// WAL fsync-park nanoseconds (slowest responder per round).
-    pub wal_ns: u64,
+impl Row for AbortRow {
+    const FIELDS: &'static [Field<Self>] = &[
+        // Irregular: the key is left out when no object was blamed.
+        Field::new(
+            "class",
+            Cell::OptStr(
+                |r| r.class.as_deref(),
+                |r, v| {
+                    r.class = Some(v.to_owned());
+                    Ok(())
+                },
+            ),
+        ),
+        // Irregular: `None` (flat body or commit phase) travels as -1.
+        Field::new(
+            "block",
+            Cell::I64(
+                |r| r.block.map_or(-1, i64::from),
+                |r, v| {
+                    r.block = match v {
+                        -1 => None,
+                        _ => Some(u32::try_from(v).map_err(|_| format!("bad block {v}"))?),
+                    };
+                    Ok(())
+                },
+            ),
+        ),
+        Field::new(
+            "kind",
+            Cell::Str(
+                |r| r.kind.label(),
+                |r, v| {
+                    r.kind = AbortKind::from_label(v)
+                        .ok_or_else(|| format!("unknown abort kind {v:?}"))?;
+                    Ok(())
+                },
+            ),
+        ),
+        Field::new("count", section!(@cell u64 count)),
+    ];
 }
 
-/// One interval window of the live time-series, flattened for export:
-/// counters plus the window's latency quantiles (integer nanoseconds, as
-/// histogram-bucket upper bounds, so the round trip is exact).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SeriesRow {
-    /// Grid index: `window × window_ns` is the window's start on the
-    /// run-relative clock.
-    pub window: u64,
-    /// Width of every window in this series, nanoseconds.
-    pub window_ns: u64,
-    /// Commits in the window.
-    pub commits: u64,
-    /// Full restarts in the window, lock-outs included.
-    pub full_aborts: u64,
-    /// Partial aborts in the window.
-    pub partial_aborts: u64,
-    /// Commit-latency samples in the window.
-    pub samples: u64,
-    /// Window p50 commit latency (bucket upper bound, ns); 0 if empty.
-    pub p50_ns: u64,
-    /// Window p99 commit latency.
-    pub p99_ns: u64,
-    /// Window p999 commit latency.
-    pub p999_ns: u64,
+impl Section for AbortRow {
+    const TYPE: &'static str = "abort";
+}
+
+section! {
+    /// One `(class, block)` row of the aggregated commit critical path: where
+    /// the end-to-end latency of committed transactions went. Transaction-wide
+    /// segments (`redo`, `local`) live on the class's `block = -1` row;
+    /// per-Block rows carry only the `{net, srvq, lock}` split of their rounds.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct CritPathRow: "critpath" {
+        /// Workload class (transaction template) name.
+        pub class: String = "class",
+        /// Block index (`-1` = outside any Block / whole transaction).
+        pub block: i64 = "block",
+        /// Committed transactions contributing to this row.
+        pub txns: u64 = "txns",
+        /// Local compute + bookkeeping nanoseconds.
+        pub local_ns: u64 = "local_ns",
+        /// Network + server-handle nanoseconds.
+        pub net_ns: u64 = "net_ns",
+        /// Server inbox dwell nanoseconds (slowest responder per round).
+        pub srvq_ns: u64 = "srvq_ns",
+        /// Client lock-wait sleep nanoseconds.
+        pub lock_ns: u64 = "lock_ns",
+        /// Rollback-redo nanoseconds (discarded attempts + restart backoff).
+        pub redo_ns: u64 = "redo_ns",
+        /// WAL fsync-park nanoseconds (slowest responder per round).
+        pub wal_ns: u64 = "wal_ns",
+    }
+}
+
+section! {
+    /// One interval window of the live time-series, flattened for export:
+    /// counters plus the window's latency quantiles (integer nanoseconds, as
+    /// histogram-bucket upper bounds, so the round trip is exact).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SeriesRow: "series" {
+        /// Grid index: `window × window_ns` is the window's start on the
+        /// run-relative clock.
+        pub window: u64 = "window",
+        /// Width of every window in this series, nanoseconds.
+        pub window_ns: u64 = "window_ns",
+        /// Commits in the window.
+        pub commits: u64 = "commits",
+        /// Full restarts in the window, lock-outs included.
+        pub full_aborts: u64 = "full_aborts",
+        /// Partial aborts in the window.
+        pub partial_aborts: u64 = "partial_aborts",
+        /// Commit-latency samples in the window.
+        pub samples: u64 = "samples",
+        /// Window p50 commit latency (bucket upper bound, ns); 0 if empty.
+        pub p50_ns: u64 = "p50_ns",
+        /// Window p99 commit latency.
+        pub p99_ns: u64 = "p99_ns",
+        /// Window p999 commit latency.
+        pub p999_ns: u64 = "p999_ns",
+    }
 }
 
 impl SeriesRow {
@@ -226,19 +323,21 @@ impl SeriesRow {
 /// codec's `i64` integers while never colliding with a thread index.
 pub const SERVER_TRACE_THREAD: u64 = 1 << 32;
 
-/// One worker thread's span-ring completeness: how much of its trace the
-/// bounded ring kept. `thread == SERVER_TRACE_THREAD` is the server-side
-/// collector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadTraceRow {
-    /// Worker thread index (or [`SERVER_TRACE_THREAD`]).
-    pub thread: u64,
-    /// Spans recorded (dropped ones included).
-    pub recorded: u64,
-    /// Spans overwritten because the ring was full.
-    pub dropped: u64,
-    /// Ring capacity, in spans.
-    pub capacity: u64,
+section! {
+    /// One worker thread's span-ring completeness: how much of its trace the
+    /// bounded ring kept. `thread == SERVER_TRACE_THREAD` is the server-side
+    /// collector.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ThreadTraceRow: "trace_thread" {
+        /// Worker thread index (or [`SERVER_TRACE_THREAD`]).
+        pub thread: u64 = "thread",
+        /// Spans recorded (dropped ones included).
+        pub recorded: u64 = "recorded",
+        /// Spans overwritten because the ring was full.
+        pub dropped: u64 = "dropped",
+        /// Ring capacity, in spans.
+        pub capacity: u64 = "capacity",
+    }
 }
 
 impl ThreadTraceRow {
@@ -250,6 +349,40 @@ impl ThreadTraceRow {
             .unwrap_or(100)
     }
 }
+
+/// One `(key, value)` pair of [`MetricsReport::meta`].
+type MetaRow = (String, String);
+
+impl Row for MetaRow {
+    const FIELDS: &'static [Field<Self>] = &[
+        Field::new("key", section!(@cell String 0)),
+        Field::new("value", section!(@cell String 1)),
+    ];
+}
+
+impl Section for MetaRow {
+    const TYPE: &'static str = "meta";
+}
+
+/// The ledger's two line types carry no struct of their own: a line is a
+/// [`WorkUnits`] under a discriminator — `(type, discriminator key)`. A
+/// `wasted` line's `scope` names a member of [`WorkTotals`]
+/// ([`WorkTotals::SCOPES`]); a `wasted_kind` line's `kind` is a key of
+/// [`WorkTotals::by_kind`].
+const WASTED: (&str, &str) = ("wasted", "scope");
+const WASTED_KIND: (&str, &str) = ("wasted_kind", "kind");
+
+fn units_line((ty, by): (&str, &str), name: &str, units: &WorkUnits) -> String {
+    let mut o = JsonObj::new(ty);
+    o.str_field(by, name);
+    units.write_fields(&mut o);
+    o.finish_line()
+}
+
+/// The header and trailer line types, and the header's one field.
+const HEADER: &str = "report";
+const HEADER_VERSION: &str = "schema_version";
+const END: &str = "end";
 
 /// Everything a run exports, in one comparable value.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -314,370 +447,66 @@ impl MetricsReport {
     /// report header, last line is `{"type":"end"}` so truncation is
     /// detectable.
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        {
-            let mut o = JsonObj::new("report");
-            o.u64_field("schema_version", SCHEMA_VERSION);
-            out.push_str(&o.finish());
-            out.push('\n');
+        fn lines<S: Section>(rows: &[S]) -> String {
+            rows.iter().map(S::json_line).collect()
         }
-        for (k, v) in &self.meta {
-            let mut o = JsonObj::new("meta");
-            o.str_field("key", k).str_field("value", v);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        {
-            let mut o = JsonObj::new("exec");
-            o.u64_field("commits", self.exec.commits)
-                .u64_field("full_aborts", self.exec.full_aborts)
-                .u64_field("partial_aborts", self.exec.partial_aborts)
-                .u64_field("locked_aborts", self.exec.locked_aborts)
-                .u64_field("unavailable_retries", self.exec.unavailable_retries);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        if let Some(r) = &self.recovery {
-            let mut o = JsonObj::new("recovery");
-            o.u64_field("amnesia_wipes", r.amnesia_wipes)
-                .u64_field("syncs_completed", r.syncs_completed)
-                .u64_field("sync_objects_received", r.sync_objects_received)
-                .u64_field("sync_vote_refusals", r.sync_vote_refusals)
-                .u64_field("sync_read_refusals", r.sync_read_refusals)
-                .u64_field("repair_writes_sent", r.repair_writes_sent)
-                .u64_field("repair_writes_applied", r.repair_writes_applied)
-                .u64_field("restart_replays", r.restart_replays)
-                .u64_field("wal_records_replayed", r.wal_records_replayed)
-                .u64_field("torn_tails_truncated", r.torn_tails_truncated)
-                .u64_field("delta_objects_fetched", r.delta_objects_fetched)
-                .u64_field("wal_io_errors", r.wal_io_errors)
-                .u64_field("wal_sync_batches", r.wal_sync_batches)
-                .u64_field("wal_records_synced", r.wal_records_synced);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        {
-            let n = &self.net;
-            let mut o = JsonObj::new("net");
-            o.u64_field("sent", n.sent)
-                .u64_field("delivered", n.delivered)
-                .u64_field("dropped_failed", n.dropped_failed)
-                .u64_field("dropped_closed", n.dropped_closed)
-                .u64_field("dropped_link", n.dropped_link)
-                .u64_field("dropped_chaos", n.dropped_chaos)
-                .u64_field("chaos_duplicated", n.chaos_duplicated)
-                .u64_field("chaos_delayed", n.chaos_delayed)
-                .u64_field("bytes_sent", n.bytes_sent)
-                .u64_field("bytes_delivered", n.bytes_delivered);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        {
-            let l = &self.latency;
-            let mut o = JsonObj::new("latency");
-            o.u64_field("samples", l.samples)
-                .u64_field("p50_nanos", l.p50_nanos)
-                .u64_field("p95_nanos", l.p95_nanos)
-                .u64_field("p99_nanos", l.p99_nanos);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        for c in &self.contention {
-            let mut o = JsonObj::new("contention");
-            o.str_field("class", &c.class)
-                .u64_field("writes_milli", c.writes_milli)
-                .u64_field("aborts_milli", c.aborts_milli);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        for r in &self.aborts {
-            let mut o = JsonObj::new("abort");
-            if let Some(c) = &r.class {
-                o.str_field("class", c);
-            }
-            o.i64_field("block", r.block.map(i64::from).unwrap_or(-1))
-                .str_field("kind", r.kind.label())
-                .u64_field("count", r.count);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        for r in &self.critpath {
-            let mut o = JsonObj::new("critpath");
-            o.str_field("class", &r.class)
-                .i64_field("block", r.block)
-                .u64_field("txns", r.txns)
-                .u64_field("local_ns", r.local_ns)
-                .u64_field("net_ns", r.net_ns)
-                .u64_field("srvq_ns", r.srvq_ns)
-                .u64_field("lock_ns", r.lock_ns)
-                .u64_field("redo_ns", r.redo_ns)
-                .u64_field("wal_ns", r.wal_ns);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        for t in &self.thread_traces {
-            let mut o = JsonObj::new("trace_thread");
-            o.u64_field("thread", t.thread)
-                .u64_field("recorded", t.recorded)
-                .u64_field("dropped", t.dropped)
-                .u64_field("capacity", t.capacity);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        {
-            let t = &self.trace;
-            let mut o = JsonObj::new("trace");
-            o.u64_field("recorded", t.recorded)
-                .u64_field("dropped", t.dropped)
-                .u64_field("capacity", t.capacity);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
+        let mut header = JsonObj::new(HEADER);
+        header.u64_field(HEADER_VERSION, SCHEMA_VERSION);
+        let mut out = header.finish_line();
+        out += &lines(&self.meta);
+        out += &self.exec.json_line();
+        out += &lines(self.recovery.as_slice());
+        out += &self.net.json_line();
+        out += &self.latency.json_line();
+        out += &lines(&self.contention);
+        out += &lines(&self.aborts);
+        out += &lines(&self.critpath);
+        out += &lines(&self.thread_traces);
+        out += &self.trace.json_line();
         if let Some(w) = &self.wasted {
-            for (scope, u) in [
-                ("executed", w.executed),
-                ("committed", w.committed),
-                ("discarded_full", w.discarded_full),
-                ("discarded_partial", w.discarded_partial),
-                ("abandoned", w.abandoned),
-            ] {
-                let mut o = JsonObj::new("wasted");
-                o.str_field("scope", scope)
-                    .u64_field("blocks", u.blocks)
-                    .u64_field("read_rounds", u.read_rounds)
-                    .u64_field("lock_holds", u.lock_holds);
-                out.push_str(&o.finish());
-                out.push('\n');
+            for (scope, get, _) in &WorkTotals::SCOPES {
+                out += &units_line(WASTED, scope, get(w));
             }
-            for (k, u) in &w.by_kind {
-                let mut o = JsonObj::new("wasted_kind");
-                o.str_field("kind", k.label())
-                    .u64_field("blocks", u.blocks)
-                    .u64_field("read_rounds", u.read_rounds)
-                    .u64_field("lock_holds", u.lock_holds);
-                out.push_str(&o.finish());
-                out.push('\n');
+            for (kind, units) in &w.by_kind {
+                out += &units_line(WASTED_KIND, kind.label(), units);
             }
         }
-        for r in &self.series {
-            let mut o = JsonObj::new("series");
-            o.u64_field("window", r.window)
-                .u64_field("window_ns", r.window_ns)
-                .u64_field("commits", r.commits)
-                .u64_field("full_aborts", r.full_aborts)
-                .u64_field("partial_aborts", r.partial_aborts)
-                .u64_field("samples", r.samples)
-                .u64_field("p50_ns", r.p50_ns)
-                .u64_field("p99_ns", r.p99_ns)
-                .u64_field("p999_ns", r.p999_ns);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        for f in &self.flights {
-            let mut o = JsonObj::new("flight");
-            o.str_field("trigger", &f.trigger)
-                .u64_field("value_milli", f.value_milli)
-                .u64_field("budget_milli", f.budget_milli)
-                .str_field("artifact", &f.artifact);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        out.push_str(&JsonObj::new("end").finish());
-        out.push('\n');
-        out
+        out += &lines(&self.series);
+        out += &lines(&self.flights);
+        out + &JsonObj::new(END).finish_line()
     }
 
     /// Parse a JSON-lines export back into a report; inverse of
-    /// [`MetricsReport::to_json_lines`].
+    /// [`MetricsReport::to_json_lines`]. Strict: a key no table names, a
+    /// second line of a single-row section and a second header are refused
+    /// with the line number, so a spliced or hand-edited export cannot
+    /// parse to a plausible wrong report.
     pub fn parse_json_lines(input: &str) -> Result<MetricsReport, String> {
         let mut report = MetricsReport::default();
-        let mut saw_header = false;
+        let mut seen: BTreeSet<String> = BTreeSet::new();
         let mut saw_end = false;
         for (lineno, line) in input.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
+            let at = |e: String| format!("line {}: {e}", lineno + 1);
             if saw_end {
-                return Err(format!("line {}: content after end marker", lineno + 1));
+                return Err(at("content after end marker".into()));
             }
-            let map = parse_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let ty = req_str(&map, "type").map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let ctx = |e: String| format!("line {} ({ty}): {e}", lineno + 1);
-            match ty.as_str() {
-                "report" => {
-                    saw_header = true;
-                    match map.get("schema_version") {
-                        // Version-1 exports predate the field.
-                        None | Some(JsonVal::Int(1)) => {}
-                        Some(JsonVal::Int(n)) if *n >= 0 && *n as u64 == SCHEMA_VERSION => {}
-                        Some(other) => {
-                            return Err(ctx(format!(
-                                "unsupported schema_version {other:?} \
-                                 (this reader handles versions 1..={SCHEMA_VERSION})"
-                            )))
-                        }
-                    }
-                }
-                "end" => saw_end = true,
-                "meta" => report.meta.push((req_str(&map, "key").map_err(ctx)?, {
-                    req_str(&map, "value").map_err(ctx)?
-                })),
-                "exec" => {
-                    report.exec = ExecStats {
-                        commits: req_u64(&map, "commits").map_err(ctx)?,
-                        full_aborts: req_u64(&map, "full_aborts").map_err(ctx)?,
-                        partial_aborts: req_u64(&map, "partial_aborts").map_err(ctx)?,
-                        locked_aborts: req_u64(&map, "locked_aborts").map_err(ctx)?,
-                        unavailable_retries: req_u64(&map, "unavailable_retries").map_err(ctx)?,
-                    }
-                }
-                "recovery" => {
-                    report.recovery = Some(RecoveryCounters {
-                        amnesia_wipes: req_u64(&map, "amnesia_wipes").map_err(ctx)?,
-                        syncs_completed: req_u64(&map, "syncs_completed").map_err(ctx)?,
-                        sync_objects_received: req_u64(&map, "sync_objects_received")
-                            .map_err(ctx)?,
-                        sync_vote_refusals: req_u64(&map, "sync_vote_refusals").map_err(ctx)?,
-                        sync_read_refusals: req_u64(&map, "sync_read_refusals").map_err(ctx)?,
-                        repair_writes_sent: req_u64(&map, "repair_writes_sent").map_err(ctx)?,
-                        repair_writes_applied: req_u64(&map, "repair_writes_applied")
-                            .map_err(ctx)?,
-                        restart_replays: req_u64(&map, "restart_replays").map_err(ctx)?,
-                        wal_records_replayed: req_u64(&map, "wal_records_replayed").map_err(ctx)?,
-                        torn_tails_truncated: req_u64(&map, "torn_tails_truncated").map_err(ctx)?,
-                        delta_objects_fetched: req_u64(&map, "delta_objects_fetched")
-                            .map_err(ctx)?,
-                        wal_io_errors: req_u64(&map, "wal_io_errors").map_err(ctx)?,
-                        wal_sync_batches: req_u64(&map, "wal_sync_batches").map_err(ctx)?,
-                        wal_records_synced: req_u64(&map, "wal_records_synced").map_err(ctx)?,
-                    })
-                }
-                "net" => {
-                    report.net = NetCounters {
-                        sent: req_u64(&map, "sent").map_err(ctx)?,
-                        delivered: req_u64(&map, "delivered").map_err(ctx)?,
-                        dropped_failed: req_u64(&map, "dropped_failed").map_err(ctx)?,
-                        dropped_closed: req_u64(&map, "dropped_closed").map_err(ctx)?,
-                        dropped_link: req_u64(&map, "dropped_link").map_err(ctx)?,
-                        dropped_chaos: req_u64(&map, "dropped_chaos").map_err(ctx)?,
-                        chaos_duplicated: req_u64(&map, "chaos_duplicated").map_err(ctx)?,
-                        chaos_delayed: req_u64(&map, "chaos_delayed").map_err(ctx)?,
-                        bytes_sent: req_u64(&map, "bytes_sent").map_err(ctx)?,
-                        bytes_delivered: req_u64(&map, "bytes_delivered").map_err(ctx)?,
-                    }
-                }
-                "latency" => {
-                    report.latency = LatencySummary {
-                        samples: req_u64(&map, "samples").map_err(ctx)?,
-                        p50_nanos: req_u64(&map, "p50_nanos").map_err(ctx)?,
-                        p95_nanos: req_u64(&map, "p95_nanos").map_err(ctx)?,
-                        p99_nanos: req_u64(&map, "p99_nanos").map_err(ctx)?,
-                    }
-                }
-                "contention" => report.contention.push(ContentionLevel {
-                    class: req_str(&map, "class").map_err(ctx)?,
-                    writes_milli: req_u64(&map, "writes_milli").map_err(ctx)?,
-                    aborts_milli: req_u64(&map, "aborts_milli").map_err(ctx)?,
-                }),
-                "abort" => {
-                    let block = match map.get("block") {
-                        Some(JsonVal::Int(-1)) => None,
-                        Some(JsonVal::Int(n)) if (0..=i64::from(u32::MAX)).contains(n) => {
-                            Some(*n as u32)
-                        }
-                        other => return Err(ctx(format!("bad block field {other:?}"))),
-                    };
-                    let kind_label = req_str(&map, "kind").map_err(ctx)?;
-                    let kind = AbortKind::from_label(&kind_label)
-                        .ok_or_else(|| ctx(format!("unknown abort kind {kind_label:?}")))?;
-                    report.aborts.push(AbortRow {
-                        class: map.get("class").and_then(|v| v.as_str()).map(str::to_owned),
-                        block,
-                        kind,
-                        count: req_u64(&map, "count").map_err(ctx)?,
-                    });
-                }
-                "critpath" => report.critpath.push(CritPathRow {
-                    class: req_str(&map, "class").map_err(ctx)?,
-                    block: match map.get("block") {
-                        Some(JsonVal::Int(n)) => *n,
-                        other => return Err(ctx(format!("bad block field {other:?}"))),
-                    },
-                    txns: req_u64(&map, "txns").map_err(ctx)?,
-                    local_ns: req_u64(&map, "local_ns").map_err(ctx)?,
-                    net_ns: req_u64(&map, "net_ns").map_err(ctx)?,
-                    srvq_ns: req_u64(&map, "srvq_ns").map_err(ctx)?,
-                    lock_ns: req_u64(&map, "lock_ns").map_err(ctx)?,
-                    redo_ns: req_u64(&map, "redo_ns").map_err(ctx)?,
-                    wal_ns: req_u64(&map, "wal_ns").map_err(ctx)?,
-                }),
-                "trace_thread" => report.thread_traces.push(ThreadTraceRow {
-                    thread: req_u64(&map, "thread").map_err(ctx)?,
-                    recorded: req_u64(&map, "recorded").map_err(ctx)?,
-                    dropped: req_u64(&map, "dropped").map_err(ctx)?,
-                    capacity: req_u64(&map, "capacity").map_err(ctx)?,
-                }),
-                "trace" => {
-                    report.trace = TraceSummary {
-                        recorded: req_u64(&map, "recorded").map_err(ctx)?,
-                        dropped: req_u64(&map, "dropped").map_err(ctx)?,
-                        capacity: req_u64(&map, "capacity").map_err(ctx)?,
-                    }
-                }
-                "wasted" => {
-                    let u = WorkUnits {
-                        blocks: req_u64(&map, "blocks").map_err(ctx)?,
-                        read_rounds: req_u64(&map, "read_rounds").map_err(ctx)?,
-                        lock_holds: req_u64(&map, "lock_holds").map_err(ctx)?,
-                    };
-                    let w = report.wasted.get_or_insert_with(WorkTotals::default);
-                    let scope = req_str(&map, "scope").map_err(ctx)?;
-                    match scope.as_str() {
-                        "executed" => w.executed = u,
-                        "committed" => w.committed = u,
-                        "discarded_full" => w.discarded_full = u,
-                        "discarded_partial" => w.discarded_partial = u,
-                        "abandoned" => w.abandoned = u,
-                        other => return Err(ctx(format!("unknown wasted scope {other:?}"))),
-                    }
-                }
-                "wasted_kind" => {
-                    let kind_label = req_str(&map, "kind").map_err(ctx)?;
-                    let kind = AbortKind::from_label(&kind_label)
-                        .ok_or_else(|| ctx(format!("unknown abort kind {kind_label:?}")))?;
-                    let u = WorkUnits {
-                        blocks: req_u64(&map, "blocks").map_err(ctx)?,
-                        read_rounds: req_u64(&map, "read_rounds").map_err(ctx)?,
-                        lock_holds: req_u64(&map, "lock_holds").map_err(ctx)?,
-                    };
-                    report
-                        .wasted
-                        .get_or_insert_with(WorkTotals::default)
-                        .by_kind
-                        .insert(kind, u);
-                }
-                "series" => report.series.push(SeriesRow {
-                    window: req_u64(&map, "window").map_err(ctx)?,
-                    window_ns: req_u64(&map, "window_ns").map_err(ctx)?,
-                    commits: req_u64(&map, "commits").map_err(ctx)?,
-                    full_aborts: req_u64(&map, "full_aborts").map_err(ctx)?,
-                    partial_aborts: req_u64(&map, "partial_aborts").map_err(ctx)?,
-                    samples: req_u64(&map, "samples").map_err(ctx)?,
-                    p50_ns: req_u64(&map, "p50_ns").map_err(ctx)?,
-                    p99_ns: req_u64(&map, "p99_ns").map_err(ctx)?,
-                    p999_ns: req_u64(&map, "p999_ns").map_err(ctx)?,
-                }),
-                "flight" => report.flights.push(FlightRecord {
-                    trigger: req_str(&map, "trigger").map_err(ctx)?,
-                    value_milli: req_u64(&map, "value_milli").map_err(ctx)?,
-                    budget_milli: req_u64(&map, "budget_milli").map_err(ctx)?,
-                    artifact: req_str(&map, "artifact").map_err(ctx)?,
-                }),
-                other => return Err(format!("line {}: unknown type {other:?}", lineno + 1)),
-            }
+            let mut map = parse_line(line).map_err(at)?;
+            let ty = take_str(&mut map, "type").map_err(at)?;
+            let first = seen.insert(ty.clone());
+            report
+                .read_line(&ty, &mut map, first)
+                .and_then(|()| match map.keys().next() {
+                    Some(key) => Err(format!("unknown field {key:?}")),
+                    None => Ok(()),
+                })
+                .map_err(|e| format!("line {} ({ty}): {e}", lineno + 1))?;
+            saw_end = ty == END;
         }
-        if !saw_header {
+        if !seen.contains(HEADER) {
             return Err("missing report header line".into());
         }
         if !saw_end {
@@ -685,14 +514,96 @@ impl MetricsReport {
         }
         Ok(report)
     }
+
+    /// Move one parsed line of type `ty` into the report, consuming the
+    /// keys it knows; `first` is false when an earlier line had this type.
+    fn read_line(&mut self, ty: &str, map: &mut JsonMap, first: bool) -> Result<(), String> {
+        fn single<S: Section + Default>(first: bool, map: &mut JsonMap) -> Result<S, String> {
+            if !first {
+                return Err("a second line of a single-row section".into());
+            }
+            S::default().read_from(map)
+        }
+        match ty {
+            HEADER => {
+                if !first {
+                    return Err("a second header".into());
+                }
+                match map.remove(HEADER_VERSION) {
+                    // Version-1 exports predate the field.
+                    None | Some(JsonVal::Int(1)) => {}
+                    Some(JsonVal::Int(n)) if n >= 0 && n as u64 == SCHEMA_VERSION => {}
+                    Some(other) => {
+                        return Err(format!(
+                            "unsupported schema_version {other:?} \
+                             (this reader handles versions 1..={SCHEMA_VERSION})"
+                        ))
+                    }
+                }
+            }
+            END => {}
+            MetaRow::TYPE => self.meta.push(MetaRow::default().read_from(map)?),
+            ExecStats::TYPE => self.exec = single(first, map)?,
+            RecoveryCounters::TYPE => self.recovery = Some(single(first, map)?),
+            NetCounters::TYPE => self.net = single(first, map)?,
+            LatencySummary::TYPE => self.latency = single(first, map)?,
+            ContentionLevel::TYPE => self
+                .contention
+                .push(ContentionLevel::default().read_from(map)?),
+            AbortRow::TYPE => {
+                // `kind` has no default; the read overwrites it.
+                let blank = AbortRow {
+                    class: None,
+                    block: None,
+                    kind: AbortKind::Partial,
+                    count: 0,
+                };
+                self.aborts.push(blank.read_from(map)?);
+            }
+            CritPathRow::TYPE => self.critpath.push(CritPathRow::default().read_from(map)?),
+            ThreadTraceRow::TYPE => self
+                .thread_traces
+                .push(ThreadTraceRow::default().read_from(map)?),
+            TraceSummary::TYPE => self.trace = single(first, map)?,
+            t if t == WASTED.0 => {
+                let scope = take_str(map, WASTED.1)?;
+                let (_, _, member) = WorkTotals::SCOPES
+                    .iter()
+                    .find(|(name, ..)| *name == scope)
+                    .ok_or_else(|| format!("unknown wasted scope {scope:?}"))?;
+                *member(self.wasted.get_or_insert_with(WorkTotals::default)) =
+                    WorkUnits::default().read_from(map)?;
+            }
+            t if t == WASTED_KIND.0 => {
+                let label = take_str(map, WASTED_KIND.1)?;
+                let kind = AbortKind::from_label(&label)
+                    .ok_or_else(|| format!("unknown abort kind {label:?}"))?;
+                let units = WorkUnits::default().read_from(map)?;
+                let wasted = self.wasted.get_or_insert_with(WorkTotals::default);
+                wasted.by_kind.insert(kind, units);
+            }
+            SeriesRow::TYPE => self.series.push(SeriesRow::default().read_from(map)?),
+            FlightRecord::TYPE => self.flights.push(FlightRecord::default().read_from(map)?),
+            other => return Err(format!("unknown type {other:?}")),
+        }
+        Ok(())
+    }
+}
+
+/// Move a required string field out of a parsed line.
+fn take_str(map: &mut JsonMap, key: &str) -> Result<String, String> {
+    match map.remove(key) {
+        Some(JsonVal::Str(s)) => Ok(s),
+        other => Err(format!("missing string field {key:?} (got {other:?})")),
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use acn_txir::ObjClass;
 
-    fn sample_report() -> MetricsReport {
+    pub(crate) fn sample_report() -> MetricsReport {
         let mut table = AbortTable::new();
         table.record_n(
             AbortSite {
@@ -869,6 +780,46 @@ mod tests {
         }
     }
 
+    /// `sample_report().to_json_lines()` as the hand-written writer produced
+    /// it before the field tables existed (captured at PR 21): the wire
+    /// format — line types, keys, key order — is pinned byte for byte.
+    const GOLDEN: &str = r#"{"type":"report","schema_version":2}
+{"type":"meta","key":"system","value":"QrAcn"}
+{"type":"meta","key":"seed","value":"42"}
+{"type":"exec","commits":100,"full_aborts":2,"partial_aborts":7,"locked_aborts":0,"unavailable_retries":1}
+{"type":"recovery","amnesia_wipes":1,"syncs_completed":1,"sync_objects_received":250,"sync_vote_refusals":4,"sync_read_refusals":6,"repair_writes_sent":9,"repair_writes_applied":5,"restart_replays":1,"wal_records_replayed":180,"torn_tails_truncated":1,"delta_objects_fetched":12,"wal_io_errors":2,"wal_sync_batches":40,"wal_records_synced":210}
+{"type":"net","sent":500,"delivered":498,"dropped_failed":0,"dropped_closed":0,"dropped_link":0,"dropped_chaos":0,"chaos_duplicated":0,"chaos_delayed":0,"bytes_sent":12345,"bytes_delivered":12000}
+{"type":"latency","samples":100,"p50_nanos":1000000,"p95_nanos":2000000,"p99_nanos":3000000}
+{"type":"contention","class":"Branch","writes_milli":50000,"aborts_milli":9000}
+{"type":"abort","block":-1,"kind":"commit_conflict","count":2}
+{"type":"abort","class":"Branch","block":0,"kind":"partial","count":7}
+{"type":"critpath","class":"transfer","block":-1,"txns":100,"local_ns":5000,"net_ns":1000,"srvq_ns":200,"lock_ns":0,"redo_ns":900,"wal_ns":150}
+{"type":"critpath","class":"transfer","block":0,"txns":100,"local_ns":0,"net_ns":7000,"srvq_ns":800,"lock_ns":300,"redo_ns":0,"wal_ns":0}
+{"type":"trace_thread","thread":0,"recorded":600,"dropped":12,"capacity":2048}
+{"type":"trace_thread","thread":4294967296,"recorded":400,"dropped":0,"capacity":2048}
+{"type":"trace","recorded":1000,"dropped":12,"capacity":4096}
+{"type":"wasted","scope":"executed","blocks":120,"read_rounds":60,"lock_holds":40}
+{"type":"wasted","scope":"committed","blocks":100,"read_rounds":50,"lock_holds":35}
+{"type":"wasted","scope":"discarded_full","blocks":13,"read_rounds":6,"lock_holds":3}
+{"type":"wasted","scope":"discarded_partial","blocks":7,"read_rounds":4,"lock_holds":2}
+{"type":"wasted","scope":"abandoned","blocks":2,"read_rounds":1,"lock_holds":0}
+{"type":"wasted_kind","kind":"partial","blocks":7,"read_rounds":4,"lock_holds":2}
+{"type":"wasted_kind","kind":"commit_conflict","blocks":11,"read_rounds":5,"lock_holds":3}
+{"type":"series","window":0,"window_ns":100000000,"commits":1,"full_aborts":0,"partial_aborts":0,"samples":1,"p50_ns":1212415,"p99_ns":1212415,"p999_ns":1212415}
+{"type":"series","window":1,"window_ns":100000000,"commits":1,"full_aborts":1,"partial_aborts":3,"samples":1,"p50_ns":901119,"p99_ns":901119,"p999_ns":901119}
+{"type":"flight","trigger":"p99_latency","value_milli":3000,"budget_milli":2000,"artifact":"flights/flight-fig1-p99_latency.json"}
+{"type":"end"}
+"#;
+
+    #[test]
+    fn wire_format_matches_the_golden_export() {
+        assert_eq!(sample_report().to_json_lines(), GOLDEN);
+        assert_eq!(
+            MetricsReport::parse_json_lines(GOLDEN).unwrap(),
+            sample_report()
+        );
+    }
+
     #[test]
     fn json_lines_round_trip_is_exact() {
         let report = sample_report();
@@ -935,5 +886,61 @@ mod tests {
         assert!(MetricsReport::parse_json_lines("")
             .unwrap_err()
             .contains("header"));
+    }
+
+    /// 1-based number of the first line of `text` of the given type.
+    fn line_of(text: &str, ty: &str) -> usize {
+        let tag = format!("{{\"type\":\"{ty}\"");
+        1 + text.lines().position(|l| l.starts_with(&tag)).unwrap()
+    }
+
+    #[test]
+    fn a_second_line_of_a_single_row_section_is_rejected() {
+        let text = sample_report().to_json_lines();
+        for ty in ["report", "exec", "recovery", "net", "latency", "trace"] {
+            // Splice a copy of the section's line in right after it — what
+            // concatenating a truncated export with a whole one produces.
+            let n = line_of(&text, ty);
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines.insert(n, lines[n - 1]);
+            let err = MetricsReport::parse_json_lines(&lines.join("\n")).unwrap_err();
+            assert!(
+                err.starts_with(&format!("line {} ({ty}): a second", n + 1)),
+                "{err}"
+            );
+        }
+        // Repeated sections stay repeatable.
+        let n = line_of(&text, "contention");
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.insert(n, lines[n - 1]);
+        let twice = MetricsReport::parse_json_lines(&lines.join("\n")).unwrap();
+        assert_eq!(twice.contention.len(), 2);
+    }
+
+    #[test]
+    fn an_unknown_key_on_a_known_line_is_rejected() {
+        let text = sample_report().to_json_lines();
+        for ty in [
+            "report",
+            "meta",
+            "exec",
+            "abort",
+            "wasted",
+            "wasted_kind",
+            "series",
+            "end",
+        ] {
+            let n = line_of(&text, ty);
+            let edited: Vec<String> = text
+                .lines()
+                .enumerate()
+                .map(|(i, l)| match i + 1 == n {
+                    true => l.replacen('}', ",\"comits\":1}", 1),
+                    false => l.to_owned(),
+                })
+                .collect();
+            let err = MetricsReport::parse_json_lines(&edited.join("\n")).unwrap_err();
+            assert_eq!(err, format!("line {n} ({ty}): unknown field \"comits\""));
+        }
     }
 }

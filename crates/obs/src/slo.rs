@@ -18,6 +18,7 @@
 
 use crate::chrome::write_chrome_trace;
 use crate::registry::ThreadTraceRow;
+use crate::section::section;
 use crate::span::Span;
 use std::path::{Path, PathBuf};
 
@@ -169,18 +170,20 @@ pub struct SloTrigger {
     pub budget_milli: u64,
 }
 
-/// One flight-recorder row in the metrics report: which trigger fired,
-/// what it measured against its budget, and where the span dump landed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightRecord {
-    /// Tripped rule label ([`SloRule::label`]).
-    pub trigger: String,
-    /// Measured value, in the rule's unit.
-    pub value_milli: u64,
-    /// The budget it exceeded, same unit.
-    pub budget_milli: u64,
-    /// Path of the Chrome-trace artifact holding the span dump.
-    pub artifact: String,
+section! {
+    /// One flight-recorder row in the metrics report: which trigger fired,
+    /// what it measured against its budget, and where the span dump landed.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FlightRecord: "flight" {
+        /// Tripped rule label ([`SloRule::label`]).
+        pub trigger: String = "trigger",
+        /// Measured value, in the rule's unit.
+        pub value_milli: u64 = "value_milli",
+        /// The budget it exceeded, same unit.
+        pub budget_milli: u64 = "budget_milli",
+        /// Path of the Chrome-trace artifact holding the span dump.
+        pub artifact: String = "artifact",
+    }
 }
 
 /// Dump the retained spans as one Chrome-trace flight-recorder artifact

@@ -8,7 +8,9 @@
 //! — the part that explains the state the run ended in.
 
 use crate::event::TxnEvent;
+use crate::prom::{PromFamily, PromType};
 use crate::ring::Ring;
+use crate::section::section;
 
 /// Default per-thread ring capacity (events, not bytes).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -81,16 +83,31 @@ impl TraceRing {
     }
 }
 
-/// Aggregated ring counters — what a multi-thread run reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Events recorded across all rings.
-    pub recorded: u64,
-    /// Events overwritten (bounded-memory drops) across all rings.
-    pub dropped: u64,
-    /// Total retained-event capacity across all rings.
-    pub capacity: u64,
+section! {
+    /// Aggregated ring counters — what a multi-thread run reports.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TraceSummary: "trace" => TRACE_EVENTS {
+        /// Events recorded across all rings.
+        pub recorded: u64 = "recorded",
+        /// Events overwritten (bounded-memory drops) across all rings.
+        pub dropped: u64 = "dropped",
+        /// Total retained-event capacity across all rings.
+        pub capacity: u64 = "capacity" in TRACE_CAPACITY,
+    }
 }
+
+const TRACE_EVENTS: PromFamily = PromFamily {
+    name: "acn_trace_events_total",
+    help: "Transaction events recorded into, and overwritten in, the trace rings",
+    ty: PromType::Counter,
+    label: Some("event"),
+};
+const TRACE_CAPACITY: PromFamily = PromFamily {
+    name: "acn_trace_capacity_events",
+    help: "Retained-event capacity of the trace rings",
+    ty: PromType::Gauge,
+    label: None,
+};
 
 impl TraceSummary {
     /// Element-wise accumulate (per-thread collection).

@@ -36,17 +36,20 @@
 //!   attribution is exact.
 
 use crate::event::{AbortKind, TxnEvent};
+use crate::section::section;
 use std::collections::BTreeMap;
 
-/// A quantity of transactional work, by unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkUnits {
-    /// Block (sub-transaction) executions, flat bodies counted as one.
-    pub blocks: u64,
-    /// Batched quorum read rounds.
-    pub read_rounds: u64,
-    /// Update-mode opens (each acquires a commit-time lock claim).
-    pub lock_holds: u64,
+section! {
+    /// A quantity of transactional work, by unit.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WorkUnits {
+        /// Block (sub-transaction) executions, flat bodies counted as one.
+        pub blocks: u64 = "blocks",
+        /// Batched quorum read rounds.
+        pub read_rounds: u64 = "read_rounds",
+        /// Update-mode opens (each acquires a commit-time lock claim).
+        pub lock_holds: u64 = "lock_holds",
+    }
 }
 
 impl WorkUnits {
@@ -100,7 +103,32 @@ pub struct WorkTotals {
     pub by_kind: BTreeMap<AbortKind, WorkUnits>,
 }
 
+/// One outcome bucket of [`WorkTotals`]: its exported name and the member.
+pub type WorkScope = (
+    &'static str,
+    fn(&WorkTotals) -> &WorkUnits,
+    fn(&mut WorkTotals) -> &mut WorkUnits,
+);
+
 impl WorkTotals {
+    /// The outcome buckets by exported `scope` name, in export order
+    /// (`by_kind` is exported per kind, not per scope).
+    pub const SCOPES: [WorkScope; 5] = [
+        ("executed", |w| &w.executed, |w| &mut w.executed),
+        ("committed", |w| &w.committed, |w| &mut w.committed),
+        (
+            "discarded_full",
+            |w| &w.discarded_full,
+            |w| &mut w.discarded_full,
+        ),
+        (
+            "discarded_partial",
+            |w| &w.discarded_partial,
+            |w| &mut w.discarded_partial,
+        ),
+        ("abandoned", |w| &w.abandoned, |w| &mut w.abandoned),
+    ];
+
     /// Total discarded work, full and partial.
     pub fn discarded(&self) -> WorkUnits {
         self.discarded_full + self.discarded_partial

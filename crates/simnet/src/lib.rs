@@ -54,4 +54,4 @@ pub use inbox::RecvError;
 pub use latency::LatencyModel;
 pub use network::{Endpoint, Network, RecvMeta};
 pub use node::NodeId;
-pub use stats::{NetStats, NetStatsSnapshot};
+pub use stats::{NamedCounter, NetStats, NetStatsSnapshot};

@@ -99,7 +99,30 @@ impl NetStats {
     }
 }
 
+/// One counter of a [`NetStatsSnapshot`]: its field name and its reader.
+pub type NamedCounter = (&'static str, fn(&NetStatsSnapshot) -> u64);
+
 impl NetStatsSnapshot {
+    /// Every counter by field name, in declaration order: what an exporter
+    /// walks instead of naming the fields a second time.
+    pub const COUNTERS: &'static [NamedCounter] = {
+        macro_rules! by_name {
+            ($($f:ident),*) => { &[$((stringify!($f), |s| s.$f)),*] };
+        }
+        by_name![
+            sent,
+            delivered,
+            dropped_failed,
+            dropped_closed,
+            dropped_link,
+            dropped_chaos,
+            chaos_duplicated,
+            chaos_delayed,
+            bytes_sent,
+            bytes_delivered
+        ]
+    };
+
     /// Counter-wise difference `self - earlier` (saturating, so a stale
     /// snapshot never underflows).
     pub fn since(&self, earlier: &NetStatsSnapshot) -> NetStatsSnapshot {
@@ -153,6 +176,30 @@ mod tests {
         assert_eq!(d.delivered, 1);
         assert_eq!(d.bytes_sent, 7);
         assert_eq!(d.bytes_delivered, 7);
+    }
+
+    #[test]
+    fn counters_table_reads_every_field() {
+        let s = NetStats::default();
+        s.record_sent(10);
+        s.record_dropped_chaos();
+        let snap = s.snapshot();
+        let by_name = |name| {
+            let (_, get) = NetStatsSnapshot::COUNTERS
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap();
+            get(&snap)
+        };
+        assert_eq!(by_name("sent"), 1);
+        assert_eq!(by_name("bytes_sent"), 10);
+        assert_eq!(by_name("dropped_chaos"), 1);
+        assert_eq!(by_name("delivered"), 0);
+        assert_eq!(
+            std::mem::size_of::<NetStatsSnapshot>(),
+            8 * NetStatsSnapshot::COUNTERS.len(),
+            "a counter without its table entry"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use acn_dtm::{Cluster, ClusterConfig, DtmClient, HistoryLog, ServerStats};
 use acn_obs::{
     aggregate_critpath, critical_path, record_flight, AbortKind, AbortRow, AbortTable,
     ContentionLevel, CritPathRow, FlightRecord, LogHistogram, MetricsReport, NetCounters,
-    ObsConfig, RecoveryCounters, SeriesRow, SloInputs, SloPolicy, Span, SpanCollector,
+    ObsConfig, RecoveryCounters, Section, SeriesRow, SloInputs, SloPolicy, Span, SpanCollector,
     ThreadTraceRow, TraceSummary, Tracer, TxnCritPath, TxnObserver, WindowedSeries, WorkTotals,
     SERVER_TRACE_THREAD,
 };
@@ -232,29 +232,38 @@ impl ScenarioResult {
         total as f64 / (n as f64 * self.interval.as_secs_f64())
     }
 
+    /// The executor counters of the whole run: every window merged.
+    pub fn totals(&self) -> ExecStats {
+        let mut exec = ExecStats::default();
+        for w in &self.intervals {
+            exec.merge(w);
+        }
+        exec
+    }
+
     /// Commits across all windows.
     pub fn total_commits(&self) -> u64 {
-        self.intervals.iter().map(|w| w.commits).sum()
+        self.totals().commits
     }
 
     /// Partial rollbacks across all windows.
     pub fn total_partial_aborts(&self) -> u64 {
-        self.intervals.iter().map(|w| w.partial_aborts).sum()
+        self.totals().partial_aborts
     }
 
     /// Full restarts across all windows.
     pub fn total_full_aborts(&self) -> u64 {
-        self.intervals.iter().map(|w| w.full_aborts).sum()
+        self.totals().full_aborts
     }
 
     /// Locked-out restarts across all windows.
     pub fn total_locked_aborts(&self) -> u64 {
-        self.intervals.iter().map(|w| w.locked_aborts).sum()
+        self.totals().locked_aborts
     }
 
     /// Unavailable-retries across all windows.
     pub fn total_unavailable_retries(&self) -> u64 {
-        self.intervals.iter().map(|w| w.unavailable_retries).sum()
+        self.totals().unavailable_retries
     }
 
     /// Assemble the unified [`MetricsReport`] for this run: executor
@@ -270,30 +279,16 @@ impl ScenarioResult {
         rows.extend(meta.iter().map(|(k, v)| (k.to_string(), v.clone())));
         if let Some(b) = &self.batch {
             rows.extend(
-                [
-                    ("batch_waves", b.waves),
-                    ("batch_txns", b.txns),
-                    ("batch_edges", b.edges),
-                    ("batch_pessimistic_edges", b.pessimistic_edges),
-                    ("batch_inexact_txns", b.inexact_txns),
-                    ("batch_layers", b.layers),
-                    ("batch_max_width", b.max_width),
-                    ("batch_cross_edges", b.cross_edges),
-                    ("batch_predicted_txns", b.predicted_txns),
-                    ("batch_mispredicts", b.mispredicts),
-                ]
-                .map(|(k, v)| (k.to_string(), v.to_string())),
+                WaveStats::META
+                    .iter()
+                    .map(|(k, get)| (k.to_string(), get(b).to_string())),
             );
-        }
-        let mut exec = ExecStats::default();
-        for w in &self.intervals {
-            exec.merge(w);
         }
         let mut report = MetricsReport {
             meta: rows,
-            exec,
+            exec: self.totals(),
             recovery: (self.recovery != RecoveryCounters::default()).then_some(self.recovery),
-            net: net_counters(&self.net),
+            net: NetCounters::collect_from(NetStatsSnapshot::COUNTERS, |get| get(&self.net)),
             latency: self.latency.summary(),
             ..MetricsReport::default()
         };
@@ -308,21 +303,6 @@ impl ScenarioResult {
             report.flights = obs.flights.clone();
         }
         report
-    }
-}
-
-fn net_counters(s: &NetStatsSnapshot) -> NetCounters {
-    NetCounters {
-        sent: s.sent,
-        delivered: s.delivered,
-        dropped_failed: s.dropped_failed,
-        dropped_closed: s.dropped_closed,
-        dropped_link: s.dropped_link,
-        dropped_chaos: s.dropped_chaos,
-        chaos_duplicated: s.chaos_duplicated,
-        chaos_delayed: s.chaos_delayed,
-        bytes_sent: s.bytes_sent,
-        bytes_delivered: s.bytes_delivered,
     }
 }
 
@@ -760,22 +740,13 @@ fn assemble(
         .collect();
     let latency = series.total_latency();
 
-    let sum = |f: fn(&ServerStats) -> u64| -> u64 { server_stats.iter().map(f).sum() };
+    // The servers' side of recovery, summed over replicas by counter
+    // name; read repair is the one counter clients keep.
     let recovery = RecoveryCounters {
-        amnesia_wipes: sum(|s| s.amnesia_wipes),
-        syncs_completed: sum(|s| s.syncs_completed),
-        sync_objects_received: sum(|s| s.sync_objects_received),
-        sync_vote_refusals: sum(|s| s.sync_vote_refusals),
-        sync_read_refusals: sum(|s| s.sync_read_refusals),
         repair_writes_sent,
-        repair_writes_applied: sum(|s| s.repair_writes_applied),
-        restart_replays: sum(|s| s.restart_replays),
-        wal_records_replayed: sum(|s| s.wal_records_replayed),
-        torn_tails_truncated: sum(|s| s.torn_tails_truncated),
-        delta_objects_fetched: sum(|s| s.delta_objects_fetched),
-        wal_io_errors: sum(|s| s.wal_io_errors),
-        wal_sync_batches: sum(|s| s.wal_sync_batches),
-        wal_records_synced: sum(|s| s.wal_records_synced),
+        ..RecoveryCounters::collect_from(ServerStats::COUNTERS, |get| {
+            server_stats.iter().map(get).sum()
+        })
     };
 
     let obs = contention.map(|contention| {
@@ -875,6 +846,31 @@ mod tests {
         cfg.interval = Duration::from_millis(60);
         cfg.controller.period = Duration::from_millis(40);
         cfg
+    }
+
+    /// The by-name joins that fill the report's `net` and `recovery`
+    /// sections are total: every exported counter has a source (a renamed
+    /// field on either side would otherwise export a silent zero).
+    #[test]
+    fn every_exported_net_and_recovery_counter_has_a_source() {
+        use acn_obs::Row;
+        for f in NetCounters::FIELDS {
+            assert!(
+                NetStatsSnapshot::COUNTERS.iter().any(|(n, _)| *n == f.key),
+                "net.{} has no NetStatsSnapshot counter",
+                f.key
+            );
+        }
+        let unsourced: Vec<&str> = RecoveryCounters::FIELDS
+            .iter()
+            .map(|f| f.key)
+            .filter(|k| !ServerStats::COUNTERS.iter().any(|(n, _)| n == k))
+            .collect();
+        assert_eq!(
+            unsourced,
+            ["repair_writes_sent"],
+            "read repair is the clients' counter; every other one needs a server counter"
+        );
     }
 
     #[test]
