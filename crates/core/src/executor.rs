@@ -98,6 +98,11 @@ impl Default for ExecutorConfig {
 pub enum RunError {
     /// No quorum available — the cluster lost too many servers.
     Unavailable,
+    /// The commit was decided but not acknowledged by the full write
+    /// quorum ([`DtmError::Decided`]). Terminal, whatever the policy: the
+    /// history already holds the decision, so the operation is not run
+    /// again — and not reported as a commit either.
+    Decided,
     /// The retry policy was exhausted without a commit.
     RetriesExhausted,
     /// The program computed an ill-typed value (a workload bug).
@@ -108,6 +113,7 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Unavailable => write!(f, "quorum unavailable"),
+            RunError::Decided => write!(f, "commit decided, not acknowledged"),
             RunError::RetriesExhausted => write!(f, "retry policy exhausted"),
             RunError::Eval(e) => write!(f, "evaluation error: {e}"),
         }
@@ -885,7 +891,7 @@ impl ExecutorEngine {
                 // A conflict that names no stale and no locked object and
                 // was flagged `syncing` is pure recovery back-pressure — a
                 // replica refused to vote while catching up after a
-                // crash-with-amnesia. Same shape flagged `wal_refused` is
+                // crash. Same shape flagged `wal_refused` is
                 // storage back-pressure: a replica's WAL could not make the
                 // grant durable. Attribute both separately so chaos runs
                 // can tell recovery/storage stalls from data contention.
@@ -908,6 +914,7 @@ impl ExecutorEngine {
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::Unavailable) => AttemptError::Fatal(RunError::Unavailable),
+            StepError::Dtm(DtmError::Decided) => AttemptError::Fatal(RunError::Decided),
             StepError::Eval(e) => AttemptError::Fatal(RunError::Eval(e)),
             StepError::Mispredict { .. } | StepError::Aliased { .. } => {
                 unreachable!("guard errors are attributed at their abort sites")
@@ -1460,6 +1467,49 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, RunError::Unavailable);
         assert_eq!(stats.unavailable_retries, 0);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_decided_commit_is_never_re_executed() {
+        // Every CommitReq is lost: the write quorum votes yes, the decision
+        // goes into the history, and the commit round dies unacknowledged.
+        // That is terminal — with retries to spare, the operation must not
+        // run again under a new TxnId and reach a second decision.
+        use acn_dtm::{msg_kind, HistoryLog};
+        use acn_simnet::{ChaosRule, FaultPlan};
+        let mut cfg = ClusterConfig::test(4, 1);
+        cfg.client_cfg.rpc_timeout = Duration::from_millis(5);
+        cfg.client_cfg.quorum_retries = 1;
+        cfg.client_cfg.retry_backoff = Duration::ZERO;
+        cfg.prepared_ttl = Duration::from_millis(20);
+        let cluster = Cluster::start(cfg);
+        let lose_commits = ChaosRule::for_kind(msg_kind::COMMIT_REQ, 1.0, 0.0, 0.0, Duration::ZERO);
+        cluster.install_chaos(&FaultPlan::with_rules(1, vec![lose_commits]));
+        let mut client = cluster.client(0);
+        let history = std::sync::Arc::new(HistoryLog::new());
+        client.set_history(history.clone());
+        let dm = deposit_model();
+        let seq = BlockSeq::flat(&dm);
+        let engine = ExecutorEngine::new(RetryPolicy {
+            max_unavailable_retries: 5,
+            backoff_base: Duration::ZERO,
+            ..RetryPolicy::default()
+        });
+        let mut stats = ExecStats::default();
+        let err = engine
+            .run(
+                &mut client,
+                &dm.program,
+                &[Value::Int(7), Value::Int(10)],
+                &seq,
+                &mut stats,
+            )
+            .unwrap_err();
+        assert_eq!(err, RunError::Decided);
+        assert_eq!(stats.unavailable_retries, 0, "a decision is not retried");
+        assert_eq!(stats.commits, 0, "nor reported as a commit");
+        assert_eq!(history.len(), 1, "one operation, one decision");
         cluster.shutdown();
     }
 

@@ -97,7 +97,7 @@ pub struct ClientStats {
     /// server-side).
     pub repair_writes_sent: u64,
     /// Responses refused because the replica was catching up after a
-    /// crash-with-amnesia: [`Msg::Syncing`] read refusals plus
+    /// crash (restart or amnesia): [`Msg::Syncing`] read refusals plus
     /// syncing-flagged prepare no-votes.
     pub sync_refusals_seen: u64,
 }
@@ -323,7 +323,8 @@ impl DtmClient {
         match self.drive(|co, alive, now| Commit::start(co, alive, txn, validate, writes, now)) {
             CommitOutcome::Committed => Ok(()),
             CommitOutcome::Aborted(conflict) => Err(conflict),
-            CommitOutcome::Decided | CommitOutcome::Unavailable => Err(DtmError::Unavailable),
+            CommitOutcome::Decided => Err(DtmError::Decided),
+            CommitOutcome::Unavailable => Err(DtmError::Unavailable),
         }
     }
 

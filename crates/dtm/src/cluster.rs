@@ -201,19 +201,20 @@ impl Cluster {
         self.net.fail(NodeId(rank as u32));
     }
 
-    /// Crash server `rank` *with amnesia*: besides dropping its messages,
-    /// the replica wipes its store, prepared table and dedup cache, and —
-    /// once recovered — must catch up from a read quorum of peers before it
-    /// serves reads or votes in prepares again.
+    /// Crash server `rank` *with amnesia*: its messages drop, its memory
+    /// and its durable log are lost, and — once recovered — the replica
+    /// must catch up from a read quorum of peers, fetching everything,
+    /// before it serves reads or votes in prepares again.
     pub fn fail_server_amnesia(&self, rank: usize) {
         assert!(rank < self.cfg.servers);
         self.net.fail_amnesia(NodeId(rank as u32));
     }
 
-    /// Crash server `rank` *keeping its durable log*: its messages drop
-    /// and — once recovered — the replica replays its WAL, reconstructs
-    /// its store, prepared table and dedup cache, and fetches only the
-    /// writes it missed from peers (delta sync) before serving again.
+    /// Crash server `rank` *keeping its durable log*: the same recovery
+    /// as [`Cluster::fail_server_amnesia`] over a log that survived — the
+    /// replica replays its WAL into store, prepared table and dedup cache,
+    /// and catch-up fetches only the writes it missed before it serves
+    /// reads or votes again.
     pub fn fail_server_restart(&self, rank: usize) {
         assert!(rank < self.cfg.servers);
         self.net.fail_restart(NodeId(rank as u32));

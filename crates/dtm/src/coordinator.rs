@@ -301,8 +301,8 @@ impl Machine for Round {
             return;
         }
         if let Msg::Syncing { .. } = msg {
-            // The replica is catching up after a crash-with-amnesia and
-            // will not answer this attempt: fail it now instead of burning
+            // The replica is catching up after a crash and will not
+            // answer this attempt: fail it now instead of burning
             // the full deadline on a reply that cannot arrive.
             co.stats.sync_refusals_seen += 1;
             self.fail_attempt(co, now);

@@ -33,7 +33,7 @@ pub enum DtmError {
         /// lock conflict blamed no object at all.
         locked: Vec<ObjectId>,
         /// True when at least one quorum member refused to vote because it
-        /// was still catching up after a crash-with-amnesia. A conflict
+        /// was still catching up after a crash (restart or amnesia). A conflict
         /// with *only* this set (no stale, no locked objects) is transient
         /// recovery back-pressure, not data contention — the abort
         /// attribution layer classifies it separately.
@@ -52,6 +52,12 @@ pub enum DtmError {
     },
     /// No quorum available (too many failed servers) or RPC timeout.
     Unavailable,
+    /// Decided, not acknowledged: the full write quorum voted yes and the
+    /// history records the commit, but the commit round died before every
+    /// member acknowledged it, so no replica is known to hold it durably.
+    /// Not a commit to report — and never a reason to run the transaction
+    /// again: the decision stands, a re-run would apply it twice.
+    Decided,
 }
 
 impl fmt::Display for DtmError {
@@ -72,6 +78,7 @@ impl fmt::Display for DtmError {
             }
             DtmError::LockedOut { obj } => write!(f, "read locked out on {obj}"),
             DtmError::Unavailable => write!(f, "quorum unavailable"),
+            DtmError::Decided => write!(f, "commit decided, not acknowledged"),
         }
     }
 }

@@ -120,7 +120,7 @@ pub enum Msg {
         /// lock conflict (at most one: locking stops at the first failure).
         locked: Option<ObjectId>,
         /// The replica refused to vote because it is still catching up
-        /// after a crash-with-amnesia. Always a no-vote with empty
+        /// after a crash (restart or amnesia). Always a no-vote with empty
         /// `invalid`/`locked`; the client must not blame an object and
         /// should retry against a fresh quorum.
         syncing: bool,
@@ -177,39 +177,32 @@ pub enum Msg {
         /// Per-class abort ratios.
         abort_levels: Vec<(u16, f64)>,
     },
-    /// Recovering server → peer server: a replica that lost its state to a
-    /// crash-with-amnesia asks for a full object/version inventory. The
-    /// `incarnation` (bumped on every wipe) lets the requester discard
-    /// stale responses to a previous recovery attempt.
+    /// Recovering server → peer server: a replica back from a crash asks
+    /// for whatever is newer than what it holds. `known` is what the replay
+    /// of its surviving log (and the responses absorbed so far) rebuilt —
+    /// empty when the disk was lost too, which makes the answer the peer's
+    /// whole inventory. The `incarnation` (bumped on every recovery) lets
+    /// the requester discard stale responses to a previous attempt.
     SyncReq {
-        /// Correlation id (the recovering server's own counter).
-        req: ReqId,
-        /// The requester's recovery incarnation this request belongs to.
-        incarnation: u64,
-    },
-    /// Peer server → recovering server: the peer's complete inventory.
-    /// Servers that are themselves syncing do not answer — an amnesiac
-    /// store full of version-0 entries must never seed another replica.
-    SyncResp {
-        /// Correlation id, echoed from the [`Msg::SyncReq`].
-        req: ReqId,
-        /// The requester's incarnation, echoed for staleness filtering.
-        incarnation: u64,
-        /// `(object, version, value)` for every object the peer holds.
-        entries: Vec<(ObjectId, Version, ObjectVal)>,
-    },
-    /// Recovering server → peer server: a replica that *replayed a WAL*
-    /// on restart already holds most of its state; it sends the versions
-    /// it has so the peer answers with only the newer/missing objects
-    /// (the delta), not the full inventory. Same incarnation-staleness
-    /// rule as [`Msg::SyncReq`]; the peer replies with a [`Msg::SyncResp`].
-    SyncDeltaReq {
         /// Correlation id (the recovering server's own counter).
         req: ReqId,
         /// The requester's recovery incarnation this request belongs to.
         incarnation: u64,
         /// `(object, version)` the requester already holds.
         known: Vec<(ObjectId, Version)>,
+    },
+    /// Peer server → recovering server: what the peer holds that the probe's
+    /// `known` lacks. Servers that are themselves syncing do not answer — a
+    /// store that may be missing committed writes must never seed another
+    /// replica.
+    SyncResp {
+        /// Correlation id, echoed from the [`Msg::SyncReq`].
+        req: ReqId,
+        /// The requester's incarnation, echoed for staleness filtering.
+        incarnation: u64,
+        /// `(object, version, value)` for every object the peer holds at a
+        /// newer version than the requester.
+        entries: Vec<(ObjectId, Version, ObjectVal)>,
     },
     /// Client → lagging read-quorum member, fire-and-forget: after a
     /// quorum read disagreed on versions, push the winning copy back to
@@ -224,7 +217,7 @@ pub enum Msg {
         writes: Vec<(ObjectId, Version, ObjectVal)>,
     },
     /// Server → client: the replica cannot serve reads because it is
-    /// catching up after a crash-with-amnesia. The client treats the
+    /// catching up after a crash (restart or amnesia). The client treats the
     /// responder as unavailable for this round (it does not count toward
     /// the quorum) without waiting out the RPC timeout.
     Syncing {
@@ -287,8 +280,8 @@ pub mod kind {
     pub const REPAIR_WRITE: MsgKind = 15;
     /// [`super::Msg::Syncing`]
     pub const SYNCING: MsgKind = 16;
-    /// [`super::Msg::SyncDeltaReq`]
-    pub const SYNC_DELTA_REQ: MsgKind = 17;
+    // 17 belonged to the retired delta probe (every `SyncReq` carries
+    // `known` now); like 0 and 1 it is not reused.
 }
 
 impl Msg {
@@ -306,7 +299,6 @@ impl Msg {
             Msg::ContentionReq { .. } => kind::CONTENTION_REQ,
             Msg::ContentionResp { .. } => kind::CONTENTION_RESP,
             Msg::SyncReq { .. } => kind::SYNC_REQ,
-            Msg::SyncDeltaReq { .. } => kind::SYNC_DELTA_REQ,
             Msg::SyncResp { .. } => kind::SYNC_RESP,
             Msg::RepairWrite { .. } => kind::REPAIR_WRITE,
             Msg::Syncing { .. } => kind::SYNCING,
@@ -389,8 +381,7 @@ impl Msg {
                 abort_levels,
                 ..
             } => HDR + LVL * (levels.len() + abort_levels.len()) as u64,
-            Msg::SyncReq { .. } => HDR + 8,
-            Msg::SyncDeltaReq { known, .. } => HDR + 8 + VE * known.len() as u64,
+            Msg::SyncReq { known, .. } => HDR + 8 + VE * known.len() as u64,
             Msg::Syncing { .. } => HDR,
             Msg::Shutdown => HDR,
             // Two span ids ride along with the inner message.
@@ -462,20 +453,12 @@ mod tests {
         assert_eq!(
             Msg::SyncReq {
                 req: 1,
-                incarnation: 1
-            }
-            .response_req(),
-            None
-        );
-        assert_eq!(
-            Msg::SyncDeltaReq {
-                req: 1,
                 incarnation: 1,
                 known: vec![]
             }
             .response_req(),
             None,
-            "a delta sync probe is a request, not a response"
+            "a sync probe is a request, not a response"
         );
         assert_eq!(
             Msg::RepairWrite {
@@ -496,10 +479,6 @@ mod tests {
         };
         let all = [
             Msg::SyncReq {
-                req: 1,
-                incarnation: 1,
-            },
-            Msg::SyncDeltaReq {
                 req: 1,
                 incarnation: 1,
                 known: vec![],
@@ -524,8 +503,7 @@ mod tests {
         let kinds: std::collections::HashSet<_> = all.iter().map(|m| m.kind()).collect();
         assert_eq!(kinds.len(), all.len(), "kinds must not collide");
         assert_eq!(all[0].kind(), kind::SYNC_REQ);
-        assert_eq!(all[1].kind(), kind::SYNC_DELTA_REQ);
-        assert_eq!(all[4].kind(), kind::SYNCING);
+        assert_eq!(all[3].kind(), kind::SYNCING);
         // Sync payload cost scales with the inventory like a commit's.
         use acn_txir::ObjClass;
         let obj = |i| ObjectId::new(ObjClass::new(1, "c"), i);
@@ -536,9 +514,9 @@ mod tests {
         };
         let per_entry = resp(2).wire_bytes() - resp(1).wire_bytes();
         assert!(per_entry >= 20, "entries are not free: {per_entry}");
-        // A delta probe pays per known-version entry (object id + version),
+        // A probe pays per known-version entry (object id + version),
         // trading probe size for a delta-sized response.
-        let probe = |n: u64| Msg::SyncDeltaReq {
+        let probe = |n: u64| Msg::SyncReq {
             req: 1,
             incarnation: 1,
             known: (0..n).map(|i| (obj(i), i)).collect(),

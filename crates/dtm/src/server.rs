@@ -45,7 +45,8 @@ pub struct ServerStats {
     /// Retried 2PC requests answered from the dedup cache instead of being
     /// re-executed (duplicate (txn, req) Prepare/Commit/Abort).
     pub dedup_hits: u64,
-    /// Amnesia wipes this replica performed (state lost, catch-up begun).
+    /// Recoveries from a crash that lost the disk too (crash-with-amnesia:
+    /// nothing survived, catch-up fetches everything).
     pub amnesia_wipes: u64,
     /// Prepare votes refused because this replica was still catching up.
     pub sync_vote_refusals: u64,
@@ -61,15 +62,16 @@ pub struct ServerStats {
     pub repair_writes_received: u64,
     /// Repaired objects that actually advanced this replica's copy.
     pub repair_writes_applied: u64,
-    /// Crash-restart recoveries performed (WAL replayed, delta fetched).
+    /// Recoveries from a crash the durable log survived (WAL replayed,
+    /// delta fetched).
     pub restart_replays: u64,
-    /// WAL records applied across all restart replays.
+    /// WAL records applied across all recovery replays.
     pub wal_records_replayed: u64,
     /// Torn/corrupt log tails detected by checksum and truncated.
     pub torn_tails_truncated: u64,
-    /// Objects received in delta-sync responses after a restart replay
-    /// (the work a recovery cost — it must scale with the outage, not
-    /// with the store).
+    /// Entries peers shipped to this replica while it was recovering —
+    /// the work a recovery cost. After a restart replay it must scale with
+    /// the outage, not with the store; after a disk loss it is the store.
     pub delta_objects_fetched: u64,
     /// WAL append/sync failures surfaced by the persistence backend
     /// (previously `FileLog` swallowed these silently).
@@ -128,15 +130,15 @@ impl ServerStats {
 }
 
 /// Cluster-awareness a server needs to run the catch-up protocol after a
-/// crash-with-amnesia: which peers exist and what counts as a read quorum
-/// among those that answered. Servers without one (standalone unit-test
-/// servers) skip catch-up and restart empty.
+/// crash (restart or amnesia): which peers exist and what counts as a read
+/// quorum among those that answered. Servers without one (standalone
+/// unit-test servers) skip catch-up and serve what their log rebuilt.
 #[derive(Clone)]
 pub struct SyncConfig {
     /// The cluster's quorum structure (shared with clients).
     pub quorums: LevelQuorums,
     /// This server's own rank (excluded from its sync quorum: a replica's
-    /// pre-crash quorum participation is void once its state is lost).
+    /// pre-crash quorum participation is void once it may have lost state).
     pub rank: usize,
     /// Total number of servers (ranks `0..servers`).
     pub servers: usize,
@@ -174,16 +176,16 @@ pub struct Server {
     /// Insertion order of `completed`, for FIFO eviction.
     completed_order: VecDeque<(TxnId, ReqId)>,
     stats: ServerStats,
-    /// Window shape, kept to rebuild the contention window after a wipe.
+    /// Window shape, kept to rebuild the contention window after a crash.
     window: WindowConfig,
     /// Cluster-awareness for catch-up sync (`None` = standalone server).
     sync: Option<SyncConfig>,
-    /// True from an amnesia wipe until peer inventories covering a read
+    /// True from a crash recovery until peer responses covering a read
     /// quorum have been absorbed. While set, reads and prepare votes are
     /// refused; phase-2 commits/aborts (decisions already made) and
     /// repair writes are still applied.
     syncing: bool,
-    /// Recovery incarnation, bumped on every wipe. Stale [`Msg::SyncResp`]s
+    /// Recovery incarnation, bumped on every recovery. Stale [`Msg::SyncResp`]s
     /// from a previous recovery attempt are discarded by it.
     incarnation: u64,
     /// Peer ranks that answered the current incarnation's [`Msg::SyncReq`].
@@ -193,8 +195,7 @@ pub struct Server {
     /// Last amnesia epoch acted upon (vs. the endpoint's fault table).
     amnesia_seen: u64,
     /// Last crash-restart epoch acted upon (vs. the endpoint's fault
-    /// table). A restart keeps the WAL: the replica replays it instead
-    /// of wiping.
+    /// table). A restart keeps the WAL; an amnesia crash loses it too.
     restart_seen: u64,
     /// True while the fault table says this host is down. A crashed host
     /// emits nothing, so the catch-up probe waits until it is reachable.
@@ -202,11 +203,6 @@ pub struct Server {
     /// Durable decision log and the ack-after-durable gate in front of it
     /// (a [`MemLog`] until [`Server::set_persistence`] installs another).
     log: DurableLog,
-    /// True while the current catch-up round should fetch only the delta
-    /// (set by a restart replay, cleared by amnesia and by completion):
-    /// probes carry the replica's known versions so peers answer with
-    /// just the newer/missing objects.
-    delta_sync: bool,
     /// Earliest time of the next TTL sweep, run by whichever of a message
     /// ([`Server::handle`]) and a tick gets there first. `None` = due at
     /// once.
@@ -275,7 +271,6 @@ impl Server {
             restart_seen: 0,
             down: false,
             log: DurableLog::new(Box::new(MemLog::new())),
-            delta_sync: false,
             next_sweep: None,
             next_probe: None,
             spans: None,
@@ -285,7 +280,7 @@ impl Server {
 
     /// Install the durable decision log's backend. Appends happen at the
     /// 2PC decision points (prepare grant, commit apply, abort, incarnation
-    /// bump); a crash-restart replays it.
+    /// bump); recovery from a crash replays what survived of it.
     pub fn set_persistence(&mut self, wal: Box<dyn Persistence>) {
         self.log.backend = wal;
     }
@@ -314,13 +309,13 @@ impl Server {
     }
 
     /// Install the cluster-awareness that enables catch-up sync after a
-    /// crash-with-amnesia. Without it a wiped server restarts empty and
-    /// keeps serving — acceptable only for standalone unit-test servers.
+    /// crash. Without it a recovered server serves whatever its log rebuilt
+    /// — acceptable only for standalone unit-test servers.
     pub fn set_sync_config(&mut self, sync: SyncConfig) {
         self.sync = Some(sync);
     }
 
-    /// Is this replica still catching up after an amnesia wipe?
+    /// Is this replica still catching up after a crash?
     pub fn is_syncing(&self) -> bool {
         self.syncing
     }
@@ -389,11 +384,11 @@ impl Server {
     }
 
     /// Fold in what the fault table says about this host: crash epochs not
-    /// yet acted on, and whether the host is currently down. Amnesia goes
-    /// first — if both crashes landed since the last call the disk is gone
-    /// too, and the replay then finds the wiped log, which is exactly what
-    /// the combined fault means. The wipe happens at once, also while down,
-    /// so no pre-crash state survives into recovery.
+    /// yet acted on, and whether the host is currently down. Either epoch
+    /// moving is one crash to recover from; if the amnesia epoch is among
+    /// them the disk is gone too — also when both moved since the last
+    /// call, which is what the combined fault means. Recovery happens at
+    /// once, also while down, so no pre-crash state survives into it.
     pub fn observe_faults(
         &mut self,
         amnesia_epoch: u64,
@@ -401,44 +396,42 @@ impl Server {
         down: bool,
         now: Instant,
     ) {
-        if amnesia_epoch > self.amnesia_seen {
+        let disk_lost = amnesia_epoch > self.amnesia_seen;
+        if disk_lost || restart_epoch > self.restart_seen {
             self.amnesia_seen = amnesia_epoch;
-            self.wipe_for_amnesia(now);
-        }
-        if restart_epoch > self.restart_seen {
             self.restart_seen = restart_epoch;
-            self.recover_from_restart(now);
+            self.recover(disk_lost, now);
         }
         self.down = down;
     }
 
-    /// Crash-with-amnesia landed: lose the store, the prepared table, the
-    /// dedup cache, the contention window and the disk, then (when peers
-    /// are known) enter catch-up mode — reads and prepare votes are refused
-    /// until peer inventories covering a read quorum have been absorbed.
-    fn wipe_for_amnesia(&mut self, now: Instant) {
-        self.forget();
-        self.store.wipe();
-        self.stats.amnesia_wipes += 1;
-        // The log restarts empty, seeded with the new incarnation, and
-        // catch-up is a full sync.
-        self.log.wipe();
-        self.rejoin(false, now);
-    }
-
-    /// Crash-restart landed: the process died but the log survived.
-    /// Volatile state (store, prepared table, dedup cache, contention
-    /// window, parked acks) is dropped and rebuilt by deterministically
-    /// replaying the WAL — torn tail truncated, `(txn, req)`-idempotent
-    /// apply, replies reconstructed so post-restart client retries hit the
-    /// dedup cache. Catch-up then runs in *delta* mode: only writes
-    /// committed while this replica was down need fetching from peers.
-    fn recover_from_restart(&mut self, now: Instant) {
-        self.forget();
-        self.stats.restart_replays += 1;
+    /// The process died, and with `disk_lost` its log went too. Volatile
+    /// state (store, prepared table, dedup cache, contention window, parked
+    /// acks, the catch-up round in progress) is dropped and rebuilt by
+    /// deterministically replaying whatever the log still holds — torn
+    /// tail truncated, `(txn, req)`-idempotent apply, replies reconstructed
+    /// so post-restart client retries hit the dedup cache; an emptied log
+    /// rebuilds an empty replica. The next incarnation is adopted and
+    /// logged, and (when peers are known) catch-up begins: reads and
+    /// prepare votes are refused until peers covering a read quorum have
+    /// shipped what this replica is missing — everything after a disk
+    /// loss, only the writes committed during the outage otherwise.
+    /// Without peers there is nobody to catch up from; serving what it has
+    /// is all a standalone server can do.
+    fn recover(&mut self, disk_lost: bool, now: Instant) {
+        self.prepared.clear();
+        self.completed.clear();
+        self.completed_order.clear();
+        self.contention = ContentionWindow::new(self.window);
+        self.sync_responders.clear();
+        if disk_lost {
+            self.stats.amnesia_wipes += 1;
+        } else {
+            self.stats.restart_replays += 1;
+        }
         // The load drops whatever the backend lost (e.g. a fault-injected
         // unsynced suffix); the surviving prefix is durable by definition.
-        let loaded = self.log.restart();
+        let loaded = self.log.restart(disk_lost);
         self.stats.torn_tails_truncated += loaded.torn_tails_truncated;
         let st = replay(loaded.records);
         self.stats.wal_records_replayed += st.records;
@@ -452,62 +445,35 @@ impl Server {
         for (key, reply) in st.replies {
             self.remember_reply(key, reply);
         }
-        self.incarnation = self.incarnation.max(st.incarnation);
-        self.rejoin(true, now);
-    }
-
-    /// The head of both recoveries: what any crash takes with it besides
-    /// the store — the prepared table, the dedup cache, the contention
-    /// window and the catch-up round in progress.
-    fn forget(&mut self) {
-        self.prepared.clear();
-        self.completed.clear();
-        self.completed_order.clear();
-        self.contention = ContentionWindow::new(self.window);
-        self.sync_responders.clear();
-    }
-
-    /// The tail of both recoveries: adopt and log the next incarnation,
-    /// then catch up from peers — the whole inventory after amnesia, only
-    /// the `delta` after a replay. Without peers there is nobody to catch
-    /// up from; serving what it has is all a standalone server can do.
-    fn rejoin(&mut self, delta: bool, now: Instant) {
-        self.incarnation += 1;
+        self.incarnation = self.incarnation.max(st.incarnation) + 1;
         let incarnation = self.incarnation;
         self.log
             .append(&WalRecord::IncarnationBump { incarnation }, now);
-        self.delta_sync = delta;
         self.syncing = self.sync.is_some();
     }
 
     /// (Re)broadcast the catch-up probe onto `out`, one copy per peer: a
-    /// [`Msg::SyncReq`], or after a restart replay a [`Msg::SyncDeltaReq`]
-    /// carrying what the replica already has. A fresh correlation id per
-    /// round is harmless: responses are matched by incarnation, not
-    /// request id.
+    /// [`Msg::SyncReq`] carrying what the replica holds right now — the
+    /// replayed log plus whatever earlier responses already brought — so
+    /// peers ship only the remainder. A fresh correlation id per round is
+    /// harmless: responses are matched by incarnation, not request id.
     fn probe(&mut self, out: &mut Vec<(NodeId, Msg)>) {
         let Some(sync) = &self.sync else { return };
         self.server_req += 1;
-        let (req, incarnation) = (self.server_req, self.incarnation);
-        let probe = if self.delta_sync {
-            let known = self.store.known_versions();
-            Msg::SyncDeltaReq {
-                req,
-                incarnation,
-                known,
-            }
-        } else {
-            Msg::SyncReq { req, incarnation }
+        let probe = Msg::SyncReq {
+            req: self.server_req,
+            incarnation: self.incarnation,
+            known: self.store.known_versions(),
         };
         let peers = (0..sync.servers).filter(|&r| r != sync.rank);
         out.extend(peers.map(|r| (NodeId(r as u32), probe.clone())));
     }
 
-    /// Absorb one peer's [`Msg::SyncResp`] inventory. Catch-up completes —
-    /// and the replica resumes voting and serving reads — once the set of
+    /// Absorb one peer's [`Msg::SyncResp`]. Catch-up completes — and the
+    /// replica resumes voting and serving reads — once the set of
     /// responders covers a full read quorum *excluding this server*: any
     /// read quorum intersects every write quorum in at least one member,
-    /// and since none of the responders is this (wiped) server, the
+    /// and since none of the responders is this (recovering) server, the
     /// max-version union over them dominates every write committed before
     /// the snapshots. Writes concurrent with catch-up either include this
     /// replica in their write quorum (refused → the client aborts and
@@ -522,11 +488,9 @@ impl Server {
         if !self.syncing || incarnation != self.incarnation {
             return; // stale response to an earlier recovery attempt
         }
-        if self.delta_sync {
-            // Every entry a peer shipped is recovery work the restart
-            // cost; the regression tests pin this to the outage size.
-            self.stats.delta_objects_fetched += entries.len() as u64;
-        }
+        // Every entry a peer shipped is work the recovery cost; after a
+        // restart the regression tests pin it to the outage size.
+        self.stats.delta_objects_fetched += entries.len() as u64;
         for (obj, version, value) in entries {
             if self.store.apply(obj, version, value, REPAIR_TXN) {
                 self.stats.sync_objects_received += 1;
@@ -542,7 +506,6 @@ impl Server {
             .is_some();
         if covered {
             self.syncing = false;
-            self.delta_sync = false;
             self.stats.syncs_completed += 1;
         }
     }
@@ -673,10 +636,11 @@ impl Server {
 
     /// [`Server::handle`] past the dedup cache: executes the request.
     ///
-    /// Two states refuse work up front. *Catching up*: an amnesiac store
-    /// reads every object as version 0, so serving reads would hand out
-    /// phantom-fresh copies and voting yes would silently pass validation
-    /// against wiped state — reads and prepares are refused. *Degraded*:
+    /// Two states refuse work up front. *Catching up*: a recovering store
+    /// reads every object it is missing at a stale version (0 after a disk
+    /// loss), so serving reads would hand out phantom-fresh copies and
+    /// voting yes would silently pass validation against lost state —
+    /// reads and prepares are refused. *Degraded*:
     /// the log cannot currently make anything durable, so a grant would
     /// hand out a lock whose record is unloggable — prepares are refused,
     /// with back-pressure the client attributes separately. Phase-2
@@ -872,12 +836,11 @@ impl Server {
                     abort_levels,
                 })
             }
-            Msg::SyncReq { req, incarnation } => self.serve_sync(req, incarnation, None),
-            Msg::SyncDeltaReq {
+            Msg::SyncReq {
                 req,
                 incarnation,
                 known,
-            } => self.serve_sync(req, incarnation, Some(known)),
+            } => self.serve_sync(req, incarnation, &known),
             Msg::RepairWrite { writes, .. } => {
                 self.stats.repair_writes_received += 1;
                 for (obj, version, value) in writes {
@@ -908,33 +871,27 @@ impl Server {
         newer.map(|&(o, _)| o).collect()
     }
 
-    /// Answer a recovering peer's probe with this replica's inventory —
-    /// all of it, or with `known` only what the requester is missing:
-    /// objects it has never seen, or holds at an older version (a
-    /// never-written object reads as version 0 everywhere, so absent == 0).
-    /// A replica that is itself catching up must not seed another: its
-    /// amnesiac inventory would launder version-0 state into the
-    /// requester's "covered" quorum. It stays silent and lets the
-    /// requester's re-broadcast find healthy peers.
+    /// Answer a recovering peer's probe with what it is missing: the
+    /// objects it has never seen or holds at an older version than this
+    /// replica ([`Store::newer_than`] its `known`). A replica that is
+    /// itself catching up must not seed another: its incomplete store
+    /// would launder stale state into the requester's "covered" quorum. It
+    /// stays silent and lets the requester's re-broadcast find healthy
+    /// peers.
     fn serve_sync(
         &mut self,
         req: ReqId,
         incarnation: u64,
-        known: Option<Vec<(ObjectId, Version)>>,
+        known: &[(ObjectId, Version)],
     ) -> Option<Msg> {
         if self.syncing {
             return None;
         }
         self.stats.syncs_served += 1;
-        let mut entries = self.store.inventory();
-        if let Some(known) = known {
-            let known: HashMap<ObjectId, Version> = known.into_iter().collect();
-            entries.retain(|(obj, version, _)| known.get(obj).copied().unwrap_or(0) < *version);
-        }
         Some(Msg::SyncResp {
             req,
             incarnation,
-            entries,
+            entries: self.store.newer_than(known),
         })
     }
 
@@ -1768,7 +1725,7 @@ mod tests {
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
         commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
-        s.wipe_for_amnesia(Instant::now());
+        s.recover(true, Instant::now());
         assert!(s.is_syncing());
         assert_eq!(s.stats().amnesia_wipes, 1);
         assert_eq!(s.stats().digest.total_objects(), 0, "store is gone");
@@ -1909,7 +1866,7 @@ mod tests {
     fn sync_refusal_is_not_cached_for_dedup() {
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
-        s.wipe_for_amnesia(Instant::now());
+        s.recover(true, Instant::now());
         let prepare = Msg::PrepareReq {
             txn: txn(1),
             req: 1,
@@ -1956,7 +1913,7 @@ mod tests {
         commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
         commit_obj(&mut s, txn(2), 3, OBJ2, 1, 7);
 
-        s.recover_from_restart(Instant::now());
+        s.recover(false, Instant::now());
         assert!(s.is_syncing(), "still needs the delta from peers");
         assert_eq!(s.stats().restart_replays, 1);
         assert_eq!(s.stats().amnesia_wipes, 0);
@@ -1988,10 +1945,10 @@ mod tests {
         let (peers, probe) = probe(&mut s);
         assert_eq!(peers, vec![NodeId(1), NodeId(2), NodeId(3)]);
         let (inc, mut known) = match probe {
-            Msg::SyncDeltaReq {
+            Msg::SyncReq {
                 incarnation, known, ..
             } => (incarnation, known),
-            other => panic!("expected delta probe, got {other:?}"),
+            other => panic!("expected a probe, got {other:?}"),
         };
         known.sort();
         assert_eq!(known, vec![(OBJ, 1), (OBJ2, 1)]);
@@ -2023,7 +1980,7 @@ mod tests {
         commit_obj(&mut s, txn(2), 3, OBJ2, 5, 50);
         match s
             .handle(
-                Msg::SyncDeltaReq {
+                Msg::SyncReq {
                     req: 6,
                     incarnation: 3,
                     known: vec![(OBJ, 2), (OBJ2, 1)],
@@ -2045,10 +2002,10 @@ mod tests {
         }
         assert_eq!(s.stats().syncs_served, 1);
         // A syncing peer must not seed anyone, delta or not.
-        s.wipe_for_amnesia(Instant::now());
+        s.recover(true, Instant::now());
         assert!(s
             .handle(
-                Msg::SyncDeltaReq {
+                Msg::SyncReq {
                     req: 7,
                     incarnation: 4,
                     known: vec![],
@@ -2064,17 +2021,17 @@ mod tests {
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
         commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
-        s.wipe_for_amnesia(Instant::now());
+        s.recover(true, Instant::now());
         // If a restart lands after the disk was wiped, the replay must
         // find only the amnesia incarnation bump — no resurrected state.
-        s.recover_from_restart(Instant::now());
+        s.recover(false, Instant::now());
         assert_eq!(s.stats().wal_records_replayed, 1, "just the bump");
         assert_eq!(s.store_mut().version(OBJ), 0);
         // And the incarnation keeps moving strictly forward through both
         // faults, so pre-amnesia sync responses stay refusable.
         let (_, probe) = probe(&mut s);
         match probe {
-            Msg::SyncDeltaReq { incarnation, .. } => assert_eq!(incarnation, 2),
+            Msg::SyncReq { incarnation, .. } => assert_eq!(incarnation, 2),
             other => panic!("{other:?}"),
         }
     }
@@ -2083,8 +2040,8 @@ mod tests {
     fn stale_sync_resp_from_earlier_incarnation_is_ignored() {
         let mut s = server();
         s.set_sync_config(sync_cfg(0, 4));
-        s.wipe_for_amnesia(Instant::now()); // incarnation 1
-        s.wipe_for_amnesia(Instant::now()); // incarnation 2: the one that counts
+        s.recover(true, Instant::now()); // incarnation 1
+        s.recover(true, Instant::now()); // incarnation 2: the one that counts
         let (_, probe) = probe(&mut s);
         let inc = match probe {
             Msg::SyncReq { incarnation, .. } => incarnation,
@@ -2119,6 +2076,72 @@ mod tests {
     }
 
     #[test]
+    fn re_probe_after_a_disk_loss_ships_only_the_remainder() {
+        let mut s = server();
+        s.set_sync_config(sync_cfg(0, 4));
+        commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
+        s.recover(true, Instant::now());
+        // Nothing survived, so the first probe asks for everything.
+        let (_, first) = probe(&mut s);
+        assert!(matches!(&first, Msg::SyncReq { known, .. } if known.is_empty()));
+
+        // Peer 1 holds OBJ only; peer 2 holds OBJ and OBJ2.
+        let mut one = server();
+        one.set_sync_config(sync_cfg(1, 4));
+        commit_obj(&mut one, txn(2), 1, OBJ, 4, 40);
+        let mut two = server();
+        two.set_sync_config(sync_cfg(2, 4));
+        commit_obj(&mut two, txn(2), 1, OBJ, 4, 40);
+        commit_obj(&mut two, txn(3), 3, OBJ2, 2, 20);
+
+        // One answer is below a read quorum: the probe goes out again…
+        let resp = one.handle(first, Instant::now()).unwrap();
+        assert!(s.step(NodeId(1), resp, Instant::now()).is_none());
+        assert!(s.is_syncing());
+        let (_, second) = probe(&mut s);
+        // …carrying exactly what was absorbed so far…
+        match &second {
+            Msg::SyncReq { known, .. } => assert_eq!(known, &vec![(OBJ, 4)]),
+            other => panic!("{other:?}"),
+        }
+        // …so a peer serving it ships none of that again.
+        let resp = two.handle(second, Instant::now()).unwrap();
+        match &resp {
+            Msg::SyncResp { entries, .. } => assert_eq!(entries, &vec![(OBJ2, 2, val(20))]),
+            other => panic!("{other:?}"),
+        }
+        s.step(NodeId(2), resp, Instant::now());
+        assert!(!s.is_syncing(), "two peers cover a read quorum");
+        assert_eq!(s.stats().delta_objects_fetched, 2, "every shipped entry");
+        assert_eq!(s.store_mut().version(OBJ), 4);
+        assert_eq!(s.store_mut().version(OBJ2), 2);
+    }
+
+    #[test]
+    fn both_epochs_advancing_is_one_recovery_from_a_lost_disk() {
+        let mut s = server();
+        s.set_sync_config(sync_cfg(0, 4));
+        commit_obj(&mut s, txn(1), 1, OBJ, 1, 42);
+        commit_obj(&mut s, txn(2), 3, OBJ2, 1, 7);
+        s.observe_faults(1, 1, false, Instant::now());
+        let stats = s.stats();
+        assert_eq!((stats.amnesia_wipes, stats.restart_replays), (1, 0));
+        assert_eq!(stats.wal_records_replayed, 0, "the log went with the disk");
+        assert_eq!(stats.digest.total_objects(), 0, "nothing of the old store");
+        assert!(s.prepared.is_empty() && s.completed.is_empty());
+        assert!(s.is_syncing());
+        assert_eq!(s.incarnation, 1, "one recovery, one incarnation");
+        let log = s.log.backend.load().records;
+        assert!(
+            matches!(&log[..], [WalRecord::IncarnationBump { incarnation: 1 }]),
+            "exactly one bump and nothing older: {log:?}"
+        );
+        // Seeing the same epochs again is not another crash.
+        s.observe_faults(1, 1, false, Instant::now());
+        assert_eq!(s.incarnation, 1);
+    }
+
+    #[test]
     fn syncing_peer_serves_no_inventory() {
         let mut s = server();
         s.set_sync_config(sync_cfg(1, 4));
@@ -2129,6 +2152,7 @@ mod tests {
                 Msg::SyncReq {
                     req: 3,
                     incarnation: 7,
+                    known: vec![],
                 },
                 Instant::now(),
             )
@@ -2146,12 +2170,13 @@ mod tests {
         }
         assert_eq!(s.stats().syncs_served, 1);
         // Amnesiac: must not seed another replica with wiped state.
-        s.wipe_for_amnesia(Instant::now());
+        s.recover(true, Instant::now());
         assert!(s
             .handle(
                 Msg::SyncReq {
                     req: 4,
-                    incarnation: 8
+                    incarnation: 8,
+                    known: vec![],
                 },
                 Instant::now()
             )
@@ -2249,7 +2274,7 @@ mod tests {
         commit_obj(&mut s, txn(2), 5, OBJ2, 1, 1);
         assert!(!s.prepared.is_empty());
         assert!(!s.completed.is_empty());
-        s.wipe_for_amnesia(Instant::now());
+        s.recover(true, Instant::now());
         assert!(s.prepared.is_empty(), "prepared table wiped");
         assert!(s.completed.is_empty(), "dedup cache wiped");
         assert!(s.completed_order.is_empty());
@@ -2393,7 +2418,7 @@ mod tests {
         assert!(tick(&mut s, t0 + ms(50)).is_empty());
         granted_prepare(&mut s, 2, 3, OBJ2, t0 + ms(50));
         // Proof the record physically landed: a restart replays it.
-        s.recover_from_restart(t0 + ms(60));
+        s.recover(false, t0 + ms(60));
         assert_eq!(s.store_mut().version(OBJ), 1);
     }
 
@@ -2411,7 +2436,7 @@ mod tests {
         // Crash before the retry lands: the record never reached the log
         // and the retry queue was memory-only — both are gone, and so is
         // the parked ack. Losing an *unacked* commit is the contract.
-        s.recover_from_restart(t0 + ms(1));
+        s.recover(false, t0 + ms(1));
         assert!(
             tick(&mut s, t0 + ms(1)).is_empty(),
             "the parked ack and the retry queue die with the process"
@@ -2702,5 +2727,54 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(s.store_mut().lock_holder(OBJ).is_none());
+    }
+
+    /// What a recovery leaves behind, in comparable form: store digest,
+    /// prepared table, dedup cache, `syncing`, and the next probe.
+    fn recovered(s: &mut Server) -> String {
+        let next_probe = probe(s);
+        let mut prepared: Vec<_> = s.prepared.iter().map(|(t, p)| (*t, &p.objs)).collect();
+        prepared.sort();
+        let mut replies: Vec<_> = s.completed.iter().collect();
+        replies.sort_by_key(|(key, _)| **key);
+        let state = (s.store.digest(), prepared, replies, s.syncing);
+        format!("{state:?} {next_probe:?}")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Amnesia is a restart over an emptied log: whatever a replica
+        /// went through, recovering it with the disk lost ends where a
+        /// replica that never held anything ends after a restart.
+        #[test]
+        fn a_lost_disk_recovers_like_a_restart_over_an_empty_log(
+            ops in proptest::collection::vec((0u8..3, 0u64..6, 1u64..4), 0..40)
+        ) {
+            let t0 = far();
+            let mut live = server();
+            live.set_sync_config(sync_cfg(0, 4));
+            for (i, (kind, seq, index)) in ops.into_iter().enumerate() {
+                let (req, obj) = (i as ReqId + 1, ObjectId::new(C, index));
+                let msg = match kind {
+                    0 => prepare(seq, req, obj),
+                    1 => commit(seq, req, obj),
+                    _ => Msg::AbortReq { txn: txn(seq), req },
+                };
+                live.handle(msg, t0);
+            }
+            live.recover(true, t0 + ms(1));
+
+            let mut backend = MemLog::new();
+            backend.reset();
+            let mut fresh = server();
+            fresh.set_sync_config(sync_cfg(0, 4));
+            fresh.set_persistence(Box::new(backend));
+            fresh.recover(false, t0 + ms(1));
+
+            proptest::prop_assert_eq!(recovered(&mut live), recovered(&mut fresh));
+            proptest::prop_assert_eq!(live.stats().amnesia_wipes, 1);
+            proptest::prop_assert_eq!(fresh.stats().restart_replays, 1);
+        }
     }
 }

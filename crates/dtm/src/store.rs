@@ -125,27 +125,25 @@ impl Store {
         advanced
     }
 
-    /// Wipe every object (crash-with-amnesia). Locks vanish with the
-    /// state; the lock holders' 2PC outcomes are unaffected because a
-    /// wiped replica refuses to vote until it has re-synced.
-    pub fn wipe(&mut self) {
-        self.objects.clear();
-    }
-
-    /// Snapshot the full inventory — `(object, version, value)` for every
-    /// materialised object — for a [`crate::Msg::SyncResp`]. Lock state is
-    /// deliberately excluded: a recovering replica must not inherit
-    /// another replica's in-flight `protected` flags.
-    pub fn inventory(&self) -> Vec<(ObjectId, Version, ObjectVal)> {
+    /// What a recovering replica that holds `known` is missing: `(object,
+    /// version, value)` for every object this replica holds at a newer
+    /// version — a never-written object reads as version 0 everywhere, so
+    /// absent from `known` == 0 — cloned only for what ships in the
+    /// [`crate::Msg::SyncResp`]. Lock state is deliberately excluded: a
+    /// recovering replica must not inherit another replica's in-flight
+    /// `protected` flags.
+    pub fn newer_than(&self, known: &[(ObjectId, Version)]) -> Vec<(ObjectId, Version, ObjectVal)> {
+        let known: HashMap<ObjectId, Version> = known.iter().copied().collect();
         self.objects
             .iter()
+            .filter(|(obj, o)| known.get(obj).copied().unwrap_or(0) < o.version)
             .map(|(&obj, o)| (obj, o.version, o.value.clone()))
             .collect()
     }
 
     /// The versions this replica already holds — the "I have" half of a
-    /// delta sync ([`crate::Msg::SyncDeltaReq`]): a peer answers with
-    /// only the objects that are absent here or newer there.
+    /// catch-up probe ([`crate::Msg::SyncReq`]): a peer answers with only
+    /// the objects that are absent here or newer there.
     pub fn known_versions(&self) -> Vec<(ObjectId, Version)> {
         self.objects
             .iter()
@@ -266,30 +264,23 @@ mod tests {
     }
 
     #[test]
-    fn wipe_loses_everything_including_locks() {
-        let mut s = Store::new();
-        s.apply(OBJ, 4, val(4), txn(1));
-        s.try_lock(ObjectId::new(C, 2), txn(2));
-        s.wipe();
-        assert!(s.is_empty());
-        assert_eq!(s.version(OBJ), 0, "amnesia: reads as fresh");
-        assert_eq!(s.lock_holder(ObjectId::new(C, 2)), None);
-    }
-
-    #[test]
-    fn inventory_round_trips_through_apply() {
+    fn newer_than_round_trips_through_apply() {
         let mut a = Store::new();
         a.apply(OBJ, 3, val(3), txn(1));
         a.apply(ObjectId::new(C, 2), 7, val(7), txn(1));
         a.try_lock(OBJ, txn(9)); // locks must not travel
         let mut b = Store::new();
-        for (obj, ver, value) in a.inventory() {
+        for (obj, ver, value) in a.newer_than(&b.known_versions()) {
             b.apply(obj, ver, value, txn(0));
         }
         assert_eq!(a.digest(), b.digest());
         assert_eq!(b.lock_holder(OBJ), None, "inventory carries no locks");
         assert_eq!(b.read(OBJ).0, 3);
         assert_eq!(b.read(ObjectId::new(C, 2)).1, val(7));
+        // Caught up: nothing left to ship. One object behind: just that one.
+        assert!(a.newer_than(&b.known_versions()).is_empty());
+        a.apply(OBJ, 4, val(4), txn(2));
+        assert_eq!(a.newer_than(&b.known_versions()), vec![(OBJ, 4, val(4))]);
     }
 
     #[test]

@@ -687,16 +687,14 @@ impl DurableLog {
         self.mem = Volatile::default();
     }
 
-    /// Crash-restart: read back what survived on the backend.
-    pub(crate) fn restart(&mut self) -> LoadedLog {
+    /// The process crashed: read back what survived on the backend —
+    /// nothing, if the disk was lost with it.
+    pub(crate) fn restart(&mut self, disk_lost: bool) -> LoadedLog {
         self.crash();
+        if disk_lost {
+            self.backend.reset();
+        }
         self.backend.load()
-    }
-
-    /// Crash-with-amnesia: the disk is lost too.
-    pub(crate) fn wipe(&mut self) {
-        self.crash();
-        self.backend.reset();
     }
 }
 

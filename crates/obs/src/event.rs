@@ -33,7 +33,7 @@ pub enum AbortKind {
     /// to a full restart.
     Escalated,
     /// Two-phase commit refused *only* because a quorum member was still
-    /// catching up after a crash-with-amnesia — recovery back-pressure,
+    /// catching up after a crash — recovery back-pressure,
     /// not data contention (no stale and no locked object was named).
     SyncRefused,
     /// Two-phase commit refused *only* because a quorum member's WAL

@@ -29,12 +29,12 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const SCHEMA_VERSION: u64 = 2;
 
 section! {
-    /// Replica-recovery counters, aggregated across servers (the wipe/sync
-    /// side) and clients (the repair side) of a run. Present only when the run
-    /// exercised crash-with-amnesia faults or read repair.
+    /// Replica-recovery counters, aggregated across servers (the crash
+    /// recovery / sync side) and clients (the repair side) of a run. Present
+    /// only when the run exercised server crashes or read repair.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct RecoveryCounters: "recovery" => RECOVERY_EVENTS {
-        /// Crash-with-amnesia wipes performed by servers.
+        /// Recoveries from a crash that lost the disk too (crash-with-amnesia).
         pub amnesia_wipes: u64 = "amnesia_wipes",
         /// Catch-up rounds that completed (responders covered a read quorum).
         pub syncs_completed: u64 = "syncs_completed",
@@ -48,14 +48,15 @@ section! {
         pub repair_writes_sent: u64 = "repair_writes_sent",
         /// Repaired objects that actually advanced a replica's copy.
         pub repair_writes_applied: u64 = "repair_writes_applied",
-        /// Crash-restart recoveries performed (WAL replayed, delta fetched).
+        /// Recoveries from a crash the log survived (WAL replayed, delta fetched).
         pub restart_replays: u64 = "restart_replays",
-        /// WAL records servers applied across restart replays.
+        /// WAL records servers applied across recovery replays.
         pub wal_records_replayed: u64 = "wal_records_replayed",
         /// Torn/corrupt WAL tails detected by checksum and truncated.
         pub torn_tails_truncated: u64 = "torn_tails_truncated",
-        /// Objects shipped in delta-sync responses after restart replays —
-        /// the recovery work that must scale with the outage, not the store.
+        /// Entries peers shipped to recovering replicas — the recovery work
+        /// that after a restart must scale with the outage, not the store
+        /// (after a disk loss it is the store).
         pub delta_objects_fetched: u64 = "delta_objects_fetched",
         /// WAL append/sync failures surfaced by the storage backend.
         pub wal_io_errors: u64 = "wal_io_errors",

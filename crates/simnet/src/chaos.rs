@@ -24,6 +24,7 @@
 
 use crate::node::NodeId;
 use rand::{Rng, SeedableRng};
+use std::iter::repeat_n;
 use std::time::Duration;
 
 /// Protocol-assigned message classifier value. `MsgKind::MAX` in a rule's
@@ -291,7 +292,15 @@ impl FaultPlan {
             });
         }
 
-        for _ in 0..profile.crashes {
+        // One window per crash, the flavours drawn in this order so a
+        // profile + seed keeps yielding the plan it always did.
+        type Crash = fn(NodeId) -> FaultAction;
+        let flavours: [(usize, Crash); 3] = [
+            (profile.crashes, FaultAction::Crash),
+            (profile.amnesia_crashes, FaultAction::CrashAmnesia),
+            (profile.restart_crashes, FaultAction::CrashRestart),
+        ];
+        for crash in flavours.into_iter().flat_map(|(n, f)| repeat_n(f, n)) {
             if servers == 0 {
                 break;
             }
@@ -300,41 +309,7 @@ impl FaultPlan {
             let end = rng.gen_range(start + heal_deadline_us / 4..=heal_deadline_us);
             events.push(TimedFault {
                 at: Duration::from_micros(start),
-                action: FaultAction::Crash(victim),
-            });
-            events.push(TimedFault {
-                at: Duration::from_micros(end),
-                action: FaultAction::Recover(victim),
-            });
-        }
-
-        for _ in 0..profile.amnesia_crashes {
-            if servers == 0 {
-                break;
-            }
-            let victim = NodeId(rng.gen_range(0..servers) as u32);
-            let start = rng.gen_range(0..heal_deadline_us / 2);
-            let end = rng.gen_range(start + heal_deadline_us / 4..=heal_deadline_us);
-            events.push(TimedFault {
-                at: Duration::from_micros(start),
-                action: FaultAction::CrashAmnesia(victim),
-            });
-            events.push(TimedFault {
-                at: Duration::from_micros(end),
-                action: FaultAction::Recover(victim),
-            });
-        }
-
-        for _ in 0..profile.restart_crashes {
-            if servers == 0 {
-                break;
-            }
-            let victim = NodeId(rng.gen_range(0..servers) as u32);
-            let start = rng.gen_range(0..heal_deadline_us / 2);
-            let end = rng.gen_range(start + heal_deadline_us / 4..=heal_deadline_us);
-            events.push(TimedFault {
-                at: Duration::from_micros(start),
-                action: FaultAction::CrashRestart(victim),
+                action: crash(victim),
             });
             events.push(TimedFault {
                 at: Duration::from_micros(end),

@@ -9,24 +9,19 @@ use std::collections::{HashMap, HashSet};
 /// A failed node neither receives new messages (they are dropped at the
 /// sender, as on a real network where the host is unreachable) nor should it
 /// keep servicing requests — server loops consult [`FaultTable::is_failed`]
-/// between messages. Recovery makes the node reachable again. Two crash
-/// flavours exist:
+/// between messages. Recovery makes the node reachable again. A node goes
+/// down one of two ways:
 ///
-/// * **crash-resume** ([`FaultTable::fail`]): the node comes back with
-///   whatever (possibly stale) state it held; version numbers reconcile
-///   reads, so the DTM layer needs no extra machinery.
-/// * **crash-with-amnesia** ([`FaultTable::bump_amnesia`], applied together
-///   with `fail` by `Network::fail_amnesia`): the node's durable state is
-///   presumed lost. The table only records a per-node *amnesia epoch*;
-///   the node's own service loop polls [`FaultTable::amnesia_epoch`] and
-///   wipes its state when the epoch moves, then runs whatever catch-up
-///   protocol the layer above defines before serving again.
-/// * **crash-restart** ([`FaultTable::bump_restart`], applied together
-///   with `fail` by `Network::fail_restart`): the process died but its
-///   durable log survived. The node's service loop polls
-///   [`FaultTable::restart_epoch`], drops volatile state, and replays its
-///   log before serving again — the layer above decides what "replay"
-///   means.
+/// * **crash-resume** ([`FaultTable::fail`]): a pause. The node comes back
+///   with whatever (possibly stale) state it held; version numbers
+///   reconcile reads, so the DTM layer needs no extra machinery.
+/// * **crash** ([`FaultTable::crash`]): the process died and took its
+///   memory with it — and, with `disk_lost`, its durable log too
+///   (crash-with-amnesia; without, crash-restart). The table keeps one
+///   crash record per node, a pair of epochs counting each flavour; the
+///   node's own service loop polls [`FaultTable::crash_epochs`] and, when
+///   either moved, recovers from whatever survived before serving again —
+///   the layer above decides what "recover" means.
 ///
 /// Link faults are *directed*: failing `a → b` silently drops messages from
 /// `a` to `b` while `b → a` keeps working, which models asymmetric routing
@@ -38,8 +33,8 @@ use std::collections::{HashMap, HashSet};
 pub struct FaultTable {
     failed: RwLock<HashSet<NodeId>>,
     links: RwLock<HashSet<(NodeId, NodeId)>>,
-    amnesia: RwLock<HashMap<NodeId, u64>>,
-    restarts: RwLock<HashMap<NodeId, u64>>,
+    /// Per node, `(crashes that lost the disk, crashes that kept it)`.
+    crashes: RwLock<HashMap<NodeId, (u64, u64)>>,
 }
 
 impl FaultTable {
@@ -73,36 +68,20 @@ impl FaultTable {
         self.failed.read().clone()
     }
 
-    /// Advance `node`'s amnesia epoch, marking its state as lost. The
-    /// node's service loop detects the change via
-    /// [`FaultTable::amnesia_epoch`] and wipes itself. Returns the new
-    /// epoch (first amnesia crash is epoch 1).
-    pub fn bump_amnesia(&self, node: NodeId) -> u64 {
-        let mut map = self.amnesia.write();
-        let e = map.entry(node).or_insert(0);
-        *e += 1;
-        *e
+    /// Crash `node`: fail it and advance the epoch of the crash's flavour
+    /// in its crash record — amnesia if the disk went too, restart if the
+    /// durable log survived. The first crash of a flavour is epoch 1.
+    pub fn crash(&self, node: NodeId, disk_lost: bool) {
+        self.fail(node);
+        let mut crashes = self.crashes.write();
+        let (amnesia, restart) = crashes.entry(node).or_default();
+        *(if disk_lost { amnesia } else { restart }) += 1;
     }
 
-    /// `node`'s current amnesia epoch (0 = never amnesia-crashed).
-    pub fn amnesia_epoch(&self, node: NodeId) -> u64 {
-        self.amnesia.read().get(&node).copied().unwrap_or(0)
-    }
-
-    /// Advance `node`'s crash-restart epoch: the process died with its
-    /// durable log intact. The node's service loop detects the change via
-    /// [`FaultTable::restart_epoch`] and replays. Returns the new epoch
-    /// (first restart is epoch 1).
-    pub fn bump_restart(&self, node: NodeId) -> u64 {
-        let mut map = self.restarts.write();
-        let e = map.entry(node).or_insert(0);
-        *e += 1;
-        *e
-    }
-
-    /// `node`'s current crash-restart epoch (0 = never restart-crashed).
-    pub fn restart_epoch(&self, node: NodeId) -> u64 {
-        self.restarts.read().get(&node).copied().unwrap_or(0)
+    /// `node`'s crash record, `(amnesia epoch, restart epoch)`; 0 = never
+    /// crashed that way.
+    pub fn crash_epochs(&self, node: NodeId) -> (u64, u64) {
+        self.crashes.read().get(&node).copied().unwrap_or_default()
     }
 
     /// Fail the directed link `src → dst`. Returns `true` if it was
@@ -170,27 +149,24 @@ mod tests {
     }
 
     #[test]
-    fn amnesia_epoch_counts_up_per_node() {
+    fn crash_epochs_count_up_per_node_and_flavour() {
         let t = FaultTable::new();
-        assert_eq!(t.amnesia_epoch(NodeId(2)), 0, "never crashed");
-        assert_eq!(t.bump_amnesia(NodeId(2)), 1);
-        assert_eq!(t.amnesia_epoch(NodeId(2)), 1);
-        assert_eq!(t.bump_amnesia(NodeId(2)), 2);
-        assert_eq!(t.amnesia_epoch(NodeId(2)), 2);
-        assert_eq!(t.amnesia_epoch(NodeId(3)), 0, "epochs are per-node");
+        assert_eq!(t.crash_epochs(NodeId(2)), (0, 0), "never crashed");
+        t.crash(NodeId(2), true);
+        t.crash(NodeId(2), true);
+        assert_eq!(t.crash_epochs(NodeId(2)), (2, 0));
+        assert_eq!(t.crash_epochs(NodeId(3)), (0, 0), "records are per-node");
+        t.crash(NodeId(2), false);
         assert_eq!(
-            t.restart_epoch(NodeId(2)),
-            0,
-            "amnesia and restart epochs are independent ledgers"
+            t.crash_epochs(NodeId(2)),
+            (2, 1),
+            "a restart leaves the amnesia epoch be"
         );
-        assert_eq!(t.bump_restart(NodeId(2)), 1);
-        assert_eq!(t.restart_epoch(NodeId(2)), 1);
-        assert_eq!(t.amnesia_epoch(NodeId(2)), 2, "restart leaves amnesia be");
         assert!(
-            !t.is_failed(NodeId(2)),
-            "the epoch alone does not fail the node; Network::fail_amnesia \
-             combines both"
+            t.is_failed(NodeId(2)),
+            "a crash of either flavour fails the node"
         );
+        assert!(!t.is_failed(NodeId(3)));
     }
 
     #[test]

@@ -107,32 +107,35 @@ impl<M: Send + 'static> Network<M> {
     /// Fault-injection handle: crash `node` **with amnesia** — besides
     /// failing it and dropping in-flight messages (as [`Network::fail`]),
     /// its amnesia epoch is advanced so the node's own service loop (via
-    /// [`Endpoint::amnesia_epoch`]) wipes its state before serving again.
+    /// [`Endpoint::amnesia_epoch`]) recovers from nothing before serving
+    /// again.
     pub fn fail_amnesia(&self, node: NodeId) {
-        self.shared.faults.fail(node);
+        self.crash(node, true);
+    }
+
+    /// Fault-injection handle: crash `node` **preserving its durable
+    /// log** — as [`Network::fail_amnesia`], but the restart epoch
+    /// ([`Endpoint::restart_epoch`]) is the one that advances: the node's
+    /// service loop drops volatile state and replays its log.
+    pub fn fail_restart(&self, node: NodeId) {
+        self.crash(node, false);
+    }
+
+    /// The one crash routine: fail the node, record the crash, drop what
+    /// was in flight to it.
+    fn crash(&self, node: NodeId, disk_lost: bool) {
+        self.shared.faults.crash(node, disk_lost);
         self.shared.inboxes[node.index()].drain();
-        self.shared.faults.bump_amnesia(node);
     }
 
     /// `node`'s amnesia epoch (0 = never amnesia-crashed).
     pub fn amnesia_epoch(&self, node: NodeId) -> u64 {
-        self.shared.faults.amnesia_epoch(node)
-    }
-
-    /// Fault-injection handle: crash `node` **preserving its durable
-    /// log** — it is failed and its in-flight messages dropped (as
-    /// [`Network::fail`]), and its restart epoch is advanced so the
-    /// node's own service loop (via [`Endpoint::restart_epoch`]) drops
-    /// volatile state and replays its log before serving again.
-    pub fn fail_restart(&self, node: NodeId) {
-        self.shared.faults.fail(node);
-        self.shared.inboxes[node.index()].drain();
-        self.shared.faults.bump_restart(node);
+        self.shared.faults.crash_epochs(node).0
     }
 
     /// `node`'s crash-restart epoch (0 = never restart-crashed).
     pub fn restart_epoch(&self, node: NodeId) -> u64 {
-        self.shared.faults.restart_epoch(node)
+        self.shared.faults.crash_epochs(node).1
     }
 
     /// Recover a previously failed node.
@@ -447,16 +450,17 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
 
     /// This node's amnesia epoch. A service loop that observes the epoch
     /// moving past the last value it acted on must treat its local state
-    /// as lost: wipe, then catch up before serving.
+    /// as lost, its durable log included: recover from nothing, then catch
+    /// up before serving.
     pub fn amnesia_epoch(&self) -> u64 {
-        self.shared.faults.amnesia_epoch(self.id)
+        self.shared.faults.crash_epochs(self.id).0
     }
 
     /// This node's crash-restart epoch. A service loop that observes the
     /// epoch moving past the last value it acted on must drop volatile
     /// state and replay its durable log before serving.
     pub fn restart_epoch(&self) -> u64 {
-        self.shared.faults.restart_epoch(self.id)
+        self.shared.faults.crash_epochs(self.id).1
     }
 
     /// Upper-bound one-way latency of the network's model (for timeouts).

@@ -3,12 +3,14 @@
 //! of committed orders, and every committed order's rows must exist.
 
 use acn_core::{
-    AcnController, AlgorithmModule, BlockSeq, ControllerConfig, ExecStats, ExecutorEngine, SumModel,
+    AcnController, AlgorithmConfig, AlgorithmModule, BlockSeq, ControllerConfig, ExecStats,
+    ExecutorEngine, SumModel,
 };
 use acn_dtm::{Cluster, ClusterConfig, DtmClient, TxnCtx};
 use acn_txir::{DependencyModel, ObjectId};
 use acn_workloads::schema::{
-    DISTRICT, D_NEXT_OID, NEW_ORDER, NO_PENDING, ORDER, ORDER_LINE, O_OL_CNT, STOCK, S_QTY,
+    CUSTOMER, DISTRICT, D_NEXT_OID, ITEM, NEW_ORDER, NO_PENDING, ORDER, ORDER_LINE, O_OL_CNT,
+    STOCK, S_QTY, WAREHOUSE,
 };
 use acn_workloads::tpcc::{Tpcc, TpccConfig, TpccMix};
 use acn_workloads::Workload;
@@ -135,4 +137,35 @@ fn neworder_invariants_hold_acn_adapted() {
         assert!(seq.len() > 1, "adapted sequence should be nested");
         seq
     });
+}
+
+/// Step 2's similarity band decides how many Blocks NewOrder keeps: the
+/// wider the `(rel, abs)` thresholds, the more neighbours merge.
+#[test]
+fn neworder_block_count_per_merge_threshold() {
+    let tpcc = Tpcc::new(TpccConfig::default(), TpccMix::NEW_ORDER);
+    let dm = DependencyModel::analyze(tpcc.templates()[2].clone()).unwrap();
+    let levels: HashMap<u16, f64> = [
+        (WAREHOUSE.id, 3.0),
+        (DISTRICT.id, 20.0),
+        (STOCK.id, 2.0),
+        (ITEM.id, 0.0),
+        (CUSTOMER.id, 0.1),
+        (ORDER.id, 0.5),
+        (NEW_ORDER.id, 0.5),
+        (ORDER_LINE.id, 0.5),
+    ]
+    .into();
+    let blocks = |rel_threshold, abs_threshold| {
+        let config = AlgorithmConfig {
+            rel_threshold,
+            abs_threshold,
+        };
+        let module = AlgorithmModule::new(config, Box::new(SumModel));
+        module.recompute(&dm, &levels).len()
+    };
+    assert_eq!(blocks(0.0, 0.0), 6);
+    assert_eq!(blocks(0.25, 0.5), 3);
+    assert_eq!(blocks(0.5, 1.0), 2);
+    assert_eq!(blocks(1.0, 4.0), 1);
 }
