@@ -4,7 +4,7 @@
 //! enclosing multiple UnitBlocks represents a piece of code to be
 //! executed. […] Each Block represents a closed-nested transaction."
 
-use acn_txir::{lift_edges, DependencyModel, OpenPlan, StmtIdx, UnitBlockId};
+use acn_txir::{lift_edges, AccessSummary, DependencyModel, StmtIdx, UnitBlockId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -18,10 +18,11 @@ pub struct BlockSeq {
     pub blocks: Vec<Vec<StmtIdx>>,
     /// UnitBlock composition of each block (diagnostics / tests).
     pub block_units: Vec<Vec<UnitBlockId>>,
-    /// The template's open plan — which opens are fetched ahead, which are
-    /// value-blind — riding along from the [`DependencyModel`] so the
-    /// executor never re-derives it per run.
-    pub opens: Arc<OpenPlan>,
+    /// The template's access table — which opens are fetched ahead, which
+    /// are presumed absent — the same [`DependencyModel::access`] the batch
+    /// scheduler resolves from, riding along so the executor never
+    /// re-derives it per run.
+    pub opens: Arc<AccessSummary>,
 }
 
 impl BlockSeq {
@@ -33,7 +34,7 @@ impl BlockSeq {
         BlockSeq {
             blocks: vec![(0..n).collect()],
             block_units: vec![(0..dm.unit_count()).collect()],
-            opens: Arc::clone(&dm.opens),
+            opens: Arc::clone(&dm.access),
         }
     }
 
@@ -96,7 +97,7 @@ impl BlockSeq {
         BlockSeq {
             blocks,
             block_units: groups.to_vec(),
-            opens: Arc::clone(&dm.opens),
+            opens: Arc::clone(&dm.access),
         }
     }
 

@@ -11,7 +11,7 @@ use crate::blocks::BlockSeq;
 use acn_dtm::{AbortScope, DtmClient, DtmError, SpecCache, TxnCtx};
 use acn_obs::{AbortKind, ExecStats, SpanKind, TxnEvent, TxnObserver};
 use acn_txir::{
-    AccessMode, EvalError, ObjectId, OpenPlan, Operand, PredictedRead, Program, Stmt, StmtIdx,
+    AccessMode, AccessSummary, EvalError, ObjectId, Operand, PredictedRead, Program, Stmt, StmtIdx,
     Value, VarId,
 };
 use std::time::Duration;
@@ -67,7 +67,7 @@ impl Default for RetryPolicy {
 /// Execution-path toggles, independent of the retry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Run every open through the speculative read path ([`OpenPlan`]):
+    /// Run every open through the speculative read path ([`AccessSummary`]):
     /// one batched quorum round at attempt start for every open the
     /// parameters resolve, one more per data-dependency level, and none at
     /// all for inserts presumed absent. On by default; off is the paper-literal
@@ -166,16 +166,17 @@ impl From<EvalError> for StepError {
 /// The speculative read state of one run: the one path by which an object
 /// is fetched ahead of its `Open`. Absent when batched reads are off.
 struct SpecReads<'a> {
-    plan: &'a OpenPlan,
+    table: &'a AccessSummary,
     params: &'a [Value],
     /// Objects whose blind presumption failed earlier in this run: they
     /// exist, so every later attempt fetches them instead of presuming.
     demoted: Vec<ObjectId>,
     /// This attempt's fetched copies (see [`SpecCache`] for the rule).
     cache: SpecCache,
-    /// Counter values known to this attempt, by [`OpenPlan::counters`]
+    /// Counter values known to this attempt, by [`AccessSummary::counters`]
     /// site: a still-active prediction at attempt start, the observed
-    /// value once the real read ran.
+    /// value once the real read ran. Empty unless some fetched index reads
+    /// a counter ([`AccessSummary::fetch_derives`]).
     counters: Vec<Option<i64>>,
     /// Objects this attempt opened blind.
     presumed: Vec<ObjectId>,
@@ -185,9 +186,9 @@ struct SpecReads<'a> {
 }
 
 impl<'a> SpecReads<'a> {
-    fn new(plan: &'a OpenPlan, params: &'a [Value]) -> Self {
+    fn new(table: &'a AccessSummary, params: &'a [Value]) -> Self {
         SpecReads {
-            plan,
+            table,
             params,
             demoted: Vec::new(),
             cache: SpecCache::default(),
@@ -204,16 +205,19 @@ impl<'a> SpecReads<'a> {
     fn begin(&mut self, preds: &[PredictedRead]) -> Vec<ObjectId> {
         self.cache = SpecCache::default();
         self.presumed.clear();
-        let (plan, params) = (self.plan, self.params);
-        self.counters = (0..plan.counters.len())
-            .map(|c| {
-                let host = plan.counter_host(c, params)?;
-                let field = plan.counters[c].field;
-                let pred = preds.iter().find(|p| p.obj == host && p.field == field)?;
-                Some(pred.value)
-            })
-            .collect();
-        let mut objs = plan.resolve(params, &self.counters);
+        let (table, params) = (self.table, self.params);
+        self.counters.clear();
+        if table.fetch_derives {
+            self.counters
+                .extend(table.counters.iter().enumerate().map(|(c, site)| {
+                    let host = table.counter_host(c, params)?;
+                    let pred = preds
+                        .iter()
+                        .find(|p| p.obj == host && p.field == site.field)?;
+                    Some(pred.value)
+                }));
+        }
+        let mut objs = table.fetch_list(params, &self.counters);
         for o in &self.demoted {
             if !objs.contains(o) {
                 objs.push(*o);
@@ -251,9 +255,10 @@ struct Access<'a, 'r> {
 
 impl Access<'_, '_> {
     /// Execute an `Open`. With the speculative read path on, an insert
-    /// ([`OpenPlan::blind`]) of an object this run has no reason to believe
-    /// exists installs the presumed-absent copy with no round; everything
-    /// else installs from the cache, and only a miss reads remotely.
+    /// ([`acn_txir::OpenRow::absent`]) of an object this run has no reason
+    /// to believe exists installs the presumed-absent copy with no round;
+    /// everything else installs from the cache, and only a miss reads
+    /// remotely.
     fn open(
         &mut self,
         client: &mut DtmClient,
@@ -279,16 +284,14 @@ impl Access<'_, '_> {
     /// Does some fetched open's index derive from a counter read?
     #[inline]
     fn derives(&self) -> bool {
-        self.reads
-            .as_deref()
-            .is_some_and(|r| !r.plan.counters.is_empty())
+        self.reads.as_deref().is_some_and(|r| r.table.fetch_derives)
     }
 
     /// A `GetField` just produced `value` in register `reg`. If that was a
     /// counter some fetched open's index derives from, the opens it
     /// unlocks are resolved now and fetched in one round — a data-dependency
     /// level costs one round, not one per open. Only called for templates
-    /// that have such an open ([`OpenPlan::counters`] non-empty); none of
+    /// that have such an open ([`AccessSummary::fetch_derives`]); none of
     /// the in-tree workloads does.
     fn observe(
         &mut self,
@@ -297,11 +300,11 @@ impl Access<'_, '_> {
         value: &Value,
     ) -> Result<(), DtmError> {
         let r = self.reads.as_deref_mut().expect("derives() checked");
-        let Some(site) = r.plan.counters.iter().position(|c| c.reg == reg) else {
+        let Some(site) = r.table.counters.iter().position(|c| c.reg == reg) else {
             return Ok(());
         };
         r.counters[site] = value.as_int().ok();
-        let mut want = r.plan.resolve(r.params, &r.counters);
+        let mut want = r.table.fetch_list(r.params, &r.counters);
         want.retain(|o| !r.cache.contains(o));
         let fresh = self.ctx.fetch_spec(client, &want)?;
         if !fresh.is_empty() {
@@ -388,7 +391,7 @@ fn run_stmt(
             let blind = acc
                 .reads
                 .as_deref()
-                .is_some_and(|r| r.plan.blind[var.0 as usize]);
+                .is_some_and(|r| r.table.presumed_absent(*var));
             acc.open(client, obj, update, blind)?;
             if update {
                 *guards.lock_holds += 1;
@@ -511,7 +514,7 @@ impl ExecutorEngine {
             "instance must bind every parameter"
         );
         debug_assert_eq!(
-            seq.opens.blind.len(),
+            seq.opens.vars(),
             program.vars as usize,
             "the Block sequence was built from another template's model"
         );
@@ -1298,7 +1301,7 @@ mod tests {
         b.set(tail, BAL, nv);
         let dm = DependencyModel::analyze(b.finish()).unwrap();
         assert_eq!(
-            dm.opens.resolve(&[Value::Int(8)], &[None]),
+            dm.access.fetch_list(&[Value::Int(8)], &[]),
             vec![ObjectId::new(ACCOUNT, 8)],
             "only the head open resolves at entry"
         );
@@ -2016,7 +2019,7 @@ mod tests {
         let mut client = cluster.client(0);
         let dm = append_model();
         let params = [Value::Int(7), Value::Int(10)];
-        let mut reads = SpecReads::new(&dm.opens, &params);
+        let mut reads = SpecReads::new(&dm.access, &params);
         let mut ctx = TxnCtx::begin(&mut client);
         let (real, absent) = (ObjectId::new(ACCOUNT, 1), ObjectId::new(ACCOUNT, 2));
 

@@ -57,7 +57,10 @@ pub struct WavePlan {
     /// Total conflict edges.
     pub edges: u64,
     /// Edges added by the class-level fallback only — they would not exist
-    /// under the object-level test (both endpoints' static sets disjoint).
+    /// under the object-level test. An inexact endpoint's object sets are a
+    /// lower bound (the [`acn_txir::AccessSummary`] rows that evaluate from
+    /// the parameters alone: static and counter-free `Var`-chain indices),
+    /// and this statistic is their only reader.
     pub pessimistic_edges: u64,
     /// Transactions whose access sets were inexact (fallback candidates).
     pub inexact: u64,

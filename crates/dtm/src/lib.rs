@@ -38,7 +38,6 @@ pub mod coordinator;
 mod error;
 mod history;
 mod messages;
-mod pool;
 mod server;
 mod store;
 mod wal;
@@ -53,7 +52,6 @@ pub use history::{
     Violation,
 };
 pub use messages::{kind as msg_kind, BatchRead, Msg, ReqId, TxnId, ValidateEntry, Version};
-pub use pool::ClientPool;
 pub use server::{Server, ServerStats, SyncConfig, DEFAULT_PREPARED_TTL};
 pub use store::{ClassDigest, Store, StoreDigest, VersionedObject};
 pub use wal::{

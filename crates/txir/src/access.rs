@@ -1,51 +1,84 @@
-//! Static access-set export for the batch scheduler.
+//! The one description of a template's opens.
 //!
-//! The conflict-graph scheduler needs, per transaction template, the set of
-//! objects an instance will read and write — *before* the instance runs.
-//! Top-level opens whose index operand is a `Const` or `Param` resolve
-//! statically: their concrete [`ObjectId`] is computable from the parameter
-//! vector alone. Register
-//! -indexed opens (pointer chases) and `Cond`-nested opens are not — for
-//! those the summary only records the *classes* that may be touched and
-//! clears the [`AccessSummary::exact`] flag, telling the scheduler to fall
-//! back to pessimistic class-level conflict edges.
+//! The paper's Static Module "maintains static information of transaction
+//! code … created once, queried at run time". What it owes the run time
+//! about opens — *which objects will this instance open, in which mode,
+//! and how does each get its copy* — is one table, [`AccessSummary`]: a
+//! row per top-level open whose index `symbolic.rs` could write as a
+//! closed form, the hot-counter sites those forms read, and class sets
+//! covering everything else. It has two readers, and both evaluate a row
+//! through [`OpenRow::object`]:
+//!
+//! * the batch scheduler asks for an instance's complete read/write sets
+//!   *before* it runs ([`AccessSummary::resolve_with`], counter values
+//!   predicted by a [`CounterOracle`]);
+//! * the executor asks which copies to fetch ahead of the `Open`s, as
+//!   early as each index is known ([`AccessSummary::fetch_list`]), and
+//!   which opens to run with no fetch at all ([`OpenRow::absent`]).
+//!
+//! `Cond`-nested opens and pointer chases have no row: the scheduler falls
+//! back to class-level conflict edges for such a template, the executor to
+//! a single remote read at the statement.
 
-use crate::ir::{AccessMode, Operand, Program, Stmt};
+use crate::ir::{Program, VarId};
 use crate::object::{FieldId, ObjClass, ObjectId};
-use crate::symbolic::SymbolicSummary;
+use crate::symbolic::{CounterRef, SymExpr};
 use crate::value::Value;
 
-/// One top-level open whose target object is statically resolvable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StaticAccess {
+/// One top-level open whose index resolved symbolically.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpenRow {
+    /// The handle register the open defines.
+    pub handle: VarId,
     /// Class of the object the open targets.
     pub class: ObjClass,
-    /// The statically known index operand (`Const` or `Param`).
-    pub index: Operand,
+    /// The index as a closed form (may contain counter leaves).
+    pub index: SymExpr,
     /// `true` for `Update` opens (write intent), `false` for reads.
     pub write: bool,
+    /// *Presumed absent*: a value-blind `Update` (the template never reads
+    /// a field of this handle) whose index reads a counter — the paper's
+    /// insert of a freshly drawn key. Opened with no fetch; every other
+    /// row's copy is fetched ahead of its `Open`.
+    pub absent: bool,
 }
 
-/// Per-template access summary: the statically resolvable opens plus a
-/// class-level over-approximation of everything else.
-#[derive(Debug, Clone, PartialEq)]
+impl OpenRow {
+    /// The object this open targets under `params` and the counter values
+    /// known so far, by [`AccessSummary::counters`] site (`None` or past
+    /// the end = not known yet). `None` when the index reads an unknown
+    /// counter or fails to evaluate (mistyped parameter) — the `Open`
+    /// itself surfaces such an error when it executes.
+    pub fn object(&self, params: &[Value], counters: &[Option<i64>]) -> Option<ObjectId> {
+        let i = self.index.eval(params, counters)?.as_int().ok()?;
+        Some(ObjectId::new(self.class, i as u64))
+    }
+}
+
+/// Per-template access summary, computed once by
+/// [`crate::DependencyModel::analyze`] and shared with every Block sequence
+/// built from the model.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessSummary {
-    /// Statically resolvable top-level opens, in statement order.
-    pub accesses: Vec<StaticAccess>,
-    /// Every class the template may read (including `Cond`-nested and
-    /// register-indexed opens), in id order. Updates count as reads too.
+    /// The symbolically resolved top-level opens, in statement order.
+    pub rows: Vec<OpenRow>,
+    /// Row of each handle register (`None`: not a resolved top-level open).
+    pub(crate) row_of: Vec<Option<usize>>,
+    /// The hot-counter sites some row's index reads, by
+    /// [`SymExpr::Counter`] number (first use first).
+    pub counters: Vec<CounterRef>,
+    /// Every class the template may read (`Cond`-nested and unresolved
+    /// opens included), in id order. Updates count as reads too.
     pub read_classes: Vec<ObjClass>,
     /// Every class the template may write, in id order.
     pub write_classes: Vec<ObjClass>,
-    /// `true` iff every open in the template is a top-level `Const`/`Param`
-    /// -indexed open — i.e. [`AccessSummary::resolve`] yields the *complete*
-    /// read/write sets of any instance. When `false` the resolved sets are
-    /// a lower bound and the class sets are the sound upper bound.
-    pub exact: bool,
-    /// Symbolic view of the same opens, covering `Var`-indexed ones whose
-    /// index is a pure `Compute` chain over params and hot-counter reads —
-    /// the input to [`AccessSummary::resolve_with`].
-    pub symbolic: SymbolicSummary,
+    /// `true` iff every open of the template is a row — evaluating `rows`
+    /// yields the *complete* read/write sets of any instance. When `false`
+    /// the rows are a lower bound and the class sets the sound upper bound.
+    pub complete: bool,
+    /// Does some *fetched* row's index read a counter? Only then does a
+    /// counter read unlock a further fetch round in the executor.
+    pub fetch_derives: bool,
 }
 
 /// A hot-counter read an instance is about to perform, as presented to a
@@ -87,7 +120,7 @@ pub struct PredictedRead {
 }
 
 /// Concrete read/write object sets of one transaction instance, plus the
-/// class-level fallback information the scheduler needs when the static
+/// class-level fallback information the scheduler needs when the object
 /// sets are incomplete.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedAccess {
@@ -99,10 +132,11 @@ pub struct ResolvedAccess {
     pub read_classes: Vec<u16>,
     /// Class ids the instance may write (template-level upper bound).
     pub write_classes: Vec<u16>,
-    /// Copied from [`AccessSummary::exact`]: when `false`, `reads`/`writes`
-    /// under-approximate and conflict detection must use the class sets.
-    /// [`AccessSummary::resolve_with`] also sets it for *predicted-exact*
-    /// instances, whose `predicted` list is then non-empty.
+    /// `true` iff `reads`/`writes` are the instance's complete sets: every
+    /// open of the template is a row and every row evaluated — for a
+    /// *predicted-exact* instance under the values in `predicted`. When
+    /// `false` they under-approximate (the rows that evaluate from the
+    /// parameters alone) and conflict detection must use the class sets.
     pub exact: bool,
     /// Counter reads whose values the sets above assume. Empty for truly
     /// static instances; non-empty means the sets are exact *iff* every
@@ -111,180 +145,95 @@ pub struct ResolvedAccess {
 }
 
 impl AccessSummary {
-    /// Summarize a template: only top-level non-`Var`-indexed opens resolve
-    /// statically; everything else degrades the summary to class level.
+    /// Summarize a template (the analysis lives in `symbolic.rs`).
     pub fn of(program: &Program) -> Self {
-        let mut accesses = Vec::new();
-        let mut read_classes: Vec<ObjClass> = Vec::new();
-        let mut write_classes: Vec<ObjClass> = Vec::new();
-        let mut exact = true;
-        fn touch(set: &mut Vec<ObjClass>, class: ObjClass) {
-            if !set.iter().any(|c| c.id == class.id) {
-                set.push(class);
-            }
-        }
-        fn walk(
-            stmts: &[Stmt],
-            nested: bool,
-            accesses: &mut Vec<StaticAccess>,
-            read_classes: &mut Vec<ObjClass>,
-            write_classes: &mut Vec<ObjClass>,
-            exact: &mut bool,
-        ) {
-            for s in stmts {
-                match s {
-                    Stmt::Open {
-                        class, index, mode, ..
-                    } => {
-                        let write = *mode == AccessMode::Update;
-                        touch(read_classes, *class);
-                        if write {
-                            touch(write_classes, *class);
-                        }
-                        if nested || matches!(index, Operand::Var(_)) {
-                            // Data-dependent target: unresolvable before
-                            // execution → class-level pessimism.
-                            *exact = false;
-                        } else {
-                            accesses.push(StaticAccess {
-                                class: *class,
-                                index: index.clone(),
-                                write,
-                            });
-                        }
-                    }
-                    Stmt::Cond {
-                        then_br, else_br, ..
-                    } => {
-                        walk(then_br, true, accesses, read_classes, write_classes, exact);
-                        walk(else_br, true, accesses, read_classes, write_classes, exact);
-                    }
-                    _ => {}
+        crate::symbolic::summarize(program)
+    }
+
+    /// Register count of the template this table was built from.
+    pub fn vars(&self) -> usize {
+        self.row_of.len()
+    }
+
+    /// Is `handle`'s open presumed absent ([`OpenRow::absent`])?
+    #[inline]
+    pub fn presumed_absent(&self, handle: VarId) -> bool {
+        self.row_of[handle.0 as usize].is_some_and(|r| self.rows[r].absent)
+    }
+
+    /// The host object of counter site `c` under `params`.
+    pub fn counter_host(&self, c: usize, params: &[Value]) -> Option<ObjectId> {
+        self.rows[self.counters[c].host].object(params, &[])
+    }
+
+    /// The executor's view: the object of every fetched row whose index is
+    /// known under `counters`, in statement order, deduplicated.
+    pub fn fetch_list(&self, params: &[Value], counters: &[Option<i64>]) -> Vec<ObjectId> {
+        let mut out: Vec<ObjectId> = Vec::with_capacity(self.rows.len());
+        for row in self.rows.iter().filter(|r| !r.absent) {
+            if let Some(obj) = row.object(params, counters) {
+                if !out.contains(&obj) {
+                    out.push(obj);
                 }
             }
         }
-        walk(
-            &program.stmts,
-            false,
-            &mut accesses,
-            &mut read_classes,
-            &mut write_classes,
-            &mut exact,
-        );
-        read_classes.sort_by_key(|c| c.id);
-        write_classes.sort_by_key(|c| c.id);
-        AccessSummary {
-            accesses,
-            read_classes,
-            write_classes,
-            exact,
-            symbolic: SymbolicSummary::of(program),
-        }
+        out
     }
 
-    /// Resolve the static accesses of one instance under `params`. An
-    /// operand that fails to evaluate (mistyped parameter) is skipped —
-    /// the `Open` itself surfaces the error at execution time, and the
-    /// summary soundly degrades to inexact for this instance.
-    pub fn resolve(&self, params: &[Value]) -> ResolvedAccess {
-        let mut reads = Vec::with_capacity(self.accesses.len());
-        let mut writes = Vec::new();
-        let mut exact = self.exact;
-        for a in &self.accesses {
-            let idx = match &a.index {
-                Operand::Const(v) => v.as_int(),
-                Operand::Param(p) => match params.get(p.0 as usize) {
-                    Some(v) => v.as_int(),
-                    None => {
-                        exact = false;
-                        continue;
-                    }
-                },
-                Operand::Var(_) => unreachable!("static accesses never use registers"),
-            };
-            match idx {
-                Ok(i) => {
-                    let obj = ObjectId::new(a.class, i as u64);
-                    reads.push(obj);
-                    if a.write {
-                        writes.push(obj);
-                    }
-                }
-                Err(_) => exact = false,
-            }
-        }
-        reads.sort_unstable();
-        reads.dedup();
-        writes.sort_unstable();
-        writes.dedup();
-        ResolvedAccess {
-            reads,
-            writes,
-            read_classes: self.read_classes.iter().map(|c| c.id).collect(),
-            write_classes: self.write_classes.iter().map(|c| c.id).collect(),
-            exact,
-            predicted: Vec::new(),
-        }
+    /// Predict every counter site, in site order — all or nothing: `None`
+    /// once a host fails to evaluate or the oracle refuses.
+    fn predict(
+        &self,
+        params: &[Value],
+        oracle: &mut dyn CounterOracle,
+    ) -> Option<Vec<PredictedRead>> {
+        let predict_site = |(c, site): (usize, &CounterRef)| {
+            let (obj, field, delta) = (self.counter_host(c, params)?, site.field, site.delta);
+            let value = oracle.predict(&CounterSite { obj, field, delta })?;
+            Some(PredictedRead {
+                obj,
+                field,
+                value,
+                delta,
+            })
+        };
+        self.counters.iter().enumerate().map(predict_site).collect()
     }
 
-    /// Resolve one instance's access sets, upgrading `Var`-indexed opens
-    /// through the symbolic summary: pure `Compute` chains over params
-    /// evaluate directly, counter-dependent chains evaluate against the
-    /// oracle's predictions. On success the instance is *predicted-exact*
-    /// (`exact == true`, `predicted` lists the assumptions to validate);
-    /// any unresolvable piece falls back to [`AccessSummary::resolve`]'s
-    /// sound inexact result.
+    /// The scheduler's view: one instance's read/write sets. A complete
+    /// template whose every counter the oracle predicts and whose every row
+    /// evaluates is *exact* (`predicted` lists the assumptions to validate;
+    /// empty when no index reads a counter, and then the oracle is never
+    /// asked). Anything less — an incomplete template (never asks either), a
+    /// refusing oracle, a row that fails to evaluate — is inexact: the sets
+    /// hold the rows that evaluate from `params` alone and rest on no
+    /// prediction.
     pub fn resolve_with(&self, params: &[Value], oracle: &mut dyn CounterOracle) -> ResolvedAccess {
-        let base = self.resolve(params);
-        if base.exact || !self.symbolic.complete {
-            return base;
-        }
-        // Predict every counter site up front — expressions may share them.
-        let mut counter_vals = Vec::with_capacity(self.symbolic.counters.len());
-        let mut predicted = Vec::new();
-        for (id, c) in self.symbolic.counters.iter().enumerate() {
-            let idx = match c.index.eval(params, &[]).map(|v| v.as_int()) {
-                Some(Ok(i)) => i,
-                _ => return base,
-            };
-            let site = CounterSite {
-                obj: ObjectId::new(c.class, idx as u64),
-                field: c.field,
-                delta: c.delta,
-            };
-            let Some(value) = oracle.predict(&site) else {
-                return base;
-            };
-            counter_vals.push(value);
-            // Only counters an index actually depends on need run-time
-            // validation; unused ones cannot skew the schedule.
-            if self
-                .symbolic
-                .accesses
-                .iter()
-                .any(|a| a.index.uses_counter(id))
-            {
-                predicted.push(PredictedRead {
-                    obj: site.obj,
-                    field: site.field,
-                    value,
-                    delta: site.delta,
-                });
+        let predicted = if self.complete {
+            self.predict(params, oracle)
+        } else {
+            None
+        };
+        let mut exact = predicted.is_some();
+        let mut predicted = predicted.unwrap_or_default();
+        let counters: Vec<Option<i64>> = predicted.iter().map(|p| Some(p.value)).collect();
+        let mut hits: Vec<(&OpenRow, ObjectId)> = Vec::with_capacity(self.rows.len());
+        for row in &self.rows {
+            match row.object(params, &counters) {
+                Some(obj) => hits.push((row, obj)),
+                None => exact = false,
             }
         }
-        let mut reads = Vec::with_capacity(self.symbolic.accesses.len());
-        let mut writes = Vec::new();
-        for a in &self.symbolic.accesses {
-            let idx = match a.index.eval(params, &counter_vals).map(|v| v.as_int()) {
-                Some(Ok(i)) => i,
-                _ => return base,
-            };
-            let obj = ObjectId::new(a.class, idx as u64);
-            reads.push(obj);
-            if a.write {
-                writes.push(obj);
-            }
+        if !exact {
+            predicted.clear();
+            hits.retain(|(row, _)| !row.index.reads_counter());
         }
+        let mut reads: Vec<ObjectId> = hits.iter().map(|&(_, obj)| obj).collect();
+        let mut writes: Vec<ObjectId> = hits
+            .iter()
+            .filter(|(row, _)| row.write)
+            .map(|&(_, obj)| obj)
+            .collect();
         reads.sort_unstable();
         reads.dedup();
         writes.sort_unstable();
@@ -294,7 +243,7 @@ impl AccessSummary {
             writes,
             read_classes: self.read_classes.iter().map(|c| c.id).collect(),
             write_classes: self.write_classes.iter().map(|c| c.id).collect(),
-            exact: true,
+            exact,
             predicted,
         }
     }
@@ -304,87 +253,19 @@ impl AccessSummary {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::object::FieldId;
+    use crate::ir::ComputeOp;
 
     const A: ObjClass = ObjClass::new(0, "A");
     const B: ObjClass = ObjClass::new(1, "B");
     const C: ObjClass = ObjClass::new(2, "C");
     const F: FieldId = FieldId(0);
 
-    #[test]
-    fn fully_static_template_is_exact() {
-        let mut b = ProgramBuilder::new("t", 2);
-        let oa = b.open_update(A, b.param(0));
-        let ob = b.open_read(B, b.param(1));
-        let va = b.get(oa, F);
-        let vb = b.get(ob, F);
-        let s = b.add(va, vb);
-        b.set(oa, F, s);
-        let sum = AccessSummary::of(&b.finish());
-        assert!(sum.exact);
-        assert_eq!(sum.accesses.len(), 2);
-        assert_eq!(sum.read_classes, vec![A, B]);
-        assert_eq!(sum.write_classes, vec![A]);
-
-        let r = sum.resolve(&[Value::Int(7), Value::Int(9)]);
-        assert!(r.exact);
-        assert_eq!(r.reads, vec![ObjectId::new(A, 7), ObjectId::new(B, 9)]);
-        assert_eq!(r.writes, vec![ObjectId::new(A, 7)]);
-        assert_eq!(r.read_classes, vec![0, 1]);
-        assert_eq!(r.write_classes, vec![0]);
-    }
-
-    #[test]
-    fn var_indexed_open_degrades_to_class_level() {
-        let mut b = ProgramBuilder::new("t", 1);
-        let oa = b.open_read(A, b.param(0));
-        let va = b.get(oa, F);
-        let oc = b.open_update(C, va); // pointer chase
-        b.set(oc, F, 1i64);
-        let sum = AccessSummary::of(&b.finish());
-        assert!(!sum.exact, "register-indexed open is data-dependent");
-        // The static part still carries the resolvable A open.
-        assert_eq!(sum.accesses.len(), 1);
-        assert_eq!(sum.accesses[0].class, A);
-        assert_eq!(sum.read_classes, vec![A, C]);
-        assert_eq!(sum.write_classes, vec![C]);
-        let r = sum.resolve(&[Value::Int(3)]);
-        assert!(!r.exact);
-        assert_eq!(r.reads, vec![ObjectId::new(A, 3)]);
-        assert!(r.writes.is_empty());
-    }
-
-    #[test]
-    fn cond_nested_open_degrades_but_records_classes() {
-        let mut b = ProgramBuilder::new("t", 0);
-        let flag = b.constant(true);
-        b.cond(
-            flag,
-            |b| {
-                let o = b.open_update(B, 1i64);
-                b.set(o, F, 5i64);
-            },
-            |_| {},
-        );
-        let _oa = b.open_read(A, 2i64);
-        let sum = AccessSummary::of(&b.finish());
-        assert!(!sum.exact, "conditional open may or may not run");
-        assert_eq!(sum.accesses.len(), 1, "only the top-level open resolves");
-        assert_eq!(sum.read_classes, vec![A, B]);
-        assert_eq!(sum.write_classes, vec![B]);
-    }
-
-    #[test]
-    fn duplicate_targets_dedup() {
-        let mut b = ProgramBuilder::new("t", 1);
-        let o1 = b.open_update(A, b.param(0));
-        let o2 = b.open_read(A, b.param(0));
-        let v = b.get(o2, F);
-        b.set(o1, F, v);
-        let sum = AccessSummary::of(&b.finish());
-        let r = sum.resolve(&[Value::Int(4)]);
-        assert_eq!(r.reads, vec![ObjectId::new(A, 4)]);
-        assert_eq!(r.writes, vec![ObjectId::new(A, 4)]);
+    /// For templates that must never consult the oracle.
+    struct Unasked;
+    impl CounterOracle for Unasked {
+        fn predict(&mut self, site: &CounterSite) -> Option<i64> {
+            panic!("oracle asked about {site:?}");
+        }
     }
 
     /// A counting oracle with the store's `get_or_zero` default: unseen
@@ -404,6 +285,84 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fully_static_template_is_exact() {
+        let mut b = ProgramBuilder::new("t", 2);
+        let oa = b.open_update(A, b.param(0));
+        let ob = b.open_read(B, b.param(1));
+        let va = b.get(oa, F);
+        let vb = b.get(ob, F);
+        let s = b.add(va, vb);
+        b.set(oa, F, s);
+        let sum = AccessSummary::of(&b.finish());
+        assert!(sum.complete);
+        assert_eq!(sum.rows.len(), 2);
+        assert!(sum.counters.is_empty(), "no index reads A.F or B.F");
+        assert_eq!(sum.read_classes, vec![A, B]);
+        assert_eq!(sum.write_classes, vec![A]);
+
+        let r = sum.resolve_with(&[Value::Int(7), Value::Int(9)], &mut Unasked);
+        assert!(r.exact);
+        assert_eq!(r.reads, vec![ObjectId::new(A, 7), ObjectId::new(B, 9)]);
+        assert_eq!(r.writes, vec![ObjectId::new(A, 7)]);
+        assert_eq!(r.read_classes, vec![0, 1]);
+        assert_eq!(r.write_classes, vec![0]);
+    }
+
+    #[test]
+    fn pointer_chase_degrades_to_class_level_and_never_asks() {
+        // Two reads of the same field → not a counter → no row for C.
+        let mut b = ProgramBuilder::new("t", 1);
+        let oa = b.open_read(A, b.param(0));
+        let va = b.get(oa, F);
+        let _again = b.get(oa, F);
+        let oc = b.open_update(C, va);
+        b.set(oc, F, 1i64);
+        let sum = AccessSummary::of(&b.finish());
+        assert!(!sum.complete, "register-indexed open is data-dependent");
+        assert_eq!(sum.rows.len(), 1, "the A open still has its row");
+        assert_eq!(sum.read_classes, vec![A, C]);
+        assert_eq!(sum.write_classes, vec![C]);
+        let r = sum.resolve_with(&[Value::Int(3)], &mut Unasked);
+        assert!(!r.exact);
+        assert_eq!(r.reads, vec![ObjectId::new(A, 3)]);
+        assert!(r.writes.is_empty());
+    }
+
+    #[test]
+    fn cond_nested_open_degrades_but_records_classes() {
+        let mut b = ProgramBuilder::new("t", 0);
+        let flag = b.constant(true);
+        b.cond(
+            flag,
+            |b| {
+                let o = b.open_update(B, 1i64);
+                b.set(o, F, 5i64);
+            },
+            |_| {},
+        );
+        let _oa = b.open_read(A, 2i64);
+        let sum = AccessSummary::of(&b.finish());
+        assert!(!sum.complete, "conditional open may or may not run");
+        assert_eq!(sum.rows.len(), 1, "only the top-level open has a row");
+        assert_eq!(sum.read_classes, vec![A, B]);
+        assert_eq!(sum.write_classes, vec![B]);
+    }
+
+    #[test]
+    fn duplicate_targets_dedup() {
+        let mut b = ProgramBuilder::new("t", 1);
+        let o1 = b.open_update(A, b.param(0));
+        let o2 = b.open_read(A, b.param(0));
+        let v = b.get(o2, F);
+        b.set(o1, F, v);
+        let sum = AccessSummary::of(&b.finish());
+        let r = sum.resolve_with(&[Value::Int(4)], &mut Unasked);
+        assert_eq!(r.reads, vec![ObjectId::new(A, 4)]);
+        assert_eq!(r.writes, vec![ObjectId::new(A, 4)]);
+        assert_eq!(sum.fetch_list(&[Value::Int(4)], &[]), r.reads);
+    }
+
     /// NewOrder's shape: `order = district_param*1000 + next_oid`.
     fn counter_template() -> AccessSummary {
         let mut b = ProgramBuilder::new("t", 1);
@@ -411,10 +370,7 @@ mod tests {
         let oid = b.get(d, F);
         let next = b.add(oid, 1i64);
         b.set(d, F, next);
-        let base = b.compute(
-            crate::ir::ComputeOp::Mul,
-            [b.param(0).into(), 1000i64.into()],
-        );
+        let base = b.compute(ComputeOp::Mul, [b.param(0).into(), 1000i64.into()]);
         let oidx = b.add(base, oid);
         let o = b.open_update(B, oidx);
         b.set(o, F, 7i64);
@@ -424,8 +380,7 @@ mod tests {
     #[test]
     fn counter_indexed_open_resolves_predicted_exact() {
         let sum = counter_template();
-        assert!(!sum.exact, "statically the Var index is unresolvable");
-        assert!(sum.symbolic.complete);
+        assert!(sum.complete);
         let mut oracle = MapOracle::default();
         let p = [Value::Int(3)];
         let r1 = sum.resolve_with(&p, &mut oracle);
@@ -447,19 +402,124 @@ mod tests {
     }
 
     #[test]
-    fn pure_var_chain_upgrades_without_predictions() {
+    fn the_executor_presumes_only_the_counter_derived_insert_absent() {
+        // The counter host is fetched and resolvable at entry; the
+        // counter-derived insert is presumed absent — so no fetched index
+        // reads a counter and a counter read unlocks no further round.
+        let sum = counter_template();
+        let [host, insert] = [&sum.rows[0], &sum.rows[1]];
+        assert!(!host.absent && insert.absent);
+        assert!(sum.presumed_absent(insert.handle) && !sum.presumed_absent(host.handle));
+        assert!(!sum.fetch_derives);
+        let p = [Value::Int(3)];
+        assert_eq!(sum.counter_host(0, &p), Some(ObjectId::new(A, 3)));
+        assert_eq!(sum.fetch_list(&p, &[]), vec![ObjectId::new(A, 3)]);
+        assert_eq!(sum.fetch_list(&p, &[Some(41)]), vec![ObjectId::new(A, 3)]);
+        assert_eq!(insert.object(&p, &[Some(41)]), Some(ObjectId::new(B, 3041)));
+        // A mistyped parameter is skipped, not a panic.
+        assert!(sum.fetch_list(&[Value::str("x")], &[]).is_empty());
+    }
+
+    #[test]
+    fn set_only_updates_of_named_rows_are_fetched() {
+        // Delivery's shape: a set-only update of a row a parameter (or a
+        // constant) names is value-blind, but the row usually exists, so it
+        // joins the initial fetch instead of being presumed absent.
+        let mut b = ProgramBuilder::new("t", 1);
+        let o = b.open_update(B, b.param(0));
+        b.set(o, F, 1i64);
+        let a = b.open_update(A, 4i64);
+        b.set(a, F, 2i64);
+        let sum = AccessSummary::of(&b.finish());
+        assert!(sum.rows.iter().all(|r| !r.absent));
+        assert_eq!(
+            sum.fetch_list(&[Value::Int(9)], &[]),
+            vec![ObjectId::new(B, 9), ObjectId::new(A, 4)]
+        );
+    }
+
+    #[test]
+    fn a_derived_valued_open_is_fetched_once_its_counter_is_known() {
+        let mut b = ProgramBuilder::new("t", 1);
+        let d = b.open_update(A, b.param(0));
+        let oid = b.get(d, F);
+        let next = b.add(oid, 1i64);
+        b.set(d, F, next);
+        let o = b.open_read(B, oid);
+        let _v = b.get(o, F);
+        let flag = b.constant(true);
+        b.cond(
+            flag,
+            |b| {
+                let _ = b.open_read(C, 1i64);
+            },
+            |_| {},
+        );
+        let sum = AccessSummary::of(&b.finish());
+        assert!(sum.fetch_derives);
+        assert_eq!(sum.counters.len(), 1);
+        assert_eq!(sum.counters[0].reg, oid);
+        let params = [Value::Int(3)];
+        assert_eq!(
+            sum.fetch_list(&params, &[None]),
+            vec![ObjectId::new(A, 3)],
+            "the derived open waits for its counter; the Cond-nested one has no row"
+        );
+        assert_eq!(
+            sum.fetch_list(&params, &[Some(41)]),
+            vec![ObjectId::new(A, 3), ObjectId::new(B, 41)]
+        );
+        // Incomplete (the Cond): the scheduler never asks, and its lower
+        // bound leaves the counter-derived row out.
+        let r = sum.resolve_with(&params, &mut Unasked);
+        assert!(!r.exact);
+        assert_eq!(r.reads, vec![ObjectId::new(A, 3)]);
+    }
+
+    #[test]
+    fn pure_var_chain_resolves_without_predictions() {
         let mut b = ProgramBuilder::new("t", 2);
-        let x = b.compute(crate::ir::ComputeOp::Mul, [b.param(0).into(), 10i64.into()]);
+        let x = b.compute(ComputeOp::Mul, [b.param(0).into(), 10i64.into()]);
         let y = b.add(x, b.param(1));
         let _o = b.open_update(C, y);
         let sum = AccessSummary::of(&b.finish());
-        assert!(!sum.exact);
-        let mut oracle = MapOracle::default();
-        let r = sum.resolve_with(&[Value::Int(4), Value::Int(2)], &mut oracle);
+        let r = sum.resolve_with(&[Value::Int(4), Value::Int(2)], &mut Unasked);
         assert!(r.exact);
         assert!(r.predicted.is_empty(), "no counter involved");
         assert_eq!(r.writes, vec![ObjectId::new(C, 42)]);
-        assert!(oracle.0.is_empty());
+    }
+
+    #[test]
+    fn an_inexact_lower_bound_keeps_counter_free_var_chains() {
+        // Allowed delta of the one-table fold: the pure chain's row counts
+        // toward an inexact instance's sets (read only by the planner's
+        // `pessimistic_edges` statistic under `InexactPolicy::Order`).
+        let mut b = ProgramBuilder::new("t", 1);
+        let x = b.compute(ComputeOp::Mul, [b.param(0).into(), 10i64.into()]);
+        let _o = b.open_update(C, x);
+        let a = b.open_read(A, b.param(0));
+        let v = b.get(a, F);
+        let _v2 = b.get(a, F);
+        let _chase = b.open_read(B, v);
+        let sum = AccessSummary::of(&b.finish());
+        let r = sum.resolve_with(&[Value::Int(4)], &mut Unasked);
+        assert!(!r.exact);
+        assert_eq!(r.reads, vec![ObjectId::new(A, 4), ObjectId::new(C, 40)]);
+        assert_eq!(r.writes, vec![ObjectId::new(C, 40)]);
+    }
+
+    #[test]
+    fn counter_sites_no_index_reads_are_not_in_the_table() {
+        // Allowed delta: A.F is a read-once, advance-by-one field, but no
+        // index reads it — the oracle is never asked about it.
+        let mut b = ProgramBuilder::new("t", 1);
+        let d = b.open_update(A, b.param(0));
+        let v = b.get(d, F);
+        let next = b.add(v, 1i64);
+        b.set(d, F, next);
+        let sum = AccessSummary::of(&b.finish());
+        assert!(sum.counters.is_empty());
+        assert!(sum.resolve_with(&[Value::Int(1)], &mut Unasked).exact);
     }
 
     #[test]
@@ -478,16 +538,20 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_symbolic_summary_stays_inexact_under_oracle() {
-        // A pointer chase: two reads of the same field → no counter.
-        let mut b = ProgramBuilder::new("t", 1);
-        let a = b.open_read(A, b.param(0));
-        let v = b.get(a, F);
-        let _v2 = b.get(a, F);
-        let _o = b.open_update(C, v);
+    fn a_row_that_fails_under_predictions_leaves_no_predicted_row_behind() {
+        // Param 1 is a string: the B row fails to evaluate after the
+        // counter was predicted. The instance is inexact and its sets rest
+        // on no prediction.
+        let mut b = ProgramBuilder::new("t", 2);
+        let d = b.open_update(A, b.param(0));
+        let oid = b.get(d, F);
+        let _o = b.open_read(C, oid);
+        let _bad = b.open_read(B, b.param(1));
         let sum = AccessSummary::of(&b.finish());
-        let r = sum.resolve_with(&[Value::Int(1)], &mut MapOracle::default());
+        let r = sum.resolve_with(&[Value::Int(3), Value::str("x")], &mut MapOracle::default());
         assert!(!r.exact);
+        assert!(r.predicted.is_empty());
+        assert_eq!(r.reads, vec![ObjectId::new(A, 3)]);
     }
 
     #[test]
@@ -495,7 +559,7 @@ mod tests {
         let mut b = ProgramBuilder::new("t", 2);
         let _oa = b.open_read(A, b.param(1));
         let sum = AccessSummary::of(&b.finish());
-        let r = sum.resolve(&[Value::Int(1)]); // param 1 absent
+        let r = sum.resolve_with(&[Value::Int(1)], &mut Unasked); // param 1 absent
         assert!(!r.exact);
         assert!(r.reads.is_empty());
     }

@@ -10,7 +10,6 @@
 use crate::access::AccessSummary;
 use crate::analysis::{extract_unit_blocks, UnitBlock, UnitBlockId};
 use crate::ir::{Program, StmtIdx};
-use crate::symbolic::OpenPlan;
 use crate::unitgraph::UnitGraph;
 use crate::validate::{validate, ValidateError};
 use std::collections::{BTreeSet, HashMap};
@@ -34,12 +33,11 @@ pub struct DependencyModel {
     /// floaters are pinned to their default block; a local operation is
     /// eligible for any block whose open feeds it.
     pub eligible_hosts: Vec<Vec<UnitBlockId>>,
-    /// Static access summary for the batch scheduler, computed once here so
-    /// the driver never re-derives it from the template per submission.
-    pub access: AccessSummary,
-    /// How each open gets its copy at run time ([`OpenPlan`]). Shared: every
-    /// Block sequence built from this model carries it to the executor.
-    pub opens: Arc<OpenPlan>,
+    /// The one table of the template's opens, computed once here: the batch
+    /// scheduler resolves an instance's access sets from it, and every Block
+    /// sequence built from this model carries it to the executor, which
+    /// reads its fetch list off the same rows.
+    pub access: Arc<AccessSummary>,
 }
 
 impl DependencyModel {
@@ -84,8 +82,7 @@ impl DependencyModel {
             })
             .collect();
 
-        let access = AccessSummary::of(&program);
-        let opens = Arc::new(OpenPlan::of(&program, &access.symbolic));
+        let access = Arc::new(AccessSummary::of(&program));
         Ok(DependencyModel {
             program,
             graph,
@@ -93,7 +90,6 @@ impl DependencyModel {
             default_assignment,
             eligible_hosts,
             access,
-            opens,
         })
     }
 
@@ -300,15 +296,15 @@ mod tests {
     }
 
     #[test]
-    fn analyze_records_the_open_plan() {
+    fn analyze_records_the_access_table() {
         let m = two_block_model();
         // Both opens use Const indices and read their handle → both are
         // fetched at transaction entry.
         assert_eq!(
-            m.opens.resolve(&[], &[]),
+            m.access.fetch_list(&[], &[]),
             vec![ObjectId::new(A, 0), ObjectId::new(B, 0)]
         );
-        assert!(m.opens.blind.iter().all(|b| !b));
+        assert!(m.access.rows.iter().all(|r| !r.absent));
     }
 
     #[test]

@@ -46,16 +46,19 @@
 //! bundled workload generators still draw ids without replacement where it
 //! matters (e.g. TPC-C order lines), so the degraded path stays cold.
 //!
-//! ## Symbolic access resolution
+//! ## The access table
 //!
-//! [`SymbolicSummary`] (see `symbolic.rs`) extends the static
-//! [`AccessSummary`] to `Var`-indexed opens whose index is a pure
-//! `Compute` chain over parameters and designated *hot-counter* reads
-//! (TPC-C's `D_NEXT_OID`). [`AccessSummary::resolve_with`] evaluates those
-//! chains against a [`CounterOracle`]'s predictions, producing
-//! *predicted-exact* access sets the batch scheduler can order at object
-//! granularity; the executor validates each [`PredictedRead`] at the real
-//! read and repairs mismatches by partial rollback.
+//! [`AccessSummary`] is the one description of a template's opens: a row
+//! ([`OpenRow`]) per top-level open whose index is a closed form
+//! ([`SymExpr`]) over parameters and designated *hot-counter* reads
+//! (TPC-C's `D_NEXT_OID`), the counter sites, and class sets covering
+//! `Cond`-nested opens and pointer chases. One evaluator,
+//! [`OpenRow::object`], turns a row into an [`ObjectId`] for both readers:
+//! the batch scheduler ([`AccessSummary::resolve_with`], counters predicted
+//! by a [`CounterOracle`] → *predicted-exact* access sets it can order at
+//! object granularity; the executor validates each [`PredictedRead`] at the
+//! real read and repairs mismatches by partial rollback) and the executor
+//! ([`AccessSummary::fetch_list`] ∪ the rows it presumes absent).
 
 mod access;
 mod analysis;
@@ -69,7 +72,7 @@ mod validate;
 mod value;
 
 pub use access::{
-    AccessSummary, CounterOracle, CounterSite, PredictedRead, ResolvedAccess, StaticAccess,
+    AccessSummary, CounterOracle, CounterSite, OpenRow, PredictedRead, ResolvedAccess,
 };
 pub use analysis::{extract_unit_blocks, UnitBlock, UnitBlockId};
 pub use builder::ProgramBuilder;
@@ -78,7 +81,7 @@ pub use depmodel::{
 };
 pub use ir::{AccessMode, ComputeOp, Operand, ParamId, Program, Stmt, StmtIdx, VarId};
 pub use object::{FieldId, ObjClass, ObjectId, ObjectVal};
-pub use symbolic::{CounterRef, OpenPlan, SymExpr, SymbolicAccess, SymbolicSummary};
+pub use symbolic::{CounterRef, SymExpr};
 pub use unitgraph::{StmtInfo, UnitGraph};
 pub use validate::{validate, ValidateError};
 pub use value::{EvalError, Value};

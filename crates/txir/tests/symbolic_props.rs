@@ -1,18 +1,22 @@
 //! Oracle property tests for the symbolic access resolver.
 //!
 //! [`AccessSummary::resolve_with`] claims its resolved read/write sets are
-//! the *complete* object sets of an instance whenever the symbolic summary
-//! is complete and the counter oracle answers. These tests pit that claim
+//! the *complete* object sets of an instance whenever the table is complete
+//! and the counter oracle answers. These tests pit that claim
 //! against a concrete reference interpreter: build a random template out of
 //! the shapes the resolver reasons about (static opens, hot-counter index
 //! chains, pure parameter arithmetic, pointer chases, `Cond`-nested opens),
 //! run each instance against a plain key-value store, and compare.
 //!
 //!   * resolver claims `exact` → resolved reads/writes **equal** the
-//!     observed opens, and every predicted counter read matches the value
-//!     the interpreter actually saw;
+//!     observed opens, every predicted counter read matches the value the
+//!     interpreter actually saw, and the executor's reading of the same
+//!     rows under the same counter values — fetch list ∪ rows presumed
+//!     absent — is that read set too;
 //!   * resolver stays inexact → resolved sets are a **subset** of the
-//!     observed opens (the static part never over-claims).
+//!     observed opens (the prediction-free rows never over-claim). This is
+//!     also the bound the separate `static_resolve_is_always_a_subset`
+//!     property used to put on `AccessSummary::resolve`, which is gone.
 //!
 //! The oracle is the production shape: a cursor map seeded from the store
 //! on first touch and advanced by `delta` per prediction, shared across a
@@ -367,6 +371,18 @@ proptest! {
                         pred, observed.field_reads, program
                     );
                 }
+                // The executor reads the same rows: what it fetches ahead
+                // plus what it opens with no fetch is the same read set.
+                let counters: Vec<Option<i64>> =
+                    resolved.predicted.iter().map(|p| Some(p.value)).collect();
+                let mut executor: BTreeSet<ObjectId> =
+                    summary.fetch_list(&params, &counters).into_iter().collect();
+                let absent = summary.rows.iter().filter(|r| r.absent);
+                executor.extend(absent.filter_map(|r| r.object(&params, &counters)));
+                prop_assert_eq!(
+                    executor.into_iter().collect::<Vec<_>>(), obs_reads,
+                    "fetched ∪ presumed absent must equal the read set:\n{}", program
+                );
             } else {
                 prop_assert!(resolved.predicted.is_empty(),
                     "inexact instances carry no predictions");
@@ -378,28 +394,6 @@ proptest! {
                     prop_assert!(obs_writes.contains(w),
                         "inexact write set must under-approximate:\n{}", program);
                 }
-            }
-        }
-    }
-
-    /// `resolve` (the static-only path) is always a sound lower bound,
-    /// exact or not — predictions never enter into it.
-    #[test]
-    fn static_resolve_is_always_a_subset(case in case_strategy()) {
-        let (pieces, instances, _seeds) = case;
-        let program = build(&pieces);
-        let summary = AccessSummary::of(&program);
-        let mut store: Store = Store::new();
-        for params_raw in &instances {
-            let params: Vec<Value> = params_raw.iter().map(|&v| Value::Int(v)).collect();
-            let resolved = summary.resolve(&params);
-            prop_assert!(resolved.predicted.is_empty());
-            let observed = interpret(&program, &params, &mut store);
-            for r in &resolved.reads {
-                prop_assert!(observed.reads.contains(r), "static reads over-claimed:\n{}", program);
-            }
-            for w in &resolved.writes {
-                prop_assert!(observed.writes.contains(w), "static writes over-claimed:\n{}", program);
             }
         }
     }

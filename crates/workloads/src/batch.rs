@@ -36,9 +36,9 @@ use crate::driver::{Phase, Tally};
 use crate::workload::TxnRequest;
 use acn_core::{
     conflicts_with, plan_wave_with, BlockSeq, ExecutorConfig, ExecutorEngine, InexactPolicy,
-    Prediction, PredictionOutcome, RunOpts, WaveStats,
+    Prediction, PredictionOutcome, RunOpts, WavePlan, WaveStats,
 };
-use acn_dtm::ClientPool;
+use acn_dtm::DtmClient;
 use acn_obs::{SpanKind, TxnObserver};
 use acn_txir::{CounterOracle, CounterSite, ResolvedAccess};
 use parking_lot::{Condvar, Mutex};
@@ -123,15 +123,17 @@ impl CounterOracle for CursorOracle<'_> {
 /// One scheduled transaction in the readiness queue.
 struct Job {
     req: TxnRequest,
+    /// Resolved access set, kept for cross-wave edge tests.
+    access: ResolvedAccess,
     /// Successor job indices (already offset into the global job list).
     succs: Vec<usize>,
 }
 
 /// Queue state shared between the coordinator and the workers.
+#[derive(Default)]
 struct QueueState {
-    jobs: Vec<Job>,
-    /// Resolved access set per job, kept for cross-wave edge tests.
-    access: Vec<ResolvedAccess>,
+    /// Every job ever admitted, by global index; `None` once retired.
+    jobs: Vec<Option<Job>>,
     indeg: Vec<usize>,
     /// Dispatched flag per job. A `ready` entry is stale once a cross-wave
     /// edge re-raises the job's indegree or a duplicate push landed;
@@ -146,6 +148,65 @@ struct QueueState {
     shutdown: bool,
 }
 
+impl QueueState {
+    /// Admit one planned wave (`accesses[k]` resolves `reqs[k]`) and return
+    /// the number of cross-wave edges it took. Every conflict between a new
+    /// transaction and a still-unfinished earlier one becomes an edge, so
+    /// overlap pipelines the waves without dropping provable ordering. An
+    /// already-running earlier transaction must come first; a still-pending
+    /// one can just as soundly run *after* the newcomer, which avoids
+    /// chaining each wave's tail to the next wave's head.
+    fn admit(
+        &mut self,
+        reqs: Vec<TxnRequest>,
+        accesses: Vec<ResolvedAccess>,
+        wave: &WavePlan,
+        policy: InexactPolicy,
+    ) -> u64 {
+        let base = self.jobs.len();
+        self.indeg.extend(wave.indegree.iter().copied());
+        self.started.extend(std::iter::repeat_n(false, wave.n));
+        let mut cross_edges = 0;
+        for (k, (req, access)) in reqs.into_iter().zip(accesses).enumerate() {
+            let mut succs: Vec<usize> = wave.succs[k].iter().map(|&j| j + base).collect();
+            for &i in &self.live {
+                let old = self.jobs[i].as_mut().expect("live jobs are unretired");
+                if conflicts_with(&old.access, &access, policy) {
+                    if self.started[i] {
+                        old.succs.push(base + k);
+                        self.indeg[base + k] += 1;
+                    } else {
+                        succs.push(i);
+                        self.indeg[i] += 1;
+                    }
+                    cross_edges += 1;
+                }
+            }
+            self.jobs.push(Some(Job { req, access, succs }));
+        }
+        for k in base..base + wave.n {
+            self.live.push(k);
+            if self.indeg[k] == 0 {
+                self.ready.push_back(k);
+            }
+        }
+        self.remaining += wave.n;
+        cross_edges
+    }
+
+    /// Job `idx` finished: release its request and access sets — both were
+    /// read only while it was live (the dispatch clone, the cross-wave edge
+    /// test), and a run admits jobs for as long as it lasts — and hand back
+    /// the successors whose indegrees the caller drains.
+    fn retire(&mut self, idx: usize) -> Vec<usize> {
+        if let Some(p) = self.live.iter().position(|&i| i == idx) {
+            self.live.swap_remove(p);
+        }
+        self.remaining -= 1;
+        self.jobs[idx].take().map_or_else(Vec::new, |job| job.succs)
+    }
+}
+
 struct Shared {
     q: Mutex<QueueState>,
     /// Workers wait here for ready jobs.
@@ -154,12 +215,11 @@ struct Shared {
     drained: Condvar,
 }
 
-/// What the workers share besides the scenario [`Phase`]: the pooled
-/// client handles, the readiness queue, and the counter predictor.
+/// What the workers share besides the scenario [`Phase`]: the readiness
+/// queue and the counter predictor.
 struct Wave<'a> {
     ph: &'a Phase<'a>,
     bc: &'a BatchConfig,
-    pool: ClientPool,
     shared: Shared,
     engine: ExecutorEngine,
     /// Flat sequences per template ([`SpecMode::FullRestart`] only).
@@ -176,24 +236,12 @@ struct Wave<'a> {
 /// the per-wave aggregate stats.
 pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
     let threads = ph.cfg.client_threads;
-    let pool = ClientPool::new(ph.cluster, threads);
-    pool.configure(|i, client| ph.setup_client(i, client));
 
     let w = Wave {
         ph,
         bc,
-        pool,
         shared: Shared {
-            q: Mutex::new(QueueState {
-                jobs: Vec::new(),
-                access: Vec::new(),
-                indeg: Vec::new(),
-                started: Vec::new(),
-                ready: VecDeque::new(),
-                live: Vec::new(),
-                remaining: 0,
-                shutdown: false,
-            }),
+            q: Mutex::new(QueueState::default()),
             work: Condvar::new(),
             drained: Condvar::new(),
         },
@@ -225,7 +273,9 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
         ph.spawn_fault_schedule(s);
         for t in 0..threads {
             let w = &w;
-            s.spawn(move || worker_loop(w, t));
+            let mut client = ph.cluster.client(t);
+            ph.setup_client(t, &mut client);
+            s.spawn(move || worker_loop(w, t, client));
         }
 
         // Coordinator: generate, schedule and admit waves until the
@@ -293,45 +343,7 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
             }
 
             let mut q = shared.q.lock();
-            let base = q.jobs.len();
-            q.indeg.extend(wave.indegree.iter().copied());
-            q.started.extend(std::iter::repeat_n(false, wave.n));
-            for (k, req) in reqs.into_iter().enumerate() {
-                q.jobs.push(Job {
-                    req,
-                    succs: wave.succs[k].iter().map(|&j| j + base).collect(),
-                });
-            }
-            // Cross-wave edges: every conflict between a new transaction
-            // and a still-unfinished earlier one becomes an edge, so
-            // overlap pipelines the waves without dropping provable
-            // ordering. An already-running earlier transaction must come
-            // first; a still-pending one can just as soundly run *after*
-            // the newcomer, which avoids chaining each wave's tail to the
-            // next wave's head.
-            for (k, acc) in accesses.iter().enumerate() {
-                for li in 0..q.live.len() {
-                    let i = q.live[li];
-                    if conflicts_with(&q.access[i], acc, policy) {
-                        if q.started[i] {
-                            q.jobs[i].succs.push(base + k);
-                            q.indeg[base + k] += 1;
-                        } else {
-                            q.jobs[base + k].succs.push(i);
-                            q.indeg[i] += 1;
-                        }
-                        stats.cross_edges += 1;
-                    }
-                }
-            }
-            q.access.extend(accesses);
-            for k in 0..wave.n {
-                q.live.push(base + k);
-                if q.indeg[base + k] == 0 {
-                    q.ready.push_back(base + k);
-                }
-            }
-            q.remaining += wave.n;
+            stats.cross_edges += q.admit(reqs, accesses, &wave, policy);
             shared.work.notify_all();
             // Barrier (or half-barrier under overlap): wait until the wave
             // drains far enough to admit the next one.
@@ -353,18 +365,12 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
     });
 
     stats.mispredicts = w.mispredicted.load(Ordering::Relaxed);
-
-    // Every worker has exited: drain the pooled handles.
-    let mut m = ph.merged.lock();
-    for (t, mut client) in w.pool.into_clients().into_iter().enumerate() {
-        m.client(t, &mut client);
-    }
     stats
 }
 
-/// One worker: pull ready jobs, execute them on the leased pool handle,
+/// One worker: pull ready jobs, execute them on its own client handle,
 /// then drain successors' indegrees.
-fn worker_loop(w: &Wave<'_>, t: usize) {
+fn worker_loop(w: &Wave<'_>, t: usize, mut client: DtmClient) {
     let Wave { ph, shared, .. } = w;
     let mut tally = Tally::new(ph.cfg);
     let mut observer = ph.cfg.obs.map(TxnObserver::new);
@@ -393,9 +399,10 @@ fn worker_loop(w: &Wave<'_>, t: usize) {
             idx.map(|i| {
                 q.started[i] = true;
                 // The predictions are all the executor needs from the
-                // schedule: it resolves what to fetch (and what to open
-                // blind) from the template's own open plan.
-                (i, q.jobs[i].req.clone(), q.access[i].predicted.clone())
+                // schedule: it reads what to fetch (and what to presume
+                // absent) off the template's own access table.
+                let job = q.jobs[i].as_ref().expect("ready jobs are unretired");
+                (i, job.req.clone(), job.access.predicted.clone())
             })
         };
         let Some((idx, req, preds)) = req else {
@@ -403,7 +410,6 @@ fn worker_loop(w: &Wave<'_>, t: usize) {
         };
 
         let dm = &ph.dms[req.template];
-        let mut client = w.pool.lease(t);
         let seq = match w.bc.spec {
             SpecMode::FullRestart => Arc::clone(&w.flat[req.template]),
             SpecMode::Partial => ph.block_seq(req.template, &mut client),
@@ -433,22 +439,76 @@ fn worker_loop(w: &Wave<'_>, t: usize) {
             }
             res
         });
-        drop(client);
 
         let mut q = shared.q.lock();
-        let succs = std::mem::take(&mut q.jobs[idx].succs);
-        for sdx in succs {
+        for sdx in q.retire(idx) {
             q.indeg[sdx] -= 1;
             if q.indeg[sdx] == 0 {
                 q.ready.push_back(sdx);
                 shared.work.notify_one();
             }
         }
-        if let Some(p) = q.live.iter().position(|&i| i == idx) {
-            q.live.swap_remove(p);
-        }
-        q.remaining -= 1;
         shared.drained.notify_one();
     }
-    ph.merged.lock().worker(&tally, observer.as_ref());
+    let mut m = ph.merged.lock();
+    m.worker(&tally, observer.as_ref());
+    m.client(t, &mut client);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acn_core::plan_wave;
+    use acn_txir::{ObjClass, ObjectId, Value};
+
+    const ROW: ObjClass = ObjClass::new(0, "row");
+
+    /// An exact instance that overwrites `ROW[i]`.
+    fn writer(i: u64) -> (TxnRequest, ResolvedAccess) {
+        let req = TxnRequest {
+            template: 0,
+            params: vec![Value::Int(i as i64)],
+        };
+        let access = ResolvedAccess {
+            reads: vec![ObjectId::new(ROW, i)],
+            writes: vec![ObjectId::new(ROW, i)],
+            read_classes: vec![ROW.id],
+            write_classes: vec![ROW.id],
+            exact: true,
+            predicted: Vec::new(),
+        };
+        (req, access)
+    }
+
+    fn admit(q: &mut QueueState, rows: &[u64]) -> u64 {
+        let (reqs, accesses): (Vec<_>, Vec<_>) = rows.iter().map(|&i| writer(i)).unzip();
+        let wave = plan_wave(&accesses);
+        q.admit(reqs, accesses, &wave, InexactPolicy::Order)
+    }
+
+    #[test]
+    fn a_retired_job_holds_no_vectors_and_no_later_wave_scans_it() {
+        let mut q = QueueState::default();
+        assert_eq!(admit(&mut q, &[7, 8]), 0, "nothing live to cross");
+        assert_eq!(q.ready, [0, 1]);
+
+        // Job 0 runs and finishes while job 1 is still pending.
+        q.started[0] = true;
+        assert!(q.retire(0).is_empty());
+        assert!(
+            q.jobs[0].is_none(),
+            "request, access sets and edges released"
+        );
+        assert_eq!((q.live.as_slice(), q.remaining), (&[1][..], 1));
+
+        // The next wave writes both rows again. Its scan walks `live` only:
+        // the row-7 writer takes no edge from the retired job (indexing its
+        // slot would panic), the row-8 writer goes ahead of pending job 1.
+        assert_eq!(admit(&mut q, &[7, 8]), 1);
+        assert_eq!(q.indeg, [0, 1, 0, 0]);
+        assert_eq!(q.remaining, 3);
+        q.started[3] = true;
+        assert_eq!(q.retire(3), [1], "job 1 waits for the newcomer");
+        assert!(q.jobs[3].is_none() && q.jobs[1].is_some());
+    }
 }

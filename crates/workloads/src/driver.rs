@@ -23,10 +23,11 @@ use acn_obs::{
     SERVER_TRACE_THREAD,
 };
 use acn_simnet::{FaultPlan, NetStatsSnapshot};
-use acn_txir::{DependencyModel, ObjClass, Stmt};
+use acn_txir::{DependencyModel, ObjClass};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::Scope;
@@ -304,32 +305,6 @@ impl ScenarioResult {
         }
         report
     }
-}
-
-/// Every distinct object class the workload's templates open, in id order.
-fn collect_classes(dms: &[Arc<DependencyModel>]) -> Vec<ObjClass> {
-    fn walk(stmts: &[Stmt], out: &mut Vec<ObjClass>) {
-        for s in stmts {
-            match s {
-                Stmt::Open { class, .. } if !out.iter().any(|c| c.id == class.id) => {
-                    out.push(*class);
-                }
-                Stmt::Cond {
-                    then_br, else_br, ..
-                } => {
-                    walk(then_br, out);
-                    walk(else_br, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut classes = Vec::new();
-    for dm in dms {
-        walk(&dm.program.stmts, &mut classes);
-    }
-    classes.sort_by_key(|c| c.id);
-    classes
 }
 
 pub(crate) enum Plan {
@@ -697,7 +672,10 @@ fn assemble(
     // the workload touches (best-effort — a chaos plan may have taken the
     // quorum down, in which case the report just omits contention rows).
     let contention = cfg.obs.map(|_| {
-        let classes = collect_classes(dms);
+        let classes: BTreeSet<ObjClass> = dms
+            .iter()
+            .flat_map(|dm| dm.access.read_classes.iter().copied())
+            .collect();
         let ids: Vec<u16> = classes.iter().map(|c| c.id).collect();
         let mut sampler = cluster.client(0);
         match sampler.query_contention_full(&ids) {
