@@ -211,7 +211,9 @@ impl DtmClient {
     /// endpoint and the wall clock. `start` builds the machine; from then
     /// on every reply and every passed deadline is handed to it with the
     /// instant it was seen at, and every [`Effect`] it queues is carried
-    /// out in order.
+    /// out in order. Each operation first re-sends the decided commits
+    /// still owed an ack, and every reply may settle one
+    /// ([`Coordinator::resend_decided`]).
     ///
     /// Round spans are the pump's too, because the tracer reads the wall
     /// clock and the machines must not: a scatter opens one (only while
@@ -225,6 +227,7 @@ impl DtmClient {
     ) -> M::Output {
         let mut span: Option<PendingSpan> = None;
         let alive = self.alive_fn();
+        self.co.resend_decided(&alive);
         let mut m = start(&mut self.co, &alive, Instant::now());
         loop {
             for effect in self.co.effects() {
@@ -260,6 +263,7 @@ impl DtmClient {
                 Phase::Done => break,
                 Phase::Awaiting(deadline) => {
                     if let Ok((src, msg)) = self.endpoint.recv_deadline(deadline) {
+                        self.co.settle_decided(src, &msg);
                         m.on_reply(&mut self.co, src, msg, Instant::now());
                         continue;
                     }

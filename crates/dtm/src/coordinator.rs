@@ -1,7 +1,8 @@
 //! The coordinator half of the quorum protocol as sans-IO state machines.
 //!
 //! A [`Coordinator`] is what one client node remembers between operations
-//! (id allocation, config, counters, the jitter generator). [`Round`],
+//! (id allocation, config, counters, the jitter generator, the decided
+//! commits still owed an ack). [`Round`],
 //! [`Commit`] and [`Read`] are the operations it runs, each a value that
 //! is *stepped*: an event goes in with the instant it happened at — a
 //! reply ([`Machine::on_reply`]) or the passing of the deadline the
@@ -37,7 +38,8 @@ pub enum Effect {
         /// It ended without every member's reply.
         failed: bool,
     },
-    /// Fire-and-forget to one node, outside any round (read repair).
+    /// Fire-and-forget to one node, outside any round (read repair, a
+    /// decided commit's re-send).
     Send(NodeId, Msg),
 }
 
@@ -107,6 +109,17 @@ pub struct Coordinator {
     /// Effects the machines queued and the pump has not carried out yet.
     /// Kept here so a round allocates no queue of its own.
     out: Vec<Effect>,
+    /// Decided commits some write-quorum member never acknowledged, until
+    /// it does (see [`Coordinator::resend_decided`]).
+    unfinished: Vec<Unfinished>,
+}
+
+/// A commit that ended [`CommitOutcome::Decided`]: its `CommitReq`, request
+/// id kept, and the members that still owe the ack.
+struct Unfinished {
+    req: ReqId,
+    msg: Msg,
+    owed: Vec<NodeId>,
 }
 
 impl Coordinator {
@@ -127,6 +140,7 @@ impl Coordinator {
             jitter: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
             history: None,
             out: Vec::new(),
+            unfinished: Vec::new(),
         }
     }
 
@@ -153,6 +167,35 @@ impl Coordinator {
     /// Take what the machines asked for since the last call, in order.
     pub fn effects(&mut self) -> impl Iterator<Item = Effect> + '_ {
         self.out.drain(..)
+    }
+
+    /// Queue the `CommitReq` of every decided-but-unacknowledged commit
+    /// again, one [`Effect::Send`] per member that still owes the ack and
+    /// that `alive` reports up. A pump calls this as each operation starts,
+    /// so a coordinator that walked away from a commit round finishes it
+    /// once the network lets it. Without this, a member the `CommitReq`
+    /// never reached keeps the prepared entry until the TTL sweep drops it
+    /// unapplied (ROADMAP item 1). The request keeps its `(txn, req)`. A
+    /// member that already applied it answers from its dedup cache. Any
+    /// other member applies it now, because versions only move forward.
+    pub fn resend_decided(&mut self, alive: Alive) {
+        for u in &self.unfinished {
+            for &to in u.owed.iter().filter(|n| alive(n.index())) {
+                self.out.push(Effect::Send(to, u.msg.clone()));
+            }
+        }
+    }
+
+    /// A reply reached the pump. If it acknowledges a re-sent decided
+    /// commit, its sender owes nothing more.
+    pub fn settle_decided(&mut self, src: NodeId, msg: &Msg) {
+        let Msg::CommitAck { req } = msg else { return };
+        self.unfinished.retain_mut(|u| {
+            if u.req == *req {
+                u.owed.retain(|&n| n != src);
+            }
+            !u.owed.is_empty()
+        });
     }
 
     fn alloc_req(&mut self) -> ReqId {
@@ -346,7 +389,8 @@ pub enum CommitOutcome {
     /// The full quorum voted yes — the transaction *is* committed and the
     /// history says so — but the commit round died before every member
     /// acknowledged it. Members the `CommitReq` never reached still hold
-    /// the prepared entry.
+    /// the prepared entry; the coordinator re-sends it to them as each of
+    /// its later operations starts ([`Coordinator::resend_decided`]).
     Decided,
     /// A member voted no; the abort round has run. Carries the
     /// [`DtmError::Conflict`].
@@ -455,7 +499,20 @@ impl<'a> Commit<'a> {
                 co.stats.commits += 1;
                 CommitOutcome::Committed
             }
-            (CommitStage::Commit, Err(_)) => CommitOutcome::Decided,
+            (CommitStage::Commit, Err(_)) => {
+                let round = &self.round;
+                let acked = |n: &NodeId| round.got.iter().any(|&(s, _)| s == *n);
+                co.unfinished.push(Unfinished {
+                    req: round.req,
+                    msg: Msg::CommitReq {
+                        txn,
+                        req: round.req,
+                        writes: self.commit_writes(),
+                    },
+                    owed: round.nodes.iter().copied().filter(|n| !acked(n)).collect(),
+                });
+                CommitOutcome::Decided
+            }
             (CommitStage::Done(_), _) => unreachable!("a finished commit runs no round"),
         });
     }
@@ -516,33 +573,31 @@ impl<'a> Commit<'a> {
         // — so the history record is appended now: even if every CommitAck
         // is lost, servers that receive the CommitReq will apply it, and
         // the checker must account those writes to a committed transaction.
-        let commit_writes: Vec<(ObjectId, Version, ObjectVal)> = self
-            .writes
-            .iter()
-            .map(|(o, v, val)| (*o, v + 1, val.clone()))
-            .collect();
         if let Some(h) = &co.history {
             h.record(CommitRecord {
                 txn,
                 reads: self.validate.to_vec(),
-                writes: commit_writes.iter().map(|&(o, v, _)| (o, v)).collect(),
+                writes: self.writes.iter().map(|&(o, v, _)| (o, v + 1)).collect(),
             });
-            if commit_writes.is_empty() {
+            if self.writes.is_empty() {
                 h.record_ack(txn);
             }
         }
-        self.stage = if commit_writes.is_empty() {
+        self.stage = if self.writes.is_empty() {
             co.stats.commits += 1;
             CommitStage::Done(CommitOutcome::Committed)
         } else {
-            let commit = |req| Msg::CommitReq {
-                txn,
-                req,
-                writes: commit_writes,
-            };
+            let writes = self.commit_writes();
+            let commit = |req| Msg::CommitReq { txn, req, writes };
             self.round.next(co, commit, now);
             CommitStage::Commit
         };
+    }
+
+    /// What phase 2 installs: every write at the version after the one read.
+    fn commit_writes(&self) -> Vec<(ObjectId, Version, ObjectVal)> {
+        let next = |(o, v, val): &(ObjectId, Version, ObjectVal)| (*o, v + 1, val.clone());
+        self.writes.iter().map(next).collect()
     }
 }
 
@@ -1176,6 +1231,27 @@ mod tests {
         assert!(history.acked_snapshot().is_empty(), "decided is not acked");
         assert_eq!((co.stats.commits, co.stats.quorum_unavailable), (0, 1));
         assert_eq!(co.stats.best_effort_aborts, 0);
+        // Each later operation re-sends the same request to the member that
+        // never acknowledged it, unless that member is down, until it acks.
+        co.resend_decided(&|rank| rank != 3);
+        assert_eq!(co.effects().count(), 0, "member 3 is down");
+        co.resend_decided(ALL_UP);
+        let resent: Vec<Effect> = co.effects().collect();
+        let [Effect::Send(to, msg)] = &resent[..] else {
+            panic!("expected one send: {resent:?}");
+        };
+        let Msg::CommitReq { req, writes, .. } = msg else {
+            panic!("expected the CommitReq: {msg:?}");
+        };
+        assert_eq!(
+            (*to, *req),
+            (NodeId(3), prepare + 1),
+            "same id, silent member"
+        );
+        assert_eq!((writes[0].0, writes[0].1), (X, 1));
+        co.settle_decided(NodeId(3), &Msg::CommitAck { req: prepare + 1 });
+        co.resend_decided(ALL_UP);
+        assert_eq!(co.effects().count(), 0, "settled");
     }
 
     #[test]

@@ -240,6 +240,7 @@ impl World {
         // between events hands them inputs that live as long as the test.
         let objs = picked(script.reads).collect::<Vec<_>>().leak();
         let watermarks = Box::leak(Box::new(HashMap::new()));
+        client.co.resend_decided(ALL_UP);
         let read = Read::start(&mut client.co, ALL_UP, txn, objs, &[], watermarks, self.now);
         client.op = Some(Op::Read(read));
         client.running = Some(Running {
@@ -338,6 +339,7 @@ impl World {
             })
             .collect::<Vec<_>>()
             .leak();
+        client.co.resend_decided(ALL_UP);
         let commit = Commit::start(&mut client.co, ALL_UP, txn, validate, running.writes, now);
         client.op = Some(Op::Commit(commit));
         Ok(())
@@ -420,6 +422,7 @@ impl World {
         if let Some(req) = msg.response_req() {
             client.replies.insert((src, req));
         }
+        client.co.settle_decided(src, &msg);
         if let Some(op) = &mut client.op {
             op.on_reply(&mut client.co, src, msg, self.now);
         }
@@ -634,15 +637,15 @@ fn a_contended_schedule_reaches_commits_aborts_and_locked_reads() {
 /// until the coordinator stops re-sending; then the prepared TTL passes.
 /// Returns the world and the decided transaction.
 ///
-/// What happens **today**: the coordinator ends
+/// What happens **today** when that coordinator runs nothing more: it ends
 /// [`CommitOutcome::Decided`] after `quorum_retries + 1` broadcasts — the
-/// history holds the decision, no ack — and nobody ever re-sends the
-/// commit (`DtmClient::commit` maps this to `Unavailable`, which the
-/// executor *retries under a new `TxnId`*). The reached members applied
-/// version 1; a lost member keeps the prepared entry and its lock, then
-/// drops both when the TTL sweep passes — it neither applies nor asks
-/// anyone. Message loss plus a coordinator that stops retrying is enough;
-/// no partition has to outlive the TTL.
+/// history holds the decision, no ack — and nobody re-sends the commit (a
+/// coordinator re-sends it only as its next operation starts, see
+/// `a_live_coordinator_finishes_the_commit_it_walked_away_from`). The
+/// reached members applied version 1; a lost member keeps the prepared
+/// entry and its lock, then drops both when the TTL sweep passes — it
+/// neither applies nor asks anyone. Message loss plus a coordinator that
+/// stops is enough; no partition has to outlive the TTL.
 fn walked_away(lost: &[u32]) -> (World, TxnId) {
     let x = OBJS[0];
     let write_x = Script {
@@ -744,6 +747,53 @@ fn a_walked_away_commit_lets_the_next_writer_commit_the_same_version() {
         txns: (first, *second),
     };
     assert_eq!(violations, [torn]);
+}
+
+/// The same drops as the torn-write pin above, but client 4 has a second
+/// transaction to run (ROADMAP item 1(e), the coordinator half). Its
+/// operations re-send the decided commit to servers 0 and 3 under the same
+/// `(txn, req)`; once the drops stop those servers apply version 1 and
+/// release the lock, with no TTL involved. Client 4 then writes version 2,
+/// and the second writer, client 5, reads it and commits version 3: one
+/// writer per version, nothing expired.
+#[test]
+fn a_live_coordinator_finishes_the_commit_it_walked_away_from() {
+    let x = OBJS[0];
+    let write_x = Script {
+        reads: 1,
+        writes: 1,
+    };
+    let mut world = World::new(4, [vec![write_x; 2], vec![]], false).unwrap();
+    while !world.idle() {
+        let deciding = world.clients[0].ended.is_empty();
+        let action = match world.net.first() {
+            Some(Flight {
+                dst,
+                msg: Msg::CommitReq { .. },
+                ..
+            }) if deciding && [0, 3].contains(&dst.0) => Action::Drop(0),
+            _ => Action::Deliver(0),
+        };
+        world.act(action).unwrap();
+    }
+    let ended: Vec<&Ended> = world.clients[0].ended.iter().map(|e| &e.1).collect();
+    let (decided, committed) = (CommitOutcome::Decided, CommitOutcome::Committed);
+    assert_eq!(ended, [&Ended::At2pc(decided), &Ended::At2pc(committed)]);
+    world.clients[1].todo = vec![write_x].into();
+    world.start_next(1);
+    world.pump(1).unwrap();
+    world.run(&[]).unwrap();
+    assert_eq!(
+        world.clients[1].ended[0].1,
+        Ended::At2pc(CommitOutcome::Committed)
+    );
+    world.check_quiescent().unwrap();
+    let stores = world.servers.iter_mut();
+    let versions: Vec<Version> = stores.map(|s| s.store_mut().version(x)).collect();
+    assert_eq!(versions, [3, 3, 2, 3]);
+    for server in &world.servers {
+        assert_eq!(server.stats().expired_prepares, 0);
+    }
 }
 
 /// Found by the schedules above before `script()` was narrowed, and true

@@ -18,11 +18,26 @@ pub enum RecvError {
 struct State<M> {
     heap: BinaryHeap<Reverse<Envelope<M>>>,
     closed: bool,
+    /// The instant the receiver is parked toward — `min(head.deliver_at,
+    /// deadline)` — while it sleeps on the condvar; `None` while it runs,
+    /// and from the moment a push has decided to wake it.
+    parked_until: Option<Instant>,
 }
 
 /// A node's inbox. Messages become visible only once their `deliver_at`
 /// instant has passed, which is how network latency is realised: the
 /// receiving thread sleeps on a condvar until the earliest message matures.
+///
+/// Wake protocol (one receiving thread per inbox, see
+/// [`crate::Network::endpoint`]): the receiver publishes the instant it is
+/// parked toward, and a push signals it only if that instant is later than
+/// the new message's `deliver_at` — otherwise the receiver's own timer
+/// already fires in time, or it is running and will look at the heap
+/// before it parks again. The push claims the wake under the lock (so a
+/// second push does not signal again) and notifies after dropping the
+/// guard, so the woken thread never blocks on the lock its waker still
+/// holds. Each message therefore costs its receiver at most one wake, and
+/// a push to a busy receiver costs no syscall.
 pub(crate) struct Inbox<M> {
     state: Mutex<State<M>>,
     cond: Condvar,
@@ -34,6 +49,7 @@ impl<M> Inbox<M> {
             state: Mutex::new(State {
                 heap: BinaryHeap::new(),
                 closed: false,
+                parked_until: None,
             }),
             cond: Condvar::new(),
         }
@@ -42,21 +58,27 @@ impl<M> Inbox<M> {
     /// Enqueue a message. Returns `false` when the inbox is closed (the
     /// message vanishes, like traffic to a dead host).
     pub(crate) fn push(&self, env: Envelope<M>) -> bool {
-        let mut st = self.state.lock();
-        if st.closed {
-            return false;
+        let at = env.deliver_at;
+        let wake = {
+            let mut st = self.state.lock();
+            if st.closed {
+                return false;
+            }
+            st.heap.push(Reverse(env));
+            st.parked_until.take_if(|until| *until > at).is_some()
+        };
+        if wake {
+            self.cond.notify_one();
         }
-        st.heap.push(Reverse(env));
-        // Wake the receiver: even if the new message is not yet mature it
-        // may be earlier than what the receiver is currently waiting for.
-        self.cond.notify_one();
         true
     }
 
     pub(crate) fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        st.heap.clear();
+        {
+            let mut st = self.state.lock();
+            st.closed = true;
+            st.heap.clear();
+        }
         self.cond.notify_all();
     }
 
@@ -75,38 +97,28 @@ impl<M> Inbox<M> {
 
     /// Block until a message matures or `deadline` passes.
     pub(crate) fn recv_deadline(&self, deadline: Instant) -> Result<Envelope<M>, RecvError> {
+        make_timers_precise();
         let mut st = self.state.lock();
         loop {
             if st.closed {
                 return Err(RecvError::Closed);
             }
             let now = Instant::now();
-            // Earliest message, if any.
-            let next_at = st.heap.peek().map(|Reverse(e)| e.deliver_at);
-            match next_at {
-                Some(at) if at <= now => {
+            let wake = match st.heap.peek() {
+                Some(Reverse(e)) if e.deliver_at <= now => {
                     let Reverse(env) = st.heap.pop().expect("peeked");
                     return Ok(env);
                 }
-                Some(at) => {
-                    let wake = at.min(deadline);
-                    if wake <= now {
-                        return Err(RecvError::Timeout);
-                    }
-                    self.cond.wait_until(&mut st, wake);
-                }
-                None => {
-                    if deadline <= now {
-                        return Err(RecvError::Timeout);
-                    }
-                    self.cond.wait_until(&mut st, deadline);
-                }
-            }
-            if Instant::now() >= deadline
-                && !matches!(st.heap.peek(), Some(Reverse(e)) if e.deliver_at <= Instant::now())
-            {
+                Some(Reverse(e)) => e.deliver_at.min(deadline),
+                None => deadline,
+            };
+            if wake <= now {
                 return Err(RecvError::Timeout);
             }
+            debug_assert!(st.parked_until.is_none(), "second receiver on one inbox");
+            st.parked_until = Some(wake);
+            self.cond.wait_until(&mut st, wake);
+            st.parked_until = None;
         }
     }
 
@@ -128,11 +140,46 @@ impl<M> Inbox<M> {
     }
 }
 
+/// A timed wait on Linux — the futex behind the condvar, the `nanosleep`
+/// behind `thread::sleep` — may fire up to the thread's *timer slack* late,
+/// 50 µs by default, so the kernel can batch wake-ups. That is a third of a
+/// modelled LAN hop, so the first receive on a thread sets the slack to
+/// 1 ns (0 would mean "restore the default"). Every timed wait of the
+/// system runs on a thread that receives: servers, clients, and the
+/// clients' backoff sleeps. std has no call for it, hence the one foreign
+/// function; elsewhere this is a no-op.
+fn make_timers_precise() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::cell::Cell;
+        use std::ffi::{c_int, c_ulong};
+
+        // glibc and musl both export it; std already links the C library.
+        extern "C" {
+            fn prctl(option: c_int, ...) -> c_int;
+        }
+        const PR_SET_TIMERSLACK: c_int = 29;
+        const ONE_NS: c_ulong = 1;
+        thread_local! {
+            static PRECISE: Cell<bool> = const { Cell::new(false) };
+        }
+        if !PRECISE.replace(true) {
+            // SAFETY: `PR_SET_TIMERSLACK` reads one integer argument, passed
+            // as the `unsigned long` the kernel expects, and changes only
+            // the calling thread's timer slack. A failure leaves the default
+            // slack, which is merely less precise.
+            unsafe { prctl(PR_SET_TIMERSLACK, ONE_NS) };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::envelope::Payload;
     use crate::node::NodeId;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     fn env(payload: u32, delay: Duration, seq: u64) -> Envelope<u32> {
         let now = Instant::now();
@@ -212,14 +259,82 @@ mod tests {
         }
     }
 
+    /// Start a receiver on its own thread and return once it is parked;
+    /// the thread yields what `recv_timeout(timeout)` returned and how long
+    /// the call took.
+    fn parked_receiver(
+        inbox: &Arc<Inbox<u32>>,
+        timeout: Duration,
+    ) -> JoinHandle<(Result<u32, RecvError>, Duration)> {
+        let i2 = Arc::clone(inbox);
+        let h = std::thread::spawn(move || {
+            let start = Instant::now();
+            let got = i2.recv_timeout(timeout).map(|e| val(e.payload));
+            (got, start.elapsed())
+        });
+        while inbox.state.lock().parked_until.is_none() {
+            std::thread::yield_now();
+        }
+        h
+    }
+
     #[test]
     fn close_unblocks_receiver() {
-        let inbox: std::sync::Arc<Inbox<u32>> = std::sync::Arc::new(Inbox::new());
-        let i2 = inbox.clone();
-        let h = std::thread::spawn(move || i2.recv_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(10));
-        inbox.close();
-        assert_eq!(h.join().unwrap().unwrap_err(), RecvError::Closed);
+        // Parked toward its deadline, and toward a pending message's
+        // instant: `close` wakes it either way.
+        for pending in [None, Some(Duration::from_secs(5))] {
+            let inbox = Arc::new(Inbox::new());
+            if let Some(delay) = pending {
+                inbox.push(env(1, delay, 0));
+            }
+            let h = parked_receiver(&inbox, Duration::from_secs(10));
+            inbox.close();
+            let (got, took) = h.join().unwrap();
+            assert_eq!(got, Err(RecvError::Closed));
+            assert!(took < Duration::from_secs(1), "closed after {took:?}");
+        }
+    }
+
+    #[test]
+    fn a_push_due_before_the_parked_instant_wakes_the_receiver() {
+        let inbox = Arc::new(Inbox::new());
+        inbox.push(env(1, Duration::from_secs(2), 0));
+        let h = parked_receiver(&inbox, Duration::from_secs(5));
+        inbox.push(env(2, Duration::from_millis(10), 1));
+        let (got, took) = h.join().unwrap();
+        assert_eq!(got, Ok(2), "the earlier message overtakes");
+        assert!(took < Duration::from_secs(1), "woken only after {took:?}");
+    }
+
+    #[test]
+    fn a_zero_latency_push_wakes_a_receiver_parked_on_a_long_deadline() {
+        let inbox = Arc::new(Inbox::new());
+        let h = parked_receiver(&inbox, Duration::from_secs(10));
+        inbox.push(env(7, Duration::ZERO, 0));
+        let (got, took) = h.join().unwrap();
+        assert_eq!(got, Ok(7));
+        assert!(took < Duration::from_secs(1), "woken only after {took:?}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_first_receive_makes_the_threads_timers_precise() {
+        use std::ffi::c_int;
+        extern "C" {
+            fn prctl(option: c_int, ...) -> c_int;
+        }
+        const PR_GET_TIMERSLACK: c_int = 30;
+        let slack = std::thread::spawn(|| {
+            let inbox: Inbox<u32> = Inbox::new();
+            assert_eq!(
+                inbox.recv_timeout(Duration::from_millis(1)).unwrap_err(),
+                RecvError::Timeout
+            );
+            // SAFETY: `PR_GET_TIMERSLACK` takes no further argument and only
+            // reads the calling thread's timer slack.
+            unsafe { prctl(PR_GET_TIMERSLACK) }
+        });
+        assert_eq!(slack.join().unwrap(), 1, "timer slack in ns");
     }
 
     #[test]

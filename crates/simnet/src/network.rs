@@ -84,7 +84,8 @@ impl<M: Send + 'static> Network<M> {
 
     /// Obtain the endpoint for `node`. Multiple endpoints for the same node
     /// may coexist (e.g., a sender handle cloned into another thread), but
-    /// only one thread should call the receive methods for a given node.
+    /// at most one thread at a time must call the receive methods for a
+    /// given node: the inbox's wake protocol records one parked receiver.
     pub fn endpoint(&self, node: NodeId) -> Endpoint<M> {
         assert!(
             node.index() < self.shared.inboxes.len(),

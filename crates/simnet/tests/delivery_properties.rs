@@ -8,7 +8,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Exactly-once delivery: every message sent to a live node arrives
-    /// exactly once, regardless of latency jitter and sender count.
+    /// exactly once, regardless of latency jitter and sender count, and
+    /// never before its `deliver_at`. The receiver runs while the senders
+    /// do, so pushes meet it both parked and busy.
     #[test]
     fn exactly_once_delivery(
         senders in 1usize..5,
@@ -27,7 +29,7 @@ proptest! {
             },
         );
         let rx = net.endpoint(NodeId(senders as u32));
-        std::thread::scope(|s| {
+        let received = std::thread::scope(|s| {
             for t in 0..senders {
                 let ep = net.endpoint(NodeId(t as u32));
                 s.spawn(move || {
@@ -36,13 +38,14 @@ proptest! {
                     }
                 });
             }
+            (0..senders * per_sender)
+                .map(|_| rx.recv_timeout_meta(Duration::from_secs(2)).expect("message lost"))
+                .collect::<Vec<_>>()
         });
         let mut got = std::collections::HashSet::new();
-        for _ in 0..senders * per_sender {
-            let (_, msg) = rx
-                .recv_timeout(Duration::from_secs(2))
-                .expect("message lost");
+        for (_, msg, meta) in received {
             prop_assert!(got.insert(msg), "duplicate {msg:?}");
+            prop_assert!(meta.received_at >= meta.deliver_at, "{msg:?} handed over early");
         }
         // And nothing extra.
         prop_assert!(rx.try_recv().is_none());

@@ -342,22 +342,23 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
                 tr.record_root(SpanKind::WaveSchedule, sched_start, wave.n as u16);
             }
 
-            let mut q = shared.q.lock();
-            stats.cross_edges += q.admit(reqs, accesses, &wave, policy);
+            // Every notify below comes after the guard drops: the stand-in
+            // `parking_lot` cannot requeue, so a worker woken under the
+            // lock would only block on it again.
+            stats.cross_edges += shared.q.lock().admit(reqs, accesses, &wave, policy);
             shared.work.notify_all();
             // Barrier (or half-barrier under overlap): wait until the wave
             // drains far enough to admit the next one.
             let admit_at = if bc.overlap { bc.wave / 2 } else { 0 };
+            let mut q = shared.q.lock();
             while q.remaining > admit_at {
                 if shared.drained.wait_until(&mut q, hard_deadline).timed_out() {
                     break;
                 }
             }
         }
-        let mut q = shared.q.lock();
-        q.shutdown = true;
+        shared.q.lock().shutdown = true;
         shared.work.notify_all();
-        drop(q);
 
         if let Some(tracer) = wave_tracer {
             ph.merged.lock().spans(threads as u64, tracer.drain());
@@ -440,13 +441,20 @@ fn worker_loop(w: &Wave<'_>, t: usize, mut client: DtmClient) {
             res
         });
 
-        let mut q = shared.q.lock();
-        for sdx in q.retire(idx) {
-            q.indeg[sdx] -= 1;
-            if q.indeg[sdx] == 0 {
-                q.ready.push_back(sdx);
-                shared.work.notify_one();
+        let readied = {
+            let mut q = shared.q.lock();
+            let mut readied = 0;
+            for sdx in q.retire(idx) {
+                q.indeg[sdx] -= 1;
+                if q.indeg[sdx] == 0 {
+                    q.ready.push_back(sdx);
+                    readied += 1;
+                }
             }
+            readied
+        };
+        for _ in 0..readied {
+            shared.work.notify_one();
         }
         shared.drained.notify_one();
     }
