@@ -4,198 +4,46 @@
 //! cargo run --release -p acn-bench --bin figures            # all six
 //! cargo run --release -p acn-bench --bin figures fig4a      # one subplot
 //! cargo run --release -p acn-bench --bin figures list       # enumerate
-//! cargo run --release -p acn-bench --bin figures readpath   # batched-read ablation
-//! cargo run --release -p acn-bench --bin figures batch      # batch-ingest before/after
-//! cargo run --release -p acn-bench --bin figures batch --smoke --out dir/  # CI scale
-//! cargo run --release -p acn-bench --bin figures wal        # durability-mode ablation
-//! cargo run --release -p acn-bench --bin figures wal --smoke --out dir/    # CI scale
-//! cargo run --release -p acn-bench --bin figures obs        # telemetry-overhead A/B
-//! cargo run --release -p acn-bench --bin figures obs --smoke --out dir/    # CI scale
+//! cargo run --release -p acn-bench --bin figures fig4f --csv out/    # series as CSV
+//! cargo run --release -p acn-bench --bin figures fig4f --jsonl out/  # full metrics report
 //! cargo run --release -p acn-bench --bin figures fig4f --trace out/  # span trace
 //! cargo run --release -p acn-bench --bin figures fig4f --prom out/   # Prometheus text
 //! ```
 
 use acn_bench::figures::{
-    all_figures, print_figure, print_read_path_ablation, run_figure, write_csv, write_jsonl,
-    write_prom, write_trace,
+    all_figures, print_figure, run_figure, write_csv, write_jsonl, write_prom, write_trace,
 };
+use std::path::PathBuf;
+
+/// Remove `flag DIR` from `args`, returning `DIR` if the flag was given.
+fn take_dir(args: &mut Vec<String>, flag: &str) -> Option<PathBuf> {
+    let i = args.iter().position(|a| a == flag)?;
+    let dir = args
+        .get(i + 1)
+        .unwrap_or_else(|| panic!("{flag} requires a directory"))
+        .clone();
+    args.drain(i..=i + 1);
+    Some(PathBuf::from(dir))
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--csv DIR` additionally writes each figure's series as CSV.
-    let csv_dir = args.iter().position(|a| a == "--csv").map(|i| {
-        let dir = args.get(i + 1).expect("--csv requires a directory").clone();
-        args.drain(i..=i + 1);
-        std::path::PathBuf::from(dir)
-    });
+    // `--csv DIR` writes each figure's series as CSV.
+    let csv_dir = take_dir(&mut args, "--csv");
     // `--jsonl DIR` writes each system's full MetricsReport as JSON-lines.
-    let jsonl_dir = args.iter().position(|a| a == "--jsonl").map(|i| {
-        let dir = args
-            .get(i + 1)
-            .expect("--jsonl requires a directory")
-            .clone();
-        args.drain(i..=i + 1);
-        std::path::PathBuf::from(dir)
-    });
+    let jsonl_dir = take_dir(&mut args, "--jsonl");
     // `--trace DIR` writes each system's span trace as Chrome-trace JSON
-    // (open in Perfetto or chrome://tracing). Requires observability on.
-    let trace_dir = args.iter().position(|a| a == "--trace").map(|i| {
-        let dir = args
-            .get(i + 1)
-            .expect("--trace requires a directory")
-            .clone();
-        args.drain(i..=i + 1);
-        std::path::PathBuf::from(dir)
-    });
+    // (open in Perfetto or chrome://tracing).
+    let trace_dir = take_dir(&mut args, "--trace");
     // `--prom DIR` writes each system's metrics in Prometheus exposition
     // format (parsed back and re-rendered for equality before landing).
-    let prom_dir = args.iter().position(|a| a == "--prom").map(|i| {
-        let dir = args
-            .get(i + 1)
-            .expect("--prom requires a directory")
-            .clone();
-        args.drain(i..=i + 1);
-        std::path::PathBuf::from(dir)
-    });
+    let prom_dir = take_dir(&mut args, "--prom");
     let figs = all_figures();
 
     if args.first().map(String::as_str) == Some("list") {
         for f in &figs {
             println!("{:7} {} — paper: {}", f.id, f.title, f.paper_claim);
         }
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("batch") {
-        use acn_bench::batch_bench::{run_batch_bench, BenchScale};
-        let scale = if args.iter().any(|a| a == "--smoke") {
-            BenchScale::smoke()
-        } else {
-            BenchScale::full()
-        };
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."));
-        let benches = run_batch_bench(&scale, &out).expect("batch bench failed");
-        eprintln!(
-            "wrote {} and {}",
-            out.join("BENCH_seed.json").display(),
-            out.join("BENCH_batch.json").display()
-        );
-        // TPC-C NewOrder must schedule at object granularity at every
-        // scale: the symbolic resolver plus the hot-counter predictor
-        // resolve each Var-indexed open, so no instance falls back to
-        // the class-level pessimistic tier and the hot waves stop
-        // serializing. (This is the regression the CI smoke leg guards.)
-        let tpcc = benches.iter().find(|b| b.key == "tpcc_neworder").unwrap();
-        for arm in [&tpcc.partial, &tpcc.full_restart] {
-            let w = arm.waves.as_ref().expect("batch arm records wave stats");
-            assert!(
-                w.inexact_txns == 0 && w.max_width > 1,
-                "NewOrder `{}` arm must resolve every access symbolically and \
-                 parallelize its waves (inexact_txns={}, max_width={})",
-                arm.label,
-                w.inexact_txns,
-                w.max_width
-            );
-        }
-        // The CI smoke leg only checks the pipeline end to end; the
-        // speedup floor is asserted at full scale.
-        if !args.iter().any(|a| a == "--smoke") {
-            let bank = benches.iter().find(|b| b.key == "bank").unwrap();
-            assert!(
-                bank.speedup_vs_seed() >= 1.3,
-                "batch mode must beat the closed loop by >=1.3x on the saturated Bank \
-                 (got {:.2}x)",
-                bank.speedup_vs_seed()
-            );
-        }
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("wal") {
-        use acn_bench::batch_bench::BenchScale;
-        use acn_bench::wal_bench::run_wal_bench;
-        let scale = if args.iter().any(|a| a == "--smoke") {
-            BenchScale::smoke()
-        } else {
-            BenchScale::full()
-        };
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."));
-        let bench = run_wal_bench(&scale, &out).expect("wal bench failed");
-        eprintln!("wrote {}", out.join("BENCH_wal.json").display());
-        // The CI smoke leg only checks the pipeline end to end; the
-        // retention floor is asserted at full scale. Group commit must
-        // keep >=80% of Buffered's throughput while every ack it releases
-        // carries EveryRecord-level durability — below that, batching is
-        // not paying for the deferral and the knob needs retuning.
-        if !args.iter().any(|a| a == "--smoke") {
-            assert!(
-                bench.group_commit_over_buffered() >= 0.8,
-                "group commit must retain >=80% of Buffered throughput (got {:.1}%)",
-                bench.group_commit_over_buffered() * 100.0
-            );
-            assert!(
-                bench.group_commit.records_per_sync() > bench.every_record.records_per_sync(),
-                "group commit must amortize more records per fsync than EveryRecord \
-                 ({:.2} vs {:.2})",
-                bench.group_commit.records_per_sync(),
-                bench.every_record.records_per_sync()
-            );
-        }
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("obs") {
-        use acn_bench::batch_bench::BenchScale;
-        use acn_bench::obs_bench::{run_obs_bench, OVERHEAD_BUDGET_PCT};
-        let scale = if args.iter().any(|a| a == "--smoke") {
-            BenchScale::smoke()
-        } else {
-            BenchScale::full()
-        };
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."));
-        let bench = run_obs_bench(&scale, &out).expect("obs bench failed");
-        eprintln!("wrote {}", out.join("BENCH_obs.json").display());
-        println!(
-            "telemetry overhead: {:.2}% (off {:.0} tps, on {:.0} tps, budget {:.0}%)",
-            bench.overhead_pct(),
-            bench.off.commits_per_sec,
-            bench.on.commits_per_sec,
-            OVERHEAD_BUDGET_PCT
-        );
-        // The "cheap enough to leave on" claim, enforced at every scale
-        // this bench runs at — CI gates the smoke scale on exactly this.
-        assert!(
-            bench.overhead_pct() < OVERHEAD_BUDGET_PCT,
-            "full telemetry must cost <{OVERHEAD_BUDGET_PCT}% throughput \
-             (measured {:.2}%)",
-            bench.overhead_pct()
-        );
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("readpath") {
-        let objects: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-        let txns: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(50);
-        if objects < 2 {
-            eprintln!("readpath needs at least 2 objects (got {objects})");
-            std::process::exit(2);
-        }
-        print_read_path_ablation(objects, txns);
         return;
     }
 
@@ -228,7 +76,7 @@ fn main() {
         if let Some(dir) = &trace_dir {
             let paths = write_trace(spec, &result, dir).expect("write trace");
             if paths.is_empty() {
-                eprintln!("no spans recorded (is ACN_OBS=0?) — no trace written");
+                eprintln!("no spans recorded — no trace written");
             }
             for path in paths {
                 eprintln!("wrote {}", path.display());

@@ -16,18 +16,9 @@ use acn_workloads::bank::{Bank, BankConfig};
 use acn_workloads::tpcc::{Tpcc, TpccConfig, TpccMix};
 use acn_workloads::vacation::{Vacation, VacationConfig};
 use acn_workloads::{run_scenario, ScenarioConfig, ScenarioResult, SystemKind, Workload};
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// Observability default for bench runs: on unless `ACN_OBS=0`. The
-/// trace-ring path costs a couple of integer stores per event, so leaving
-/// it on is the right default; the env switch exists for overhead A/B
-/// measurements.
-pub fn obs_from_env() -> Option<ObsConfig> {
-    match std::env::var("ACN_OBS") {
-        Ok(v) if v == "0" => None,
-        _ => Some(ObsConfig::default()),
-    }
-}
 
 /// One experiment (= one subplot of Figure 4).
 pub struct FigureSpec {
@@ -174,7 +165,7 @@ pub fn run_figure(spec: &FigureSpec) -> FigureResult {
             seed: 42,
             chaos: None,
             history: None,
-            obs: obs_from_env(),
+            obs: Some(ObsConfig::default()),
             batch: None,
             slo: None,
         };
@@ -280,11 +271,7 @@ pub fn print_figure(spec: &FigureSpec, fig: &FigureResult) {
 
 /// Write one figure's series as CSV (`interval,system,throughput,commits,
 /// full_aborts,partial_aborts`), for external plotting.
-pub fn write_csv(
-    spec: &FigureSpec,
-    fig: &FigureResult,
-    dir: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
+pub fn write_csv(spec: &FigureSpec, fig: &FigureResult, dir: &Path) -> io::Result<PathBuf> {
     use std::io::Write as _;
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}.csv", spec.id));
@@ -310,217 +297,88 @@ pub fn write_csv(
     Ok(path)
 }
 
-/// Write one figure's full metrics as JSON-lines, one
-/// `<figure>-<system>.jsonl` file per system, each a complete
-/// [`MetricsReport`] export. Every file is parsed back and compared for
-/// equality before this returns, so a partial write never goes unnoticed.
-pub fn write_jsonl(
+/// Write `render(result)` to `<dir>/<figure>-<system>.<ext>` for every
+/// system it yields text for. A renderer parses its own output back and
+/// returns the parser's refusal as an error, so a malformed export never
+/// lands on disk unnoticed.
+fn write_per_system(
     spec: &FigureSpec,
     fig: &FigureResult,
-    dir: &std::path::Path,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    use std::io::Write as _;
+    dir: &Path,
+    ext: &str,
+    render: impl Fn(&ScenarioResult) -> Result<Option<String>, String>,
+) -> io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let mut paths = Vec::new();
     for r in &fig.results {
-        let report = r.metrics_report(&[
-            ("figure", spec.id.to_string()),
-            ("title", spec.title.to_string()),
-        ]);
-        let text = report.to_json_lines();
-        let parsed = MetricsReport::parse_json_lines(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        assert_eq!(parsed, report, "JSON-lines export must round-trip");
-        let path = dir.join(format!(
-            "{}-{}.jsonl",
-            spec.id,
-            r.system.to_string().to_lowercase()
-        ));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(text.as_bytes())?;
+        let text = render(r).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let Some(text) = text else { continue };
+        let system = r.system.to_string().to_lowercase();
+        let path = dir.join(format!("{}-{system}.{ext}", spec.id));
+        std::fs::write(&path, text)?;
         paths.push(path);
     }
     Ok(paths)
+}
+
+fn report(spec: &FigureSpec, r: &ScenarioResult) -> MetricsReport {
+    r.metrics_report(&[
+        ("figure", spec.id.to_string()),
+        ("title", spec.title.to_string()),
+    ])
+}
+
+/// Write one figure's full metrics as JSON-lines, one
+/// `<figure>-<system>.jsonl` file per system, each a complete
+/// [`MetricsReport`] export that must parse back equal.
+pub fn write_jsonl(spec: &FigureSpec, fig: &FigureResult, dir: &Path) -> io::Result<Vec<PathBuf>> {
+    write_per_system(spec, fig, dir, "jsonl", |r| {
+        let report = report(spec, r);
+        let text = report.to_json_lines();
+        assert_eq!(
+            MetricsReport::parse_json_lines(&text)?,
+            report,
+            "JSON-lines export must round-trip"
+        );
+        Ok(Some(text))
+    })
 }
 
 /// Write one figure's metrics in Prometheus exposition format, one
 /// `<figure>-<system>.prom` file per system. Each exposition is parsed
-/// back with the vendored parser and re-rendered for exact equality
-/// before it lands on disk — the scrape surface rides the same
-/// round-trip contract as every other codec in the workspace.
-pub fn write_prom(
-    spec: &FigureSpec,
-    fig: &FigureResult,
-    dir: &std::path::Path,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    use std::io::Write as _;
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::new();
-    for r in &fig.results {
-        let report = r.metrics_report(&[
-            ("figure", spec.id.to_string()),
-            ("title", spec.title.to_string()),
-        ]);
-        let families = acn_obs::report_to_prom(&report);
-        let text = acn_obs::render_prom(&families);
-        let parsed = acn_obs::parse_prom(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+/// back with the vendored parser and must re-render to the same text —
+/// the scrape surface rides the same round-trip contract as every other
+/// codec in the workspace.
+pub fn write_prom(spec: &FigureSpec, fig: &FigureResult, dir: &Path) -> io::Result<Vec<PathBuf>> {
+    write_per_system(spec, fig, dir, "prom", |r| {
+        let text = acn_obs::render_prom(&acn_obs::report_to_prom(&report(spec, r)));
         assert_eq!(
-            acn_obs::render_prom(&parsed),
+            acn_obs::render_prom(&acn_obs::parse_prom(&text)?),
             text,
             "Prometheus exposition must round-trip"
         );
-        let path = dir.join(format!(
-            "{}-{}.prom",
-            spec.id,
-            r.system.to_string().to_lowercase()
-        ));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(text.as_bytes())?;
-        paths.push(path);
-    }
-    Ok(paths)
+        Ok(Some(text))
+    })
 }
 
 /// Write one figure's span traces as Chrome-trace JSON, one
 /// `<figure>-<system>.trace.json` file per system that recorded spans —
-/// open them in Perfetto or `chrome://tracing`. Every file is parsed back
-/// with the vendored parser and compared for exact equality before this
-/// returns, so a malformed export never goes unnoticed.
-pub fn write_trace(
-    spec: &FigureSpec,
-    fig: &FigureResult,
-    dir: &std::path::Path,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    use std::io::Write as _;
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::new();
-    for r in &fig.results {
-        let Some(obs) = &r.obs else { continue };
-        if obs.spans.is_empty() {
-            continue;
-        }
+/// open them in Perfetto or `chrome://tracing`. Each file must parse back
+/// to the same spans and completeness rows.
+pub fn write_trace(spec: &FigureSpec, fig: &FigureResult, dir: &Path) -> io::Result<Vec<PathBuf>> {
+    write_per_system(spec, fig, dir, "trace.json", |r| {
+        let Some(obs) = r.obs.as_ref().filter(|o| !o.spans.is_empty()) else {
+            return Ok(None);
+        };
         let text = acn_obs::write_chrome_trace(&obs.spans, &obs.thread_traces);
-        let (spans, threads) = acn_obs::parse_chrome_trace(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let (spans, threads) = acn_obs::parse_chrome_trace(&text)?;
         assert_eq!(spans, obs.spans, "Chrome-trace export must round-trip");
         assert_eq!(
             threads, obs.thread_traces,
             "completeness rows must round-trip"
         );
-        let path = dir.join(format!(
-            "{}-{}.trace.json",
-            spec.id,
-            r.system.to_string().to_lowercase()
-        ));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(text.as_bytes())?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
-/// One arm of the read-path ablation: network and client counters for a
-/// run of Bank-style wide-read transactions under one executor config.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadPathSample {
-    /// Messages handed to the network across the whole run.
-    pub messages_sent: u64,
-    /// Estimated payload bytes handed to the network.
-    pub bytes_sent: u64,
-    /// Quorum read rounds the client completed.
-    pub read_rounds: u64,
-    /// Validation entries shipped, counted per receiving member.
-    pub validate_entries_sent: u64,
-    /// Transactions committed.
-    pub commits: u64,
-}
-
-/// Run `txns` Bank-style audit-and-credit transactions, each opening
-/// `objects` accounts (read-mostly: the first account takes the credit),
-/// on a fresh 10-server cluster, and return the counter deltas. The
-/// schedule splits the opens into two Blocks so the second batch exercises
-/// delta validation against the first batch's watermarks.
-pub fn read_path_sample(objects: usize, txns: usize, batched: bool) -> ReadPathSample {
-    use acn_core::{BlockSeq, ExecStats, ExecutorConfig, ExecutorEngine, RetryPolicy};
-    use acn_dtm::Cluster;
-    use acn_txir::{DependencyModel, FieldId, ObjClass, ProgramBuilder, Value};
-
-    const ACCOUNT: ObjClass = ObjClass::new(1, "Account");
-    const BAL: FieldId = FieldId(0);
-    assert!(objects >= 2, "the ablation needs a multi-object read-set");
-
-    // audit+credit(objects): sum every account's balance, credit account 0.
-    let mut b = ProgramBuilder::new("bank/audit_credit", objects as u16);
-    let first = b.open_update(ACCOUNT, b.param(0));
-    let mut sum = b.get(first, BAL);
-    for i in 1..objects as u16 {
-        let acc = b.open_read(ACCOUNT, b.param(i));
-        let v = b.get(acc, BAL);
-        sum = b.add(sum, v);
-    }
-    let credited = b.add(sum, 1i64);
-    b.set(first, BAL, credited);
-    let dm = DependencyModel::analyze(b.finish()).unwrap();
-
-    // Two Blocks of objects/2 opens each: the second Block's batch ships
-    // only the validation delta past the first batch's watermark.
-    let half = dm.unit_count() / 2;
-    let groups = vec![
-        (0..half).collect::<Vec<_>>(),
-        (half..dm.unit_count()).collect(),
-    ];
-    let seq = BlockSeq::group_units(&dm, &groups);
-
-    let cluster = Cluster::start(acn_dtm::ClusterConfig::test(10, 1));
-    let mut client = cluster.client(0);
-    let engine = ExecutorEngine::with_config(
-        RetryPolicy::default(),
-        ExecutorConfig {
-            batched_reads: batched,
-            ..ExecutorConfig::default()
-        },
-    );
-    let net_before = cluster.net().stats();
-    let cli_before = client.stats();
-    let mut stats = ExecStats::default();
-    let params: Vec<Value> = (0..objects as i64).map(Value::Int).collect();
-    for _ in 0..txns {
-        engine
-            .run(&mut client, &dm.program, &params, &seq, &mut stats)
-            .expect("ablation transaction failed");
-    }
-    let net = cluster.net().stats().since(&net_before);
-    let cli = client.stats();
-    cluster.shutdown();
-    ReadPathSample {
-        messages_sent: net.sent,
-        bytes_sent: net.bytes_sent,
-        read_rounds: cli.remote_reads - cli_before.remote_reads,
-        validate_entries_sent: cli.validate_entries_sent - cli_before.validate_entries_sent,
-        commits: stats.commits,
-    }
-}
-
-/// Run and print the batched-vs-unbatched read-path ablation.
-pub fn print_read_path_ablation(objects: usize, txns: usize) {
-    println!("\n== read path ablation — {objects}-object Bank audit+credit × {txns} ==");
-    let unbatched = read_path_sample(objects, txns, false);
-    let batched = read_path_sample(objects, txns, true);
-    let row = |label: &str, s: &ReadPathSample| {
-        println!(
-            "{label:>10}: {:>6} msgs  {:>8} bytes  {:>5} read rounds  {:>6} validate entries",
-            s.messages_sent, s.bytes_sent, s.read_rounds, s.validate_entries_sent
-        );
-    };
-    row("unbatched", &unbatched);
-    row("batched", &batched);
-    println!(
-        "reduction: {:.1}x messages, {:.1}x read rounds, {:.1}x validate entries",
-        unbatched.messages_sent as f64 / batched.messages_sent.max(1) as f64,
-        unbatched.read_rounds as f64 / batched.read_rounds.max(1) as f64,
-        unbatched.validate_entries_sent as f64 / batched.validate_entries_sent.max(1) as f64,
-    );
+        Ok(Some(text))
+    })
 }
 
 #[cfg(test)]

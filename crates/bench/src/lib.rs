@@ -1,13 +1,9 @@
-//! # acn-bench — figure regeneration and benchmark support
+//! # acn-bench — the Figure-4 runner
 //!
-//! The [`figures`] module defines one specification per
-//! subplot of the paper's Figure 4 (workload, phase schedule, cluster
-//! shape) and a runner that executes all three systems (QR-DTM, QR-CN,
-//! QR-ACN) and prints the throughput-per-interval series next to the
-//! paper's reported improvements. The `figures` binary is the CLI front
-//! end; criterion micro-benchmarks live in `benches/`.
+//! The [`figures`] module defines one specification per subplot of the
+//! paper's Figure 4 (workload, phase schedule, cluster shape) and a runner
+//! that executes all three systems (QR-DTM, QR-CN, QR-ACN) and prints the
+//! throughput-per-interval series next to the paper's reported
+//! improvements. The `figures` binary is the CLI front end.
 
-pub mod batch_bench;
 pub mod figures;
-pub mod obs_bench;
-pub mod wal_bench;

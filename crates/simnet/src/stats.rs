@@ -122,25 +122,6 @@ impl NetStatsSnapshot {
             bytes_delivered
         ]
     };
-
-    /// Counter-wise difference `self - earlier` (saturating, so a stale
-    /// snapshot never underflows).
-    pub fn since(&self, earlier: &NetStatsSnapshot) -> NetStatsSnapshot {
-        NetStatsSnapshot {
-            sent: self.sent.saturating_sub(earlier.sent),
-            delivered: self.delivered.saturating_sub(earlier.delivered),
-            dropped_failed: self.dropped_failed.saturating_sub(earlier.dropped_failed),
-            dropped_closed: self.dropped_closed.saturating_sub(earlier.dropped_closed),
-            dropped_link: self.dropped_link.saturating_sub(earlier.dropped_link),
-            dropped_chaos: self.dropped_chaos.saturating_sub(earlier.dropped_chaos),
-            chaos_duplicated: self
-                .chaos_duplicated
-                .saturating_sub(earlier.chaos_duplicated),
-            chaos_delayed: self.chaos_delayed.saturating_sub(earlier.chaos_delayed),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            bytes_delivered: self.bytes_delivered.saturating_sub(earlier.bytes_delivered),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -161,21 +142,6 @@ mod tests {
         assert_eq!(snap.dropped_closed, 0);
         assert_eq!(snap.bytes_sent, 30);
         assert_eq!(snap.bytes_delivered, 10);
-    }
-
-    #[test]
-    fn since_differences_snapshots() {
-        let s = NetStats::default();
-        s.record_sent(5);
-        let a = s.snapshot();
-        s.record_sent(7);
-        s.record_delivered(7);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.sent, 1);
-        assert_eq!(d.delivered, 1);
-        assert_eq!(d.bytes_sent, 7);
-        assert_eq!(d.bytes_delivered, 7);
     }
 
     #[test]
@@ -200,15 +166,5 @@ mod tests {
             8 * NetStatsSnapshot::COUNTERS.len(),
             "a counter without its table entry"
         );
-    }
-
-    #[test]
-    fn since_saturates_on_reversed_order() {
-        let s = NetStats::default();
-        s.record_sent(1);
-        let later = s.snapshot();
-        let d = NetStatsSnapshot::default().since(&later);
-        assert_eq!(d.sent, 0);
-        assert_eq!(d.bytes_sent, 0);
     }
 }

@@ -331,3 +331,85 @@ fn every_read_round_costs_one_minimal_quorum_whichever_door_issued_it() {
         cluster.shutdown();
     }
 }
+
+/// `(messages sent, read rounds, validate entries shipped)` that one
+/// audit+credit transaction over `objects` accounts costs on 10 servers:
+/// sum every balance, credit the first account, in two Blocks of
+/// `objects / 2` opens each. Three runs must each cost exactly the same.
+/// The second value is the most bytes any run sent: byte counts are not
+/// exact, since encoded versions grow from one run to the next.
+fn audit_credit_cost(objects: usize, batched_reads: bool) -> ((u64, u64, u64), u64) {
+    const ACCOUNT: ObjClass = ObjClass::new(1, "Account");
+    const BAL: FieldId = FieldId(0);
+    let mut b = ProgramBuilder::new("bank/audit_credit", objects as u16);
+    let first = b.open_update(ACCOUNT, b.param(0));
+    let mut sum = b.get(first, BAL);
+    for i in 1..objects as u16 {
+        let acc = b.open_read(ACCOUNT, b.param(i));
+        let v = b.get(acc, BAL);
+        sum = b.add(sum, v);
+    }
+    let credited = b.add(sum, 1i64);
+    b.set(first, BAL, credited);
+    let dm = DependencyModel::analyze(b.finish()).unwrap();
+    let half = dm.unit_count() / 2;
+    let groups = [
+        (0..half).collect::<Vec<_>>(),
+        (half..dm.unit_count()).collect(),
+    ];
+    let seq = BlockSeq::group_units(&dm, &groups);
+
+    let cluster = Cluster::start(ClusterConfig::test(10, 1));
+    let mut client = cluster.client(0);
+    let engine = ExecutorEngine::with_config(
+        RetryPolicy::default(),
+        ExecutorConfig {
+            batched_reads,
+            ..ExecutorConfig::default()
+        },
+    );
+    let params: Vec<Value> = (0..objects as i64).map(Value::Int).collect();
+    let (mut costs, mut bytes) = (Vec::new(), 0);
+    for _ in 0..3 {
+        let (net, before) = (cluster.net().stats(), client.stats());
+        let (reads, _) = rounds(&engine, &mut client, &dm, &params, &seq);
+        let after = cluster.net().stats();
+        bytes = bytes.max(after.bytes_sent - net.bytes_sent);
+        costs.push((
+            after.sent - net.sent,
+            reads,
+            client.stats().validate_entries_sent - before.validate_entries_sent,
+        ));
+    }
+    cluster.shutdown();
+    assert!(costs.windows(2).all(|w| w[0] == w[1]), "{costs:?}");
+    (costs[0], bytes)
+}
+
+#[test]
+fn wide_audit_costs_one_read_round_and_no_revalidation_when_batched() {
+    // Read quorum 4, write quorum 7 on 10 servers: a read round is 8
+    // messages, prepare + commit 28. Unbatched, the i-th open revalidates
+    // the i entries before it at each of the 4 members: 4 × (0 + … + 7).
+    let (unbatched, unbatched_bytes) = audit_credit_cost(8, false);
+    assert_eq!(unbatched, (92, 8, 112));
+    // Batched, the speculative fetch reads all 8 accounts in one round, so
+    // the second Block has nothing new to validate.
+    let (batched, batched_bytes) = audit_credit_cost(8, true);
+    assert_eq!(batched, (36, 1, 0));
+    // Fewer messages and no revalidation entries also mean fewer bytes.
+    assert!(
+        batched_bytes < unbatched_bytes,
+        "batching must shrink bytes: {batched_bytes} vs {unbatched_bytes}"
+    );
+}
+
+#[test]
+fn unbatched_revalidation_grows_quadratically_and_batched_ships_none() {
+    // 4 × n(n-1)/2 entries unbatched: doubling the read-set from 6 to 12
+    // multiplies them by 4.4; the batched arm stays at one round and zero.
+    assert_eq!(audit_credit_cost(6, false).0, (76, 6, 60));
+    assert_eq!(audit_credit_cost(12, false).0, (124, 12, 264));
+    assert_eq!(audit_credit_cost(6, true).0, (36, 1, 0));
+    assert_eq!(audit_credit_cost(12, true).0, (36, 1, 0));
+}
