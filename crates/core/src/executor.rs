@@ -9,7 +9,7 @@
 
 use crate::blocks::BlockSeq;
 use acn_dtm::{AbortScope, DtmClient, DtmError, SpecCache, TxnCtx};
-use acn_obs::{AbortKind, ExecStats, SpanKind, TxnEvent, TxnObserver};
+use acn_obs::{AbortKind, ExecStats, SpanKind, TxnEvent};
 use acn_txir::{
     AccessMode, AccessSummary, EvalError, ObjectId, Operand, PredictedRead, Program, Stmt, StmtIdx,
     Value, VarId,
@@ -17,20 +17,13 @@ use acn_txir::{
 use std::time::Duration;
 
 /// Where a run reports what happened: the event is the only thing a site
-/// produces. The counters are derived from it, and so is the observer's
-/// attribution when one is attached, so the two cannot disagree.
-struct Sink<'a> {
-    stats: &'a mut ExecStats,
-    obs: Option<&'a mut TxnObserver>,
-}
-
-impl Sink<'_> {
-    #[inline]
-    fn emit(&mut self, ev: TxnEvent) {
-        self.stats.on_event(ev);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.on_event(ev);
-        }
+/// produces, handed once to the counters and once to the client's
+/// observer when one is installed, so no two views can disagree.
+#[inline]
+fn emit(stats: &mut ExecStats, client: &mut DtmClient, ev: TxnEvent) {
+    stats.on_event(ev);
+    if let Some(o) = client.observer_mut() {
+        o.on_event(ev);
     }
 }
 
@@ -74,21 +67,12 @@ pub struct ExecutorConfig {
     /// arm the ablations compare against — one read round per open, each
     /// re-validating the full read-set; no cache, no blind opens.
     pub batched_reads: bool,
-    /// The transaction runs under the batch scheduler's conflict-graph
-    /// speculation: dynamic conflicts are mis-speculations (the static
-    /// access sets missed them), so the conflict-driven abort sites emit
-    /// [`AbortKind::SpecPartial`] / [`AbortKind::SpecFull`] instead of the
-    /// ordinary contention kinds. Counters are untouched — only the
-    /// attribution label changes, so the exactness invariant holds in both
-    /// modes. Off by default (closed-loop execution).
-    pub speculation: bool,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             batched_reads: true,
-            speculation: false,
         }
     }
 }
@@ -489,13 +473,13 @@ impl ExecutorEngine {
         seq: &BlockSeq,
         stats: &mut ExecStats,
     ) -> Result<(), RunError> {
-        self.run_with(client, program, params, seq, stats, RunOpts::default())
+        self.run_with(client, program, params, seq, stats, None)
     }
 
-    /// [`ExecutorEngine::run`] with options: an observer and/or the batch
-    /// scheduler's predictions (see [`RunOpts`]). Every event of the run
-    /// feeds `stats` and the observer alike, so the observer's attribution
-    /// table reconciles against `stats` to the unit
+    /// [`ExecutorEngine::run`] under the batch scheduler's predictions
+    /// (see [`Prediction`]), when given. Every event of the run feeds
+    /// `stats` and the client's observer alike, so the observer's
+    /// attribution table reconciles against `stats` to the unit
     /// (`total_of(EXECUTOR_KINDS) == full + partial + locked`). The run is
     /// not timed here: a caller that wants the end-to-end latency (retries
     /// and backoff included) reads the clock around the call.
@@ -506,7 +490,7 @@ impl ExecutorEngine {
         params: &[Value],
         seq: &BlockSeq,
         stats: &mut ExecStats,
-        opts: RunOpts<'_>,
+        prediction: Option<Prediction<'_>>,
     ) -> Result<(), RunError> {
         assert_eq!(
             params.len(),
@@ -524,10 +508,7 @@ impl ExecutorEngine {
             seq,
         };
         let mut run = RunState {
-            sink: Sink {
-                stats,
-                obs: opts.obs,
-            },
+            stats,
             reads: self
                 .config
                 .batched_reads
@@ -535,7 +516,7 @@ impl ExecutorEngine {
             // Predictions persist across attempts: a prediction dropped
             // after a mispredict stays dropped, so a restarted attempt
             // cannot trip over the same wrong value again.
-            preds: opts.prediction.map(|p| PredState {
+            preds: prediction.map(|p| PredState {
                 active: p.preds.to_vec(),
                 outcome: p.outcome,
             }),
@@ -546,9 +527,8 @@ impl ExecutorEngine {
         loop {
             match self.attempt(client, &inst, &mut run) {
                 Ok(()) => {
-                    run.sink.emit(TxnEvent::Commit {
-                        restarts: restarts as u32,
-                    });
+                    let restarts = restarts as u32;
+                    emit(run.stats, client, TxnEvent::Commit { restarts });
                     return Ok(());
                 }
                 Err(AttemptError::Restart) => {
@@ -566,7 +546,7 @@ impl ExecutorEngine {
                     // quorum; back off (the window is typically much longer
                     // than a conflict) and restart the attempt from scratch.
                     unavailable += 1;
-                    run.sink.emit(TxnEvent::UnavailableRetry);
+                    emit(run.stats, client, TxnEvent::UnavailableRetry);
                     let cap = jitter_cap(self.policy.backoff_base.saturating_mul(8), unavailable);
                     client.pause(SpanKind::Backoff, Duration::ZERO, cap);
                 }
@@ -574,16 +554,6 @@ impl ExecutorEngine {
             }
         }
     }
-}
-
-/// Options of one [`ExecutorEngine::run_with`] call. The default — no
-/// observer, no predictions — is a plain [`ExecutorEngine::run`].
-#[derive(Default)]
-pub struct RunOpts<'a> {
-    /// Records the run's structured events and abort attribution.
-    pub obs: Option<&'a mut TxnObserver>,
-    /// Runs the instance under batch-scheduler predictions.
-    pub prediction: Option<Prediction<'a>>,
 }
 
 /// The batch scheduler's predictions for one instance. Each
@@ -597,6 +567,12 @@ pub struct RunOpts<'a> {
 /// value reported through `outcome` so the coordinator's predictor can
 /// resynchronize. Aliased opens degrade the run to flat program order
 /// ([`AbortKind::AliasedOpen`]) and are counted there too.
+///
+/// A predicted run is a scheduled one: a conflict the wave's ordering
+/// missed is a mis-speculation, so the conflict-driven abort sites emit
+/// [`AbortKind::SpecPartial`] / [`AbortKind::SpecFull`] instead of the
+/// ordinary contention kinds. Only the attribution label changes, so the
+/// exactness invariant holds either way.
 pub struct Prediction<'a> {
     /// Counter reads the wave was ordered by.
     pub preds: &'a [PredictedRead],
@@ -626,7 +602,7 @@ struct PredState<'a> {
 
 /// What one run carries from attempt to attempt.
 struct RunState<'a> {
-    sink: Sink<'a>,
+    stats: &'a mut ExecStats,
     reads: Option<SpecReads<'a>>,
     preds: Option<PredState<'a>>,
     /// An aliased open voided the schedule: every later attempt runs the
@@ -657,7 +633,7 @@ impl ExecutorEngine {
             params,
             seq,
         } = *inst;
-        run.sink.emit(TxnEvent::Begin);
+        emit(run.stats, client, TxnEvent::Begin);
         let mut ctx = TxnCtx::begin(client);
         let mut frame = Frame::new(program, params);
 
@@ -677,7 +653,7 @@ impl ExecutorEngine {
 
         match ctx.commit(client) {
             Ok(()) => Ok(()),
-            Err(e) => Err(self.step_error(StepError::Dtm(e), None, run)),
+            Err(e) => Err(self.step_error(client, StepError::Dtm(e), None, run)),
         }
     }
 
@@ -702,14 +678,15 @@ impl ExecutorEngine {
                 // No Block scope to repair from — full restart, with the
                 // prediction dropped and fed back.
                 run.mispredicted(pred, observed);
-                run.sink.emit(TxnEvent::FullAbort {
+                let ev = TxnEvent::FullAbort {
                     block: None,
                     obj: Some(pred.obj),
                     kind: AbortKind::SpecMispredict,
-                });
+                };
+                emit(run.stats, client, ev);
                 Err(AttemptError::Restart)
             }
-            Err(e) => Err(self.step_error(e, None, run)),
+            Err(e) => Err(self.step_error(client, e, None, run)),
         }
     }
 
@@ -728,10 +705,7 @@ impl ExecutorEngine {
             let bi = bi as u32;
             let mut partial_tries = 0usize;
             loop {
-                run.sink.emit(TxnEvent::BlockStart { block: bi });
-                if let Some(t) = client.tracer_mut() {
-                    t.block_start(bi);
-                }
+                emit(run.stats, client, TxnEvent::BlockStart { block: bi });
                 // Everything the Block opens — from the cache, blind or
                 // remotely — is read inside the scope, so a later invalidation
                 // of it rolls back only this Block.
@@ -739,30 +713,23 @@ impl ExecutorEngine {
                 let e = match run_body(client, frame, inst.program, block, ctx, Some(bi), run) {
                     Ok(()) => {
                         ctx.commit_block();
-                        if let Some(t) = client.tracer_mut() {
-                            t.block_end(false);
-                        }
+                        emit(run.stats, client, TxnEvent::BlockCommit { block: bi });
                         break;
                     }
                     Err(e) => e,
                 };
-                // Every error path abandons this Block run — whether it retries
-                // the Block, escalates, or surfaces a fatal error — so the open
-                // Block span always closes as rolled back.
-                if let Some(t) = client.tracer_mut() {
-                    t.block_end(true);
-                }
                 let (blamed, kind, refetch) = match e {
                     StepError::Aliased { obj } => {
                         // The distinct-objects assumption behind Block
                         // reordering is void for this instance: full abort,
                         // then re-run the whole transaction as a flat
                         // program-order sequence where aliasing is harmless.
-                        run.sink.emit(TxnEvent::FullAbort {
+                        let ev = TxnEvent::FullAbort {
                             block: Some(bi),
                             obj: Some(obj),
                             kind: AbortKind::AliasedOpen,
-                        });
+                        };
+                        emit(run.stats, client, ev);
                         run.forced_flat = true;
                         if let Some(p) = run.preds.as_mut() {
                             p.outcome.aliased += 1;
@@ -780,7 +747,7 @@ impl ExecutorEngine {
                             .reads
                             .as_mut()
                             .map_or_else(Vec::new, |r| r.invalidated(objs));
-                        let kind = if self.config.speculation {
+                        let kind = if run.preds.is_some() {
                             AbortKind::SpecPartial
                         } else {
                             AbortKind::Partial
@@ -796,22 +763,24 @@ impl ExecutorEngine {
                         run.mispredicted(pred, observed);
                         (Some(pred.obj), AbortKind::SpecMispredict, Vec::new())
                     }
-                    e => return Err(self.step_error(e, Some(bi), run)),
+                    e => return Err(self.step_error(client, e, Some(bi), run)),
                 };
                 ctx.abort_block();
-                run.sink.emit(TxnEvent::PartialAbort {
+                let ev = TxnEvent::PartialAbort {
                     block: bi,
                     obj: blamed,
                     kind,
-                });
+                };
+                emit(run.stats, client, ev);
                 partial_tries += 1;
                 if partial_tries >= self.policy.max_partial_retries {
                     // Livelocked Block: escalate.
-                    run.sink.emit(TxnEvent::FullAbort {
+                    let ev = TxnEvent::FullAbort {
                         block: Some(bi),
                         obj: blamed,
                         kind: AbortKind::Escalated,
-                    });
+                    };
+                    emit(run.stats, client, ev);
                     return Err(AttemptError::Restart);
                 }
                 // One round brings back what was evicted; if it finds the
@@ -838,21 +807,25 @@ impl ExecutorEngine {
         match ctx.fetch_spec(client, objs) {
             Ok(fresh) => {
                 if !fresh.is_empty() {
-                    run.sink.emit(TxnEvent::BatchedRead {
-                        block,
-                        objs: fresh.len() as u32,
-                    });
+                    let objs = fresh.len() as u32;
+                    emit(run.stats, client, TxnEvent::BatchedRead { block, objs });
                 }
                 r.cache.absorb(fresh);
                 Ok(())
             }
-            Err(e) => Err(self.step_error(StepError::Dtm(e), None, run)),
+            Err(e) => Err(self.step_error(client, StepError::Dtm(e), None, run)),
         }
     }
 
     /// Map a step (or commit) error to its retry decision, emitting the
     /// matching abort event.
-    fn step_error(&self, e: StepError, block: Option<u32>, run: &mut RunState<'_>) -> AttemptError {
+    fn step_error(
+        &self,
+        client: &mut DtmClient,
+        e: StepError,
+        block: Option<u32>,
+        run: &mut RunState<'_>,
+    ) -> AttemptError {
         match e {
             StepError::Dtm(DtmError::Invalidated { objs }) => {
                 // Invalidated blind opens (the presumed-absent object
@@ -861,23 +834,25 @@ impl ExecutorEngine {
                 if let Some(r) = run.reads.as_mut() {
                     r.invalidated(&objs);
                 }
-                run.sink.emit(TxnEvent::FullAbort {
+                let ev = TxnEvent::FullAbort {
                     block,
                     obj: objs.first().copied(),
-                    kind: if self.config.speculation {
+                    kind: if run.preds.is_some() {
                         AbortKind::SpecFull
                     } else {
                         AbortKind::ReadInvalid
                     },
-                });
+                };
+                emit(run.stats, client, ev);
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::LockedOut { obj }) => {
-                run.sink.emit(TxnEvent::FullAbort {
+                let ev = TxnEvent::FullAbort {
                     block,
                     obj: Some(obj),
                     kind: AbortKind::LockedOut,
-                });
+                };
+                emit(run.stats, client, ev);
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::Conflict {
@@ -902,18 +877,19 @@ impl ExecutorEngine {
                     AbortKind::SyncRefused
                 } else if wal_refused && invalid.is_empty() && locked.is_empty() {
                     AbortKind::WalRefused
-                } else if self.config.speculation {
+                } else if run.preds.is_some() {
                     AbortKind::SpecFull
                 } else {
                     AbortKind::CommitConflict
                 };
-                run.sink.emit(TxnEvent::FullAbort {
+                let ev = TxnEvent::FullAbort {
                     block,
                     // Stale reads outrank lock conflicts for blame; a
                     // pure lock conflict blames the locked object.
                     obj: invalid.first().or_else(|| locked.first()).copied(),
                     kind,
-                });
+                };
+                emit(run.stats, client, ev);
                 AttemptError::Restart
             }
             StepError::Dtm(DtmError::Unavailable) => AttemptError::Fatal(RunError::Unavailable),
@@ -958,14 +934,15 @@ fn run_body(
     };
     if let Some(r) = run.reads.as_mut() {
         for objs in r.late_rounds.drain(..) {
-            run.sink.emit(TxnEvent::BatchedRead { block, objs });
+            emit(run.stats, client, TxnEvent::BatchedRead { block, objs });
         }
     }
     if lock_holds > 0 {
-        run.sink.emit(TxnEvent::LockHolds {
+        let ev = TxnEvent::LockHolds {
             block,
             holds: lock_holds,
-        });
+        };
+        emit(run.stats, client, ev);
     }
     result
 }
@@ -981,7 +958,9 @@ mod tests {
     use super::*;
     use crate::blocks::BlockSeq;
     use acn_dtm::{Cluster, ClusterConfig};
+    use acn_obs::{Span, Tracer, TxnObserver, FLAG_COMMITTED, FLAG_ROLLED_BACK};
     use acn_txir::{ComputeOp, DependencyModel, FieldId, ObjClass, ProgramBuilder};
+    use std::time::Instant;
 
     const ACCOUNT: ObjClass = ObjClass::new(1, "Account");
     const BAL: FieldId = FieldId(0);
@@ -1230,7 +1209,6 @@ mod tests {
             RetryPolicy::default(),
             ExecutorConfig {
                 batched_reads: false,
-                ..ExecutorConfig::default()
             },
         );
         let mut stats = ExecStats::default();
@@ -1529,49 +1507,127 @@ mod tests {
         assert_eq!(jitter_cap(Duration::ZERO, 7), Duration::ZERO);
     }
 
+    /// Run `f` with an observer and a span tracer installed on `client`,
+    /// inside one traced transaction that `f` reports committed or not;
+    /// hand back the spans and the observer.
+    fn traced(
+        client: &mut DtmClient,
+        f: impl FnOnce(&mut DtmClient) -> bool,
+    ) -> (Vec<Span>, TxnObserver) {
+        let mut tracer = Tracer::new(Instant::now(), 0, 0, 1024);
+        tracer.start_txn(0);
+        client.set_observer(TxnObserver {
+            spans: Some(tracer),
+            ..TxnObserver::default()
+        });
+        let committed = f(client);
+        let mut obs = client.take_observer().expect("installed");
+        let mut tracer = obs.spans.take().expect("installed");
+        tracer.end_txn(committed);
+        (tracer.drain().0, obs)
+    }
+
     #[test]
     fn observed_run_records_commits_and_reads() {
-        use acn_obs::{TxnEvent, TxnObserver};
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
         let dm = transfer_model();
-        let engine = ExecutorEngine::default();
-        let mut stats = ExecStats::default();
-        let mut obs = TxnObserver::default();
         let seq = BlockSeq::from_units(&dm);
-        engine
-            .run_with(
-                &mut client,
-                &dm.program,
-                &[Value::Int(1), Value::Int(2), Value::Int(30)],
-                &seq,
-                &mut stats,
-                RunOpts {
-                    obs: Some(&mut obs),
-                    ..RunOpts::default()
-                },
-            )
-            .unwrap();
-        let events: Vec<&TxnEvent> = obs.trace.iter().collect();
-        assert!(matches!(events.first(), Some(TxnEvent::Begin)));
-        assert!(matches!(events.last(), Some(TxnEvent::Commit { .. })));
-        let blocks = events
-            .iter()
-            .filter(|e| matches!(e, TxnEvent::BlockStart { .. }))
-            .count();
-        assert_eq!(blocks, 2, "one BlockStart per Block of the schedule");
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, TxnEvent::BatchedRead { .. })),
-            "prefetchable opens must show up as batched-read rounds"
+        let (spans, obs) = traced(&mut client, |client| {
+            let params = [Value::Int(1), Value::Int(2), Value::Int(30)];
+            let mut stats = ExecStats::default();
+            ExecutorEngine::default()
+                .run(client, &dm.program, &params, &seq, &mut stats)
+                .is_ok()
+        });
+        let work = obs.work.snapshot();
+        assert_eq!(work.committed.blocks, 2, "one Block run per Block");
+        assert_eq!(
+            work.committed.read_rounds, 1,
+            "prefetchable opens must show up as one batched-read round"
         );
+        assert!(work.discarded().is_zero());
+        let count = |kind| spans.iter().filter(|s| s.kind == kind).count();
+        assert_eq!(count(SpanKind::Txn), 1);
+        assert_eq!(count(SpanKind::Attempt), 1);
+        assert_eq!(count(SpanKind::Block), 2);
+        assert_eq!(count(SpanKind::ReadRound), 1);
+        assert!(spans
+            .iter()
+            .filter(|s| matches!(s.kind, SpanKind::Txn | SpanKind::Attempt))
+            .all(|s| s.flags == FLAG_COMMITTED));
+        cluster.shutdown();
+    }
+
+    /// The span tree of a two-Block transfer whose first Block is forced
+    /// to roll back once: the rolled-back run, then the committed one, then
+    /// Block 1 — each closed before the attempt's prepare round opens —
+    /// and commit-phase rounds outside any Block.
+    #[test]
+    fn block_spans_follow_the_events_of_a_partially_rolled_back_transfer() {
+        use acn_txir::PredictedRead;
+        let cluster = Cluster::start(ClusterConfig::test(4, 1));
+        let mut client = cluster.client(0);
+        let dm = transfer_model();
+        let seq = BlockSeq::from_units(&dm);
+        // A wrong prediction for Block 0's balance read forces exactly one
+        // partial rollback of Block 0.
+        let pred = PredictedRead {
+            obj: ObjectId::new(ACCOUNT, 1),
+            field: BAL,
+            value: 999,
+            delta: -5,
+        };
+        let (spans, obs) = traced(&mut client, |client| {
+            let mut outcome = PredictionOutcome::default();
+            let prediction = Prediction {
+                preds: &[pred],
+                outcome: &mut outcome,
+            };
+            let params = [Value::Int(1), Value::Int(2), Value::Int(5)];
+            let mut stats = ExecStats::default();
+            ExecutorEngine::default()
+                .run_with(
+                    client,
+                    &dm.program,
+                    &params,
+                    &seq,
+                    &mut stats,
+                    Some(prediction),
+                )
+                .is_ok()
+        });
+        assert_eq!(obs.aborts.total_of(&[AbortKind::SpecMispredict]), 1);
+        let attempt = spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Attempt)
+            .expect("one attempt");
+        let blocks: Vec<&Span> = spans.iter().filter(|s| s.kind == SpanKind::Block).collect();
+        let shape: Vec<(i32, u32)> = blocks.iter().map(|s| (s.block, s.flags)).collect();
+        assert_eq!(shape, [(0, FLAG_ROLLED_BACK), (0, 0), (1, 0)]);
+        assert!(blocks.iter().all(|b| b.parent == attempt.id));
+        let prepare = spans
+            .iter()
+            .find(|s| s.kind == SpanKind::PrepareRound)
+            .expect("an update transaction prepares");
+        for b in &blocks {
+            assert!(
+                b.start_ns + b.dur_ns <= prepare.start_ns,
+                "Block {} still open when the prepare round opened",
+                b.block
+            );
+        }
+        for kind in [SpanKind::PrepareRound, SpanKind::CommitRound] {
+            let round = spans.iter().find(|s| s.kind == kind).expect("2PC round");
+            assert_eq!(round.block, -1, "{kind} is outside every Block");
+            assert_eq!(round.parent, attempt.id);
+        }
         cluster.shutdown();
     }
 
     #[test]
     fn observed_contention_attribution_matches_stats() {
-        use acn_obs::{AbortKind, TxnObserver};
+        use acn_obs::AbortKind;
         // Hammer one hot account from 4 threads so aborts actually happen,
         // then check the invariant the whole layer is built around: one
         // attributed event per stats increment.
@@ -1586,11 +1642,11 @@ mod tests {
                         let engine = ExecutorEngine::default();
                         let seq = BlockSeq::from_units(&dm);
                         let mut stats = ExecStats::default();
-                        let mut obs = TxnObserver::default();
+                        client.set_observer(TxnObserver::default());
                         for k in 0..25u64 {
                             let from = (t as u64 + k) % 2;
                             engine
-                                .run_with(
+                                .run(
                                     &mut client,
                                     &dm.program,
                                     &[
@@ -1600,14 +1656,10 @@ mod tests {
                                     ],
                                     &seq,
                                     &mut stats,
-                                    RunOpts {
-                                        obs: Some(&mut obs),
-                                        ..RunOpts::default()
-                                    },
                                 )
                                 .unwrap();
                         }
-                        (stats, obs)
+                        (stats, client.take_observer().expect("installed"))
                     })
                 })
                 .map(|h| h.join().unwrap())
@@ -1631,7 +1683,7 @@ mod tests {
 
     #[test]
     fn aliased_open_degrades_to_flat_and_still_commits() {
-        use acn_obs::{AbortKind, TxnObserver};
+        use acn_obs::AbortKind;
         // Deliberately alias: transfer(1, 1, 30) opens ACCOUNT 1 through
         // two different handles. The nested schedule must detect the alias
         // at the second open, abort once with AliasedOpen, and re-run the
@@ -1654,20 +1706,17 @@ mod tests {
         let seq = BlockSeq::from_units(&dm);
         assert_eq!(seq.len(), 2);
         let mut stats = ExecStats::default();
-        let mut obs = TxnObserver::default();
+        client.set_observer(TxnObserver::default());
         engine
-            .run_with(
+            .run(
                 &mut client,
                 &dm.program,
                 &[Value::Int(1), Value::Int(1), Value::Int(30)],
                 &seq,
                 &mut stats,
-                RunOpts {
-                    obs: Some(&mut obs),
-                    ..RunOpts::default()
-                },
             )
             .unwrap();
+        let obs = client.take_observer().expect("installed");
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.full_aborts, 1, "exactly one aliased-open abort");
         assert_eq!(stats.partial_aborts, 0);
@@ -1704,7 +1753,6 @@ mod tests {
 
     #[test]
     fn correct_prediction_validates_silently() {
-        use acn_obs::TxnObserver;
         use acn_txir::PredictedRead;
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
@@ -1719,7 +1767,6 @@ mod tests {
             value: 0,
             delta: 10,
         };
-        let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
         engine
             .run_with(
@@ -1728,13 +1775,10 @@ mod tests {
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
                 &mut stats,
-                RunOpts {
-                    obs: Some(&mut obs),
-                    prediction: Some(Prediction {
-                        preds: &[pred],
-                        outcome: &mut outcome,
-                    }),
-                },
+                Some(Prediction {
+                    preds: &[pred],
+                    outcome: &mut outcome,
+                }),
             )
             .unwrap();
         assert_eq!(stats.commits, 1);
@@ -1747,7 +1791,7 @@ mod tests {
 
     #[test]
     fn nested_mispredict_repairs_by_partial_rollback() {
-        use acn_obs::{AbortKind, TxnObserver};
+        use acn_obs::AbortKind;
         use acn_txir::PredictedRead;
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
@@ -1763,8 +1807,8 @@ mod tests {
             delta: -5,
         };
         let mut stats = ExecStats::default();
-        let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
+        client.set_observer(TxnObserver::default());
         engine
             .run_with(
                 &mut client,
@@ -1772,15 +1816,13 @@ mod tests {
                 &[Value::Int(1), Value::Int(2), Value::Int(5)],
                 &BlockSeq::from_units(&dm),
                 &mut stats,
-                RunOpts {
-                    obs: Some(&mut obs),
-                    prediction: Some(Prediction {
-                        preds: &[pred],
-                        outcome: &mut outcome,
-                    }),
-                },
+                Some(Prediction {
+                    preds: &[pred],
+                    outcome: &mut outcome,
+                }),
             )
             .unwrap();
+        let obs = client.take_observer().expect("installed");
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.partial_aborts, 1, "repaired from the Block");
         assert_eq!(stats.full_aborts, 0, "no full restart needed");
@@ -1796,7 +1838,7 @@ mod tests {
 
     #[test]
     fn flat_mispredict_restarts_once() {
-        use acn_obs::{AbortKind, TxnObserver};
+        use acn_obs::AbortKind;
         use acn_txir::PredictedRead;
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
@@ -1809,8 +1851,8 @@ mod tests {
             delta: 10,
         };
         let mut stats = ExecStats::default();
-        let mut obs = TxnObserver::default();
         let mut outcome = PredictionOutcome::default();
+        client.set_observer(TxnObserver::default());
         engine
             .run_with(
                 &mut client,
@@ -1818,15 +1860,13 @@ mod tests {
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
                 &mut stats,
-                RunOpts {
-                    obs: Some(&mut obs),
-                    prediction: Some(Prediction {
-                        preds: &[pred],
-                        outcome: &mut outcome,
-                    }),
-                },
+                Some(Prediction {
+                    preds: &[pred],
+                    outcome: &mut outcome,
+                }),
             )
             .unwrap();
+        let obs = client.take_observer().expect("installed");
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.full_aborts, 1, "flat arm restarts on mispredict");
         assert_eq!(obs.aborts.total_of(&[AbortKind::SpecMispredict]), 1);
@@ -1924,7 +1964,6 @@ mod tests {
 
     #[test]
     fn wrong_absent_presumption_demotes_and_retries() {
-        use acn_obs::TxnObserver;
         let cluster = Cluster::start(ClusterConfig::test(4, 1));
         let mut client = cluster.client(0);
         let dep = deposit_model();
@@ -1944,21 +1983,18 @@ mod tests {
             )
             .unwrap();
         let mut stats = ExecStats::default();
-        let mut obs = TxnObserver::default();
         let reads_before = client.stats().remote_reads;
+        client.set_observer(TxnObserver::default());
         engine
-            .run_with(
+            .run(
                 &mut client,
                 &dm.program,
                 &[Value::Int(7), Value::Int(10)],
                 &BlockSeq::flat(&dm),
                 &mut stats,
-                RunOpts {
-                    obs: Some(&mut obs),
-                    ..RunOpts::default()
-                },
             )
             .unwrap();
+        let obs = client.take_observer().expect("installed");
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.full_aborts, 1, "one commit-time rejection");
         assert_eq!(
@@ -2049,7 +2085,6 @@ mod tests {
     #[test]
     fn rolled_back_block_refetches_the_copy_that_invalidated_it() {
         use acn_dtm::{ClientConfig, Msg, TxnId};
-        use acn_obs::TxnObserver;
         use acn_simnet::NodeId;
         // Block 0 opens the head (fetched at attempt start, so cached) and
         // chases its balance to a tail object the plan cannot resolve — a
@@ -2117,21 +2152,17 @@ mod tests {
             let runner = s.spawn(|| {
                 let mut client = cluster.client(0);
                 let mut stats = ExecStats::default();
-                let mut obs = TxnObserver::default();
+                client.set_observer(TxnObserver::default());
                 ExecutorEngine::default()
-                    .run_with(
+                    .run(
                         &mut client,
                         &dm.program,
                         &[Value::Int(8), Value::Int(3)],
                         &seq,
                         &mut stats,
-                        RunOpts {
-                            obs: Some(&mut obs),
-                            ..RunOpts::default()
-                        },
                     )
                     .unwrap();
-                (stats, obs)
+                (stats, client.take_observer().expect("installed"))
             });
             // The runner cannot get past the locked tail, so once it has
             // sent far more than its initial round it is retrying there.

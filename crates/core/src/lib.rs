@@ -47,7 +47,7 @@ pub use contention_model::{AbortProbabilityModel, ContentionModel, MaxModel, Sum
 pub use controller::{AcnController, ControllerConfig, SamplingMode};
 pub use dynamic_module::DynamicModule;
 pub use executor::{
-    ExecutorConfig, ExecutorEngine, Prediction, PredictionOutcome, RetryPolicy, RunError, RunOpts,
+    ExecutorConfig, ExecutorEngine, Prediction, PredictionOutcome, RetryPolicy, RunError,
 };
 pub use scheduler::{
     conflicts, conflicts_with, plan_wave, plan_wave_with, InexactPolicy, WavePlan, WaveStats,

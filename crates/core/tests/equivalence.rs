@@ -206,13 +206,8 @@ fn final_state(
         }
         ctx.commit(&mut client).unwrap();
     }
-    let engine = ExecutorEngine::with_config(
-        RetryPolicy::default(),
-        ExecutorConfig {
-            batched_reads,
-            ..ExecutorConfig::default()
-        },
-    );
+    let engine =
+        ExecutorEngine::with_config(RetryPolicy::default(), ExecutorConfig { batched_reads });
     let mut stats = ExecStats::default();
     let reads_before = client.stats().remote_reads;
     engine

@@ -14,7 +14,7 @@ use crate::coordinator::{
 use crate::error::DtmError;
 use crate::history::HistoryLog;
 use crate::messages::{Msg, TxnId, ValidateEntry, Version};
-use acn_obs::{PendingSpan, SpanKind, Tracer};
+use acn_obs::{PendingSpan, SpanKind, Tracer, TxnObserver};
 use acn_quorum::LevelQuorums;
 use acn_simnet::{Endpoint, Network, NodeId};
 use acn_txir::{ObjectId, ObjectVal};
@@ -110,10 +110,10 @@ pub struct DtmClient {
     net: Network<Msg>,
     /// The protocol state the operations run on.
     co: Coordinator,
-    /// Span tracer: when installed *and* a transaction trace is open,
-    /// quorum rounds become spans and requests ship wrapped in
+    /// The worker's observer. When its span tracer has a transaction
+    /// trace open, quorum rounds become spans and requests ship wrapped in
     /// [`Msg::Traced`] so servers can parent their own spans to the round.
-    tracer: Option<Box<Tracer>>,
+    observer: Option<Box<TxnObserver>>,
 }
 
 impl DtmClient {
@@ -128,7 +128,7 @@ impl DtmClient {
             co: Coordinator::new(endpoint.id(), quorums, cfg),
             endpoint,
             net,
-            tracer: None,
+            observer: None,
         }
     }
 
@@ -144,22 +144,24 @@ impl DtmClient {
         self.co.set_history(history);
     }
 
-    /// Install a span tracer. The client records one round span per quorum
-    /// RPC broadcast and one lock-wait span per locked-read backoff —
-    /// but only while the tracer has an open transaction, so seeding and
-    /// contention-query traffic stays untraced and unwrapped.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(Box::new(tracer));
+    /// Install the worker's observer: the executor hands it every event
+    /// of the transactions run on this client. With a span tracer in it,
+    /// the client also records one round span per quorum RPC broadcast and
+    /// one wait span per backoff — but only while the tracer has an open
+    /// transaction, so seeding and contention-query traffic stays
+    /// untraced and unwrapped.
+    pub fn set_observer(&mut self, observer: TxnObserver) {
+        self.observer = Some(Box::new(observer));
     }
 
-    /// The installed tracer, for the executor's transaction/Block hooks.
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_deref_mut()
+    /// The installed observer.
+    pub fn observer_mut(&mut self) -> Option<&mut TxnObserver> {
+        self.observer.as_deref_mut()
     }
 
-    /// Remove and return the tracer (drained by the driver at run end).
-    pub fn take_tracer(&mut self) -> Option<Tracer> {
-        self.tracer.take().map(|b| *b)
+    /// Remove and return the observer (merged by the driver at run end).
+    pub fn take_observer(&mut self) -> Option<TxnObserver> {
+        self.observer.take().map(|b| *b)
     }
 
     /// Piggyback a contention sample of `classes` on every subsequent
@@ -180,14 +182,8 @@ impl DtmClient {
         self.endpoint.id()
     }
 
-    /// Start a transaction: allocate its globally unique id. Each call is
-    /// one execution attempt, so the tracer opens an attempt span here
-    /// (closing the previous one as rolled back if the last attempt never
-    /// finished — that is what a full restart looks like).
+    /// Start a transaction: allocate its globally unique id.
     pub fn begin(&mut self) -> TxnId {
-        if let Some(t) = self.tracer.as_mut() {
-            t.begin_attempt();
-        }
         self.co.begin()
     }
 
@@ -235,7 +231,7 @@ impl DtmClient {
                     Effect::Scatter(msg) => {
                         let mut bytes = msg.wire_bytes();
                         let kind = Self::round_kind(&msg);
-                        span = self.tracer.as_mut().and_then(|t| t.start_round(kind));
+                        span = tracer(&mut self.observer).and_then(|t| t.start_round(kind));
                         let wire = match &span {
                             Some(p) => {
                                 bytes += 16;
@@ -249,7 +245,7 @@ impl DtmClient {
                         self.endpoint.broadcast(m.members(), wire, bytes);
                     }
                     Effect::Gathered { failed } => {
-                        if let (Some(t), Some(p)) = (self.tracer.as_mut(), span.take()) {
+                        if let (Some(p), Some(t)) = (span.take(), tracer(&mut self.observer)) {
                             t.end_round(p, failed);
                         }
                     }
@@ -272,7 +268,7 @@ impl DtmClient {
                 Phase::BackingOff(until, kind) => {
                     let from = Instant::now();
                     std::thread::sleep(until.saturating_duration_since(from));
-                    if let (Some(kind), Some(t)) = (kind, self.tracer.as_mut()) {
+                    if let (Some(kind), Some(t)) = (kind, tracer(&mut self.observer)) {
                         t.record_plain(kind, from);
                     }
                 }
@@ -290,7 +286,7 @@ impl DtmClient {
     pub fn pause(&mut self, kind: SpanKind, lo: Duration, hi: Duration) {
         let from = Instant::now();
         std::thread::sleep(self.co.draw(lo, hi));
-        if let Some(t) = self.tracer.as_mut() {
+        if let Some(t) = tracer(&mut self.observer) {
             t.record_plain(kind, from);
         }
     }
@@ -381,6 +377,11 @@ impl DtmClient {
         }
         Ok(out)
     }
+}
+
+/// The installed observer's span tracer, when it has one.
+fn tracer(observer: &mut Option<Box<TxnObserver>>) -> Option<&mut Tracer> {
+    observer.as_mut()?.spans.as_mut()
 }
 
 /// Both run-time parameters the Dynamic Module collects (§V-B): per-class

@@ -9,10 +9,26 @@
 //! double-counted events.
 
 use crate::event::{AbortKind, TxnEvent};
-use crate::trace::{ObsConfig, TraceRing};
+use crate::span::{Tracer, DEFAULT_SPAN_CAPACITY};
 use crate::wasted::{WorkLedger, WorkTotals};
 use acn_txir::ObjClass;
 use std::collections::BTreeMap;
+
+/// Observability knobs for one run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObsConfig {
+    /// Capacity of each thread's span ring (and the shared server-side
+    /// collector), in spans.
+    pub span_capacity: usize,
+}
+
+impl Default for ObsConfig {
+    fn default() -> Self {
+        ObsConfig {
+            span_capacity: DEFAULT_SPAN_CAPACITY,
+        }
+    }
+}
 
 /// One attribution key: the class blamed (if any object was blamed), the
 /// Block the abort surfaced in (`None` = flat body or commit phase), and
@@ -113,33 +129,33 @@ impl AbortTable {
     }
 }
 
-/// One thread's observability handle: a trace ring plus an abort table,
-/// fed through a single entry point so the two views never disagree.
-#[derive(Debug, Clone)]
+/// One worker's observer, installed on its client: the abort table, the
+/// wasted-work ledger and the span tracer, fed through one entry point so
+/// the three views never disagree about which events happened.
+#[derive(Debug, Default)]
 pub struct TxnObserver {
-    /// Structured event tail (bounded memory).
-    pub trace: TraceRing,
     /// Abort attribution counts (exact, unbounded only in distinct keys —
     /// bounded in practice by classes × blocks × kinds).
     pub aborts: AbortTable,
     /// Wasted-work ledger: every unit of work charged to the outcome
     /// (commit, full discard, partial discard) that settled it.
     pub work: WorkLedger,
+    /// Span tracer: the attempt and Block spans come from the events, the
+    /// round and wait spans from the client's pump.
+    pub spans: Option<Tracer>,
 }
 
 impl TxnObserver {
-    /// Build with the given config.
-    pub fn new(cfg: ObsConfig) -> Self {
-        TxnObserver {
-            trace: TraceRing::new(cfg.trace_capacity),
-            aborts: AbortTable::new(),
-            work: WorkLedger::new(),
-        }
+    /// An observer with no span tracer. A tracer needs the run's origin
+    /// instant and the worker's id band, so whoever knows them builds one
+    /// with [`ObsConfig::span_capacity`] and sets [`TxnObserver::spans`].
+    pub fn new(_: ObsConfig) -> Self {
+        Self::default()
     }
 
     /// Record one event. Abort events additionally feed the attribution
-    /// table, and every event feeds the wasted-work ledger, so callers
-    /// never double-book and the three views never disagree.
+    /// table, and every event feeds the wasted-work ledger and the tracer,
+    /// so callers never double-book.
     pub fn on_event(&mut self, ev: TxnEvent) {
         match ev {
             TxnEvent::PartialAbort { block, obj, kind } => self.aborts.record(AbortSite {
@@ -155,27 +171,16 @@ impl TxnObserver {
             _ => {}
         }
         self.work.on_event(ev);
-        self.trace.push(ev);
+        if let Some(t) = self.spans.as_mut() {
+            t.on_event(ev);
+        }
     }
 
-    /// Merge another observer's attribution, trace counters, and settled
-    /// wasted-work totals into the caller's accumulators (the merged trace
-    /// keeps only counter totals, not events).
-    pub fn merge_into(
-        &self,
-        aborts: &mut AbortTable,
-        trace: &mut crate::trace::TraceSummary,
-        work: &mut WorkTotals,
-    ) {
+    /// Merge this observer's attribution and settled wasted-work totals
+    /// into the caller's accumulators.
+    pub fn merge_into(&self, aborts: &mut AbortTable, work: &mut WorkTotals) {
         aborts.merge(&self.aborts);
-        trace.merge(&self.trace.summary());
         work.merge(&self.work.snapshot());
-    }
-}
-
-impl Default for TxnObserver {
-    fn default() -> Self {
-        Self::new(ObsConfig::default())
     }
 }
 
@@ -202,7 +207,7 @@ mod tests {
             kind: AbortKind::CommitConflict,
         });
         o.on_event(TxnEvent::Commit { restarts: 1 });
-        assert_eq!(o.trace.recorded(), 4);
+        assert_eq!(o.work.totals().committed.blocks, 1);
         assert_eq!(o.aborts.total(), 2);
         assert_eq!(o.aborts.top_classes(1), vec![("Branch", 2)]);
     }

@@ -1,8 +1,8 @@
 //! Structured transaction events and the abort taxonomy.
 //!
-//! Events are small `Copy` values so recording one into a
-//! [`crate::TraceRing`] is a couple of integer stores — cheap enough to
-//! leave enabled on every abort/commit/retry site of a saturation run.
+//! Events are small `Copy` values: handing one to the counters and the
+//! observer is a few integer stores — cheap enough to leave enabled on
+//! every abort/commit/retry site of a saturation run.
 
 use crate::prom::{PromFamily, PromType};
 use crate::section::section;
@@ -122,8 +122,9 @@ impl std::fmt::Display for AbortKind {
     }
 }
 
-/// One structured event in a transaction's life, recorded into the
-/// per-thread [`crate::TraceRing`].
+/// One structured event in a transaction's life: the executor emits each
+/// one once, to [`ExecStats::on_event`] and to the client's
+/// [`crate::TxnObserver`].
 ///
 /// `block` is the index into the Block sequence where the event happened;
 /// `None` means the flat (single-Block) body or the commit phase, where no
@@ -135,6 +136,13 @@ pub enum TxnEvent {
     Begin,
     /// A Block started executing as a closed-nested sub-transaction.
     BlockStart {
+        /// Index into the Block sequence.
+        block: u32,
+    },
+    /// The running Block merged into its parent transaction. Only the span
+    /// tracer reads it: the counters and the ledger settle a Block at the
+    /// next `BlockStart` or terminal event.
+    BlockCommit {
         /// Index into the Block sequence.
         block: u32,
     },
@@ -232,6 +240,7 @@ impl ExecStats {
             TxnEvent::UnavailableRetry => self.unavailable_retries += 1,
             TxnEvent::Begin
             | TxnEvent::BlockStart { .. }
+            | TxnEvent::BlockCommit { .. }
             | TxnEvent::BatchedRead { .. }
             | TxnEvent::LockHolds { .. } => {}
         }
@@ -279,8 +288,7 @@ mod tests {
 
     #[test]
     fn events_are_small() {
-        // The ring pre-allocates capacity × size_of::<TxnEvent>() bytes;
-        // keep the event word-sized-ish so a 4096-slot ring stays ≪ 1 MiB.
+        // Every site passes the event by value, twice; keep it a few words.
         assert!(std::mem::size_of::<TxnEvent>() <= 48);
     }
 }

@@ -1,16 +1,16 @@
 //! Unified observability layer for the QR-ACN workspace.
 //!
-//! Three pieces, one crate, zero upward dependencies (only `acn-txir` for
-//! object identity, so every other crate can use it without cycles):
+//! One crate, zero upward dependencies (only `acn-txir` for object
+//! identity, so every other crate can use it without cycles). Everything a
+//! transaction does reaches it as one stream of structured [`TxnEvent`]s
+//! — begin / Block start and commit / batched-read round / partial abort /
+//! full restart / commit — which the executor emits once per site, to its
+//! [`ExecStats`] and to the one [`TxnObserver`] installed on the worker's
+//! client:
 //!
-//! - **Trace rings** ([`TraceRing`]): per-thread bounded buffers of
-//!   structured [`TxnEvent`]s — begin / block start / batched-read round /
-//!   partial abort / full restart / commit — overwrite-oldest with a drop
-//!   counter, so memory stays fixed while the tail of the story survives.
-//! - **Abort attribution** ([`AbortTable`], fed via [`TxnObserver`]):
-//!   exact counts keyed by `(class, block, kind)`. [`ExecStats`] is
-//!   counted from the same events, so attributed totals reconcile against
-//!   it to the unit.
+//! - **Abort attribution** ([`AbortTable`]): exact counts keyed by
+//!   `(class, block, kind)`. [`ExecStats`] is counted from the same
+//!   events, so attributed totals reconcile against it to the unit.
 //! - **Metrics report** ([`MetricsReport`]): the executor counters
 //!   ([`ExecStats`], derived from the event stream) next to the network,
 //!   recovery, latency and contention sections the driver fills by name.
@@ -18,8 +18,9 @@
 //!   JSON-lines exporter, its strict parser and the Prometheus mapping
 //!   walk it, and the output parses back to an equal report.
 //! - **Span tracer** ([`Tracer`] / [`SpanCollector`] / [`critical_path`]):
-//!   causal spans across client, wire and servers with a per-committed-txn
-//!   critical-path decomposition and a Chrome-trace/Perfetto exporter
+//!   causal spans across client, wire and servers — attempts and Blocks
+//!   read off the same events — with a per-committed-txn critical-path
+//!   decomposition and a Chrome-trace/Perfetto exporter
 //!   ([`write_chrome_trace`]) whose output parses back exactly.
 //! - **Live telemetry** ([`LogHistogram`] / [`WindowedSeries`] /
 //!   [`WorkLedger`]): log-bucketed latency histograms with lossless merge
@@ -49,10 +50,9 @@ mod section;
 mod slo;
 mod span;
 mod timeseries;
-mod trace;
 mod wasted;
 
-pub use attribution::{AbortSite, AbortTable, TxnObserver};
+pub use attribution::{AbortSite, AbortTable, ObsConfig, TxnObserver};
 pub use chrome::{parse_chrome_trace, write_chrome_trace};
 pub use event::{AbortKind, ExecStats, TxnEvent};
 pub use prom::{
@@ -66,9 +66,8 @@ pub use section::{Cell, Field, Getter, Row, Section};
 pub use slo::{record_flight, FlightRecord, SloInputs, SloPolicy, SloRule, SloTrigger};
 pub use span::{
     aggregate_critpath, critical_path, BlockCost, PendingSpan, RawSpan, Span, SpanCollector,
-    SpanKind, SpanRing, TraceCtx, Tracer, TxnCritPath, DEFAULT_SPAN_CAPACITY, FLAG_COMMITTED,
+    SpanKind, TraceCtx, Tracer, TxnCritPath, DEFAULT_SPAN_CAPACITY, FLAG_COMMITTED,
     FLAG_ROLLED_BACK,
 };
 pub use timeseries::{LogHistogram, WindowCell, WindowedSeries};
-pub use trace::{ObsConfig, TraceRing, TraceSummary, DEFAULT_TRACE_CAPACITY};
 pub use wasted::{WorkLedger, WorkScope, WorkTotals, WorkUnits};

@@ -357,7 +357,6 @@ pub fn report_to_prom(report: &MetricsReport) -> Vec<PromMetric> {
     if let Some(r) = &report.recovery {
         section_samples(r, &mut out);
     }
-    section_samples(&report.trace, &mut out);
 
     let mut series = PromMetric::new(
         "acn_window_commits",
@@ -594,11 +593,9 @@ acn_slo_trips_total{rule="p99_latency"} 1
     fn every_counter_of_a_single_row_section_reaches_both_exports() {
         use crate::event::ExecStats;
         use crate::registry::{LatencySummary, NetCounters, RecoveryCounters};
-        use crate::trace::TraceSummary;
         assert_parity::<ExecStats>(|r, s| r.exec = s);
         assert_parity::<RecoveryCounters>(|r, s| r.recovery = Some(s));
         assert_parity::<NetCounters>(|r, s| r.net = s);
         assert_parity::<LatencySummary>(|r, s| r.latency = s);
-        assert_parity::<TraceSummary>(|r, s| r.trace = s);
     }
 }

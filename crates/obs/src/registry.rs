@@ -19,14 +19,13 @@ use crate::prom::{PromFamily, PromType};
 use crate::section::{section, Cell, Field, Row, Section};
 use crate::slo::FlightRecord;
 use crate::timeseries::WindowedSeries;
-use crate::trace::TraceSummary;
 use crate::wasted::{WorkTotals, WorkUnits};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Version of the JSON-lines schema this build writes. Parsers accept the
 /// current version plus version-1 exports (which predate the field); any
 /// other value is rejected loudly rather than misparsed silently.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 section! {
     /// Replica-recovery counters, aggregated across servers (the crash
@@ -408,8 +407,6 @@ pub struct MetricsReport {
     pub critpath: Vec<CritPathRow>,
     /// Per-thread span-ring completeness rows.
     pub thread_traces: Vec<ThreadTraceRow>,
-    /// Trace-ring counters summed over threads.
-    pub trace: TraceSummary,
     /// Wasted-work totals, when the run recorded the ledger.
     pub wasted: Option<WorkTotals>,
     /// Live time-series windows, in grid order.
@@ -463,7 +460,6 @@ impl MetricsReport {
         out += &lines(&self.aborts);
         out += &lines(&self.critpath);
         out += &lines(&self.thread_traces);
-        out += &self.trace.json_line();
         if let Some(w) = &self.wasted {
             for (scope, get, _) in &WorkTotals::SCOPES {
                 out += &units_line(WASTED, scope, get(w));
@@ -565,7 +561,6 @@ impl MetricsReport {
             ThreadTraceRow::TYPE => self
                 .thread_traces
                 .push(ThreadTraceRow::default().read_from(map)?),
-            TraceSummary::TYPE => self.trace = single(first, map)?,
             t if t == WASTED.0 => {
                 let scope = take_str(map, WASTED.1)?;
                 let (_, _, member) = WorkTotals::SCOPES
@@ -765,11 +760,6 @@ pub(crate) mod tests {
                     capacity: 2048,
                 },
             ],
-            trace: TraceSummary {
-                recorded: 1_000,
-                dropped: 12,
-                capacity: 4096,
-            },
             wasted: Some(wasted),
             series: SeriesRow::from_series(&series),
             flights: vec![FlightRecord {
@@ -782,9 +772,10 @@ pub(crate) mod tests {
     }
 
     /// `sample_report().to_json_lines()` as the hand-written writer produced
-    /// it before the field tables existed (captured at PR 21): the wire
-    /// format — line types, keys, key order — is pinned byte for byte.
-    const GOLDEN: &str = r#"{"type":"report","schema_version":2}
+    /// it before the field tables existed, less the `trace` line schema
+    /// version 3 dropped: the wire format — line types, keys, key order —
+    /// is pinned byte for byte.
+    const GOLDEN: &str = r#"{"type":"report","schema_version":3}
 {"type":"meta","key":"system","value":"QrAcn"}
 {"type":"meta","key":"seed","value":"42"}
 {"type":"exec","commits":100,"full_aborts":2,"partial_aborts":7,"locked_aborts":0,"unavailable_retries":1}
@@ -798,7 +789,6 @@ pub(crate) mod tests {
 {"type":"critpath","class":"transfer","block":0,"txns":100,"local_ns":0,"net_ns":7000,"srvq_ns":800,"lock_ns":300,"redo_ns":0,"wal_ns":0}
 {"type":"trace_thread","thread":0,"recorded":600,"dropped":12,"capacity":2048}
 {"type":"trace_thread","thread":4294967296,"recorded":400,"dropped":0,"capacity":2048}
-{"type":"trace","recorded":1000,"dropped":12,"capacity":4096}
 {"type":"wasted","scope":"executed","blocks":120,"read_rounds":60,"lock_holds":40}
 {"type":"wasted","scope":"committed","blocks":100,"read_rounds":50,"lock_holds":35}
 {"type":"wasted","scope":"discarded_full","blocks":13,"read_rounds":6,"lock_holds":3}
@@ -898,7 +888,7 @@ pub(crate) mod tests {
     #[test]
     fn a_second_line_of_a_single_row_section_is_rejected() {
         let text = sample_report().to_json_lines();
-        for ty in ["report", "exec", "recovery", "net", "latency", "trace"] {
+        for ty in ["report", "exec", "recovery", "net", "latency"] {
             // Splice a copy of the section's line in right after it — what
             // concatenating a truncated export with a whole one produces.
             let n = line_of(&text, ty);

@@ -1,12 +1,12 @@
-//! The one overwrite-oldest ring behind [`crate::TraceRing`],
-//! [`crate::SpanRing`] and [`crate::SpanCollector`].
+//! The one overwrite-oldest ring behind [`crate::Tracer`] and
+//! [`crate::SpanCollector`].
 
-use crate::trace::TraceSummary;
+use crate::registry::ThreadTraceRow;
 
 /// A fixed-capacity ring: memory is bounded by the capacity; once full,
 /// the oldest item is overwritten and counted as dropped, so a long run
 /// keeps the *tail* of what it recorded.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Ring<T> {
     buf: Vec<T>,
     /// Ring size in items (`Vec::capacity` may over-allocate, so the
@@ -44,21 +44,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Items currently retained.
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The retained items, oldest first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        let (newer, older) = if self.buf.len() < self.cap {
-            (&self.buf[..], &[][..])
-        } else {
-            self.buf.split_at(self.head)
-        };
-        older.iter().chain(newer.iter())
-    }
-
     /// Take the retained items out, oldest first. The counters keep
     /// running; the ring refills from empty.
     pub(crate) fn take(&mut self) -> Vec<T> {
@@ -70,10 +55,11 @@ impl<T> Ring<T> {
         out
     }
 
-    /// Items ever recorded (dropped ones included), items overwritten,
-    /// and the capacity.
-    pub(crate) fn summary(&self) -> TraceSummary {
-        TraceSummary {
+    /// This ring's completeness row under thread index `thread`: items
+    /// ever recorded (dropped ones included), items overwritten, capacity.
+    pub(crate) fn row(&self, thread: u64) -> ThreadTraceRow {
+        ThreadTraceRow {
+            thread,
             recorded: self.recorded,
             dropped: self.dropped,
             capacity: self.cap as u64,

@@ -6,10 +6,11 @@
 //! **span**, and the trace context travels on the wire (as a
 //! `Msg::Traced` wrapper in `acn-dtm`) so server-side handling — inbox
 //! dwell, request execution, sync refusal — appears as child spans of the
-//! client round that caused it. Spans are plain `Copy` records in a
-//! bounded per-thread [`SpanRing`] (client side) or a shared bounded
-//! [`SpanCollector`] (server side), so memory stays flat regardless of
-//! run length.
+//! client round that caused it. The attempt and Block spans are read off
+//! the executor's [`TxnEvent`] stream ([`Tracer::on_event`]). Spans are
+//! plain `Copy` records in a bounded per-thread ring (client side) or a
+//! shared bounded [`SpanCollector`] (server side), so memory stays flat
+//! regardless of run length.
 //!
 //! On top of the raw spans, [`critical_path`] decomposes each committed
 //! transaction's end-to-end latency into `{local compute, network, server
@@ -17,8 +18,9 @@
 //! segments sum *exactly* to the end-to-end duration in integer
 //! nanoseconds.
 
+use crate::event::TxnEvent;
+use crate::registry::{ThreadTraceRow, SERVER_TRACE_THREAD};
 use crate::ring::Ring;
-use crate::trace::TraceSummary;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -208,40 +210,6 @@ pub struct Span {
     pub flags: u32,
 }
 
-/// A fixed-capacity overwrite-oldest ring of [`Span`]s — the span-side
-/// sibling of [`crate::TraceRing`], single writer by construction.
-#[derive(Debug, Clone)]
-pub struct SpanRing(Ring<Span>);
-
-impl SpanRing {
-    /// An empty ring holding at most `capacity` spans (min 1).
-    pub fn new(capacity: usize) -> Self {
-        SpanRing(Ring::new(capacity))
-    }
-
-    /// Record one span: O(1), no allocation after the ring first fills.
-    pub fn push(&mut self, s: Span) {
-        self.0.push(s);
-    }
-
-    /// Retained spans, oldest first, plus the ring's counter summary —
-    /// `capacity` rides along so the exporter can report completeness
-    /// (% of recorded spans kept) per thread.
-    pub fn drain(mut self) -> (Vec<Span>, TraceSummary) {
-        (self.0.take(), self.0.summary())
-    }
-
-    /// Spans recorded so far (dropped ones included).
-    pub fn recorded(&self) -> u64 {
-        self.0.summary().recorded
-    }
-
-    /// Spans overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.0.summary().dropped
-    }
-}
-
 /// An in-flight round span handed to the caller at send time: its id goes
 /// on the wire (so server spans parent to it) and the span itself is
 /// pushed when the round completes — success *or* timeout, which is what
@@ -267,7 +235,10 @@ impl PendingSpan {
 }
 
 /// Per-thread client-side tracer: owns the span ring, allocates span ids,
-/// and tracks the open transaction / attempt / Block state.
+/// and tracks the open transaction / attempt / Block state. The driver
+/// opens and closes the transaction ([`Tracer::start_txn`] /
+/// [`Tracer::end_txn`]), attempts and Blocks follow the executor's events
+/// ([`Tracer::on_event`]), and the client's pump records rounds and waits.
 ///
 /// All methods are cheap no-ops while no transaction is open, so protocol
 /// traffic outside a traced transaction (seeding, contention queries) is
@@ -276,7 +247,9 @@ impl PendingSpan {
 pub struct Tracer {
     origin: Instant,
     node: u32,
-    ring: SpanRing,
+    /// Seeds the id band; the ring reports under this thread row.
+    thread: u64,
+    ring: Ring<Span>,
     next: u64,
     cur: Option<TxnState>,
 }
@@ -287,7 +260,6 @@ struct TxnState {
     class: u16,
     start: Instant,
     attempt: Option<(u64, Instant)>,
-    committed_attempt: bool,
     block: Option<(u32, Instant)>,
 }
 
@@ -299,9 +271,28 @@ impl Tracer {
         Tracer {
             origin,
             node,
-            ring: SpanRing::new(capacity),
+            thread,
+            ring: Ring::new(capacity),
             next: (thread + 1) << 40,
             cur: None,
+        }
+    }
+
+    /// Map one executor event onto the span tree: `Begin` opens an
+    /// attempt, `BlockStart` opens a Block and `BlockCommit` closes it; an
+    /// abort or an absorbed unavailable round closes any open Block as
+    /// rolled back. A fatal error emits no event, so a Block it interrupts
+    /// stays open until [`Tracer::end_txn`] closes it.
+    pub fn on_event(&mut self, ev: TxnEvent) {
+        match ev {
+            TxnEvent::Begin => self.begin_attempt(),
+            TxnEvent::BlockStart { block } => self.block_start(block),
+            TxnEvent::BlockCommit { .. } => self.block_end(false),
+            TxnEvent::PartialAbort { .. }
+            | TxnEvent::FullAbort { .. }
+            | TxnEvent::UnavailableRetry => self.block_end(true),
+            TxnEvent::BatchedRead { .. } | TxnEvent::LockHolds { .. } | TxnEvent::Commit { .. } => {
+            }
         }
     }
 
@@ -339,13 +330,8 @@ impl Tracer {
         self.ring.push(span);
     }
 
-    /// Is a transaction trace currently open?
-    pub fn has_txn(&self) -> bool {
-        self.cur.is_some()
-    }
-
     /// The Block index currently executing (`-1` = outside any Block).
-    pub fn cur_block(&self) -> i32 {
+    fn cur_block(&self) -> i32 {
         match &self.cur {
             Some(TxnState {
                 block: Some((b, _)),
@@ -367,18 +353,18 @@ impl Tracer {
             class,
             start: Instant::now(),
             attempt: None,
-            committed_attempt: false,
             block: None,
         });
     }
 
-    /// Open a new attempt span, closing the previous attempt (as rolled
-    /// back) if one is still open. Fired once per execution attempt from
-    /// the client's `begin()`; a no-op outside a transaction.
-    pub fn begin_attempt(&mut self) {
+    /// Open a new attempt span, closing any open Block and the previous
+    /// attempt as rolled back — that is what a full restart looks like. A
+    /// no-op outside a transaction.
+    fn begin_attempt(&mut self) {
         if self.cur.is_none() {
             return;
         }
+        self.block_end(true);
         let now = Instant::now();
         self.close_attempt(now, false);
         let id = self.alloc();
@@ -393,7 +379,6 @@ impl Tracer {
             return;
         };
         let trace = cur.trace;
-        cur.committed_attempt = committed;
         let flags = if committed {
             FLAG_COMMITTED
         } else {
@@ -410,9 +395,7 @@ impl Tracer {
             return;
         }
         let now = Instant::now();
-        if self.cur.as_ref().is_some_and(|c| c.block.is_some()) {
-            self.block_end(!committed);
-        }
+        self.block_end(!committed);
         self.close_attempt(now, committed);
         let Some(cur) = &self.cur else { return };
         let (trace, start) = (cur.trace, cur.start);
@@ -495,16 +478,18 @@ impl Tracer {
         self.push(id, attempt, kind, start, Instant::now(), 0);
     }
 
-    /// A Block began executing as a closed-nested sub-transaction.
-    pub fn block_start(&mut self, block: u32) {
-        if let Some(cur) = &mut self.cur {
+    /// A Block began executing as a closed-nested sub-transaction of the
+    /// open attempt; one still open is closed first, as rolled back.
+    fn block_start(&mut self, block: u32) {
+        self.block_end(true);
+        if let Some(cur) = self.cur.as_mut().filter(|c| c.attempt.is_some()) {
             cur.block = Some((block, Instant::now()));
         }
     }
 
-    /// The current Block finished (`rolled_back` = child-scope rollback or
-    /// escalation rather than a merge into the parent).
-    pub fn block_end(&mut self, rolled_back: bool) {
+    /// Close the open Block, if any (`rolled_back` = child-scope rollback,
+    /// escalation or restart rather than a merge into the parent).
+    fn block_end(&mut self, rolled_back: bool) {
         let Some(cur) = &mut self.cur else { return };
         let Some((block, start)) = cur.block.take() else {
             return;
@@ -529,10 +514,11 @@ impl Tracer {
         self.ring.push(span);
     }
 
-    /// Finish: retained spans (oldest first) plus the ring summary.
-    pub fn drain(mut self) -> (Vec<Span>, TraceSummary) {
+    /// Finish: retained spans (oldest first) plus the ring's completeness
+    /// row.
+    pub fn drain(mut self) -> (Vec<Span>, ThreadTraceRow) {
         self.end_txn(false);
-        self.ring.drain()
+        (self.ring.take(), self.ring.row(self.thread))
     }
 }
 
@@ -590,12 +576,12 @@ impl SpanCollector {
     }
 
     /// Convert the retained raw spans to origin-relative [`Span`]s
-    /// (oldest first) and return them with the collector's summary.
-    /// Server span ids carry a dedicated bit so they can never collide with
-    /// client ids.
-    pub fn drain(&self, origin: Instant) -> (Vec<Span>, TraceSummary) {
+    /// (oldest first) and return them with the collector's completeness
+    /// row, under [`SERVER_TRACE_THREAD`]. Server span ids carry a
+    /// dedicated bit so they can never collide with client ids.
+    pub fn drain(&self, origin: Instant) -> (Vec<Span>, ThreadTraceRow) {
         let mut inner = self.inner.lock().expect("span collector poisoned");
-        let summary = inner.ring.summary();
+        let row = inner.ring.row(SERVER_TRACE_THREAD);
         let raw = inner.ring.take();
         let mut out = Vec::with_capacity(raw.len());
         for r in raw {
@@ -613,7 +599,7 @@ impl SpanCollector {
                 flags: r.flags,
             });
         }
-        (out, summary)
+        (out, row)
     }
 }
 
@@ -838,17 +824,17 @@ mod tests {
         let origin = Instant::now();
         let mut t = Tracer::new(origin, 7, 0, 64);
         t.start_txn(3);
-        t.begin_attempt();
+        t.on_event(TxnEvent::Begin);
         let p = t.start_round(SpanKind::ReadRound).expect("attempt open");
         let ctx = p.ctx();
         t.end_round(p, false);
-        t.block_start(1);
+        t.on_event(TxnEvent::BlockStart { block: 1 });
         let lw = Instant::now();
         t.record_plain(SpanKind::LockWait, lw);
-        t.block_end(false);
+        t.on_event(TxnEvent::BlockCommit { block: 1 });
         t.end_txn(true);
-        let (spans, summary) = t.drain();
-        assert_eq!(summary.dropped, 0);
+        let (spans, row) = t.drain();
+        assert_eq!((row.thread, row.dropped), (0, 0));
         let txn = spans.iter().find(|s| s.kind == SpanKind::Txn).unwrap();
         assert_eq!(txn.flags & FLAG_COMMITTED, FLAG_COMMITTED);
         assert_eq!(txn.class, 3);
@@ -873,23 +859,23 @@ mod tests {
     #[test]
     fn tracer_is_inert_outside_transactions() {
         let mut t = Tracer::new(Instant::now(), 1, 0, 16);
-        t.begin_attempt();
+        t.on_event(TxnEvent::Begin);
         assert!(t.start_round(SpanKind::ReadRound).is_none());
         t.record_plain(SpanKind::LockWait, Instant::now());
-        t.block_start(0);
-        t.block_end(false);
+        t.on_event(TxnEvent::BlockStart { block: 0 });
+        t.on_event(TxnEvent::BlockCommit { block: 0 });
         t.end_txn(true);
-        let (spans, summary) = t.drain();
+        let (spans, row) = t.drain();
         assert!(spans.is_empty());
-        assert_eq!(summary.recorded, 0);
+        assert_eq!(row.recorded, 0);
     }
 
     #[test]
     fn restart_closes_the_previous_attempt_as_rolled_back() {
         let mut t = Tracer::new(Instant::now(), 1, 0, 64);
         t.start_txn(0);
-        t.begin_attempt();
-        t.begin_attempt(); // restart
+        t.on_event(TxnEvent::Begin);
+        t.on_event(TxnEvent::Begin); // restart
         t.end_txn(true);
         let (spans, _) = t.drain();
         let attempts: Vec<&Span> = spans
@@ -902,21 +888,50 @@ mod tests {
     }
 
     #[test]
+    fn aborts_close_the_open_block_and_end_txn_closes_a_fatal_one() {
+        use crate::event::AbortKind;
+        let mut t = Tracer::new(Instant::now(), 1, 0, 64);
+        t.start_txn(0);
+        t.on_event(TxnEvent::Begin);
+        t.on_event(TxnEvent::BlockStart { block: 0 });
+        t.on_event(TxnEvent::PartialAbort {
+            block: 0,
+            obj: None,
+            kind: AbortKind::Partial,
+        });
+        t.on_event(TxnEvent::BlockStart { block: 0 });
+        t.on_event(TxnEvent::BlockCommit { block: 0 });
+        t.on_event(TxnEvent::BlockStart { block: 1 });
+        // A fatal error emits no event: the Block closes with the trace.
+        t.end_txn(false);
+        let (spans, _) = t.drain();
+        let blocks: Vec<(i32, u32)> = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Block)
+            .map(|s| (s.block, s.flags))
+            .collect();
+        assert_eq!(
+            blocks,
+            [(0, FLAG_ROLLED_BACK), (0, 0), (1, FLAG_ROLLED_BACK)]
+        );
+    }
+
+    #[test]
     fn span_ring_drops_oldest_and_reports_it() {
         let origin = Instant::now();
         let mut t = Tracer::new(origin, 1, 0, 2);
         t.start_txn(0);
-        t.begin_attempt();
+        t.on_event(TxnEvent::Begin);
         for _ in 0..4 {
             let p = t.start_round(SpanKind::ReadRound).unwrap();
             t.end_round(p, false);
         }
         t.end_txn(true);
-        let (spans, summary) = t.drain();
+        let (spans, row) = t.drain();
         assert_eq!(spans.len(), 2);
-        assert_eq!(summary.recorded, 6);
-        assert_eq!(summary.dropped, 4);
-        assert_eq!(summary.capacity, 2);
+        assert_eq!(row.recorded, 6);
+        assert_eq!(row.dropped, 4);
+        assert_eq!(row.capacity, 2);
     }
 
     #[test]
@@ -933,9 +948,9 @@ mod tests {
             end: now + Duration::from_micros(5),
             flags: 0,
         });
-        let (spans, summary) = col.drain(origin);
+        let (spans, row) = col.drain(origin);
         assert_eq!(spans.len(), 1);
-        assert_eq!(summary.recorded, 1);
+        assert_eq!((row.thread, row.recorded), (SERVER_TRACE_THREAD, 1));
         assert!(spans[0].id & SERVER_ID_BIT != 0);
         assert_eq!(spans[0].parent, 42);
         assert!(spans[0].dur_ns >= 5_000);

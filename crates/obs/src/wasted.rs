@@ -256,6 +256,8 @@ impl WorkLedger {
                 self.totals.executed.blocks += 1;
                 self.saw_block = true;
             }
+            // The next BlockStart or terminal event settles the Block.
+            TxnEvent::BlockCommit { .. } => {}
             TxnEvent::BatchedRead { block, .. } => {
                 let scope = if block.is_some() {
                     &mut self.block

@@ -117,7 +117,6 @@ fn report(
             .collect(),
         critpath: src.rows::<CritPathRow>(sizes[4]),
         thread_traces: src.rows::<ThreadTraceRow>(sizes[5]),
-        trace: src.row(),
         wasted: Some(wasted),
         series: src.rows::<SeriesRow>(sizes[6]),
         flights: src.rows::<FlightRecord>(sizes[7]),

@@ -1,10 +1,13 @@
-//! The event stream is the only source of counts: for any sequence of
-//! events, the executor counters ([`ExecStats::on_event`]) and the abort
-//! attribution ([`TxnObserver::on_event`]) agree to the unit.
+//! The event stream is the only source of counts and spans: for any
+//! sequence of events, the executor counters ([`ExecStats::on_event`]) and
+//! the abort attribution ([`TxnObserver::on_event`]) agree to the unit, and
+//! the observer's span tracer turns the same events into a well-formed
+//! attempt / Block tree.
 
-use acn_obs::{AbortKind, ExecStats, TxnEvent, TxnObserver};
+use acn_obs::{AbortKind, ExecStats, SpanKind, Tracer, TxnEvent, TxnObserver};
 use acn_txir::{ObjClass, ObjectId};
 use proptest::prelude::*;
+use std::time::Instant;
 
 const KINDS: [AbortKind; 11] = [
     AbortKind::Partial,
@@ -24,7 +27,7 @@ const KINDS: [AbortKind; 11] = [
 /// the executor: a child scope never escalates a `protected` read.
 fn event() -> impl Strategy<Value = TxnEvent> {
     (
-        0u8..8,
+        0u8..9,
         0u32..7,
         (0u16..4, 0u64..8, any::<bool>()),
         0usize..KINDS.len(),
@@ -54,9 +57,21 @@ fn event() -> impl Strategy<Value = TxnEvent> {
                     kind: KINDS[k],
                 },
                 6 => TxnEvent::UnavailableRetry,
+                7 => TxnEvent::BlockCommit { block: b },
                 _ => TxnEvent::Commit { restarts: b },
             }
         })
+}
+
+/// Feed `events` to fresh counters and a fresh observer (no tracer).
+fn count(events: impl Iterator<Item = TxnEvent>) -> (ExecStats, TxnObserver) {
+    let mut stats = ExecStats::default();
+    let mut obs = TxnObserver::default();
+    for ev in events {
+        stats.on_event(ev);
+        obs.on_event(ev);
+    }
+    (stats, obs)
 }
 
 proptest! {
@@ -66,26 +81,74 @@ proptest! {
     fn counters_and_attribution_agree_on_any_event_stream(
         events in prop::collection::vec(event(), 0..300),
     ) {
-        let mut stats = ExecStats::default();
-        let mut obs = TxnObserver::default();
-        for &ev in &events {
-            stats.on_event(ev);
-            obs.on_event(ev);
-        }
+        let (stats, obs) = count(events.iter().copied());
         prop_assert_eq!(stats.total_aborts(), obs.aborts.total());
         prop_assert_eq!(
             stats.locked_aborts,
             obs.aborts.total_of(&[AbortKind::LockedOut])
         );
-        let count = |f: fn(&TxnEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
-        prop_assert_eq!(stats.commits, count(|e| matches!(e, TxnEvent::Commit { .. })));
+        let count_of = |f: fn(&TxnEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
+        prop_assert_eq!(stats.commits, count_of(|e| matches!(e, TxnEvent::Commit { .. })));
         prop_assert_eq!(
             stats.unavailable_retries,
-            count(|e| matches!(e, TxnEvent::UnavailableRetry))
+            count_of(|e| matches!(e, TxnEvent::UnavailableRetry))
         );
         prop_assert_eq!(
             stats.partial_aborts,
-            count(|e| matches!(e, TxnEvent::PartialAbort { .. }))
+            count_of(|e| matches!(e, TxnEvent::PartialAbort { .. }))
         );
+        // `BlockCommit` is the tracer's alone: dropping every one of them
+        // moves no counter, no attribution row and no ledger unit.
+        let (bare_stats, bare_obs) = count(
+            events
+                .iter()
+                .copied()
+                .filter(|e| !matches!(e, TxnEvent::BlockCommit { .. })),
+        );
+        prop_assert_eq!(stats, bare_stats);
+        prop_assert_eq!(&obs.aborts, &bare_obs.aborts);
+        prop_assert_eq!(obs.work.snapshot(), bare_obs.work.snapshot());
+    }
+
+    /// Between `start_txn` and `end_txn`, an attempt stream (every attempt
+    /// opens with `Begin`) yields one Attempt span per `Begin`, one Block
+    /// span per `BlockStart`, and every Block hangs off an Attempt of the
+    /// same trace.
+    #[test]
+    fn tracer_spans_follow_any_event_stream(
+        events in prop::collection::vec(event(), 0..300),
+    ) {
+        let stream: Vec<TxnEvent> = std::iter::once(TxnEvent::Begin).chain(events).collect();
+        let mut tracer = Tracer::new(Instant::now(), 0, 0, 2 * stream.len() + 2);
+        tracer.start_txn(0);
+        let mut obs = TxnObserver {
+            spans: Some(tracer),
+            ..TxnObserver::default()
+        };
+        for &ev in &stream {
+            obs.on_event(ev);
+        }
+        let mut tracer = obs.spans.take().expect("installed");
+        tracer.end_txn(true);
+        let (spans, row) = tracer.drain();
+        prop_assert_eq!(row.dropped, 0, "the ring holds every span");
+
+        let events_of = |f: fn(&TxnEvent) -> bool| stream.iter().filter(|e| f(e)).count();
+        let spans_of = |kind| spans.iter().filter(move |s| s.kind == kind);
+        prop_assert_eq!(
+            spans_of(SpanKind::Attempt).count(),
+            events_of(|e| matches!(e, TxnEvent::Begin))
+        );
+        prop_assert_eq!(
+            spans_of(SpanKind::Block).count(),
+            events_of(|e| matches!(e, TxnEvent::BlockStart { .. }))
+        );
+        for b in spans_of(SpanKind::Block) {
+            prop_assert!(
+                spans_of(SpanKind::Attempt).any(|a| a.id == b.parent && a.trace == b.trace),
+                "Block span {:?} has no Attempt parent",
+                b
+            );
+        }
     }
 }

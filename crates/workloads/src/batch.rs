@@ -24,9 +24,9 @@
 //! Conflicts the static sets *cannot see* — inexact templates scheduled
 //! under [`BatchConfig::speculate_inexact`], which deliberately drops the
 //! pessimistic class-level edges — surface at run time as validation or
-//! lock aborts. The executor runs with [`ExecutorConfig::speculation`]
-//! set, so those mis-speculations are attributed as `SpecPartial` /
-//! `SpecFull`, and — in [`SpecMode::Partial`] — recovered by the
+//! lock aborts. Every instance runs under its wave's [`Prediction`], so
+//! those mis-speculations are attributed as `SpecPartial` / `SpecFull`,
+//! and — in [`SpecMode::Partial`] — recovered by the
 //! closed-nesting executor's partial rollback from the offending Block.
 //! [`SpecMode::FullRestart`] forces a flat (single-Block) sequence,
 //! reproducing Block-STM's re-execute-from-scratch recovery: the ablation
@@ -35,11 +35,11 @@
 use crate::driver::{Phase, Tally};
 use crate::workload::TxnRequest;
 use acn_core::{
-    conflicts_with, plan_wave_with, BlockSeq, ExecutorConfig, ExecutorEngine, InexactPolicy,
-    Prediction, PredictionOutcome, RunOpts, WavePlan, WaveStats,
+    conflicts_with, plan_wave_with, BlockSeq, ExecutorEngine, InexactPolicy, Prediction,
+    PredictionOutcome, WavePlan, WaveStats,
 };
 use acn_dtm::DtmClient;
-use acn_obs::{SpanKind, TxnObserver};
+use acn_obs::SpanKind;
 use acn_txir::{CounterOracle, CounterSite, ResolvedAccess};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
@@ -245,14 +245,7 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
             work: Condvar::new(),
             drained: Condvar::new(),
         },
-        // Mis-speculations get the dedicated Spec* attribution.
-        engine: ExecutorEngine::with_config(
-            ph.cfg.retry,
-            ExecutorConfig {
-                speculation: true,
-                ..ph.cfg.exec
-            },
-        ),
+        engine: ExecutorEngine::with_config(ph.cfg.retry, ph.cfg.exec),
         // The ablation arm: flat sequences so every recovery is a full
         // re-execution, regardless of what the plan would nest.
         flat: match bc.spec {
@@ -275,7 +268,7 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
             let w = &w;
             let mut client = ph.cluster.client(t);
             ph.setup_client(t, &mut client);
-            s.spawn(move || worker_loop(w, t, client));
+            s.spawn(move || worker_loop(w, client));
         }
 
         // Coordinator: generate, schedule and admit waves until the
@@ -361,7 +354,7 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
         shared.work.notify_all();
 
         if let Some(tracer) = wave_tracer {
-            ph.merged.lock().spans(threads as u64, tracer.drain());
+            ph.merged.lock().spans(tracer.drain());
         }
     });
 
@@ -371,10 +364,9 @@ pub(crate) fn run_waves(ph: &Phase<'_>, bc: &BatchConfig) -> WaveStats {
 
 /// One worker: pull ready jobs, execute them on its own client handle,
 /// then drain successors' indegrees.
-fn worker_loop(w: &Wave<'_>, t: usize, mut client: DtmClient) {
+fn worker_loop(w: &Wave<'_>, mut client: DtmClient) {
     let Wave { ph, shared, .. } = w;
     let mut tally = Tally::new(ph.cfg);
-    let mut observer = ph.cfg.obs.map(TxnObserver::new);
     loop {
         let req = {
             let mut q = shared.q.lock();
@@ -417,16 +409,15 @@ fn worker_loop(w: &Wave<'_>, t: usize, mut client: DtmClient) {
         };
         tally.transact(ph, &mut client, req.template, |client, txn| {
             let mut outcome = PredictionOutcome::default();
-            let opts = RunOpts {
-                obs: observer.as_mut(),
-                prediction: Some(Prediction {
-                    preds: &preds,
-                    outcome: &mut outcome,
-                }),
-            };
+            // The prediction also gives mis-speculations the dedicated
+            // Spec* attribution.
+            let prediction = Some(Prediction {
+                preds: &preds,
+                outcome: &mut outcome,
+            });
             let res = w
                 .engine
-                .run_with(client, &dm.program, &req.params, &seq, txn, opts);
+                .run_with(client, &dm.program, &req.params, &seq, txn, prediction);
             if !outcome.mispredicts.is_empty() {
                 w.mispredicted
                     .fetch_add(outcome.mispredicts.len() as u64, Ordering::Relaxed);
@@ -458,9 +449,7 @@ fn worker_loop(w: &Wave<'_>, t: usize, mut client: DtmClient) {
         }
         shared.drained.notify_one();
     }
-    let mut m = ph.merged.lock();
-    m.worker(&tally, observer.as_ref());
-    m.client(t, &mut client);
+    ph.merged.lock().worker(&tally, &mut client);
 }
 
 #[cfg(test)]

@@ -12,15 +12,14 @@ use crate::batch::{run_waves, BatchConfig};
 use crate::workload::Workload;
 use acn_core::{
     AcnController, AlgorithmModule, BlockSeq, ControllerConfig, ExecStats, ExecutorConfig,
-    ExecutorEngine, RetryPolicy, RunError, RunOpts, StaticModule, SumModel, WaveStats,
+    ExecutorEngine, RetryPolicy, RunError, StaticModule, SumModel, WaveStats,
 };
 use acn_dtm::{Cluster, ClusterConfig, DtmClient, HistoryLog, ServerStats};
 use acn_obs::{
     aggregate_critpath, critical_path, record_flight, AbortKind, AbortRow, AbortTable,
     ContentionLevel, CritPathRow, FlightRecord, LogHistogram, MetricsReport, NetCounters,
     ObsConfig, RecoveryCounters, Section, SeriesRow, SloInputs, SloPolicy, Span, SpanCollector,
-    ThreadTraceRow, TraceSummary, Tracer, TxnCritPath, TxnObserver, WindowedSeries, WorkTotals,
-    SERVER_TRACE_THREAD,
+    ThreadTraceRow, Tracer, TxnCritPath, TxnObserver, WindowedSeries, WorkTotals,
 };
 use acn_simnet::{FaultPlan, NetStatsSnapshot};
 use acn_txir::{DependencyModel, ObjClass};
@@ -87,9 +86,11 @@ pub struct ScenarioConfig {
     /// When set, every client (the seeder included) appends its committed
     /// read/write versions here for the serializability checker.
     pub history: Option<Arc<HistoryLog>>,
-    /// Observability: when set, every worker records txn events and abort
-    /// attribution into a per-thread [`TxnObserver`], merged into
-    /// [`ScenarioResult::obs`] at the end. `None` = zero overhead.
+    /// Observability: when set, every worker's client carries one
+    /// [`TxnObserver`] — abort attribution, the wasted-work ledger and the
+    /// span tracer, all fed by the executor's events — merged into
+    /// [`ScenarioResult::obs`] at the end. `None` turns events and spans
+    /// off together, at zero overhead.
     pub obs: Option<ObsConfig>,
     /// Batch-ingest mode: when set, a coordinator collects waves of
     /// transactions, schedules them over the conflict graph of their
@@ -187,21 +188,18 @@ pub struct ScenarioResult {
 pub struct ScenarioObs {
     /// Abort attribution merged over all worker threads.
     pub aborts: AbortTable,
-    /// Trace-ring counters merged over all worker threads.
-    pub trace: TraceSummary,
     /// Per-class contention levels sampled from the cluster right after
     /// the measurement deadline (empty if the quorum was unavailable).
     pub contention: Vec<ContentionLevel>,
     /// Every span the run kept — client rings and the server collector
-    /// merged, sorted by `(trace, start, id)`. Empty when
-    /// [`ObsConfig::trace_spans`] is off.
+    /// merged, sorted by `(trace, start, id)`.
     pub spans: Vec<Span>,
     /// Per-committed-transaction critical-path decomposition.
     pub critpath: Vec<TxnCritPath>,
     /// [`ScenarioObs::critpath`] aggregated per `(class, block)`.
     pub critpath_rows: Vec<CritPathRow>,
     /// Span-ring completeness per worker thread, plus the server
-    /// collector's row under [`SERVER_TRACE_THREAD`].
+    /// collector's row under [`acn_obs::SERVER_TRACE_THREAD`].
     pub thread_traces: Vec<ThreadTraceRow>,
     /// Wasted-work totals merged over all worker threads; obeys
     /// `committed + discarded(full) + discarded(partial) == executed`
@@ -269,7 +267,7 @@ impl ScenarioResult {
 
     /// Assemble the unified [`MetricsReport`] for this run: executor
     /// totals, network counters, latency percentiles, plus attribution /
-    /// trace / contention when observability was enabled. `meta` key-values
+    /// spans / contention when observability was enabled. `meta` key-values
     /// are prepended to the run's own (`system`, `interval_ms`, `windows`).
     pub fn metrics_report(&self, meta: &[(&str, String)]) -> MetricsReport {
         let mut rows: Vec<(String, String)> = vec![
@@ -296,7 +294,6 @@ impl ScenarioResult {
         if let Some(obs) = &self.obs {
             report.contention = obs.contention.clone();
             report.aborts = AbortRow::from_table(&obs.aborts);
-            report.trace = obs.trace;
             report.critpath = obs.critpath_rows.clone();
             report.thread_traces = obs.thread_traces.clone();
             report.wasted = (!obs.wasted.is_empty()).then(|| obs.wasted.clone());
@@ -346,14 +343,17 @@ impl Tally {
         template: usize,
         run: impl FnOnce(&mut DtmClient, &mut ExecStats) -> Result<(), RunError>,
     ) {
-        if let Some(tr) = client.tracer_mut() {
+        fn tracer(client: &mut DtmClient) -> Option<&mut Tracer> {
+            client.observer_mut()?.spans.as_mut()
+        }
+        if let Some(tr) = tracer(client) {
             tr.start_txn(template as u16);
         }
         let mut txn = ExecStats::default();
         let begin = Instant::now();
         let res = run(client, &mut txn);
         let done = Instant::now();
-        if let Some(tr) = client.tracer_mut() {
+        if let Some(tr) = tracer(client) {
             tr.end_txn(res.is_ok());
         }
         if let Err(e) = &res {
@@ -375,7 +375,6 @@ pub(crate) struct Merged {
     series: WindowedSeries,
     failed: u64,
     aborts: AbortTable,
-    trace: TraceSummary,
     work: WorkTotals,
     spans: Vec<Span>,
     thread_traces: Vec<ThreadTraceRow>,
@@ -384,32 +383,24 @@ pub(crate) struct Merged {
 }
 
 impl Merged {
-    /// A worker's tally and, when observing, its observer.
-    pub(crate) fn worker(&mut self, tally: &Tally, observer: Option<&TxnObserver>) {
+    /// A finished worker: its tally, and from its client handle the
+    /// observer (attribution, ledger, span ring) and the recovery traffic.
+    pub(crate) fn worker(&mut self, tally: &Tally, client: &mut DtmClient) {
         self.series.merge(&tally.series);
         self.failed += tally.failed;
-        if let Some(obs) = observer {
-            obs.merge_into(&mut self.aborts, &mut self.trace, &mut self.work);
-        }
-    }
-
-    /// A span ring, kept under thread row `thread`.
-    pub(crate) fn spans(&mut self, thread: u64, (spans, summary): (Vec<Span>, TraceSummary)) {
-        self.spans.extend(spans);
-        self.thread_traces.push(ThreadTraceRow {
-            thread,
-            recorded: summary.recorded,
-            dropped: summary.dropped,
-            capacity: summary.capacity,
-        });
-    }
-
-    /// A finished client handle: its span ring and its recovery traffic.
-    pub(crate) fn client(&mut self, t: usize, client: &mut DtmClient) {
-        if let Some(tracer) = client.take_tracer() {
-            self.spans(t as u64, tracer.drain());
+        if let Some(obs) = client.take_observer() {
+            obs.merge_into(&mut self.aborts, &mut self.work);
+            if let Some(tracer) = obs.spans {
+                self.spans(tracer.drain());
+            }
         }
         self.repair_writes_sent += client.stats().repair_writes_sent;
+    }
+
+    /// A drained span ring and its completeness row.
+    pub(crate) fn spans(&mut self, (spans, row): (Vec<Span>, ThreadTraceRow)) {
+        self.spans.extend(spans);
+        self.thread_traces.push(row);
     }
 }
 
@@ -439,14 +430,15 @@ impl Phase<'_> {
         phase_for(self.cfg, interval)
     }
 
-    /// The span tracer of id band `t`, when span tracing is on.
+    /// The span tracer of id band `t`, when observability is on.
     pub(crate) fn tracer(&self, t: usize) -> Option<Tracer> {
-        let o = self.cfg.obs.filter(|o| o.trace_spans)?;
+        let o = self.cfg.obs?;
         let node = (self.cfg.cluster.servers + t) as u32;
         Some(Tracer::new(self.start, node, t as u64, o.span_capacity))
     }
 
-    /// Prepare worker `t`'s client handle.
+    /// Prepare worker `t`'s client handle: when observability is on it
+    /// carries the worker's one observer, span tracer included.
     pub(crate) fn setup_client(&self, t: usize, client: &mut DtmClient) {
         if !self.piggyback_classes.is_empty() {
             client.set_piggyback_classes(self.piggyback_classes.clone());
@@ -454,8 +446,11 @@ impl Phase<'_> {
         if let Some(h) = &self.cfg.history {
             client.set_history(Arc::clone(h));
         }
-        if let Some(tracer) = self.tracer(t) {
-            client.set_tracer(tracer);
+        if let Some(o) = self.cfg.obs {
+            client.set_observer(TxnObserver {
+                spans: self.tracer(t),
+                ..TxnObserver::new(o)
+            });
         }
     }
 
@@ -505,17 +500,14 @@ pub fn run_scenario(workload: &dyn Workload, cfg: &ScenarioConfig) -> ScenarioRe
         cfg.client_threads <= cfg.cluster.clients,
         "not enough client slots"
     );
-    // Span tracing: one bounded collector shared by every server thread,
-    // drained (with the same origin instant as the client rings) after
-    // shutdown.
-    let span_collector = match cfg.obs {
-        Some(o) if o.trace_spans => Some(Arc::new(SpanCollector::new(o.span_capacity))),
-        _ => None,
-    };
+    // Span tracing: one bounded collector shared by every server thread —
+    // a preset one, or a fresh one when observing — drained (with the same
+    // origin instant as the client rings) after shutdown.
     let mut cluster_cfg = cfg.cluster.clone();
-    if cluster_cfg.spans.is_none() {
-        cluster_cfg.spans = span_collector.clone();
+    if let (Some(o), None) = (cfg.obs, &cluster_cfg.spans) {
+        cluster_cfg.spans = Some(Arc::new(SpanCollector::new(o.span_capacity)));
     }
+    let span_collector = cfg.obs.and(cluster_cfg.spans.clone());
     let cluster = Cluster::start(cluster_cfg);
 
     // Seed initial state from slot 0 before measurement starts. The seeder
@@ -585,7 +577,6 @@ pub fn run_scenario(workload: &dyn Workload, cfg: &ScenarioConfig) -> ScenarioRe
             series: WindowedSeries::new(cfg.interval.as_nanos() as u64),
             failed: 0,
             aborts: AbortTable::default(),
-            trace: TraceSummary::default(),
             work: WorkTotals::default(),
             spans: Vec::new(),
             thread_traces: Vec::new(),
@@ -632,7 +623,6 @@ fn run_closed_loop(ph: &Phase<'_>) {
                 let engine = ExecutorEngine::with_config(cfg.retry, cfg.exec);
                 let mut rng = StdRng::seed_from_u64(cfg.seed + t as u64);
                 let mut tally = Tally::new(cfg);
-                let mut observer = cfg.obs.map(TxnObserver::new);
                 loop {
                     let elapsed = ph.start.elapsed();
                     if elapsed >= ph.deadline_len() {
@@ -641,17 +631,11 @@ fn run_closed_loop(ph: &Phase<'_>) {
                     let req = ph.workload.next(&mut rng, ph.phase_at(elapsed));
                     let seq = ph.block_seq(req.template, &mut client);
                     tally.transact(ph, &mut client, req.template, |client, txn| {
-                        let opts = RunOpts {
-                            obs: observer.as_mut(),
-                            ..RunOpts::default()
-                        };
                         let program = &ph.dms[req.template].program;
-                        engine.run_with(client, program, &req.params, &seq, txn, opts)
+                        engine.run(client, program, &req.params, &seq, txn)
                     });
                 }
-                let mut m = ph.merged.lock();
-                m.worker(&tally, observer.as_ref());
-                m.client(t, &mut client);
+                ph.merged.lock().worker(&tally, &mut client);
             });
         }
     });
@@ -701,13 +685,12 @@ fn assemble(
     // Every server thread has joined: the shared span sink joins the
     // client rings.
     if let Some(collector) = &span_collector {
-        merged.spans(SERVER_TRACE_THREAD, collector.drain(start));
+        merged.spans(collector.drain(start));
     }
     let Merged {
         series,
         failed,
         aborts,
-        trace,
         work,
         mut spans,
         mut thread_traces,
@@ -781,7 +764,6 @@ fn assemble(
         };
         ScenarioObs {
             aborts,
-            trace,
             contention,
             spans,
             critpath,
@@ -1129,6 +1111,30 @@ mod tests {
         );
     }
 
+    /// A collector preset on the cluster config is the one the servers
+    /// record into, so it is the one the run drains into its spans and its
+    /// server completeness row.
+    #[test]
+    fn a_preset_span_collector_is_the_one_drained() {
+        use acn_obs::{SpanKind, SERVER_TRACE_THREAD};
+        let mut cfg = tiny(SystemKind::QrCn);
+        cfg.obs = Some(ObsConfig::default());
+        cfg.cluster.spans = Some(Arc::new(SpanCollector::new(1 << 16)));
+        let r = run_scenario(&Bank::default(), &cfg);
+        assert!(r.total_commits() > 0);
+        let obs = r.obs.as_ref().expect("obs enabled");
+        assert!(
+            obs.spans.iter().any(|s| SpanKind::SERVER.contains(&s.kind)),
+            "the servers' spans reach the run's spans"
+        );
+        let server = obs
+            .thread_traces
+            .iter()
+            .find(|row| row.thread == SERVER_TRACE_THREAD)
+            .expect("a server completeness row");
+        assert!(server.recorded > 0, "{server:?}");
+    }
+
     #[test]
     fn observed_scenario_reconciles_attribution() {
         let bank = Bank::new(BankConfig {
@@ -1148,7 +1154,10 @@ mod tests {
             r.total_full_aborts() + r.total_partial_aborts() + r.total_locked_aborts(),
             "attribution must reconcile with the interval counters"
         );
-        assert!(obs.trace.recorded > 0, "events were traced");
+        assert!(
+            obs.spans.iter().any(|s| s.kind == acn_obs::SpanKind::Block),
+            "Block spans come from the executor's events"
+        );
         let report = r.metrics_report(&[]);
         let parsed = MetricsReport::parse_json_lines(&report.to_json_lines()).unwrap();
         assert_eq!(parsed, report);

@@ -15,7 +15,7 @@
 //! Where the scheduler's sets are exact, the fetch list and the rows opened
 //! with no fetch partition them — checked per instance, not only hashed.
 
-use acn_core::{BlockSeq, ExecStats, ExecutorEngine, Prediction, PredictionOutcome, RunOpts};
+use acn_core::{BlockSeq, ExecStats, ExecutorEngine, Prediction, PredictionOutcome};
 use acn_dtm::{ClientConfig, DtmClient, Msg, Server, WindowConfig};
 use acn_quorum::{DaryTree, LevelQuorums};
 use acn_simnet::{LatencyModel, Network, NodeId, RecvError};
@@ -140,12 +140,9 @@ fn pin(workload: &dyn Workload, seed: u64) -> Vec<(String, usize, u64, String)> 
 
         tap.lock().clear();
         let mut outcome = PredictionOutcome::default();
-        let opts = RunOpts {
-            obs: None,
-            prediction: Some(Prediction {
-                preds: &resolved.predicted,
-                outcome: &mut outcome,
-            }),
+        let prediction = Prediction {
+            preds: &resolved.predicted,
+            outcome: &mut outcome,
         };
         engine
             .run_with(
@@ -154,7 +151,7 @@ fn pin(workload: &dyn Workload, seed: u64) -> Vec<(String, usize, u64, String)> 
                 &req.params,
                 &seqs[t],
                 &mut stats,
-                opts,
+                Some(prediction),
             )
             .expect("an uncontended instance commits");
         assert!(outcome.mispredicts.is_empty(), "cursor and store agree");

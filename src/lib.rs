@@ -102,8 +102,8 @@ pub mod prelude {
         render_prom, report_to_prom, write_chrome_trace, AbortKind, AbortSite, AbortTable,
         CritPathRow, FlightRecord, LogHistogram, MetricsReport, ObsConfig, PromMetric, SloInputs,
         SloPolicy, SloRule, SloTrigger, Span, SpanCollector, SpanKind, ThreadTraceRow, TraceCtx,
-        TraceRing, TraceSummary, Tracer, TxnCritPath, TxnEvent, TxnObserver, WindowedSeries,
-        WorkLedger, WorkTotals, WorkUnits, SERVER_TRACE_THREAD,
+        Tracer, TxnCritPath, TxnEvent, TxnObserver, WindowedSeries, WorkLedger, WorkTotals,
+        WorkUnits, SERVER_TRACE_THREAD,
     };
     pub use acn_quorum::{DaryTree, LevelQuorums, ReadLevelPolicy};
     pub use acn_simnet::{

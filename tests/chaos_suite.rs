@@ -320,7 +320,6 @@ fn server_spans_have_client_parents_under_chaos() {
     // make the check vacuous (an orphan could hide behind the eviction).
     cfg.obs = Some(ObsConfig {
         span_capacity: 1 << 18,
-        ..ObsConfig::default()
     });
     let result = qr_acn::workloads::run_scenario(&bank, &cfg);
 

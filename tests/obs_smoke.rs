@@ -52,9 +52,6 @@ fn obs_smoke() {
     let top = obs.aborts.top_classes(1);
     assert_eq!(top[0].0, "Branch", "hot class must top the table: {top:?}");
 
-    // The trace ring saw the run (at least one event per commit).
-    assert!(obs.trace.recorded >= r.total_commits());
-
     // JSON-lines export: parses, round-trips to an equal value, and the
     // parsed counters match the run.
     let report = r.metrics_report(&[("bench", "obs_smoke".to_string())]);
@@ -84,10 +81,6 @@ fn report_carries_every_interval_counter() {
     assert_eq!(
         report.exec.unavailable_retries,
         r.total_unavailable_retries()
-    );
-    assert_eq!(
-        report.trace.recorded,
-        r.obs.as_ref().unwrap().trace.recorded
     );
 }
 

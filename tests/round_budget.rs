@@ -48,7 +48,6 @@ fn unbatched() -> ExecutorEngine {
         RetryPolicy::default(),
         ExecutorConfig {
             batched_reads: false,
-            ..ExecutorConfig::default()
         },
     )
 }
@@ -361,13 +360,8 @@ fn audit_credit_cost(objects: usize, batched_reads: bool) -> ((u64, u64, u64), u
 
     let cluster = Cluster::start(ClusterConfig::test(10, 1));
     let mut client = cluster.client(0);
-    let engine = ExecutorEngine::with_config(
-        RetryPolicy::default(),
-        ExecutorConfig {
-            batched_reads,
-            ..ExecutorConfig::default()
-        },
-    );
+    let engine =
+        ExecutorEngine::with_config(RetryPolicy::default(), ExecutorConfig { batched_reads });
     let params: Vec<Value> = (0..objects as i64).map(Value::Int).collect();
     let (mut costs, mut bytes) = (Vec::new(), 0);
     for _ in 0..3 {
