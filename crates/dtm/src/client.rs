@@ -114,6 +114,9 @@ pub struct DtmClient {
     /// trace open, quorum rounds become spans and requests ship wrapped in
     /// [`Msg::Traced`] so servers can parent their own spans to the round.
     observer: Option<Box<TxnObserver>>,
+    /// Did `drive` park — wait for a reply or back off — since the last
+    /// [`DtmClient::begin`]?
+    parked: bool,
 }
 
 impl DtmClient {
@@ -129,6 +132,7 @@ impl DtmClient {
             endpoint,
             net,
             observer: None,
+            parked: false,
         }
     }
 
@@ -183,7 +187,17 @@ impl DtmClient {
     }
 
     /// Start a transaction: allocate its globally unique id.
+    ///
+    /// A client whose previous transaction never parked — every reply was
+    /// already queued, because the servers ran on this thread — yields the
+    /// core first. Otherwise two such clients sharing a core each run whole
+    /// time slices, and a transaction preempted between prepare and commit
+    /// holds its locks for a full slice. A client that waits on the network
+    /// already lets others run, and never yields here.
     pub fn begin(&mut self) -> TxnId {
+        if !std::mem::take(&mut self.parked) {
+            std::thread::yield_now();
+        }
         self.co.begin()
     }
 
@@ -258,7 +272,14 @@ impl DtmClient {
             match m.phase() {
                 Phase::Done => break,
                 Phase::Awaiting(deadline) => {
-                    if let Ok((src, msg)) = self.endpoint.recv_deadline(deadline) {
+                    let reply = match self.endpoint.try_recv() {
+                        Some(queued) => Some(queued),
+                        None => {
+                            self.parked = true;
+                            self.endpoint.recv_deadline(deadline).ok()
+                        }
+                    };
+                    if let Some((src, msg)) = reply {
                         self.co.settle_decided(src, &msg);
                         m.on_reply(&mut self.co, src, msg, Instant::now());
                         continue;
@@ -266,6 +287,7 @@ impl DtmClient {
                     // Timed out, or the network closed under us.
                 }
                 Phase::BackingOff(until, kind) => {
+                    self.parked = true;
                     let from = Instant::now();
                     std::thread::sleep(until.saturating_duration_since(from));
                     if let (Some(kind), Some(t)) = (kind, tracer(&mut self.observer)) {

@@ -3,11 +3,12 @@
 use crate::client::{ClientConfig, DtmClient};
 use crate::contention::WindowConfig;
 use crate::messages::Msg;
-use crate::server::{Server, ServerStats, SyncConfig, DEFAULT_PREPARED_TTL};
+use crate::server::{run_inline, serve, Server, ServerStats, SyncConfig, DEFAULT_PREPARED_TTL};
 use crate::wal::{DurabilityMode, FaultLog, FaultLogConfig, FileLog, MemLog, Persistence};
 use acn_obs::SpanCollector;
 use acn_quorum::{DaryTree, LevelQuorums, ReadLevelPolicy};
 use acn_simnet::{FaultPlan, LatencyModel, Network, NodeId};
+use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,8 +18,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, Default)]
 pub enum PersistenceMode {
     /// Per-server in-memory ring (the default): survives a simulated
-    /// [`Cluster::fail_server_restart`] — the server thread keeps owning
-    /// the log across the fault — but not process death. Right for tests.
+    /// [`Cluster::fail_server_restart`] — the server keeps owning the log
+    /// across the fault — but not process death. Right for tests.
     #[default]
     Memory,
     /// Append-only file log per server at `dir/server-{rank}.wal`,
@@ -119,6 +120,15 @@ pub struct Cluster {
 impl Cluster {
     /// Start `cfg.servers` server threads.
     pub fn start(cfg: ClusterConfig) -> Cluster {
+        Cluster::start_with(cfg, |wal| wal)
+    }
+
+    /// [`Cluster::start`], with each server's log backend passed through
+    /// `wrap` last (tests observe the backend this way).
+    fn start_with(
+        cfg: ClusterConfig,
+        wrap: impl Fn(Box<dyn Persistence>) -> Box<dyn Persistence>,
+    ) -> Cluster {
         let net: Network<Msg> = Network::new(cfg.servers + cfg.clients, cfg.latency.clone());
         let quorums =
             LevelQuorums::with_policy(DaryTree::new(cfg.servers, cfg.arity), cfg.read_policy);
@@ -156,11 +166,17 @@ impl Cluster {
                     }
                     None => wal,
                 };
-                server.set_persistence(wal);
+                server.set_persistence(wrap(wal));
                 server.set_durability(cfg.durability.clone());
+                // One state machine, two callers under its lock: a
+                // zero-delay message runs it on the sender's thread, the
+                // server thread takes everything else (and every sync).
+                let server = Arc::new(Mutex::new(server));
+                let (inline, ep) = (Arc::clone(&server), endpoint.clone());
+                net.attach(endpoint.id(), move || run_inline(&inline, &ep));
                 std::thread::Builder::new()
                     .name(format!("qr-server-{rank}"))
-                    .spawn(move || server.run(endpoint))
+                    .spawn(move || serve(&server, &endpoint))
                     .expect("spawn server thread")
             })
             .collect();
@@ -295,6 +311,9 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{LoadedLog, WalError, WalRecord};
+    use crate::TxnCtx;
+    use acn_txir::{FieldId, ObjClass, ObjectId, Value};
 
     #[test]
     fn cluster_starts_and_stops() {
@@ -310,6 +329,69 @@ mod tests {
         let c = Cluster::start(ClusterConfig::test(1, 1));
         let _ = c.client(5);
         // (cluster leaks on panic; fine in a should_panic test)
+    }
+
+    /// Passes everything through, recording which thread ran each sync.
+    struct SyncWitness {
+        inner: Box<dyn Persistence>,
+        threads: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Persistence for SyncWitness {
+        fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+            self.inner.append(rec)
+        }
+
+        fn sync(&mut self) -> Result<(), WalError> {
+            let me = std::thread::current();
+            self.threads
+                .lock()
+                .push(me.name().unwrap_or("?").to_string());
+            self.inner.sync()
+        }
+
+        fn load(&mut self) -> LoadedLog {
+            self.inner.load()
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+    }
+
+    #[test]
+    fn file_syncs_run_on_server_threads() {
+        // Zero latency: every request runs its server on the client's
+        // thread, yet the fsyncs it makes due must wait for the servers'.
+        let dir = std::env::temp_dir().join(format!("acn-sync-threads-{}", std::process::id()));
+        let mut cfg = ClusterConfig::test(4, 1);
+        cfg.persistence = PersistenceMode::File(dir.clone());
+        cfg.durability = DurabilityMode::GroupCommit {
+            max_records: 32,
+            max_delay: Duration::from_millis(1),
+        };
+        let threads: Arc<Mutex<Vec<String>>> = Arc::default();
+        let witness = Arc::clone(&threads);
+        let c = Cluster::start_with(cfg, move |inner| {
+            let threads = Arc::clone(&witness);
+            Box::new(SyncWitness { inner, threads })
+        });
+        let mut client = c.client(0);
+        for i in 0..20 {
+            let obj = ObjectId::new(ObjClass::new(0, "C"), i % 4);
+            let mut t = TxnCtx::begin(&mut client);
+            t.open(&mut client, obj, true).unwrap();
+            t.set_field(obj, FieldId(0), Value::Int(i as i64));
+            t.commit(&mut client).unwrap();
+        }
+        let stats = c.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(stats.iter().map(|s| s.wal_sync_batches).sum::<u64>() > 0);
+        let threads = threads.lock().clone();
+        assert!(
+            threads.iter().all(|name| name.starts_with("qr-server-")),
+            "a sync ran off the server threads: {threads:?}"
+        );
     }
 
     #[test]

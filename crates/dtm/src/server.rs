@@ -1,4 +1,4 @@
-//! The quorum server: a state machine and the loop that pumps it.
+//! The quorum server: a state machine and the one pump that drives it.
 //!
 //! [`Server`] is the whole protocol state machine — store, locks, dedup,
 //! the durable log with its ack-after-durable gate, the TTL sweep, crash
@@ -8,9 +8,11 @@
 //! [`Server::tick`] (everything that happens because time passed) and
 //! [`Server::observe_faults`] (what the fault table says about this host).
 //!
-//! [`Server::run`] is the only function here that owns an
-//! [`Endpoint`] or reads the clock (`Instant::now()`): it receives,
-//! steps, ticks and sends, and decides nothing.
+//! [`Server::drain`] is the only method here that owns an [`Endpoint`] or
+//! reads the clock (`Instant::now()`): it receives, steps, ticks and
+//! sends, and decides nothing. Two callers run it under the server's
+//! lock: [`serve`], the server's own thread, and [`run_inline`], which a
+//! zero-delay message runs on its sender's thread.
 
 use crate::contention::{ContentionWindow, WindowConfig};
 use crate::messages::{BatchRead, Msg, ReqId, TxnId, ValidateEntry, Version};
@@ -20,6 +22,7 @@ use acn_obs::{RawSpan, SpanCollector, SpanKind, TraceCtx, FLAG_ROLLED_BACK};
 use acn_quorum::LevelQuorums;
 use acn_simnet::{Endpoint, NodeId, RecvError};
 use acn_txir::{ObjectId, ObjectVal};
+use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -152,11 +155,11 @@ struct PreparedTxn {
 }
 
 /// One quorum node: a full replica of every object plus commit-lock,
-/// durability and contention bookkeeping. The server is single-threaded —
-/// it owns its state and processes messages in arrival order, so each
-/// request is handled atomically with respect to the others (the
-/// concurrency in the system is *between* nodes, as in the paper's
-/// deployment).
+/// durability and contention bookkeeping. The server is sequential — one
+/// lock serialises every caller of [`Server::drain`], which processes
+/// messages in arrival order, so each request is handled atomically with
+/// respect to the others (the concurrency in the system is *between*
+/// nodes, as in the paper's deployment).
 pub struct Server {
     store: Store,
     contention: ContentionWindow,
@@ -216,9 +219,11 @@ pub struct Server {
     spans: Option<Arc<SpanCollector>>,
     /// Spans a tick opened — a WAL sync and the acks it released — as
     /// `(parent, kind, start)`. They end when the blocking sync returned,
-    /// which only the driver's clock can say: [`Server::run`] stamps and
+    /// which only the pump's clock can say: [`Server::drain`] stamps and
     /// records them right after the tick. Empty unless `spans` is set.
     open_spans: Vec<(Option<TraceCtx>, SpanKind, Instant)>,
+    /// Set once [`Msg::Shutdown`] is received: nothing is served after it.
+    stopped: bool,
 }
 
 /// Lock-release sentinel for writes installed outside 2PC (sync catch-up
@@ -246,7 +251,7 @@ pub const DEFAULT_PREPARED_TTL: Duration = Duration::from_secs(30);
 /// How often a syncing replica re-broadcasts its catch-up probe.
 const PROBE_EVERY: Duration = Duration::from_millis(40);
 
-/// The service loop's receive timeout when no deadline is nearer: the
+/// How long the server thread parks when no deadline is nearer: the
 /// cadence at which an idle or failed node polls its fault table.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
@@ -275,6 +280,7 @@ impl Server {
             next_probe: None,
             spans: None,
             open_spans: Vec::new(),
+            stopped: false,
         }
     }
 
@@ -677,8 +683,8 @@ impl Server {
                 validate,
                 sample,
             } => {
-                // The server is single-threaded, so the whole batch is
-                // served against one atomic snapshot of the store.
+                // The server steps one message at a time, so the whole
+                // batch is served against one atomic snapshot of the store.
                 // Incremental validation runs regardless of lock state: a
                 // stale read-set is worth reporting even when a requested
                 // object is protected.
@@ -933,54 +939,68 @@ impl Server {
         self.release(out);
     }
 
-    /// Service loop: pump messages and time through the state machine
-    /// until `Msg::Shutdown` arrives or the network closes. Returns the
-    /// final stats.
+    /// Send what a tick produced. The spans it opened end here, now that
+    /// the sync they waited on has returned.
+    fn flush(&mut self, endpoint: &Endpoint<Msg>, out: &mut Vec<(NodeId, Msg)>) {
+        if !self.open_spans.is_empty() {
+            self.close_spans(endpoint.id().0, Instant::now());
+        }
+        out.drain(..)
+            .for_each(|(dst, msg)| send(endpoint, dst, msg));
+    }
+
+    /// The pump: feed the fault table, the clock and every ready message
+    /// of `endpoint` through the state machine, sending what comes out,
+    /// until a pass finds no message to step. Returns when to drain again
+    /// at the latest.
     ///
-    /// Each iteration reports the fault table ([`Server::observe_faults`]),
-    /// ticks and sends what the tick released, then receives — for at most
-    /// the tick's deadline, and never longer than the idle poll, which
-    /// keeps crash detection and the probe cadence responsive while the
-    /// node is failed or idle — and steps up to a batch of messages
-    /// already queued, sending each ungated reply before the next message
-    /// is received.
-    pub fn run(mut self, endpoint: Endpoint<Msg>) -> ServerStats {
+    /// Each pass keeps one order: report the fault table
+    /// ([`Server::observe_faults`]), tick and send what the tick released,
+    /// then step up to a batch of ready messages, sending each ungated
+    /// reply before the next one is received. The pass after the last
+    /// message ticks again, so a sync the batch made due happens before
+    /// the pump returns.
+    ///
+    /// Two callers hold the server's lock around it. The server's own
+    /// thread (`serve`) passes `may_sync = true`. A sender's thread
+    /// delivering a zero-delay message (`run_inline`) passes `false`: a
+    /// sync blocks on the device and belongs on the server's thread, so
+    /// while one is owed this pump skips the tick — it would sync — and
+    /// keeps stepping, leaving every record it appends to the one sync
+    /// the server's thread runs next; it returns that deadline, already
+    /// due, for the caller to hand over. After [`Msg::Shutdown`] every
+    /// call returns at once, due now.
+    pub fn drain(&mut self, endpoint: &Endpoint<Msg>, may_sync: bool) -> Option<Instant> {
         let node = endpoint.id().0;
-        let send = |dst: NodeId, msg: Msg| {
-            let bytes = msg.wire_bytes();
-            endpoint.send_sized(dst, msg, bytes);
-        };
-        // Send what a tick produced. The spans it opened end here, now
-        // that the sync they waited on has returned.
-        let flush = |server: &mut Server, out: &mut Vec<(NodeId, Msg)>| {
-            if !server.open_spans.is_empty() {
-                server.close_spans(node, Instant::now());
-            }
-            out.drain(..).for_each(|(dst, msg)| send(dst, msg));
-        };
         let mut out = Vec::new();
-        'serve: loop {
+        loop {
             let now = Instant::now();
+            if self.stopped {
+                return Some(now);
+            }
             self.observe_faults(
                 endpoint.amnesia_epoch(),
                 endpoint.restart_epoch(),
                 endpoint.is_failed(),
                 now,
             );
-            let deadline = self.tick(now, &mut out);
-            flush(&mut self, &mut out);
-            let mut timeout = match deadline {
-                Some(due) => IDLE_POLL.min(due.saturating_duration_since(Instant::now())),
-                None => IDLE_POLL,
+            let owed = self
+                .log
+                .deadline(now)
+                .filter(|&due| !may_sync && due <= now);
+            let deadline = if owed.is_some() {
+                owed
+            } else {
+                let deadline = self.tick(now, &mut out);
+                self.flush(endpoint, &mut out);
+                deadline
             };
-            for _ in 0..self.log.batch() {
-                let (src, msg, meta) = match endpoint.recv_timeout_meta(timeout) {
-                    Ok(received) => received,
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Closed) => break 'serve,
+            let mut stepped = 0;
+            while stepped < self.log.batch() {
+                let Some((src, msg, meta)) = endpoint.try_recv_meta() else {
+                    break;
                 };
-                // After the first message, drain only what is queued.
-                timeout = Duration::ZERO;
+                stepped += 1;
                 // Look through the trace envelope: `step` strips it, but
                 // its context parents the spans below.
                 let (ctx, bare) = match &msg {
@@ -988,13 +1008,14 @@ impl Server {
                     other => (None, other),
                 };
                 if matches!(bare, Msg::Shutdown) {
-                    break 'serve;
+                    self.stopped = true;
+                    return Some(now);
                 }
                 let reply = self.step(src, msg, Instant::now());
                 if let (Some(ctx), true) = (ctx, self.spans.is_some()) {
                     let done = Instant::now();
                     // Inbox dwell: matured on the wire at `deliver_at`,
-                    // picked up by this single-threaded loop at
+                    // picked up by whichever thread drained the inbox at
                     // `received_at` — the server-queue segment.
                     let queue = SpanKind::ServerQueue;
                     self.span(node, Some(ctx), queue, meta.deliver_at, meta.received_at);
@@ -1009,13 +1030,70 @@ impl Server {
                     }
                 }
                 if let Some(reply) = reply {
-                    send(src, reply);
+                    send(endpoint, src, reply);
                 }
             }
+            if stepped == 0 {
+                return deadline;
+            }
         }
-        self.shutdown(Instant::now(), &mut out);
-        flush(&mut self, &mut out);
-        self.stats()
+    }
+}
+
+/// Send `msg` from the server, charged its wire size.
+fn send(endpoint: &Endpoint<Msg>, dst: NodeId, msg: Msg) {
+    let bytes = msg.wire_bytes();
+    endpoint.send_sized(dst, msg, bytes);
+}
+
+/// The server's own thread: park until a message is ready, the server's
+/// next deadline (at most [`IDLE_POLL`] away, which keeps crash detection
+/// and the probe cadence responsive while the node is failed or idle) or
+/// a kick from [`run_inline`]; then drain, syncs allowed. Ends on
+/// [`Msg::Shutdown`] or when the network closes, with one last sync, and
+/// returns the final stats.
+///
+/// This is the one blocking `lock` of a server; it is taken while holding
+/// nothing else, and every other caller only `try_lock`s, so no cycle of
+/// waits can form.
+pub(crate) fn serve(server: &Mutex<Server>, endpoint: &Endpoint<Msg>) -> ServerStats {
+    let mut due = None;
+    let mut s = loop {
+        let idle = Instant::now() + IDLE_POLL;
+        let wake = due.map_or(idle, |due: Instant| due.min(idle));
+        if endpoint.wait_ready(wake) == Err(RecvError::Closed) {
+            break server.lock();
+        }
+        let mut s = server.lock();
+        due = s.drain(endpoint, true);
+        if s.stopped {
+            break s;
+        }
+    };
+    let mut out = Vec::new();
+    s.shutdown(Instant::now(), &mut out);
+    s.flush(endpoint, &mut out);
+    s.stats()
+}
+
+/// A zero-delay message's delivery, on its sender's thread (the runner
+/// [`crate::Cluster::start`] attaches per server): drain the server unless
+/// another thread holds it, never syncing. Whoever holds the lock drains
+/// what this message left, because every holder looks at the inbox again
+/// after unlocking — the loop below, and [`serve`]'s next `wait_ready`.
+/// A deadline already due (a sync is owed, or `Shutdown` arrived) is the
+/// server thread's to honour: kick it.
+pub(crate) fn run_inline(server: &Mutex<Server>, endpoint: &Endpoint<Msg>) {
+    while let Some(mut s) = server.try_lock() {
+        let due = s.drain(endpoint, false);
+        drop(s);
+        if due.is_some_and(|due| due <= Instant::now()) {
+            endpoint.kick();
+            return;
+        }
+        if !endpoint.has_mature() {
+            return;
+        }
     }
 }
 
@@ -1042,6 +1120,15 @@ mod tests {
 
     fn server() -> Server {
         Server::new(WindowConfig::default())
+    }
+
+    /// A server whose log stages appends until a sync, as a file does —
+    /// the fixture of the tests of the gate itself, which a `MemLog`
+    /// (durable on append) never closes.
+    fn staged_server() -> Server {
+        let mut s = server();
+        s.set_persistence(Box::new(FlakyLog::failing_appends(vec![])));
+        s
     }
 
     /// A single-object read: a batch of one.
@@ -2490,7 +2577,7 @@ mod tests {
     }
 
     fn group_commit(max_records: usize, max_delay: Duration) -> Server {
-        let mut s = server();
+        let mut s = staged_server();
         s.set_durability(DurabilityMode::GroupCommit {
             max_records,
             max_delay,
@@ -2565,6 +2652,30 @@ mod tests {
     }
 
     #[test]
+    fn memlog_acks_leave_at_once() {
+        // Memory is as durable as it gets the moment it is written: the
+        // gate has nothing to wait for and no tick owes a sync.
+        let mut s = server();
+        let t0 = far();
+        assert!(matches!(
+            s.step(CLIENT, prepare(1, 1, OBJ), t0),
+            Some(Msg::PrepareResp { vote: true, .. })
+        ));
+        assert!(matches!(
+            s.step(CLIENT, commit(1, 2, OBJ), t0),
+            Some(Msg::CommitAck { req: 2 })
+        ));
+        let mut out = Vec::new();
+        assert_eq!(
+            s.tick(t0, &mut out),
+            Some(t0 + DEFAULT_PREPARED_TTL / 4),
+            "only the sweep cadence: no log deadline"
+        );
+        assert!(out.is_empty());
+        assert_eq!(s.stats().wal_sync_batches, 0);
+    }
+
+    #[test]
     fn buffered_never_parks_and_never_syncs_from_a_tick() {
         let mut s = server();
         s.set_durability(DurabilityMode::Buffered);
@@ -2583,7 +2694,7 @@ mod tests {
 
     #[test]
     fn reads_and_refusals_pass_the_gate_while_acks_are_parked() {
-        let mut s = server();
+        let mut s = staged_server();
         let t0 = far();
         assert!(
             s.step(CLIENT, prepare(1, 1, OBJ), t0).is_none(),
@@ -2660,7 +2771,7 @@ mod tests {
 
     #[test]
     fn tick_sweeps_expired_prepares_on_the_sweep_cadence() {
-        let mut s = server();
+        let mut s = staged_server();
         s.set_prepared_ttl(ms(10)); // cadence: max(ttl / 4, 100 ms)
         let t0 = far();
         granted_prepare(&mut s, 1, 1, OBJ, t0);

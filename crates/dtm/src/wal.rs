@@ -34,8 +34,18 @@
 //! durable watermarks, degraded mode with its retry queue and backoff, and
 //! the acks parked on all of that. It touches no network and reads no
 //! clock — every method that stamps or compares a time takes `now` from
-//! its caller ([`crate::Server`], and ultimately `Server::run`), so
+//! its caller ([`crate::Server`], and ultimately `Server::drain`), so
 //! `max_delay` aging and backoff run on whatever clock drives the server.
+//!
+//! A backend whose [`Persistence::durable_on_append`] is `true` promises
+//! that an `Ok` append is already as durable as it will ever be — its
+//! `sync` does nothing. [`MemLog`] is the one in-tree example. For such a
+//! backend the durable watermark moves with the appended one: the gate
+//! passes every ack at once, no dirty window opens, and no tick owes a
+//! sync. A failed append still degrades the log and parks what depends on
+//! the queued record, as on any backend. [`FileLog`] and [`FaultLog`] keep
+//! the default `false` — `FaultLog` stages its appends until a sync, even
+//! over a `MemLog` — so the durability chaos profiles still park acks.
 
 use crate::messages::{Msg, ReqId, TxnId, Version};
 use crate::store::Store;
@@ -431,6 +441,12 @@ pub trait Persistence: Send {
     fn load(&mut self) -> LoadedLog;
     /// Destroy the log (crash-with-amnesia loses the disk too).
     fn reset(&mut self);
+    /// Is a record durable the moment `append` returns `Ok` — is `sync` a
+    /// no-op? Then the gate never parks an ack on this backend. Default
+    /// `false`.
+    fn durable_on_append(&self) -> bool {
+        false
+    }
 }
 
 /// Backoff bounds for retrying syncs (and failed-append re-stages) while
@@ -522,11 +538,12 @@ impl DurableLog {
         self.mem.failed
     }
 
-    /// How many queued messages the driver may handle between syncs. Group
-    /// commit batches by *arrival concurrency*: everything already queued
-    /// is handled before the sync, so one fsync covers what accumulated
-    /// while the previous one ran. `EveryRecord`'s contract is one sync per
-    /// record, and the ablation measures exactly that.
+    /// How many queued messages the server's thread may handle between
+    /// syncs. Group commit batches by *arrival concurrency*: everything
+    /// already queued is handled before the sync, so one fsync covers what
+    /// accumulated while the previous one ran. `EveryRecord` syncs after
+    /// each record the server's thread handles. Records appended inline, on
+    /// a sender's thread that may not sync, ride the next sync either way.
     pub(crate) fn batch(&self) -> usize {
         match self.mode {
             DurabilityMode::GroupCommit { .. } => 64,
@@ -541,7 +558,11 @@ impl DurableLog {
         let staged = self.backend.append(rec).is_ok();
         if staged {
             self.mem.appended += 1;
-            self.mem.first_dirty_at.get_or_insert(now);
+            if self.backend.durable_on_append() {
+                self.mem.durable = self.mem.appended;
+            } else {
+                self.mem.first_dirty_at.get_or_insert(now);
+            }
         } else {
             self.io_errors += 1;
             self.mem.failed = true;
@@ -753,6 +774,10 @@ impl Persistence for MemLog {
     fn sync(&mut self) -> Result<(), WalError> {
         // Memory is "durable" for the simulated-restart lifetime.
         Ok(())
+    }
+
+    fn durable_on_append(&self) -> bool {
+        true
     }
 
     fn load(&mut self) -> LoadedLog {

@@ -1,4 +1,13 @@
 //! The network object and per-node endpoints.
+//!
+//! Every message goes through one path, [`Endpoint::dispatch`]: fault
+//! check, chaos fate, latency sample, push into the destination's inbox.
+//! What happens after the push depends on the destination. A node with a
+//! *runner* ([`Network::attach`]) — a server — has its runner called on the
+//! sender's thread when the message's delay is zero: the runner drains the
+//! inbox under the node's own lock, so no thread wakes and nothing switches.
+//! A delayed message, and any message to a node without a runner (a
+//! client), wakes the receiving thread at `deliver_at` as before.
 
 use crate::chaos::{ChaosDecision, FaultAction, FaultPlan, MsgKind, TimedFault};
 use crate::envelope::{Envelope, Payload};
@@ -33,8 +42,16 @@ impl<M> ChaosRuntime<M> {
     }
 }
 
+/// What a sender calls to deliver a zero-delay message to a node: it drains
+/// the node's inbox on the caller's thread (see [`Network::attach`]).
+type Runner = Arc<dyn Fn() + Send + Sync>;
+
 struct Shared<M> {
     inboxes: Vec<Inbox<M>>,
+    /// Per node, the runner a zero-delay message calls; `None` for nodes
+    /// that receive on their own thread, and for every node after
+    /// [`Network::shutdown`].
+    runners: Vec<RwLock<Option<Runner>>>,
     latency: LatencyModel,
     faults: FaultTable,
     stats: NetStats,
@@ -68,6 +85,7 @@ impl<M: Send + 'static> Network<M> {
         Network {
             shared: Arc::new(Shared {
                 inboxes,
+                runners: (0..nodes).map(|_| RwLock::new(None)).collect(),
                 latency,
                 faults: FaultTable::new(),
                 stats: NetStats::default(),
@@ -84,8 +102,10 @@ impl<M: Send + 'static> Network<M> {
 
     /// Obtain the endpoint for `node`. Multiple endpoints for the same node
     /// may coexist (e.g., a sender handle cloned into another thread), but
-    /// at most one thread at a time must call the receive methods for a
-    /// given node: the inbox's wake protocol records one parked receiver.
+    /// the receives for a given node must be serialised — on its one
+    /// receiving thread, or for a node with a runner under the lock the
+    /// runner and the node's own thread share — and at most one thread may
+    /// park on it: the inbox's wake protocol records one parked receiver.
     pub fn endpoint(&self, node: NodeId) -> Endpoint<M> {
         assert!(
             node.index() < self.shared.inboxes.len(),
@@ -245,10 +265,30 @@ impl<M: Send + 'static> Network<M> {
         self.shared.stats.snapshot()
     }
 
-    /// Close every inbox, unblocking all receivers with [`RecvError::Closed`].
+    /// Deliver `node`'s zero-delay messages by calling `runner` on the
+    /// sender's thread, right after the message lands in the inbox. The
+    /// push claims no wake: the runner is expected to drain the inbox (with
+    /// [`Endpoint::try_recv_meta`], under a lock it shares with the node's
+    /// own thread, which parks in [`Endpoint::wait_ready`]). A runner that
+    /// cannot take that lock must leave the message to whoever holds it,
+    /// so the holder re-checks [`Endpoint::has_mature`] after unlocking;
+    /// a runner that hands work back calls [`Endpoint::kick`]. Delayed
+    /// messages still wake the node's thread at `deliver_at`.
+    ///
+    /// A runner usually owns an [`Endpoint`], which owns the network:
+    /// [`Network::shutdown`] drops the runners to break that cycle.
+    pub fn attach(&self, node: NodeId, runner: impl Fn() + Send + Sync + 'static) {
+        *self.shared.runners[node.index()].write() = Some(Arc::new(runner));
+    }
+
+    /// Close every inbox, unblocking all receivers with [`RecvError::Closed`],
+    /// and drop every runner.
     pub fn shutdown(&self) {
         for inbox in &self.shared.inboxes {
             inbox.close();
+        }
+        for runner in &self.shared.runners {
+            runner.write().take();
         }
     }
 }
@@ -265,6 +305,16 @@ pub struct RecvMeta {
     pub deliver_at: Instant,
     /// When the receiving thread actually dequeued it.
     pub received_at: Instant,
+}
+
+/// Unwrap a dequeued envelope, stamping its [`RecvMeta`] now.
+fn with_meta<M: Clone>(e: Envelope<M>) -> (NodeId, M, RecvMeta) {
+    let meta = RecvMeta {
+        sent_at: e.sent_at,
+        deliver_at: e.deliver_at,
+        received_at: Instant::now(),
+    };
+    (e.src, e.payload.into_inner(), meta)
 }
 
 /// A node's connection to the network.
@@ -310,11 +360,19 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// its own fault check, its own latency sample, its own sequence number
     /// and its own message/byte counters. Sharing the allocation changes
     /// simulator cost only, never the modelled network behaviour.
+    ///
+    /// The last member's envelope takes the broadcast's own handle, so a
+    /// member that receives after every other one did (a runner called
+    /// during the last dispatch, say) unwraps the payload without a copy.
     pub fn broadcast(&self, members: &[NodeId], payload: M, bytes_per_member: u64) {
+        let Some((&last, rest)) = members.split_last() else {
+            return;
+        };
         let shared = Arc::new(payload);
-        for &to in members {
+        for &to in rest {
             self.dispatch(to, Payload::Shared(Arc::clone(&shared)), bytes_per_member);
         }
+        self.dispatch(last, Payload::Shared(shared), bytes_per_member);
     }
 
     fn dispatch(&self, to: NodeId, payload: Payload<M>, bytes: u64) {
@@ -377,8 +435,15 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
             payload,
         };
+        // Due at once and `to` has a runner: this thread delivers it, so
+        // the push leaves the receiver's wake alone.
+        let runner = if delay.is_zero() {
+            self.shared.runners[to.index()].read().clone()
+        } else {
+            None
+        };
         let inbox = &self.shared.inboxes[to.index()];
-        if !inbox.push(env) {
+        if !inbox.push(env, runner.is_none()) {
             self.shared.stats.record_dropped_closed();
             return;
         }
@@ -392,18 +457,21 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             return;
         }
         self.shared.stats.record_delivered(bytes);
+        if let Some(run) = runner {
+            run();
+        }
     }
 
     /// Blocking receive with a timeout. Returns the sender and payload.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvError> {
-        self.shared.inboxes[self.id.index()]
+        self.inbox()
             .recv_timeout(timeout)
             .map(|e| (e.src, e.payload.into_inner()))
     }
 
     /// Blocking receive with an absolute deadline.
     pub fn recv_deadline(&self, deadline: Instant) -> Result<(NodeId, M), RecvError> {
-        self.shared.inboxes[self.id.index()]
+        self.inbox()
             .recv_deadline(deadline)
             .map(|e| (e.src, e.payload.into_inner()))
     }
@@ -411,37 +479,48 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// [`Endpoint::recv_timeout`] that also reports the message's timing
     /// metadata (see [`RecvMeta`]).
     pub fn recv_timeout_meta(&self, timeout: Duration) -> Result<(NodeId, M, RecvMeta), RecvError> {
-        self.recv_deadline_meta(Instant::now() + timeout)
-    }
-
-    /// [`Endpoint::recv_deadline`] that also reports the message's timing
-    /// metadata (see [`RecvMeta`]).
-    pub fn recv_deadline_meta(
-        &self,
-        deadline: Instant,
-    ) -> Result<(NodeId, M, RecvMeta), RecvError> {
-        self.shared.inboxes[self.id.index()]
-            .recv_deadline(deadline)
-            .map(|e| {
-                let meta = RecvMeta {
-                    sent_at: e.sent_at,
-                    deliver_at: e.deliver_at,
-                    received_at: Instant::now(),
-                };
-                (e.src, e.payload.into_inner(), meta)
-            })
+        self.inbox().recv_timeout(timeout).map(with_meta)
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        self.shared.inboxes[self.id.index()]
+        self.inbox()
             .try_recv()
             .map(|e| (e.src, e.payload.into_inner()))
     }
 
+    /// [`Endpoint::try_recv`] that also reports the message's timing
+    /// metadata (see [`RecvMeta`]).
+    pub fn try_recv_meta(&self) -> Option<(NodeId, M, RecvMeta)> {
+        self.inbox().try_recv().map(with_meta)
+    }
+
+    /// Park until a message is ready, [`Endpoint::kick`] is called or
+    /// `deadline` passes, without receiving anything: the caller drains
+    /// the inbox afterwards. `Err(Timeout)` means none of the first two
+    /// happened; `Err(Closed)` that the network shut down.
+    pub fn wait_ready(&self, deadline: Instant) -> Result<(), RecvError> {
+        self.inbox().wait_ready(deadline)
+    }
+
+    /// End the current (or next) [`Endpoint::wait_ready`] of this node at
+    /// once. A runner calls it to hand work back to the node's own thread.
+    pub fn kick(&self) {
+        self.inbox().kick();
+    }
+
+    /// Is a message ready to be received on this node?
+    pub fn has_mature(&self) -> bool {
+        self.inbox().has_mature()
+    }
+
+    fn inbox(&self) -> &Inbox<M> {
+        &self.shared.inboxes[self.id.index()]
+    }
+
     /// Number of queued (possibly not yet mature) messages.
     pub fn pending(&self) -> usize {
-        self.shared.inboxes[self.id.index()].len()
+        self.inbox().len()
     }
 
     /// Is this endpoint's own node failed?

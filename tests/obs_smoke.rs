@@ -18,7 +18,11 @@ fn observed_bank_config() -> (Bank, ScenarioConfig) {
     });
     let mut cfg = ScenarioConfig::scaled(SystemKind::QrCn, 4);
     cfg.cluster = ClusterConfig::test(10, 4);
-    cfg.cluster.latency = LatencyModel::Zero;
+    // A real hop keeps every round in flight long enough for the four
+    // workers to overlap. At zero latency the servers run on the sending
+    // worker's thread and a whole transaction can fit in one time slice,
+    // so whether any two ever conflict would depend on the scheduler.
+    cfg.cluster.latency = LatencyModel::Constant(Duration::from_micros(20));
     cfg.cluster.window.window = Duration::from_millis(40);
     cfg.intervals = 3;
     cfg.interval = Duration::from_millis(80);
