@@ -23,7 +23,9 @@ pub enum PersistenceMode {
     #[default]
     Memory,
     /// Append-only file log per server at `dir/server-{rank}.wal`,
-    /// length-prefixed checksummed frames. Survives real process death.
+    /// length-prefixed checksummed frames. Each server starts with its
+    /// log empty — a file an earlier run left there is truncated, never
+    /// replayed — and the log survives the cluster's simulated restarts.
     File(PathBuf),
 }
 
@@ -150,7 +152,7 @@ impl Cluster {
                     PersistenceMode::File(dir) => {
                         std::fs::create_dir_all(dir).expect("create WAL directory");
                         Box::new(
-                            FileLog::open(dir.join(format!("server-{rank}.wal")))
+                            FileLog::create(dir.join(format!("server-{rank}.wal")))
                                 .expect("open server WAL"),
                         )
                     }
@@ -312,8 +314,8 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::wal::{LoadedLog, WalError, WalRecord};
-    use crate::TxnCtx;
-    use acn_txir::{FieldId, ObjClass, ObjectId, Value};
+    use crate::{TxnCtx, TxnId};
+    use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
 
     #[test]
     fn cluster_starts_and_stops() {
@@ -392,6 +394,64 @@ mod tests {
             threads.iter().all(|name| name.starts_with("qr-server-")),
             "a sync ran off the server threads: {threads:?}"
         );
+    }
+
+    #[test]
+    fn file_cluster_never_replays_a_log_an_earlier_run_left() {
+        // An earlier run's log holds a write this cluster never makes.
+        let dir = std::env::temp_dir().join(format!("acn-stale-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ghost = ObjectId::new(ObjClass::new(0, "C"), 999);
+        let mut stale = FileLog::open(dir.join("server-0.wal")).unwrap();
+        stale
+            .append(&WalRecord::CommitApply {
+                txn: TxnId {
+                    client: NodeId(77),
+                    seq: 1,
+                },
+                req: 1,
+                writes: vec![(ghost, 99, ObjectVal::new())],
+            })
+            .unwrap();
+        stale.sync().unwrap();
+        drop(stale);
+
+        let mut cfg = ClusterConfig::test(4, 2);
+        cfg.persistence = PersistenceMode::File(dir.clone());
+        let c = Cluster::start(cfg);
+        let mut client = c.client(0);
+        let obj = ObjectId::new(ObjClass::new(0, "C"), 1);
+        let mut t = TxnCtx::begin(&mut client);
+        t.open(&mut client, obj, true).unwrap();
+        t.set_field(obj, FieldId(0), Value::Int(5));
+        t.commit(&mut client).unwrap();
+        // A restart replays server 0's log: only this cluster's records.
+        c.fail_server_restart(0);
+        c.recover_server(0);
+        // Every drain pass reads the crash epochs before it steps a message
+        // (one message per pass under `EveryRecord`), so once server 0 has
+        // answered a probe sent after the crash, the pass that steps
+        // `Shutdown` acts on the restart first.
+        let probe = c.net().endpoint(NodeId(5));
+        probe.send(
+            NodeId(0),
+            Msg::ContentionReq {
+                req: 1,
+                classes: vec![],
+            },
+        );
+        let (from, _) = probe.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(from, NodeId(0));
+        let stats = c.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(stats[0].restart_replays, 1);
+        for (rank, s) in stats.iter().enumerate() {
+            assert!(
+                s.inventory.iter().all(|&(o, _)| o != ghost),
+                "server {rank} holds the stale log's write: {:?}",
+                s.inventory
+            );
+        }
     }
 
     #[test]

@@ -748,27 +748,27 @@ impl Server {
                     // Read-only prepares (no writes) hold no locks and need
                     // no phase 2, so nothing is recorded for them.
                     if !locked.is_empty() {
+                        // The grant record takes the locked set for the
+                        // append and gives it back for the prepared table.
                         let grant = WalRecord::PrepareGrant {
                             txn,
                             req,
-                            objs: locked.clone(),
+                            objs: locked,
                         };
-                        if !self.log.append(&grant, now) {
+                        let staged = self.log.append(&grant, now);
+                        let WalRecord::PrepareGrant { objs, .. } = grant else {
+                            unreachable!("built as a grant above")
+                        };
+                        if !staged {
                             // The grant could not even be staged: undo the
                             // locks and refuse with storage back-pressure.
-                            for obj in locked {
+                            for obj in objs {
                                 self.store.unlock(obj, txn);
                             }
                             self.stats.wal_vote_refusals += 1;
                             return Some(refusal(req, false));
                         }
-                        self.prepared.insert(
-                            txn,
-                            PreparedTxn {
-                                objs: locked,
-                                at: now,
-                            },
-                        );
+                        self.prepared.insert(txn, PreparedTxn { objs, at: now });
                     }
                 } else {
                     for obj in locked {
@@ -795,13 +795,14 @@ impl Server {
                 // the ack stays parked until a re-append plus a covering
                 // sync make it durable, so ack-after-durable holds even
                 // when the append itself faulted. The error is counted
-                // and the server degrades to refusing *new* prepares.
-                let rec = WalRecord::CommitApply {
-                    txn,
-                    req,
-                    writes: writes.clone(),
+                // and the server degrades to refusing *new* prepares. The
+                // record moves the request's writes in and the log hands
+                // them back to apply.
+                let rec = WalRecord::CommitApply { txn, req, writes };
+                let WalRecord::CommitApply { writes, .. } = self.log.append_decision(rec, now)
+                else {
+                    unreachable!("the log returns the record it was given")
                 };
-                self.log.append_decision(rec, now);
                 for (obj, version, value) in writes {
                     self.store.apply(obj, version, value, txn);
                     self.contention.record_write(obj, now);

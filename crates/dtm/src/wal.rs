@@ -9,7 +9,7 @@
 //! applied exactly once. A torn tail — the frame being written when the
 //! crash hit — is detected by the length prefix + checksum and truncated;
 //! everything before it is whole by construction (appends are
-//! frame-atomic in the ring backend and flushed in order in the file
+//! frame-atomic in the ring backend and written in order in the file
 //! backend).
 //!
 //! ## Frame format
@@ -26,6 +26,25 @@
 //! Object classes are encoded by id only: [`ObjClass`] equality and
 //! hashing are by id (the name is diagnostics), so decode materialises a
 //! `"wal"` placeholder name and round-trip *equality* still holds.
+//!
+//! ## One writer, each byte written once
+//!
+//! One private writer encodes a payload. [`WalRecord::frame_into`] reserves
+//! the header in the caller's buffer, runs the writer straight after it and
+//! patches `len` and `crc` over exactly those bytes; [`WalRecord::encode`]
+//! is the same writer into a fresh `Vec`. Each backend frames into a buffer
+//! it keeps: [`MemLog`] is one byte ring — frames back to back in one
+//! `Vec<u8>` beside a queue of frame lengths, eviction advancing a head
+//! offset, the dead prefix compacted once it reaches half the buffer, so
+//! the buffer never holds more than 2× its live bytes and a steady-state
+//! append allocates nothing. [`FileLog`] and [`FaultLog`] reuse one frame
+//! buffer each.
+//!
+//! The server's decision records move their data: a `CommitApply` takes
+//! the `CommitReq`'s writes and `DurableLog::append_decision` hands
+//! the record back for the apply; a `PrepareGrant` takes the locked set
+//! and gives it back for the prepared table. A record is copied only when
+//! it goes onto the failed-append retry queue.
 //!
 //! ## Who decides when an ack may leave
 //!
@@ -251,38 +270,43 @@ impl WalRecord {
     /// Encode the record payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
+        self.write_payload(&mut buf);
+        buf
+    }
+
+    /// The one writer: append this record's payload bytes to `buf`.
+    fn write_payload(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::PrepareGrant { txn, req, objs } => {
                 buf.push(TAG_PREPARE);
-                put_txn(&mut buf, *txn);
-                put_u64(&mut buf, *req);
-                put_u32(&mut buf, objs.len() as u32);
+                put_txn(buf, *txn);
+                put_u64(buf, *req);
+                put_u32(buf, objs.len() as u32);
                 for obj in objs {
-                    put_obj(&mut buf, *obj);
+                    put_obj(buf, *obj);
                 }
             }
             WalRecord::CommitApply { txn, req, writes } => {
                 buf.push(TAG_COMMIT);
-                put_txn(&mut buf, *txn);
-                put_u64(&mut buf, *req);
-                put_u32(&mut buf, writes.len() as u32);
+                put_txn(buf, *txn);
+                put_u64(buf, *req);
+                put_u32(buf, writes.len() as u32);
                 for (obj, version, value) in writes {
-                    put_obj(&mut buf, *obj);
-                    put_u64(&mut buf, *version);
-                    put_val(&mut buf, value);
+                    put_obj(buf, *obj);
+                    put_u64(buf, *version);
+                    put_val(buf, value);
                 }
             }
             WalRecord::Abort { txn, req } => {
                 buf.push(TAG_ABORT);
-                put_txn(&mut buf, *txn);
-                put_u64(&mut buf, *req);
+                put_txn(buf, *txn);
+                put_u64(buf, *req);
             }
             WalRecord::IncarnationBump { incarnation } => {
                 buf.push(TAG_INCARNATION);
-                put_u64(&mut buf, *incarnation);
+                put_u64(buf, *incarnation);
             }
         }
-        buf
     }
 
     /// Decode a payload produced by [`encode`](Self::encode). `None` on
@@ -328,12 +352,16 @@ impl WalRecord {
         Some(rec)
     }
 
-    /// Append this record as a whole frame (`len` + `crc` + payload).
+    /// Append this record as a whole frame (`len` + `crc` + payload): the
+    /// header is reserved, the payload encoded straight after it, and the
+    /// header patched over exactly those bytes — no intermediate buffer.
     pub fn frame_into(&self, out: &mut Vec<u8>) {
-        let payload = self.encode();
-        put_u32(out, payload.len() as u32);
-        put_u64(out, checksum(&payload));
-        out.extend_from_slice(&payload);
+        let start = out.len();
+        out.extend_from_slice(&[0; FRAME_HDR]);
+        self.write_payload(out);
+        let (hdr, payload) = out[start..].split_at_mut(FRAME_HDR);
+        hdr[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        hdr[4..].copy_from_slice(&checksum(payload).to_le_bytes());
     }
 }
 
@@ -574,11 +602,14 @@ impl DurableLog {
     /// If the append fails the record is queued for re-staging — and once
     /// anything is queued every later decision queues behind it, so the
     /// log keeps decision order and a mark taken in [`DurableLog::gate`]
-    /// names exactly the slot its record will occupy.
-    pub(crate) fn append_decision(&mut self, rec: WalRecord, now: Instant) {
+    /// names exactly the slot its record will occupy. Hands the record
+    /// back so the caller can apply the data it carries; only a record
+    /// that goes onto the retry queue is copied.
+    pub(crate) fn append_decision(&mut self, rec: WalRecord, now: Instant) -> WalRecord {
         if !self.mem.retry.is_empty() || !self.append(&rec, now) {
-            self.mem.retry.push_back(rec);
+            self.mem.retry.push_back(rec.clone());
         }
+        rec
     }
 
     /// Ack-after-durable: pass a reply through the gate. `Some` = it may
@@ -726,26 +757,33 @@ pub const MEMLOG_CAPACITY: usize = 1 << 16;
 
 /// In-memory ring backend for tests: frames survive a simulated restart
 /// (the `Cluster` owns the log across the fault) but not process death.
+///
+/// One byte buffer holds the frames back to back, each framed in place by
+/// [`WalRecord::frame_into`]. Evicting the oldest frame only advances
+/// `head`; the dead prefix is compacted away once it reaches half the
+/// buffer, so the buffer never holds more than about twice its live bytes
+/// and a steady-state append allocates nothing.
 #[derive(Debug, Default)]
 pub struct MemLog {
-    frames: VecDeque<Vec<u8>>,
+    /// `bytes[head..]` are the live frames; `bytes[..head]` is dead.
+    bytes: Vec<u8>,
+    head: usize,
+    /// Byte length of each live frame, oldest first.
+    frames: VecDeque<usize>,
     capacity: usize,
 }
 
 impl MemLog {
     /// An empty ring with the default capacity.
     pub fn new() -> Self {
-        MemLog {
-            frames: VecDeque::new(),
-            capacity: MEMLOG_CAPACITY,
-        }
+        MemLog::with_capacity(MEMLOG_CAPACITY)
     }
 
     /// An empty ring bounded to `capacity` frames.
     pub fn with_capacity(capacity: usize) -> Self {
         MemLog {
-            frames: VecDeque::new(),
             capacity: capacity.max(1),
+            ..MemLog::default()
         }
     }
 
@@ -762,12 +800,16 @@ impl MemLog {
 
 impl Persistence for MemLog {
     fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
-        let mut frame = Vec::new();
-        rec.frame_into(&mut frame);
         if self.frames.len() == self.capacity {
-            self.frames.pop_front();
+            self.head += self.frames.pop_front().unwrap_or(0);
         }
-        self.frames.push_back(frame);
+        if self.head > 0 && self.head >= self.bytes.len() / 2 {
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+        let start = self.bytes.len();
+        rec.frame_into(&mut self.bytes);
+        self.frames.push_back(self.bytes.len() - start);
         Ok(())
     }
 
@@ -781,39 +823,55 @@ impl Persistence for MemLog {
     }
 
     fn load(&mut self) -> LoadedLog {
-        let mut out = LoadedLog::default();
-        for frame in &self.frames {
-            let (mut recs, _, torn) = decode_stream(frame);
-            debug_assert!(!torn, "ring frames are whole by construction");
-            out.records.append(&mut recs);
+        let (records, _, torn) = decode_stream(&self.bytes[self.head..]);
+        debug_assert!(!torn, "ring frames are whole by construction");
+        LoadedLog {
+            records,
+            torn_tails_truncated: 0,
         }
-        out
     }
 
     fn reset(&mut self) {
+        self.bytes.clear();
+        self.head = 0;
         self.frames.clear();
     }
 }
 
-/// Append-only file backend: length-prefixed checksummed frames, flushed
-/// per append. `load` truncates the file at the first torn/corrupt frame.
+/// Append-only file backend: length-prefixed checksummed frames, each
+/// written with one `write` at the end of the file (the file is opened in
+/// append mode, so no seek precedes it). `load` truncates the file at the
+/// first torn/corrupt frame.
 #[derive(Debug)]
 pub struct FileLog {
     path: PathBuf,
     file: std::fs::File,
+    /// The frame being written, reused across appends.
+    frame: Vec<u8>,
 }
 
 impl FileLog {
-    /// Open (creating if absent) the log at `path`.
+    /// Open (creating if absent) the log at `path`, keeping what it holds.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = std::fs::OpenOptions::new()
             .read(true)
-            .write(true)
+            .append(true)
             .create(true)
-            .truncate(false)
             .open(&path)?;
-        Ok(FileLog { path, file })
+        Ok(FileLog {
+            path,
+            file,
+            frame: Vec::new(),
+        })
+    }
+
+    /// Open the log at `path` empty: create it, or truncate whatever an
+    /// earlier run left there.
+    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
+        let log = FileLog::open(path)?;
+        log.file.set_len(0)?;
+        Ok(log)
     }
 
     /// The backing file path.
@@ -833,19 +891,15 @@ fn io_err(e: std::io::Error) -> WalError {
 
 impl Persistence for FileLog {
     fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
-        let mut frame = Vec::new();
-        rec.frame_into(&mut frame);
+        self.frame.clear();
+        rec.frame_into(&mut self.frame);
         // A failed or partial write is a torn tail: the checksum catches
         // it on the next load. The error still propagates so the server
         // stops acking decisions it cannot make durable.
-        self.file.seek(SeekFrom::End(0)).map_err(io_err)?;
-        self.file.write_all(&frame).map_err(io_err)?;
-        self.file.flush().map_err(io_err)?;
-        Ok(())
+        self.file.write_all(&self.frame).map_err(io_err)
     }
 
     fn sync(&mut self) -> Result<(), WalError> {
-        self.file.flush().map_err(io_err)?;
         self.file.sync_data().map_err(io_err)
     }
 
@@ -858,7 +912,6 @@ impl Persistence for FileLog {
         let (records, good_len, torn) = decode_stream(&bytes);
         if torn {
             let _ = self.file.set_len(good_len as u64);
-            let _ = self.file.seek(SeekFrom::End(0));
         }
         LoadedLog {
             records,
@@ -868,7 +921,6 @@ impl Persistence for FileLog {
 
     fn reset(&mut self) {
         let _ = self.file.set_len(0);
-        let _ = self.file.seek(SeekFrom::Start(0));
     }
 }
 
@@ -937,6 +989,8 @@ pub struct FaultLog {
     ops: u64,
     /// Cumulative frame bytes accepted, checked against `byte_budget`.
     bytes_accepted: u64,
+    /// Scratch frame the byte count is measured on, reused across appends.
+    frame: Vec<u8>,
     /// Staged records dropped at load: the unsynced suffix under
     /// `lose_unsynced_on_restart`, plus anything the inner backend
     /// refused when a healthy load flushed the stage.
@@ -952,6 +1006,7 @@ impl FaultLog {
             staged: VecDeque::new(),
             ops: 0,
             bytes_accepted: 0,
+            frame: Vec::new(),
             suffix_records_lost: 0,
         }
     }
@@ -986,14 +1041,15 @@ impl Persistence for FaultLog {
         if self.cfg.append_error_p > 0.0 && self.draw(FAULT_SALT_APPEND) < self.cfg.append_error_p {
             return Err(WalError::Io);
         }
-        let mut frame = Vec::new();
-        rec.frame_into(&mut frame);
+        self.frame.clear();
+        rec.frame_into(&mut self.frame);
+        let len = self.frame.len() as u64;
         if let Some(budget) = self.cfg.byte_budget {
-            if self.bytes_accepted + frame.len() as u64 > budget {
+            if self.bytes_accepted + len > budget {
                 return Err(WalError::NoSpace);
             }
         }
-        self.bytes_accepted += frame.len() as u64;
+        self.bytes_accepted += len;
         self.staged.push_back(rec.clone());
         Ok(())
     }
@@ -1266,6 +1322,70 @@ mod tests {
         assert_eq!(
             reloaded.records[4],
             WalRecord::IncarnationBump { incarnation: 9 }
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn memlog_buffer_stays_under_twice_its_live_bytes() {
+        let mut log = MemLog::with_capacity(3);
+        for (i, rec) in sample_records().iter().cycle().take(200).enumerate() {
+            log.append(rec).unwrap();
+            let live: usize = log.frames.iter().sum();
+            assert_eq!(log.bytes.len() - log.head, live, "append {i}");
+            assert!(
+                log.bytes.len() < 2 * live,
+                "append {i}: dead prefix not compacted"
+            );
+        }
+    }
+
+    fn scratch_wal(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("acn-wal-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("server-0.wal");
+        (dir, path)
+    }
+
+    fn frame(rec: &WalRecord) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        rec.frame_into(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn filelog_appends_at_the_end_of_a_reopened_log_before_any_load() {
+        let (dir, path) = scratch_wal("reopen");
+        let recs = sample_records();
+        FileLog::create(&path).unwrap().append(&recs[0]).unwrap();
+        let mut log = FileLog::open(&path).unwrap();
+        log.append(&recs[1]).unwrap();
+        assert_eq!(log.load().records, recs[..2].to_vec());
+        // `create` starts over whatever the file held.
+        let mut fresh = FileLog::create(&path).unwrap();
+        assert!(fresh.load().records.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn filelog_append_after_a_torn_tail_cut_lands_right_after_it() {
+        let (dir, path) = scratch_wal("cut");
+        let recs = sample_records();
+        let mut log = FileLog::create(&path).unwrap();
+        log.append(&recs[0]).unwrap();
+        log.append(&recs[1]).unwrap();
+        drop(log);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+
+        let mut log = FileLog::open(&path).unwrap();
+        assert_eq!(log.load().torn_tails_truncated, 1);
+        log.append(&recs[3]).unwrap();
+        let want = [frame(&recs[0]), frame(&recs[3])].concat();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            want,
+            "no gap, nothing overwritten"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -10,14 +10,19 @@
 //!   intermediate of the full replay (versions never ahead of the full
 //!   log, replies a literal prefix), and replay must be idempotent per
 //!   dedup key so a log that was partially re-shipped applies once.
+//!
+//! The frame bytes themselves are pinned by golden strings, one per record
+//! kind, and [`MemLog`]'s byte ring is checked against a `VecDeque` model
+//! over runs long enough to compact its buffer many times.
 
 use acn_dtm::{
     decode_stream, replay, FaultLog, FaultLogConfig, MemLog, Msg, Persistence, TxnId, WalRecord,
+    FRAME_HDR,
 };
 use acn_simnet::NodeId;
 use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 const CLASSES: [ObjClass; 3] = [
     ObjClass::new(0, "acct"),
@@ -109,8 +114,148 @@ fn reply_shape(replies: &[((TxnId, u64), Msg)]) -> Vec<((TxnId, u64), u8)> {
     replies.iter().map(|(k, m)| (*k, m.kind())).collect()
 }
 
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// One frame of each record kind, byte for byte: a change to the encoder
+/// that moves a byte fails here before any stored log could misread.
+#[test]
+fn frame_bytes_are_pinned_for_every_record_kind() {
+    let t = TxnId {
+        client: NodeId(2),
+        seq: 5,
+    };
+    let (acct3, order4) = (ObjectId::new(CLASSES[0], 3), ObjectId::new(CLASSES[1], 4));
+    let rich = ObjectVal::from_fields([
+        (FieldId(0), Value::Unit),
+        (FieldId(1), Value::Int(-2)),
+        (FieldId(2), Value::Bool(true)),
+        (FieldId(3), Value::str("ab")),
+    ]);
+    // Header (`len: u32`, `crc: u64`) and tag, then client and seq of the
+    // txn, req, a count, and per item its class, index (and for a write its
+    // version, field count and `field, value-tag, value` triples), all
+    // little-endian.
+    let golden = [
+        (
+            WalRecord::PrepareGrant {
+                txn: t,
+                req: 7,
+                objs: vec![acct3, order4],
+            },
+            concat!(
+                "2d000000 f8e1d72649ebeafb 01 ",
+                "02000000 0500000000000000 0700000000000000 02000000 ",
+                "0000 0300000000000000 0100 0400000000000000",
+            ),
+        ),
+        (
+            WalRecord::CommitApply {
+                txn: t,
+                req: 8,
+                writes: vec![(acct3, 6, rich)],
+            },
+            concat!(
+                "4a000000 f95503ae9c0b473e 02 ",
+                "02000000 0500000000000000 0800000000000000 01000000 ",
+                "0000 0300000000000000 0600000000000000 04000000 ",
+                "0000 00 0100 01 feffffffffffffff 0200 02 01 0300 03 02000000 6162",
+            ),
+        ),
+        (
+            WalRecord::Abort { txn: t, req: 9 },
+            concat!(
+                "15000000 bc7e4840ef29a7c1 03 ",
+                "02000000 0500000000000000 0900000000000000",
+            ),
+        ),
+        (
+            WalRecord::IncarnationBump { incarnation: 3 },
+            "09000000 107356b1a8d76a3b 04 0300000000000000",
+        ),
+    ];
+    for (rec, want) in golden {
+        let mut frame = Vec::new();
+        rec.frame_into(&mut frame);
+        assert_eq!(hex(&frame), want.replace(' ', ""), "{rec:?}");
+        assert_eq!(hex(&frame[FRAME_HDR..]), hex(&rec.encode()));
+    }
+}
+
+/// One step of the [`MemLog`] model test.
+#[derive(Debug, Clone)]
+enum RingOp {
+    Append(WalRecord),
+    Load,
+    Reset,
+}
+
+fn ring_ops_strategy() -> impl Strategy<Value = Vec<RingOp>> {
+    // Mostly appends: one op in ten loads, one in forty resets.
+    let op = (0u8..40, record_strategy()).prop_map(|(roll, rec)| match roll {
+        0 => RingOp::Reset,
+        1..=4 => RingOp::Load,
+        _ => RingOp::Append(rec),
+    });
+    prop::collection::vec(op, 40..160)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Framing appends to whatever the buffer already holds: two records
+    /// framed after arbitrary leading bytes decode back from where the
+    /// first frame starts.
+    #[test]
+    fn frames_append_to_a_non_empty_buffer(
+        junk in prop::collection::vec(any::<u8>(), 1..16),
+        a in record_strategy(),
+        b in record_strategy(),
+    ) {
+        let mut bytes = junk.clone();
+        a.frame_into(&mut bytes);
+        b.frame_into(&mut bytes);
+        let (records, good, torn) = decode_stream(&bytes[junk.len()..]);
+        prop_assert_eq!(records, vec![a, b]);
+        prop_assert_eq!(good, bytes.len() - junk.len());
+        prop_assert!(!torn);
+    }
+
+    /// The byte ring against a `VecDeque` model: after every operation
+    /// `load` is the last `cap` records appended since the last reset, in
+    /// order, and `reset` empties it. Runs are long enough to evict and
+    /// compact many times over.
+    #[test]
+    fn memlog_ring_keeps_the_last_cap_records(cap in 1usize..8, ops in ring_ops_strategy()) {
+        let mut wal = MemLog::with_capacity(cap);
+        let mut model: VecDeque<WalRecord> = VecDeque::new();
+        for op in ops {
+            match op {
+                RingOp::Append(rec) => {
+                    wal.append(&rec).unwrap();
+                    if model.len() == cap {
+                        model.pop_front();
+                    }
+                    model.push_back(rec);
+                }
+                RingOp::Load => {
+                    let loaded = wal.load();
+                    prop_assert_eq!(loaded.torn_tails_truncated, 0);
+                    prop_assert_eq!(&loaded.records, &Vec::from(model.clone()));
+                }
+                RingOp::Reset => {
+                    wal.reset();
+                    model.clear();
+                    prop_assert!(wal.is_empty());
+                }
+            }
+            prop_assert_eq!(wal.len(), model.len());
+        }
+        prop_assert_eq!(wal.load().records, Vec::from(model));
+        wal.reset();
+        prop_assert!(wal.load().records.is_empty());
+    }
 
     /// Every record kind survives encode→decode exactly.
     #[test]
