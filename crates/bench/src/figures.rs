@@ -167,7 +167,6 @@ pub fn run_figure(spec: &FigureSpec) -> FigureResult {
             history: None,
             obs: Some(ObsConfig::default()),
             batch: None,
-            slo: None,
         };
         eprintln!("  {system} …");
         results.push(run_scenario(spec.workload.as_ref(), &cfg));

@@ -1,15 +1,21 @@
-//! Cluster bring-up: spawn server threads, hand out clients.
+//! Cluster bring-up: build the servers, attach each to the network as a
+//! runner, hand out clients.
+//!
+//! A server has no thread of its own (see [`crate::server`]): the network
+//! calls its runner on whichever thread delivers to it. The one thread a
+//! server may get is `qr-sync-{rank}`, for a log that syncs to a file.
 
 use crate::client::{ClientConfig, DtmClient};
 use crate::contention::WindowConfig;
 use crate::messages::Msg;
-use crate::server::{run_inline, serve, Server, ServerStats, SyncConfig, DEFAULT_PREPARED_TTL};
+use crate::server::{self, Server, ServerStats, SyncConfig, DEFAULT_PREPARED_TTL};
 use crate::wal::{DurabilityMode, FaultLog, FaultLogConfig, FileLog, MemLog, Persistence};
 use acn_obs::SpanCollector;
 use acn_quorum::{DaryTree, LevelQuorums, ReadLevelPolicy};
-use acn_simnet::{FaultPlan, LatencyModel, Network, NodeId};
+use acn_simnet::{Endpoint, FaultPlan, LatencyModel, Network, NodeId};
 use parking_lot::Mutex;
 use std::path::PathBuf;
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -110,17 +116,18 @@ impl ClusterConfig {
     }
 }
 
-/// A running cluster: server threads plus the shared network. Clients are
+/// A running cluster: the servers plus the shared network. Clients are
 /// created with [`Cluster::client`] and moved into workload threads.
 pub struct Cluster {
     cfg: ClusterConfig,
     net: Network<Msg>,
     quorums: LevelQuorums,
-    handles: Vec<JoinHandle<ServerStats>>,
+    servers: Vec<(Arc<Mutex<Server>>, Endpoint<Msg>)>,
+    sync_threads: Vec<JoinHandle<()>>,
 }
 
 impl Cluster {
-    /// Start `cfg.servers` server threads.
+    /// Start `cfg.servers` servers.
     pub fn start(cfg: ClusterConfig) -> Cluster {
         Cluster::start_with(cfg, |wal| wal)
     }
@@ -134,7 +141,8 @@ impl Cluster {
         let net: Network<Msg> = Network::new(cfg.servers + cfg.clients, cfg.latency.clone());
         let quorums =
             LevelQuorums::with_policy(DaryTree::new(cfg.servers, cfg.arity), cfg.read_policy);
-        let handles = (0..cfg.servers)
+        let mut sync_threads = Vec::new();
+        let servers = (0..cfg.servers)
             .map(|rank| {
                 let endpoint = net.endpoint(NodeId(rank as u32));
                 let mut server = Server::new(cfg.window);
@@ -170,23 +178,28 @@ impl Cluster {
                 };
                 server.set_persistence(wrap(wal));
                 server.set_durability(cfg.durability.clone());
-                // One state machine, two callers under its lock: a
-                // zero-delay message runs it on the sender's thread, the
-                // server thread takes everything else (and every sync).
+                // One state machine under one lock, run by whichever
+                // thread delivers; a file's fsyncs get a thread of their own.
                 let server = Arc::new(Mutex::new(server));
-                let (inline, ep) = (Arc::clone(&server), endpoint.clone());
-                net.attach(endpoint.id(), move || run_inline(&inline, &ep));
-                std::thread::Builder::new()
-                    .name(format!("qr-server-{rank}"))
-                    .spawn(move || serve(&server, &endpoint))
-                    .expect("spawn server thread")
+                let syncer = matches!(cfg.persistence, PersistenceMode::File(_)).then(|| {
+                    let (owed, rx) = sync_channel(1);
+                    let (s, ep) = (Arc::clone(&server), endpoint.clone());
+                    let thread = std::thread::Builder::new().name(format!("qr-sync-{rank}"));
+                    let thread = thread.spawn(move || server::sync_loop(&s, &ep, rx));
+                    sync_threads.push(thread.expect("spawn sync thread"));
+                    owed
+                });
+                let (s, ep) = (Arc::clone(&server), endpoint.clone());
+                net.attach(ep.id(), move || server::run(&s, &ep, syncer.as_ref()));
+                (server, endpoint)
             })
             .collect();
         Cluster {
             cfg,
             net,
             quorums,
-            handles,
+            servers,
+            sync_threads,
         }
     }
 
@@ -287,26 +300,19 @@ impl Cluster {
 
     /// Orderly shutdown: stop every server and collect their stats.
     pub fn shutdown(self) -> Vec<ServerStats> {
-        // A failed server cannot receive Shutdown, a failed link or a
-        // lingering chaos plan could eat it; clear all faults first so
-        // every thread can exit.
+        // Heal every fault, so each server ends recovered and reachable.
         self.net.clear_chaos();
         self.net.heal_all_links();
         for rank in 0..self.cfg.servers {
             self.net.recover(NodeId(rank as u32));
         }
-        // Any endpoint works as a control channel; node 0 always exists.
-        let ctl = self.net.endpoint(NodeId(0));
-        for rank in 0..self.cfg.servers {
-            ctl.send(NodeId(rank as u32), Msg::Shutdown);
-        }
-        let stats = self
-            .handles
-            .into_iter()
-            .map(|h| h.join().expect("server thread panicked"))
-            .collect();
+        // Dropping the runners drops the sync threads' one sender each.
         self.net.shutdown();
-        stats
+        for thread in self.sync_threads {
+            thread.join().expect("sync thread panicked");
+        }
+        let servers = self.servers.iter();
+        servers.map(|(s, ep)| server::finish(s, ep)).collect()
     }
 }
 
@@ -361,10 +367,50 @@ mod tests {
         }
     }
 
+    /// Held by every test that starts a file-logged cluster or counts
+    /// threads by name, so one never sees another's `qr-sync-*` threads.
+    static THREADS: Mutex<()> = Mutex::new(());
+
+    /// The names of this process's threads (Linux: `/proc/self/task`).
+    #[cfg(target_os = "linux")]
+    fn thread_names() -> Vec<String> {
+        let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+        let comm = tasks.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok());
+        comm.map(|name| name.trim().to_string()).collect()
+    }
+
+    #[cfg(target_os = "linux")]
     #[test]
-    fn file_syncs_run_on_server_threads() {
+    fn a_memory_cluster_spawns_no_server_thread() {
+        let _threads = THREADS.lock();
+        // Constant latency: requests reach the servers on the timer thread.
+        let mut cfg = ClusterConfig::test(4, 1);
+        cfg.latency = LatencyModel::Constant(Duration::from_micros(50));
+        let c = Cluster::start(cfg);
+        let mut client = c.client(0);
+        for i in 0..10 {
+            let obj = ObjectId::new(ObjClass::new(0, "C"), i % 4);
+            let mut t = TxnCtx::begin(&mut client);
+            t.open(&mut client, obj, true).unwrap();
+            t.set_field(obj, FieldId(0), Value::Int(i as i64));
+            t.commit(&mut client).unwrap();
+        }
+        let names = thread_names();
+        let stats = c.shutdown();
+        assert_eq!(stats.iter().map(|s| s.commits).sum::<u64>(), 10 * 3);
+        assert!(
+            names.iter().all(|name| !name.starts_with("qr-")),
+            "a server thread runs: {names:?}"
+        );
+        assert!(names.iter().any(|name| name == "simnet-timer"), "{names:?}");
+    }
+
+    #[test]
+    fn file_syncs_run_on_sync_threads() {
+        let _threads = THREADS.lock();
         // Zero latency: every request runs its server on the client's
-        // thread, yet the fsyncs it makes due must wait for the servers'.
+        // thread, yet the fsyncs it makes due must wait for the sync
+        // threads.
         let dir = std::env::temp_dir().join(format!("acn-sync-threads-{}", std::process::id()));
         let mut cfg = ClusterConfig::test(4, 1);
         cfg.persistence = PersistenceMode::File(dir.clone());
@@ -386,18 +432,26 @@ mod tests {
             t.set_field(obj, FieldId(0), Value::Int(i as i64));
             t.commit(&mut client).unwrap();
         }
+        #[cfg(target_os = "linux")]
+        {
+            let mut names = thread_names();
+            names.retain(|name| name.starts_with("qr-"));
+            names.sort();
+            assert_eq!(names, ["qr-sync-0", "qr-sync-1", "qr-sync-2", "qr-sync-3"]);
+        }
         let stats = c.shutdown();
         std::fs::remove_dir_all(&dir).ok();
         assert!(stats.iter().map(|s| s.wal_sync_batches).sum::<u64>() > 0);
         let threads = threads.lock().clone();
         assert!(
-            threads.iter().all(|name| name.starts_with("qr-server-")),
-            "a sync ran off the server threads: {threads:?}"
+            threads.iter().all(|name| name.starts_with("qr-sync-")),
+            "a sync ran off the sync threads: {threads:?}"
         );
     }
 
     #[test]
     fn file_cluster_never_replays_a_log_an_earlier_run_left() {
+        let _threads = THREADS.lock();
         // An earlier run's log holds a write this cluster never makes.
         let dir = std::env::temp_dir().join(format!("acn-stale-wal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -428,10 +482,9 @@ mod tests {
         // A restart replays server 0's log: only this cluster's records.
         c.fail_server_restart(0);
         c.recover_server(0);
-        // Every drain pass reads the crash epochs before it steps a message
-        // (one message per pass under `EveryRecord`), so once server 0 has
-        // answered a probe sent after the crash, the pass that steps
-        // `Shutdown` acts on the restart first.
+        // The crash reaches server 0 as a call to its runner, which replays
+        // the log before the call returns; a probe sent after it is
+        // answered by the restarted replica.
         let probe = c.net().endpoint(NodeId(5));
         probe.send(
             NodeId(0),

@@ -224,8 +224,6 @@ pub enum Msg {
         /// Correlation id, echoed from the refused request.
         req: ReqId,
     },
-    /// Orderly server termination (cluster shutdown).
-    Shutdown,
     /// A client request wrapped with its causal span context. Servers
     /// unwrap before handling and record their queue-dwell / handling
     /// spans as children of `ctx.span` (the client's round span).
@@ -270,8 +268,8 @@ pub mod kind {
     pub const CONTENTION_REQ: MsgKind = 10;
     /// [`super::Msg::ContentionResp`]
     pub const CONTENTION_RESP: MsgKind = 11;
-    /// [`super::Msg::Shutdown`]
-    pub const SHUTDOWN: MsgKind = 12;
+    // 12 belonged to the retired shutdown message (a server is stopped by
+    // a call now); like 0 and 1 it is not reused.
     /// [`super::Msg::SyncReq`]
     pub const SYNC_REQ: MsgKind = 13;
     /// [`super::Msg::SyncResp`]
@@ -302,7 +300,6 @@ impl Msg {
             Msg::SyncResp { .. } => kind::SYNC_RESP,
             Msg::RepairWrite { .. } => kind::REPAIR_WRITE,
             Msg::Syncing { .. } => kind::SYNCING,
-            Msg::Shutdown => kind::SHUTDOWN,
             Msg::Traced { inner, .. } => inner.kind(),
         }
     }
@@ -383,7 +380,6 @@ impl Msg {
             } => HDR + LVL * (levels.len() + abort_levels.len()) as u64,
             Msg::SyncReq { known, .. } => HDR + 8 + VE * known.len() as u64,
             Msg::Syncing { .. } => HDR,
-            Msg::Shutdown => HDR,
             // Two span ids ride along with the inner message.
             Msg::Traced { inner, .. } => inner.wire_bytes() + 16,
         }
@@ -426,7 +422,6 @@ mod tests {
             .response_req(),
             Some(9)
         );
-        assert_eq!(Msg::Shutdown.response_req(), None);
         assert_eq!(
             Msg::ContentionReq {
                 req: 1,

@@ -10,9 +10,11 @@
 //!
 //! [`Server::drain`] is the only method here that owns an [`Endpoint`] or
 //! reads the clock (`Instant::now()`): it receives, steps, ticks and
-//! sends, and decides nothing. Two callers run it under the server's
-//! lock: [`serve`], the server's own thread, and [`run_inline`], which a
-//! zero-delay message runs on its sender's thread.
+//! sends, and decides nothing. A server has no thread of its own: [`run`],
+//! the runner the network calls on whichever thread delivers — a sender's,
+//! the timer's, a fault injector's — drains it under its lock. A server
+//! whose log syncs to a file also has [`sync_loop`], one thread that
+//! takes every sync, since an fsync blocks.
 
 use crate::contention::{ContentionWindow, WindowConfig};
 use crate::messages::{BatchRead, Msg, ReqId, TxnId, ValidateEntry, Version};
@@ -20,10 +22,11 @@ use crate::store::{Store, StoreDigest};
 use crate::wal::{replay, DurabilityMode, DurableLog, MemLog, Persistence, WalRecord};
 use acn_obs::{RawSpan, SpanCollector, SpanKind, TraceCtx, FLAG_ROLLED_BACK};
 use acn_quorum::LevelQuorums;
-use acn_simnet::{Endpoint, NodeId, RecvError};
+use acn_simnet::{Endpoint, NodeId};
 use acn_txir::{ObjectId, ObjectVal};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -222,8 +225,6 @@ pub struct Server {
     /// which only the pump's clock can say: [`Server::drain`] stamps and
     /// records them right after the tick. Empty unless `spans` is set.
     open_spans: Vec<(Option<TraceCtx>, SpanKind, Instant)>,
-    /// Set once [`Msg::Shutdown`] is received: nothing is served after it.
-    stopped: bool,
 }
 
 /// Lock-release sentinel for writes installed outside 2PC (sync catch-up
@@ -251,10 +252,6 @@ pub const DEFAULT_PREPARED_TTL: Duration = Duration::from_secs(30);
 /// How often a syncing replica re-broadcasts its catch-up probe.
 const PROBE_EVERY: Duration = Duration::from_millis(40);
 
-/// How long the server thread parks when no deadline is nearer: the
-/// cadence at which an idle or failed node polls its fault table.
-const IDLE_POLL: Duration = Duration::from_millis(20);
-
 impl Server {
     /// A fresh replica with an empty store and an in-memory log.
     pub fn new(window: WindowConfig) -> Self {
@@ -280,7 +277,6 @@ impl Server {
             next_probe: None,
             spans: None,
             open_spans: Vec::new(),
-            stopped: false,
         }
     }
 
@@ -863,7 +859,6 @@ impl Server {
                 }
                 None // fire-and-forget: no ack
             }
-            Msg::Shutdown => None,
             // Responses should never arrive at a server.
             other => {
                 debug_assert!(false, "server received non-request {other:?}");
@@ -930,16 +925,6 @@ impl Server {
         }
     }
 
-    /// Last call before the server stops: one more sync, so a cleanly
-    /// shut-down log is durable even under `GroupCommit`/`Buffered`, and
-    /// the release of every parked ack it covered. Acks whose records the
-    /// backend persistently refuses to sync are dropped with the server —
-    /// exactly a never-sent ack.
-    fn shutdown(&mut self, now: Instant, out: &mut Vec<(NodeId, Msg)>) {
-        self.log.sync(now);
-        self.release(out);
-    }
-
     /// Send what a tick produced. The spans it opened end here, now that
     /// the sync they waited on has returned.
     fn flush(&mut self, endpoint: &Endpoint<Msg>, out: &mut Vec<(NodeId, Msg)>) {
@@ -962,23 +947,18 @@ impl Server {
     /// message ticks again, so a sync the batch made due happens before
     /// the pump returns.
     ///
-    /// Two callers hold the server's lock around it. The server's own
-    /// thread (`serve`) passes `may_sync = true`. A sender's thread
-    /// delivering a zero-delay message (`run_inline`) passes `false`: a
-    /// sync blocks on the device and belongs on the server's thread, so
-    /// while one is owed this pump skips the tick — it would sync — and
-    /// keeps stepping, leaving every record it appends to the one sync
-    /// the server's thread runs next; it returns that deadline, already
-    /// due, for the caller to hand over. After [`Msg::Shutdown`] every
-    /// call returns at once, due now.
+    /// Callers hold the server's lock around it. `may_sync` is `false`
+    /// where a sync would block a thread that has better things to do:
+    /// the runner of a server whose log syncs to a file (`run`). While a
+    /// sync is owed this pump then skips the tick — it would sync — and
+    /// keeps stepping, leaving every record it appends to the one sync the
+    /// server's sync thread (`sync_loop`) runs next; it returns that
+    /// deadline, already due, for the caller to hand over.
     pub fn drain(&mut self, endpoint: &Endpoint<Msg>, may_sync: bool) -> Option<Instant> {
         let node = endpoint.id().0;
         let mut out = Vec::new();
         loop {
             let now = Instant::now();
-            if self.stopped {
-                return Some(now);
-            }
             self.observe_faults(
                 endpoint.amnesia_epoch(),
                 endpoint.restart_epoch(),
@@ -1004,14 +984,10 @@ impl Server {
                 stepped += 1;
                 // Look through the trace envelope: `step` strips it, but
                 // its context parents the spans below.
-                let (ctx, bare) = match &msg {
-                    Msg::Traced { ctx, inner } => (Some(*ctx), &**inner),
-                    other => (None, other),
+                let ctx = match &msg {
+                    Msg::Traced { ctx, .. } => Some(*ctx),
+                    _ => None,
                 };
-                if matches!(bare, Msg::Shutdown) {
-                    self.stopped = true;
-                    return Some(now);
-                }
                 let reply = self.step(src, msg, Instant::now());
                 if let (Some(ctx), true) = (ctx, self.spans.is_some()) {
                     let done = Instant::now();
@@ -1047,55 +1023,58 @@ fn send(endpoint: &Endpoint<Msg>, dst: NodeId, msg: Msg) {
     endpoint.send_sized(dst, msg, bytes);
 }
 
-/// The server's own thread: park until a message is ready, the server's
-/// next deadline (at most [`IDLE_POLL`] away, which keeps crash detection
-/// and the probe cadence responsive while the node is failed or idle) or
-/// a kick from [`run_inline`]; then drain, syncs allowed. Ends on
-/// [`Msg::Shutdown`] or when the network closes, with one last sync, and
-/// returns the final stats.
-///
-/// This is the one blocking `lock` of a server; it is taken while holding
-/// nothing else, and every other caller only `try_lock`s, so no cycle of
-/// waits can form.
-pub(crate) fn serve(server: &Mutex<Server>, endpoint: &Endpoint<Msg>) -> ServerStats {
-    let mut due = None;
-    let mut s = loop {
-        let idle = Instant::now() + IDLE_POLL;
-        let wake = due.map_or(idle, |due: Instant| due.min(idle));
-        if endpoint.wait_ready(wake) == Err(RecvError::Closed) {
-            break server.lock();
-        }
-        let mut s = server.lock();
-        due = s.drain(endpoint, true);
-        if s.stopped {
-            break s;
-        }
-    };
-    let mut out = Vec::new();
-    s.shutdown(Instant::now(), &mut out);
-    s.flush(endpoint, &mut out);
-    s.stats()
-}
-
-/// A zero-delay message's delivery, on its sender's thread (the runner
+/// Everything's delivery to a server — a message, a wake it asked for, a
+/// fault change — on the delivering thread (the runner
 /// [`crate::Cluster::start`] attaches per server): drain the server unless
-/// another thread holds it, never syncing. Whoever holds the lock drains
-/// what this message left, because every holder looks at the inbox again
-/// after unlocking — the loop below, and [`serve`]'s next `wait_ready`.
-/// A deadline already due (a sync is owed, or `Shutdown` arrived) is the
-/// server thread's to honour: kick it.
-pub(crate) fn run_inline(server: &Mutex<Server>, endpoint: &Endpoint<Msg>) {
-    while let Some(mut s) = server.try_lock() {
-        let due = s.drain(endpoint, false);
-        drop(s);
-        if due.is_some_and(|due| due <= Instant::now()) {
-            endpoint.kick();
+/// another thread holds it, then ask for a wake at its next deadline. A
+/// deadline already due on a server with a `syncer` is a sync owed: it
+/// goes to the [`sync_loop`] instead, where one pending request covers
+/// every later one. Whoever holds the lock drains what this call left,
+/// because every holder looks at the inbox and the fault count again
+/// after unlocking.
+pub(crate) fn run(server: &Mutex<Server>, ep: &Endpoint<Msg>, syncer: Option<&SyncSender<()>>) {
+    loop {
+        let faults = ep.fault_changes();
+        let Some(mut s) = server.try_lock() else {
             return;
+        };
+        let due = s.drain(ep, syncer.is_none());
+        drop(s);
+        match (due, syncer) {
+            (Some(due), Some(owed)) if due <= Instant::now() => _ = owed.try_send(()),
+            (Some(due), _) => ep.wake_at(due),
+            (None, _) => {}
         }
-        if !endpoint.has_mature() {
+        if !ep.has_mature() && ep.fault_changes() == faults {
             return;
         }
     }
+}
+
+/// A file-logged server's sync thread: each sync [`run`] hands over waits
+/// out the lock's holder, then runs the server with syncs allowed. A
+/// runner that takes the lock first finds the sync still owed and hands
+/// it over again. Ends when the runner — the one sender — is dropped.
+pub(crate) fn sync_loop(server: &Mutex<Server>, ep: &Endpoint<Msg>, owed: Receiver<()>) {
+    while owed.recv().is_ok() {
+        drop(server.lock());
+        run(server, ep, None);
+    }
+}
+
+/// A server's last call, once nothing delivers to it any more: one final
+/// drain, then one more sync, so a cleanly shut-down log is durable even
+/// under `GroupCommit`/`Buffered`, releasing every parked ack it covered
+/// (acks whose records the backend persistently refuses to sync are
+/// dropped with the server — exactly a never-sent ack), and the stats.
+pub(crate) fn finish(server: &Mutex<Server>, ep: &Endpoint<Msg>) -> ServerStats {
+    let mut s = server.lock();
+    s.drain(ep, true);
+    s.log.sync(Instant::now());
+    let mut out = Vec::new();
+    s.release(&mut out);
+    s.flush(ep, &mut out);
+    s.stats()
 }
 
 #[cfg(test)]

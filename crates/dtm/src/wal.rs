@@ -480,8 +480,8 @@ pub trait Persistence: Send {
 /// Backoff bounds for retrying syncs (and failed-append re-stages) while
 /// the backend keeps erroring. Without a backoff "degraded mode is due now"
 /// turns a persistently failing device into a 100% CPU spin; the cap
-/// matches the service loop's idle receive timeout, so a healed backend is
-/// still noticed within one idle period.
+/// bounds how late a healed backend is noticed, since each retry is a
+/// wake the server asks the network for, at most 20 ms out.
 const RETRY_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const RETRY_BACKOFF_MAX: Duration = Duration::from_millis(20);
 

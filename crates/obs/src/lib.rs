@@ -28,10 +28,6 @@
 //!   wasted-work ledger whose totals obey
 //!   `committed + discarded(full) + discarded(partial) == executed`
 //!   exactly.
-//! - **SLO gauges + flight recorder** ([`SloPolicy`] / [`record_flight`]):
-//!   declarative budgets (p99, abort storm, WAL-degraded, sync refusals)
-//!   whose tripped triggers dump the span rings through the Chrome
-//!   exporter and land as [`FlightRecord`] rows in the report.
 //! - **Prometheus surface** ([`report_to_prom`] / [`render_prom`] /
 //!   [`parse_prom`]): the dependency-free exposition-format exporter the
 //!   future `acn-node` will scrape, round-trip-parsed like every codec
@@ -47,7 +43,6 @@ mod prom;
 mod registry;
 mod ring;
 mod section;
-mod slo;
 mod span;
 mod timeseries;
 mod wasted;
@@ -63,7 +58,6 @@ pub use registry::{
     RecoveryCounters, SeriesRow, ThreadTraceRow, SCHEMA_VERSION, SERVER_TRACE_THREAD,
 };
 pub use section::{Cell, Field, Getter, Row, Section};
-pub use slo::{record_flight, FlightRecord, SloInputs, SloPolicy, SloRule, SloTrigger};
 pub use span::{
     aggregate_critpath, critical_path, BlockCost, PendingSpan, RawSpan, Span, SpanCollector,
     SpanKind, TraceCtx, Tracer, TxnCritPath, DEFAULT_SPAN_CAPACITY, FLAG_COMMITTED,

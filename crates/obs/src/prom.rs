@@ -378,20 +378,6 @@ pub fn report_to_prom(report: &MetricsReport) -> Vec<PromMetric> {
     out.push(series);
     out.push(series_p99);
 
-    let mut flights = PromMetric::new(
-        "acn_slo_trips_total",
-        "Anomaly triggers tripped, by rule",
-        PromType::Counter,
-    );
-    let mut by_rule: BTreeMap<&str, u64> = BTreeMap::new();
-    for f in &report.flights {
-        *by_rule.entry(f.trigger.as_str()).or_insert(0) += 1;
-    }
-    for (rule, n) in by_rule {
-        flights.sample(&[("rule", rule)], n);
-    }
-    out.push(flights);
-
     out
 }
 
@@ -532,9 +518,6 @@ acn_window_commits{window="1"} 1
 # TYPE acn_window_p99_ns gauge
 acn_window_p99_ns{window="0"} 1212415
 acn_window_p99_ns{window="1"} 901119
-# HELP acn_slo_trips_total Anomaly triggers tripped, by rule
-# TYPE acn_slo_trips_total counter
-acn_slo_trips_total{rule="p99_latency"} 1
 "#;
 
     #[test]

@@ -17,7 +17,6 @@ use crate::event::{AbortKind, ExecStats};
 use crate::json::{parse_line, JsonMap, JsonObj, JsonVal};
 use crate::prom::{PromFamily, PromType};
 use crate::section::{section, Cell, Field, Row, Section};
-use crate::slo::FlightRecord;
 use crate::timeseries::WindowedSeries;
 use crate::wasted::{WorkTotals, WorkUnits};
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Version of the JSON-lines schema this build writes. Parsers accept the
 /// current version plus version-1 exports (which predate the field); any
 /// other value is rejected loudly rather than misparsed silently.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 section! {
     /// Replica-recovery counters, aggregated across servers (the crash
@@ -411,8 +410,6 @@ pub struct MetricsReport {
     pub wasted: Option<WorkTotals>,
     /// Live time-series windows, in grid order.
     pub series: Vec<SeriesRow>,
-    /// Flight-recorder artifacts written by tripped anomaly triggers.
-    pub flights: Vec<FlightRecord>,
 }
 
 impl MetricsReport {
@@ -469,7 +466,6 @@ impl MetricsReport {
             }
         }
         out += &lines(&self.series);
-        out += &lines(&self.flights);
         out + &JsonObj::new(END).finish_line()
     }
 
@@ -579,7 +575,6 @@ impl MetricsReport {
                 wasted.by_kind.insert(kind, units);
             }
             SeriesRow::TYPE => self.series.push(SeriesRow::default().read_from(map)?),
-            FlightRecord::TYPE => self.flights.push(FlightRecord::default().read_from(map)?),
             other => return Err(format!("unknown type {other:?}")),
         }
         Ok(())
@@ -762,20 +757,14 @@ pub(crate) mod tests {
             ],
             wasted: Some(wasted),
             series: SeriesRow::from_series(&series),
-            flights: vec![FlightRecord {
-                trigger: "p99_latency".into(),
-                value_milli: 3_000,
-                budget_milli: 2_000,
-                artifact: "flights/flight-fig1-p99_latency.json".into(),
-            }],
         }
     }
 
     /// `sample_report().to_json_lines()` as the hand-written writer produced
     /// it before the field tables existed, less the `trace` line schema
-    /// version 3 dropped: the wire format — line types, keys, key order —
-    /// is pinned byte for byte.
-    const GOLDEN: &str = r#"{"type":"report","schema_version":3}
+    /// version 3 dropped and the `flight` line version 4 dropped: the wire
+    /// format — line types, keys, key order — is pinned byte for byte.
+    const GOLDEN: &str = r#"{"type":"report","schema_version":4}
 {"type":"meta","key":"system","value":"QrAcn"}
 {"type":"meta","key":"seed","value":"42"}
 {"type":"exec","commits":100,"full_aborts":2,"partial_aborts":7,"locked_aborts":0,"unavailable_retries":1}
@@ -798,7 +787,6 @@ pub(crate) mod tests {
 {"type":"wasted_kind","kind":"commit_conflict","blocks":11,"read_rounds":5,"lock_holds":3}
 {"type":"series","window":0,"window_ns":100000000,"commits":1,"full_aborts":0,"partial_aborts":0,"samples":1,"p50_ns":1212415,"p99_ns":1212415,"p999_ns":1212415}
 {"type":"series","window":1,"window_ns":100000000,"commits":1,"full_aborts":1,"partial_aborts":3,"samples":1,"p50_ns":901119,"p99_ns":901119,"p999_ns":901119}
-{"type":"flight","trigger":"p99_latency","value_milli":3000,"budget_milli":2000,"artifact":"flights/flight-fig1-p99_latency.json"}
 {"type":"end"}
 "#;
 

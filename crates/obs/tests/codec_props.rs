@@ -9,8 +9,7 @@
 
 use acn_obs::{
     parse_prom, render_prom, report_to_prom, AbortKind, AbortRow, Cell, ContentionLevel,
-    CritPathRow, FlightRecord, MetricsReport, PromMetric, Row, SeriesRow, ThreadTraceRow,
-    WorkTotals, WorkUnits,
+    CritPathRow, MetricsReport, PromMetric, Row, SeriesRow, ThreadTraceRow, WorkTotals, WorkUnits,
 };
 use proptest::prelude::*;
 
@@ -38,7 +37,7 @@ fn material() -> impl Strategy<Value = Material> {
     (
         prop::collection::vec(count(), 400),
         prop::collection::vec(text(), 80),
-        prop::collection::vec(1usize..4, 8),
+        prop::collection::vec(1usize..4, 7),
     )
 }
 
@@ -119,7 +118,6 @@ fn report(
         thread_traces: src.rows::<ThreadTraceRow>(sizes[5]),
         wasted: Some(wasted),
         series: src.rows::<SeriesRow>(sizes[6]),
-        flights: src.rows::<FlightRecord>(sizes[7]),
     }
 }
 

@@ -1,18 +1,18 @@
-//! Per-node inbox: a delay queue ordered by delivery instant.
+//! A delay queue ordered by due instant, with one park/wake protocol.
 //!
-//! An inbox is drained one of two ways. A client's thread receives from it
-//! (`recv_deadline`, which pops). A server's inbox is drained under the
-//! server's own lock by whichever thread holds it: the server thread after
-//! `wait_ready` (which parks without popping) or, for a message with zero
-//! delay, the sender's thread (see [`crate::Network::attach`]). Either way
-//! receives happen under one lock per node, so the wake protocol below
-//! still sees at most one parked thread.
+//! Two kinds of queue use it. A node's inbox holds [`Envelope`]s: a
+//! client's thread receives from its own (`recv_deadline`, which pops),
+//! while a server's inbox is drained under the server's own lock by
+//! whichever thread delivers to it (see [`crate::Network::attach`]) and
+//! nobody parks on it. The network's timer queue holds wakes
+//! `(at, seq, node)`, and its one thread parks on it like a client.
 
 use crate::envelope::Envelope;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use crate::node::NodeId;
+use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a receive returned without a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,64 +23,77 @@ pub enum RecvError {
     Closed,
 }
 
-struct State<M> {
-    heap: BinaryHeap<Reverse<Envelope<M>>>,
+/// A queued item that becomes visible at an instant.
+pub(crate) trait Timed: Ord {
+    fn due(&self) -> Instant;
+}
+
+impl<M> Timed for Envelope<M> {
+    fn due(&self) -> Instant {
+        self.deliver_at
+    }
+}
+
+/// A wake on the timer queue: `(at, seq, node)`.
+impl Timed for (Instant, u64, NodeId) {
+    fn due(&self) -> Instant {
+        self.0
+    }
+}
+
+struct State<T> {
+    heap: BinaryHeap<Reverse<T>>,
     closed: bool,
-    /// The instant the receiver is parked toward — `min(head.deliver_at,
+    /// The instant the receiver is parked toward — `min(head.due,
     /// deadline)` — while it sleeps on the condvar; `None` while it runs,
     /// and from the moment a push has decided to wake it.
     parked_until: Option<Instant>,
-    /// Set by [`Inbox::kick`] until the next wait consumes it.
-    kicked: bool,
 }
 
-/// A node's inbox. Messages become visible only once their `deliver_at`
-/// instant has passed, which is how network latency is realised: the
-/// receiving thread sleeps on a condvar until the earliest message matures.
+/// A queue whose items become visible only once their due instant has
+/// passed, which is how network latency is realised: a receiving thread
+/// sleeps on a condvar until the earliest item matures.
 ///
-/// Wake protocol (one parked thread per inbox, see
+/// Wake protocol (at most one parked thread per queue, see
 /// [`crate::Network::endpoint`]): the receiver publishes the instant it is
 /// parked toward, and a push signals it only if that instant is later than
-/// the new message's `deliver_at` — otherwise the receiver's own timer
+/// the new item's due instant — otherwise the receiver's own timer
 /// already fires in time, or it is running and will look at the heap
 /// before it parks again. The push claims the wake under the lock (so a
 /// second push does not signal again) and notifies after dropping the
 /// guard, so the woken thread never blocks on the lock its waker still
-/// holds. Each message therefore costs its receiver at most one wake, and
-/// a push to a busy receiver costs no syscall. A push whose sender drains
-/// the inbox itself (`wake == false`) claims nothing: the parked thread
-/// sleeps on, and [`Inbox::kick`] wakes it when the sender hands work back.
-pub(crate) struct Inbox<M> {
-    state: Mutex<State<M>>,
+/// holds. Each item therefore costs its receiver at most one wake, and a
+/// push to a busy receiver — or to a server inbox, where nobody parks —
+/// costs no syscall.
+pub(crate) struct Inbox<T> {
+    state: Mutex<State<T>>,
     cond: Condvar,
 }
 
-impl<M> Inbox<M> {
+impl<T: Timed> Inbox<T> {
     pub(crate) fn new() -> Self {
         Inbox {
             state: Mutex::new(State {
                 heap: BinaryHeap::new(),
                 closed: false,
                 parked_until: None,
-                kicked: false,
             }),
             cond: Condvar::new(),
         }
     }
 
-    /// Enqueue a message, waking a parked receiver that would otherwise
-    /// sleep past it — unless `wake` is `false`, because the caller drains
-    /// the inbox itself. Returns `false` when the inbox is closed (the
-    /// message vanishes, like traffic to a dead host).
-    pub(crate) fn push(&self, env: Envelope<M>, wake: bool) -> bool {
-        let at = env.deliver_at;
+    /// Enqueue an item, waking a parked receiver that would otherwise
+    /// sleep past it. Returns `false` when the queue is closed (the item
+    /// vanishes, like traffic to a dead host).
+    pub(crate) fn push(&self, item: T) -> bool {
+        let at = item.due();
         let wake = {
             let mut st = self.state.lock();
             if st.closed {
                 return false;
             }
-            st.heap.push(Reverse(env));
-            wake && st.parked_until.take_if(|until| *until > at).is_some()
+            st.heap.push(Reverse(item));
+            st.parked_until.take_if(|until| *until > at).is_some()
         };
         if wake {
             self.cond.notify_one();
@@ -88,23 +101,9 @@ impl<M> Inbox<M> {
         true
     }
 
-    /// Make the parked thread's current (or next) wait return at once,
-    /// whether or not a message is mature.
-    pub(crate) fn kick(&self) {
-        let wake = {
-            let mut st = self.state.lock();
-            st.kicked = true;
-            st.parked_until.take().is_some()
-        };
-        if wake {
-            self.cond.notify_one();
-        }
-    }
-
-    /// Is a message ready to be received?
-    pub(crate) fn has_mature(&self) -> bool {
-        let st = self.state.lock();
-        matches!(st.heap.peek(), Some(Reverse(e)) if e.deliver_at <= Instant::now())
+    /// The due instant of the earliest queued item, mature or not.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.state.lock().heap.peek().map(|Reverse(e)| e.due())
     }
 
     pub(crate) fn close(&self) {
@@ -116,54 +115,33 @@ impl<M> Inbox<M> {
         self.cond.notify_all();
     }
 
-    /// Drop all queued messages without closing (used by fault injection so
-    /// a "crashed" node loses its in-flight traffic).
-    pub(crate) fn drain(&self) -> usize {
-        let mut st = self.state.lock();
-        let n = st.heap.len();
-        st.heap.clear();
-        n
+    /// Keep only the queued items `keep` accepts (fault injection passes
+    /// `|_| false`, so a "crashed" node loses its in-flight traffic).
+    pub(crate) fn retain(&self, mut keep: impl FnMut(&T) -> bool) {
+        self.state.lock().heap.retain(|Reverse(e)| keep(e));
     }
 
     pub(crate) fn len(&self) -> usize {
         self.state.lock().heap.len()
     }
 
-    /// Block until a message matures or `deadline` passes.
-    pub(crate) fn recv_deadline(&self, deadline: Instant) -> Result<Envelope<M>, RecvError> {
-        let mut st = self.state.lock();
-        loop {
-            self.wait(&mut st, deadline)?;
-            if let Some(env) = pop_mature(&mut st) {
-                return Ok(env);
-            }
-        }
-    }
-
-    /// Block until a message matures, [`Inbox::kick`] is called or
-    /// `deadline` passes, leaving the message queued for whoever drains
-    /// the inbox. `Err(Timeout)` only when none of the first two happened.
-    pub(crate) fn wait_ready(&self, deadline: Instant) -> Result<(), RecvError> {
-        self.wait(&mut self.state.lock(), deadline)
-    }
-
-    /// The one place a thread parks on the inbox: `Ok` once the head is
-    /// mature or a kick is pending (consuming it).
-    fn wait(&self, st: &mut MutexGuard<'_, State<M>>, deadline: Instant) -> Result<(), RecvError> {
+    /// Block until an item matures or `deadline` passes. The one place a
+    /// thread parks on the queue.
+    pub(crate) fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvError> {
         make_timers_precise();
+        let mut st = self.state.lock();
         loop {
             if st.closed {
                 return Err(RecvError::Closed);
             }
             let now = Instant::now();
-            let wake = match st.heap.peek() {
-                Some(Reverse(e)) if e.deliver_at <= now => return Ok(()),
-                Some(Reverse(e)) => e.deliver_at.min(deadline),
-                None => deadline,
-            };
-            if std::mem::take(&mut st.kicked) {
-                return Ok(());
+            if let Some(item) = pop_mature(&mut st, now) {
+                return Ok(item);
             }
+            let wake = st
+                .heap
+                .peek()
+                .map_or(deadline, |Reverse(e)| e.due().min(deadline));
             if wake <= now {
                 return Err(RecvError::Timeout);
             }
@@ -172,31 +150,27 @@ impl<M> Inbox<M> {
                 "second parked thread on one inbox"
             );
             st.parked_until = Some(wake);
-            self.cond.wait_until(st, wake);
+            self.cond.wait_until(&mut st, wake);
             st.parked_until = None;
         }
     }
 
-    /// Non-blocking receive of a mature message. It counts as a receive
-    /// for the timer slack too: a client whose replies are always queued
-    /// by the time it looks never parks, yet still sleeps on backoff.
-    pub(crate) fn try_recv(&self) -> Option<Envelope<M>> {
+    /// Non-blocking receive of a mature item. It counts as a receive for
+    /// the timer slack too: a client whose replies are always queued by
+    /// the time it looks never parks, yet still sleeps on backoff.
+    pub(crate) fn try_recv(&self) -> Option<T> {
         make_timers_precise();
-        pop_mature(&mut self.state.lock())
-    }
-
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        self.recv_deadline(Instant::now() + timeout)
+        pop_mature(&mut self.state.lock(), Instant::now())
     }
 }
 
-/// Pop the head if it is mature.
-fn pop_mature<M>(st: &mut State<M>) -> Option<Envelope<M>> {
+/// Pop the head if it is mature at `now`.
+fn pop_mature<T: Timed>(st: &mut State<T>, now: Instant) -> Option<T> {
     let Reverse(head) = st.heap.peek()?;
-    if head.deliver_at > Instant::now() {
+    if head.due() > now {
         return None;
     }
-    st.heap.pop().map(|Reverse(env)| env)
+    st.heap.pop().map(|Reverse(item)| item)
 }
 
 /// A timed wait on Linux — the futex behind the condvar, the `nanosleep`
@@ -204,8 +178,8 @@ fn pop_mature<M>(st: &mut State<M>) -> Option<Envelope<M>> {
 /// 50 µs by default, so the kernel can batch wake-ups. That is a third of a
 /// modelled LAN hop, so the first receive or wait on a thread sets the
 /// slack to 1 ns (0 would mean "restore the default"). Every timed wait of
-/// the system runs on a thread that receives: servers, clients, and the
-/// clients' backoff sleeps. std has no call for it, hence the one foreign
+/// the system runs on a thread that receives: the network's timer thread,
+/// clients, and the clients' backoff sleeps. std has no call for it, hence the one foreign
 /// function; elsewhere this is a no-op.
 fn make_timers_precise() {
     #[cfg(target_os = "linux")]
@@ -239,6 +213,13 @@ mod tests {
     use crate::node::NodeId;
     use std::sync::Arc;
     use std::thread::JoinHandle;
+    use std::time::Duration;
+
+    impl<T: Timed> Inbox<T> {
+        fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
+            self.recv_deadline(Instant::now() + timeout)
+        }
+    }
 
     fn env(payload: u32, delay: Duration, seq: u64) -> Envelope<u32> {
         let now = Instant::now();
@@ -259,14 +240,14 @@ mod tests {
     #[test]
     fn immediate_message_is_received() {
         let inbox = Inbox::new();
-        inbox.push(env(42, Duration::ZERO, 0), true);
+        inbox.push(env(42, Duration::ZERO, 0));
         let got = inbox.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(val(got.payload), 42);
     }
 
     #[test]
     fn empty_inbox_times_out() {
-        let inbox: Inbox<u32> = Inbox::new();
+        let inbox: Inbox<Envelope<u32>> = Inbox::new();
         let err = inbox.recv_timeout(Duration::from_millis(5)).unwrap_err();
         assert_eq!(err, RecvError::Timeout);
     }
@@ -275,7 +256,7 @@ mod tests {
     fn delayed_message_waits_for_maturity() {
         let inbox = Inbox::new();
         let delay = Duration::from_millis(20);
-        inbox.push(env(1, delay, 0), true);
+        inbox.push(env(1, delay, 0));
         assert!(inbox.try_recv().is_none(), "message must not be early");
         let start = Instant::now();
         let got = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -290,8 +271,8 @@ mod tests {
     #[test]
     fn shorter_latency_overtakes() {
         let inbox = Inbox::new();
-        inbox.push(env(1, Duration::from_millis(50), 0), true);
-        inbox.push(env(2, Duration::from_millis(5), 1), true);
+        inbox.push(env(1, Duration::from_millis(50), 0));
+        inbox.push(env(2, Duration::from_millis(5), 1));
         let first = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(val(first.payload), 2, "low-latency message should overtake");
         let second = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -303,17 +284,14 @@ mod tests {
         let inbox = Inbox::new();
         let at = Instant::now();
         for seq in 0..10u64 {
-            inbox.push(
-                Envelope {
-                    src: NodeId(0),
-                    dst: NodeId(1),
-                    sent_at: at,
-                    deliver_at: at,
-                    seq,
-                    payload: Payload::Owned(seq as u32),
-                },
-                true,
-            );
+            inbox.push(Envelope {
+                src: NodeId(0),
+                dst: NodeId(1),
+                sent_at: at,
+                deliver_at: at,
+                seq,
+                payload: Payload::Owned(seq as u32),
+            });
         }
         for expect in 0..10u32 {
             let got = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -325,7 +303,7 @@ mod tests {
     /// the thread yields what `recv_timeout(timeout)` returned and how long
     /// the call took.
     fn parked_receiver(
-        inbox: &Arc<Inbox<u32>>,
+        inbox: &Arc<Inbox<Envelope<u32>>>,
         timeout: Duration,
     ) -> JoinHandle<(Result<u32, RecvError>, Duration)> {
         let i2 = Arc::clone(inbox);
@@ -347,7 +325,7 @@ mod tests {
         for pending in [None, Some(Duration::from_secs(5))] {
             let inbox = Arc::new(Inbox::new());
             if let Some(delay) = pending {
-                inbox.push(env(1, delay, 0), true);
+                inbox.push(env(1, delay, 0));
             }
             let h = parked_receiver(&inbox, Duration::from_secs(10));
             inbox.close();
@@ -360,9 +338,9 @@ mod tests {
     #[test]
     fn a_push_due_before_the_parked_instant_wakes_the_receiver() {
         let inbox = Arc::new(Inbox::new());
-        inbox.push(env(1, Duration::from_secs(2), 0), true);
+        inbox.push(env(1, Duration::from_secs(2), 0));
         let h = parked_receiver(&inbox, Duration::from_secs(5));
-        inbox.push(env(2, Duration::from_millis(10), 1), true);
+        inbox.push(env(2, Duration::from_millis(10), 1));
         let (got, took) = h.join().unwrap();
         assert_eq!(got, Ok(2), "the earlier message overtakes");
         assert!(took < Duration::from_secs(1), "woken only after {took:?}");
@@ -372,46 +350,10 @@ mod tests {
     fn a_zero_latency_push_wakes_a_receiver_parked_on_a_long_deadline() {
         let inbox = Arc::new(Inbox::new());
         let h = parked_receiver(&inbox, Duration::from_secs(10));
-        inbox.push(env(7, Duration::ZERO, 0), true);
+        inbox.push(env(7, Duration::ZERO, 0));
         let (got, took) = h.join().unwrap();
         assert_eq!(got, Ok(7));
         assert!(took < Duration::from_secs(1), "woken only after {took:?}");
-    }
-
-    #[test]
-    fn wait_ready_leaves_the_message_queued_and_a_kick_ends_it_early() {
-        let inbox = Arc::new(Inbox::new());
-        inbox.push(env(3, Duration::ZERO, 0), true);
-        assert!(inbox.has_mature());
-        let soon = Instant::now() + Duration::from_secs(10);
-        assert_eq!(inbox.wait_ready(soon), Ok(()));
-        assert_eq!(inbox.len(), 1, "waiting pops nothing");
-        assert_eq!(inbox.try_recv().map(|e| val(e.payload)), Some(3));
-        assert!(!inbox.has_mature());
-
-        let i2 = Arc::clone(&inbox);
-        let h = std::thread::spawn(move || {
-            let start = Instant::now();
-            (
-                i2.wait_ready(start + Duration::from_secs(10)),
-                start.elapsed(),
-            )
-        });
-        while inbox.state.lock().parked_until.is_none() {
-            std::thread::yield_now();
-        }
-        inbox.kick();
-        let (got, took) = h.join().unwrap();
-        assert_eq!(got, Ok(()));
-        assert!(took < Duration::from_secs(1), "kicked only after {took:?}");
-        // A kick while nobody waits is kept for the next wait.
-        inbox.kick();
-        assert_eq!(
-            inbox.wait_ready(Instant::now() + Duration::from_secs(10)),
-            Ok(())
-        );
-        let past = Instant::now();
-        assert_eq!(inbox.wait_ready(past), Err(RecvError::Timeout));
     }
 
     #[cfg(target_os = "linux")]
@@ -423,7 +365,7 @@ mod tests {
         }
         const PR_GET_TIMERSLACK: c_int = 30;
         let slack = std::thread::spawn(|| {
-            let inbox: Inbox<u32> = Inbox::new();
+            let inbox: Inbox<Envelope<u32>> = Inbox::new();
             assert_eq!(
                 inbox.recv_timeout(Duration::from_millis(1)).unwrap_err(),
                 RecvError::Timeout
@@ -439,16 +381,37 @@ mod tests {
     fn push_after_close_is_dropped() {
         let inbox = Inbox::new();
         inbox.close();
-        inbox.push(env(1, Duration::ZERO, 0), true);
+        inbox.push(env(1, Duration::ZERO, 0));
         assert_eq!(inbox.len(), 0);
     }
 
     #[test]
-    fn drain_discards_pending() {
+    fn retain_keeps_only_what_it_is_told() {
         let inbox = Inbox::new();
-        inbox.push(env(1, Duration::ZERO, 0), true);
-        inbox.push(env(2, Duration::ZERO, 1), true);
-        assert_eq!(inbox.drain(), 2);
+        for seq in 0..4 {
+            inbox.push(env(seq as u32, Duration::ZERO, seq));
+        }
+        inbox.retain(|e| e.seq % 2 == 1);
+        assert_eq!(inbox.len(), 2);
+        assert!(inbox.next_due().is_some());
+        inbox.retain(|_| false);
         assert!(inbox.try_recv().is_none());
+        assert_eq!(inbox.next_due(), None);
+    }
+
+    #[test]
+    fn timer_wakes_pop_in_instant_order() {
+        let inbox = Inbox::new();
+        let now = Instant::now();
+        inbox.push((now + Duration::from_millis(3), 0, NodeId(2)));
+        inbox.push((now, 1, NodeId(1)));
+        assert_eq!(inbox.next_due(), Some(now));
+        assert_eq!(inbox.try_recv(), Some((now, 1, NodeId(1))));
+        assert!(inbox.try_recv().is_none(), "the second wake is not due");
+        let (at, _, node) = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!(
+            (node, at.duration_since(now)),
+            (NodeId(2), Duration::from_millis(3))
+        );
     }
 }

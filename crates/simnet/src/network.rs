@@ -2,12 +2,14 @@
 //!
 //! Every message goes through one path, [`Endpoint::dispatch`]: fault
 //! check, chaos fate, latency sample, push into the destination's inbox.
-//! What happens after the push depends on the destination. A node with a
-//! *runner* ([`Network::attach`]) — a server — has its runner called on the
-//! sender's thread when the message's delay is zero: the runner drains the
-//! inbox under the node's own lock, so no thread wakes and nothing switches.
-//! A delayed message, and any message to a node without a runner (a
-//! client), wakes the receiving thread at `deliver_at` as before.
+//! What happens after the push depends on the destination. A node without
+//! a *runner* (a client) has its own thread, woken at `deliver_at` if it
+//! is parked. A node with one ([`Network::attach`]) — a server — has no
+//! thread: everything reaches it as a call to its runner, which drains the
+//! inbox under the node's own lock. A zero-delay message calls it on the
+//! sender's thread, a delayed message or a wake the node asked for
+//! ([`Endpoint::wake_at`]) on the network's one `simnet-timer` thread at
+//! its instant, and a fault change on the injector's thread.
 
 use crate::chaos::{ChaosDecision, FaultAction, FaultPlan, MsgKind, TimedFault};
 use crate::envelope::{Envelope, Payload};
@@ -19,7 +21,7 @@ use crate::stats::NetStats;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 /// Installed chaos state: the plan plus a protocol-supplied classifier and
@@ -42,16 +44,26 @@ impl<M> ChaosRuntime<M> {
     }
 }
 
-/// What a sender calls to deliver a zero-delay message to a node: it drains
-/// the node's inbox on the caller's thread (see [`Network::attach`]).
+/// What delivers to a node that has no thread of its own: it drains the
+/// node's inbox on the caller's thread (see [`Network::attach`]).
 type Runner = Arc<dyn Fn() + Send + Sync>;
 
 struct Shared<M> {
-    inboxes: Vec<Inbox<M>>,
-    /// Per node, the runner a zero-delay message calls; `None` for nodes
-    /// that receive on their own thread, and for every node after
-    /// [`Network::shutdown`].
+    inboxes: Vec<Inbox<Envelope<M>>>,
+    /// Per node, its runner; `None` for nodes that receive on their own
+    /// thread, and for every node after [`Network::shutdown`].
     runners: Vec<RwLock<Option<Runner>>>,
+    /// Wakes `(at, seq, node)`: the timer thread calls `node`'s runner at
+    /// `at`. Started by the first [`Network::attach`].
+    timer: Inbox<(Instant, u64, NodeId)>,
+    timer_started: Once,
+    /// Per node, the earliest wake queued for it. A later request is
+    /// dropped: the run at this one asks again, and the timer re-queues
+    /// the node's next message after it.
+    earliest: Vec<Mutex<Option<Instant>>>,
+    /// Per node, how many fault changes it has seen
+    /// ([`Endpoint::fault_changes`]).
+    fault_changes: Vec<AtomicU64>,
     latency: LatencyModel,
     faults: FaultTable,
     stats: NetStats,
@@ -77,7 +89,7 @@ impl<M> Clone for Network<M> {
     }
 }
 
-impl<M: Send + 'static> Network<M> {
+impl<M: Send + Sync + 'static> Network<M> {
     /// Create a network with `nodes` addressable nodes and the given
     /// latency model.
     pub fn new(nodes: usize, latency: LatencyModel) -> Self {
@@ -86,6 +98,10 @@ impl<M: Send + 'static> Network<M> {
             shared: Arc::new(Shared {
                 inboxes,
                 runners: (0..nodes).map(|_| RwLock::new(None)).collect(),
+                timer: Inbox::new(),
+                timer_started: Once::new(),
+                earliest: (0..nodes).map(|_| Mutex::new(None)).collect(),
+                fault_changes: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
                 latency,
                 faults: FaultTable::new(),
                 stats: NetStats::default(),
@@ -103,9 +119,9 @@ impl<M: Send + 'static> Network<M> {
     /// Obtain the endpoint for `node`. Multiple endpoints for the same node
     /// may coexist (e.g., a sender handle cloned into another thread), but
     /// the receives for a given node must be serialised — on its one
-    /// receiving thread, or for a node with a runner under the lock the
-    /// runner and the node's own thread share — and at most one thread may
-    /// park on it: the inbox's wake protocol records one parked receiver.
+    /// receiving thread, or for a node with a runner under the lock every
+    /// runner call shares — and at most one thread may park on it: the
+    /// inbox's wake protocol records one parked receiver.
     pub fn endpoint(&self, node: NodeId) -> Endpoint<M> {
         assert!(
             node.index() < self.shared.inboxes.len(),
@@ -122,12 +138,13 @@ impl<M: Send + 'static> Network<M> {
     /// messages to it are dropped until [`Network::recover`].
     pub fn fail(&self, node: NodeId) {
         self.shared.faults.fail(node);
-        self.shared.inboxes[node.index()].drain();
+        self.shared.inboxes[node.index()].retain(|_| false);
+        self.faults_changed(node);
     }
 
     /// Fault-injection handle: crash `node` **with amnesia** — besides
     /// failing it and dropping in-flight messages (as [`Network::fail`]),
-    /// its amnesia epoch is advanced so the node's own service loop (via
+    /// its amnesia epoch is advanced so the node (via
     /// [`Endpoint::amnesia_epoch`]) recovers from nothing before serving
     /// again.
     pub fn fail_amnesia(&self, node: NodeId) {
@@ -136,8 +153,8 @@ impl<M: Send + 'static> Network<M> {
 
     /// Fault-injection handle: crash `node` **preserving its durable
     /// log** — as [`Network::fail_amnesia`], but the restart epoch
-    /// ([`Endpoint::restart_epoch`]) is the one that advances: the node's
-    /// service loop drops volatile state and replays its log.
+    /// ([`Endpoint::restart_epoch`]) is the one that advances: the node
+    /// drops volatile state and replays its log.
     pub fn fail_restart(&self, node: NodeId) {
         self.crash(node, false);
     }
@@ -146,7 +163,19 @@ impl<M: Send + 'static> Network<M> {
     /// was in flight to it.
     fn crash(&self, node: NodeId, disk_lost: bool) {
         self.shared.faults.crash(node, disk_lost);
-        self.shared.inboxes[node.index()].drain();
+        self.shared.inboxes[node.index()].retain(|_| false);
+        self.faults_changed(node);
+    }
+
+    /// Deliver a change of `node`'s fault state: count it, then call the
+    /// node's runner on this thread, so a crash is observed when it
+    /// happens. A call that loses the node's lock leaves the change to the
+    /// holder, which compares [`Endpoint::fault_changes`] after unlocking.
+    fn faults_changed(&self, node: NodeId) {
+        self.shared.fault_changes[node.index()].fetch_add(1, Ordering::SeqCst);
+        if let Some(run) = self.shared.runner(node) {
+            run();
+        }
     }
 
     /// `node`'s amnesia epoch (0 = never amnesia-crashed).
@@ -166,8 +195,9 @@ impl<M: Send + 'static> Network<M> {
     /// a pre-crash message afterwards, and a recovering node must not replay
     /// stale pre-crash traffic.
     pub fn recover(&self, node: NodeId) {
-        self.shared.inboxes[node.index()].drain();
+        self.shared.inboxes[node.index()].retain(|_| false);
         self.shared.faults.recover(node);
+        self.faults_changed(node);
     }
 
     /// Is `node` currently failed?
@@ -265,30 +295,76 @@ impl<M: Send + 'static> Network<M> {
         self.shared.stats.snapshot()
     }
 
-    /// Deliver `node`'s zero-delay messages by calling `runner` on the
-    /// sender's thread, right after the message lands in the inbox. The
-    /// push claims no wake: the runner is expected to drain the inbox (with
-    /// [`Endpoint::try_recv_meta`], under a lock it shares with the node's
-    /// own thread, which parks in [`Endpoint::wait_ready`]). A runner that
-    /// cannot take that lock must leave the message to whoever holds it,
-    /// so the holder re-checks [`Endpoint::has_mature`] after unlocking;
-    /// a runner that hands work back calls [`Endpoint::kick`]. Delayed
-    /// messages still wake the node's thread at `deliver_at`.
+    /// Deliver everything to `node` by calling `runner`, which drains the
+    /// node's inbox (with [`Endpoint::try_recv_meta`]) on the caller's
+    /// thread: the sender's, right after a zero-delay message lands; the
+    /// timer thread's, at a delayed message's `deliver_at` or an instant
+    /// the node asked for with [`Endpoint::wake_at`]; the injector's,
+    /// after a fault change. Calls race, so a runner drains under a lock;
+    /// one that cannot take it leaves the work to whoever holds it, and
+    /// the holder re-checks [`Endpoint::has_mature`] and
+    /// [`Endpoint::fault_changes`] after unlocking. Nobody parks on the
+    /// node's inbox. The first call starts the timer thread.
     ///
     /// A runner usually owns an [`Endpoint`], which owns the network:
     /// [`Network::shutdown`] drops the runners to break that cycle.
     pub fn attach(&self, node: NodeId, runner: impl Fn() + Send + Sync + 'static) {
         *self.shared.runners[node.index()].write() = Some(Arc::new(runner));
+        self.shared.timer_started.call_once(|| {
+            let shared = Arc::clone(&self.shared);
+            std::thread::Builder::new()
+                .name("simnet-timer".into())
+                .spawn(move || shared.run_timer())
+                .expect("spawn the timer thread");
+        });
     }
 
-    /// Close every inbox, unblocking all receivers with [`RecvError::Closed`],
-    /// and drop every runner.
+    /// Close every inbox and the timer queue, unblocking all receivers with
+    /// [`RecvError::Closed`] and ending the timer thread, and drop every
+    /// runner.
     pub fn shutdown(&self) {
         for inbox in &self.shared.inboxes {
             inbox.close();
         }
+        self.shared.timer.close();
         for runner in &self.shared.runners {
             runner.write().take();
+        }
+    }
+}
+
+impl<M> Shared<M> {
+    fn runner(&self, node: NodeId) -> Option<Runner> {
+        self.runners[node.index()].read().clone()
+    }
+
+    /// Queue a wake of `node` at `at`, unless one no later is queued.
+    fn wake_at(&self, node: NodeId, at: Instant) {
+        let mut earliest = self.earliest[node.index()].lock();
+        if earliest.is_none_or(|queued| queued > at) {
+            *earliest = Some(at);
+            self.timer
+                .push((at, self.seq.fetch_add(1, Ordering::Relaxed), node));
+        }
+    }
+
+    /// The timer thread, until its queue closes: at each wake's instant,
+    /// call the node's runner. Then queue a wake for the node's next
+    /// message if it is due after the call began. One due earlier was
+    /// mature when the runner tried the lock, so the runner or the holder
+    /// it lost to drains it.
+    fn run_timer(&self) {
+        let forever = Instant::now() + Duration::from_secs(u32::MAX.into());
+        while let Ok((at, _, node)) = self.timer.recv_deadline(forever) {
+            let (earliest, inbox) = (&self.earliest[node.index()], &self.inboxes[node.index()]);
+            earliest.lock().take_if(|queued| *queued == at);
+            let start = Instant::now();
+            if let Some(run) = self.runner(node) {
+                run();
+            }
+            if let Some(next) = inbox.next_due().filter(|&due| due > start) {
+                self.wake_at(node, next);
+            }
         }
     }
 }
@@ -435,15 +511,8 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
             payload,
         };
-        // Due at once and `to` has a runner: this thread delivers it, so
-        // the push leaves the receiver's wake alone.
-        let runner = if delay.is_zero() {
-            self.shared.runners[to.index()].read().clone()
-        } else {
-            None
-        };
         let inbox = &self.shared.inboxes[to.index()];
-        if !inbox.push(env, runner.is_none()) {
+        if !inbox.push(env) {
             self.shared.stats.record_dropped_closed();
             return;
         }
@@ -452,21 +521,23 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         // stale message to be replayed at recovery. (Recovery drains too;
         // this keeps the inbox clean even while the node stays down.)
         if self.shared.faults.is_failed(to) {
-            inbox.drain();
+            inbox.retain(|_| false);
             self.shared.stats.record_dropped_failed();
             return;
         }
         self.shared.stats.record_delivered(bytes);
-        if let Some(run) = runner {
-            run();
+        // If `to` has a runner, this thread delivers a message due at
+        // once, the timer thread a delayed one.
+        match self.shared.runner(to) {
+            Some(run) if delay.is_zero() => run(),
+            Some(_) => self.shared.wake_at(to, now + delay),
+            None => {}
         }
     }
 
     /// Blocking receive with a timeout. Returns the sender and payload.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvError> {
-        self.inbox()
-            .recv_timeout(timeout)
-            .map(|e| (e.src, e.payload.into_inner()))
+        self.recv_deadline(Instant::now() + timeout)
     }
 
     /// Blocking receive with an absolute deadline.
@@ -479,7 +550,8 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// [`Endpoint::recv_timeout`] that also reports the message's timing
     /// metadata (see [`RecvMeta`]).
     pub fn recv_timeout_meta(&self, timeout: Duration) -> Result<(NodeId, M, RecvMeta), RecvError> {
-        self.inbox().recv_timeout(timeout).map(with_meta)
+        let deadline = Instant::now() + timeout;
+        self.inbox().recv_deadline(deadline).map(with_meta)
     }
 
     /// Non-blocking receive.
@@ -495,26 +567,28 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.inbox().try_recv().map(with_meta)
     }
 
-    /// Park until a message is ready, [`Endpoint::kick`] is called or
-    /// `deadline` passes, without receiving anything: the caller drains
-    /// the inbox afterwards. `Err(Timeout)` means none of the first two
-    /// happened; `Err(Closed)` that the network shut down.
-    pub fn wait_ready(&self, deadline: Instant) -> Result<(), RecvError> {
-        self.inbox().wait_ready(deadline)
-    }
-
-    /// End the current (or next) [`Endpoint::wait_ready`] of this node at
-    /// once. A runner calls it to hand work back to the node's own thread.
-    pub fn kick(&self) {
-        self.inbox().kick();
+    /// Have this node's runner called at `at` at the latest, on the timer
+    /// thread (see [`Network::attach`]). Dropped if a wake no later is
+    /// queued already: the run at that one asks again.
+    pub fn wake_at(&self, at: Instant) {
+        self.shared.wake_at(self.id, at);
     }
 
     /// Is a message ready to be received on this node?
     pub fn has_mature(&self) -> bool {
-        self.inbox().has_mature()
+        let next = self.inbox().next_due();
+        next.is_some_and(|at| at <= Instant::now())
     }
 
-    fn inbox(&self) -> &Inbox<M> {
+    /// How many fault changes ([`Network::fail`], a crash,
+    /// [`Network::recover`]) this node has seen. A runner reads it before
+    /// it tries the node's lock and again after unlocking: a change in
+    /// between may have lost its own runner call to this holder.
+    pub fn fault_changes(&self) -> u64 {
+        self.shared.fault_changes[self.id.index()].load(Ordering::SeqCst)
+    }
+
+    fn inbox(&self) -> &Inbox<Envelope<M>> {
         &self.shared.inboxes[self.id.index()]
     }
 
@@ -528,7 +602,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.shared.faults.is_failed(self.id)
     }
 
-    /// This node's amnesia epoch. A service loop that observes the epoch
+    /// This node's amnesia epoch. A node that observes the epoch
     /// moving past the last value it acted on must treat its local state
     /// as lost, its durable log included: recover from nothing, then catch
     /// up before serving.
@@ -536,7 +610,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.shared.faults.crash_epochs(self.id).0
     }
 
-    /// This node's crash-restart epoch. A service loop that observes the
+    /// This node's crash-restart epoch. A node that observes the
     /// epoch moving past the last value it acted on must drop volatile
     /// state and replay its durable log before serving.
     pub fn restart_epoch(&self) -> u64 {

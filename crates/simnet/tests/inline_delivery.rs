@@ -1,30 +1,47 @@
-//! Inline delivery: a zero-delay message to a node with a runner
-//! ([`Network::attach`]) is delivered by calling the runner on the sender's
-//! thread. These tests pin who runs it, that the node's parked thread is
-//! left alone, that delay keeps the old path, that a lock-sharing runner
-//! loses no message however the senders race, and that shutdown breaks the
-//! runner's reference cycle.
+//! Delivery by call: everything that reaches a node with a runner
+//! ([`Network::attach`]) reaches it as a call to the runner, on whichever
+//! thread delivers. These tests pin whose thread that is — the sender's
+//! for a zero-delay message, the `simnet-timer` thread for a delayed one
+//! or a wake the node asked for, the injector's for a fault change — that
+//! a lock-sharing runner loses no message and no fault change however the
+//! calls race, and that shutdown breaks the runner's reference cycle.
 
-use acn_simnet::{Endpoint, LatencyModel, Network, NodeId, RecvError};
+use acn_simnet::{Endpoint, LatencyModel, Network, NodeId};
 use parking_lot::Mutex;
 use rand::Rng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 const SENDER: NodeId = NodeId(0);
 const NODE: NodeId = NodeId(1);
 
-/// Attach a runner to `NODE` that only counts its calls.
-fn counting_runner(net: &Network<u32>) -> Arc<AtomicUsize> {
-    let calls = Arc::new(AtomicUsize::new(0));
-    let c = Arc::clone(&calls);
+/// One runner call: its thread's name, when it began, and what it drained.
+type Call = (String, Instant, Vec<u32>);
+
+/// Attach a runner to `NODE` that drains the inbox and records each call.
+fn recording_runner(net: &Network<u32>) -> Arc<Mutex<Vec<Call>>> {
+    let calls: Arc<Mutex<Vec<Call>>> = Arc::default();
+    let (log, ep) = (Arc::clone(&calls), net.endpoint(NODE));
     net.attach(NODE, move || {
-        c.fetch_add(1, Ordering::SeqCst);
+        let me = std::thread::current();
+        let name = me.name().unwrap_or("?").to_string();
+        let at = Instant::now();
+        let got = std::iter::from_fn(|| ep.try_recv().map(|(_, v)| v)).collect();
+        log.lock().push((name, at, got));
     });
     calls
+}
+
+/// Wait up to three seconds for `done` to hold.
+fn eventually(done: impl Fn() -> bool) -> bool {
+    let give_up = Instant::now() + Duration::from_secs(3);
+    while !done() && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    done()
 }
 
 #[test]
@@ -52,66 +69,105 @@ fn the_runner_runs_on_the_senders_thread() {
 }
 
 #[test]
-fn a_thread_parked_in_wait_ready_is_not_woken() {
-    let net: Network<u32> = Network::new(2, LatencyModel::Zero);
-    let calls = counting_runner(&net);
-    let ep = net.endpoint(NODE);
-    let wait = Duration::from_millis(200);
-    let parked = std::thread::spawn(move || {
-        let start = Instant::now();
-        let got = ep.wait_ready(start + wait);
-        (got, start.elapsed(), ep.try_recv())
-    });
-    std::thread::sleep(Duration::from_millis(50));
-    net.endpoint(SENDER).send(NODE, 5);
-    assert_eq!(calls.load(Ordering::SeqCst), 1);
-    // The runner left the message queued, so a woken thread would have
-    // found it at once; this one slept to its deadline and found it then.
-    let (got, took, queued) = parked.join().unwrap();
-    assert_eq!(got, Ok(()));
-    assert!(took >= wait, "woken after {took:?}");
-    assert_eq!(queued, Some((SENDER, 5)));
-
-    // A kick is how a runner hands work back: it does wake the thread.
-    let ep = net.endpoint(NODE);
-    let parked = std::thread::spawn(move || {
-        let start = Instant::now();
-        (
-            ep.wait_ready(start + Duration::from_secs(10)),
-            start.elapsed(),
-        )
-    });
-    std::thread::sleep(Duration::from_millis(50));
-    net.endpoint(NODE).kick();
-    let (got, took) = parked.join().unwrap();
-    assert_eq!(got, Ok(()));
-    assert!(took < Duration::from_secs(5), "kicked after {took:?}");
+fn a_delayed_message_runs_the_runner_on_the_timer_thread() {
+    let delay = Duration::from_millis(5);
+    let net: Network<u32> = Network::new(2, LatencyModel::Constant(delay));
+    let calls = recording_runner(&net);
+    let start = Instant::now();
+    net.endpoint(SENDER).send(NODE, 9);
+    assert!(eventually(|| !calls.lock().is_empty()));
+    // The first call is the timer's, so the sender made none.
+    let (name, at, got) = calls.lock()[0].clone();
+    assert_eq!(name, "simnet-timer");
+    assert!(
+        at >= start + delay,
+        "called {:?} after the send",
+        at - start
+    );
+    assert_eq!(got, vec![9]);
     net.shutdown();
 }
 
 #[test]
-fn a_delayed_message_never_runs_inline() {
-    let delay = Duration::from_millis(5);
-    let net: Network<u32> = Network::new(2, LatencyModel::Constant(delay));
-    let calls = counting_runner(&net);
-    let rx = net.endpoint(NODE);
+fn wake_at_calls_the_runner_at_the_earliest_instant_asked_for() {
+    let net: Network<u32> = Network::new(2, LatencyModel::Zero);
+    let calls = recording_runner(&net);
+    let ep = net.endpoint(NODE);
     let start = Instant::now();
-    net.endpoint(SENDER).send(NODE, 9);
-    assert!(!rx.has_mature(), "not due yet");
-    // The node's own thread receives it at `deliver_at`.
-    assert_eq!(
-        rx.wait_ready(start + Duration::from_secs(1)),
-        Ok(()),
-        "the push woke the waiter at the message's instant"
+    let (early, late) = (Duration::from_millis(20), Duration::from_millis(400));
+    ep.wake_at(start + late);
+    ep.wake_at(start + early);
+    // No earlier than the wake queued at `early`: queues nothing.
+    ep.wake_at(start + Duration::from_millis(300));
+    assert!(eventually(|| calls.lock().len() == 2));
+    std::thread::sleep(Duration::from_millis(50));
+    let calls = calls.lock().clone();
+    assert_eq!(calls.len(), 2, "one call per queued wake: {calls:?}");
+    let offsets: Vec<_> = calls.iter().map(|(_, at, _)| *at - start).collect();
+    assert!(offsets[0] >= early && offsets[0] < late, "{offsets:?}");
+    assert!(offsets[1] >= late, "{offsets:?}");
+    assert!(calls.iter().all(|(name, ..)| name == "simnet-timer"));
+    net.shutdown();
+}
+
+#[test]
+fn a_fault_change_calls_the_runner_on_the_injectors_thread() {
+    let net: Network<u32> = Network::new(2, LatencyModel::Constant(Duration::from_secs(1)));
+    let calls = recording_runner(&net);
+    let ep = net.endpoint(NODE);
+    net.endpoint(SENDER).send(NODE, 1); // in flight for a second
+    let me = std::thread::current().name().unwrap().to_string();
+    let mine = |calls: &[Call]| calls.iter().filter(|(name, ..)| *name == me).count();
+    net.fail_restart(NODE);
+    assert_eq!(mine(&calls.lock()), 1, "called before the crash returned");
+    assert_eq!(ep.fault_changes(), 1);
+    net.recover(NODE);
+    assert_eq!(mine(&calls.lock()), 2, "and before the recovery returned");
+    assert_eq!(ep.fault_changes(), 2);
+    // The wake the message queued still fires, and finds nothing.
+    assert!(eventually(|| calls.lock().len() == 3));
+    let calls = calls.lock().clone();
+    assert!(
+        calls.iter().all(|(_, _, got)| got.is_empty()),
+        "the crash lost what was in flight: {calls:?}"
     );
-    assert!(start.elapsed() >= delay);
-    let (_, v, meta) = rx.try_recv_meta().expect("mature");
-    assert_eq!(v, 9);
-    assert_eq!(meta.deliver_at - meta.sent_at, delay);
-    assert_eq!(calls.load(Ordering::SeqCst), 0, "delay keeps the old path");
-    assert_eq!(
-        rx.wait_ready(Instant::now() + Duration::from_millis(1)),
-        Err(RecvError::Timeout)
+    net.shutdown();
+}
+
+#[test]
+fn a_fault_change_that_finds_the_lock_held_is_seen_once_the_holder_unlocks() {
+    let net: Network<u32> = Network::new(2, LatencyModel::Zero);
+    // What the node last observed of its fault state, behind its lock.
+    let observed: Arc<Mutex<Option<bool>>> = Arc::default();
+    let (held_tx, held) = mpsc::channel();
+    let (go, go_rx) = mpsc::channel::<()>();
+    // The first call keeps the lock until the test says go.
+    let hold = Mutex::new(Some((held_tx, go_rx)));
+    let (seen, ep) = (Arc::clone(&observed), net.endpoint(NODE));
+    net.attach(NODE, move || loop {
+        let faults = ep.fault_changes();
+        let Some(mut s) = seen.try_lock() else {
+            return;
+        };
+        *s = Some(ep.is_failed());
+        if let Some((held, go)) = hold.lock().take() {
+            held.send(()).unwrap();
+            go.recv().unwrap();
+        }
+        drop(s);
+        if !ep.has_mature() && ep.fault_changes() == faults {
+            return;
+        }
+    });
+    // The holder is a wake on the timer thread: no message is sent.
+    net.endpoint(NODE).wake_at(Instant::now());
+    held.recv().unwrap();
+    net.fail(NODE); // its runner call loses the lock
+    go.send(()).unwrap();
+    assert!(
+        eventually(|| *observed.lock() == Some(true)),
+        "the crash was never observed: {:?}",
+        *observed.lock()
     );
     net.shutdown();
 }

@@ -16,10 +16,10 @@ use acn_core::{
 };
 use acn_dtm::{Cluster, ClusterConfig, DtmClient, HistoryLog, ServerStats};
 use acn_obs::{
-    aggregate_critpath, critical_path, record_flight, AbortKind, AbortRow, AbortTable,
-    ContentionLevel, CritPathRow, FlightRecord, LogHistogram, MetricsReport, NetCounters,
-    ObsConfig, RecoveryCounters, Section, SeriesRow, SloInputs, SloPolicy, Span, SpanCollector,
-    ThreadTraceRow, Tracer, TxnCritPath, TxnObserver, WindowedSeries, WorkTotals,
+    aggregate_critpath, critical_path, AbortRow, AbortTable, ContentionLevel, CritPathRow,
+    LogHistogram, MetricsReport, NetCounters, ObsConfig, RecoveryCounters, Section, SeriesRow,
+    Span, SpanCollector, ThreadTraceRow, Tracer, TxnCritPath, TxnObserver, WindowedSeries,
+    WorkTotals,
 };
 use acn_simnet::{FaultPlan, NetStatsSnapshot};
 use acn_txir::{DependencyModel, ObjClass};
@@ -27,7 +27,6 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -97,24 +96,6 @@ pub struct ScenarioConfig {
     /// statically resolved access sets, and dispatches independent ones
     /// concurrently across the worker pool. `None` = closed loop.
     pub batch: Option<BatchConfig>,
-    /// SLO budgets evaluated over the finished run's merged telemetry.
-    /// Requires [`ScenarioConfig::obs`]: tripped rules dump the retained
-    /// spans as a flight-recorder artifact and land as
-    /// [`FlightRecord`] rows in [`ScenarioObs::flights`]. `None` (or a
-    /// disabled policy) skips evaluation entirely.
-    pub slo: Option<SloConfig>,
-}
-
-/// Where a scenario's SLO budgets live and where tripped evaluations dump
-/// their flight-recorder artifacts.
-#[derive(Debug, Clone)]
-pub struct SloConfig {
-    /// The budgets to check after the run.
-    pub policy: SloPolicy,
-    /// Directory receiving `flight-<label>.json` Chrome-trace dumps.
-    pub flight_dir: PathBuf,
-    /// Artifact label distinguishing concurrent runs (figure id, seed).
-    pub label: String,
 }
 
 impl ScenarioConfig {
@@ -142,7 +123,6 @@ impl ScenarioConfig {
             history: None,
             obs: None,
             batch: None,
-            slo: None,
         }
     }
 }
@@ -210,9 +190,6 @@ pub struct ScenarioObs {
     /// carries [`ScenarioResult::intervals`]`[i]`, and the cells' histograms
     /// merge to [`ScenarioResult::latency`].
     pub series: WindowedSeries,
-    /// Tripped SLO rules and their flight-recorder artifacts (empty
-    /// unless [`ScenarioConfig::slo`] was set and a budget broke).
-    pub flights: Vec<FlightRecord>,
 }
 
 impl ScenarioResult {
@@ -298,7 +275,6 @@ impl ScenarioResult {
             report.thread_traces = obs.thread_traces.clone();
             report.wasted = (!obs.wasted.is_empty()).then(|| obs.wasted.clone());
             report.series = SeriesRow::from_series(&obs.series);
-            report.flights = obs.flights.clone();
         }
         report
     }
@@ -312,7 +288,7 @@ pub(crate) enum Plan {
 /// One worker's account of the measurement phase: a windowed series on the
 /// interval grid, recorded into once per transaction and merged once when
 /// the thread exits. The per-interval counters, the run's latency
-/// histogram, the SLO inputs and the exported series rows are all read off
+/// histogram and the exported series rows are all read off
 /// the merged series, so none of them can disagree with another.
 pub(crate) struct Tally {
     series: WindowedSeries,
@@ -642,7 +618,7 @@ fn run_closed_loop(ph: &Phase<'_>) {
 }
 
 /// Post-measurement assembly shared by both execution modes: contention
-/// sampling, cluster shutdown, span merging, SLO evaluation and the
+/// sampling, cluster shutdown, span merging and the
 /// [`ScenarioResult`] (its `refreshes` and `batch` are the caller's).
 fn assemble(
     cfg: &ScenarioConfig,
@@ -682,8 +658,8 @@ fn assemble(
 
     let net = cluster.net().stats();
     let server_stats = cluster.shutdown();
-    // Every server thread has joined: the shared span sink joins the
-    // client rings.
+    // Every server has finished: the shared span sink joins the client
+    // rings.
     if let Some(collector) = &span_collector {
         merged.spans(collector.drain(start));
     }
@@ -720,48 +696,6 @@ fn assemble(
                 .map(|dm| dm.program.name.to_string())
                 .unwrap_or_else(|| format!("class{c}"))
         });
-        // SLO evaluation over the finished run's merged telemetry; tripped
-        // rules dump the retained spans as a flight-recorder artifact.
-        // Needs the observer outputs, so `slo` without `obs` evaluates
-        // nothing.
-        let flights = match cfg.slo.as_ref().filter(|slo| !slo.policy.is_disabled()) {
-            Some(slo) => {
-                let inputs = SloInputs {
-                    p99_ns: latency.quantile(0.99).unwrap_or(0),
-                    commits: intervals.iter().map(|w| w.commits).sum(),
-                    aborts: intervals.iter().map(|w| w.total_aborts()).sum(),
-                    wal_refusals: aborts.total_of(&[AbortKind::WalRefused]),
-                    sync_refusals: recovery.sync_vote_refusals + recovery.sync_read_refusals,
-                };
-                let triggers = slo.policy.evaluate(&inputs);
-                if triggers.is_empty() {
-                    Vec::new()
-                } else {
-                    // Best-effort artifact: an unwritable flight dir must
-                    // not fail the run, but the tripped rules still surface
-                    // as rows (with an empty artifact path).
-                    record_flight(
-                        &slo.flight_dir,
-                        &slo.label,
-                        &triggers,
-                        &spans,
-                        &thread_traces,
-                    )
-                    .unwrap_or_else(|_| {
-                        triggers
-                            .iter()
-                            .map(|t| FlightRecord {
-                                trigger: t.rule.label().to_owned(),
-                                value_milli: t.value_milli,
-                                budget_milli: t.budget_milli,
-                                artifact: String::new(),
-                            })
-                            .collect()
-                    })
-                }
-            }
-            None => Vec::new(),
-        };
         ScenarioObs {
             aborts,
             contention,
@@ -771,7 +705,6 @@ fn assemble(
             thread_traces,
             wasted: work,
             series,
-            flights,
         }
     });
 

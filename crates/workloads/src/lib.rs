@@ -31,7 +31,5 @@ pub mod vacation;
 mod workload;
 
 pub use batch::{BatchConfig, SpecMode};
-pub use driver::{
-    run_scenario, ScenarioConfig, ScenarioObs, ScenarioResult, SloConfig, SystemKind,
-};
+pub use driver::{run_scenario, ScenarioConfig, ScenarioObs, ScenarioResult, SystemKind};
 pub use workload::{seed_txn, TxnRequest, Workload};

@@ -98,12 +98,11 @@ pub mod prelude {
         HistorySummary, StoreDigest, SyncConfig, TxnCtx, TxnId, Violation,
     };
     pub use acn_obs::{
-        aggregate_critpath, critical_path, parse_chrome_trace, parse_prom, record_flight,
-        render_prom, report_to_prom, write_chrome_trace, AbortKind, AbortSite, AbortTable,
-        CritPathRow, FlightRecord, LogHistogram, MetricsReport, ObsConfig, PromMetric, SloInputs,
-        SloPolicy, SloRule, SloTrigger, Span, SpanCollector, SpanKind, ThreadTraceRow, TraceCtx,
-        Tracer, TxnCritPath, TxnEvent, TxnObserver, WindowedSeries, WorkLedger, WorkTotals,
-        WorkUnits, SERVER_TRACE_THREAD,
+        aggregate_critpath, critical_path, parse_chrome_trace, parse_prom, render_prom,
+        report_to_prom, write_chrome_trace, AbortKind, AbortSite, AbortTable, CritPathRow,
+        LogHistogram, MetricsReport, ObsConfig, PromMetric, Span, SpanCollector, SpanKind,
+        ThreadTraceRow, TraceCtx, Tracer, TxnCritPath, TxnEvent, TxnObserver, WindowedSeries,
+        WorkLedger, WorkTotals, WorkUnits, SERVER_TRACE_THREAD,
     };
     pub use acn_quorum::{DaryTree, LevelQuorums, ReadLevelPolicy};
     pub use acn_simnet::{
@@ -114,7 +113,7 @@ pub mod prelude {
         Program, ProgramBuilder, Stmt, Value,
     };
     pub use acn_workloads::{
-        run_scenario, BatchConfig, ScenarioConfig, ScenarioObs, ScenarioResult, SloConfig,
-        SpecMode, SystemKind, TxnRequest, Workload,
+        run_scenario, BatchConfig, ScenarioConfig, ScenarioObs, ScenarioResult, SpecMode,
+        SystemKind, TxnRequest, Workload,
     };
 }

@@ -326,55 +326,6 @@ fn windowed_series_counts_every_outcome() {
     );
 }
 
-/// An SLO trigger demonstrably fires and dumps the flight recorder: with
-/// an impossibly tight p99 budget the policy must trip, the span rings
-/// must land on disk as a Chrome trace that parses back *exactly*, and
-/// the `flight` rows must ride the JSON-lines report. `$OBS_FLIGHT_DIR`
-/// overrides the dump directory so CI can upload the artifact.
-#[test]
-fn slo_trigger_dumps_valid_flight_record() {
-    let (bank, mut cfg) = observed_bank_config();
-    let dir = std::env::var("OBS_FLIGHT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir().join("acn-obs-flight-smoke"));
-    cfg.slo = Some(SloConfig {
-        policy: SloPolicy {
-            p99_budget_ns: Some(1), // any real commit breaks a 1ns budget
-            ..SloPolicy::default()
-        },
-        flight_dir: dir.clone(),
-        label: "obs-smoke".to_string(),
-    });
-    let r = run_scenario(&bank, &cfg);
-    assert!(r.total_commits() > 0, "scenario must make progress");
-    let obs = r.obs.as_ref().expect("observability was enabled");
-
-    let rec = obs
-        .flights
-        .iter()
-        .find(|f| f.trigger == "p99_latency")
-        .expect("a 1ns p99 budget must trip");
-    assert!(
-        rec.value_milli > rec.budget_milli,
-        "the trigger must record the measured value against its budget"
-    );
-    assert!(!rec.artifact.is_empty(), "the dump must land on disk");
-
-    // The artifact is a valid Chrome trace holding exactly the spans the
-    // run retained.
-    let text = std::fs::read_to_string(&rec.artifact).expect("flight artifact must be readable");
-    let (spans, rows) = parse_chrome_trace(&text).expect("flight dump must be a valid trace");
-    assert_eq!(spans, obs.spans, "the dump must hold the retained spans");
-    assert_eq!(rows, obs.thread_traces);
-
-    // The flight rows ride the report and round-trip exactly.
-    let report = r.metrics_report(&[("bench", "obs_slo".to_string())]);
-    let text = report.to_json_lines();
-    assert!(text.contains("p99_latency"), "flight rows must be exported");
-    let parsed = MetricsReport::parse_json_lines(&text).expect("export must parse");
-    assert_eq!(parsed, report, "flight-row round-trip must be exact");
-}
-
 /// The Prometheus exposition of a real run round-trips exactly through
 /// the vendored parser — `parse(render(m)) == m` — and carries the
 /// headline families the scrape surface promises.
@@ -393,8 +344,8 @@ fn prometheus_export_round_trips() {
     ] {
         assert!(text.contains(family), "exposition must carry {family}");
     }
-    // Empty families (no SLO trips on this run) are skipped on render —
-    // the round trip is exact over every family that made the wire.
+    // Empty families are skipped on render — the round trip is exact
+    // over every family that made the wire.
     let parsed = parse_prom(&text).expect("prometheus text must parse");
     let rendered: Vec<&PromMetric> = metrics.iter().filter(|m| !m.samples.is_empty()).collect();
     assert_eq!(parsed.len(), rendered.len());
