@@ -13,8 +13,7 @@
 //! rarely-written objects (Customer) scores low, which is exactly the
 //! hot-spot signal Steps 1–3 need.
 
-use acn_txir::ObjectId;
-use std::collections::HashMap;
+use acn_txir::{IdMap, ObjectId};
 use std::time::{Duration, Instant};
 
 /// Window rotation configuration.
@@ -41,15 +40,15 @@ pub struct ContentionWindow {
     cfg: WindowConfig,
     window_start: Instant,
     /// Writes per object in the window being filled.
-    current: HashMap<ObjectId, u64>,
+    current: IdMap<ObjectId, u64>,
     /// Aborts attributed per object in the window being filled (the
     /// objects whose staleness or lock made a prepare vote no).
-    current_aborts: HashMap<ObjectId, u64>,
+    current_aborts: IdMap<ObjectId, u64>,
     /// Per-class write aggregate of the last complete window:
     /// (sum, distinct).
-    completed: HashMap<u16, (u64, u64)>,
+    completed: IdMap<u16, (u64, u64)>,
     /// Per-class abort aggregate of the last complete window.
-    completed_aborts: HashMap<u16, (u64, u64)>,
+    completed_aborts: IdMap<u16, (u64, u64)>,
 }
 
 impl ContentionWindow {
@@ -58,15 +57,15 @@ impl ContentionWindow {
         ContentionWindow {
             cfg,
             window_start: Instant::now(),
-            current: HashMap::new(),
-            current_aborts: HashMap::new(),
-            completed: HashMap::new(),
-            completed_aborts: HashMap::new(),
+            current: IdMap::default(),
+            current_aborts: IdMap::default(),
+            completed: IdMap::default(),
+            completed_aborts: IdMap::default(),
         }
     }
 
-    fn aggregate(objs: &mut HashMap<ObjectId, u64>) -> HashMap<u16, (u64, u64)> {
-        let mut agg: HashMap<u16, (u64, u64)> = HashMap::new();
+    fn aggregate(objs: &mut IdMap<ObjectId, u64>) -> IdMap<u16, (u64, u64)> {
+        let mut agg: IdMap<u16, (u64, u64)> = IdMap::default();
         for (obj, count) in objs.drain() {
             let e = agg.entry(obj.class.id).or_insert((0, 0));
             e.0 += count;
@@ -120,7 +119,7 @@ impl ContentionWindow {
         *self.current_aborts.entry(obj).or_insert(0) += 1;
     }
 
-    fn level_from(agg: &HashMap<u16, (u64, u64)>, class: u16) -> f64 {
+    fn level_from(agg: &IdMap<u16, (u64, u64)>, class: u16) -> f64 {
         match agg.get(&class) {
             Some(&(sum, distinct)) if distinct > 0 => sum as f64 / distinct as f64,
             _ => 0.0,

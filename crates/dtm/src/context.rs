@@ -29,8 +29,8 @@ use crate::client::DtmClient;
 use crate::error::{AbortScope, DtmError};
 use crate::messages::{TxnId, ValidateEntry, Version};
 use acn_simnet::NodeId;
-use acn_txir::{FieldId, ObjectId, ObjectVal, Value};
-use std::collections::{HashMap, HashSet};
+use acn_txir::{FieldId, IdMap, IdSet, ObjectId, ObjectVal, Value};
+use std::collections::HashMap;
 
 /// The speculative read cache of one transaction attempt: versioned object
 /// copies fetched ahead of their `Open` in batched quorum rounds
@@ -48,7 +48,7 @@ use std::collections::{HashMap, HashSet};
 /// A full restart drops the whole cache with the attempt.
 #[derive(Debug, Default)]
 pub struct SpecCache {
-    map: HashMap<ObjectId, (Version, ObjectVal)>,
+    map: IdMap<ObjectId, (Version, ObjectVal)>,
 }
 
 /// A cache of the `(object, version, value)` copies one round returned.
@@ -121,11 +121,11 @@ pub struct TxnCtx {
     /// `(object, version)` in first-read order — the read-set, and the
     /// validation vector every remote round presents.
     read_set: Vec<ValidateEntry>,
-    read_index: HashMap<ObjectId, usize>,
+    read_index: IdMap<ObjectId, usize>,
     /// Buffered object copies (current values including local writes).
-    buffers: HashMap<ObjectId, ObjectVal>,
+    buffers: IdMap<ObjectId, ObjectVal>,
     /// Objects with buffered writes — the write-set.
-    writes: HashSet<ObjectId>,
+    writes: IdSet<ObjectId>,
     /// Per-server validated watermark: how many leading entries of the
     /// read-set each server has already validated. Fetch rounds ship only
     /// the suffix past the contacted quorum's minimum watermark (see
@@ -140,9 +140,9 @@ impl TxnCtx {
         TxnCtx {
             txn: client.begin(),
             read_set: Vec::new(),
-            read_index: HashMap::new(),
-            buffers: HashMap::new(),
-            writes: HashSet::new(),
+            read_index: IdMap::default(),
+            buffers: IdMap::default(),
+            writes: IdSet::default(),
             watermarks: HashMap::new(),
             scope: None,
         }

@@ -23,9 +23,9 @@ use crate::wal::{replay, DurabilityMode, DurableLog, MemLog, Persistence, WalRec
 use acn_obs::{RawSpan, SpanCollector, SpanKind, TraceCtx, FLAG_ROLLED_BACK};
 use acn_quorum::LevelQuorums;
 use acn_simnet::{Endpoint, NodeId};
-use acn_txir::{ObjectId, ObjectVal};
+use acn_txir::{IdMap, IdSet, ObjectId, ObjectVal};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -168,7 +168,7 @@ pub struct Server {
     contention: ContentionWindow,
     /// Objects locked at prepare per transaction, so abort/commit releases
     /// exactly what was acquired.
-    prepared: HashMap<TxnId, PreparedTxn>,
+    prepared: IdMap<TxnId, PreparedTxn>,
     /// How long a prepared transaction may sit without a phase-2 message
     /// before its entry and locks are reclaimed.
     prepared_ttl: Duration,
@@ -178,7 +178,7 @@ pub struct Server {
     /// same-request-id retry loop genuinely idempotent — without it, a
     /// delayed duplicate PrepareReq arriving *after* the commit would
     /// re-lock the write-set and strand the locks until the TTL sweep.
-    completed: HashMap<(TxnId, ReqId), Msg>,
+    completed: IdMap<(TxnId, ReqId), Msg>,
     /// Insertion order of `completed`, for FIFO eviction.
     completed_order: VecDeque<(TxnId, ReqId)>,
     stats: ServerStats,
@@ -195,7 +195,7 @@ pub struct Server {
     /// from a previous recovery attempt are discarded by it.
     incarnation: u64,
     /// Peer ranks that answered the current incarnation's [`Msg::SyncReq`].
-    sync_responders: HashSet<usize>,
+    sync_responders: IdSet<usize>,
     /// Correlation ids for server-originated requests (SyncReq).
     server_req: ReqId,
     /// Last amnesia epoch acted upon (vs. the endpoint's fault table).
@@ -258,16 +258,16 @@ impl Server {
         Server {
             store: Store::new(),
             contention: ContentionWindow::new(window),
-            prepared: HashMap::new(),
+            prepared: IdMap::default(),
             prepared_ttl: DEFAULT_PREPARED_TTL,
-            completed: HashMap::new(),
+            completed: IdMap::default(),
             completed_order: VecDeque::new(),
             stats: ServerStats::default(),
             window,
             sync: None,
             syncing: false,
             incarnation: 0,
-            sync_responders: HashSet::new(),
+            sync_responders: IdSet::default(),
             server_req: 0,
             amnesia_seen: 0,
             restart_seen: 0,
@@ -2182,6 +2182,35 @@ mod tests {
         assert_eq!(s.stats().delta_objects_fetched, 2, "every shipped entry");
         assert_eq!(s.store_mut().version(OBJ), 4);
         assert_eq!(s.store_mut().version(OBJ2), 2);
+    }
+
+    /// Store order is a function of the messages a replica handled, not of
+    /// per-process hash keys: two replicas fed one sequence answer one
+    /// probe with the same entries in the same order.
+    #[test]
+    fn replicas_fed_one_sequence_answer_a_probe_identically() {
+        const D: ObjClass = ObjClass::new(1, "D");
+        let feed = |s: &mut Server| {
+            for i in 0..300u64 {
+                let obj = ObjectId::new(if i % 3 == 0 { C } else { D }, i * 7 + 1);
+                commit_obj(s, txn(i), 2 * i + 1, obj, 1, i as i64);
+            }
+        };
+        let probe = Msg::SyncReq {
+            req: 1,
+            incarnation: 1,
+            known: vec![(ObjectId::new(D, 8), 1)],
+        };
+        let entries = |s: &mut Server| match s.handle(probe.clone(), Instant::now()) {
+            Some(Msg::SyncResp { entries, .. }) => entries,
+            other => panic!("{other:?}"),
+        };
+        let (mut a, mut b) = (server(), server());
+        feed(&mut a);
+        feed(&mut b);
+        let (ea, eb) = (entries(&mut a), entries(&mut b));
+        assert_eq!(ea.len(), 299, "everything but the one object it knows");
+        assert_eq!(ea, eb);
     }
 
     #[test]

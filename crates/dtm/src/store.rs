@@ -1,8 +1,8 @@
 //! A replica's object store.
 
 use crate::messages::{TxnId, Version};
-use acn_txir::{ObjectId, ObjectVal};
-use std::collections::{BTreeMap, HashMap};
+use acn_txir::{IdMap, ObjectId, ObjectVal};
+use std::collections::BTreeMap;
 
 /// One object class's slice of a [`StoreDigest`]: enough to detect
 /// divergence between replicas cheaply (count + max + xor of versions)
@@ -57,7 +57,7 @@ pub struct VersionedObject {
 /// id, populate, commit).
 #[derive(Debug, Default)]
 pub struct Store {
-    objects: HashMap<ObjectId, VersionedObject>,
+    objects: IdMap<ObjectId, VersionedObject>,
 }
 
 impl Store {
@@ -133,7 +133,7 @@ impl Store {
     /// recovering replica must not inherit another replica's in-flight
     /// `protected` flags.
     pub fn newer_than(&self, known: &[(ObjectId, Version)]) -> Vec<(ObjectId, Version, ObjectVal)> {
-        let known: HashMap<ObjectId, Version> = known.iter().copied().collect();
+        let known: IdMap<ObjectId, Version> = known.iter().copied().collect();
         self.objects
             .iter()
             .filter(|(obj, o)| known.get(obj).copied().unwrap_or(0) < o.version)

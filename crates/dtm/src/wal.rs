@@ -70,8 +70,8 @@ use crate::messages::{Msg, ReqId, TxnId, Version};
 use crate::store::Store;
 use acn_obs::TraceCtx;
 use acn_simnet::NodeId;
-use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use acn_txir::{FieldId, IdMap, IdSet, ObjClass, ObjectId, ObjectVal, Value};
+use std::collections::VecDeque;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -1093,7 +1093,7 @@ pub struct ReplayState {
     /// The store as of the last whole record.
     pub store: Store,
     /// Prepared-but-undecided transactions and the objects they lock.
-    pub prepared: HashMap<TxnId, Vec<ObjectId>>,
+    pub prepared: IdMap<TxnId, Vec<ObjectId>>,
     /// `(dedup key, reply)` pairs in log order — the replies the server
     /// sent before crashing, for rebuilding the dedup cache so retries
     /// are answered without re-execution.
@@ -1111,7 +1111,7 @@ pub struct ReplayState {
 /// state (the property the WAL proptests pin down).
 pub fn replay(records: impl IntoIterator<Item = WalRecord>) -> ReplayState {
     let mut st = ReplayState::default();
-    let mut seen: HashSet<(TxnId, ReqId)> = HashSet::new();
+    let mut seen: IdSet<(TxnId, ReqId)> = IdSet::default();
     for rec in records {
         match rec {
             WalRecord::PrepareGrant { txn, req, objs } => {

@@ -103,7 +103,7 @@ impl<M: Send + Sync + 'static> Network<M> {
                 earliest: (0..nodes).map(|_| Mutex::new(None)).collect(),
                 fault_changes: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
                 latency,
-                faults: FaultTable::new(),
+                faults: FaultTable::new(nodes),
                 stats: NetStats::default(),
                 seq: AtomicU64::new(0),
                 chaos: RwLock::new(None),
@@ -519,7 +519,11 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         // Close the crash/push race: if `to` failed after our fault check,
         // its crash drain may have run before this push landed, leaving a
         // stale message to be replayed at recovery. (Recovery drains too;
-        // this keeps the inbox clean even while the node stays down.)
+        // this keeps the inbox clean even while the node stays down.) A
+        // crash stores the failed flag before its drain takes the inbox
+        // mutex, and this load follows our push under that mutex: either
+        // the drain comes after the push and removes it, or the push comes
+        // after the drain and this load sees the flag.
         if self.shared.faults.is_failed(to) {
             inbox.retain(|_| false);
             self.shared.stats.record_dropped_failed();

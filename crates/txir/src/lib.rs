@@ -64,6 +64,7 @@ mod access;
 mod analysis;
 mod builder;
 mod depmodel;
+mod idhash;
 mod ir;
 mod object;
 mod symbolic;
@@ -79,6 +80,7 @@ pub use builder::ProgramBuilder;
 pub use depmodel::{
     is_acyclic, lift_edges, topo_order_preserving, DependencyModel, StmtAssignment,
 };
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use ir::{AccessMode, ComputeOp, Operand, ParamId, Program, Stmt, StmtIdx, VarId};
 pub use object::{FieldId, ObjClass, ObjectId, ObjectVal};
 pub use symbolic::{CounterRef, SymExpr};
