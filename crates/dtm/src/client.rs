@@ -221,9 +221,11 @@ impl DtmClient {
     /// endpoint and the wall clock. `start` builds the machine; from then
     /// on every reply and every passed deadline is handed to it with the
     /// instant it was seen at, and every [`Effect`] it queues is carried
-    /// out in order. Each operation first re-sends the decided commits
-    /// still owed an ack, and every reply may settle one
-    /// ([`Coordinator::resend_decided`]).
+    /// out in order. Replies already queued when the pump looks form a
+    /// batch seen at one instant: the clock is read at a batch's first
+    /// reply, and a batch ends when the pump sends or parks. Each
+    /// operation first re-sends the decided commits still owed an ack,
+    /// and every reply may settle one ([`Coordinator::resend_decided`]).
     ///
     /// Round spans are the pump's too, because the tracer reads the wall
     /// clock and the machines must not: a scatter opens one (only while
@@ -239,10 +241,12 @@ impl DtmClient {
         let alive = self.alive_fn();
         self.co.resend_decided(&alive);
         let mut m = start(&mut self.co, &alive, Instant::now());
+        let mut seen: Option<Instant> = None;
         loop {
             for effect in self.co.effects() {
                 match effect {
                     Effect::Scatter(msg) => {
+                        seen = None;
                         let mut bytes = msg.wire_bytes();
                         let kind = Self::round_kind(&msg);
                         span = tracer(&mut self.observer).and_then(|t| t.start_round(kind));
@@ -264,6 +268,7 @@ impl DtmClient {
                         }
                     }
                     Effect::Send(to, msg) => {
+                        seen = None;
                         let bytes = msg.wire_bytes();
                         self.endpoint.send_sized(to, msg, bytes);
                     }
@@ -276,12 +281,14 @@ impl DtmClient {
                         Some(queued) => Some(queued),
                         None => {
                             self.parked = true;
+                            seen = None;
                             self.endpoint.recv_deadline(deadline).ok()
                         }
                     };
                     if let Some((src, msg)) = reply {
+                        let now = *seen.get_or_insert_with(Instant::now);
                         self.co.settle_decided(src, &msg);
-                        m.on_reply(&mut self.co, src, msg, Instant::now());
+                        m.on_reply(&mut self.co, src, msg, now);
                         continue;
                     }
                     // Timed out, or the network closed under us.

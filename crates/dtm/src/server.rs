@@ -925,14 +925,15 @@ impl Server {
         }
     }
 
-    /// Send what a tick produced. The spans it opened end here, now that
-    /// the sync they waited on has returned.
-    fn flush(&mut self, endpoint: &Endpoint<Msg>, out: &mut Vec<(NodeId, Msg)>) {
+    /// Send what a tick produced at `now`, an instant read after any sync
+    /// the tick ran. The spans it opened end there, now that the sync they
+    /// waited on has returned.
+    fn flush(&mut self, endpoint: &Endpoint<Msg>, out: &mut Vec<(NodeId, Msg)>, now: Instant) {
         if !self.open_spans.is_empty() {
-            self.close_spans(endpoint.id().0, Instant::now());
+            self.close_spans(endpoint.id().0, now);
         }
         out.drain(..)
-            .for_each(|(dst, msg)| send(endpoint, dst, msg));
+            .for_each(|(dst, msg)| send(endpoint, dst, msg, now));
     }
 
     /// The pump: feed the fault table, the clock and every ready message
@@ -945,7 +946,11 @@ impl Server {
     /// then step up to a batch of ready messages, sending each ungated
     /// reply before the next one is received. The pass after the last
     /// message ticks again, so a sync the batch made due happens before
-    /// the pump returns.
+    /// the pump returns. A pass reads the clock once — twice if its tick
+    /// synced the log, since the sync took time: its instant is the one
+    /// the fault report, the tick and every step see, and the one its
+    /// replies are sent at. A message's [`acn_simnet::RecvMeta`] is only
+    /// stamped while a span collector is installed.
     ///
     /// Callers hold the server's lock around it. `may_sync` is `false`
     /// where a sync would block a thread that has better things to do:
@@ -958,27 +963,34 @@ impl Server {
         let node = endpoint.id().0;
         let mut out = Vec::new();
         loop {
-            let now = Instant::now();
+            let mut now = Instant::now();
             self.observe_faults(
                 endpoint.amnesia_epoch(),
                 endpoint.restart_epoch(),
                 endpoint.is_failed(),
                 now,
             );
-            let owed = self
-                .log
-                .deadline(now)
-                .filter(|&due| !may_sync && due <= now);
-            let deadline = if owed.is_some() {
-                owed
+            let sync_due = self.log.deadline(now).filter(|&due| due <= now);
+            let deadline = if sync_due.is_some() && !may_sync {
+                sync_due
             } else {
                 let deadline = self.tick(now, &mut out);
-                self.flush(endpoint, &mut out);
+                if sync_due.is_some() {
+                    now = Instant::now();
+                }
+                self.flush(endpoint, &mut out, now);
                 deadline
             };
             let mut stepped = 0;
             while stepped < self.log.batch() {
-                let Some((src, msg, meta)) = endpoint.try_recv_meta() else {
+                let received = if self.spans.is_some() {
+                    endpoint
+                        .try_recv_meta()
+                        .map(|(src, msg, meta)| (src, msg, Some(meta)))
+                } else {
+                    endpoint.try_recv().map(|(src, msg)| (src, msg, None))
+                };
+                let Some((src, msg, meta)) = received else {
                     break;
                 };
                 stepped += 1;
@@ -988,8 +1000,8 @@ impl Server {
                     Msg::Traced { ctx, .. } => Some(*ctx),
                     _ => None,
                 };
-                let reply = self.step(src, msg, Instant::now());
-                if let (Some(ctx), true) = (ctx, self.spans.is_some()) {
+                let reply = self.step(src, msg, now);
+                if let (Some(ctx), Some(meta)) = (ctx, meta) {
                     let done = Instant::now();
                     // Inbox dwell: matured on the wire at `deliver_at`,
                     // picked up by whichever thread drained the inbox at
@@ -1007,7 +1019,7 @@ impl Server {
                     }
                 }
                 if let Some(reply) = reply {
-                    send(endpoint, src, reply);
+                    send(endpoint, src, reply, now);
                 }
             }
             if stepped == 0 {
@@ -1017,10 +1029,10 @@ impl Server {
     }
 }
 
-/// Send `msg` from the server, charged its wire size.
-fn send(endpoint: &Endpoint<Msg>, dst: NodeId, msg: Msg) {
+/// Send `msg` from the server at `now`, charged its wire size.
+fn send(endpoint: &Endpoint<Msg>, dst: NodeId, msg: Msg, now: Instant) {
     let bytes = msg.wire_bytes();
-    endpoint.send_sized(dst, msg, bytes);
+    endpoint.send_sized_at(dst, msg, bytes, now);
 }
 
 /// Everything's delivery to a server — a message, a wake it asked for, a
@@ -1073,7 +1085,7 @@ pub(crate) fn finish(server: &Mutex<Server>, ep: &Endpoint<Msg>) -> ServerStats 
     s.log.sync(Instant::now());
     let mut out = Vec::new();
     s.release(&mut out);
-    s.flush(ep, &mut out);
+    s.flush(ep, &mut out, Instant::now());
     s.stats()
 }
 
@@ -1137,6 +1149,31 @@ mod tests {
                 assert!(invalid.is_empty());
                 assert!(!reads[0].locked);
             }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn mutating_a_read_replys_value_leaves_the_store_unchanged() {
+        let mut s = server();
+        let t = txn(1);
+        s.handle(
+            Msg::CommitReq {
+                txn: t,
+                req: 2,
+                writes: vec![(OBJ, 1, val(42))],
+            },
+            Instant::now(),
+        );
+        let Msg::ReadBatchResp { mut reads, .. } = read(&mut s, txn(2), OBJ, vec![]) else {
+            panic!("not a read reply");
+        };
+        // The reply shares the store's fields; a write must copy them.
+        reads[0].value.set(FieldId(0), Value::Int(-1));
+        reads[0].value.set(FieldId(1), Value::Int(7));
+        assert_eq!(s.store.read(OBJ).1, val(42));
+        match read(&mut s, txn(3), OBJ, vec![]) {
+            Msg::ReadBatchResp { reads, .. } => assert_eq!(reads[0].value, val(42)),
             other => panic!("{other:?}"),
         }
     }

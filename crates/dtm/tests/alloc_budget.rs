@@ -13,8 +13,13 @@
 //!   ring buffer grown), allocates exactly the counts pinned below. The
 //!   commit record moves the request's writes and the grant record moves
 //!   the locked set, so a count that grows means a copy came back.
+//! * An [`ObjectVal`] is shared, not copied: cloning a populated one
+//!   allocates nothing, so neither does the store read behind each object
+//!   of a `ReadBatchReq` — its step allocates the reply's vectors only.
 
-use acn_dtm::{MemLog, Msg, Persistence, Server, TxnId, Version, WalRecord, WindowConfig};
+use acn_dtm::{
+    BatchRead, MemLog, Msg, Persistence, Server, TxnId, Version, WalRecord, WindowConfig,
+};
 use acn_simnet::NodeId;
 use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -178,5 +183,47 @@ fn server_decision_arms_allocate_the_pinned_counts() {
         assert_eq!(prepare, PREPARE_ALLOCS, "PrepareReq, transfer {seq}");
         assert_eq!(commit, COMMIT_ALLOCS, "CommitReq, transfer {seq}");
         seq += 1;
+    }
+}
+
+#[test]
+fn cloning_a_populated_object_value_allocates_nothing() {
+    let val = ObjectVal::from_fields((0..4).map(|f| (FieldId(f), Value::Int(f.into()))));
+    let (clones, n) = allocs(|| (0..1_000).map(|_| val.clone()).fold(0, |k, c| k + c.len()));
+    assert_eq!(clones, 4_000);
+    assert_eq!(n, 0, "1000 clones allocated {n} times");
+}
+
+/// What `Server::step` allocates for a `ReadBatchReq` of two populated
+/// objects that presents a current read-set and samples one class: the
+/// reply's `reads` and `levels` vectors. The values ride in the reply as
+/// shared handles on the store's, the read-set check finds nothing stale
+/// (an empty `Vec`), and a read is neither logged nor deduped.
+const READ_BATCH_ALLOCS: u64 = 2;
+
+#[test]
+fn a_read_batch_allocates_the_reply_vectors_only() {
+    let mut s = Server::new(WindowConfig::default());
+    s.set_persistence(Box::new(MemLog::with_capacity(256)));
+    let now = Instant::now();
+    transfer(&mut s, 0, now);
+    let [a, b, ..] = objs();
+    for seq in 1..100u64 {
+        let read = Msg::ReadBatchReq {
+            txn: txn(1_000 + seq),
+            req: seq,
+            objs: vec![a, b],
+            validate: vec![(a, 1), (b, 1)],
+            sample: vec![ACCT.id],
+        };
+        let (reply, n) = allocs(|| s.step(CLIENT, read, now));
+        let Some(Msg::ReadBatchResp { reads, invalid, .. }) = reply else {
+            panic!("{reply:?}");
+        };
+        assert!(invalid.is_empty());
+        assert!(reads
+            .iter()
+            .all(|r: &BatchRead| r.version == 1 && !r.value.is_empty()));
+        assert_eq!(n, READ_BATCH_ALLOCS, "ReadBatchReq {seq}");
     }
 }

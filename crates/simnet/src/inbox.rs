@@ -6,12 +6,17 @@
 //! whichever thread delivers to it (see [`crate::Network::attach`]) and
 //! nobody parks on it. The network's timer queue holds wakes
 //! `(at, seq, node)`, and its one thread parks on it like a client.
+//!
+//! An item due when it is pushed — a zero-delay envelope — skips the heap
+//! for a FIFO *ready lane*. Everything in the lane is mature, so a receive
+//! reads the clock only when the lane is empty and the heap is not: at zero
+//! latency a hop takes no clock read inside the queue at all.
 
 use crate::envelope::Envelope;
 use crate::node::NodeId;
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
 
 /// Why a receive returned without a message.
@@ -43,6 +48,8 @@ impl Timed for (Instant, u64, NodeId) {
 
 struct State<T> {
     heap: BinaryHeap<Reverse<T>>,
+    /// Items that were due when pushed, in push order.
+    ready: VecDeque<T>,
     closed: bool,
     /// The instant the receiver is parked toward — `min(head.due,
     /// deadline)` — while it sleeps on the condvar; `None` while it runs,
@@ -75,6 +82,7 @@ impl<T: Timed> Inbox<T> {
         Inbox {
             state: Mutex::new(State {
                 heap: BinaryHeap::new(),
+                ready: VecDeque::new(),
                 closed: false,
                 parked_until: None,
             }),
@@ -83,17 +91,25 @@ impl<T: Timed> Inbox<T> {
     }
 
     /// Enqueue an item, waking a parked receiver that would otherwise
-    /// sleep past it. Returns `false` when the queue is closed (the item
-    /// vanishes, like traffic to a dead host).
-    pub(crate) fn push(&self, item: T) -> bool {
+    /// sleep past it. `ready` says the item is due already (its due instant
+    /// is not after the caller's clock): it joins the ready lane. Returns
+    /// `false` when the queue is closed (the item vanishes, like traffic to
+    /// a dead host).
+    pub(crate) fn push(&self, item: T, ready: bool) -> bool {
         let at = item.due();
         let wake = {
             let mut st = self.state.lock();
             if st.closed {
                 return false;
             }
-            st.heap.push(Reverse(item));
-            st.parked_until.take_if(|until| *until > at).is_some()
+            if ready {
+                st.ready.push_back(item);
+            } else {
+                st.heap.push(Reverse(item));
+            }
+            st.parked_until
+                .take_if(|until| ready || *until > at)
+                .is_some()
         };
         if wake {
             self.cond.notify_one();
@@ -101,9 +117,25 @@ impl<T: Timed> Inbox<T> {
         true
     }
 
-    /// The due instant of the earliest queued item, mature or not.
+    /// The due instant of the earliest queued item, mature or not: the
+    /// heap's head or the ready lane's, whichever is earlier.
     pub(crate) fn next_due(&self) -> Option<Instant> {
-        self.state.lock().heap.peek().map(|Reverse(e)| e.due())
+        let st = self.state.lock();
+        let lane = st.ready.front().map(T::due);
+        lane.into_iter()
+            .chain(st.heap.peek().map(|Reverse(e)| e.due()))
+            .min()
+    }
+
+    /// Is an item ready to be received? Reads the clock only when the
+    /// ready lane is empty and the heap is not.
+    pub(crate) fn has_mature(&self) -> bool {
+        let st = self.state.lock();
+        !st.ready.is_empty()
+            || st
+                .heap
+                .peek()
+                .is_some_and(|Reverse(e)| e.due() <= Instant::now())
     }
 
     pub(crate) fn close(&self) {
@@ -111,6 +143,7 @@ impl<T: Timed> Inbox<T> {
             let mut st = self.state.lock();
             st.closed = true;
             st.heap.clear();
+            st.ready.clear();
         }
         self.cond.notify_all();
     }
@@ -118,11 +151,14 @@ impl<T: Timed> Inbox<T> {
     /// Keep only the queued items `keep` accepts (fault injection passes
     /// `|_| false`, so a "crashed" node loses its in-flight traffic).
     pub(crate) fn retain(&self, mut keep: impl FnMut(&T) -> bool) {
-        self.state.lock().heap.retain(|Reverse(e)| keep(e));
+        let mut st = self.state.lock();
+        st.heap.retain(|Reverse(e)| keep(e));
+        st.ready.retain(|e| keep(e));
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.state.lock().heap.len()
+        let st = self.state.lock();
+        st.heap.len() + st.ready.len()
     }
 
     /// Block until an item matures or `deadline` passes. The one place a
@@ -134,10 +170,11 @@ impl<T: Timed> Inbox<T> {
             if st.closed {
                 return Err(RecvError::Closed);
             }
-            let now = Instant::now();
-            if let Some(item) = pop_mature(&mut st, now) {
+            let mut now = None;
+            if let Some(item) = pop_mature(&mut st, &mut now) {
                 return Ok(item);
             }
+            let now = now.unwrap_or_else(Instant::now);
             let wake = st
                 .heap
                 .peek()
@@ -160,17 +197,27 @@ impl<T: Timed> Inbox<T> {
     /// the time it looks never parks, yet still sleeps on backoff.
     pub(crate) fn try_recv(&self) -> Option<T> {
         make_timers_precise();
-        pop_mature(&mut self.state.lock(), Instant::now())
+        pop_mature(&mut self.state.lock(), &mut None)
     }
 }
 
-/// Pop the head if it is mature at `now`.
-fn pop_mature<T: Timed>(st: &mut State<T>, now: Instant) -> Option<T> {
-    let Reverse(head) = st.heap.peek()?;
-    if head.due() > now {
-        return None;
+/// Pop the earliest mature item: the heap's head if it orders before the
+/// ready lane's and is mature, else the lane's head. `now` is read from
+/// the clock — and kept for the caller — only when the lane is empty and
+/// the heap is not. A heap head that orders before a lane item is mature
+/// without a look at the clock: it is due no later than that item, which
+/// was due when it was pushed.
+fn pop_mature<T: Timed>(st: &mut State<T>, now: &mut Option<Instant>) -> Option<T> {
+    let heap_first = match (st.heap.peek(), st.ready.front()) {
+        (Some(Reverse(head)), Some(first)) => head < first,
+        (Some(Reverse(head)), None) => head.due() <= *now.get_or_insert_with(Instant::now),
+        (None, _) => false,
+    };
+    if heap_first {
+        st.heap.pop().map(|Reverse(item)| item)
+    } else {
+        st.ready.pop_front()
     }
-    st.heap.pop().map(|Reverse(item)| item)
 }
 
 /// A timed wait on Linux — the futex behind the condvar, the `nanosleep`
@@ -233,6 +280,13 @@ mod tests {
         }
     }
 
+    /// Push as the network does: a zero-delay envelope joins the ready
+    /// lane.
+    fn push_env(inbox: &Inbox<Envelope<u32>>, e: Envelope<u32>) -> bool {
+        let ready = e.deliver_at == e.sent_at;
+        inbox.push(e, ready)
+    }
+
     fn val(p: Payload<u32>) -> u32 {
         p.into_inner()
     }
@@ -240,7 +294,7 @@ mod tests {
     #[test]
     fn immediate_message_is_received() {
         let inbox = Inbox::new();
-        inbox.push(env(42, Duration::ZERO, 0));
+        push_env(&inbox, env(42, Duration::ZERO, 0));
         let got = inbox.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(val(got.payload), 42);
     }
@@ -256,7 +310,7 @@ mod tests {
     fn delayed_message_waits_for_maturity() {
         let inbox = Inbox::new();
         let delay = Duration::from_millis(20);
-        inbox.push(env(1, delay, 0));
+        push_env(&inbox, env(1, delay, 0));
         assert!(inbox.try_recv().is_none(), "message must not be early");
         let start = Instant::now();
         let got = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -271,8 +325,8 @@ mod tests {
     #[test]
     fn shorter_latency_overtakes() {
         let inbox = Inbox::new();
-        inbox.push(env(1, Duration::from_millis(50), 0));
-        inbox.push(env(2, Duration::from_millis(5), 1));
+        push_env(&inbox, env(1, Duration::from_millis(50), 0));
+        push_env(&inbox, env(2, Duration::from_millis(5), 1));
         let first = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(val(first.payload), 2, "low-latency message should overtake");
         let second = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -284,14 +338,17 @@ mod tests {
         let inbox = Inbox::new();
         let at = Instant::now();
         for seq in 0..10u64 {
-            inbox.push(Envelope {
-                src: NodeId(0),
-                dst: NodeId(1),
-                sent_at: at,
-                deliver_at: at,
-                seq,
-                payload: Payload::Owned(seq as u32),
-            });
+            push_env(
+                &inbox,
+                Envelope {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    sent_at: at,
+                    deliver_at: at,
+                    seq,
+                    payload: Payload::Owned(seq as u32),
+                },
+            );
         }
         for expect in 0..10u32 {
             let got = inbox.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -325,7 +382,7 @@ mod tests {
         for pending in [None, Some(Duration::from_secs(5))] {
             let inbox = Arc::new(Inbox::new());
             if let Some(delay) = pending {
-                inbox.push(env(1, delay, 0));
+                push_env(&inbox, env(1, delay, 0));
             }
             let h = parked_receiver(&inbox, Duration::from_secs(10));
             inbox.close();
@@ -338,9 +395,9 @@ mod tests {
     #[test]
     fn a_push_due_before_the_parked_instant_wakes_the_receiver() {
         let inbox = Arc::new(Inbox::new());
-        inbox.push(env(1, Duration::from_secs(2), 0));
+        push_env(&inbox, env(1, Duration::from_secs(2), 0));
         let h = parked_receiver(&inbox, Duration::from_secs(5));
-        inbox.push(env(2, Duration::from_millis(10), 1));
+        push_env(&inbox, env(2, Duration::from_millis(10), 1));
         let (got, took) = h.join().unwrap();
         assert_eq!(got, Ok(2), "the earlier message overtakes");
         assert!(took < Duration::from_secs(1), "woken only after {took:?}");
@@ -350,7 +407,7 @@ mod tests {
     fn a_zero_latency_push_wakes_a_receiver_parked_on_a_long_deadline() {
         let inbox = Arc::new(Inbox::new());
         let h = parked_receiver(&inbox, Duration::from_secs(10));
-        inbox.push(env(7, Duration::ZERO, 0));
+        push_env(&inbox, env(7, Duration::ZERO, 0));
         let (got, took) = h.join().unwrap();
         assert_eq!(got, Ok(7));
         assert!(took < Duration::from_secs(1), "woken only after {took:?}");
@@ -381,7 +438,7 @@ mod tests {
     fn push_after_close_is_dropped() {
         let inbox = Inbox::new();
         inbox.close();
-        inbox.push(env(1, Duration::ZERO, 0));
+        push_env(&inbox, env(1, Duration::ZERO, 0));
         assert_eq!(inbox.len(), 0);
     }
 
@@ -389,7 +446,7 @@ mod tests {
     fn retain_keeps_only_what_it_is_told() {
         let inbox = Inbox::new();
         for seq in 0..4 {
-            inbox.push(env(seq as u32, Duration::ZERO, seq));
+            push_env(&inbox, env(seq as u32, Duration::ZERO, seq));
         }
         inbox.retain(|e| e.seq % 2 == 1);
         assert_eq!(inbox.len(), 2);
@@ -400,11 +457,67 @@ mod tests {
     }
 
     #[test]
+    fn a_matured_delayed_envelope_and_later_zero_delay_ones_pop_in_order() {
+        let inbox = Inbox::new();
+        // Delayed, then mature before two zero-delay envelopes are pushed:
+        // it is due first, so it pops first although the lane is not empty.
+        push_env(&inbox, env(0, Duration::from_millis(2), 0));
+        std::thread::sleep(Duration::from_millis(5));
+        push_env(&inbox, env(1, Duration::ZERO, 1));
+        push_env(&inbox, env(2, Duration::ZERO, 2));
+        // A zero-delay envelope is due before a delayed one pushed after it.
+        push_env(&inbox, env(3, Duration::from_millis(2), 3));
+        push_env(&inbox, env(4, Duration::ZERO, 4));
+        // Not due for a minute: never popped here.
+        push_env(&inbox, env(5, Duration::from_secs(60), 5));
+        let mut got = Vec::new();
+        while got.len() < 5 {
+            got.extend(inbox.try_recv().map(|e| (e.deliver_at, e.seq)));
+        }
+        let mut sorted = got.clone();
+        sorted.sort();
+        assert_eq!(got, sorted, "popped out of (deliver_at, seq) order");
+        let seqs: Vec<u64> = got.iter().map(|&(_, seq)| seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 4, 3]);
+        assert!(inbox.try_recv().is_none(), "the last one is not due");
+        assert_eq!(inbox.len(), 1);
+    }
+
+    #[test]
+    fn retain_close_len_and_next_due_see_the_ready_lane() {
+        let inbox = Inbox::new();
+        let ready = env(1, Duration::ZERO, 0);
+        let ready_at = ready.deliver_at;
+        push_env(&inbox, ready);
+        push_env(&inbox, env(2, Duration::from_secs(60), 1));
+        assert_eq!(inbox.len(), 2);
+        assert_eq!(
+            inbox.next_due(),
+            Some(ready_at),
+            "the lane's head is due first"
+        );
+        assert!(inbox.has_mature());
+        inbox.retain(|e| e.seq == 0);
+        assert_eq!(inbox.len(), 1, "retain drops from the heap");
+        assert_eq!(inbox.next_due(), Some(ready_at));
+        inbox.retain(|_| false);
+        assert_eq!(inbox.len(), 0, "retain drops from the lane");
+        assert_eq!(inbox.next_due(), None);
+        assert!(!inbox.has_mature());
+        assert!(inbox.try_recv().is_none());
+        push_env(&inbox, env(3, Duration::ZERO, 2));
+        assert_eq!(inbox.len(), 1);
+        inbox.close();
+        assert_eq!(inbox.len(), 0, "close empties the lane");
+        assert!(inbox.try_recv().is_none());
+    }
+
+    #[test]
     fn timer_wakes_pop_in_instant_order() {
         let inbox = Inbox::new();
         let now = Instant::now();
-        inbox.push((now + Duration::from_millis(3), 0, NodeId(2)));
-        inbox.push((now, 1, NodeId(1)));
+        inbox.push((now + Duration::from_millis(3), 0, NodeId(2)), false);
+        inbox.push((now, 1, NodeId(1)), false);
         assert_eq!(inbox.next_due(), Some(now));
         assert_eq!(inbox.try_recv(), Some((now, 1, NodeId(1))));
         assert!(inbox.try_recv().is_none(), "the second wake is not due");

@@ -296,7 +296,7 @@ impl<M: Send + Sync + 'static> Network<M> {
     }
 
     /// Deliver everything to `node` by calling `runner`, which drains the
-    /// node's inbox (with [`Endpoint::try_recv_meta`]) on the caller's
+    /// node's inbox (with [`Endpoint::try_recv`]) on the caller's
     /// thread: the sender's, right after a zero-delay message lands; the
     /// timer thread's, at a delayed message's `deliver_at` or an instant
     /// the node asked for with [`Endpoint::wake_at`]; the injector's,
@@ -343,8 +343,8 @@ impl<M> Shared<M> {
         let mut earliest = self.earliest[node.index()].lock();
         if earliest.is_none_or(|queued| queued > at) {
             *earliest = Some(at);
-            self.timer
-                .push((at, self.seq.fetch_add(1, Ordering::Relaxed), node));
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            self.timer.push((at, seq, node), false);
         }
     }
 
@@ -426,7 +426,14 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
 
     /// [`Endpoint::send`] with an explicit wire size for byte accounting.
     pub fn send_sized(&self, to: NodeId, payload: M, bytes: u64) {
-        self.dispatch(to, Payload::Owned(payload), bytes);
+        self.send_sized_at(to, payload, bytes, Instant::now());
+    }
+
+    /// [`Endpoint::send_sized`] sent at `now` — an instant the caller has
+    /// just read — instead of reading the clock again. A server's pump
+    /// stamps every reply of a pass with the pass's one instant.
+    pub fn send_sized_at(&self, to: NodeId, payload: M, bytes: u64, now: Instant) {
+        self.dispatch(to, Payload::Owned(payload), bytes, now);
     }
 
     /// Send one payload to every member of `members`, allocating it once
@@ -440,18 +447,25 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// The last member's envelope takes the broadcast's own handle, so a
     /// member that receives after every other one did (a runner called
     /// during the last dispatch, say) unwraps the payload without a copy.
+    /// All members are sent at one instant: the clock is read once.
     pub fn broadcast(&self, members: &[NodeId], payload: M, bytes_per_member: u64) {
         let Some((&last, rest)) = members.split_last() else {
             return;
         };
+        let now = Instant::now();
         let shared = Arc::new(payload);
         for &to in rest {
-            self.dispatch(to, Payload::Shared(Arc::clone(&shared)), bytes_per_member);
+            self.dispatch(
+                to,
+                Payload::Shared(Arc::clone(&shared)),
+                bytes_per_member,
+                now,
+            );
         }
-        self.dispatch(last, Payload::Shared(shared), bytes_per_member);
+        self.dispatch(last, Payload::Shared(shared), bytes_per_member, now);
     }
 
-    fn dispatch(&self, to: NodeId, payload: Payload<M>, bytes: u64) {
+    fn dispatch(&self, to: NodeId, payload: Payload<M>, bytes: u64, now: Instant) {
         self.shared.stats.record_sent(bytes);
         if self.shared.faults.is_failed(self.id) || self.shared.faults.is_failed(to) {
             self.shared.stats.record_dropped_failed();
@@ -493,16 +507,15 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             }
         }
         if duplicate {
-            self.enqueue(to, payload.clone(), bytes, Duration::ZERO);
-            self.enqueue(to, payload, bytes, extra);
+            self.enqueue(to, payload.clone(), bytes, Duration::ZERO, now);
+            self.enqueue(to, payload, bytes, extra, now);
         } else {
-            self.enqueue(to, payload, bytes, extra);
+            self.enqueue(to, payload, bytes, extra, now);
         }
     }
 
-    fn enqueue(&self, to: NodeId, payload: Payload<M>, bytes: u64, extra: Duration) {
+    fn enqueue(&self, to: NodeId, payload: Payload<M>, bytes: u64, extra: Duration, now: Instant) {
         let delay = self.shared.latency.sample(&mut rand::thread_rng()) + extra;
-        let now = Instant::now();
         let env = Envelope {
             src: self.id,
             dst: to,
@@ -512,7 +525,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             payload,
         };
         let inbox = &self.shared.inboxes[to.index()];
-        if !inbox.push(env) {
+        if !inbox.push(env, delay.is_zero()) {
             self.shared.stats.record_dropped_closed();
             return;
         }
@@ -578,10 +591,10 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.shared.wake_at(self.id, at);
     }
 
-    /// Is a message ready to be received on this node?
+    /// Is a message ready to be received on this node? Reads the clock
+    /// only while a delayed message is queued.
     pub fn has_mature(&self) -> bool {
-        let next = self.inbox().next_due();
-        next.is_some_and(|at| at <= Instant::now())
+        self.inbox().has_mature()
     }
 
     /// How many fault changes ([`Network::fail`], a crash,
@@ -753,6 +766,27 @@ mod tests {
         a.send(NodeId(1), 2);
         let (_, v) = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(v, 2, "recovered node is reachable again");
+    }
+
+    #[test]
+    fn a_zero_delay_message_queued_before_a_crash_is_not_received_after_recovery() {
+        let crashes: [fn(&Network<u32>, NodeId); 3] =
+            [Network::fail, Network::fail_amnesia, Network::fail_restart];
+        for crash in crashes {
+            let net: Network<u32> = Network::new(2, LatencyModel::Zero);
+            let a = net.endpoint(NodeId(0));
+            let b = net.endpoint(NodeId(1));
+            // `b` has no runner: the message waits in its ready lane.
+            a.send(NodeId(1), 1);
+            assert_eq!(b.pending(), 1);
+            assert!(b.has_mature());
+            crash(&net, NodeId(1));
+            assert_eq!(b.pending(), 0, "the crash drain empties the ready lane");
+            net.recover(NodeId(1));
+            assert_eq!(b.try_recv(), None, "pre-crash traffic replayed");
+            a.send(NodeId(1), 2);
+            assert_eq!(b.try_recv(), Some((NodeId(0), 2)));
+        }
     }
 
     #[test]

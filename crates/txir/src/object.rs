@@ -2,6 +2,7 @@
 
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A class of shared objects (Branch, Account, District, …).
 ///
@@ -95,13 +96,18 @@ pub struct FieldId(pub u16);
 
 /// An object's payload: a small field map, kept sorted by [`FieldId`].
 ///
-/// Objects in the benchmarks have a handful of fields, so a sorted vector
-/// with binary search beats a hash map on both footprint and clone cost —
-/// and object values are cloned on every remote fetch and every closed-
-/// nested overlay.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Objects in the benchmarks have a handful of fields, so a sorted slice
+/// with binary search beats a hash map on footprint. The slice is shared
+/// and copied on write: a clone only bumps a reference count, so a store
+/// read, a broadcast's per-member copy of a request and a round's retry
+/// copy all hand out one allocation, and [`ObjectVal::set`] writes in
+/// place while the value is unshared and copies the fields only while
+/// another handle still holds them. The empty value allocates nothing.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct ObjectVal {
-    fields: Vec<(FieldId, Value)>,
+    /// `None` is the empty value; a `Some` slice is never empty, so equal
+    /// values compare equal.
+    fields: Option<Arc<[(FieldId, Value)]>>,
 }
 
 impl ObjectVal {
@@ -112,19 +118,33 @@ impl ObjectVal {
 
     /// Build from unsorted field pairs; later duplicates win.
     pub fn from_fields(pairs: impl IntoIterator<Item = (FieldId, Value)>) -> Self {
-        let mut v = ObjectVal::new();
-        for (f, val) in pairs {
-            v.set(f, val);
+        let mut fields: Vec<(FieldId, Value)> = pairs.into_iter().collect();
+        // A stable sort keeps duplicates in input order; the merge then
+        // moves each later duplicate into the slot of the one it replaces.
+        fields.sort_by_key(|(f, _)| *f);
+        fields.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        ObjectVal {
+            fields: (!fields.is_empty()).then(|| fields.into()),
         }
-        v
+    }
+
+    fn fields(&self) -> &[(FieldId, Value)] {
+        self.fields.as_deref().unwrap_or_default()
     }
 
     /// Read a field, `None` when absent.
     pub fn get(&self, field: FieldId) -> Option<&Value> {
-        self.fields
+        let fields = self.fields();
+        fields
             .binary_search_by_key(&field, |(f, _)| *f)
             .ok()
-            .map(|i| &self.fields[i].1)
+            .map(|i| &fields[i].1)
     }
 
     /// Read a field, defaulting missing fields to `Value::Int(0)` — fresh
@@ -134,27 +154,50 @@ impl ObjectVal {
         self.get(field).cloned().unwrap_or(Value::Int(0))
     }
 
-    /// Write (or insert) a field.
+    /// Write (or insert) a field: in place when no other handle shares
+    /// the fields, on a fresh copy otherwise. An insert always copies.
     pub fn set(&mut self, field: FieldId, value: Value) {
-        match self.fields.binary_search_by_key(&field, |(f, _)| *f) {
-            Ok(i) => self.fields[i].1 = value,
-            Err(i) => self.fields.insert(i, (field, value)),
+        let fields = self.fields();
+        match fields.binary_search_by_key(&field, |(f, _)| *f) {
+            Ok(i) => {
+                let shared = self.fields.as_mut().expect("a found field");
+                Arc::make_mut(shared)[i].1 = value;
+            }
+            Err(i) => {
+                let (before, after) = fields.split_at(i);
+                let grown = before
+                    .iter()
+                    .cloned()
+                    .chain(std::iter::once((field, value)))
+                    .chain(after.iter().cloned())
+                    .collect();
+                self.fields = Some(grown);
+            }
         }
     }
 
     /// Number of populated fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.fields().len()
     }
 
     /// True when no field is populated.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.fields.is_none()
     }
 
     /// Iterate fields in ascending [`FieldId`] order.
     pub fn iter(&self) -> impl Iterator<Item = (FieldId, &Value)> {
-        self.fields.iter().map(|(f, v)| (*f, v))
+        self.fields().iter().map(|(f, v)| (*f, v))
+    }
+}
+
+/// `ObjectVal { fields: [..] }`, whether the fields are shared or absent.
+impl fmt::Debug for ObjectVal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ObjectVal")
+            .field("fields", &self.fields())
+            .finish()
     }
 }
 
@@ -204,6 +247,45 @@ mod tests {
     fn get_or_zero_defaults() {
         let v = ObjectVal::new();
         assert_eq!(v.get_or_zero(FieldId(9)), Value::Int(0));
+    }
+
+    /// Where a value's fields live, `None` for the empty value.
+    fn slice_ptr(v: &ObjectVal) -> Option<*const (FieldId, Value)> {
+        v.fields.as_ref().map(|f| f.as_ptr())
+    }
+
+    #[test]
+    fn clones_share_and_a_write_copies_only_while_shared() {
+        let mut a = ObjectVal::from_fields([(FieldId(0), Value::Int(1))]);
+        let home = slice_ptr(&a);
+        a.set(FieldId(0), Value::Int(2));
+        assert_eq!(slice_ptr(&a), home, "an unshared value writes in place");
+        let b = a.clone();
+        assert_eq!(slice_ptr(&b), home, "a clone shares the fields");
+        a.set(FieldId(0), Value::Int(3));
+        assert_ne!(slice_ptr(&a), home, "a shared value copies on write");
+        assert_eq!(slice_ptr(&b), home);
+        assert_eq!(b.get(FieldId(0)), Some(&Value::Int(2)));
+        assert_eq!(a.get(FieldId(0)), Some(&Value::Int(3)));
+        assert_eq!(
+            slice_ptr(&ObjectVal::new()),
+            None,
+            "empty allocates nothing"
+        );
+        assert!(ObjectVal::from_fields([]).is_empty());
+    }
+
+    #[test]
+    fn debug_prints_the_field_list() {
+        let v = ObjectVal::from_fields([(FieldId(3), Value::Int(7))]);
+        assert_eq!(
+            format!("{v:?}"),
+            "ObjectVal { fields: [(FieldId(3), Int(7))] }"
+        );
+        assert_eq!(
+            format!("{:?}", ObjectVal::new()),
+            "ObjectVal { fields: [] }"
+        );
     }
 
     #[test]
