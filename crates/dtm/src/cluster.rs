@@ -243,9 +243,9 @@ impl Cluster {
 
     /// Crash server `rank` *keeping its durable log*: the same recovery
     /// as [`Cluster::fail_server_amnesia`] over a log that survived — the
-    /// replica replays its WAL into store, prepared table and dedup cache,
-    /// and catch-up fetches only the writes it missed before it serves
-    /// reads or votes again.
+    /// replica replays its WAL into store, prepared table and completion
+    /// records, and catch-up fetches only the writes it missed before it
+    /// serves reads or votes again.
     pub fn fail_server_restart(&self, rank: usize) {
         assert!(rank < self.cfg.servers);
         self.net.fail_restart(NodeId(rank as u32));

@@ -48,8 +48,8 @@ pub struct ServerStats {
     /// Prepared transactions whose locks were reclaimed because the client
     /// never finished phase 2 within the prepare TTL.
     pub expired_prepares: u64,
-    /// Retried 2PC requests answered from the dedup cache instead of being
-    /// re-executed (duplicate (txn, req) Prepare/Commit/Abort).
+    /// Retried 2PC requests answered from a completion record instead of
+    /// being re-executed (duplicate (txn, req) Prepare/Commit/Abort).
     pub dedup_hits: u64,
     /// Recoveries from a crash that lost the disk too (crash-with-amnesia:
     /// nothing survived, catch-up fetches everything).
@@ -172,15 +172,17 @@ pub struct Server {
     /// How long a prepared transaction may sit without a phase-2 message
     /// before its entry and locks are reclaimed.
     prepared_ttl: Duration,
-    /// Replies already sent for 2PC requests, keyed by (txn, req): a
-    /// retried or chaos-duplicated Prepare/Commit/Abort is answered from
-    /// here instead of re-executing. This is what makes the client's
-    /// same-request-id retry loop genuinely idempotent — without it, a
-    /// delayed duplicate PrepareReq arriving *after* the commit would
-    /// re-lock the write-set and strand the locks until the TTL sweep.
-    completed: IdMap<(TxnId, ReqId), Msg>,
-    /// Insertion order of `completed`, for FIFO eviction.
-    completed_order: VecDeque<(TxnId, ReqId)>,
+    /// Completion records: the reply sent for each 2PC request, one queue
+    /// per client node ordered by `(req, txn)`. A retried or
+    /// chaos-duplicated Prepare/Commit/Abort is answered from here instead
+    /// of re-executing. This is what makes the client's same-request-id
+    /// retry loop genuinely idempotent — without it, a delayed duplicate
+    /// PrepareReq arriving *after* the commit would re-lock the write-set
+    /// and strand the locks until the TTL sweep. A coordinator allocates
+    /// request ids in increasing order (a later incarnation in a higher
+    /// band), so a request above its client's newest record is fresh
+    /// without a search, and a fresh record is a push at the back.
+    completed: IdMap<NodeId, VecDeque<(ReqId, TxnId, Msg)>>,
     stats: ServerStats,
     /// Window shape, kept to rebuild the contention window after a crash.
     window: WindowConfig,
@@ -236,9 +238,10 @@ const REPAIR_TXN: TxnId = TxnId {
     seq: u64::MAX,
 };
 
-/// Bound on the dedup cache. Eviction is FIFO: a reply only needs to
-/// survive as long as its client might still retransmit the request, so
-/// the oldest entry is always the safest to shed.
+/// Completion records kept per client. Eviction takes the client's oldest
+/// request id: a reply only needs to survive as long as its client might
+/// still retransmit the request, so its oldest entry is always the safest
+/// to shed — and another client's traffic never sheds it.
 const DEDUP_CAPACITY: usize = 8192;
 
 /// Default prepare TTL. Must comfortably exceed the client's worst-case
@@ -261,7 +264,6 @@ impl Server {
             prepared: IdMap::default(),
             prepared_ttl: DEFAULT_PREPARED_TTL,
             completed: IdMap::default(),
-            completed_order: VecDeque::new(),
             stats: ServerStats::default(),
             window,
             sync: None,
@@ -354,16 +356,31 @@ impl Server {
         }
     }
 
-    /// Remember the reply sent for a 2PC request, evicting the oldest
-    /// entry once the cache is full.
-    fn remember_reply(&mut self, key: (TxnId, ReqId), reply: Msg) {
-        if self.completed.len() >= DEDUP_CAPACITY {
-            if let Some(old) = self.completed_order.pop_front() {
-                self.completed.remove(&old);
+    /// The reply already sent for `(txn, req)`, if its client's queue
+    /// still holds it.
+    fn recorded(&self, txn: TxnId, req: ReqId) -> Option<&Msg> {
+        let queue = self.completed.get(&txn.client)?;
+        slot(queue, req, txn).ok().map(|i| &queue[i].2)
+    }
+
+    /// Record the reply sent for a 2PC request in its client's queue: at
+    /// the back, or — for an arrival that overtook an earlier request (a
+    /// best-effort abort ahead of its prepare, a WAL replay) — in sorted
+    /// position, replacing a record of the same request. A full queue
+    /// sheds its oldest record first, so it never regrows; a record older
+    /// than everything a full queue holds is the one shed.
+    fn remember_reply(&mut self, (txn, req): (TxnId, ReqId), reply: Msg) {
+        let queue = self.completed.entry(txn.client).or_default();
+        match slot(queue, req, txn) {
+            Ok(i) => queue[i].2 = reply,
+            Err(0) if queue.len() >= DEDUP_CAPACITY => {}
+            Err(mut i) => {
+                if queue.len() >= DEDUP_CAPACITY {
+                    queue.pop_front();
+                    i -= 1;
+                }
+                queue.insert(i, (req, txn, reply));
             }
-        }
-        if self.completed.insert(key, reply).is_none() {
-            self.completed_order.push_back(key);
         }
     }
 
@@ -408,12 +425,12 @@ impl Server {
     }
 
     /// The process died, and with `disk_lost` its log went too. Volatile
-    /// state (store, prepared table, dedup cache, contention window, parked
-    /// acks, the catch-up round in progress) is dropped and rebuilt by
-    /// deterministically replaying whatever the log still holds — torn
-    /// tail truncated, `(txn, req)`-idempotent apply, replies reconstructed
-    /// so post-restart client retries hit the dedup cache; an emptied log
-    /// rebuilds an empty replica. The next incarnation is adopted and
+    /// state (store, prepared table, completion records, contention
+    /// window, parked acks, the catch-up round in progress) is dropped and
+    /// rebuilt by deterministically replaying whatever the log still holds
+    /// — torn tail truncated, `(txn, req)`-idempotent apply, replies
+    /// reconstructed so post-restart client retries hit the completion
+    /// records; an emptied log rebuilds an empty replica. The next incarnation is adopted and
     /// logged, and (when peers are known) catch-up begins: reads and
     /// prepare votes are refused until peers covering a read quorum have
     /// shipped what this replica is missing — everything after a disk
@@ -423,7 +440,6 @@ impl Server {
     fn recover(&mut self, disk_lost: bool, now: Instant) {
         self.prepared.clear();
         self.completed.clear();
-        self.completed_order.clear();
         self.contention = ContentionWindow::new(self.window);
         self.sync_responders.clear();
         if disk_lost {
@@ -616,10 +632,11 @@ impl Server {
             | Msg::AbortReq { txn, req } => Some((*txn, *req)),
             _ => None,
         };
-        if let Some(key) = dedup_key {
-            if let Some(reply) = self.completed.get(&key) {
+        if let Some((txn, req)) = dedup_key {
+            if let Some(reply) = self.recorded(txn, req) {
+                let reply = reply.clone();
                 self.stats.dedup_hits += 1;
-                return Some(reply.clone());
+                return Some(reply);
             }
         }
         let reply = self.handle_fresh(msg, now);
@@ -636,7 +653,7 @@ impl Server {
         reply
     }
 
-    /// [`Server::handle`] past the dedup cache: executes the request.
+    /// [`Server::handle`] past the completion records: executes the request.
     ///
     /// Two states refuse work up front. *Catching up*: a recovering store
     /// reads every object it is missing at a stale version (0 after a disk
@@ -938,19 +955,22 @@ impl Server {
 
     /// The pump: feed the fault table, the clock and every ready message
     /// of `endpoint` through the state machine, sending what comes out,
-    /// until a pass finds no message to step. Returns when to drain again
-    /// at the latest.
+    /// until the inbox is empty and the log owes no sync. Returns when to
+    /// drain again at the latest.
     ///
     /// Each pass keeps one order: report the fault table
     /// ([`Server::observe_faults`]), tick and send what the tick released,
-    /// then step up to a batch of ready messages, sending each ungated
-    /// reply before the next one is received. The pass after the last
-    /// message ticks again, so a sync the batch made due happens before
-    /// the pump returns. A pass reads the clock once — twice if its tick
-    /// synced the log, since the sync took time: its instant is the one
-    /// the fault report, the tick and every step see, and the one its
-    /// replies are sent at. A message's [`acn_simnet::RecvMeta`] is only
-    /// stamped while a span collector is installed.
+    /// then step up to a batch (`DurableLog::batch`) of ready messages,
+    /// sending each ungated reply before the next one is received. A pass
+    /// that empties the inbox ends the pump unless the log then has a
+    /// deadline: only then does one more pass tick, so a sync the batch
+    /// made due happens before the pump returns. A log that is durable on
+    /// append never has one, so one pass serves a whole visit. A pass
+    /// reads the clock once — twice if its tick synced the log, since the
+    /// sync took time: its instant is the one the fault report, the tick
+    /// and every step see, and the one its replies are sent at. A
+    /// message's [`acn_simnet::RecvMeta`] is only stamped while a span
+    /// collector is installed.
     ///
     /// Callers hold the server's lock around it. `may_sync` is `false`
     /// where a sync would block a thread that has better things to do:
@@ -981,7 +1001,7 @@ impl Server {
                 self.flush(endpoint, &mut out, now);
                 deadline
             };
-            let mut stepped = 0;
+            let (mut stepped, mut emptied) = (0, false);
             while stepped < self.log.batch() {
                 let received = if self.spans.is_some() {
                     endpoint
@@ -991,6 +1011,7 @@ impl Server {
                     endpoint.try_recv().map(|(src, msg)| (src, msg, None))
                 };
                 let Some((src, msg, meta)) = received else {
+                    emptied = true;
                     break;
                 };
                 stepped += 1;
@@ -1022,10 +1043,26 @@ impl Server {
                     send(endpoint, src, reply, now);
                 }
             }
-            if stepped == 0 {
+            // The tick's deadline still holds: a step only pushes the
+            // sweep later or ends catch-up, and a log deadline would mean
+            // one more pass.
+            if emptied && (stepped == 0 || self.log.deadline(now).is_none()) {
                 return deadline;
             }
         }
+    }
+}
+
+/// Where `(req, txn)` sits in a client's completion queue: `Ok` at its
+/// record, `Err` where the record would go. Above the newest record —
+/// every request on the fault-free path — that is the back, found with
+/// no search.
+fn slot(queue: &VecDeque<(ReqId, TxnId, Msg)>, req: ReqId, txn: TxnId) -> Result<usize, usize> {
+    match queue.back() {
+        Some(&(r, t, _)) if (req, txn) <= (r, t) => {
+            queue.binary_search_by_key(&(req, txn), |&(r, t, _)| (r, t))
+        }
+        _ => Err(queue.len()),
     }
 }
 
@@ -1094,6 +1131,7 @@ mod tests {
     use super::*;
     use acn_simnet::NodeId;
     use acn_txir::{FieldId, ObjClass, ObjectVal, Value};
+    use std::collections::BTreeMap;
 
     const C: ObjClass = ObjClass::new(0, "C");
     const OBJ: ObjectId = ObjectId::new(C, 1);
@@ -1763,8 +1801,11 @@ mod tests {
 
     #[test]
     fn dedup_cache_is_bounded() {
+        // The bound is per client: past it, each record sheds the client's
+        // oldest, before the push — so the queue never regrows.
         let mut s = server();
-        for i in 0..(super::DEDUP_CAPACITY as u64 + 10) {
+        let cap = super::DEDUP_CAPACITY;
+        for i in 0..(cap as u64 + 10) {
             s.handle(
                 Msg::AbortReq {
                     txn: txn(i),
@@ -1773,18 +1814,54 @@ mod tests {
                 Instant::now(),
             );
         }
-        assert_eq!(s.completed.len(), super::DEDUP_CAPACITY);
-        assert_eq!(s.completed_order.len(), super::DEDUP_CAPACITY);
-        // The oldest entries were evicted: replaying the very first abort
-        // re-executes it (harmlessly) rather than hitting the cache.
-        s.handle(
-            Msg::AbortReq {
-                txn: txn(0),
-                req: 0,
-            },
-            Instant::now(),
-        );
+        let queue = &s.completed[&NodeId(10)];
+        assert_eq!(queue.len(), cap);
+        assert!(queue.capacity() < 2 * cap, "shed before push: no regrowth");
+        // The oldest records were evicted: replaying the very first abort
+        // re-executes it (harmlessly) rather than hitting the records…
+        let abort = |i: u64| Msg::AbortReq {
+            txn: txn(i),
+            req: i,
+        };
+        s.handle(abort(0), Instant::now());
         assert_eq!(s.stats().dedup_hits, 0);
+        // …and the oldest one kept still answers.
+        s.handle(abort(10), Instant::now());
+        assert_eq!(s.stats().dedup_hits, 1);
+        assert_eq!(s.completed[&NodeId(10)].len(), cap);
+    }
+
+    #[test]
+    fn another_clients_traffic_cannot_evict_a_reply() {
+        let mut s = server();
+        let now = Instant::now();
+        // Client A's prepare is granted…
+        let a_prepare = prepare(1, 1, OBJ);
+        assert!(matches!(
+            s.handle(a_prepare.clone(), now),
+            Some(Msg::PrepareResp { vote: true, .. })
+        ));
+        // …then client B sends a full bound's worth of 2PC traffic…
+        for i in 0..super::DEDUP_CAPACITY as u64 {
+            let b = TxnId {
+                client: NodeId(11),
+                seq: i,
+            };
+            s.handle(Msg::AbortReq { txn: b, req: i + 2 }, now);
+        }
+        // …and A's duplicate is still answered from A's record.
+        assert!(matches!(
+            s.handle(a_prepare, now),
+            Some(Msg::PrepareResp { vote: true, .. })
+        ));
+        assert_eq!(s.stats().dedup_hits, 1);
+        assert_eq!(s.stats().prepares, 1, "the duplicate was not re-executed");
+        let log = s.log.backend.load().records;
+        let grants = log
+            .iter()
+            .filter(|r| matches!(r, WalRecord::PrepareGrant { .. }))
+            .count();
+        assert_eq!(grants, 1, "one grant in the log");
     }
 
     fn sync_cfg(rank: usize, servers: usize) -> SyncConfig {
@@ -2409,8 +2486,7 @@ mod tests {
         assert!(!s.completed.is_empty());
         s.recover(true, Instant::now());
         assert!(s.prepared.is_empty(), "prepared table wiped");
-        assert!(s.completed.is_empty(), "dedup cache wiped");
-        assert!(s.completed_order.is_empty());
+        assert!(s.completed.is_empty(), "completion records wiped");
         assert!(s.store_mut().is_empty(), "store wiped");
     }
 
@@ -2847,7 +2923,7 @@ mod tests {
         s.observe_faults(0, 1, false, t0 + ms(2));
         // The commit record survived in the (memory) log and replays; its
         // ack was never sent and never will be — the client retries and
-        // hits the rebuilt dedup cache.
+        // hits the rebuilt completion records.
         let mut out = Vec::new();
         assert_eq!(
             s.tick(t0 + ms(2), &mut out),
@@ -2863,6 +2939,56 @@ mod tests {
             "{out:?}"
         );
         assert_eq!(s.stats().dedup_hits, 1);
+    }
+
+    /// The pump's exit rule. A group-commit grant parks until a sync; the
+    /// pass that steps it empties the inbox but leaves a sync owed, so the
+    /// pump ticks once more — syncing and releasing the grant — before it
+    /// returns. A pump that stopped at the empty inbox would strand the
+    /// grant until some later delivery.
+    #[test]
+    fn drain_syncs_what_its_batch_made_due_before_returning() {
+        use acn_simnet::{LatencyModel, Network};
+        let net: Network<Msg> = Network::new(CLIENT.index() + 1, LatencyModel::Zero);
+        let (ep, client) = (net.endpoint(NodeId(0)), net.endpoint(CLIENT));
+        let mut s = group_commit(64, ms(5));
+        client.send(NodeId(0), prepare(1, 1, OBJ));
+        client.send(NodeId(0), commit(1, 2, OBJ));
+        let next = s.drain(&ep, true);
+        assert_eq!(s.stats().wal_sync_batches, 1, "one sync, inside the drain");
+        assert_eq!(s.stats().wal_records_synced, 2);
+        assert!(
+            matches!(
+                (client.try_recv(), client.try_recv(), client.try_recv()),
+                (
+                    Some((NodeId(0), Msg::PrepareResp { vote: true, .. })),
+                    Some((NodeId(0), Msg::CommitAck { req: 2 })),
+                    None
+                )
+            ),
+            "both acks released"
+        );
+        // Clean log: what is left is the sweep cadence.
+        assert!(next.is_some_and(|at| at > Instant::now() + ms(100)));
+    }
+
+    /// A visit to a server on a log that is durable on append is one pass:
+    /// the whole inbox is stepped at one instant, and nothing is owed.
+    #[test]
+    fn a_memlog_drain_steps_the_whole_inbox_in_one_pass() {
+        use acn_simnet::{LatencyModel, Network};
+        let net: Network<Msg> = Network::new(CLIENT.index() + 1, LatencyModel::Zero);
+        let (ep, client) = (net.endpoint(NodeId(0)), net.endpoint(CLIENT));
+        let mut s = server();
+        assert_eq!(s.log.batch(), 64, "a backend that never syncs batches");
+        for seq in 1..=3 {
+            client.send(NodeId(0), prepare(seq, 2 * seq, ObjectId::new(C, seq)));
+        }
+        s.drain(&ep, true);
+        assert_eq!(s.stats().prepares, 3);
+        assert!(s.log.deadline(Instant::now()).is_none());
+        let replies = std::iter::from_fn(|| client.try_recv()).count();
+        assert_eq!(replies, 3, "every ungated reply left during the pass");
     }
 
     #[test]
@@ -2887,13 +3013,13 @@ mod tests {
     }
 
     /// What a recovery leaves behind, in comparable form: store digest,
-    /// prepared table, dedup cache, `syncing`, and the next probe.
+    /// prepared table, completion records, `syncing`, and the next probe.
     fn recovered(s: &mut Server) -> String {
         let next_probe = probe(s);
         let mut prepared: Vec<_> = s.prepared.iter().map(|(t, p)| (*t, &p.objs)).collect();
         prepared.sort();
-        let mut replies: Vec<_> = s.completed.iter().collect();
-        replies.sort_by_key(|(key, _)| **key);
+        let mut replies: Vec<_> = s.completed.values().flatten().collect();
+        replies.sort_by_key(|(req, txn, _)| (*txn, *req));
         let state = (s.store.digest(), prepared, replies, s.syncing);
         format!("{state:?} {next_probe:?}")
     }
@@ -2932,6 +3058,119 @@ mod tests {
             proptest::prop_assert_eq!(recovered(&mut live), recovered(&mut fresh));
             proptest::prop_assert_eq!(live.stats().amnesia_wipes, 1);
             proptest::prop_assert_eq!(fresh.stats().restart_replays, 1);
+        }
+
+        /// The completion records' out-of-order path, which the fault-free
+        /// path never takes. Three clients with overlapping request-id
+        /// ranges run prepare-then-decide transactions; arrival interleaves
+        /// them, lets an abort overtake its prepare, repeats earlier
+        /// requests and restarts the server (a WAL replay refills the
+        /// records). Against a per-client model of first replies: every
+        /// duplicate gets its first reply back, and a fresh request is
+        /// never answered from a record. A restart keeps what the log
+        /// holds — grants, commits and aborts; a no-vote is not logged, so
+        /// its request is fresh again.
+        #[test]
+        fn completion_records_answer_every_duplicate_and_no_fresh_request(
+            seed in proptest::prelude::any::<u64>(),
+            txns in 1usize..8,
+        ) {
+            let t0 = far();
+            let mut rng = seed | 1;
+            let mut next = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            let clients = [NodeId(10), NodeId(11), NodeId(12)];
+            // Each client's requests in issue order: prepare then decision,
+            // request ids 1, 2, 3, … on every client.
+            let mut queues: Vec<VecDeque<Msg>> = clients
+                .iter()
+                .map(|&client| {
+                    (0..txns as u64)
+                        .flat_map(|seq| {
+                            let txn = TxnId { client, seq };
+                            let obj = ObjectId::new(C, next(3));
+                            let req = 2 * seq + 1;
+                            let prepare = Msg::PrepareReq {
+                                txn,
+                                req,
+                                validate: vec![],
+                                writes: vec![(obj, 0)],
+                            };
+                            let decide = if next(2) == 0 {
+                                Msg::AbortReq { txn, req: req + 1 }
+                            } else {
+                                Msg::CommitReq {
+                                    txn,
+                                    req: req + 1,
+                                    writes: vec![(obj, seq + 1, val(seq as i64))],
+                                }
+                            };
+                            [prepare, decide]
+                        })
+                        .collect()
+                })
+                .collect();
+            let key = |m: &Msg| match m {
+                Msg::PrepareReq { txn, req, .. }
+                | Msg::CommitReq { txn, req, .. }
+                | Msg::AbortReq { txn, req } => (*txn, *req),
+                other => panic!("{other:?}"),
+            };
+            let mut model: Vec<BTreeMap<(ReqId, TxnId), String>> = vec![BTreeMap::new(); 3];
+            let mut sent: Vec<Msg> = Vec::new();
+            let mut s = server();
+            loop {
+                let live: Vec<usize> = (0..3).filter(|&c| !queues[c].is_empty()).collect();
+                if live.is_empty() {
+                    break;
+                }
+                let c = live[next(live.len() as u64) as usize];
+                let mut msg = queues[c].pop_front().unwrap();
+                // An abort overtakes its prepare.
+                if matches!(msg, Msg::PrepareReq { .. })
+                    && matches!(queues[c].front(), Some(Msg::AbortReq { .. }))
+                    && next(3) == 0
+                {
+                    queues[c].push_front(msg);
+                    msg = queues[c].remove(1).unwrap();
+                }
+                let mut arrivals = vec![msg];
+                if !sent.is_empty() && next(3) == 0 {
+                    arrivals.push(sent[next(sent.len() as u64) as usize].clone());
+                }
+                for msg in arrivals {
+                    let (txn, req) = key(&msg);
+                    let c = (txn.client.0 - 10) as usize;
+                    let hits = s.stats.dedup_hits;
+                    let reply = format!("{:?}", s.handle(msg.clone(), t0).unwrap());
+                    match model[c].get(&(req, txn)) {
+                        Some(first) => {
+                            proptest::prop_assert_eq!(&reply, first);
+                            proptest::prop_assert_eq!(s.stats.dedup_hits, hits + 1);
+                        }
+                        None => {
+                            proptest::prop_assert_eq!(s.stats.dedup_hits, hits, "{}", reply);
+                            model[c].insert((req, txn), reply);
+                        }
+                    }
+                    sent.push(msg);
+                }
+                if next(8) == 0 {
+                    s.recover(false, t0);
+                    for records in &mut model {
+                        records.retain(|_, r| !r.contains("vote: false"));
+                    }
+                }
+            }
+            for (c, records) in model.iter().enumerate() {
+                let kept: Vec<_> = s.completed.get(&clients[c]).into_iter().flatten().collect();
+                proptest::prop_assert_eq!(kept.len(), records.len());
+                proptest::prop_assert!(kept.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+            }
         }
     }
 }

@@ -4,13 +4,13 @@
 //! prepare grants, commit applications, aborts — plus an incarnation bump
 //! whenever it re-identifies itself after a wipe or restart. On restart the
 //! log is replayed deterministically by [`replay`]: apply is idempotent
-//! (keyed by `(TxnId, ReqId)`, the same key as the live dedup cache), so a
-//! record that survives both in the log and in a retried client request is
-//! applied exactly once. A torn tail — the frame being written when the
-//! crash hit — is detected by the length prefix + checksum and truncated;
-//! everything before it is whole by construction (appends are
-//! frame-atomic in the ring backend and written in order in the file
-//! backend).
+//! (keyed by `(TxnId, ReqId)`, the same key as the live completion
+//! records), so a record that survives both in the log and in a retried
+//! client request is applied exactly once. A torn tail — the frame being
+//! written when the crash hit — is detected by the length prefix +
+//! checksum and truncated; everything before it is whole by construction
+//! (appends are frame-atomic in the ring backend and written in order in
+//! the file backend).
 //!
 //! ## Frame format
 //!
@@ -79,7 +79,7 @@ use std::time::{Duration, Instant};
 /// One durable decision. The three 2PC records carry the `(txn, req)`
 /// dedup key; replay uses it to apply each decision at most once and to
 /// reconstruct the reply the server would have sent, so post-restart
-/// client retries hit the dedup cache instead of re-executing.
+/// client retries hit the completion records instead of re-executing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Phase 1 voted yes: `objs` were locked for `txn`.
@@ -485,6 +485,10 @@ pub trait Persistence: Send {
 const RETRY_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const RETRY_BACKOFF_MAX: Duration = Duration::from_millis(20);
 
+/// Messages a server's pump steps between two syncs under group commit
+/// (and on a backend that never syncs): see [`DurableLog::batch`].
+const GROUP_COMMIT_BATCH: usize = 64;
+
 /// A reply held back until the log records it certifies are durable.
 pub(crate) struct Parked {
     /// The append watermark the reply depends on.
@@ -566,15 +570,18 @@ impl DurableLog {
         self.mem.failed
     }
 
-    /// How many queued messages the server's thread may handle between
+    /// How many queued messages the server's pump may handle between
     /// syncs. Group commit batches by *arrival concurrency*: everything
     /// already queued is handled before the sync, so one fsync covers what
     /// accumulated while the previous one ran. `EveryRecord` syncs after
-    /// each record the server's thread handles. Records appended inline, on
-    /// a sender's thread that may not sync, ride the next sync either way.
+    /// each record the pump handles — unless the backend is durable on
+    /// append: it never syncs, so it takes the group-commit bound and a
+    /// pass steps the whole inbox. Records appended inline, on a sender's
+    /// thread that may not sync, ride the next sync either way.
     pub(crate) fn batch(&self) -> usize {
         match self.mode {
-            DurabilityMode::GroupCommit { .. } => 64,
+            DurabilityMode::GroupCommit { .. } => GROUP_COMMIT_BATCH,
+            _ if self.backend.durable_on_append() => GROUP_COMMIT_BATCH,
             DurabilityMode::EveryRecord | DurabilityMode::Buffered => 1,
         }
     }
@@ -1095,8 +1102,8 @@ pub struct ReplayState {
     /// Prepared-but-undecided transactions and the objects they lock.
     pub prepared: IdMap<TxnId, Vec<ObjectId>>,
     /// `(dedup key, reply)` pairs in log order — the replies the server
-    /// sent before crashing, for rebuilding the dedup cache so retries
-    /// are answered without re-execution.
+    /// sent before crashing, for rebuilding the completion records so
+    /// retries are answered without re-execution.
     pub replies: Vec<((TxnId, ReqId), Msg)>,
     /// Highest incarnation recorded in the log.
     pub incarnation: u64,

@@ -1,4 +1,5 @@
-//! Allocation budget of a log append and of a server's two decision arms.
+//! Allocation budget of a log append, of a server's two decision arms and
+//! of a whole solo commit.
 //!
 //! A counting global allocator tallies, per thread, every `alloc`,
 //! `alloc_zeroed` and `realloc`; each measured call runs between two reads
@@ -9,22 +10,27 @@
 //! * A steady-state [`MemLog`] append frames the record in place into the
 //!   ring's one buffer and allocates nothing.
 //! * [`Server::step`] of a `CommitReq` and of a `PrepareReq`, on a server
-//!   past its warm-up (dedup cache full, store and contention maps sized,
-//!   ring buffer grown), allocates exactly the counts pinned below. The
-//!   commit record moves the request's writes and the grant record moves
-//!   the locked set, so a count that grows means a copy came back.
+//!   past its warm-up (completion records at their bound, store and
+//!   contention maps sized, ring buffer grown), allocates exactly the
+//!   counts pinned below. The commit record moves the request's writes and
+//!   the grant record moves the locked set, so a count that grows means a
+//!   copy came back.
 //! * An [`ObjectVal`] is shared, not copied: cloning a populated one
 //!   allocates nothing, so neither does the store read behind each object
 //!   of a `ReadBatchReq` — its step allocates the reply's vectors only.
+//! * A solo Bank-shaped transfer through a zero-latency [`Cluster`]
+//!   allocates the same count on its client's thread every time: the
+//!   servers run inline there, so the count covers client and servers.
 
 use acn_dtm::{
-    BatchRead, MemLog, Msg, Persistence, Server, TxnId, Version, WalRecord, WindowConfig,
+    BatchRead, Cluster, ClusterConfig, DtmClient, MemLog, Msg, Persistence, Server, TxnCtx, TxnId,
+    Version, WalRecord, WindowConfig,
 };
 use acn_simnet::NodeId;
 use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Counting;
 
@@ -171,8 +177,8 @@ fn server_decision_arms_allocate_the_pinned_counts() {
     s.set_persistence(Box::new(MemLog::with_capacity(256)));
     // One instant throughout: no contention-window rotation, no TTL sweep.
     let now = Instant::now();
-    // Warm-up past the dedup cache's capacity (two entries per transfer),
-    // so its map and order queue have stopped growing.
+    // Warm-up past the completion records' per-client bound (two records
+    // per transfer), so the client's queue has stopped growing.
     let mut seq = 0;
     while seq < 6_000 {
         transfer(&mut s, seq, now);
@@ -226,4 +232,60 @@ fn a_read_batch_allocates_the_reply_vectors_only() {
             .all(|r: &BatchRead| r.version == 1 && !r.value.is_empty()));
         assert_eq!(n, READ_BATCH_ALLOCS, "ReadBatchReq {seq}");
     }
+}
+
+const BRANCH: ObjClass = ObjClass::new(1, "branch");
+
+/// A Bank-shaped transfer as one client transaction: one read round over
+/// two branches and two accounts, four writes, one commit.
+fn bank_transfer(client: &mut DtmClient, amount: i64) {
+    let objs = [
+        ObjectId::new(BRANCH, 0),
+        ObjectId::new(BRANCH, 1),
+        ObjectId::new(ACCT, 0),
+        ObjectId::new(ACCT, 1),
+    ];
+    let mut ctx = TxnCtx::begin(client);
+    ctx.open_batch(client, &objs).expect("a solo read round");
+    for (i, &obj) in objs.iter().enumerate() {
+        ctx.open(client, obj, true).expect("already read");
+        let bal = ctx.get_field(obj, BAL).as_int().unwrap_or(0);
+        let delta = if i % 2 == 0 { -amount } else { amount };
+        ctx.set_field(obj, BAL, Value::Int(bal + delta));
+    }
+    ctx.commit(client).expect("a solo commit");
+}
+
+/// What one solo Bank-shaped transfer allocates on its client's thread,
+/// through a 4-server zero-latency Memory cluster: the client's whole
+/// transaction — context, read round, prepare and commit rounds — and
+/// every server visit, since each server runs inline on the thread that
+/// sends to it. Measured past the completion records' per-client bound,
+/// so each server's queue sheds one record per record it keeps.
+const WHOLE_COMMIT_ALLOCS: u64 = 50;
+
+#[test]
+fn a_solo_transfer_through_a_cluster_allocates_the_pinned_count() {
+    let cluster = Cluster::start(ClusterConfig {
+        // No contention-window rotation (one map per server every 200 ms
+        // by default) and no TTL sweep inside the measured run: neither is
+        // a per-commit cost.
+        window: WindowConfig {
+            window: Duration::from_secs(3600),
+        },
+        prepared_ttl: Duration::from_secs(3600),
+        ..ClusterConfig::test(4, 1)
+    });
+    let mut client = cluster.client(0);
+    // Warm-up past every server's completion-record bound (two records
+    // per transfer), so the queues, the store and the client's maps have
+    // stopped growing.
+    for i in 0..5_000 {
+        bank_transfer(&mut client, i % 7 + 1);
+    }
+    for i in 0..1_000 {
+        let ((), n) = allocs(|| bank_transfer(&mut client, i % 7 + 1));
+        assert_eq!(n, WHOLE_COMMIT_ALLOCS, "transfer {i}");
+    }
+    cluster.shutdown();
 }
