@@ -253,10 +253,10 @@ impl DtmClient {
                         let wire = match &span {
                             Some(p) => {
                                 bytes += 16;
-                                Msg::Traced {
+                                Arc::new(Msg::Traced {
                                     ctx: p.ctx(),
-                                    inner: Box::new(msg),
-                                }
+                                    inner: msg,
+                                })
                             }
                             None => msg,
                         };

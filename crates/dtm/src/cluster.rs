@@ -319,7 +319,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{LoadedLog, WalError, WalRecord};
+    use crate::wal::{Framed, LoadedLog, WalError, WalRecord};
     use crate::{TxnCtx, TxnId};
     use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
 
@@ -346,7 +346,7 @@ mod tests {
     }
 
     impl Persistence for SyncWitness {
-        fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+        fn append(&mut self, rec: &dyn Framed) -> Result<(), WalError> {
             self.inner.append(rec)
         }
 

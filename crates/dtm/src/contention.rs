@@ -64,14 +64,16 @@ impl ContentionWindow {
         }
     }
 
-    fn aggregate(objs: &mut IdMap<ObjectId, u64>) -> IdMap<u16, (u64, u64)> {
-        let mut agg: IdMap<u16, (u64, u64)> = IdMap::default();
+    /// Replace `agg` with the per-class (sum, distinct) of `objs`,
+    /// emptying `objs`. Both maps keep their capacity, so a rotation
+    /// allocates nothing once they have grown to the working set.
+    fn aggregate(objs: &mut IdMap<ObjectId, u64>, agg: &mut IdMap<u16, (u64, u64)>) {
+        agg.clear();
         for (obj, count) in objs.drain() {
             let e = agg.entry(obj.class.id).or_insert((0, 0));
             e.0 += count;
             e.1 += 1;
         }
-        agg
     }
 
     /// Rotate if the current window has elapsed. Called internally by
@@ -94,8 +96,8 @@ impl ContentionWindow {
             self.completed.clear();
             self.completed_aborts.clear();
         } else {
-            self.completed = Self::aggregate(&mut self.current);
-            self.completed_aborts = Self::aggregate(&mut self.current_aborts);
+            Self::aggregate(&mut self.current, &mut self.completed);
+            Self::aggregate(&mut self.current_aborts, &mut self.completed_aborts);
         }
         // Advance on the window grid rather than jumping to `now`: a
         // rotation is triggered by the first event *after* a boundary, and

@@ -32,7 +32,9 @@ pub type Alive<'a> = &'a dyn Fn(usize) -> bool;
 pub enum Effect {
     /// Send the request to every one of [`Machine::members`] as one round
     /// (the pump opens the round's span and wraps the message with it).
-    Scatter(Msg),
+    /// The request is the round's one allocation: every member reads it in
+    /// place, and a retry sends the same handle again.
+    Scatter(Arc<Msg>),
     /// The round the last `Scatter` opened is over (its span closes).
     Gathered {
         /// It ended without every member's reply.
@@ -114,11 +116,12 @@ pub struct Coordinator {
     unfinished: Vec<Unfinished>,
 }
 
-/// A commit that ended [`CommitOutcome::Decided`]: its `CommitReq`, request
-/// id kept, and the members that still owe the ack.
+/// A commit that ended [`CommitOutcome::Decided`]: its `CommitReq` — the
+/// commit round's own allocation, request id kept — and the members that
+/// still owe the ack.
 struct Unfinished {
     req: ReqId,
-    msg: Msg,
+    msg: Arc<Msg>,
     owed: Vec<NodeId>,
 }
 
@@ -181,7 +184,7 @@ impl Coordinator {
     pub fn resend_decided(&mut self, alive: Alive) {
         for u in &self.unfinished {
             for &to in u.owed.iter().filter(|n| alive(n.index())) {
-                self.out.push(Effect::Send(to, u.msg.clone()));
+                self.out.push(Effect::Send(to, Msg::clone(&u.msg)));
             }
         }
     }
@@ -255,9 +258,9 @@ pub struct Round {
     nodes: Vec<NodeId>,
     retries: usize,
     req: ReqId,
-    /// The request, until the last attempt gives it away instead of
-    /// copying it.
-    msg: Option<Msg>,
+    /// The request, built once per logical request: every attempt
+    /// scatters this handle.
+    msg: Option<Arc<Msg>>,
     got: Vec<(NodeId, Msg)>,
     /// Retries made so far.
     attempt: usize,
@@ -289,7 +292,7 @@ impl Round {
     /// Start the next logical request to the same members.
     fn next(&mut self, co: &mut Coordinator, build: impl FnOnce(ReqId) -> Msg, now: Instant) {
         self.req = co.alloc_req();
-        self.msg = Some(build(self.req));
+        self.msg = Some(Arc::new(build(self.req)));
         self.got.clear();
         self.attempt = 0;
         self.scatter(co, now);
@@ -299,7 +302,7 @@ impl Round {
     /// over at the broadcast.
     fn fire(&self, co: &mut Coordinator, build: impl FnOnce(ReqId) -> Msg) {
         let msg = build(co.alloc_req());
-        co.out.push(Effect::Scatter(msg));
+        co.out.push(Effect::Scatter(Arc::new(msg)));
         co.out.push(Effect::Gathered { failed: false });
     }
 
@@ -307,14 +310,11 @@ impl Round {
     /// dedup cache (or redo an idempotent read), the rest get another
     /// chance to respond. Each broadcast is its own round span, so a
     /// retry's server spans are children of the attempt that carried them.
+    /// Every attempt sends the same allocation; the round keeps its handle
+    /// past the last, for a decided commit to re-send.
     fn scatter(&mut self, co: &mut Coordinator, now: Instant) {
-        let msg = if self.attempt == self.retries {
-            self.msg.take()
-        } else {
-            self.msg.clone()
-        };
-        co.out
-            .push(Effect::Scatter(msg.expect("taken on the last attempt")));
+        let msg = self.msg.clone().expect("a round scatters after `next`");
+        co.out.push(Effect::Scatter(msg));
         self.phase = Phase::Awaiting(now + co.cfg.rpc_timeout);
     }
 
@@ -504,11 +504,7 @@ impl<'a> Commit<'a> {
                 let acked = |n: &NodeId| round.got.iter().any(|&(s, _)| s == *n);
                 co.unfinished.push(Unfinished {
                     req: round.req,
-                    msg: Msg::CommitReq {
-                        txn,
-                        req: round.req,
-                        writes: self.commit_writes(),
-                    },
+                    msg: round.msg.clone().expect("the commit round's request"),
                     owed: round.nodes.iter().copied().filter(|n| !acked(n)).collect(),
                 });
                 CommitOutcome::Decided
@@ -1012,6 +1008,56 @@ mod tests {
         assert_eq!(co.stats.rpc_retries, retries as u64);
     }
 
+    /// Every `Scatter` the coordinator queues, in order.
+    fn scatters(co: &mut Coordinator) -> Vec<Arc<Msg>> {
+        let scattered = co.effects().filter_map(|effect| match effect {
+            Effect::Scatter(msg) => Some(msg),
+            _ => None,
+        });
+        scattered.collect()
+    }
+
+    #[test]
+    fn a_retried_round_rebroadcasts_one_allocation_and_a_decided_commit_keeps_it() {
+        let mut co = coordinator(cfg());
+        let mut now = t0();
+        let mut round = Round::begin(&mut co, &[0, 2, 3], 3, query, now);
+        let mut sent = scatters(&mut co);
+        while round.phase != Phase::Done {
+            now = match round.phase {
+                Phase::Awaiting(at) | Phase::BackingOff(at, _) => at,
+                Phase::Done => unreachable!(),
+            };
+            round.on_deadline(&mut co, ALL_UP, now);
+            sent.extend(scatters(&mut co));
+        }
+        assert_eq!(sent.len(), 4, "the first attempt and three retries");
+        assert!(sent.iter().all(|msg| Arc::ptr_eq(msg, &sent[0])));
+
+        // A commit round that dies after the decision keeps its request
+        // for the re-send, as the same allocation.
+        let txn = co.begin();
+        let writes = [(X, 0, ObjectVal::new())];
+        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], &writes, now);
+        let prepare = req_of(&scatters(&mut co)[0]);
+        for node in [0, 2, 3] {
+            commit.on_reply(&mut co, NodeId(node), vote(prepare, true), now);
+        }
+        let mut sent = scatters(&mut co);
+        while commit.phase() != Phase::Done {
+            now = match commit.phase() {
+                Phase::Awaiting(at) | Phase::BackingOff(at, _) => at,
+                Phase::Done => unreachable!(),
+            };
+            commit.on_deadline(&mut co, ALL_UP, now);
+            sent.extend(scatters(&mut co));
+        }
+        assert_eq!(commit.finish(), CommitOutcome::Decided);
+        assert_eq!(sent.len(), 4);
+        assert!(sent.iter().all(|msg| Arc::ptr_eq(msg, &sent[0])));
+        assert!(Arc::ptr_eq(&co.unfinished[0].msg, &sent[0]));
+    }
+
     #[test]
     fn one_reply_per_source_counts_and_an_earlier_attempts_replies_are_kept() {
         let mut co = coordinator(cfg());
@@ -1268,7 +1314,7 @@ mod tests {
         assert!(
             matches!(
                 co.effects().nth(1),
-                Some(Effect::Scatter(Msg::AbortReq { .. }))
+                Some(Effect::Scatter(msg)) if matches!(*msg, Msg::AbortReq { .. })
             ),
             "abort everywhere, the yes-voters included"
         );

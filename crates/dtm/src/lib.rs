@@ -55,6 +55,6 @@ pub use messages::{kind as msg_kind, BatchRead, Msg, ReqId, TxnId, ValidateEntry
 pub use server::{Server, ServerStats, SyncConfig, DEFAULT_PREPARED_TTL};
 pub use store::{ClassDigest, Store, StoreDigest, VersionedObject};
 pub use wal::{
-    checksum, decode_stream, replay, DurabilityMode, FaultLog, FaultLogConfig, FileLog, LoadedLog,
-    MemLog, Persistence, ReplayState, WalError, WalRecord, FRAME_HDR,
+    checksum, decode_stream, replay, CommitApplyRef, DurabilityMode, FaultLog, FaultLogConfig,
+    FileLog, Framed, LoadedLog, MemLog, Persistence, ReplayState, WalError, WalRecord, FRAME_HDR,
 };

@@ -3,6 +3,7 @@
 use acn_simnet::NodeId;
 use acn_txir::{ObjectId, ObjectVal};
 use std::fmt;
+use std::sync::Arc;
 
 /// Object version number, bumped on every commit. Fresh (never-committed)
 /// objects have version 0 on every replica.
@@ -231,12 +232,14 @@ pub enum Msg {
     /// [`Msg::kind`] and [`Msg::response_req`] delegate to the inner
     /// message, so chaos classification — and therefore every seeded fault
     /// schedule — is identical whether tracing is on or off. Responses are
-    /// never wrapped: the client already owns the round span.
+    /// never wrapped: the client already owns the round span. The
+    /// wrapped request is the round's own shared allocation, so tracing
+    /// copies no request.
     Traced {
         /// Trace id + parent (round) span id.
         ctx: acn_obs::TraceCtx,
         /// The wrapped request.
-        inner: Box<Msg>,
+        inner: Arc<Msg>,
     },
 }
 
@@ -559,7 +562,7 @@ mod tests {
         let plain_bytes = inner.wire_bytes();
         let wrapped = Msg::Traced {
             ctx: acn_obs::TraceCtx { trace: 7, span: 9 },
-            inner: Box::new(inner),
+            inner: Arc::new(inner),
         };
         assert_eq!(
             wrapped.kind(),

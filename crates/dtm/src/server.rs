@@ -19,10 +19,12 @@
 use crate::contention::{ContentionWindow, WindowConfig};
 use crate::messages::{BatchRead, Msg, ReqId, TxnId, ValidateEntry, Version};
 use crate::store::{Store, StoreDigest};
-use crate::wal::{replay, DurabilityMode, DurableLog, MemLog, Persistence, WalRecord};
+use crate::wal::{
+    replay, CommitApplyRef, DurabilityMode, DurableLog, MemLog, Persistence, WalRecord,
+};
 use acn_obs::{RawSpan, SpanCollector, SpanKind, TraceCtx, FLAG_ROLLED_BACK};
 use acn_quorum::LevelQuorums;
-use acn_simnet::{Endpoint, NodeId};
+use acn_simnet::{Endpoint, NodeId, RecvMeta};
 use acn_txir::{IdMap, IdSet, ObjectId, ObjectVal};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -379,7 +381,11 @@ impl Server {
                     queue.pop_front();
                     i -= 1;
                 }
-                queue.insert(i, (req, txn, reply));
+                if i == queue.len() {
+                    queue.push_back((req, txn, reply));
+                } else {
+                    queue.insert(i, (req, txn, reply));
+                }
             }
         }
     }
@@ -501,7 +507,7 @@ impl Server {
         &mut self,
         src: NodeId,
         incarnation: u64,
-        entries: Vec<(ObjectId, Version, ObjectVal)>,
+        entries: &[(ObjectId, Version, ObjectVal)],
     ) {
         if !self.syncing || incarnation != self.incarnation {
             return; // stale response to an earlier recovery attempt
@@ -510,7 +516,7 @@ impl Server {
         // restart the regression tests pin it to the outage size.
         self.stats.delta_objects_fetched += entries.len() as u64;
         for (obj, version, value) in entries {
-            if self.store.apply(obj, version, value, REPAIR_TXN) {
+            if self.store.apply(*obj, *version, value.clone(), REPAIR_TXN) {
                 self.stats.sync_objects_received += 1;
             }
         }
@@ -536,9 +542,12 @@ impl Server {
     /// now; `None` = there is no reply, or it certifies a decision the log
     /// has not made durable yet and is parked until the [`Server::tick`]
     /// whose sync covers it.
-    pub fn step(&mut self, src: NodeId, msg: Msg, now: Instant) -> Option<Msg> {
+    ///
+    /// The request is read in place: the members of a quorum round share
+    /// one allocation of it, and none of them copies it.
+    pub fn step(&mut self, src: NodeId, msg: &Msg, now: Instant) -> Option<Msg> {
         let (ctx, msg) = match msg {
-            Msg::Traced { ctx, inner } => (Some(ctx), *inner),
+            Msg::Traced { ctx, inner } => (Some(*ctx), &**inner),
             other => (None, other),
         };
         if let Msg::SyncResp {
@@ -547,10 +556,10 @@ impl Server {
             ..
         } = msg
         {
-            self.absorb_sync_resp(src, incarnation, entries);
+            self.absorb_sync_resp(src, *incarnation, entries);
             return None;
         }
-        let reply = self.handle(msg, now)?;
+        let reply = self.reply(msg, now)?;
         self.log.gate(src, reply, ctx, now)
     }
 
@@ -618,18 +627,24 @@ impl Server {
     /// This is what the reply *is*. Whether it may leave yet is the
     /// ack-after-durable gate's call, which [`Server::step`] adds.
     pub fn handle(&mut self, msg: Msg, now: Instant) -> Option<Msg> {
+        self.reply(&msg, now)
+    }
+
+    /// [`Server::handle`] of a request read in place, as
+    /// [`Server::step`] reads every request.
+    fn reply(&mut self, msg: &Msg, now: Instant) -> Option<Msg> {
         // Unwrap a trace envelope defensively so direct calls (tests,
         // embedders) behave exactly like `step`, which strips the
         // envelope itself to keep the context.
         let msg = match msg {
-            Msg::Traced { inner, .. } => *inner,
+            Msg::Traced { inner, .. } => &**inner,
             other => other,
         };
         self.sweep_if_due(now);
-        let dedup_key = match &msg {
+        let dedup_key = match *msg {
             Msg::PrepareReq { txn, req, .. }
             | Msg::CommitReq { txn, req, .. }
-            | Msg::AbortReq { txn, req } => Some((*txn, *req)),
+            | Msg::AbortReq { txn, req } => Some((txn, req)),
             _ => None,
         };
         if let Some((txn, req)) = dedup_key {
@@ -666,7 +681,7 @@ impl Server {
     /// messages are processed in both: the commit/abort decision was
     /// already made by a quorum, and `Store::apply` only moves versions
     /// forward.
-    fn handle_fresh(&mut self, msg: Msg, now: Instant) -> Option<Msg> {
+    fn handle_fresh(&mut self, msg: &Msg, now: Instant) -> Option<Msg> {
         // A no-vote that blames no object: the client retries elsewhere.
         let refusal = |req, syncing| Msg::PrepareResp {
             req,
@@ -676,7 +691,7 @@ impl Server {
             syncing,
             wal_refused: !syncing,
         };
-        match msg {
+        match *msg {
             Msg::ReadBatchReq { req, .. } if self.syncing => {
                 self.stats.sync_read_refusals += 1;
                 Some(Msg::Syncing { req })
@@ -692,9 +707,9 @@ impl Server {
             Msg::ReadBatchReq {
                 txn,
                 req,
-                objs,
-                validate,
-                sample,
+                ref objs,
+                ref validate,
+                ref sample,
             } => {
                 // The server steps one message at a time, so the whole
                 // batch is served against one atomic snapshot of the store.
@@ -702,7 +717,7 @@ impl Server {
                 // stale read-set is worth reporting even when a requested
                 // object is protected.
                 self.stats.reads += objs.len() as u64;
-                let invalid = self.stale(&validate);
+                let invalid = self.stale(validate);
                 let reads = objs
                     .iter()
                     .map(|&obj| {
@@ -729,15 +744,15 @@ impl Server {
             Msg::PrepareReq {
                 txn,
                 req,
-                validate,
-                writes,
+                ref validate,
+                ref writes,
             } => {
                 self.stats.prepares += 1;
                 // Lock the write-set all-or-nothing on this replica.
                 let mut locked: Vec<ObjectId> = Vec::with_capacity(writes.len());
                 let mut lock_conflict: Option<ObjectId> = None;
                 let mut vote = true;
-                for &(obj, _) in &writes {
+                for &(obj, _) in writes {
                     if self.store.try_lock(obj, txn) {
                         locked.push(obj);
                     } else {
@@ -751,7 +766,7 @@ impl Server {
                 }
                 let mut invalid = Vec::new();
                 if vote {
-                    invalid = self.stale(&validate);
+                    invalid = self.stale(validate);
                     vote = invalid.is_empty();
                     for &o in &invalid {
                         self.contention.record_abort(o, now);
@@ -798,7 +813,11 @@ impl Server {
                     wal_refused: false,
                 })
             }
-            Msg::CommitReq { txn, req, writes } => {
+            Msg::CommitReq {
+                txn,
+                req,
+                ref writes,
+            } => {
                 self.stats.commits += 1;
                 // Write-ahead: the decision is durable before the store
                 // mutates, so a crash between the two replays the apply.
@@ -809,16 +828,13 @@ impl Server {
                 // sync make it durable, so ack-after-durable holds even
                 // when the append itself faulted. The error is counted
                 // and the server degrades to refusing *new* prepares. The
-                // record moves the request's writes in and the log hands
-                // them back to apply.
-                let rec = WalRecord::CommitApply { txn, req, writes };
-                let WalRecord::CommitApply { writes, .. } = self.log.append_decision(rec, now)
-                else {
-                    unreachable!("the log returns the record it was given")
-                };
+                // record is framed from the request's writes, and the
+                // store takes a shared handle on each value.
+                let rec = CommitApplyRef { txn, req, writes };
+                self.log.append_decision(&rec, now);
                 for (obj, version, value) in writes {
-                    self.store.apply(obj, version, value, txn);
-                    self.contention.record_write(obj, now);
+                    self.store.apply(*obj, *version, value.clone(), txn);
+                    self.contention.record_write(*obj, now);
                 }
                 self.prepared.remove(&txn);
                 Some(Msg::CommitAck { req })
@@ -831,8 +847,8 @@ impl Server {
                 // lands replays as a still-prepared transaction, which
                 // the post-restart TTL sweep reclaims — and the parked
                 // ack dies with the crash, never sent.
-                let rec = WalRecord::Abort { txn, req };
-                self.log.append_decision(rec, now);
+                self.log
+                    .append_decision(&WalRecord::Abort { txn, req }, now);
                 if let Some(p) = self.prepared.remove(&txn) {
                     for obj in p.objs {
                         self.store.unlock(obj, txn);
@@ -840,7 +856,7 @@ impl Server {
                 }
                 Some(Msg::AbortAck { req })
             }
-            Msg::ContentionReq { req, classes } => {
+            Msg::ContentionReq { req, ref classes } => {
                 self.stats.contention_queries += 1;
                 let levels = classes
                     .iter()
@@ -859,25 +875,25 @@ impl Server {
             Msg::SyncReq {
                 req,
                 incarnation,
-                known,
-            } => self.serve_sync(req, incarnation, &known),
-            Msg::RepairWrite { writes, .. } => {
+                ref known,
+            } => self.serve_sync(req, incarnation, known),
+            Msg::RepairWrite { ref writes, .. } => {
                 self.stats.repair_writes_received += 1;
-                for (obj, version, value) in writes {
+                for &(obj, version, ref value) in writes {
                     // Forward-only apply under a sentinel txn: a repair can
                     // never regress a concurrent commit or release a real
                     // transaction's lock. Safe even on protected objects —
                     // the repaired version is an already-committed one,
                     // which validation guarantees is ≤ any version the
                     // lock-holding prepare will install.
-                    if self.store.apply(obj, version, value, REPAIR_TXN) {
+                    if self.store.apply(obj, version, value.clone(), REPAIR_TXN) {
                         self.stats.repair_writes_applied += 1;
                     }
                 }
                 None // fire-and-forget: no ack
             }
             // Responses should never arrive at a server.
-            other => {
+            ref other => {
                 debug_assert!(false, "server received non-request {other:?}");
                 None
             }
@@ -968,9 +984,10 @@ impl Server {
     /// append never has one, so one pass serves a whole visit. A pass
     /// reads the clock once — twice if its tick synced the log, since the
     /// sync took time: its instant is the one the fault report, the tick
-    /// and every step see, and the one its replies are sent at. A
-    /// message's [`acn_simnet::RecvMeta`] is only stamped while a span
-    /// collector is installed.
+    /// and every step see, and the one its replies are sent at. Each
+    /// message is stepped where it lies in its envelope, so a request
+    /// broadcast to a quorum is never copied; its [`RecvMeta`] is only
+    /// stamped when it is traced and a span collector is installed.
     ///
     /// Callers hold the server's lock around it. `may_sync` is `false`
     /// where a sync would block a thread that has better things to do:
@@ -1003,24 +1020,21 @@ impl Server {
             };
             let (mut stepped, mut emptied) = (0, false);
             while stepped < self.log.batch() {
-                let received = if self.spans.is_some() {
-                    endpoint
-                        .try_recv_meta()
-                        .map(|(src, msg, meta)| (src, msg, Some(meta)))
-                } else {
-                    endpoint.try_recv().map(|(src, msg)| (src, msg, None))
-                };
-                let Some((src, msg, meta)) = received else {
+                let Some(envelope) = endpoint.try_recv_envelope() else {
                     emptied = true;
                     break;
                 };
                 stepped += 1;
+                let (src, msg) = (envelope.src, envelope.payload.message());
                 // Look through the trace envelope: `step` strips it, but
                 // its context parents the spans below.
-                let ctx = match &msg {
+                let ctx = match msg {
                     Msg::Traced { ctx, .. } => Some(*ctx),
                     _ => None,
                 };
+                let meta = ctx
+                    .filter(|_| self.spans.is_some())
+                    .map(|_| RecvMeta::of(&envelope));
                 let reply = self.step(src, msg, now);
                 if let (Some(ctx), Some(meta)) = (ctx, meta) {
                     let done = Instant::now();
@@ -1998,7 +2012,7 @@ mod tests {
         let entries = vec![(OBJ, 4u64, val(40))];
         s.step(
             NodeId(1),
-            Msg::SyncResp {
+            &Msg::SyncResp {
                 req: 1,
                 incarnation: inc,
                 entries: entries.clone(),
@@ -2008,7 +2022,7 @@ mod tests {
         assert!(s.is_syncing(), "one responder is below a read quorum");
         s.step(
             NodeId(2),
-            Msg::SyncResp {
+            &Msg::SyncResp {
                 req: 1,
                 incarnation: inc,
                 entries: entries.clone(),
@@ -2067,7 +2081,7 @@ mod tests {
         for rank in 1..=3u32 {
             s.step(
                 NodeId(rank),
-                Msg::SyncResp {
+                &Msg::SyncResp {
                     req: 1,
                     incarnation: inc,
                     entries: vec![],
@@ -2139,7 +2153,7 @@ mod tests {
         for rank in [1u32, 2] {
             s.step(
                 NodeId(rank),
-                Msg::SyncResp {
+                &Msg::SyncResp {
                     req: 1,
                     incarnation: inc,
                     entries: delta.clone(),
@@ -2231,7 +2245,7 @@ mod tests {
         for rank in 1..=3u32 {
             s.step(
                 NodeId(rank),
-                Msg::SyncResp {
+                &Msg::SyncResp {
                     req: 1,
                     incarnation: inc - 1, // answers the *first* recovery
                     entries: vec![(OBJ, 9, val(9))],
@@ -2244,7 +2258,7 @@ mod tests {
         for rank in 1..=3u32 {
             s.step(
                 NodeId(rank),
-                Msg::SyncResp {
+                &Msg::SyncResp {
                     req: 2,
                     incarnation: inc,
                     entries: vec![(OBJ, 9, val(9))],
@@ -2277,7 +2291,7 @@ mod tests {
 
         // One answer is below a read quorum: the probe goes out again…
         let resp = one.handle(first, Instant::now()).unwrap();
-        assert!(s.step(NodeId(1), resp, Instant::now()).is_none());
+        assert!(s.step(NodeId(1), &resp, Instant::now()).is_none());
         assert!(s.is_syncing());
         let (_, second) = probe(&mut s);
         // …carrying exactly what was absorbed so far…
@@ -2291,11 +2305,94 @@ mod tests {
             Msg::SyncResp { entries, .. } => assert_eq!(entries, &vec![(OBJ2, 2, val(20))]),
             other => panic!("{other:?}"),
         }
-        s.step(NodeId(2), resp, Instant::now());
+        s.step(NodeId(2), &resp, Instant::now());
         assert!(!s.is_syncing(), "two peers cover a read quorum");
         assert_eq!(s.stats().delta_objects_fetched, 2, "every shipped entry");
         assert_eq!(s.store_mut().version(OBJ), 4);
         assert_eq!(s.store_mut().version(OBJ2), 2);
+    }
+
+    /// A quorum's members step one shared request in place: three replicas
+    /// that step each request by reference through one `Arc` end in the
+    /// state, and send the replies, of three that each step their own
+    /// copy — and the shared request reads the same afterwards.
+    #[test]
+    fn replicas_stepping_one_shared_request_match_replicas_stepping_copies() {
+        let requests = (0..40u64).flat_map(|seq| {
+            let (t, obj) = (txn(seq), if seq % 2 == 0 { OBJ } else { OBJ2 });
+            let version = seq / 2;
+            let prepare = Msg::PrepareReq {
+                txn: t,
+                req: 4 * seq,
+                validate: vec![(obj, version)],
+                writes: vec![(obj, version)],
+            };
+            let decide = if seq % 5 == 4 {
+                Msg::AbortReq {
+                    txn: t,
+                    req: 4 * seq + 1,
+                }
+            } else {
+                Msg::CommitReq {
+                    txn: t,
+                    req: 4 * seq + 1,
+                    writes: vec![(obj, version + 1, val(seq as i64))],
+                }
+            };
+            let read = Msg::ReadBatchReq {
+                txn: txn(1_000 + seq),
+                req: 4 * seq + 2,
+                objs: vec![OBJ, OBJ2],
+                validate: vec![(obj, version)],
+                sample: vec![C.id],
+            };
+            let traced = Msg::Traced {
+                ctx: TraceCtx {
+                    trace: seq,
+                    span: 1,
+                },
+                inner: Arc::new(Msg::RepairWrite {
+                    req: 4 * seq + 3,
+                    writes: vec![(OBJ2, seq, val(-(seq as i64)))],
+                }),
+            };
+            [prepare, decide, read, traced].map(Arc::new)
+        });
+        let now = Instant::now();
+        let mut shared: Vec<Server> = (0..3).map(|_| server()).collect();
+        let mut copies: Vec<Server> = (0..3).map(|_| server()).collect();
+        for request in requests {
+            let before = format!("{request:?}");
+            for (a, b) in shared.iter_mut().zip(&mut copies) {
+                let by_ref = a.step(NodeId(10), &request, now);
+                let by_copy = b.step(NodeId(10), &Msg::clone(&request), now);
+                assert_eq!(format!("{by_ref:?}"), format!("{by_copy:?}"), "{before}");
+            }
+            assert_eq!(
+                format!("{request:?}"),
+                before,
+                "a step wrote to the request"
+            );
+        }
+        for (a, b) in shared.iter_mut().zip(&mut copies) {
+            assert_eq!(a.stats(), b.stats());
+            for obj in [OBJ, OBJ2] {
+                assert_eq!(a.store.read(obj), b.store.read(obj));
+            }
+        }
+        assert!(shared[0].stats().commits > 0 && shared[0].stats().aborts > 0);
+        // Every store shares the values the requests carried; a write to
+        // one replica's copy stays there. (Compared as text: a handle
+        // taken before the write would share the allocation too.)
+        let held = format!("{:?}", shared[1].store.read(OBJ).1);
+        let Msg::ReadBatchResp { mut reads, .. } = read(&mut shared[0], txn(5_000), OBJ, vec![])
+        else {
+            panic!("not a read reply");
+        };
+        reads[0].value.set(FieldId(0), Value::Int(i64::MIN));
+        for s in shared.iter_mut().chain(&mut copies) {
+            assert_eq!(format!("{:?}", s.store.read(OBJ).1), held);
+        }
     }
 
     /// Store order is a function of the messages a replica handled, not of
@@ -2519,7 +2616,7 @@ mod tests {
     }
 
     impl Persistence for FlakyLog {
-        fn append(&mut self, rec: &WalRecord) -> Result<(), crate::wal::WalError> {
+        fn append(&mut self, rec: &dyn crate::wal::Framed) -> Result<(), crate::wal::WalError> {
             self.appends_seen += 1;
             if self.fail_appends.contains(&self.appends_seen) {
                 return Err(crate::wal::WalError::Io);
@@ -2585,7 +2682,7 @@ mod tests {
     /// Prepare `obj` for `txn(seq)` through the gate: the grant is withheld
     /// by `step` and released by the tick that syncs it.
     fn granted_prepare(s: &mut Server, seq: u64, req: ReqId, obj: ObjectId, now: Instant) {
-        assert!(s.step(CLIENT, prepare(seq, req, obj), now).is_none());
+        assert!(s.step(CLIENT, &prepare(seq, req, obj), now).is_none());
         let out = tick(s, now);
         assert!(
             matches!(&out[..], [(CLIENT, Msg::PrepareResp { vote: true, .. })]),
@@ -2602,7 +2699,7 @@ mod tests {
         let t0 = far();
         granted_prepare(&mut s, 1, 1, OBJ, t0);
         // The quorum's decision still applies locally…
-        let ack = s.step(CLIENT, commit(1, 2, OBJ), t0);
+        let ack = s.step(CLIENT, &commit(1, 2, OBJ), t0);
         assert_eq!(s.store_mut().version(OBJ), 1);
         assert_eq!(s.stats().wal_io_errors, 1);
         // …but its record is queued, not staged, so the ack is withheld.
@@ -2610,7 +2707,7 @@ mod tests {
         // Degraded: new prepares are refused — and a refusal certifies
         // nothing, so it leaves at once.
         assert!(matches!(
-            s.step(CLIENT, prepare(2, 3, OBJ2), t0),
+            s.step(CLIENT, &prepare(2, 3, OBJ2), t0),
             Some(Msg::PrepareResp {
                 vote: false,
                 wal_refused: true,
@@ -2638,7 +2735,7 @@ mod tests {
         let t0 = far();
         granted_prepare(&mut s, 1, 1, OBJ, t0);
         assert!(
-            s.step(CLIENT, commit(1, 2, OBJ), t0).is_none(),
+            s.step(CLIENT, &commit(1, 2, OBJ), t0).is_none(),
             "ack parked"
         );
         assert_eq!(s.store_mut().version(OBJ), 1, "decision applied pre-crash");
@@ -2663,7 +2760,7 @@ mod tests {
         s.set_persistence(Box::new(FlakyLog::failing_syncs(2)));
         let t0 = far();
         let mut out = Vec::new();
-        assert!(s.step(CLIENT, prepare(1, 1, OBJ), t0).is_none());
+        assert!(s.step(CLIENT, &prepare(1, 1, OBJ), t0).is_none());
         // First attempt fails: the deadline honours the 1 ms backoff
         // instead of reading "due now" — that gap is what keeps the pump
         // off a 100% CPU spin while the backend stays broken.
@@ -2693,7 +2790,7 @@ mod tests {
         ));
         assert!(next >= t0 + ms(100), "no log deadline left");
         s.set_persistence(Box::new(FlakyLog::failing_syncs(1)));
-        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(4)).is_none());
+        assert!(s.step(CLIENT, &commit(1, 2, OBJ), t0 + ms(4)).is_none());
         let next = s.tick(t0 + ms(4), &mut out);
         assert_eq!(next, Some(t0 + ms(5)), "healthy reset the backoff to 1 ms");
     }
@@ -2716,9 +2813,9 @@ mod tests {
         assert_eq!(s.stats().wal_sync_batches, 1);
         // Two decisions parked between ticks share one sync and leave in
         // park order.
-        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(1)).is_none());
+        assert!(s.step(CLIENT, &commit(1, 2, OBJ), t0 + ms(1)).is_none());
         assert!(s
-            .step(NodeId(11), prepare(2, 3, OBJ2), t0 + ms(1))
+            .step(NodeId(11), &prepare(2, 3, OBJ2), t0 + ms(1))
             .is_none());
         let out = tick(&mut s, t0 + ms(1));
         assert!(
@@ -2780,11 +2877,11 @@ mod tests {
         let mut s = server();
         let t0 = far();
         assert!(matches!(
-            s.step(CLIENT, prepare(1, 1, OBJ), t0),
+            s.step(CLIENT, &prepare(1, 1, OBJ), t0),
             Some(Msg::PrepareResp { vote: true, .. })
         ));
         assert!(matches!(
-            s.step(CLIENT, commit(1, 2, OBJ), t0),
+            s.step(CLIENT, &commit(1, 2, OBJ), t0),
             Some(Msg::CommitAck { req: 2 })
         ));
         let mut out = Vec::new();
@@ -2803,11 +2900,11 @@ mod tests {
         s.set_durability(DurabilityMode::Buffered);
         let t0 = far();
         assert!(matches!(
-            s.step(CLIENT, prepare(1, 1, OBJ), t0),
+            s.step(CLIENT, &prepare(1, 1, OBJ), t0),
             Some(Msg::PrepareResp { vote: true, .. })
         ));
         assert!(matches!(
-            s.step(CLIENT, commit(1, 2, OBJ), t0),
+            s.step(CLIENT, &commit(1, 2, OBJ), t0),
             Some(Msg::CommitAck { req: 2 })
         ));
         assert!(tick(&mut s, t0 + Duration::from_secs(60)).is_empty());
@@ -2819,7 +2916,7 @@ mod tests {
         let mut s = staged_server();
         let t0 = far();
         assert!(
-            s.step(CLIENT, prepare(1, 1, OBJ), t0).is_none(),
+            s.step(CLIENT, &prepare(1, 1, OBJ), t0).is_none(),
             "grant parked"
         );
         // A read, a lock-conflict refusal and a traced read all leave at
@@ -2832,24 +2929,24 @@ mod tests {
             sample: vec![],
         };
         assert!(matches!(
-            s.step(NodeId(11), read.clone(), t0),
+            s.step(NodeId(11), &read, t0),
             Some(Msg::ReadBatchResp { .. })
         ));
         assert!(matches!(
-            s.step(NodeId(11), prepare(2, 3, OBJ), t0),
+            s.step(NodeId(11), &prepare(2, 3, OBJ), t0),
             Some(Msg::PrepareResp { vote: false, .. })
         ));
         let traced = Msg::Traced {
             ctx: TraceCtx { trace: 7, span: 9 },
-            inner: Box::new(read),
+            inner: Arc::new(read),
         };
         assert!(matches!(
-            s.step(NodeId(11), traced, t0),
+            s.step(NodeId(11), &traced, t0),
             Some(Msg::ReadBatchResp { .. })
         ));
         // A duplicate of the parked prepare is answered from the dedup
         // cache — and parks behind the original: same record, same rule.
-        assert!(s.step(CLIENT, prepare(1, 1, OBJ), t0).is_none());
+        assert!(s.step(CLIENT, &prepare(1, 1, OBJ), t0).is_none());
         assert_eq!(tick(&mut s, t0).len(), 2);
     }
 
@@ -2885,7 +2982,7 @@ mod tests {
                 incarnation: 1,
                 entries: vec![],
             };
-            assert!(s.step(NodeId(rank), resp, t0 + ms(50)).is_none());
+            assert!(s.step(NodeId(rank), &resp, t0 + ms(50)).is_none());
         }
         assert!(!s.is_syncing());
         assert!(tick(&mut s, t0 + ms(500)).is_empty());
@@ -2907,7 +3004,7 @@ mod tests {
         // One timer: the tick's sweep also resets the message path's.
         granted_prepare(&mut s, 2, 2, OBJ, t0 + ms(101));
         assert!(matches!(
-            s.step(CLIENT, prepare(3, 3, OBJ), t0 + ms(199)),
+            s.step(CLIENT, &prepare(3, 3, OBJ), t0 + ms(199)),
             Some(Msg::PrepareResp { vote: false, .. })
         ));
         granted_prepare(&mut s, 3, 4, OBJ, t0 + ms(200));
@@ -2919,7 +3016,7 @@ mod tests {
         let mut s = group_commit(64, ms(5));
         let t0 = far();
         granted_prepare(&mut s, 1, 1, OBJ, t0);
-        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(1)).is_none());
+        assert!(s.step(CLIENT, &commit(1, 2, OBJ), t0 + ms(1)).is_none());
         s.observe_faults(0, 1, false, t0 + ms(2));
         // The commit record survived in the (memory) log and replays; its
         // ack was never sent and never will be — the client retries and
@@ -2932,7 +3029,7 @@ mod tests {
         );
         assert!(out.is_empty());
         assert_eq!(s.store_mut().version(OBJ), 1);
-        assert!(s.step(CLIENT, commit(1, 2, OBJ), t0 + ms(3)).is_none());
+        assert!(s.step(CLIENT, &commit(1, 2, OBJ), t0 + ms(3)).is_none());
         let out = tick(&mut s, t0 + ms(3));
         assert!(
             matches!(&out[..], [(CLIENT, Msg::CommitAck { req: 2 })]),

@@ -18,7 +18,10 @@
 //! [len: u32 LE] [crc: u64 LE] [payload: len bytes]
 //! ```
 //!
-//! `crc` is FNV-1a 64 over the payload (hand-rolled — no external deps).
+//! `crc` is [`checksum`] over the payload: its little-endian 8-byte words
+//! (the last zero-padded) folded into a state seeded with the length, one
+//! multiply per word (hand-rolled — no external deps). Every step is a
+//! bijection, so a change confined to one word always changes the sum.
 //! Decoding stops at the first frame whose header is short, whose payload
 //! is short, whose checksum mismatches, or whose payload fails structural
 //! decode; the byte offset of that frame is the truncation point.
@@ -32,19 +35,21 @@
 //! One private writer encodes a payload. [`WalRecord::frame_into`] reserves
 //! the header in the caller's buffer, runs the writer straight after it and
 //! patches `len` and `crc` over exactly those bytes; [`WalRecord::encode`]
-//! is the same writer into a fresh `Vec`. Each backend frames into a buffer
-//! it keeps: [`MemLog`] is one byte ring — frames back to back in one
-//! `Vec<u8>` beside a queue of frame lengths, eviction advancing a head
-//! offset, the dead prefix compacted once it reaches half the buffer, so
-//! the buffer never holds more than 2× its live bytes and a steady-state
-//! append allocates nothing. [`FileLog`] and [`FaultLog`] reuse one frame
-//! buffer each.
+//! is the same writer into a fresh `Vec`. A backend appends anything
+//! [`Framed`]: a `WalRecord`, or a [`CommitApplyRef`], whose frame the
+//! commit arm of the same writer encodes from borrowed writes. Each
+//! backend frames into a buffer it keeps: [`MemLog`] is one byte ring —
+//! frames back to back in one `Vec<u8>` beside a queue of frame lengths,
+//! eviction advancing a head offset, the dead prefix compacted once it
+//! reaches half the buffer, so the buffer never holds more than 2× its
+//! live bytes and a steady-state append allocates nothing. [`FileLog`]
+//! and [`FaultLog`] reuse one frame buffer each.
 //!
-//! The server's decision records move their data: a `CommitApply` takes
-//! the `CommitReq`'s writes and `DurableLog::append_decision` hands
-//! the record back for the apply; a `PrepareGrant` takes the locked set
-//! and gives it back for the prepared table. A record is copied only when
-//! it goes onto the failed-append retry queue.
+//! The server's decision records copy no data: a commit is framed from
+//! the `CommitReq`'s writes where the request lies, shared by every
+//! member it was broadcast to ([`CommitApplyRef`]); a `PrepareGrant` takes
+//! the locked set and gives it back for the prepared table. A record is
+//! copied only when it goes onto the failed-append retry queue.
 //!
 //! ## Who decides when an ack may leave
 //!
@@ -127,14 +132,113 @@ const VAL_STR: u8 = 3;
 /// Frame header: `len: u32` + `crc: u64`.
 pub const FRAME_HDR: usize = 12;
 
-/// FNV-1a 64 over `bytes` — the frame checksum.
+/// The frame checksum. `bytes` are read as little-endian 8-byte words,
+/// the last one zero-padded, and folded into a state seeded with the
+/// length: xor the word in, multiply by an odd constant, xor the high half
+/// down. A final multiply and shift mix the state. Every one of those
+/// steps is a bijection of the state, so two inputs of one length that
+/// differ only inside one word always sum differently: a flipped bit, or
+/// any damage confined to one word, is always caught. The length seed
+/// tells a payload from the same bytes with zeros appended.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let fold = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(K);
+        h ^ (h >> 32)
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (bytes.len() as u64) ^ 0xcbf2_9ce4_8422_2325;
+    for word in &mut words {
+        h = fold(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = fold(h, u64::from_le_bytes(word));
+    }
+    let h = (h ^ (h >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^ (h >> 32)
+}
+
+/// Append one frame to `out`: reserve the header, let `write` encode the
+/// payload straight after it, then patch `len` and `crc` over exactly the
+/// bytes it wrote.
+fn frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HDR]);
+    write(out);
+    let (hdr, payload) = out[start..].split_at_mut(FRAME_HDR);
+    hdr[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[4..].copy_from_slice(&checksum(payload).to_le_bytes());
+}
+
+/// The commit record's payload, from whatever holds its writes: the one
+/// encoder behind [`WalRecord::CommitApply`] and [`CommitApplyRef`].
+fn put_commit(
+    buf: &mut Vec<u8>,
+    txn: TxnId,
+    req: ReqId,
+    writes: &[(ObjectId, Version, ObjectVal)],
+) {
+    buf.push(TAG_COMMIT);
+    put_txn(buf, txn);
+    put_u64(buf, req);
+    put_u32(buf, writes.len() as u32);
+    for (obj, version, value) in writes {
+        put_obj(buf, *obj);
+        put_u64(buf, *version);
+        put_val(buf, value);
+    }
+}
+
+/// A record as [`Persistence::append`] takes it: something that frames as
+/// one [`WalRecord`]. A `WalRecord` is one, and so is a [`CommitApplyRef`].
+pub trait Framed {
+    /// Append this record's whole frame to `out` (see
+    /// [`WalRecord::frame_into`]).
+    fn frame_into(&self, out: &mut Vec<u8>);
+    /// The owned record, for whoever keeps records rather than frames
+    /// (a staging backend, the failed-append retry queue).
+    fn to_record(&self) -> WalRecord;
+}
+
+impl Framed for WalRecord {
+    fn frame_into(&self, out: &mut Vec<u8>) {
+        WalRecord::frame_into(self, out);
+    }
+
+    fn to_record(&self) -> WalRecord {
+        self.clone()
+    }
+}
+
+/// A [`WalRecord::CommitApply`] over writes it borrows — from the
+/// `CommitReq` the server is applying, which every member of the write
+/// quorum reads in place — so logging a commit copies none of them. Its
+/// frame is byte-for-byte the owned record's.
+#[derive(Debug, Clone, Copy)]
+pub struct CommitApplyRef<'a> {
+    /// The committing transaction.
+    pub txn: TxnId,
+    /// Request id of the `CommitReq`.
+    pub req: ReqId,
+    /// `(object, version, value)` triples exactly as applied.
+    pub writes: &'a [(ObjectId, Version, ObjectVal)],
+}
+
+impl Framed for CommitApplyRef<'_> {
+    fn frame_into(&self, out: &mut Vec<u8>) {
+        frame_with(out, |buf| put_commit(buf, self.txn, self.req, self.writes));
+    }
+
+    fn to_record(&self) -> WalRecord {
+        WalRecord::CommitApply {
+            txn: self.txn,
+            req: self.req,
+            writes: self.writes.to_vec(),
+        }
+    }
 }
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
@@ -286,17 +390,7 @@ impl WalRecord {
                     put_obj(buf, *obj);
                 }
             }
-            WalRecord::CommitApply { txn, req, writes } => {
-                buf.push(TAG_COMMIT);
-                put_txn(buf, *txn);
-                put_u64(buf, *req);
-                put_u32(buf, writes.len() as u32);
-                for (obj, version, value) in writes {
-                    put_obj(buf, *obj);
-                    put_u64(buf, *version);
-                    put_val(buf, value);
-                }
-            }
+            WalRecord::CommitApply { txn, req, writes } => put_commit(buf, *txn, *req, writes),
             WalRecord::Abort { txn, req } => {
                 buf.push(TAG_ABORT);
                 put_txn(buf, *txn);
@@ -356,12 +450,7 @@ impl WalRecord {
     /// header is reserved, the payload encoded straight after it, and the
     /// header patched over exactly those bytes — no intermediate buffer.
     pub fn frame_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[0; FRAME_HDR]);
-        self.write_payload(out);
-        let (hdr, payload) = out[start..].split_at_mut(FRAME_HDR);
-        hdr[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        hdr[4..].copy_from_slice(&checksum(payload).to_le_bytes());
+        frame_with(out, |buf| self.write_payload(buf));
     }
 }
 
@@ -461,7 +550,7 @@ pub trait Persistence: Send {
     /// Append one record to the log. On `Err` the record was *not*
     /// appended; the caller must treat the covered decision as
     /// non-durable.
-    fn append(&mut self, rec: &WalRecord) -> Result<(), WalError>;
+    fn append(&mut self, rec: &dyn Framed) -> Result<(), WalError>;
     /// Make every appended record durable. Idempotent when clean.
     fn sync(&mut self) -> Result<(), WalError>;
     /// Read back every whole record, truncating any torn tail in the
@@ -589,7 +678,7 @@ impl DurableLog {
     /// Stage one record, opening the dirty window. Returns `false` on
     /// backend error, in which case the record was *not* staged and the
     /// log is degraded until a sync succeeds.
-    pub(crate) fn append(&mut self, rec: &WalRecord, now: Instant) -> bool {
+    pub(crate) fn append(&mut self, rec: &dyn Framed, now: Instant) -> bool {
         let staged = self.backend.append(rec).is_ok();
         if staged {
             self.mem.appended += 1;
@@ -609,14 +698,12 @@ impl DurableLog {
     /// If the append fails the record is queued for re-staging — and once
     /// anything is queued every later decision queues behind it, so the
     /// log keeps decision order and a mark taken in [`DurableLog::gate`]
-    /// names exactly the slot its record will occupy. Hands the record
-    /// back so the caller can apply the data it carries; only a record
-    /// that goes onto the retry queue is copied.
-    pub(crate) fn append_decision(&mut self, rec: WalRecord, now: Instant) -> WalRecord {
-        if !self.mem.retry.is_empty() || !self.append(&rec, now) {
-            self.mem.retry.push_back(rec.clone());
+    /// names exactly the slot its record will occupy. Only a record that
+    /// goes onto the retry queue is copied.
+    pub(crate) fn append_decision(&mut self, rec: &dyn Framed, now: Instant) {
+        if !self.mem.retry.is_empty() || !self.append(rec, now) {
+            self.mem.retry.push_back(rec.to_record());
         }
-        rec
     }
 
     /// Ack-after-durable: pass a reply through the gate. `Some` = it may
@@ -806,7 +893,7 @@ impl MemLog {
 }
 
 impl Persistence for MemLog {
-    fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+    fn append(&mut self, rec: &dyn Framed) -> Result<(), WalError> {
         if self.frames.len() == self.capacity {
             self.head += self.frames.pop_front().unwrap_or(0);
         }
@@ -897,7 +984,7 @@ fn io_err(e: std::io::Error) -> WalError {
 }
 
 impl Persistence for FileLog {
-    fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+    fn append(&mut self, rec: &dyn Framed) -> Result<(), WalError> {
         self.frame.clear();
         rec.frame_into(&mut self.frame);
         // A failed or partial write is a torn tail: the checksum catches
@@ -1044,7 +1131,7 @@ impl FaultLog {
 }
 
 impl Persistence for FaultLog {
-    fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+    fn append(&mut self, rec: &dyn Framed) -> Result<(), WalError> {
         if self.cfg.append_error_p > 0.0 && self.draw(FAULT_SALT_APPEND) < self.cfg.append_error_p {
             return Err(WalError::Io);
         }
@@ -1057,7 +1144,7 @@ impl Persistence for FaultLog {
             }
         }
         self.bytes_accepted += len;
-        self.staged.push_back(rec.clone());
+        self.staged.push_back(rec.to_record());
         Ok(())
     }
 
@@ -1277,6 +1364,84 @@ mod tests {
         assert!(torn);
     }
 
+    /// A few records of every kind: empty, short and longer bodies, a
+    /// value with every field type.
+    fn records_of_every_kind() -> Vec<WalRecord> {
+        let obj = |i| ObjectId::new(BRANCH, i);
+        let rich = ObjectVal::from_fields([
+            (FieldId(0), Value::Unit),
+            (FieldId(1), Value::Int(-2)),
+            (FieldId(2), Value::Bool(true)),
+            (FieldId(3), Value::str("abc")),
+        ]);
+        let mut recs = sample_records();
+        recs.extend([
+            WalRecord::PrepareGrant {
+                txn: txn(3),
+                req: 11,
+                objs: vec![],
+            },
+            WalRecord::PrepareGrant {
+                txn: txn(3),
+                req: 12,
+                objs: (0..5).map(obj).collect(),
+            },
+            WalRecord::CommitApply {
+                txn: txn(4),
+                req: 13,
+                writes: vec![],
+            },
+            WalRecord::CommitApply {
+                txn: txn(4),
+                req: 14,
+                writes: vec![(obj(1), 2, rich), (obj(2), 3, val(-1)), (obj(3), 4, val(0))],
+            },
+            WalRecord::Abort {
+                txn: txn(5),
+                req: u64::MAX,
+            },
+            WalRecord::IncarnationBump { incarnation: 0 },
+        ]);
+        recs
+    }
+
+    #[test]
+    fn the_checksum_catches_every_single_bit_flip_of_a_frame() {
+        for rec in records_of_every_kind() {
+            let mut frame = Vec::new();
+            rec.frame_into(&mut frame);
+            assert_eq!(decode_stream(&frame).0, std::slice::from_ref(&rec));
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let (recs, good, torn) = decode_stream(&flipped);
+                assert!(
+                    recs.is_empty() && good == 0 && torn,
+                    "bit {bit} of {rec:?} went unnoticed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_borrowed_commit_frames_as_the_owned_record() {
+        for rec in records_of_every_kind() {
+            let WalRecord::CommitApply { txn, req, writes } = &rec else {
+                continue;
+            };
+            let borrowed = CommitApplyRef {
+                txn: *txn,
+                req: *req,
+                writes,
+            };
+            let (mut owned, mut framed) = (Vec::new(), Vec::new());
+            rec.frame_into(&mut owned);
+            Framed::frame_into(&borrowed, &mut framed);
+            assert_eq!(framed, owned);
+            assert_eq!(borrowed.to_record(), rec);
+        }
+    }
+
     #[test]
     fn memlog_round_trips_and_bounds_capacity() {
         let mut log = MemLog::with_capacity(3);
@@ -1462,7 +1627,7 @@ mod tests {
     }
 
     impl Persistence for QuotaLog {
-        fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+        fn append(&mut self, rec: &dyn Framed) -> Result<(), WalError> {
             if self.accepts == 0 {
                 return Err(WalError::Io);
             }

@@ -23,8 +23,8 @@
 //! survival property failing there.
 
 use acn_dtm::{
-    DurabilityMode, FaultLog, FaultLogConfig, LoadedLog, MemLog, Msg, Persistence, ReqId, Server,
-    TxnId, WalError, WalRecord, WindowConfig,
+    DurabilityMode, FaultLog, FaultLogConfig, Framed, LoadedLog, MemLog, Msg, Persistence, ReqId,
+    Server, TxnId, WalError, WalRecord, WindowConfig,
 };
 use acn_simnet::NodeId;
 use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
@@ -61,9 +61,9 @@ struct Tap {
 }
 
 impl Persistence for Tap {
-    fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+    fn append(&mut self, rec: &dyn Framed) -> Result<(), WalError> {
         self.inner.append(rec)?;
-        self.disk.lock().unwrap().appended.push(rec.clone());
+        self.disk.lock().unwrap().appended.push(rec.to_record());
         Ok(())
     }
 
@@ -274,7 +274,7 @@ fn run_schedule(mode: &DurabilityMode, faults: Faults, ops: &[Op]) -> Result<Rep
             if !matches!(op, Op::Duplicate { .. }) {
                 sent.push((src, msg.clone()));
             }
-            match server.step(src, msg.clone(), now) {
+            match server.step(src, &msg, now) {
                 Some(reply) => {
                     if let Some(certified) = certifies(&reply) {
                         ensure!(certified == req, "op {i}: ack for {certified}, sent {req}");
@@ -305,7 +305,7 @@ fn run_schedule(mode: &DurabilityMode, faults: Faults, ops: &[Op]) -> Result<Rep
                 };
                 ensure!(
                     matches!(
-                        server.step(client(0), read, now),
+                        server.step(client(0), &read, now),
                         Some(Msg::ReadBatchResp { .. })
                     ),
                     "op {i}: a read was withheld"

@@ -266,7 +266,7 @@ impl World {
                         let flights = op.members().iter().map(|&dst| Flight {
                             src: client.node,
                             dst,
-                            msg: msg.clone(),
+                            msg: Msg::clone(&msg),
                         });
                         net.extend(flights);
                     }
@@ -405,7 +405,7 @@ impl World {
                 self.served.insert((*txn, dst));
             }
             let mut replies = Vec::new();
-            replies.extend(server.step(src, msg, self.now).map(|reply| (src, reply)));
+            replies.extend(server.step(src, &msg, self.now).map(|reply| (src, reply)));
             // The service loop ticks between messages: that is when the
             // acks `step` parked behind the log are synced and released.
             self.next_tick[dst.index()] = server.tick(self.now, &mut replies);

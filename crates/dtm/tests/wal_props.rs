@@ -145,7 +145,7 @@ fn frame_bytes_are_pinned_for_every_record_kind() {
                 objs: vec![acct3, order4],
             },
             concat!(
-                "2d000000 f8e1d72649ebeafb 01 ",
+                "2d000000 0d5f29b82256d242 01 ",
                 "02000000 0500000000000000 0700000000000000 02000000 ",
                 "0000 0300000000000000 0100 0400000000000000",
             ),
@@ -157,7 +157,7 @@ fn frame_bytes_are_pinned_for_every_record_kind() {
                 writes: vec![(acct3, 6, rich)],
             },
             concat!(
-                "4a000000 f95503ae9c0b473e 02 ",
+                "4a000000 1e77540c4a2e6aa6 02 ",
                 "02000000 0500000000000000 0800000000000000 01000000 ",
                 "0000 0300000000000000 0600000000000000 04000000 ",
                 "0000 00 0100 01 feffffffffffffff 0200 02 01 0300 03 02000000 6162",
@@ -166,13 +166,13 @@ fn frame_bytes_are_pinned_for_every_record_kind() {
         (
             WalRecord::Abort { txn: t, req: 9 },
             concat!(
-                "15000000 bc7e4840ef29a7c1 03 ",
+                "15000000 bddbc42e8216f110 03 ",
                 "02000000 0500000000000000 0900000000000000",
             ),
         ),
         (
             WalRecord::IncarnationBump { incarnation: 3 },
-            "09000000 107356b1a8d76a3b 04 0300000000000000",
+            "09000000 4d531846c6f0ea7c 04 0300000000000000",
         ),
     ];
     for (rec, want) in golden {

@@ -10,8 +10,9 @@ use std::time::Instant;
 ///
 /// A quorum round sends the *same* request to every member. Cloning a
 /// message with a large validation vector once per member is pure overhead
-/// in an in-process simulator, so [`crate::Endpoint::broadcast`] allocates
-/// the payload once and every member's envelope holds an `Arc` to it. Byte
+/// in an in-process simulator, so [`crate::Endpoint::broadcast`] shares
+/// one allocation and every member's envelope holds an `Arc` to it; a
+/// receiver that reads it in place ([`Payload::message`]) copies nothing. Byte
 /// accounting still charges each member individually (see
 /// [`crate::NetStatsSnapshot`]): sharing is a simulator optimisation, not a
 /// change to the modelled wire cost.
@@ -24,8 +25,10 @@ pub enum Payload<M> {
 }
 
 impl<M: Clone> Payload<M> {
-    /// Extract the message. The last receiver of a broadcast takes the
-    /// allocation without copying; earlier receivers clone.
+    /// Extract the message: an owned payload moves out, a shared one is
+    /// taken by its last holder and cloned by any other. A receiver that
+    /// only reads the message uses [`Payload::message`] instead and never
+    /// copies a shared one.
     pub fn into_inner(self) -> M {
         match self {
             Payload::Owned(m) => m,

@@ -10,6 +10,13 @@
 //! sender's thread, a delayed message or a wake the node asked for
 //! ([`Endpoint::wake_at`]) on the network's one `simnet-timer` thread at
 //! its instant, and a fault change on the injector's thread.
+//!
+//! A zero-delay hop that meets no fault costs its sender the two `sent`
+//! counters, the fault table's loads, one sequence number, the push, one
+//! read of the destination's runner lock and the runner call itself. No
+//! delivery counter is bumped ([`NetStats`] derives it), no chaos lock is
+//! taken unless a plan is installed, no runner handle is cloned, and a
+//! [`Endpoint::wake_at`] that a queued wake already covers takes no lock.
 
 use crate::chaos::{ChaosDecision, FaultAction, FaultPlan, MsgKind, TimedFault};
 use crate::envelope::{Envelope, Payload};
@@ -20,7 +27,7 @@ use crate::node::NodeId;
 use crate::stats::NetStats;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -46,7 +53,7 @@ impl<M> ChaosRuntime<M> {
 
 /// What delivers to a node that has no thread of its own: it drains the
 /// node's inbox on the caller's thread (see [`Network::attach`]).
-type Runner = Arc<dyn Fn() + Send + Sync>;
+type Runner = Box<dyn Fn() + Send + Sync>;
 
 struct Shared<M> {
     inboxes: Vec<Inbox<Envelope<M>>>,
@@ -57,10 +64,13 @@ struct Shared<M> {
     /// `at`. Started by the first [`Network::attach`].
     timer: Inbox<(Instant, u64, NodeId)>,
     timer_started: Once,
-    /// Per node, the earliest wake queued for it. A later request is
-    /// dropped: the run at this one asks again, and the timer re-queues
-    /// the node's next message after it.
-    earliest: Vec<Mutex<Option<Instant>>>,
+    /// Per node, the earliest wake queued for it, as nanoseconds since
+    /// `epoch` ([`NO_WAKE`] when none is). A later request is dropped: the
+    /// run at this one asks again, and the timer re-queues the node's next
+    /// message after it.
+    earliest: Vec<AtomicU64>,
+    /// The instant `earliest` counts from.
+    epoch: Instant,
     /// Per node, how many fault changes it has seen
     /// ([`Endpoint::fault_changes`]).
     fault_changes: Vec<AtomicU64>,
@@ -69,7 +79,15 @@ struct Shared<M> {
     stats: NetStats,
     seq: AtomicU64,
     chaos: RwLock<Option<ChaosRuntime<M>>>,
+    /// Whether `chaos` holds a plan: a send takes the chaos lock only
+    /// while one is installed. Set (release) after a plan is installed and
+    /// cleared before it is removed; the plan itself is read under the
+    /// lock.
+    chaos_on: AtomicBool,
 }
+
+/// `Shared::earliest` of a node with no wake queued.
+const NO_WAKE: u64 = u64::MAX;
 
 /// A simulated message-passing network with a fixed set of nodes.
 ///
@@ -100,13 +118,15 @@ impl<M: Send + Sync + 'static> Network<M> {
                 runners: (0..nodes).map(|_| RwLock::new(None)).collect(),
                 timer: Inbox::new(),
                 timer_started: Once::new(),
-                earliest: (0..nodes).map(|_| Mutex::new(None)).collect(),
+                earliest: (0..nodes).map(|_| AtomicU64::new(NO_WAKE)).collect(),
+                epoch: Instant::now(),
                 fault_changes: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
                 latency,
                 faults: FaultTable::new(nodes),
                 stats: NetStats::default(),
                 seq: AtomicU64::new(0),
                 chaos: RwLock::new(None),
+                chaos_on: AtomicBool::new(false),
             }),
         }
     }
@@ -173,9 +193,7 @@ impl<M: Send + Sync + 'static> Network<M> {
     /// holder, which compares [`Endpoint::fault_changes`] after unlocking.
     fn faults_changed(&self, node: NodeId) {
         self.shared.fault_changes[node.index()].fetch_add(1, Ordering::SeqCst);
-        if let Some(run) = self.shared.runner(node) {
-            run();
-        }
+        self.shared.run(node);
     }
 
     /// `node`'s amnesia epoch (0 = never amnesia-crashed).
@@ -252,11 +270,13 @@ impl<M: Send + Sync + 'static> Network<M> {
             classify: Box::new(classify),
             counters: Mutex::new(HashMap::new()),
         });
+        self.shared.chaos_on.store(true, Ordering::Release);
     }
 
     /// Remove the installed chaos plan (timed link/node faults already
     /// applied stay in force until healed individually).
     pub fn clear_chaos(&self) {
+        self.shared.chaos_on.store(false, Ordering::Release);
         *self.shared.chaos.write() = None;
     }
 
@@ -306,10 +326,17 @@ impl<M: Send + Sync + 'static> Network<M> {
     /// [`Endpoint::fault_changes`] after unlocking. Nobody parks on the
     /// node's inbox. The first call starts the timer thread.
     ///
-    /// A runner usually owns an [`Endpoint`], which owns the network:
-    /// [`Network::shutdown`] drops the runners to break that cycle.
+    /// A runner is called under a read of the node's runner lock, so the
+    /// call needs no handle of its own. A runner can re-enter another
+    /// node's runner, and that one its caller's (server-to-server sync
+    /// traffic is inline at zero delay): a thread can hold a node's read
+    /// twice. A read queues behind a waiting writer, so nothing writes the
+    /// lock by waiting for it: see `Shared::set_runner`. A runner usually
+    /// owns an [`Endpoint`], which owns the network: [`Network::shutdown`]
+    /// drops the runners to break that cycle, once the calls in progress
+    /// have returned.
     pub fn attach(&self, node: NodeId, runner: impl Fn() + Send + Sync + 'static) {
-        *self.shared.runners[node.index()].write() = Some(Arc::new(runner));
+        self.shared.set_runner(node, Some(Box::new(runner)));
         self.shared.timer_started.call_once(|| {
             let shared = Arc::clone(&self.shared);
             std::thread::Builder::new()
@@ -327,44 +354,95 @@ impl<M: Send + Sync + 'static> Network<M> {
             inbox.close();
         }
         self.shared.timer.close();
-        for runner in &self.shared.runners {
-            runner.write().take();
+        for node in 0..self.node_count() {
+            self.shared.set_runner(NodeId::from(node), None);
         }
     }
 }
 
 impl<M> Shared<M> {
-    fn runner(&self, node: NodeId) -> Option<Runner> {
-        self.runners[node.index()].read().clone()
-    }
-
-    /// Queue a wake of `node` at `at`, unless one no later is queued.
-    fn wake_at(&self, node: NodeId, at: Instant) {
-        let mut earliest = self.earliest[node.index()].lock();
-        if earliest.is_none_or(|queued| queued > at) {
-            *earliest = Some(at);
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            self.timer.push((at, seq, node), false);
+    /// Call `node`'s runner, if it has one, on this thread.
+    fn run(&self, node: NodeId) {
+        if let Some(run) = self.runners[node.index()].read().as_ref() {
+            run();
         }
     }
 
-    /// The timer thread, until its queue closes: at each wake's instant,
-    /// call the node's runner. Then queue a wake for the node's next
-    /// message if it is due after the call began. One due earlier was
-    /// mature when the runner tried the lock, so the runner or the holder
-    /// it lost to drains it.
+    /// Install or drop `node`'s runner once no call holds it. The lock is
+    /// retried rather than waited on: a waiting writer would block a
+    /// runner that re-enters this node's read while another read of it is
+    /// still up its stack (see [`Network::attach`]).
+    fn set_runner(&self, node: NodeId, runner: Option<Runner>) {
+        let slot = &self.runners[node.index()];
+        loop {
+            if let Some(mut held) = slot.try_write() {
+                *held = runner;
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Queue a wake of `node` at `at`, unless one no later is queued.
+    ///
+    /// The check is a load of `earliest`, so a wake that is already
+    /// covered — what a server's runner asks for after almost every visit
+    /// — costs no lock and no write. The fence pairs with the timer's,
+    /// between its reset of `earliest` and its runner call: either this
+    /// load sees the reset, or that call sees what this thread did first
+    /// (the server unlock of `server::run`, a delayed push).
+    fn wake_at(&self, node: NodeId, at: Instant) {
+        let (earliest, at_ns) = (&self.earliest[node.index()], self.since_epoch(at));
+        fence(Ordering::SeqCst);
+        let mut queued = earliest.load(Ordering::Relaxed);
+        while queued > at_ns {
+            match earliest.compare_exchange_weak(queued, at_ns, Ordering::SeqCst, Ordering::Relaxed)
+            {
+                Ok(_) => {
+                    let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                    self.timer.push((at, seq, node), false);
+                    return;
+                }
+                Err(now_queued) => queued = now_queued,
+            }
+        }
+    }
+
+    /// `at` as `earliest` holds it.
+    fn since_epoch(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// The timer thread, until its queue closes: [`Shared::fire`] each
+    /// wake at its instant.
     fn run_timer(&self) {
         let forever = Instant::now() + Duration::from_secs(u32::MAX.into());
         while let Ok((at, _, node)) = self.timer.recv_deadline(forever) {
-            let (earliest, inbox) = (&self.earliest[node.index()], &self.inboxes[node.index()]);
-            earliest.lock().take_if(|queued| *queued == at);
-            let start = Instant::now();
-            if let Some(run) = self.runner(node) {
-                run();
-            }
-            if let Some(next) = inbox.next_due().filter(|&due| due > start) {
-                self.wake_at(node, next);
-            }
+            self.fire(node, at);
+        }
+    }
+
+    /// A wake of `node` queued for `at` is due: open the node's slot if
+    /// this is the wake it holds, call the runner, then queue a wake for
+    /// the node's next message if it is due after the call began. One due
+    /// earlier was mature when the runner tried the lock, so the runner or
+    /// the holder it lost to drains it.
+    fn fire(&self, node: NodeId, at: Instant) {
+        let _ = self.earliest[node.index()].compare_exchange(
+            self.since_epoch(at),
+            NO_WAKE,
+            Ordering::SeqCst,
+            Ordering::Relaxed,
+        );
+        // Pairs with the fence in `wake_at`.
+        fence(Ordering::SeqCst);
+        let start = Instant::now();
+        self.run(node);
+        if let Some(next) = self.inboxes[node.index()]
+            .next_due()
+            .filter(|&due| due > start)
+        {
+            self.wake_at(node, next);
         }
     }
 }
@@ -383,14 +461,15 @@ pub struct RecvMeta {
     pub received_at: Instant,
 }
 
-/// Unwrap a dequeued envelope, stamping its [`RecvMeta`] now.
-fn with_meta<M: Clone>(e: Envelope<M>) -> (NodeId, M, RecvMeta) {
-    let meta = RecvMeta {
-        sent_at: e.sent_at,
-        deliver_at: e.deliver_at,
-        received_at: Instant::now(),
-    };
-    (e.src, e.payload.into_inner(), meta)
+impl RecvMeta {
+    /// `envelope`'s timing, received now.
+    pub fn of<M>(envelope: &Envelope<M>) -> RecvMeta {
+        RecvMeta {
+            sent_at: envelope.sent_at,
+            deliver_at: envelope.deliver_at,
+            received_at: Instant::now(),
+        }
+    }
 }
 
 /// A node's connection to the network.
@@ -436,24 +515,27 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.dispatch(to, Payload::Owned(payload), bytes, now);
     }
 
-    /// Send one payload to every member of `members`, allocating it once
-    /// and sharing it via `Arc` instead of cloning per member.
+    /// Send one payload to every member of `members`, sharing one
+    /// allocation via `Arc` instead of cloning per member.
     ///
     /// Each member is still treated as an independent point-to-point send:
     /// its own fault check, its own latency sample, its own sequence number
     /// and its own message/byte counters. Sharing the allocation changes
     /// simulator cost only, never the modelled network behaviour.
     ///
-    /// The last member's envelope takes the broadcast's own handle, so a
-    /// member that receives after every other one did (a runner called
-    /// during the last dispatch, say) unwraps the payload without a copy.
-    /// All members are sent at one instant: the clock is read once.
-    pub fn broadcast(&self, members: &[NodeId], payload: M, bytes_per_member: u64) {
+    /// `payload` is an owned message (moved into a new `Arc`) or an `Arc`
+    /// the caller already holds: a quorum round builds its request once
+    /// and re-sends that handle on a retry. A receiver that reads the
+    /// payload in place ([`Endpoint::try_recv_envelope`],
+    /// [`Payload::message`]) never copies it; the last member's envelope
+    /// takes the broadcast's own handle. All members are sent at one
+    /// instant: the clock is read once.
+    pub fn broadcast(&self, members: &[NodeId], payload: impl Into<Arc<M>>, bytes_per_member: u64) {
         let Some((&last, rest)) = members.split_last() else {
             return;
         };
         let now = Instant::now();
-        let shared = Arc::new(payload);
+        let shared = payload.into();
         for &to in rest {
             self.dispatch(
                 to,
@@ -466,46 +548,52 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     }
 
     fn dispatch(&self, to: NodeId, payload: Payload<M>, bytes: u64, now: Instant) {
-        self.shared.stats.record_sent(bytes);
+        let stats = &self.shared.stats;
+        stats.record_sent(bytes);
         if self.shared.faults.is_failed(self.id) || self.shared.faults.is_failed(to) {
-            self.shared.stats.record_dropped_failed();
+            stats.record_dropped_failed(bytes);
             return;
         }
         if self.shared.faults.is_link_failed(self.id, to) {
-            self.shared.stats.record_dropped_link();
+            stats.record_dropped_link(bytes);
             return;
         }
         // Chaos fate: drop, duplicate, delay, or deliver. `extra` is the
         // added latency for the delayed copy; a duplicate's second copy
         // carries it (first copy ships normally), a plain delay applies it
-        // to the only copy.
+        // to the only copy. Without a plan the lock is not taken; a plan
+        // installed while this send is past the flag applies from the next.
         let mut duplicate = false;
         let mut extra = Duration::ZERO;
-        if let Some(rt) = self.shared.chaos.read().as_ref() {
+        let chaos_on = self.shared.chaos_on.load(Ordering::Acquire);
+        let chaos = chaos_on.then(|| self.shared.chaos.read());
+        if let Some(rt) = chaos.as_deref().and_then(Option::as_ref) {
             let kind = (rt.classify)(payload.message());
             let n = rt.next_seq(self.id, to, kind);
             match rt.plan.decide(self.id, to, kind, n) {
                 ChaosDecision::Deliver => {}
                 ChaosDecision::Drop => {
-                    self.shared.stats.record_dropped_chaos();
+                    stats.record_dropped_chaos(bytes);
                     return;
                 }
                 ChaosDecision::Duplicate => {
                     duplicate = true;
-                    self.shared.stats.record_chaos_duplicated();
+                    stats.record_chaos_duplicated(bytes);
                 }
                 ChaosDecision::Delay(d) => {
                     extra = d;
-                    self.shared.stats.record_chaos_delayed();
+                    stats.record_chaos_delayed();
                 }
                 ChaosDecision::DuplicateDelayed(d) => {
                     duplicate = true;
                     extra = d;
-                    self.shared.stats.record_chaos_duplicated();
-                    self.shared.stats.record_chaos_delayed();
+                    stats.record_chaos_duplicated(bytes);
+                    stats.record_chaos_delayed();
                 }
             }
         }
+        // Not held across the runner calls below, which send in turn.
+        drop(chaos);
         if duplicate {
             self.enqueue(to, payload.clone(), bytes, Duration::ZERO, now);
             self.enqueue(to, payload, bytes, extra, now);
@@ -526,7 +614,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         };
         let inbox = &self.shared.inboxes[to.index()];
         if !inbox.push(env, delay.is_zero()) {
-            self.shared.stats.record_dropped_closed();
+            self.shared.stats.record_dropped_closed(bytes);
             return;
         }
         // Close the crash/push race: if `to` failed after our fault check,
@@ -539,16 +627,15 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         // after the drain and this load sees the flag.
         if self.shared.faults.is_failed(to) {
             inbox.retain(|_| false);
-            self.shared.stats.record_dropped_failed();
+            self.shared.stats.record_dropped_failed(bytes);
             return;
         }
-        self.shared.stats.record_delivered(bytes);
         // If `to` has a runner, this thread delivers a message due at
         // once, the timer thread a delayed one.
-        match self.shared.runner(to) {
-            Some(run) if delay.is_zero() => run(),
-            Some(_) => self.shared.wake_at(to, now + delay),
-            None => {}
+        if delay.is_zero() {
+            self.shared.run(to);
+        } else if self.shared.runners[to.index()].read().is_some() {
+            self.shared.wake_at(to, now + delay);
         }
     }
 
@@ -568,7 +655,10 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// metadata (see [`RecvMeta`]).
     pub fn recv_timeout_meta(&self, timeout: Duration) -> Result<(NodeId, M, RecvMeta), RecvError> {
         let deadline = Instant::now() + timeout;
-        self.inbox().recv_deadline(deadline).map(with_meta)
+        self.inbox().recv_deadline(deadline).map(|e| {
+            let meta = RecvMeta::of(&e);
+            (e.src, e.payload.into_inner(), meta)
+        })
     }
 
     /// Non-blocking receive.
@@ -578,15 +668,17 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             .map(|e| (e.src, e.payload.into_inner()))
     }
 
-    /// [`Endpoint::try_recv`] that also reports the message's timing
-    /// metadata (see [`RecvMeta`]).
-    pub fn try_recv_meta(&self) -> Option<(NodeId, M, RecvMeta)> {
-        self.inbox().try_recv().map(with_meta)
+    /// Non-blocking receive of the whole envelope: a receiver that reads
+    /// the payload in place ([`Payload::message`]) never copies a
+    /// broadcast's shared request, and [`RecvMeta::of`] gives its timing.
+    pub fn try_recv_envelope(&self) -> Option<Envelope<M>> {
+        self.inbox().try_recv()
     }
 
     /// Have this node's runner called at `at` at the latest, on the timer
     /// thread (see [`Network::attach`]). Dropped if a wake no later is
-    /// queued already: the run at that one asks again.
+    /// queued already — the run at that one asks again — which costs one
+    /// load and no lock, so a runner may ask after every visit.
     pub fn wake_at(&self, at: Instant) {
         self.shared.wake_at(self.id, at);
     }
@@ -840,6 +932,45 @@ mod tests {
         assert_eq!(s.sent, 2);
         assert_eq!(s.delivered, 1);
         assert_eq!(s.dropped_failed, 1);
+    }
+
+    #[test]
+    fn a_covered_wake_queues_nothing_and_a_fired_wake_opens_the_slot() {
+        let net: Network<u32> = Network::new(1, LatencyModel::Zero);
+        let ep = net.endpoint(NodeId(0));
+        let runs = Arc::new(AtomicU64::new(0));
+        // Installed directly: `attach` would start the timer thread, and
+        // this test pops the timer queue itself.
+        let counter = Arc::clone(&runs);
+        net.shared.set_runner(
+            NodeId(0),
+            Some(Box::new(move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+            })),
+        );
+        let queued = || net.shared.timer.len();
+        // Instants after the network's epoch that have all passed, so the
+        // timer queue hands them out at once.
+        let ms = |n| net.shared.epoch + Duration::from_millis(n);
+        std::thread::sleep(Duration::from_millis(10));
+        ep.wake_at(ms(5));
+        assert_eq!(queued(), 1);
+        ep.wake_at(ms(5));
+        ep.wake_at(ms(6));
+        assert_eq!(
+            queued(),
+            1,
+            "a wake no earlier than the queued one queues nothing"
+        );
+        ep.wake_at(ms(4));
+        assert_eq!(queued(), 2, "an earlier wake queues");
+        let (due, _, node) = net.shared.timer.try_recv().expect("a passed wake");
+        assert_eq!(due, ms(4));
+        net.shared.fire(node, due);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "firing runs the node");
+        ep.wake_at(ms(7));
+        assert_eq!(queued(), 2, "the fired wake opened the slot");
+        net.shutdown();
     }
 
     #[test]

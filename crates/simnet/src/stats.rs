@@ -2,9 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters for the whole network. All counters are monotonically
-/// increasing; consumers take [`NetStats::snapshot`]s and difference them
-/// per measurement interval.
+/// Live counters for the whole network. Consumers take
+/// [`NetStats::snapshot`]s and difference them per measurement interval.
 ///
 /// Byte counters are driven by the sender's own size accounting
 /// ([`crate::Endpoint::send_sized`] / [`crate::Endpoint::broadcast`]): the
@@ -12,10 +11,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// each message. A broadcast that shares one payload allocation still
 /// charges the full size once **per member**, because that is what would
 /// cross a real network.
+///
+/// A message that is delivered touches only the two `sent` counters, both
+/// bumped by its sender before any other check. Nothing counts a delivery:
+/// every message is either dropped, at the one place that drops it, or
+/// delivered — once, or twice if chaos duplicated it. So the snapshot
+/// derives `delivered` as sent + duplicates − drops, and `bytes_delivered`
+/// the same way from the bytes the rare drop and duplicate paths count.
+/// A snapshot taken while a send is between its `sent` count and its drop
+/// counts that message as delivered; once no send is in flight the derived
+/// counters are exact, and every counter read directly only grows.
 #[derive(Default)]
 pub struct NetStats {
     sent: AtomicU64,
-    delivered: AtomicU64,
     dropped_failed: AtomicU64,
     dropped_closed: AtomicU64,
     dropped_link: AtomicU64,
@@ -23,7 +31,10 @@ pub struct NetStats {
     chaos_duplicated: AtomicU64,
     chaos_delayed: AtomicU64,
     bytes_sent: AtomicU64,
-    bytes_delivered: AtomicU64,
+    /// Bytes of every dropped message (any cause).
+    bytes_dropped: AtomicU64,
+    /// Bytes of every extra copy chaos duplication enqueued.
+    bytes_duplicated: AtomicU64,
 }
 
 /// A point-in-time copy of the network counters.
@@ -31,7 +42,8 @@ pub struct NetStats {
 pub struct NetStatsSnapshot {
     /// Messages handed to the network by senders.
     pub sent: u64,
-    /// Messages enqueued on a live destination inbox.
+    /// Messages enqueued on a live destination inbox: sent + chaos
+    /// duplicates − drops (see [`NetStats`]).
     pub delivered: u64,
     /// Messages dropped because the destination was failed.
     pub dropped_failed: u64,
@@ -50,7 +62,8 @@ pub struct NetStatsSnapshot {
     /// Payload bytes handed to the network (per destination, as declared by
     /// the sender).
     pub bytes_sent: u64,
-    /// Payload bytes enqueued on live destination inboxes.
+    /// Payload bytes enqueued on live destination inboxes, derived like
+    /// `delivered`.
     pub bytes_delivered: u64,
 }
 
@@ -59,42 +72,59 @@ impl NetStats {
         self.sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
     }
-    pub(crate) fn record_delivered(&self, bytes: u64) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.bytes_delivered.fetch_add(bytes, Ordering::Relaxed);
+    /// Count one drop of `bytes` on `counter`. Release, so a snapshot
+    /// that reads the drop also reads the send (or duplicate) it undoes.
+    fn record_drop(&self, counter: &AtomicU64, bytes: u64) {
+        self.bytes_dropped.fetch_add(bytes, Ordering::Release);
+        counter.fetch_add(1, Ordering::Release);
     }
-    pub(crate) fn record_dropped_failed(&self) {
-        self.dropped_failed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_dropped_failed(&self, bytes: u64) {
+        self.record_drop(&self.dropped_failed, bytes);
     }
-    pub(crate) fn record_dropped_closed(&self) {
-        self.dropped_closed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_dropped_closed(&self, bytes: u64) {
+        self.record_drop(&self.dropped_closed, bytes);
     }
-    pub(crate) fn record_dropped_link(&self) {
-        self.dropped_link.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_dropped_link(&self, bytes: u64) {
+        self.record_drop(&self.dropped_link, bytes);
     }
-    pub(crate) fn record_dropped_chaos(&self) {
-        self.dropped_chaos.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_dropped_chaos(&self, bytes: u64) {
+        self.record_drop(&self.dropped_chaos, bytes);
     }
-    pub(crate) fn record_chaos_duplicated(&self) {
-        self.chaos_duplicated.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_chaos_duplicated(&self, bytes: u64) {
+        self.bytes_duplicated.fetch_add(bytes, Ordering::Release);
+        self.chaos_duplicated.fetch_add(1, Ordering::Release);
     }
     pub(crate) fn record_chaos_delayed(&self) {
         self.chaos_delayed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Copy the counters at this instant.
+    /// Copy the counters at this instant. Drops are read before
+    /// duplicates and duplicates before sends, each with acquire: every
+    /// drop read comes with the send or duplicate it undoes, so the
+    /// derived counters never underflow.
     pub fn snapshot(&self) -> NetStatsSnapshot {
+        let acquire = |c: &AtomicU64| c.load(Ordering::Acquire);
+        let dropped_failed = acquire(&self.dropped_failed);
+        let dropped_closed = acquire(&self.dropped_closed);
+        let dropped_link = acquire(&self.dropped_link);
+        let dropped_chaos = acquire(&self.dropped_chaos);
+        let bytes_dropped = acquire(&self.bytes_dropped);
+        let chaos_duplicated = acquire(&self.chaos_duplicated);
+        let bytes_duplicated = acquire(&self.bytes_duplicated);
+        let sent = acquire(&self.sent);
+        let bytes_sent = acquire(&self.bytes_sent);
+        let dropped = dropped_failed + dropped_closed + dropped_link + dropped_chaos;
         NetStatsSnapshot {
-            sent: self.sent.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped_failed: self.dropped_failed.load(Ordering::Relaxed),
-            dropped_closed: self.dropped_closed.load(Ordering::Relaxed),
-            dropped_link: self.dropped_link.load(Ordering::Relaxed),
-            dropped_chaos: self.dropped_chaos.load(Ordering::Relaxed),
-            chaos_duplicated: self.chaos_duplicated.load(Ordering::Relaxed),
+            sent,
+            delivered: sent + chaos_duplicated - dropped,
+            dropped_failed,
+            dropped_closed,
+            dropped_link,
+            dropped_chaos,
+            chaos_duplicated,
             chaos_delayed: self.chaos_delayed.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_delivered: self.bytes_delivered.load(Ordering::Relaxed),
+            bytes_sent,
+            bytes_delivered: bytes_sent + bytes_duplicated - bytes_dropped,
         }
     }
 }
@@ -133,8 +163,7 @@ mod tests {
         let s = NetStats::default();
         s.record_sent(10);
         s.record_sent(20);
-        s.record_delivered(10);
-        s.record_dropped_failed();
+        s.record_dropped_failed(20);
         let snap = s.snapshot();
         assert_eq!(snap.sent, 2);
         assert_eq!(snap.delivered, 1);
@@ -148,7 +177,7 @@ mod tests {
     fn counters_table_reads_every_field() {
         let s = NetStats::default();
         s.record_sent(10);
-        s.record_dropped_chaos();
+        s.record_dropped_chaos(10);
         let snap = s.snapshot();
         let by_name = |name| {
             let (_, get) = NetStatsSnapshot::COUNTERS

@@ -77,7 +77,7 @@ fn serve(net: &Network<Msg>, tap: Tap, stop: Arc<AtomicBool>) {
         if let Msg::ReadBatchReq { objs, .. } = bare {
             tap.lock().push(objs.clone());
         }
-        if let Some(reply) = server.step(src, msg, Instant::now()) {
+        if let Some(reply) = server.step(src, &msg, Instant::now()) {
             endpoint.send(src, reply);
         }
     }
