@@ -11,8 +11,8 @@ use crate::blocks::BlockSeq;
 use acn_dtm::{AbortScope, DtmClient, DtmError, SpecCache, TxnCtx};
 use acn_obs::{AbortKind, ExecStats, SpanKind, TxnEvent};
 use acn_txir::{
-    AccessMode, AccessSummary, EvalError, ObjectId, Operand, PredictedRead, Program, Stmt, StmtIdx,
-    Value, VarId,
+    AccessMode, AccessSummary, ComputeOp, EvalError, ObjectId, Operand, PredictedRead, Program,
+    Stmt, StmtIdx, Value, VarId,
 };
 use std::time::Duration;
 
@@ -423,8 +423,21 @@ fn run_stmt(
             acc.ctx.set_field(frame.handle(*obj), *field, v);
         }
         Stmt::Compute { out, op, ins } => {
-            let args: Vec<Value> = ins.iter().map(|o| frame.eval(o)).collect();
-            frame.env[out.0 as usize] = op.eval(&args)?;
+            // The arguments are evaluated into registers on the stack.
+            let mut args = [const { Value::Unit }; ComputeOp::MAX_ARITY];
+            let Some(regs) = args.get_mut(..ins.len()) else {
+                let (expected, got) = (op.arity(), ins.len());
+                return Err(EvalError::ArityMismatch {
+                    op: op.name(),
+                    expected,
+                    got,
+                }
+                .into());
+            };
+            for (reg, o) in regs.iter_mut().zip(ins) {
+                *reg = frame.eval(o);
+            }
+            frame.env[out.0 as usize] = op.eval(regs)?;
         }
         Stmt::Cond {
             pred,

@@ -8,6 +8,7 @@
 //! sleeps outside a round — the only one that reads `Instant::now()` or
 //! sleeps.
 
+use crate::context::Scratch;
 use crate::coordinator::{
     Alive, Commit, CommitOutcome, Coordinator, Effect, Machine, Phase, Read, ReadResult, Round,
 };
@@ -117,6 +118,9 @@ pub struct DtmClient {
     /// Did `drive` park — wait for a reply or back off — since the last
     /// [`DtmClient::begin`]?
     parked: bool,
+    /// The collections of the last committed transaction, emptied, for the
+    /// next [`crate::TxnCtx::begin`] to fill again.
+    pub(crate) scratch: Scratch,
 }
 
 impl DtmClient {
@@ -133,6 +137,7 @@ impl DtmClient {
             net,
             observer: None,
             parked: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -212,11 +217,6 @@ impl DtmClient {
         }
     }
 
-    fn alive_fn(&self) -> impl Fn(usize) -> bool {
-        let failed = self.net.failed_set();
-        move |rank: usize| !failed.contains(&NodeId(rank as u32))
-    }
-
     /// The pump: run one protocol operation to completion over the
     /// endpoint and the wall clock. `start` builds the machine; from then
     /// on every reply and every passed deadline is handed to it with the
@@ -238,7 +238,8 @@ impl DtmClient {
         start: impl FnOnce(&mut Coordinator, Alive, Instant) -> M,
     ) -> M::Output {
         let mut span: Option<PendingSpan> = None;
-        let alive = self.alive_fn();
+        self.co.faults_seen(self.net.fault_changes());
+        let alive = alive(&self.net);
         self.co.resend_decided(&alive);
         let mut m = start(&mut self.co, &alive, Instant::now());
         let mut seen: Option<Instant> = None;
@@ -302,7 +303,7 @@ impl DtmClient {
                     }
                 }
             }
-            let alive = self.alive_fn();
+            self.co.faults_seen(self.net.fault_changes());
             m.on_deadline(&mut self.co, &alive, Instant::now());
         }
         m.finish()
@@ -347,7 +348,7 @@ impl DtmClient {
         &mut self,
         txn: TxnId,
         validate: &[ValidateEntry],
-        writes: &[(ObjectId, Version, ObjectVal)],
+        writes: Vec<(ObjectId, Version, ObjectVal)>,
     ) -> Result<(), DtmError> {
         match self.drive(|co, alive, now| Commit::start(co, alive, txn, validate, writes, now)) {
             CommitOutcome::Committed => Ok(()),
@@ -368,8 +369,8 @@ impl DtmClient {
     /// parameters the paper's Dynamic Module collects: per-class write
     /// levels and per-class abort ratios.
     pub fn query_contention_full(&mut self, classes: &[u16]) -> Result<ContentionSample, DtmError> {
-        let alive = self.alive_fn();
-        let Some(quorum) = self.co.quorums.read_quorum(self.co.seed, &alive) else {
+        self.co.faults_seen(self.net.fault_changes());
+        let Some(quorum) = self.co.quorum(false, self.co.seed, &alive(&self.net)) else {
             self.co.stats.quorum_unavailable += 1;
             return Err(DtmError::Unavailable);
         };
@@ -379,7 +380,7 @@ impl DtmClient {
             classes: classes.to_vec(),
         };
         let resps = self
-            .drive(|co, _, now| Round::begin(co, &quorum, retries, query, now))
+            .drive(|co, _, now| Round::begin(co, quorum, retries, query, now))
             .inspect_err(|_| self.co.stats.quorum_unavailable += 1)?;
         let mut out = ContentionSample {
             writes: classes.iter().map(|&c| (c, 0.0)).collect(),
@@ -406,6 +407,13 @@ impl DtmClient {
         }
         Ok(out)
     }
+}
+
+/// The liveness a quorum pick reads: is server `rank` up? A coordinator
+/// asks only when it picks, once per fault state
+/// ([`Coordinator::faults_seen`]).
+fn alive(net: &Network<Msg>) -> impl Fn(usize) -> bool + '_ {
+    |rank: usize| !net.is_failed(NodeId(rank as u32))
 }
 
 /// The installed observer's span tracer, when it has one.

@@ -24,6 +24,16 @@
 //! was first read past the mark, only the Block re-executes (**partial
 //! rollback**); a stale object before the mark forces a full restart. One
 //! scope may be open at a time — the paper's single nesting level.
+//!
+//! A context's collections — read-set, its index, buffers, write-set,
+//! watermarks — are reused from one transaction to the next on the same
+//! client. [`TxnCtx::commit`] hands them back to its [`DtmClient`] emptied,
+//! whatever the outcome, and [`TxnCtx::begin`] takes them again, so a
+//! client's steady stream of transactions stops allocating them once they
+//! have grown to its largest one. A context dropped without a commit (an
+//! attempt abandoned on an abort) takes its collections with it, and the
+//! next one starts from new, empty ones. Either way a transaction starts
+//! with nothing of the one before it.
 
 use crate::client::DtmClient;
 use crate::error::{AbortScope, DtmError};
@@ -80,9 +90,14 @@ impl SpecCache {
     }
 
     /// Merge a later fetch into this cache; `other` wins on overlap (it
-    /// was fetched later, so its copies are at least as fresh).
+    /// was fetched later, so its copies are at least as fresh). An empty
+    /// cache — an attempt's first round — takes `other`'s map whole.
     pub fn absorb(&mut self, other: SpecCache) {
-        self.map.extend(other.map);
+        if self.map.is_empty() {
+            self.map = other.map;
+        } else {
+            self.map.extend(other.map);
+        }
     }
 
     /// Drop the copy of `obj` (it was reported stale); `true` if one was
@@ -113,6 +128,18 @@ enum Undo {
     Write(ObjectId),
 }
 
+/// A context's collections between transactions: all empty, capacity kept
+/// (see the module doc).
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    read_set: Vec<ValidateEntry>,
+    read_index: IdMap<ObjectId, usize>,
+    buffers: IdMap<ObjectId, ObjectVal>,
+    writes: IdSet<ObjectId>,
+    watermarks: HashMap<NodeId, usize>,
+    missing: Vec<ObjectId>,
+}
+
 /// The transaction context: read-set, buffered copies and write-set of one
 /// attempt, with at most one closed-nested Block scope open on it.
 #[derive(Debug)]
@@ -131,20 +158,59 @@ pub struct TxnCtx {
     /// the suffix past the contacted quorum's minimum watermark (see
     /// [`DtmClient::remote_read_batch`]).
     watermarks: HashMap<NodeId, usize>,
+    /// A fetch round's objects not yet read (kept for its capacity).
+    missing: Vec<ObjectId>,
     scope: Option<Scope>,
 }
 
 impl TxnCtx {
-    /// Begin a fresh transaction on `client`.
+    /// Begin a fresh transaction on `client`, in the collections the
+    /// client's last committed transaction left it.
     pub fn begin(client: &mut DtmClient) -> TxnCtx {
+        let Scratch {
+            read_set,
+            read_index,
+            buffers,
+            writes,
+            watermarks,
+            missing,
+        } = std::mem::take(&mut client.scratch);
         TxnCtx {
             txn: client.begin(),
-            read_set: Vec::new(),
-            read_index: IdMap::default(),
-            buffers: IdMap::default(),
-            writes: IdSet::default(),
-            watermarks: HashMap::new(),
+            read_set,
+            read_index,
+            buffers,
+            writes,
+            watermarks,
+            missing,
             scope: None,
+        }
+    }
+
+    /// Empty the collections for the next transaction.
+    fn into_scratch(self) -> Scratch {
+        let TxnCtx {
+            mut read_set,
+            mut read_index,
+            mut buffers,
+            mut writes,
+            mut watermarks,
+            mut missing,
+            ..
+        } = self;
+        read_set.clear();
+        read_index.clear();
+        buffers.clear();
+        writes.clear();
+        watermarks.clear();
+        missing.clear();
+        Scratch {
+            read_set,
+            read_index,
+            buffers,
+            writes,
+            watermarks,
+            missing,
         }
     }
 
@@ -197,16 +263,21 @@ impl TxnCtx {
         client: &mut DtmClient,
         objs: &[ObjectId],
     ) -> Result<Vec<(ObjectId, Version, ObjectVal)>, DtmError> {
-        let mut missing: Vec<ObjectId> = Vec::new();
+        self.missing.clear();
         for &obj in objs {
-            if !self.has_read(obj) && !missing.contains(&obj) {
-                missing.push(obj);
+            if !self.has_read(obj) && !self.missing.contains(&obj) {
+                self.missing.push(obj);
             }
         }
-        if missing.is_empty() {
+        if self.missing.is_empty() {
             return Ok(Vec::new());
         }
-        client.remote_read_batch(self.txn, &missing, &self.read_set, &mut self.watermarks)
+        client.remote_read_batch(
+            self.txn,
+            &self.missing,
+            &self.read_set,
+            &mut self.watermarks,
+        )
     }
 
     /// Open `obj`; the first open of an object is a remote quorum read, a
@@ -331,19 +402,23 @@ impl TxnCtx {
         buffer.set(field, value);
     }
 
-    /// Commit via two-phase commit. On success the context is consumed;
-    /// on failure the caller restarts with a fresh context.
-    pub fn commit(self, client: &mut DtmClient) -> Result<(), DtmError> {
+    /// Commit via two-phase commit. The context is consumed either way —
+    /// on failure the caller restarts with a fresh one — and its emptied
+    /// collections go back to `client` for the next. Each written value
+    /// moves from its buffer into the commit request.
+    pub fn commit(mut self, client: &mut DtmClient) -> Result<(), DtmError> {
         debug_assert!(self.scope.is_none(), "commit inside an open Block");
         let mut writes: Vec<(ObjectId, Version, ObjectVal)> = Vec::with_capacity(self.writes.len());
         for &obj in &self.writes {
             let version = self.read_version(obj).expect("write implies read");
-            let value = self.buffers[&obj].clone();
+            let value = self.buffers.remove(&obj).expect("write implies a buffer");
             writes.push((obj, version, value));
         }
         // Deterministic order keeps server-side lock patterns stable.
         writes.sort_by_key(|&(o, _, _)| o);
-        client.commit(self.txn, &self.read_set, &writes)
+        let outcome = client.commit(self.txn, &self.read_set, writes);
+        client.scratch = self.into_scratch();
+        outcome
     }
 
     /// Start a closed-nested sub-transaction: every object first read from

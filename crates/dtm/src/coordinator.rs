@@ -15,7 +15,7 @@
 use crate::client::{ClientConfig, ClientStats};
 use crate::error::DtmError;
 use crate::history::{CommitRecord, HistoryLog};
-use crate::messages::{Msg, ReqId, TxnId, ValidateEntry, Version};
+use crate::messages::{BatchRead, Msg, ReqId, TxnId, ValidateEntry, Version};
 use acn_obs::SpanKind;
 use acn_quorum::LevelQuorums;
 use acn_simnet::NodeId;
@@ -114,7 +114,16 @@ pub struct Coordinator {
     /// Decided commits some write-quorum member never acknowledged, until
     /// it does (see [`Coordinator::resend_decided`]).
     unfinished: Vec<Unfinished>,
+    /// Quorums picked at fault-change count `picked_at`, by `(write,
+    /// seed)`; `None` where none could be. A pick only changes with
+    /// liveness, so a round reuses it instead of asking every server's
+    /// state again (see [`Coordinator::faults_seen`]).
+    picks: Vec<(QuorumKey, Option<Arc<[NodeId]>>)>,
+    picked_at: u64,
 }
+
+/// Which quorum a pick is: `(write, seed)`.
+type QuorumKey = (bool, u64);
 
 /// A commit that ended [`CommitOutcome::Decided`]: its `CommitReq` — the
 /// commit round's own allocation, request id kept — and the members that
@@ -144,7 +153,38 @@ impl Coordinator {
             history: None,
             out: Vec::new(),
             unfinished: Vec::new(),
+            picks: Vec::new(),
+            picked_at: 0,
         }
+    }
+
+    /// The pump read the network's fault-change count as `changes`
+    /// (`Network::fault_changes`): quorums picked at another count are
+    /// dropped. A pump reports it before it starts an operation and after
+    /// every deadline; liveness that changes without the count moving is
+    /// not seen until it does.
+    pub fn faults_seen(&mut self, changes: u64) {
+        if changes != self.picked_at {
+            self.picks.clear();
+            self.picked_at = changes;
+        }
+    }
+
+    /// The read quorum — the write quorum if `write` — designated for
+    /// `seed` among the servers `alive` reports up, picked once per fault
+    /// state.
+    pub(crate) fn quorum(&mut self, write: bool, seed: u64, alive: Alive) -> Option<Arc<[NodeId]>> {
+        if let Some((_, q)) = self.picks.iter().find(|(key, _)| *key == (write, seed)) {
+            return q.clone();
+        }
+        let ranks = if write {
+            self.quorums.write_quorum(seed, alive)
+        } else {
+            self.quorums.read_quorum(seed, alive)
+        };
+        let q: Option<Arc<[NodeId]>> = ranks.map(|r| r.into_iter().map(server_node).collect());
+        self.picks.push(((write, seed), q.clone()));
+        q
     }
 
     /// Message/outcome counters so far.
@@ -255,7 +295,7 @@ pub type RoundResult = Result<Vec<(NodeId, Msg)>, DtmError>;
 /// toward a quorum would void quorum intersection.
 #[derive(Default)]
 pub struct Round {
-    nodes: Vec<NodeId>,
+    nodes: Arc<[NodeId]>,
     retries: usize,
     req: ReqId,
     /// The request, built once per logical request: every attempt
@@ -274,15 +314,15 @@ impl Round {
     /// Scatter `build(req)` to `members` and await their replies.
     pub fn begin(
         co: &mut Coordinator,
-        members: &[usize],
+        members: Arc<[NodeId]>,
         retries: usize,
         build: impl FnOnce(ReqId) -> Msg,
         now: Instant,
     ) -> Round {
         let mut round = Round {
-            nodes: members.iter().map(|&m| server_node(m)).collect(),
-            retries,
             got: Vec::with_capacity(members.len()),
+            nodes: members,
+            retries,
             ..Round::default()
         };
         round.next(co, build, now);
@@ -413,7 +453,10 @@ enum CommitStage {
 pub struct Commit<'a> {
     txn: TxnId,
     validate: &'a [ValidateEntry],
-    writes: &'a [(ObjectId, Version, ObjectVal)],
+    /// `(object, version read, new value)` until phase 2 moves the values
+    /// into its `CommitReq`.
+    writes: Vec<(ObjectId, Version, ObjectVal)>,
+    read_only: bool,
     round: Round,
     stage: CommitStage,
 }
@@ -423,28 +466,26 @@ impl<'a> Commit<'a> {
     ///
     /// * `validate` — the full read-set (write-set read versions included);
     /// * `writes` — `(object, version-read, new value)`; the committed
-    ///   version is `version-read + 1`.
+    ///   version is `version-read + 1`. Phase 2 sends the values on
+    ///   without a copy.
     pub fn start(
         co: &mut Coordinator,
         alive: Alive,
         txn: TxnId,
         validate: &'a [ValidateEntry],
-        writes: &'a [(ObjectId, Version, ObjectVal)],
+        writes: Vec<(ObjectId, Version, ObjectVal)>,
         now: Instant,
     ) -> Self {
+        let read_only = writes.is_empty();
         let mut commit = Commit {
             txn,
             validate,
             writes,
+            read_only,
             round: Round::default(),
             stage: CommitStage::Done(CommitOutcome::Unavailable),
         };
-        let quorum = if writes.is_empty() {
-            co.quorums.read_quorum(co.seed, alive)
-        } else {
-            co.quorums.write_quorum(co.seed, alive)
-        };
-        let Some(quorum) = quorum else {
+        let Some(quorum) = co.quorum(!read_only, co.seed, alive) else {
             co.stats.quorum_unavailable += 1;
             return commit;
         };
@@ -453,9 +494,10 @@ impl<'a> Commit<'a> {
             txn,
             req,
             validate: validate.to_vec(),
-            writes: writes.iter().map(|&(o, v, _)| (o, v)).collect(),
+            writes: commit.writes.iter().map(|&(o, v, _)| (o, v)).collect(),
         };
-        commit.round = Round::begin(co, &quorum, co.cfg.quorum_retries, prepare, now);
+        let round = Round::begin(co, quorum, co.cfg.quorum_retries, prepare, now);
+        commit.round = round;
         commit.stage = CommitStage::Prepare;
         commit
     }
@@ -477,7 +519,7 @@ impl<'a> Commit<'a> {
                 // partition's minority side). Members that *did* receive
                 // the prepare are holding locks: tell every reachable one
                 // to release now instead of waiting out the TTL sweep.
-                if !self.writes.is_empty() {
+                if !self.read_only {
                     self.round.fire(co, |req| Msg::AbortReq { txn, req });
                     co.stats.best_effort_aborts += 1;
                 }
@@ -514,15 +556,16 @@ impl<'a> Commit<'a> {
     }
 
     /// Fold the prepare votes into the next stage: phase 2, or the end if
-    /// read-only.
-    fn decide(&mut self, co: &mut Coordinator, votes: Vec<(NodeId, Msg)>, now: Instant) {
+    /// read-only. The votes' vector goes back to the round, for the next
+    /// stage's replies.
+    fn decide(&mut self, co: &mut Coordinator, mut votes: Vec<(NodeId, Msg)>, now: Instant) {
         let txn = self.txn;
         let mut all_yes = true;
         let mut invalid: Vec<ObjectId> = Vec::new();
         let mut locked: Vec<ObjectId> = Vec::new();
         let mut sync_refused = false;
         let mut wal_refused = false;
-        for (_, r) in votes {
+        for (_, r) in votes.drain(..) {
             if let Msg::PrepareResp {
                 vote,
                 invalid: inv,
@@ -542,6 +585,7 @@ impl<'a> Commit<'a> {
                 locked.extend(lock);
             }
         }
+        self.round.got = votes;
         if !all_yes {
             invalid.sort_unstable();
             invalid.dedup();
@@ -553,7 +597,7 @@ impl<'a> Commit<'a> {
                 syncing: sync_refused,
                 wal_refused,
             };
-            self.stage = if self.writes.is_empty() {
+            self.stage = if self.read_only {
                 // Read-only: validation outcome is the commit outcome.
                 co.stats.conflict_aborts += 1;
                 CommitStage::Done(CommitOutcome::Aborted(conflict))
@@ -575,25 +619,24 @@ impl<'a> Commit<'a> {
                 reads: self.validate.to_vec(),
                 writes: self.writes.iter().map(|&(o, v, _)| (o, v + 1)).collect(),
             });
-            if self.writes.is_empty() {
+            if self.read_only {
                 h.record_ack(txn);
             }
         }
-        self.stage = if self.writes.is_empty() {
+        self.stage = if self.read_only {
             co.stats.commits += 1;
             CommitStage::Done(CommitOutcome::Committed)
         } else {
-            let writes = self.commit_writes();
+            // What phase 2 installs: every write at the version after the
+            // one read, its value moved in.
+            let mut writes = std::mem::take(&mut self.writes);
+            for (_, version, _) in &mut writes {
+                *version += 1;
+            }
             let commit = |req| Msg::CommitReq { txn, req, writes };
             self.round.next(co, commit, now);
             CommitStage::Commit
         };
-    }
-
-    /// What phase 2 installs: every write at the version after the one read.
-    fn commit_writes(&self) -> Vec<(ObjectId, Version, ObjectVal)> {
-        let next = |(o, v, val): &(ObjectId, Version, ObjectVal)| (*o, v + 1, val.clone());
-        self.writes.iter().map(next).collect()
     }
 }
 
@@ -704,13 +747,13 @@ impl<'a> Read<'a> {
     /// from `alive`.
     fn issue(&mut self, co: &mut Coordinator, alive: Alive, now: Instant) {
         let seed = co.seed.wrapping_add(self.quorum_attempts as u64);
-        let Some(quorum) = co.quorums.read_quorum(seed, alive) else {
+        let Some(quorum) = co.quorum(false, seed, alive) else {
             co.stats.quorum_unavailable += 1;
             return self.end(Err(DtmError::Unavailable));
         };
         let start = quorum
             .iter()
-            .map(|&m| self.watermarks.get(&server_node(m)).copied().unwrap_or(0))
+            .map(|m| self.watermarks.get(m).copied().unwrap_or(0))
             .min()
             .unwrap_or(0)
             .min(self.validate.len());
@@ -726,7 +769,7 @@ impl<'a> Read<'a> {
             sample,
         };
         self.wait = None;
-        self.round = Round::begin(co, &quorum, 0, request, now);
+        self.round = Round::begin(co, quorum, 0, request, now);
     }
 
     /// If the round is over, fold its replies into the next state.
@@ -747,39 +790,38 @@ impl<'a> Read<'a> {
         };
         co.stats.remote_reads += 1;
         let objs = self.objs;
+        let mut resps = resps;
 
         let mut invalid: Vec<ObjectId> = Vec::new();
         let mut locked_obj: Option<ObjectId> = None;
-        let mut best: Vec<Option<(Version, ObjectVal)>> = vec![None; objs.len()];
+        // Per object: the freshest unlocked copy's version and the index of
+        // the reply that holds it.
+        let mut best: Vec<Option<(Version, usize)>> = vec![None; objs.len()];
         let mut sampled: HashMap<u16, f64> = HashMap::new();
-        // Per responder: (version, locked) in request order, for repair.
-        let mut served: Vec<(NodeId, Vec<(Version, bool)>)> = Vec::with_capacity(resps.len());
-        for (src, r) in resps {
-            if let Msg::ReadBatchResp {
+        for (j, (_, r)) in resps.iter_mut().enumerate() {
+            let Msg::ReadBatchResp {
                 reads,
                 invalid: inv,
                 levels,
                 ..
             } = r
-            {
-                debug_assert_eq!(reads.len(), objs.len(), "reply not in request shape");
-                invalid.extend(inv);
-                for (c, l) in levels {
-                    let e = sampled.entry(c).or_insert(0.0);
-                    if l > *e {
-                        *e = l;
-                    }
+            else {
+                continue;
+            };
+            debug_assert_eq!(reads.len(), objs.len(), "reply not in request shape");
+            invalid.append(inv);
+            for &(c, l) in levels.iter() {
+                let e = sampled.entry(c).or_insert(0.0);
+                if l > *e {
+                    *e = l;
                 }
-                let mut versions = Vec::with_capacity(objs.len());
-                for (i, read) in reads.into_iter().enumerate().take(objs.len()) {
-                    versions.push((read.version, read.locked));
-                    if read.locked {
-                        locked_obj.get_or_insert(read.obj);
-                    } else if best[i].as_ref().is_none_or(|(v, _)| read.version > *v) {
-                        best[i] = Some((read.version, read.value));
-                    }
+            }
+            for (read, best) in reads.iter().zip(&mut best) {
+                if read.locked {
+                    locked_obj.get_or_insert(read.obj);
+                } else if best.is_none_or(|(v, _)| read.version > v) {
+                    *best = Some((read.version, j));
                 }
-                served.push((src, versions));
             }
         }
         if !sampled.is_empty() {
@@ -808,24 +850,33 @@ impl<'a> Read<'a> {
         // The round validated `validate[start..]` at every replier, and
         // entries before `start` were covered by each replier's own
         // (>= start) watermark: the full prefix is now validated there.
-        for (node, _) in &served {
+        for (node, _) in &resps {
             let w = self.watermarks.entry(*node).or_insert(0);
             *w = (*w).max(self.validate.len());
+        }
+        fn reads_of(r: &Msg) -> &[BatchRead] {
+            match r {
+                Msg::ReadBatchResp { reads, .. } => reads,
+                _ => &[],
+            }
         }
         // Read repair, batched per lagging responder: each repaired node
         // gets one RepairWrite carrying exactly the objects it served stale
         // (and unlocked) — pushing the freshest committed copy back.
         // Bounded and fire-and-forget.
         let mut repaired = 0usize;
-        for (node, versions) in &served {
+        for (node, r) in &resps {
             if repaired >= co.cfg.read_repair_max {
                 break;
             }
-            let writes: Vec<(ObjectId, Version, ObjectVal)> = versions
+            let writes: Vec<(ObjectId, Version, ObjectVal)> = reads_of(r)
                 .iter()
+                .zip(&best)
                 .enumerate()
-                .filter_map(|(i, &(v, locked))| match &best[i] {
-                    Some((bv, bval)) if !locked && v < *bv => Some((objs[i], *bv, bval.clone())),
+                .filter_map(|(i, (read, best))| match *best {
+                    Some((v, j)) if !read.locked && read.version < v => {
+                        Some((read.obj, v, reads_of(&resps[j].1)[i].value.clone()))
+                    }
                     _ => None,
                 })
                 .collect();
@@ -838,11 +889,17 @@ impl<'a> Read<'a> {
             co.stats.repair_writes_sent += 1;
             repaired += 1;
         }
-        let reads = objs.iter().zip(best).map(|(&o, b)| {
-            let (v, val) = b.expect("quorum is non-empty");
-            (o, v, val)
+        // Each chosen copy moves out of the reply that carried it.
+        let reads = objs.iter().zip(best).enumerate().map(|(i, (&o, b))| {
+            let (v, j) = b.expect("quorum is non-empty");
+            let value = match &mut resps[j].1 {
+                Msg::ReadBatchResp { reads, .. } => std::mem::take(&mut reads[i].value),
+                _ => unreachable!("a best copy comes from a read reply"),
+            };
+            (o, v, value)
         });
-        self.end(Ok(reads.collect()));
+        let reads = reads.collect();
+        self.end(Ok(reads));
     }
 }
 
@@ -893,6 +950,11 @@ mod tests {
     const ACCT: ObjClass = ObjClass::new(0, "acct");
     const X: ObjectId = ObjectId::new(ACCT, 1);
     const ALL_UP: Alive<'static> = &|_| true;
+
+    /// The members at server ranks `ranks`.
+    fn nodes(ranks: &[u32]) -> Arc<[NodeId]> {
+        ranks.iter().map(|&r| NodeId(r)).collect()
+    }
 
     /// Client node 4 of a four-server ternary tree: its read quorum is
     /// {2, 3} (then {1, 3}, {1, 2} as the seed moves on), its write quorum
@@ -975,7 +1037,7 @@ mod tests {
         let mut co = coordinator(cfg());
         let mut now = t0();
         let retries = 7;
-        let mut round = Round::begin(&mut co, &[0, 2, 3], retries, query, now);
+        let mut round = Round::begin(&mut co, nodes(&[0, 2, 3]), retries, query, now);
         let req = drain(&mut co).0[0];
         for attempt in 1..=retries {
             let deadline = awaited(round.phase);
@@ -1021,7 +1083,7 @@ mod tests {
     fn a_retried_round_rebroadcasts_one_allocation_and_a_decided_commit_keeps_it() {
         let mut co = coordinator(cfg());
         let mut now = t0();
-        let mut round = Round::begin(&mut co, &[0, 2, 3], 3, query, now);
+        let mut round = Round::begin(&mut co, nodes(&[0, 2, 3]), 3, query, now);
         let mut sent = scatters(&mut co);
         while round.phase != Phase::Done {
             now = match round.phase {
@@ -1038,7 +1100,7 @@ mod tests {
         // for the re-send, as the same allocation.
         let txn = co.begin();
         let writes = [(X, 0, ObjectVal::new())];
-        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], &writes, now);
+        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], writes.to_vec(), now);
         let prepare = req_of(&scatters(&mut co)[0]);
         for node in [0, 2, 3] {
             commit.on_reply(&mut co, NodeId(node), vote(prepare, true), now);
@@ -1062,7 +1124,7 @@ mod tests {
     fn one_reply_per_source_counts_and_an_earlier_attempts_replies_are_kept() {
         let mut co = coordinator(cfg());
         let mut now = t0();
-        let mut round = Round::begin(&mut co, &[0, 2, 3], 1, query, now);
+        let mut round = Round::begin(&mut co, nodes(&[0, 2, 3]), 1, query, now);
         let req = drain(&mut co).0[0];
         // Attempt 1: node 0 answers (twice — a duplicate in flight), a
         // stray from another request passes by, then the deadline.
@@ -1091,7 +1153,7 @@ mod tests {
     fn a_syncing_refusal_fails_the_attempt_without_waiting_for_the_deadline() {
         let mut co = coordinator(cfg());
         let now = t0();
-        let mut round = Round::begin(&mut co, &[0, 2, 3], 0, query, now);
+        let mut round = Round::begin(&mut co, nodes(&[0, 2, 3]), 0, query, now);
         let req = drain(&mut co).0[0];
         round.on_reply(&mut co, NodeId(0), answer(req), now);
         round.on_reply(&mut co, NodeId(2), Msg::Syncing { req }, now);
@@ -1195,7 +1257,9 @@ mod tests {
         assert_eq!(rounds, co.cfg.quorum_retries + 1);
         assert_eq!(read.finish(), Err(DtmError::Unavailable));
         assert_eq!(co.stats.quorum_unavailable, 1);
-        // With no live majority the same read fails without a broadcast.
+        // With no live majority — a fault the pump reports — the same read
+        // fails without a broadcast.
+        co.faults_seen(1);
         let read = Read::start(&mut co, &|_| false, txn, &[X], &[], &mut wm, now);
         assert_eq!(co.effects().count(), 0);
         assert_eq!(read.finish(), Err(DtmError::Unavailable));
@@ -1234,7 +1298,7 @@ mod tests {
         let mut now = t0();
         let txn = co.begin();
         let writes = [(X, 0, ObjectVal::new())];
-        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], &writes, now);
+        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], writes.to_vec(), now);
         assert_eq!(commit.members(), [NodeId(0), NodeId(2), NodeId(3)]);
         let prepare = drain(&mut co).0[0];
         let scattered = starve(&mut commit, &mut co, &mut now);
@@ -1255,7 +1319,7 @@ mod tests {
         let mut now = t0();
         let txn = co.begin();
         let writes = [(X, 0, ObjectVal::new())];
-        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], &writes, now);
+        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], writes.to_vec(), now);
         let prepare = drain(&mut co).0[0];
         for node in [0, 2, 3] {
             assert!(history.is_empty(), "no decision before the last vote");
@@ -1306,7 +1370,7 @@ mod tests {
         let now = t0();
         let txn = co.begin();
         let writes = [(X, 0, ObjectVal::new())];
-        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], &writes, now);
+        let mut commit = Commit::start(&mut co, ALL_UP, txn, &[(X, 0)], writes.to_vec(), now);
         let prepare = drain(&mut co).0[0];
         commit.on_reply(&mut co, NodeId(0), vote(prepare, true), now);
         commit.on_reply(&mut co, NodeId(2), vote(prepare, false), now);

@@ -57,4 +57,5 @@ pub use store::{ClassDigest, Store, StoreDigest, VersionedObject};
 pub use wal::{
     checksum, decode_stream, replay, CommitApplyRef, DurabilityMode, FaultLog, FaultLogConfig,
     FileLog, Framed, LoadedLog, MemLog, Persistence, ReplayState, WalError, WalRecord, FRAME_HDR,
+    MEMLOG_CAPACITY,
 };

@@ -184,7 +184,7 @@ pub struct Server {
     /// request ids in increasing order (a later incarnation in a higher
     /// band), so a request above its client's newest record is fresh
     /// without a search, and a fresh record is a push at the back.
-    completed: IdMap<NodeId, VecDeque<(ReqId, TxnId, Msg)>>,
+    completed: IdMap<NodeId, Completions>,
     stats: ServerStats,
     /// Window shape, kept to rebuild the contention window after a crash.
     window: WindowConfig,
@@ -358,36 +358,19 @@ impl Server {
         }
     }
 
-    /// The reply already sent for `(txn, req)`, if its client's queue
-    /// still holds it.
-    fn recorded(&self, txn: TxnId, req: ReqId) -> Option<&Msg> {
-        let queue = self.completed.get(&txn.client)?;
-        slot(queue, req, txn).ok().map(|i| &queue[i].2)
+    /// The reply already sent for `(txn, req)`, rebuilt, if its client's
+    /// queue still holds its record.
+    fn recorded(&self, txn: TxnId, req: ReqId) -> Option<Msg> {
+        self.completed.get(&txn.client)?.reply(req, txn.seq)
     }
 
-    /// Record the reply sent for a 2PC request in its client's queue: at
-    /// the back, or — for an arrival that overtook an earlier request (a
-    /// best-effort abort ahead of its prepare, a WAL replay) — in sorted
-    /// position, replacing a record of the same request. A full queue
-    /// sheds its oldest record first, so it never regrows; a record older
-    /// than everything a full queue holds is the one shed.
-    fn remember_reply(&mut self, (txn, req): (TxnId, ReqId), reply: Msg) {
-        let queue = self.completed.entry(txn.client).or_default();
-        match slot(queue, req, txn) {
-            Ok(i) => queue[i].2 = reply,
-            Err(0) if queue.len() >= DEDUP_CAPACITY => {}
-            Err(mut i) => {
-                if queue.len() >= DEDUP_CAPACITY {
-                    queue.pop_front();
-                    i -= 1;
-                }
-                if i == queue.len() {
-                    queue.push_back((req, txn, reply));
-                } else {
-                    queue.insert(i, (req, txn, reply));
-                }
-            }
-        }
+    /// Record the reply sent for a 2PC request in its client's queue (see
+    /// [`Completions::record`]).
+    fn remember_reply(&mut self, (txn, req): (TxnId, ReqId), reply: &Msg) {
+        self.completed
+            .entry(txn.client)
+            .or_default()
+            .record(req, txn.seq, reply);
     }
 
     /// Counters so far, with the log's counters, the store digest and the
@@ -466,8 +449,8 @@ impl Server {
             // held at most one extra TTL, never released early).
             self.prepared.insert(txn, PreparedTxn { objs, at: now });
         }
-        for (key, reply) in st.replies {
-            self.remember_reply(key, reply);
+        for (key, reply) in &st.replies {
+            self.remember_reply(*key, reply);
         }
         self.incarnation = self.incarnation.max(st.incarnation) + 1;
         let incarnation = self.incarnation;
@@ -649,7 +632,6 @@ impl Server {
         };
         if let Some((txn, req)) = dedup_key {
             if let Some(reply) = self.recorded(txn, req) {
-                let reply = reply.clone();
                 self.stats.dedup_hits += 1;
                 return Some(reply);
             }
@@ -663,7 +645,7 @@ impl Server {
             Some(Msg::PrepareResp { syncing, wal_refused, .. }) if *syncing || *wal_refused
         );
         if let (Some(key), Some(r), false) = (dedup_key, &reply, refused) {
-            self.remember_reply(key, r.clone());
+            self.remember_reply(key, r);
         }
         reply
     }
@@ -1067,14 +1049,132 @@ impl Server {
     }
 }
 
-/// Where `(req, txn)` sits in a client's completion queue: `Ok` at its
+/// What a completion record says was sent, in a form with no heap data:
+/// a push onto a full queue overwrites the record it sheds without
+/// reading it, and a duplicate's answer is rebuilt from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sent {
+    /// A yes vote: a `PrepareResp` that blames nothing.
+    Yes,
+    /// A `CommitAck`.
+    CommitAck,
+    /// An `AbortAck`.
+    AbortAck,
+    /// Any other reply — a no-vote that blames objects — kept whole
+    /// beside the queue ([`Completions::kept`]).
+    Kept,
+}
+
+impl Sent {
+    /// The record of `reply`.
+    fn of(reply: &Msg) -> Sent {
+        match reply {
+            Msg::PrepareResp {
+                vote: true,
+                invalid,
+                locked: None,
+                syncing: false,
+                wal_refused: false,
+                ..
+            } if invalid.is_empty() => Sent::Yes,
+            Msg::CommitAck { .. } => Sent::CommitAck,
+            Msg::AbortAck { .. } => Sent::AbortAck,
+            _ => Sent::Kept,
+        }
+    }
+
+    /// The reply this record stands for, to request `req`; `None` for a
+    /// [`Sent::Kept`] one, which is not rebuilt.
+    fn rebuild(self, req: ReqId) -> Option<Msg> {
+        match self {
+            Sent::Yes => Some(Msg::PrepareResp {
+                req,
+                vote: true,
+                invalid: Vec::new(),
+                locked: None,
+                syncing: false,
+                wal_refused: false,
+            }),
+            Sent::CommitAck => Some(Msg::CommitAck { req }),
+            Sent::AbortAck => Some(Msg::AbortAck { req }),
+            Sent::Kept => None,
+        }
+    }
+}
+
+/// One client's completion records: what was sent for each of its 2PC
+/// requests, ordered by `(req, txn seq)` — the client is the queue's.
+#[derive(Default)]
+struct Completions {
+    records: VecDeque<(ReqId, u64, Sent)>,
+    /// The replies of the [`Sent::Kept`] records, in the same order. An
+    /// entry older than the queue's oldest record is dead; each new one
+    /// sheds those first, so this never outgrows the queue's bound.
+    kept: VecDeque<(ReqId, u64, Msg)>,
+}
+
+impl Completions {
+    /// The reply recorded for `(req, seq)`, if the queue still holds it.
+    fn reply(&self, req: ReqId, seq: u64) -> Option<Msg> {
+        let i = slot(&self.records, req, seq).ok()?;
+        self.records[i].2.rebuild(req).or_else(|| {
+            let k = self
+                .kept
+                .binary_search_by_key(&(req, seq), |&(r, s, _)| (r, s));
+            Some(self.kept[k.expect("a kept record has its reply")].2.clone())
+        })
+    }
+
+    /// Record `reply` for `(req, seq)`: at the back, or — for an arrival
+    /// that overtook an earlier request (a best-effort abort ahead of its
+    /// prepare, a WAL replay) — in sorted position, replacing a record of
+    /// the same request. A full queue sheds its oldest record first, so it
+    /// never regrows; a record older than everything a full queue holds is
+    /// the one shed. Only a [`Sent::Kept`] record copies the reply.
+    fn record(&mut self, req: ReqId, seq: u64, reply: &Msg) {
+        let sent = Sent::of(reply);
+        let queue = &mut self.records;
+        match slot(queue, req, seq) {
+            Ok(i) => queue[i].2 = sent,
+            Err(0) if queue.len() >= DEDUP_CAPACITY => return,
+            Err(mut i) => {
+                if queue.len() >= DEDUP_CAPACITY {
+                    queue.pop_front();
+                    i -= 1;
+                }
+                if i == queue.len() {
+                    queue.push_back((req, seq, sent));
+                } else {
+                    queue.insert(i, (req, seq, sent));
+                }
+            }
+        }
+        if sent == Sent::Kept {
+            let oldest = self.records.front().map(|&(r, s, _)| (r, s));
+            while self
+                .kept
+                .front()
+                .is_some_and(|&(r, s, _)| Some((r, s)) < oldest)
+            {
+                self.kept.pop_front();
+            }
+            let key = (req, seq);
+            match self.kept.binary_search_by_key(&key, |&(r, s, _)| (r, s)) {
+                Ok(k) => self.kept[k].2 = reply.clone(),
+                Err(k) => self.kept.insert(k, (req, seq, reply.clone())),
+            }
+        }
+    }
+}
+
+/// Where `(req, seq)` sits in a client's completion queue: `Ok` at its
 /// record, `Err` where the record would go. Above the newest record —
 /// every request on the fault-free path — that is the back, found with
 /// no search.
-fn slot(queue: &VecDeque<(ReqId, TxnId, Msg)>, req: ReqId, txn: TxnId) -> Result<usize, usize> {
+fn slot(queue: &VecDeque<(ReqId, u64, Sent)>, req: ReqId, seq: u64) -> Result<usize, usize> {
     match queue.back() {
-        Some(&(r, t, _)) if (req, txn) <= (r, t) => {
-            queue.binary_search_by_key(&(req, txn), |&(r, t, _)| (r, t))
+        Some(&(r, s, _)) if (req, seq) <= (r, s) => {
+            queue.binary_search_by_key(&(req, seq), |&(r, s, _)| (r, s))
         }
         _ => Err(queue.len()),
     }
@@ -1828,7 +1928,7 @@ mod tests {
                 Instant::now(),
             );
         }
-        let queue = &s.completed[&NodeId(10)];
+        let queue = &s.completed[&NodeId(10)].records;
         assert_eq!(queue.len(), cap);
         assert!(queue.capacity() < 2 * cap, "shed before push: no regrowth");
         // The oldest records were evicted: replaying the very first abort
@@ -1842,7 +1942,96 @@ mod tests {
         // …and the oldest one kept still answers.
         s.handle(abort(10), Instant::now());
         assert_eq!(s.stats().dedup_hits, 1);
-        assert_eq!(s.completed[&NodeId(10)].len(), cap);
+        assert_eq!(s.completed[&NodeId(10)].records.len(), cap);
+    }
+
+    /// Every kind of 2PC reply a record stands for — a yes vote, a
+    /// no-vote blaming a locked object, one blaming stale reads, a
+    /// `CommitAck`, an `AbortAck` — answers its duplicate with exactly the
+    /// first reply, also when its record went in out of order; and a no-vote
+    /// shed at the per-client bound takes its kept reply with it.
+    #[test]
+    fn a_duplicate_of_every_reply_kind_gets_exactly_the_first_reply() {
+        let mut s = server();
+        let now = far();
+        // Validates a read of `OBJ` older than the commit before it.
+        let stale = Msg::PrepareReq {
+            txn: txn(3),
+            req: 4,
+            validate: vec![(OBJ, 0)],
+            writes: vec![(OBJ2, 0)],
+        };
+        // Sent in this order: `txn(5)`'s abort overtakes its prepare, so
+        // the prepare's record is inserted before the newest one.
+        let requests = [
+            prepare(1, 1, OBJ),
+            prepare(2, 2, OBJ),
+            commit(1, 3, OBJ),
+            stale,
+            prepare(4, 5, OBJ2),
+            Msg::AbortReq {
+                txn: txn(4),
+                req: 6,
+            },
+            Msg::AbortReq {
+                txn: txn(5),
+                req: 8,
+            },
+            prepare(5, 7, OBJ2),
+        ];
+        let first: Vec<String> = requests
+            .iter()
+            .map(|m| format!("{:?}", s.handle(m.clone(), now).unwrap()))
+            .collect();
+        let shows = |i: usize, what: &str| assert!(first[i].contains(what), "{}", first[i]);
+        shows(0, "vote: true");
+        shows(1, "locked: Some(");
+        shows(2, "CommitAck");
+        shows(3, "invalid: [");
+        shows(4, "vote: true");
+        shows(5, "AbortAck");
+        shows(6, "AbortAck");
+        shows(7, "vote: true");
+        assert_eq!(s.stats().dedup_hits, 0, "every request above is fresh");
+        for (i, m) in requests.iter().enumerate() {
+            let again = format!("{:?}", s.handle(m.clone(), now).unwrap());
+            assert_eq!(again, first[i], "duplicate of request {i}");
+            assert_eq!(s.stats().dedup_hits, i as u64 + 1);
+        }
+        let client = txn(0).client;
+        assert_eq!(s.completed[&client].kept.len(), 2, "the two no-votes");
+        // A bound's worth of later aborts sheds every record above; the
+        // no-vote a later one keeps sheds the dead kept replies.
+        for i in 0..DEDUP_CAPACITY as u64 {
+            s.handle(
+                Msg::AbortReq {
+                    txn: txn(100 + i),
+                    req: 100 + i,
+                },
+                now,
+            );
+        }
+        let hits = s.stats().dedup_hits;
+        s.handle(requests[3].clone(), now);
+        assert_eq!(s.stats().dedup_hits, hits, "a shed record answers nothing");
+        assert_eq!(
+            s.completed[&client].kept.len(),
+            2,
+            "dead until a no-vote is kept"
+        );
+        let req = 100 + DEDUP_CAPACITY as u64;
+        let no_vote = Msg::PrepareReq {
+            txn: txn(req),
+            req,
+            validate: vec![(OBJ, 0)],
+            writes: vec![],
+        };
+        let first = format!("{:?}", s.handle(no_vote.clone(), now).unwrap());
+        assert!(first.contains("invalid: ["), "{first}");
+        assert_eq!(format!("{:?}", s.handle(no_vote, now).unwrap()), first);
+        let c = &s.completed[&client];
+        assert_eq!(c.records.len(), DEDUP_CAPACITY);
+        assert_eq!(c.kept.len(), 1, "the dead kept replies are shed");
     }
 
     #[test]
@@ -3115,8 +3304,15 @@ mod tests {
         let next_probe = probe(s);
         let mut prepared: Vec<_> = s.prepared.iter().map(|(t, p)| (*t, &p.objs)).collect();
         prepared.sort();
-        let mut replies: Vec<_> = s.completed.values().flatten().collect();
-        replies.sort_by_key(|(req, txn, _)| (*txn, *req));
+        let mut replies: Vec<_> = s
+            .completed
+            .iter()
+            .flat_map(|(client, c)| {
+                let reply = |&(req, seq, _): &(ReqId, u64, Sent)| (req, seq, c.reply(req, seq));
+                c.records.iter().map(move |r| (*client, reply(r)))
+            })
+            .collect();
+        replies.sort_by_key(|&(client, (req, seq, _))| (client, seq, req));
         let state = (s.store.digest(), prepared, replies, s.syncing);
         format!("{state:?} {next_probe:?}")
     }
@@ -3264,7 +3460,7 @@ mod tests {
                 }
             }
             for (c, records) in model.iter().enumerate() {
-                let kept: Vec<_> = s.completed.get(&clients[c]).into_iter().flatten().collect();
+                let kept: Vec<_> = s.completed.get(&clients[c]).into_iter().flat_map(|c| &c.records).collect();
                 proptest::prop_assert_eq!(kept.len(), records.len());
                 proptest::prop_assert!(kept.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
             }

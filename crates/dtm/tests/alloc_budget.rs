@@ -21,11 +21,12 @@
 //! * A solo Bank-shaped transfer through a zero-latency [`Cluster`]
 //!   allocates the same count on its client's thread every time: the
 //!   servers run inline there, so the count covers client and servers,
-//!   and each round's request is one allocation that every member reads.
+//!   each round's request is one allocation that every member reads, and
+//!   the client's transaction reuses the collections of the one before.
 
 use acn_dtm::{
     BatchRead, Cluster, ClusterConfig, DtmClient, MemLog, Msg, Persistence, Server, TxnCtx, TxnId,
-    Version, WalRecord, WindowConfig,
+    Version, WalRecord, WindowConfig, MEMLOG_CAPACITY,
 };
 use acn_simnet::NodeId;
 use acn_txir::{FieldId, ObjClass, ObjectId, ObjectVal, Value};
@@ -159,8 +160,8 @@ fn transfer(s: &mut Server, seq: u64, now: Instant) -> (u64, u64) {
 /// What `Server::step` allocates for a `PrepareReq` that votes yes on four
 /// objects: the locked-set `Vec` (it moves through the grant record into
 /// the prepared table). The grant's frame lands in the ring's buffer, the
-/// read-set check finds nothing stale (an empty `Vec`), and the reply and
-/// its dedup-cache copy carry no heap data.
+/// read-set check finds nothing stale (an empty `Vec`), the reply carries
+/// no heap data, and its completion record is a copy-free `Sent::Yes`.
 const PREPARE_ALLOCS: u64 = 1;
 
 /// What `Server::step` allocates for a 4-write `CommitReq`: nothing. The
@@ -173,8 +174,8 @@ const COMMIT_ALLOCS: u64 = 0;
 fn server_decision_arms_allocate_the_pinned_counts() {
     let mut s = Server::new(WindowConfig::default());
     // A small ring reaches its steady-state buffer within the warm-up; the
-    // default one (`MEMLOG_CAPACITY` frames) keeps doubling its buffer
-    // until it first fills, ≈ 33 k transfers in.
+    // default one (`MEMLOG_CAPACITY` frames) may grow its buffer until
+    // its first compaction, `MEMLOG_CAPACITY` transfers in.
     s.set_persistence(Box::new(MemLog::with_capacity(256)));
     // One instant throughout: no contention-window rotation, no TTL sweep.
     let now = Instant::now();
@@ -262,9 +263,16 @@ fn bank_transfer(client: &mut DtmClient, amount: i64) {
 /// transaction — context, read round, prepare and commit rounds — and
 /// every server visit, since each server runs inline on the thread that
 /// sends to it. Measured past the completion records' per-client bound,
-/// so each server's queue sheds one record per record it keeps, and
-/// across contention-window rotations, which refill their maps in place.
-const WHOLE_COMMIT_ALLOCS: u64 = 40;
+/// so each server's queue sheds one record per record it keeps, past the
+/// first compaction of every server's WAL ring, after which its buffer
+/// never grows again, and across contention-window rotations, which
+/// refill their maps in place. Of the 20: the read round's request, its object list and
+/// validation delta, the vector its replies gather in, one reply vector
+/// per member and the two of the result; the copy-on-write of each of the
+/// four written values; the commit's write list; the prepare's request,
+/// validation and write lists and reply vector; one locked set per
+/// write-quorum member; and the commit round's request.
+const WHOLE_COMMIT_ALLOCS: u64 = 20;
 
 #[test]
 fn a_solo_transfer_through_a_cluster_allocates_the_pinned_count() {
@@ -279,19 +287,24 @@ fn a_solo_transfer_through_a_cluster_allocates_the_pinned_count() {
     let pace = 2 * cfg.window.window / 1_000;
     let cluster = Cluster::start(cfg);
     let mut client = cluster.client(0);
-    // Warm-up past every server's completion-record bound (two records
-    // per transfer), so the queues, the store and the client's maps have
-    // stopped growing. Its last 1 000 transfers are paced, so the maps a
-    // rotation refills have been filled once, however fast the rest ran.
-    for i in 0..5_000 {
-        bank_transfer(&mut client, i % 7 + 1);
-        if i >= 4_000 {
+    // Warm-up past the first compaction of every server's WAL ring (two
+    // frames per transfer on each write-quorum member). The ring fills
+    // `MEMLOG_CAPACITY / 2` transfers in; its buffer, which holds the live
+    // frames and the dead prefix behind them, may double once more before
+    // the dead prefix first reaches the live bytes and is compacted away,
+    // another `MEMLOG_CAPACITY / 2` transfers on — and never after. That
+    // is also past every server's completion-record bound (two records per
+    // transfer), so the queues, the store and the client's collections
+    // have stopped growing. Its last 1 000 transfers are paced, so the maps
+    // a rotation refills have been filled once, however fast the rest ran.
+    let warm_up = MEMLOG_CAPACITY + 2_000;
+    for i in 0..warm_up {
+        bank_transfer(&mut client, i as i64 % 7 + 1);
+        if i >= warm_up - 1_000 {
             std::thread::sleep(pace);
         }
     }
-    // 1 000 paced transfers, counted. The run is sized by count, not
-    // time: a longer one would cross a doubling of the WAL ring's buffer,
-    // which grows until the ring first fills.
+    // 1 000 paced transfers, counted.
     for i in 0..1_000 {
         let ((), n) = allocs(|| bank_transfer(&mut client, i % 7 + 1));
         assert_eq!(n, WHOLE_COMMIT_ALLOCS, "transfer {i}");

@@ -340,7 +340,14 @@ impl World {
             .collect::<Vec<_>>()
             .leak();
         client.co.resend_decided(ALL_UP);
-        let commit = Commit::start(&mut client.co, ALL_UP, txn, validate, running.writes, now);
+        let commit = Commit::start(
+            &mut client.co,
+            ALL_UP,
+            txn,
+            validate,
+            running.writes.to_vec(),
+            now,
+        );
         client.op = Some(Op::Commit(commit));
         Ok(())
     }

@@ -394,3 +394,63 @@ fn concurrent_increments_conserve_total() {
     assert_eq!(read_bal(&mut c0, acct(1)), 200);
     cluster.shutdown();
 }
+
+/// A new transaction on a client starts with an empty read-set, index,
+/// buffers, write-set and watermarks — after a committed transaction,
+/// whose collections it reuses, after an attempt dropped without a
+/// commit, and after a commit that failed — and its validation vector
+/// carries nothing of the transaction before it.
+#[test]
+fn a_transaction_starts_with_nothing_of_the_one_before() {
+    use acn_quorum::{DaryTree, LevelQuorums};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let cluster = Cluster::start(ClusterConfig::test(4, 2));
+    let (mut c, mut other) = (cluster.client(0), cluster.client(1));
+    let members = LevelQuorums::new(DaryTree::ternary(4)).read_quorum_size() as u64;
+    let touched = [acct(1), acct(2), branch(1), acct(3)];
+    // Reads `touched` in two rounds, so its watermarks at the read quorum
+    // reach 3, and writes two of them.
+    let fill = |c: &mut acn_dtm::DtmClient| {
+        let mut ctx = TxnCtx::begin(c);
+        ctx.open_batch(c, &touched[..3]).unwrap();
+        ctx.open_batch(c, &touched[3..]).unwrap();
+        for &obj in &touched[..2] {
+            ctx.open(c, obj, true).unwrap();
+            ctx.set_field(obj, BAL, Value::Int(9));
+        }
+        ctx
+    };
+    let mut fresh = (100..).map(acct);
+    let mut starts_empty = |c: &mut acn_dtm::DtmClient, after: &str| {
+        let mut ctx = TxnCtx::begin(c);
+        assert!(ctx.read_set().is_empty(), "read-set after {after}");
+        for obj in touched {
+            assert!(!ctx.has_read(obj), "{obj} indexed after {after}");
+            assert!(!ctx.has_write(obj), "{obj} written after {after}");
+            let buffered = catch_unwind(AssertUnwindSafe(|| ctx.get_field(obj, BAL)));
+            assert!(buffered.is_err(), "{obj} buffered after {after}");
+        }
+        // Stale watermarks would cover the first entry of the second
+        // round's vector, which then would not ship.
+        let before = c.stats().validate_entries_sent;
+        ctx.open_batch(c, &[fresh.next().unwrap()]).unwrap();
+        ctx.open_batch(c, &[fresh.next().unwrap()]).unwrap();
+        let shipped = c.stats().validate_entries_sent - before;
+        assert_eq!(shipped, members, "validation vector after {after}");
+        ctx.commit(c).unwrap();
+    };
+
+    fill(&mut c).commit(&mut c).unwrap();
+    starts_empty(&mut c, "a commit");
+    drop(fill(&mut c));
+    starts_empty(&mut c, "a dropped attempt");
+    let doomed = fill(&mut c);
+    seed(&mut other, acct(1), 5);
+    assert!(matches!(
+        doomed.commit(&mut c),
+        Err(DtmError::Conflict { .. })
+    ));
+    starts_empty(&mut c, "a failed commit");
+    cluster.shutdown();
+}

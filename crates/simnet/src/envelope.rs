@@ -61,10 +61,12 @@ impl<M: Clone> Clone for Payload<M> {
 
 /// A message in flight: payload plus routing and timing metadata.
 ///
-/// Envelopes are ordered by delivery time (earliest first) with the send
-/// sequence number as a tie-breaker so that two messages with identical
-/// delivery instants are received in send order — this keeps zero-latency
-/// test runs perfectly FIFO.
+/// Envelopes are ordered by delivery time (earliest first), then by their
+/// sender's sequence number, then by sender: two messages of one sender
+/// with identical delivery instants are received in send order — this
+/// keeps zero-latency runs FIFO per sender — and ties between senders break
+/// the same way every time. Each sender numbers its own envelopes, so a
+/// send writes no counter that another node's sends share.
 #[derive(Debug)]
 pub struct Envelope<M> {
     /// Sender node.
@@ -76,7 +78,8 @@ pub struct Envelope<M> {
     pub sent_at: Instant,
     /// Earliest instant at which the destination may observe the message.
     pub deliver_at: Instant,
-    /// Global send sequence number (tie-breaker for equal `deliver_at`).
+    /// The sender's own sequence number (with `src`, the tie-breaker for
+    /// equal `deliver_at`).
     pub seq: u64,
     /// The payload.
     pub payload: Payload<M>,
@@ -84,7 +87,7 @@ pub struct Envelope<M> {
 
 impl<M> PartialEq for Envelope<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -103,6 +106,7 @@ impl<M> Ord for Envelope<M> {
         self.deliver_at
             .cmp(&other.deliver_at)
             .then(self.seq.cmp(&other.seq))
+            .then(self.src.cmp(&other.src))
     }
 }
 

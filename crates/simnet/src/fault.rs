@@ -96,7 +96,7 @@ impl FaultTable {
         self.failed_nodes().count()
     }
 
-    /// Snapshot of the failed set, for quorum construction.
+    /// Snapshot of the failed set.
     pub fn failed_set(&self) -> HashSet<NodeId> {
         self.failed_nodes().collect()
     }

@@ -10,13 +10,16 @@
 //! An item due when it is pushed — a zero-delay envelope — skips the heap
 //! for a FIFO *ready lane*. Everything in the lane is mature, so a receive
 //! reads the clock only when the lane is empty and the heap is not: at zero
-//! latency a hop takes no clock read inside the queue at all.
+//! latency a hop takes no clock read inside the queue at all. A receive
+//! from an empty queue — what a server's runner finds after its last
+//! message — takes no lock either: it reads the queue's length first.
 
 use crate::envelope::Envelope;
 use crate::node::NodeId;
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Why a receive returned without a message.
@@ -75,6 +78,13 @@ struct State<T> {
 pub(crate) struct Inbox<T> {
     state: Mutex<State<T>>,
     cond: Condvar,
+    /// How many items the queue holds, stored (release) under the lock
+    /// whenever that changes. [`Inbox::try_recv`] reads it (acquire)
+    /// before locking and returns at once on 0: a push it misses had not
+    /// finished, and its pusher delivers it — by the runner call after the
+    /// push, or the holder's re-check of [`Inbox::has_mature`], which
+    /// keeps its lock for that reason.
+    queued: AtomicUsize,
 }
 
 impl<T: Timed> Inbox<T> {
@@ -87,7 +97,14 @@ impl<T: Timed> Inbox<T> {
                 parked_until: None,
             }),
             cond: Condvar::new(),
+            queued: AtomicUsize::new(0),
         }
+    }
+
+    /// Publish the queue's length; called under the lock after a change.
+    fn count(&self, st: &State<T>) {
+        self.queued
+            .store(st.heap.len() + st.ready.len(), Ordering::Release);
     }
 
     /// Enqueue an item, waking a parked receiver that would otherwise
@@ -107,6 +124,7 @@ impl<T: Timed> Inbox<T> {
             } else {
                 st.heap.push(Reverse(item));
             }
+            self.count(&st);
             st.parked_until
                 .take_if(|until| ready || *until > at)
                 .is_some()
@@ -144,6 +162,7 @@ impl<T: Timed> Inbox<T> {
             st.closed = true;
             st.heap.clear();
             st.ready.clear();
+            self.count(&st);
         }
         self.cond.notify_all();
     }
@@ -154,6 +173,7 @@ impl<T: Timed> Inbox<T> {
         let mut st = self.state.lock();
         st.heap.retain(|Reverse(e)| keep(e));
         st.ready.retain(|e| keep(e));
+        self.count(&st);
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -172,6 +192,7 @@ impl<T: Timed> Inbox<T> {
             }
             let mut now = None;
             if let Some(item) = pop_mature(&mut st, &mut now) {
+                self.count(&st);
                 return Ok(item);
             }
             let now = now.unwrap_or_else(Instant::now);
@@ -197,7 +218,15 @@ impl<T: Timed> Inbox<T> {
     /// the time it looks never parks, yet still sleeps on backoff.
     pub(crate) fn try_recv(&self) -> Option<T> {
         make_timers_precise();
-        pop_mature(&mut self.state.lock(), &mut None)
+        if self.queued.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut st = self.state.lock();
+        let item = pop_mature(&mut st, &mut None);
+        if item.is_some() {
+            self.count(&st);
+        }
+        item
     }
 }
 
@@ -510,6 +539,59 @@ mod tests {
         inbox.close();
         assert_eq!(inbox.len(), 0, "close empties the lane");
         assert!(inbox.try_recv().is_none());
+    }
+
+    #[test]
+    fn two_senders_envelopes_due_at_one_instant_pop_in_seq_then_src_order() {
+        let inbox = Inbox::new();
+        let at = Instant::now();
+        // Each sender numbers its own envelopes; pushed out of order, and
+        // through the heap (due already, but not pushed as ready).
+        let order = [(1, 2), (0, 0), (1, 0), (0, 2), (0, 1), (1, 1)];
+        for (src, seq) in order {
+            let e = Envelope {
+                src: NodeId(src),
+                dst: NodeId(2),
+                sent_at: at,
+                deliver_at: at,
+                seq,
+                payload: Payload::Owned(10 * src + seq as u32),
+            };
+            assert!(inbox.push(e, false));
+        }
+        let got: Vec<(u64, NodeId)> = std::iter::from_fn(|| inbox.try_recv())
+            .map(|e| (e.seq, e.src))
+            .collect();
+        let want: Vec<(u64, NodeId)> = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+            .map(|(seq, src)| (seq, NodeId(src)))
+            .to_vec();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn the_lock_free_empty_check_tracks_every_change_of_length() {
+        let inbox = Inbox::new();
+        let queued = |i: &Inbox<Envelope<u32>>| i.queued.load(Ordering::Acquire);
+        assert_eq!(queued(&inbox), 0);
+        push_env(&inbox, env(1, Duration::ZERO, 0));
+        push_env(&inbox, env(2, Duration::from_secs(60), 1));
+        assert_eq!(queued(&inbox), 2);
+        assert_eq!(inbox.try_recv().map(|e| val(e.payload)), Some(1));
+        assert_eq!(queued(&inbox), 1, "the delayed one is still queued");
+        assert!(inbox.try_recv().is_none());
+        inbox.retain(|_| false);
+        assert_eq!(queued(&inbox), 0);
+        push_env(&inbox, env(3, Duration::ZERO, 2));
+        assert_eq!(
+            inbox
+                .recv_timeout(Duration::from_secs(1))
+                .map(|e| val(e.payload)),
+            Ok(3)
+        );
+        assert_eq!(queued(&inbox), 0, "a blocking receive counts too");
+        push_env(&inbox, env(4, Duration::ZERO, 3));
+        inbox.close();
+        assert_eq!(queued(&inbox), 0);
     }
 
     #[test]

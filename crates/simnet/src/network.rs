@@ -11,12 +11,17 @@
 //! ([`Endpoint::wake_at`]) on the network's one `simnet-timer` thread at
 //! its instant, and a fault change on the injector's thread.
 //!
-//! A zero-delay hop that meets no fault costs its sender the two `sent`
-//! counters, the fault table's loads, one sequence number, the push, one
-//! read of the destination's runner lock and the runner call itself. No
-//! delivery counter is bumped ([`NetStats`] derives it), no chaos lock is
-//! taken unless a plan is installed, no runner handle is cloned, and a
-//! [`Endpoint::wake_at`] that a queued wake already covers takes no lock.
+//! A zero-delay hop that meets no fault costs its sender the fault table's
+//! loads, the push, one read of the destination's runner lock and the
+//! runner call itself — and a hop to a node without a runner (a reply to a
+//! client) not even that read. What the send writes besides the push is
+//! its own node's: its two `sent` counters and its envelope sequence
+//! number, plain stores that no other thread contends for, because a node
+//! sends from one thread at a time (its client's, or whichever holds its
+//! server's lock; debug builds check it). No delivery counter is bumped
+//! ([`NetStats`] derives it), no chaos lock is taken unless a plan is
+//! installed, no runner handle is cloned, and a [`Endpoint::wake_at`] that
+//! a queued wake already covers takes no lock.
 
 use crate::chaos::{ChaosDecision, FaultAction, FaultPlan, MsgKind, TimedFault};
 use crate::envelope::{Envelope, Payload};
@@ -60,9 +65,16 @@ struct Shared<M> {
     /// Per node, its runner; `None` for nodes that receive on their own
     /// thread, and for every node after [`Network::shutdown`].
     runners: Vec<RwLock<Option<Runner>>>,
+    /// Per node, whether `runners` holds one, stored under its write lock.
+    /// A send to a node without one — a reply to a client — reads this
+    /// instead of the lock.
+    has_runner: Vec<AtomicBool>,
     /// Wakes `(at, seq, node)`: the timer thread calls `node`'s runner at
     /// `at`. Started by the first [`Network::attach`].
     timer: Inbox<(Instant, u64, NodeId)>,
+    /// The timer queue's own sequence numbers (envelopes take theirs from
+    /// their sender's outbox).
+    timer_seq: AtomicU64,
     timer_started: Once,
     /// Per node, the earliest wake queued for it, as nanoseconds since
     /// `epoch` ([`NO_WAKE`] when none is). A later request is dropped: the
@@ -74,10 +86,12 @@ struct Shared<M> {
     /// Per node, how many fault changes it has seen
     /// ([`Endpoint::fault_changes`]).
     fault_changes: Vec<AtomicU64>,
+    /// How many node fault changes the whole network has seen
+    /// ([`Network::fault_changes`]).
+    all_fault_changes: AtomicU64,
     latency: LatencyModel,
     faults: FaultTable,
     stats: NetStats,
-    seq: AtomicU64,
     chaos: RwLock<Option<ChaosRuntime<M>>>,
     /// Whether `chaos` holds a plan: a send takes the chaos lock only
     /// while one is installed. Set (release) after a plan is installed and
@@ -116,15 +130,17 @@ impl<M: Send + Sync + 'static> Network<M> {
             shared: Arc::new(Shared {
                 inboxes,
                 runners: (0..nodes).map(|_| RwLock::new(None)).collect(),
+                has_runner: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
                 timer: Inbox::new(),
+                timer_seq: AtomicU64::new(0),
                 timer_started: Once::new(),
                 earliest: (0..nodes).map(|_| AtomicU64::new(NO_WAKE)).collect(),
                 epoch: Instant::now(),
                 fault_changes: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+                all_fault_changes: AtomicU64::new(0),
                 latency,
                 faults: FaultTable::new(nodes),
-                stats: NetStats::default(),
-                seq: AtomicU64::new(0),
+                stats: NetStats::new(nodes),
                 chaos: RwLock::new(None),
                 chaos_on: AtomicBool::new(false),
             }),
@@ -192,8 +208,19 @@ impl<M: Send + Sync + 'static> Network<M> {
     /// happens. A call that loses the node's lock leaves the change to the
     /// holder, which compares [`Endpoint::fault_changes`] after unlocking.
     fn faults_changed(&self, node: NodeId) {
+        self.shared.all_fault_changes.fetch_add(1, Ordering::SeqCst);
         self.shared.fault_changes[node.index()].fetch_add(1, Ordering::SeqCst);
         self.shared.run(node);
+    }
+
+    /// How many node fault changes ([`Network::fail`], a crash,
+    /// [`Network::recover`]) the network has seen. Each is counted after
+    /// the fault table changed, so a liveness view taken after reading a
+    /// count reflects at least the changes it counts: a client may keep
+    /// its quorum picks for as long as the count stays put. Link faults
+    /// are not counted.
+    pub fn fault_changes(&self) -> u64 {
+        self.shared.all_fault_changes.load(Ordering::SeqCst)
     }
 
     /// `node`'s amnesia epoch (0 = never amnesia-crashed).
@@ -221,11 +248,6 @@ impl<M: Send + Sync + 'static> Network<M> {
     /// Is `node` currently failed?
     pub fn is_failed(&self, node: NodeId) -> bool {
         self.shared.faults.is_failed(node)
-    }
-
-    /// Snapshot of the failed-node set.
-    pub fn failed_set(&self) -> std::collections::HashSet<NodeId> {
-        self.shared.faults.failed_set()
     }
 
     /// Fail the directed link `src → dst`: messages in that direction are
@@ -363,9 +385,17 @@ impl<M: Send + Sync + 'static> Network<M> {
 impl<M> Shared<M> {
     /// Call `node`'s runner, if it has one, on this thread.
     fn run(&self, node: NodeId) {
+        if !self.has_runner(node) {
+            return;
+        }
         if let Some(run) = self.runners[node.index()].read().as_ref() {
             run();
         }
+    }
+
+    /// Does `node` have a runner?
+    fn has_runner(&self, node: NodeId) -> bool {
+        self.has_runner[node.index()].load(Ordering::Acquire)
     }
 
     /// Install or drop `node`'s runner once no call holds it. The lock is
@@ -376,6 +406,12 @@ impl<M> Shared<M> {
         let slot = &self.runners[node.index()];
         loop {
             if let Some(mut held) = slot.try_write() {
+                // A hint for `run`, which reads the slot itself under the
+                // lock: a send that misses a runner being installed leaves
+                // its message to the runner's first call, as one that
+                // lands before `attach` does.
+                let has = runner.is_some();
+                self.has_runner[node.index()].store(has, Ordering::Release);
                 *held = runner;
                 return;
             }
@@ -399,7 +435,7 @@ impl<M> Shared<M> {
             match earliest.compare_exchange_weak(queued, at_ns, Ordering::SeqCst, Ordering::Relaxed)
             {
                 Ok(_) => {
-                    let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                    let seq = self.timer_seq.fetch_add(1, Ordering::Relaxed);
                     self.timer.push((at, seq, node), false);
                     return;
                 }
@@ -520,7 +556,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     ///
     /// Each member is still treated as an independent point-to-point send:
     /// its own fault check, its own latency sample, its own sequence number
-    /// and its own message/byte counters. Sharing the allocation changes
+    /// and its own message/byte counts. Sharing the allocation changes
     /// simulator cost only, never the modelled network behaviour.
     ///
     /// `payload` is an owned message (moved into a new `Arc`) or an `Arc`
@@ -547,9 +583,15 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.dispatch(last, Payload::Shared(shared), bytes_per_member, now);
     }
 
+    /// The one path of every message. The claim on this node's outbox
+    /// lasts the whole send, runner calls included: a node's sends are
+    /// serialised (see [`NetStats`]), and a debug build panics here when
+    /// they are not.
     fn dispatch(&self, to: NodeId, payload: Payload<M>, bytes: u64, now: Instant) {
         let stats = &self.shared.stats;
-        stats.record_sent(bytes);
+        let outbox = stats.outbox(self.id);
+        let _claim = outbox.claim(self.id);
+        outbox.record_sent(bytes);
         if self.shared.faults.is_failed(self.id) || self.shared.faults.is_failed(to) {
             stats.record_dropped_failed(bytes);
             return;
@@ -609,7 +651,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             dst: to,
             sent_at: now,
             deliver_at: now + delay,
-            seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
+            seq: self.shared.stats.outbox(self.id).next_seq(),
             payload,
         };
         let inbox = &self.shared.inboxes[to.index()];
@@ -634,7 +676,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         // once, the timer thread a delayed one.
         if delay.is_zero() {
             self.shared.run(to);
-        } else if self.shared.runners[to.index()].read().is_some() {
+        } else if self.shared.has_runner(to) {
             self.shared.wake_at(to, now + delay);
         }
     }
@@ -971,6 +1013,34 @@ mod tests {
         ep.wake_at(ms(7));
         assert_eq!(queued(), 2, "the fired wake opened the slot");
         net.shutdown();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "two threads send as n0 at once")]
+    fn two_threads_sending_as_one_node_at_once_panic_in_a_debug_build() {
+        let net: Network<u32> = Network::new(2, LatencyModel::Zero);
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (go, go_rx) = std::sync::mpsc::channel::<()>();
+        // The first call parks inside the runner until `go` is dropped.
+        let hold = Mutex::new(Some((entered_tx, go_rx)));
+        net.attach(NodeId(1), move || {
+            let first = hold.lock().take();
+            if let Some((entered, go)) = first {
+                entered.send(()).unwrap();
+                let _ = go.recv();
+            }
+        });
+        let a = net.endpoint(NodeId(0));
+        std::thread::scope(|s| {
+            s.spawn(move || a.send(NodeId(1), 1));
+            entered.recv().unwrap();
+            // The spawned thread is inside its send as n0, in the runner
+            // call. The panic below drops `go`, which lets it finish, and
+            // the scope joins it before the panic goes on.
+            let _release_on_unwind = go;
+            net.endpoint(NodeId(0)).send(NodeId(1), 2);
+        });
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Network delivery statistics.
 
+use crate::node::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Live counters for the whole network. Consumers take
@@ -21,20 +22,86 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A snapshot taken while a send is between its `sent` count and its drop
 /// counts that message as delivered; once no send is in flight the derived
 /// counters are exact, and every counter read directly only grows.
-#[derive(Default)]
+///
+/// `sent` and `bytes_sent` are kept per sending node (its `Outbox`) and
+/// summed by the snapshot. Each has one writer — the node's own thread for
+/// a client, whoever holds the node's lock for a server — so a send bumps
+/// them with a plain load and store instead of a shared read-modify-write.
+/// A drop is counted on the sending thread after its `sent`, so the
+/// release of the drop still carries the send to a snapshot that reads it.
 pub struct NetStats {
-    sent: AtomicU64,
+    /// Per sending node, indexed by [`NodeId::index`].
+    outboxes: Vec<Outbox>,
     dropped_failed: AtomicU64,
     dropped_closed: AtomicU64,
     dropped_link: AtomicU64,
     dropped_chaos: AtomicU64,
     chaos_duplicated: AtomicU64,
     chaos_delayed: AtomicU64,
-    bytes_sent: AtomicU64,
     /// Bytes of every dropped message (any cause).
     bytes_dropped: AtomicU64,
     /// Bytes of every extra copy chaos duplication enqueued.
     bytes_duplicated: AtomicU64,
+}
+
+/// What one node's sends write, on a cache line of its own: its `sent` and
+/// `bytes_sent` and the sequence numbers of its envelopes. Only the node's
+/// one writer updates it (see [`NetStats`]); debug builds check that no two
+/// threads send as the node at once.
+#[derive(Default)]
+#[repr(align(64))]
+pub(crate) struct Outbox {
+    sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    seq: AtomicU64,
+    /// Set while a thread is inside a send as this node.
+    #[cfg(debug_assertions)]
+    sending: std::sync::atomic::AtomicBool,
+}
+
+/// Add `n` to a counter that only the calling thread writes.
+fn bump(counter: &AtomicU64, n: u64) -> u64 {
+    let old = counter.load(Ordering::Relaxed);
+    counter.store(old + n, Ordering::Relaxed);
+    old
+}
+
+impl Outbox {
+    /// Count one message of `bytes` sent.
+    pub(crate) fn record_sent(&self, bytes: u64) {
+        bump(&self.sent, 1);
+        bump(&self.bytes_sent, bytes);
+    }
+
+    /// The sequence number of this node's next envelope.
+    pub(crate) fn next_seq(&self) -> u64 {
+        bump(&self.seq, 1)
+    }
+
+    /// Claim the node for one send: debug builds panic if another thread
+    /// is inside a send as `node`; release builds check nothing.
+    pub(crate) fn claim(&self, node: NodeId) -> SendClaim<'_> {
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.sending.swap(true, Ordering::Acquire),
+            "two threads send as {node} at once: its counters have one writer"
+        );
+        let _ = node;
+        SendClaim { outbox: self }
+    }
+}
+
+/// A send in progress as one node; dropping it ends the claim.
+pub(crate) struct SendClaim<'a> {
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    outbox: &'a Outbox,
+}
+
+impl Drop for SendClaim<'_> {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        self.outbox.sending.store(false, Ordering::Release);
+    }
 }
 
 /// A point-in-time copy of the network counters.
@@ -68,9 +135,24 @@ pub struct NetStatsSnapshot {
 }
 
 impl NetStats {
-    pub(crate) fn record_sent(&self, bytes: u64) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+    /// Counters for a network of `nodes` senders, all zero.
+    pub(crate) fn new(nodes: usize) -> Self {
+        NetStats {
+            outboxes: (0..nodes).map(|_| Outbox::default()).collect(),
+            dropped_failed: AtomicU64::default(),
+            dropped_closed: AtomicU64::default(),
+            dropped_link: AtomicU64::default(),
+            dropped_chaos: AtomicU64::default(),
+            chaos_duplicated: AtomicU64::default(),
+            chaos_delayed: AtomicU64::default(),
+            bytes_dropped: AtomicU64::default(),
+            bytes_duplicated: AtomicU64::default(),
+        }
+    }
+
+    /// `node`'s own counters.
+    pub(crate) fn outbox(&self, node: NodeId) -> &Outbox {
+        &self.outboxes[node.index()]
     }
     /// Count one drop of `bytes` on `counter`. Release, so a snapshot
     /// that reads the drop also reads the send (or duplicate) it undoes.
@@ -111,8 +193,9 @@ impl NetStats {
         let bytes_dropped = acquire(&self.bytes_dropped);
         let chaos_duplicated = acquire(&self.chaos_duplicated);
         let bytes_duplicated = acquire(&self.bytes_duplicated);
-        let sent = acquire(&self.sent);
-        let bytes_sent = acquire(&self.bytes_sent);
+        let (sent, bytes_sent) = self.outboxes.iter().fold((0, 0), |(n, b), o| {
+            (n + acquire(&o.sent), b + acquire(&o.bytes_sent))
+        });
         let dropped = dropped_failed + dropped_closed + dropped_link + dropped_chaos;
         NetStatsSnapshot {
             sent,
@@ -160,9 +243,9 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let s = NetStats::default();
-        s.record_sent(10);
-        s.record_sent(20);
+        let s = NetStats::new(2);
+        s.outbox(NodeId(0)).record_sent(10);
+        s.outbox(NodeId(1)).record_sent(20);
         s.record_dropped_failed(20);
         let snap = s.snapshot();
         assert_eq!(snap.sent, 2);
@@ -175,8 +258,8 @@ mod tests {
 
     #[test]
     fn counters_table_reads_every_field() {
-        let s = NetStats::default();
-        s.record_sent(10);
+        let s = NetStats::new(1);
+        s.outbox(NodeId(0)).record_sent(10);
         s.record_dropped_chaos(10);
         let snap = s.snapshot();
         let by_name = |name| {

@@ -3,13 +3,17 @@
 //! against a model that counts every enqueue the network makes, over
 //! random schedules of sends, broadcasts, chaos plans (drops, duplicates,
 //! delays), node and link faults, recoveries and a shutdown that closes
-//! every inbox.
+//! every inbox. A second test sends from several nodes at once, each on
+//! its own thread, through a node whose runner answers on the senders'
+//! threads: each node's counters have one writer, and their sum is exact.
 
 use acn_simnet::{
     ChaosDecision, ChaosRule, FaultPlan, LatencyModel, MsgKind, NetStatsSnapshot, Network, NodeId,
 };
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const NODES: u32 = 4;
@@ -195,4 +199,70 @@ proptest! {
             prop_assert_eq!(s.bytes_delivered, model.bytes_enqueued);
         }
     }
+}
+
+#[test]
+fn senders_on_their_own_threads_are_counted_exactly() {
+    const SENDERS: u32 = 4;
+    const PER_SENDER: u64 = 20_000;
+    const ECHO_BYTES: u64 = 7;
+    // Nodes 0..SENDERS send; `echo` answers each message on the thread
+    // that delivered it, under its lock, as a server does; `sink` only
+    // queues.
+    let (echo, sink) = (NodeId(SENDERS), NodeId(SENDERS + 1));
+    let net: Network<u32> = Network::new(SENDERS as usize + 2, LatencyModel::Zero);
+    let lock = Arc::new(Mutex::new(()));
+    let ep = net.endpoint(echo);
+    net.attach(echo, move || {
+        while let Some(held) = lock.try_lock() {
+            while let Some((src, v)) = ep.try_recv() {
+                ep.send_sized(src, v, ECHO_BYTES);
+            }
+            drop(held);
+            if !ep.has_mature() {
+                return;
+            }
+        }
+    });
+    // Sender `n`'s `i`-th message: to `echo` or `sink`, or a broadcast to
+    // both, of `1 + (n·PER_SENDER + i) % 100` bytes per copy.
+    let bytes = |n: u32, i: u64| 1 + (u64::from(n) * PER_SENDER + i) % 100;
+    // All start at once, so the senders overlap.
+    let start = Arc::new(Barrier::new(SENDERS as usize));
+    let senders: Vec<_> = (0..SENDERS)
+        .map(|n| {
+            let (tx, start) = (net.endpoint(NodeId(n)), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..PER_SENDER {
+                    match i % 3 {
+                        0 => tx.send_sized(echo, n, bytes(n, i)),
+                        1 => tx.send_sized(sink, n, bytes(n, i)),
+                        _ => tx.broadcast(&[echo, sink], n, bytes(n, i)),
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in senders {
+        h.join().unwrap();
+    }
+    let (mut sent, mut bytes_sent) = (0, 0);
+    for n in 0..SENDERS {
+        for i in 0..PER_SENDER {
+            // Copies sent by `n`, and how many of them reach `echo`.
+            let (copies, echoed) = if i % 3 == 2 {
+                (2, 1)
+            } else {
+                (1, u64::from(i % 3 == 0))
+            };
+            sent += copies + echoed;
+            bytes_sent += copies * bytes(n, i) + echoed * ECHO_BYTES;
+        }
+    }
+    let s = net.stats();
+    assert_eq!(s.sent, sent);
+    assert_eq!(s.bytes_sent, bytes_sent);
+    assert_eq!((s.delivered, s.bytes_delivered), (sent, bytes_sent));
+    net.shutdown();
 }

@@ -144,10 +144,15 @@ impl ComputeOp {
         }
     }
 
-    fn arity(self) -> usize {
+    /// The largest [`ComputeOp::arity`]: an evaluator may hold a call's
+    /// arguments in an array this long.
+    pub const MAX_ARITY: usize = 3;
+
+    /// How many arguments the operation takes.
+    pub fn arity(self) -> usize {
         match self {
             ComputeOp::Neg | ComputeOp::Not | ComputeOp::Id => 1,
-            ComputeOp::Select => 3,
+            ComputeOp::Select => ComputeOp::MAX_ARITY,
             _ => 2,
         }
     }
